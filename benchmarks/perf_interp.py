@@ -1,22 +1,29 @@
 """Sustained interpreter throughput on a tight synthetic loop.
 
-Measures instructions/second of ``Cpu.run``'s fast path on a counting
+Measures instructions/second of ``Cpu.run``'s fast loop on a counting
 loop whose opcode mix (load/store, immediate, ALU, compare, branch)
 resembles generated firmware — which makes it exactly the shape the
-superinstruction fusion pass targets. Both decodings are measured:
+superinstruction fusion pass targets. Both decodings run through the
+same loop and are measured:
 
-* ``instr_per_sec`` — fusion off (the plain direct-threaded loop, the
-  scoreboard metric since PR 2);
+* ``instr_per_sec`` — fusion off (plain decoded rows, the scoreboard
+  metric since PR 2);
 * ``fused_instr_per_sec`` — fusion on (``Cpu.load`` fuses the loop body
   into ALU+STORE / ALU+JNZ superinstruction rows);
 * ``fusion_speedup`` — their ratio, the machine-independent gate.
+
+Reps alternate plain and fused, so a host-speed dip hits both arms
+alike, and each rep is timed in process CPU time
+(``time.process_time``), which does not count time the process spent
+descheduled. The best rep per arm is reported, with every rep's rate in
+``rep_instr_per_sec`` as the recorded spread.
 
 Fusion must be *observably invisible*, so the run also asserts the two
 decodings retire identical instruction and cycle counts. The payload
 also carries ``opcode_profile`` — the measured per-opcode retirement
 counts from ``Cpu.run(profile=...)`` on the same workload, hottest
-first — so fusion and batch-tier decisions are grounded in what the
-scoreboard loop actually executes. Writes ``BENCH_interp.json`` next to
+first — so fusion decisions are grounded in what the scoreboard loop
+actually executes. Writes ``BENCH_interp.json`` next to
 this file so the perf trajectory of the hot loop is tracked across PRs.
 
 Usage::
@@ -43,7 +50,7 @@ from repro.target.memory import RAM_BASE, MemoryMap
 #: loop iterations per rep; 8 instructions each
 FULL_ITERS = 500_000
 QUICK_ITERS = 50_000
-REPS = 5  # best-of: rides out scheduler noise on short reps
+REPS = 5  # per arm, interleaved; best-of rides out host noise
 
 
 def counting_loop(iterations: int):
@@ -68,23 +75,29 @@ def run_once(iterations: int, fuse: bool):
     cpu = Cpu(memory, fuse=fuse)
     cpu.load(counting_loop(iterations))
     cpu.reset_task(0)
-    start = time.perf_counter()
+    start = time.process_time()
     result = cpu.run(max_instructions=10 * iterations)
-    wall_s = time.perf_counter() - start
+    cpu_s = time.process_time() - start
     assert result.reason is StopReason.HALTED, result
     assert memory.peek(RAM_BASE) == iterations
-    return result, wall_s, cpu
+    return result, cpu_s, cpu
 
 
-def best_of(iterations: int, fuse: bool):
-    """Best rep: (instr_per_sec, result, wall_s, fused_rows)."""
-    best = None
+def interleaved_best(iterations: int):
+    """Alternate plain and fused reps; best rep and all rates per arm.
+
+    Returns ``{fuse: (best rate, result, cpu_s, fused_rows, rates)}``.
+    """
+    best = {}
+    rates = {False: [], True: []}
     for _ in range(REPS):
-        result, wall_s, cpu = run_once(iterations, fuse)
-        rate = result.instructions / wall_s
-        if best is None or rate > best[0]:
-            best = (rate, result, wall_s, cpu.fused_rows)
-    return best
+        for fuse in (False, True):
+            result, cpu_s, cpu = run_once(iterations, fuse)
+            rate = result.instructions / cpu_s
+            rates[fuse].append(round(rate))
+            if fuse not in best or rate > best[fuse][0]:
+                best[fuse] = (rate, result, cpu_s, cpu.fused_rows)
+    return {fuse: best[fuse] + (rates[fuse],) for fuse in best}
 
 
 def main() -> None:
@@ -93,12 +106,12 @@ def main() -> None:
     run_once(QUICK_ITERS, fuse=False)  # warm up caches and the allocator
     run_once(QUICK_ITERS, fuse=True)
 
-    plain_rate, plain_result, plain_wall, _ = best_of(iterations, fuse=False)
-    fused_rate, fused_result, fused_wall, fused_rows = best_of(
-        iterations, fuse=True)
+    arms = interleaved_best(iterations)
+    plain_rate, plain_result, plain_cpu_s, _, plain_reps = arms[False]
+    fused_rate, fused_result, fused_cpu_s, fused_rows, fused_reps = arms[True]
 
     # measured opcode mix of the scoreboard workload (plain decoded
-    # opcodes — what the fusion and batch tiers dispatch on)
+    # opcodes — what the fusion pass dispatches on)
     memory = MemoryMap(16)
     cpu = Cpu(memory)
     cpu.load(counting_loop(QUICK_ITERS))
@@ -121,8 +134,9 @@ def main() -> None:
         "fusion_speedup": round(fused_rate / plain_rate, 2),
         "fused_rows": fused_rows,
         "cycles": plain_result.cycles,
-        "wall_s": round(plain_wall, 6),
-        "fused_wall_s": round(fused_wall, 6),
+        "cpu_s": round(plain_cpu_s, 6),
+        "fused_cpu_s": round(fused_cpu_s, 6),
+        "rep_instr_per_sec": {"plain": plain_reps, "fused": fused_reps},
         "instructions": plain_result.instructions,
         "opcode_profile": opcode_profile,
         "quick": quick,

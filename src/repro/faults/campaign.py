@@ -434,11 +434,9 @@ def run_campaign(
     """Inject faults, run both debuggers on each, aggregate detection.
 
     With ``runner=None`` experiments run inline, one after another. Pass
-    a :class:`repro.fleet.FleetRunner` (worker processes for scale-out),
-    a :class:`repro.fleet.SerialRunner`, or a
-    :class:`repro.fleet.BatchRunner` (in-process, jobs grouped into
-    identical-firmware cohorts by fingerprint — the right default on
-    core-starved hosts) to execute the same corpus through the fleet
+    a :class:`repro.fleet.FleetRunner` (worker processes for scale-out)
+    or a :class:`repro.fleet.SerialRunner` (in-process, the right choice
+    on core-starved hosts) to execute the same corpus through the fleet
     subsystem, which requires the three factories to be importable
     module-level callables (``code_watch_specs`` given as a factory,
     not a list). Every runner is a policy shell over the one elastic

@@ -10,11 +10,10 @@ scales with cores instead of wall-clock.
 Architecture — policy shells around one scheduler core::
 
     merge.py     results -> CampaignResult       canonical order, loud failures
-    pool.py      SerialRunner / FleetRunner   }
-    batch.py     BatchRunner / BoardCohort    }  policy shells: unit shape,
+    pool.py      SerialRunner / FleetRunner   }  policy shells: unit shape,
     sharding.py  ShardedDtmKernel epochs      }  backend, retry budget
     sched.py     ElasticScheduler + WorkUnit     THE event loop: per-worker
-                 Inline/Process/Stepped backends queues, cost-hint placement,
+                 Inline/Process backends         queues, cost-hint placement,
                                                  work stealing, per-item
                                                  deadlines, non-blocking retry,
                                                  heartbeat draining
@@ -22,9 +21,9 @@ Architecture — policy shells around one scheduler core::
     jobs.py      JobSpec / JobResult             picklable recipes, cost hints
 
 Every runner builds :class:`~repro.fleet.sched.WorkUnit`\\ s — single
-specs (serial), firmware-fingerprint cohorts (batch), contiguous chunks
-(fleet), pinned shard epochs (sharding) — and hands them to
-:class:`~repro.fleet.sched.ElasticScheduler`, which owns per-worker
+specs (serial), contiguous chunks (fleet), pinned shard epochs
+(sharding) — and hands them to :class:`~repro.fleet.sched.ElasticScheduler`,
+which owns per-worker
 local queues, steals from the longest queue for idle workers, preempts
 multi-item units when everything else is dry (workers return *partial
 batches* and the remainder migrates), enforces per-item deadlines, and
@@ -57,13 +56,8 @@ The load-bearing design rules:
 Entry points:
 
 * campaigns — ``run_campaign(..., runner=FleetRunner(workers=4))`` in
-  :mod:`repro.faults.campaign`; on a core-starved host prefer
-  ``runner=BatchRunner()`` (cohort-grouped, in-process) — process
-  scale-out cannot win there but identical-firmware cohorts can;
-* seed sweeps — :class:`repro.fleet.batch.BoardCohort` runs N
-  same-firmware boards in SoA lockstep via
-  :class:`repro.target.batch.BatchCpu` (see ``benchmarks/perf_batch.py``
-  for the measured 16/64-lane speedups);
+  :mod:`repro.faults.campaign`; on a core-starved host keep the default
+  ``SerialRunner`` — process scale-out cannot win there;
 * multi-board sharding — :class:`repro.rtos.sharding.ShardedDtmKernel`
   runs node-subset kernels in persistent shard workers
   (:mod:`repro.fleet.shards`), their lookahead epochs dispatched as
@@ -74,12 +68,6 @@ Entry points:
   parity and stranded-recovery wall time.
 """
 
-from repro.fleet.batch import (
-    BatchRunner,
-    BoardCohort,
-    cohorts_of,
-    firmware_fingerprint,
-)
 from repro.fleet.jobs import (
     JobResult,
     JobSpec,
@@ -101,20 +89,18 @@ from repro.fleet.sched import (
     ElasticScheduler,
     InlineBackend,
     ProcessBackend,
-    SteppedInlineBackend,
     WorkUnit,
     unit_cost,
 )
-from repro.fleet.worker import run_job, run_job_batch, run_unit_stealable
+from repro.fleet.worker import run_job, run_unit_stealable
 
 __all__ = [
     "JobSpec", "JobResult", "callable_ref", "resolve_ref",
     "enumerate_campaign_jobs", "estimate_cost_hints",
     "FleetRunner", "SerialRunner", "default_workers", "serial_live_scope",
-    "BatchRunner", "BoardCohort", "cohorts_of", "firmware_fingerprint",
     "ElasticScheduler", "WorkUnit", "unit_cost",
-    "InlineBackend", "ProcessBackend", "SteppedInlineBackend",
+    "InlineBackend", "ProcessBackend",
     "derive_seed", "seed_stream",
-    "run_job", "run_job_batch", "run_unit_stealable",
+    "run_job", "run_unit_stealable",
     "merge_results",
 ]

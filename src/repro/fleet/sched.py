@@ -2,10 +2,9 @@
 
 One event loop, many policies. :class:`ElasticScheduler` owns a deque of
 :class:`WorkUnit`\\ s — single campaign :class:`~repro.fleet.jobs.JobSpec`\\ s
-(``SerialRunner``), fingerprint-grouped cohort units (``BatchRunner``),
-contiguous chunks (``FleetRunner``) or shard-epoch commands
-(:class:`~repro.rtos.sharding.ShardedDtmKernel`) — distributes them into
-per-worker local queues, and runs a single loop that interleaves
+(``SerialRunner``), contiguous chunks (``FleetRunner``) or shard-epoch
+commands (:class:`~repro.rtos.sharding.ShardedDtmKernel`) — distributes
+them into per-worker local queues, and runs a single loop that interleaves
 dispatch, result harvesting, heartbeat draining (``live.drain``),
 deadline enforcement and isolated-retry resubmission. The three
 sequential phases of the old pool (dispatch pass, timeout pass, serial
@@ -43,16 +42,14 @@ executed by the same pure ``run_job`` path no matter which worker, steal
 or interleaving ran it — so *any* steal schedule produces byte-identical
 campaign results, trace stores and live-alert transcripts to
 ``SerialRunner`` at the same master seed. ``tests/test_sched.py`` proves
-it under hypothesis-forced interleavings via
-:class:`SteppedInlineBackend` and an injectable scheduler clock.
+it under hypothesis-forced interleavings via a stepped test backend
+(``tests/sched_harness.py``) and an injectable scheduler clock.
 
 Backends implement mechanism, not policy::
 
-    InlineBackend         in-process, one slot   Serial/Batch runners
+    InlineBackend         in-process, one slot   SerialRunner
     ProcessBackend        persistent pipe-driven worker processes, one
                           per slot, respawned on death  FleetRunner
-    SteppedInlineBackend  N virtual workers, one item per poll, caller-
-                          chosen interleaving   the test harness
 
 A process worker streams one ``("result", uid, offset, JobResult)``
 message per item, so a crash loses only the item being executed — the
@@ -74,8 +71,7 @@ from repro.fleet.jobs import default_mp_context
 
 __all__ = [
     "WorkUnit", "unit_cost", "MonotonicClock", "VirtualClock",
-    "ElasticScheduler", "InlineBackend", "ProcessBackend",
-    "SteppedInlineBackend", "worker_init",
+    "ElasticScheduler", "InlineBackend", "ProcessBackend", "worker_init",
 ]
 
 
@@ -93,7 +89,7 @@ def unit_cost(items: Sequence[Any]) -> int:
 
 
 class WorkUnit:
-    """An ordered slice of schedulable items (specs, cohorts, epochs).
+    """An ordered slice of schedulable items (specs, chunks, epochs).
 
     ``items`` are opaque to the scheduler except for two attributes:
     ``index`` (the canonical result key) and an optional ``cost_hint``
@@ -229,9 +225,9 @@ def _pool_worker_main(conn, extra_paths: List[str], entry_ref: str,
 class InlineBackend:
     """One in-process slot; a dispatched unit executes immediately.
 
-    The SerialRunner/BatchRunner mechanism: zero processes, items run
-    through *execute* in dispatch order, results are buffered as events
-    for the next poll. Nothing can die and nothing can be preempted, so
+    The SerialRunner mechanism: zero processes, items run through
+    *execute* in dispatch order, results are buffered as events for the
+    next poll. Nothing can die and nothing can be preempted, so
     steal/kill are unsupported.
     """
 
@@ -250,68 +246,6 @@ class InlineBackend:
 
     def poll(self, timeout_s) -> List[tuple]:
         events, self._events = self._events, []
-        return events
-
-    def close(self) -> None:
-        pass
-
-
-class SteppedInlineBackend:
-    """N virtual workers advanced one item per poll — the test harness.
-
-    ``choose(busy_slots, step)`` picks which busy slot executes its next
-    item, so a hypothesis test can force *any* interleaving of units
-    across virtual workers. Steal requests are honored exactly like a
-    real worker would: the chosen slot yields its untouched remainder
-    (never before its first item). Execution is still the real
-    *execute* path, in-process — which is what makes "any schedule is
-    byte-identical to serial" a provable property rather than a race.
-    """
-
-    supports_steal = True
-    supports_kill = False
-
-    def __init__(self, slot_count: int,
-                 choose: Callable[[Sequence[int], int], int],
-                 execute: Callable[[Any], Any]) -> None:
-        if slot_count < 1:
-            raise FleetError(f"slot_count must be >= 1, got {slot_count}")
-        self.slot_count = slot_count
-        self.choose = choose
-        self.execute = execute
-        self._busy: Dict[int, list] = {}  # slot -> [uid, items, done]
-        self._steal: set = set()
-        self._step = 0
-
-    def dispatch(self, slot: int, uid: int, items: Sequence[Any]) -> None:
-        self._busy[slot] = [uid, list(items), 0]
-
-    def steal(self, slot: int, uid: int) -> None:
-        self._steal.add(uid)
-
-    def poll(self, timeout_s) -> List[tuple]:
-        busy = tuple(sorted(self._busy))
-        if not busy:
-            return []
-        slot = self.choose(busy, self._step)
-        self._step += 1
-        if slot not in self._busy:
-            raise FleetError(f"choose() picked idle slot {slot}; "
-                             f"busy: {busy}")
-        uid, items, done = self._busy[slot]
-        if uid in self._steal and 0 < done < len(items):
-            # exactly a real worker's window: between items, never
-            # before the first (yields always make progress)
-            self._steal.discard(uid)
-            del self._busy[slot]
-            return [("yield", slot, uid, done)]
-        result = self.execute(items[done])
-        self._busy[slot][2] = done + 1
-        events = [("result", slot, uid, result)]
-        if done + 1 == len(items):
-            del self._busy[slot]
-            self._steal.discard(uid)
-            events.append(("done", slot, uid))
         return events
 
     def close(self) -> None:
@@ -476,7 +410,7 @@ class _Flight:
 
 
 class ElasticScheduler:
-    """The one event loop under Serial/Fleet/Batch runners and shards.
+    """The one event loop under Serial/Fleet runners and shards.
 
     ``run(units)`` places units onto per-slot queues, then loops:
     drain heartbeats, promote due retry units, dispatch idle slots

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.codegen.pipeline import generate_firmware
 from repro.faults.campaign import (
@@ -90,7 +90,7 @@ def run_job(spec: JobSpec) -> JobResult:
             trace_path=_sealed_trace_path(spec),
         )
     if OBS.metrics is not None:
-        # in-process telemetry (SerialRunner/BatchRunner, or a worker
+        # in-process telemetry (SerialRunner, or a worker
         # that enabled its own OBS state): one job-status series per
         # fault category
         OBS.metrics.counter("fleet.job", category=spec.category,
@@ -154,11 +154,6 @@ def _execute(spec: JobSpec) -> JobResult:
         # complete, index-finalized per-job stores.
         if trace_store is not None:
             trace_store.close()
-
-
-def run_job_batch(specs: Sequence[JobSpec]) -> List[JobResult]:
-    """Chunked dispatch unit: run a slice of the corpus, in order."""
-    return [run_job(spec) for spec in specs]
 
 
 def run_unit_stealable(specs: Sequence[JobSpec],

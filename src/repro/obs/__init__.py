@@ -2,12 +2,11 @@
 
 Every subsystem in this framework already keeps books — link
 transaction accounting, chaos/retry outcome counters, session
-transport totals, the batch tier's splits/merges/peels, tracedb
-segment I/O. This package is the layer that makes those books *one
-surface*: a labeled metrics registry they all publish into, a span
-tracer that turns modeled time into renderable slices, a
-Perfetto-compatible exporter, flame-style calltrace rollups, and
-automated post-mortems for failed campaign jobs. Raw event streams
+transport totals, tracedb segment I/O. This package is the layer that
+makes those books *one surface*: a labeled metrics registry they all
+publish into, a span tracer that turns modeled time into renderable
+slices, a Perfetto-compatible exporter, flame-style calltrace rollups,
+and automated post-mortems for failed campaign jobs. Raw event streams
 only become debugging leverage once they are aggregated, rendered and
 scriptable — that is the job here.
 
@@ -38,9 +37,9 @@ Invariants (each one gated, not aspirational):
   tracedb campaign merge, so fleet workers ship telemetry upward
   without breaking parallel == serial.
 * **Existing stats APIs are unchanged.** ``DebugLink.stats()``,
-  ``ChaosLink.stats()``, ``RetryingLink.stats()``,
-  ``DebugSession.transport_stats()`` and BatchCpu's stats dict keep
-  their exact keys and values; the registry *binds* them
+  ``ChaosLink.stats()``, ``RetryingLink.stats()`` and
+  ``DebugSession.transport_stats()`` keep their exact keys and values;
+  the registry *binds* them
   (:meth:`~repro.obs.metrics.MetricsRegistry.bind_stats`) and reads
   them once per snapshot, so they became the registry's series
   without their hot paths learning anything new.

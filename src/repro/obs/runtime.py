@@ -27,8 +27,8 @@ Scope and lifetime:
   telemetry off unless the worker enables it in-process; parent-side
   fleet instrumentation (job lifecycle in ``fleet/pool.py``) covers the
   multiprocess path, and picklable snapshots merge worker-side data
-  back when a runner opts in (``SerialRunner``/``BatchRunner`` run in
-  the caller's process, so their telemetry lands directly).
+  back when a runner opts in (``SerialRunner`` runs in the caller's
+  process, so its telemetry lands directly).
 * Components *bind* their stats surfaces at construction time
   (``MetricsRegistry.bind_stats``), so enable telemetry **before**
   building the stack you want observed. ``observed()`` scopes this

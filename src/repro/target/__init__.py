@@ -64,7 +64,8 @@ Superinstructions
 Generated firmware is dominated by a handful of rigid shapes, so
 :meth:`~repro.target.cpu.Cpu.load` runs a fusion pass (on by default;
 ``Cpu(fuse=False)`` keeps the reference decoding) that collapses them
-into single decoded rows dispatched by a dedicated fast loop:
+into single decoded rows, dispatched by the one fast loop that also runs
+plain rows:
 
 ========================================== ================================
 Constituent sequence                        Fused row
@@ -103,63 +104,17 @@ before, at any pc. ``tests/test_superinstructions.py`` holds the
 lockstep proof; ``benchmarks/perf_interp.py`` scores the speedup
 (``fusion_speedup``, floor-gated in CI).
 
-Fusion and batch decisions are driven by measurement, not guesswork:
+Fusion decisions are driven by measurement, not guesswork:
 ``Cpu.run(profile=...)`` fills a dict with per-opcode retirement counts
 (plain decoded opcodes, never superinstruction ids) at zero cost when
 unused — the hook is priced once at ``run()`` entry, exactly like
 breakpoints — and ``benchmarks/perf_interp.py`` dumps the measured
 profile (``opcode_profile``) with every run.
-
-The batch tier: N boards as one
-===============================
-
-:class:`repro.target.batch.BatchCpu` executes a *cohort* of CPUs that
-share one decoded program in SoA lockstep — the raw-speed multiplier
-for identical-firmware campaigns (seed sweeps, differential fault
-oracles) that superinstructions alone cannot reach.
-
-**SoA layout.** State is column-major across lanes: one list per stack
-slot and one per RAM word (``column[j]`` = lane *j*'s value), grouped by
-shared ``(pc, stack depth)``. One fetch/dispatch serves every lane;
-columns are immutable once shared, so LOAD pushes a RAM column by
-reference, STORE replaces the slot with the popped column, and only STI
-copies (copy-on-write) — data movement is O(1) per group, not per lane.
-
-**Mask semantics (split/join/merge).** Divergence is handled by group
-fission rather than a dense mask: a mixed branch predicate splits the
-group; with several groups live, every group pauses at join pcs (branch
-targets) and equal ``(pc, stack depth)`` groups merge, lowest-pc group
-scheduled first so stragglers catch up. Groups diverged beyond
-``reconverge_window`` (and not the largest), or smaller than
-``min_lanes``, are peeled to scalar — lockstep must pay for itself.
-
-**Peel-off invariant.** Exactly like a fused row decomposes, a lane
-leaves the batch *before* any instruction whose batched execution could
-be observably different (potential fault, armed emit handler, write
-hook, divergence past the window): its bit-exact state moves back to
-its own :class:`~repro.target.cpu.Cpu` via
-:meth:`~repro.target.cpu.Cpu.export_state`/``import_state``-grade
-writeback, and the serial loop itself re-executes the instruction — so
-fault pcs, partial pops, counters, RAM and emit logs are serial by
-construction, and batch == serial is provable bit-for-bit at every
-stop. ``tests/test_batch.py`` holds the lockstep proof (hypothesis
-cohorts with per-lane faults and budgets); ``benchmarks/perf_batch.py``
-scores boards/sec at 16 and 64 lanes (``batch_speedup_64`` and parity
-floor-gated in CI).
-
-**When cohorts form.** One level up,
-:class:`repro.fleet.batch.BoardCohort` flashes N boards with one
-firmware and drives them here;
-:class:`repro.fleet.batch.BatchRunner` groups campaign jobs by
-declarative firmware fingerprint (control/comm jobs share the pristine
-image; design/implementation jobs mutate firmware per ``(kind, seed)``
-and stay singleton cohorts).
 """
 
 from repro.target.assembler import Assembler, disassemble
-from repro.target.batch import BatchCpu, LaneOutcome
 from repro.target.board import BOARD_IDCODE, Board, DebugPort
-from repro.target.cpu import Cpu, CpuState, RunResult, StopReason
+from repro.target.cpu import Cpu, RunResult, StopReason
 from repro.target.firmware import FirmwareImage, Symbol, SymbolTable
 from repro.target.isa import Instr, OPCODES, cycles_of
 from repro.target.memory import MemoryMap, RAM_BASE
@@ -167,9 +122,8 @@ from repro.target.peripherals import Gpio, Uart
 
 __all__ = [
     "Assembler", "disassemble",
-    "BatchCpu", "LaneOutcome",
     "BOARD_IDCODE", "Board", "DebugPort",
-    "Cpu", "CpuState", "RunResult", "StopReason",
+    "Cpu", "RunResult", "StopReason",
     "FirmwareImage", "Symbol", "SymbolTable",
     "Instr", "OPCODES", "cycles_of",
     "MemoryMap", "RAM_BASE",

@@ -12,17 +12,26 @@ built around four rules:
    string, or a dict.
 2. **Dispatch on ints.** The loop is a frequency-ordered ``if/elif`` chain
    comparing a local int against hoisted local constants — no dictionary,
-   no attribute lookup, no method call per instruction.
+   no attribute lookup, no method call per instruction. Superinstruction
+   ids sit behind one ``op >= FUSE_BASE`` guard ahead of the plain chain.
 3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
    counters and constants live in locals for the duration of a run; state
    is written back once in a ``finally``.
 4. **Zero-cost when unused.** Breakpoints, data-watchpoint write hooks and
    single-stepping are resolved **once, before the loop**: if any is
    active, execution routes to the fully-checked debug loop
-   (:meth:`_run_debug`); otherwise the fast loop contains not a single
-   hook or breakpoint test. Stack underflow and runaway program counters
-   are caught by the ``IndexError`` of the faulting list access instead of
+   (:meth:`_run_debug`, one :meth:`_step` per instruction); otherwise the
+   one fast loop (:meth:`_run_fused`) runs the fused or the plain decoded
+   rows and contains not a single hook or breakpoint test. Stack
+   underflow and runaway program counters are caught by the
+   ``IndexError`` of the faulting list access instead of
    per-instruction guards.
+
+The ISA's semantics therefore exist twice: in the fast loop and in
+:meth:`_step`, the independent reference. Fused rows must be
+timing-identical to the plain rows they replace, and plain rows to
+:meth:`_step`; ``tests/test_superinstructions.py`` checks fused == plain
+== debug in lockstep.
 
 Semantics are bit-identical to the reference expression interpreter
 (:mod:`repro.comdes.expr`) via the shared :mod:`repro.util.intmath` rules:
@@ -38,6 +47,7 @@ from repro.errors import TargetFault
 from repro.target.isa import (
     CYCLES,
     FUSABLE_ALU,
+    FUSE_BASE,
     Instr,
     OP_ADD, OP_AND, OP_DIV, OP_DUP, OP_EMIT, OP_EQ, OP_F_ALU_JNZ,
     OP_F_ALU_JZ, OP_F_ALU_ST, OP_F_EMIT, OP_F_LOAD_JNZ, OP_F_LOAD_JZ,
@@ -71,26 +81,6 @@ class RunResult(NamedTuple):
     reason: StopReason
     instructions: int
     cycles: int
-
-
-class CpuState(NamedTuple):
-    """A bit-exact snapshot of one CPU's architectural run state.
-
-    This is the peel-off seam of the batch tier
-    (:mod:`repro.target.batch`): a lane leaving lockstep execution is
-    rebuilt as an ordinary :class:`Cpu` from exactly these fields (plus
-    its RAM plane, which lives on :class:`~repro.target.memory.MemoryMap`
-    and is snapshotted separately — memory is a shared bus peripheral,
-    not CPU-internal state). Tuples, not lists: a state is a value.
-    """
-
-    pc: int
-    stack: Tuple[int, ...]
-    cycles: int
-    instructions: int
-    halted: bool
-    resume_pc: int
-    emit_log: Tuple[Tuple[int, int, int], ...]
 
 
 class Cpu:
@@ -267,31 +257,6 @@ class Cpu:
         self.halted = False
         self._resume_pc = -1
 
-    # -- state transfer (the batch tier's peel-off seam) ---------------------
-
-    def export_state(self) -> CpuState:
-        """Snapshot the architectural run state as a :class:`CpuState`.
-
-        Round-trips exactly through :meth:`import_state`: a CPU rebuilt
-        from its own export is indistinguishable at every stop. RAM is
-        not included — it lives on :attr:`memory` and is transferred by
-        whoever owns the bus (the batch tier moves it column-wise).
-        """
-        return CpuState(self.pc, tuple(self.stack), self.cycles,
-                        self.instructions, self.halted, self._resume_pc,
-                        tuple(self.emit_log))
-
-    def import_state(self, state: CpuState) -> None:
-        """Adopt *state* wholesale; list identities are preserved so any
-        outstanding references to ``stack``/``emit_log`` stay live."""
-        self.pc = state.pc
-        self.stack[:] = state.stack
-        self.cycles = state.cycles
-        self.instructions = state.instructions
-        self.halted = state.halted
-        self._resume_pc = state.resume_pc
-        self.emit_log[:] = state.emit_log
-
     # -- execution ---------------------------------------------------------
 
     def run(self, max_instructions: int = DEFAULT_RUN_LIMIT,
@@ -305,12 +270,12 @@ class Cpu:
         an armed breakpoint set, single-stepping, or an opcode profile is
         actually present does execution take the checked path.
 
-        ``profile`` is the measurement hook driving fusion and batch
-        decisions: pass a dict (or ``collections.Counter``) and every
-        retired instruction increments ``profile[opcode]`` — plain
+        ``profile`` is the measurement hook driving fusion decisions:
+        pass a dict (or ``collections.Counter``) and every retired
+        instruction increments ``profile[opcode]`` — plain
         decoded opcodes (the reference stream, what a fusion pass needs
         to see), never superinstruction ids. Like breakpoints, the hook
-        is priced once here: the fast loops carry no counting code.
+        is priced once here: the fast loop carries no counting code.
 
         ``pc_profile`` counts retired instructions *by address* instead
         of by opcode — ``pc_profile[pc] += 1`` — which is what
@@ -330,16 +295,38 @@ class Cpu:
         # uncontrolled execution invalidates any pending resume-over marker
         self._resume_pc = -1
         # fuse is re-consulted here so toggling it after load() (Board
-        # exposes no fuse parameter) honestly selects the reference loop
-        if self.fuse and self._frows is not None:
-            return self._run_fused(max_instructions)
-        return self._run_fast(max_instructions)
+        # exposes no fuse parameter) honestly selects the reference decoding
+        rows = self._frows
+        if not self.fuse or rows is None:
+            rows = self._rows
+        return self._run_fused(rows, max_instructions)
 
-    def _run_fast(self, limit: int) -> RunResult:
-        """The hot loop: no hooks, no breakpoints, no string/dict dispatch."""
+    def _run_fused(self, rows: List[tuple], limit: int) -> RunResult:
+        """The one hot loop: no hooks, no breakpoints, no string/dict
+        dispatch, over either decoding.
+
+        *rows* is the fused program or the plain decoded rows; the plain
+        opcodes share one dispatch chain, and every superinstruction id
+        sits behind a single ``op >= FUSED`` guard ahead of it, so plain
+        rows pay one comparison for fusion's existence.
+
+        Timing identity with the plain rows (and with :meth:`_step`) is
+        the contract: every fused row charges the summed constituent
+        cycles, counts the constituent instructions and performs the
+        constituent memory accesses. Whenever fused execution could be
+        *observably* different — the instruction budget lands
+        mid-sequence, an operand or store address is outside RAM, the
+        transient stack headroom the constituent pushes need is missing,
+        or a fused divide sees a zero divisor — the row **decomposes**:
+        the loop swaps to the plain decoded rows and re-executes the same
+        pc unfused, so budget stops land on a legal unfused pc and faults
+        surface with the exact pc/counters of the constituent sequence.
+        (Interior pcs of a fused region always hold plain rows, so
+        resuming from such a stop is automatically legal.)
+        """
         memory = self.memory
-        rows = self._rows
-        ncode = len(rows)
+        prows = self._rows
+        ncode = len(prows)
         cells = memory.cells
         nram = len(cells)
         stack = self.stack
@@ -355,6 +342,11 @@ class Cpu:
         int_min = INT_MIN
         ram_base = RAM_BASE
         # dispatch constants as locals: LOAD_FAST beats LOAD_GLOBAL
+        FUSED = FUSE_BASE
+        F_ALU_ST = OP_F_ALU_ST; F_ALU_JZ = OP_F_ALU_JZ
+        F_ALU_JNZ = OP_F_ALU_JNZ; F_PUSH_ST = OP_F_PUSH_ST
+        F_LOAD_ST = OP_F_LOAD_ST; F_LOAD_JZ = OP_F_LOAD_JZ
+        F_LOAD_JNZ = OP_F_LOAD_JNZ; F_EMIT = OP_F_EMIT
         LOAD = OP_LOAD; PUSH = OP_PUSH; STORE = OP_STORE; ADD = OP_ADD
         EQ = OP_EQ; NE = OP_NE; LT = OP_LT; LE = OP_LE; GT = OP_GT; GE = OP_GE
         JMP = OP_JMP; JZ = OP_JZ; JNZ = OP_JNZ; SUB = OP_SUB; MUL = OP_MUL
@@ -375,7 +367,187 @@ class Cpu:
                 op, arg, cst = rows[pc]
                 run_cycles += cst
                 n += 1
-                if op == LOAD:
+                if op >= FUSED:
+                    if op == F_ALU_ST:
+                        amode, aval, bmode, bval, alu, yi = arg
+                        if (n + 3 > limit or not 0 <= yi < nram
+                                or len(stack) + 2 > depth
+                                or (amode and not 0 <= aval < nram)
+                                or (bmode and not 0 <= bval < nram)):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        a = cells[aval] if amode else aval
+                        b = cells[bval] if bmode else bval
+                        if alu == ADD:
+                            r = a + b
+                            if r > int_max or r < int_min:
+                                r = wrap32(r)
+                        elif alu == EQ:
+                            r = 1 if a == b else 0
+                        elif alu == LT:
+                            r = 1 if a < b else 0
+                        elif alu == SUB:
+                            r = a - b
+                            if r > int_max or r < int_min:
+                                r = wrap32(r)
+                        elif alu == GE:
+                            r = 1 if a >= b else 0
+                        elif alu == NE:
+                            r = 1 if a != b else 0
+                        elif alu == LE:
+                            r = 1 if a <= b else 0
+                        elif alu == GT:
+                            r = 1 if a > b else 0
+                        elif alu == MUL:
+                            r = a * b
+                            if r > int_max or r < int_min:
+                                r = wrap32(r)
+                        elif alu == MIN:
+                            r = a if a <= b else b
+                        elif alu == MAX:
+                            r = a if a >= b else b
+                        elif alu == AND:
+                            r = 1 if (a != 0 and b != 0) else 0
+                        elif alu == OR:
+                            r = 1 if (a != 0 or b != 0) else 0
+                        elif alu == DIV:
+                            if b == 0:  # trap must surface unfused
+                                rows = prows
+                                run_cycles -= cst
+                                n -= 1
+                                continue
+                            r = sdiv_(a, b)
+                        else:  # MOD
+                            if b == 0:
+                                rows = prows
+                                run_cycles -= cst
+                                n -= 1
+                                continue
+                            r = smod_(a, b)
+                        cells[yi] = r
+                        reads += amode + bmode
+                        writes += 1
+                        n += 3
+                        pc += 4
+                    elif op == F_ALU_JZ or op == F_ALU_JNZ:
+                        amode, aval, bmode, bval, alu, target = arg
+                        if (n + 3 > limit or len(stack) + 2 > depth
+                                or (amode and not 0 <= aval < nram)
+                                or (bmode and not 0 <= bval < nram)):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        a = cells[aval] if amode else aval
+                        b = cells[bval] if bmode else bval
+                        if alu == EQ:
+                            r = a == b
+                        elif alu == LT:
+                            r = a < b
+                        elif alu == GE:
+                            r = a >= b
+                        elif alu == NE:
+                            r = a != b
+                        elif alu == LE:
+                            r = a <= b
+                        elif alu == GT:
+                            r = a > b
+                        elif alu == AND:
+                            r = a != 0 and b != 0
+                        elif alu == OR:
+                            r = a != 0 or b != 0
+                        elif alu == MIN:
+                            r = (a if a <= b else b) != 0
+                        elif alu == MAX:
+                            r = (a if a >= b else b) != 0
+                        elif alu == ADD:
+                            r = (a + b) % 0x100000000 != 0
+                        elif alu == SUB:
+                            r = a != b
+                        elif alu == MUL:
+                            r = (a * b) % 0x100000000 != 0
+                        elif alu == DIV:
+                            if b == 0:
+                                rows = prows
+                                run_cycles -= cst
+                                n -= 1
+                                continue
+                            r = sdiv_(a, b) != 0
+                        else:  # MOD
+                            if b == 0:
+                                rows = prows
+                                run_cycles -= cst
+                                n -= 1
+                                continue
+                            r = smod_(a, b) != 0
+                        reads += amode + bmode
+                        n += 3
+                        if op == F_ALU_JNZ:
+                            pc = target if r else pc + 4
+                        else:
+                            pc = pc + 4 if r else target
+                    elif op == F_PUSH_ST:
+                        imm, yi = arg
+                        if (n >= limit or not 0 <= yi < nram
+                                or len(stack) >= depth):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        cells[yi] = imm
+                        writes += 1
+                        n += 1
+                        pc += 2
+                    elif op == F_LOAD_ST:
+                        ai, yi = arg
+                        if (n >= limit or not 0 <= ai < nram
+                                or not 0 <= yi < nram or len(stack) >= depth):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        cells[yi] = cells[ai]
+                        reads += 1
+                        writes += 1
+                        n += 1
+                        pc += 2
+                    elif op == F_LOAD_JZ or op == F_LOAD_JNZ:
+                        ai, target = arg
+                        if (n >= limit or not 0 <= ai < nram
+                                or len(stack) >= depth):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        reads += 1
+                        n += 1
+                        if (cells[ai] != 0) == (op == F_LOAD_JNZ):
+                            pc = target
+                        else:
+                            pc += 2
+                    else:  # F_EMIT
+                        path_id, bmode, bval, kind = arg
+                        if (n + 2 > limit or len(stack) + 2 > depth
+                                or (bmode and not 0 <= bval < nram)):
+                            rows = prows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        value = cells[bval] if bmode else bval
+                        reads += bmode
+                        emit_log.append((kind, path_id, value))
+                        if handler is not None:
+                            # handler observes the full preamble's cycle
+                            # charge, exactly like the unfused EMIT step
+                            self.cycles = base_cycles + run_cycles
+                            in_handler = True
+                            handler(kind, path_id, value)
+                            in_handler = False
+                        n += 2
+                        pc += 3
+                elif op == LOAD:
                     index = arg - ram_base
                     if not 0 <= index < nram:
                         raise TargetFault(
@@ -550,432 +722,6 @@ class Cpu:
             # The two structural faults surface as IndexError of the list
             # access itself — no per-instruction guard needed. An emit
             # handler's own IndexError propagates untouched.
-            if in_handler:
-                raise
-            if not 0 <= pc < ncode:
-                raise TargetFault("pc ran outside the code", pc) from None
-            if not stack:
-                raise TargetFault("stack underflow", pc) from None
-            raise
-        finally:
-            self.pc = pc
-            self.cycles = base_cycles + run_cycles
-            self.instructions += n
-            memory.reads += reads
-            memory.writes += writes
-        return RunResult(reason, n, run_cycles)
-
-    def _run_fused(self, limit: int) -> RunResult:
-        """The superinstruction hot loop: fused rows dispatch first.
-
-        Timing identity with :meth:`_run_fast` is the contract: every
-        fused row charges the summed constituent cycles, counts the
-        constituent instructions and performs the constituent memory
-        accesses. Whenever fused execution could be *observably*
-        different — the instruction budget lands mid-sequence, an
-        operand or store address is outside RAM, the transient stack
-        headroom the constituent pushes need is missing, or a fused
-        divide sees a zero divisor — the row **decomposes**: the loop
-        swaps to the plain decoded rows and re-executes the same pc
-        unfused, so budget stops land on a legal unfused pc and faults
-        surface with the exact pc/counters of the constituent sequence.
-        (Interior pcs of a fused region always hold plain rows, so
-        resuming from such a stop is automatically legal.)
-        """
-        memory = self.memory
-        prows = self._rows
-        rows: List[tuple] = self._frows
-        ncode = len(prows)
-        cells = memory.cells
-        nram = len(cells)
-        stack = self.stack
-        append = stack.append
-        pop = stack.pop
-        depth = self.stack_depth
-        emit_log = self.emit_log
-        handler = self.emit_handler
-        base_cycles = self.cycles
-        sdiv_ = sdiv
-        smod_ = smod
-        int_max = INT_MAX
-        int_min = INT_MIN
-        ram_base = RAM_BASE
-        # fused ids first: after fusion they dominate the decoded stream
-        F_ALU_ST = OP_F_ALU_ST; F_ALU_JZ = OP_F_ALU_JZ
-        F_ALU_JNZ = OP_F_ALU_JNZ; F_PUSH_ST = OP_F_PUSH_ST
-        F_LOAD_ST = OP_F_LOAD_ST; F_LOAD_JZ = OP_F_LOAD_JZ
-        F_LOAD_JNZ = OP_F_LOAD_JNZ; F_EMIT = OP_F_EMIT
-        LOAD = OP_LOAD; PUSH = OP_PUSH; STORE = OP_STORE; ADD = OP_ADD
-        EQ = OP_EQ; NE = OP_NE; LT = OP_LT; LE = OP_LE; GT = OP_GT; GE = OP_GE
-        JMP = OP_JMP; JZ = OP_JZ; JNZ = OP_JNZ; SUB = OP_SUB; MUL = OP_MUL
-        MIN = OP_MIN; MAX = OP_MAX; AND = OP_AND; OR = OP_OR; NOT = OP_NOT
-        NEG = OP_NEG; DUP = OP_DUP; MOD = OP_MOD; DIV = OP_DIV
-        SWAP = OP_SWAP; POPC = OP_POP; LDI = OP_LDI; STI = OP_STI
-        EMIT = OP_EMIT; HALT = OP_HALT
-
-        pc = self.pc
-        run_cycles = 0
-        n = 0
-        reads = 0
-        writes = 0
-        in_handler = False
-        reason = StopReason.LIMIT
-        try:
-            while n < limit:
-                op, arg, cst = rows[pc]
-                run_cycles += cst
-                n += 1
-                if op == F_ALU_ST:
-                    amode, aval, bmode, bval, alu, yi = arg
-                    if (n + 3 > limit or not 0 <= yi < nram
-                            or len(stack) + 2 > depth
-                            or (amode and not 0 <= aval < nram)
-                            or (bmode and not 0 <= bval < nram)):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    a = cells[aval] if amode else aval
-                    b = cells[bval] if bmode else bval
-                    if alu == ADD:
-                        r = a + b
-                        if r > int_max or r < int_min:
-                            r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    elif alu == EQ:
-                        r = 1 if a == b else 0
-                    elif alu == LT:
-                        r = 1 if a < b else 0
-                    elif alu == SUB:
-                        r = a - b
-                        if r > int_max or r < int_min:
-                            r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    elif alu == GE:
-                        r = 1 if a >= b else 0
-                    elif alu == NE:
-                        r = 1 if a != b else 0
-                    elif alu == LE:
-                        r = 1 if a <= b else 0
-                    elif alu == GT:
-                        r = 1 if a > b else 0
-                    elif alu == MUL:
-                        r = a * b
-                        if r > int_max or r < int_min:
-                            r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    elif alu == MIN:
-                        r = a if a <= b else b
-                    elif alu == MAX:
-                        r = a if a >= b else b
-                    elif alu == AND:
-                        r = 1 if (a != 0 and b != 0) else 0
-                    elif alu == OR:
-                        r = 1 if (a != 0 or b != 0) else 0
-                    elif alu == DIV:
-                        if b == 0:  # trap must surface unfused
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        r = sdiv_(a, b)
-                    else:  # MOD
-                        if b == 0:
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        r = smod_(a, b)
-                    cells[yi] = r
-                    reads += amode + bmode
-                    writes += 1
-                    n += 3
-                    pc += 4
-                elif op == F_ALU_JZ or op == F_ALU_JNZ:
-                    amode, aval, bmode, bval, alu, target = arg
-                    if (n + 3 > limit or len(stack) + 2 > depth
-                            or (amode and not 0 <= aval < nram)
-                            or (bmode and not 0 <= bval < nram)):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    a = cells[aval] if amode else aval
-                    b = cells[bval] if bmode else bval
-                    if alu == EQ:
-                        r = a == b
-                    elif alu == LT:
-                        r = a < b
-                    elif alu == GE:
-                        r = a >= b
-                    elif alu == NE:
-                        r = a != b
-                    elif alu == LE:
-                        r = a <= b
-                    elif alu == GT:
-                        r = a > b
-                    elif alu == AND:
-                        r = a != 0 and b != 0
-                    elif alu == OR:
-                        r = a != 0 or b != 0
-                    elif alu == MIN:
-                        r = (a if a <= b else b) != 0
-                    elif alu == MAX:
-                        r = (a if a >= b else b) != 0
-                    elif alu == ADD:
-                        r = (a + b) % 0x100000000 != 0
-                    elif alu == SUB:
-                        r = a != b
-                    elif alu == MUL:
-                        r = (a * b) % 0x100000000 != 0
-                    elif alu == DIV:
-                        if b == 0:
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        r = sdiv_(a, b) != 0
-                    else:  # MOD
-                        if b == 0:
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        r = smod_(a, b) != 0
-                    reads += amode + bmode
-                    n += 3
-                    if op == F_ALU_JNZ:
-                        pc = target if r else pc + 4
-                    else:
-                        pc = pc + 4 if r else target
-                elif op == F_PUSH_ST:
-                    imm, yi = arg
-                    if (n >= limit or not 0 <= yi < nram
-                            or len(stack) >= depth):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    cells[yi] = imm
-                    writes += 1
-                    n += 1
-                    pc += 2
-                elif op == F_LOAD_ST:
-                    ai, yi = arg
-                    if (n >= limit or not 0 <= ai < nram
-                            or not 0 <= yi < nram or len(stack) >= depth):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    cells[yi] = cells[ai]
-                    reads += 1
-                    writes += 1
-                    n += 1
-                    pc += 2
-                elif op == F_LOAD_JZ or op == F_LOAD_JNZ:
-                    ai, target = arg
-                    if (n >= limit or not 0 <= ai < nram
-                            or len(stack) >= depth):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    reads += 1
-                    n += 1
-                    if (cells[ai] != 0) == (op == F_LOAD_JNZ):
-                        pc = target
-                    else:
-                        pc += 2
-                elif op == F_EMIT:
-                    path_id, bmode, bval, kind = arg
-                    if (n + 2 > limit or len(stack) + 2 > depth
-                            or (bmode and not 0 <= bval < nram)):
-                        rows = prows
-                        run_cycles -= cst
-                        n -= 1
-                        continue
-                    value = cells[bval] if bmode else bval
-                    reads += bmode
-                    emit_log.append((kind, path_id, value))
-                    if handler is not None:
-                        # handler observes the full preamble's cycle charge,
-                        # exactly like the unfused EMIT step
-                        self.cycles = base_cycles + run_cycles
-                        in_handler = True
-                        handler(kind, path_id, value)
-                        in_handler = False
-                    n += 2
-                    pc += 3
-                elif op == LOAD:
-                    index = arg - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault(
-                            f"LOAD outside RAM: 0x{arg:08x}", pc)
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(cells[index])
-                    reads += 1
-                    pc += 1
-                elif op == PUSH:
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(arg)
-                    pc += 1
-                elif op == STORE:
-                    index = arg - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault(
-                            f"STORE outside RAM: 0x{arg:08x}", pc)
-                    cells[index] = pop()
-                    writes += 1
-                    pc += 1
-                elif op == ADD:
-                    b = pop(); a = pop()
-                    r = a + b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == EQ:
-                    b = pop(); a = pop()
-                    append(1 if a == b else 0)
-                    pc += 1
-                elif op == NE:
-                    b = pop(); a = pop()
-                    append(1 if a != b else 0)
-                    pc += 1
-                elif op == LT:
-                    b = pop(); a = pop()
-                    append(1 if a < b else 0)
-                    pc += 1
-                elif op == LE:
-                    b = pop(); a = pop()
-                    append(1 if a <= b else 0)
-                    pc += 1
-                elif op == GT:
-                    b = pop(); a = pop()
-                    append(1 if a > b else 0)
-                    pc += 1
-                elif op == GE:
-                    b = pop(); a = pop()
-                    append(1 if a >= b else 0)
-                    pc += 1
-                elif op == JMP:
-                    if not 0 <= arg < ncode:
-                        raise TargetFault(f"JMP target {arg} outside code",
-                                          pc)
-                    pc = arg
-                elif op == JZ:
-                    if pop() == 0:
-                        if not 0 <= arg < ncode:
-                            raise TargetFault(
-                                f"JZ target {arg} outside code", pc)
-                        pc = arg
-                    else:
-                        pc += 1
-                elif op == JNZ:
-                    if pop() != 0:
-                        if not 0 <= arg < ncode:
-                            raise TargetFault(
-                                f"JNZ target {arg} outside code", pc)
-                        pc = arg
-                    else:
-                        pc += 1
-                elif op == SUB:
-                    b = pop(); a = pop()
-                    r = a - b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == MUL:
-                    b = pop(); a = pop()
-                    r = a * b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == MIN:
-                    b = pop(); a = pop()
-                    append(a if a <= b else b)
-                    pc += 1
-                elif op == MAX:
-                    b = pop(); a = pop()
-                    append(a if a >= b else b)
-                    pc += 1
-                elif op == AND:
-                    b = pop(); a = pop()
-                    append(1 if (a != 0 and b != 0) else 0)
-                    pc += 1
-                elif op == OR:
-                    b = pop(); a = pop()
-                    append(1 if (a != 0 or b != 0) else 0)
-                    pc += 1
-                elif op == NOT:
-                    append(0 if pop() != 0 else 1)
-                    pc += 1
-                elif op == NEG:
-                    r = -pop()
-                    if r > int_max:
-                        r = int_min  # -INT_MIN wraps
-                    append(r)
-                    pc += 1
-                elif op == DUP:
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(stack[-1])
-                    pc += 1
-                elif op == MOD:
-                    b = pop(); a = pop()
-                    if b == 0:
-                        raise TargetFault("modulo by zero", pc)
-                    append(smod_(a, b))
-                    pc += 1
-                elif op == DIV:
-                    b = pop(); a = pop()
-                    if b == 0:
-                        raise TargetFault("division by zero", pc)
-                    append(sdiv_(a, b))
-                    pc += 1
-                elif op == SWAP:
-                    b = pop(); a = pop()
-                    append(b)
-                    append(a)
-                    pc += 1
-                elif op == POPC:
-                    pop()
-                    pc += 1
-                elif op == LDI:
-                    index = pop() - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault("LDI outside RAM", pc)
-                    append(cells[index])
-                    reads += 1
-                    pc += 1
-                elif op == STI:
-                    index = pop() - ram_base
-                    value = pop()
-                    if not 0 <= index < nram:
-                        raise TargetFault("STI outside RAM", pc)
-                    cells[index] = value
-                    writes += 1
-                    pc += 1
-                elif op == EMIT:
-                    value = pop()
-                    path_id = pop()
-                    kind = arg
-                    emit_log.append((kind, path_id, value))
-                    if handler is not None:
-                        # the handler reads self.cycles: sync before calling
-                        self.cycles = base_cycles + run_cycles
-                        in_handler = True
-                        handler(kind, path_id, value)
-                        in_handler = False
-                    pc += 1
-                else:  # HALT (the only remaining opcode)
-                    self.halted = True
-                    pc += 1
-                    reason = StopReason.HALTED
-                    break
-        except IndexError:
             if in_handler:
                 raise
             if not 0 <= pc < ncode:

@@ -6,9 +6,9 @@ The load-bearing property: ANY forced interleaving/steal order over any
 worker count and chunking yields byte-identical canonical merge,
 campaign fingerprint, trace store and live-alert transcript vs
 ``SerialRunner`` at the same master seed. Hypothesis drives the
-interleavings through :class:`SteppedInlineBackend`, which executes the
-real ``run_job`` path one item per poll on a caller-chosen virtual
-worker.
+interleavings through ``sched_harness.SteppedInlineBackend``, which
+executes the real ``run_job`` path one item per poll on a caller-chosen
+virtual worker.
 """
 
 import filecmp
@@ -35,7 +35,6 @@ from repro.fleet import (
     InlineBackend,
     JobSpec,
     SerialRunner,
-    SteppedInlineBackend,
     WorkUnit,
     callable_ref,
     enumerate_campaign_jobs,
@@ -48,6 +47,7 @@ from repro.fleet.worker import run_job, run_unit_stealable
 from repro.obs.live import LiveAggregator
 from repro.tracedb import campaign_store_root
 from repro.util.timeunits import sec
+from sched_harness import SteppedInlineBackend
 
 
 def exiting_system():
@@ -269,19 +269,6 @@ class TestStealScheduleByteIdentity:
             assert transcript == ref_transcript
         finally:
             shutil.rmtree(trace_dir, ignore_errors=True)
-
-    def test_batch_and_serial_runners_share_the_scheduler_core(self):
-        # the policy shells really do dispatch through sched.py: their
-        # inline schedules produce the canonical serial answer
-        from repro.fleet import BatchRunner
-        specs = enumerate_campaign_jobs(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches, plan=InstrumentationPlan.full(),
-            **KW)
-        serial = SerialRunner().run(specs)
-        batch = BatchRunner().run(specs)
-        key = lambda results: [(r.index, r.status) for r in results]
-        assert key(serial) == key(batch)
 
 
 # ---------------------------------------------------------------------------

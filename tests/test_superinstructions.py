@@ -11,7 +11,6 @@ codegen-shaped: operand/operand/alu/store quads, constant and move
 pairs, compare-and-branch, bounded loops, EMITs and unfusable filler.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import InstrumentationPlan
@@ -21,7 +20,7 @@ from repro.errors import TargetFault
 from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
-from repro.target.isa import Instr
+from repro.target.isa import OP_HALT, Instr
 from repro.target.memory import RAM_BASE, MemoryMap
 from repro.util.intmath import INT_MAX, INT_MIN
 
@@ -466,14 +465,17 @@ class TestFirmwareIntegration:
 
     def test_fuse_toggle_after_load_selects_reference_loop(self):
         """Board exposes no fuse parameter, so disabling fusion after
-        load_firmware must be honored — run() re-consults the flag."""
+        load_firmware must be honored — run() re-consults the flag and
+        executes the plain decoded rows."""
         cpu = build(counting_loop(5), fuse=True)
         assert cpu.fused_rows > 0
         cpu.fuse = False
-        cpu._run_fused = lambda limit: pytest.fail(
-            "fused loop must not run with fuse disabled")
+        # poisoned fused rows: any fetch from them halts at once
+        cpu._frows = [(OP_HALT, 0, 1)] * len(cpu._frows)
         result = cpu.run()
-        assert result.reason is StopReason.HALTED
+        plain = build(counting_loop(5), fuse=False)
+        assert result == plain.run()
+        assert snap(cpu) == snap(plain)
 
     def test_run_route_selection_unchanged(self):
         """Debug features still force the per-instruction loop; the fused
