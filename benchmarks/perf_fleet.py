@@ -6,8 +6,8 @@ it measures:
 
 * **serial_jobs_per_sec** — the :class:`SerialRunner` baseline (the
   identical-interface in-process fallback every campaign can use);
-* **fleet_jobs_per_sec** — :class:`FleetRunner` at 4 workers, chunked
-  dispatch over worker processes;
+* **fleet_jobs_per_sec** — :class:`FleetRunner` at 4 workers, one FIFO
+  job queue over worker processes;
 * **speedup_4w** — fleet over serial wall-clock. Campaign jobs are pure
   CPU, so this scales with available cores: ~1.0 on a single-core
   container, >= 2.5 expected on a 4-core host. ``cpu_count`` is recorded
@@ -18,10 +18,9 @@ it measures:
   change results.
 
 The payload records the scheduling configuration that produced the
-number — ``runner`` (class name), the *effective* ``chunk_size`` (the
-auto policy resolved against this corpus) and ``max_retries`` — so
+number — ``runner`` (class name) and ``max_retries`` — so
 ``speedup_4w`` trajectories across PRs compare like with like instead
-of silently mixing chunking/retry regimes.
+of silently mixing retry regimes.
 
 Writes ``BENCH_fleet.json`` next to this file so the fleet's perf
 trajectory is tracked across PRs.
@@ -65,7 +64,7 @@ def corpus_kw(quick: bool) -> dict:
         design_kinds=tuple(DESIGN_FAULT_KINDS),
         impl_kinds=tuple(IMPL_FAULT_KINDS),
         seeds=(1, 2, 3),
-        # Long enough per experiment that pool startup and chunk
+        # Long enough per experiment that pool startup and job
         # dispatch are noise next to the simulated seconds of work.
         duration_us=8_000_000,
     )
@@ -117,7 +116,6 @@ def main() -> None:
         "workers": WORKERS,
         "cpu_count": os.cpu_count() or 1,
         "runner": type(fleet_runner).__name__,
-        "chunk_size": fleet_runner._chunk_size_for(jobs),
         "max_retries": fleet_runner.max_retries,
         "serial_s": round(serial_s, 3),
         "fleet_s": round(fleet_best, 3),

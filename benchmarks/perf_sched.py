@@ -1,21 +1,19 @@
-"""Elastic scheduler scoreboard: steal speedup, parity, stranded recovery.
+"""FIFO scheduler scoreboard: queue speedup, parity, stranded recovery.
 
-Three numbers, one per scheduler property the fleet refactor claims:
+Three numbers, one per scheduler property the fleet claims:
 
-* **steal_speedup_skew** — makespan of a *skewed* synthetic corpus
+* **queue_speedup_skew** — makespan of a *skewed* synthetic corpus
   (a few heavy jobs clustered at the head, a tail of light ones) under
-  static pinned chunking vs the elastic schedule (cost-hint LPT
-  placement + queue stealing + preemptive partial-batch yields). Jobs
-  are ``time.sleep`` units executed by real worker processes, so the
+  static contiguous thirds vs the FIFO job queue. Jobs are
+  ``time.sleep`` units executed by real worker processes, so the
   makespan is decided by *scheduling*, not by host core count — the
-  ratio is machine-independent and CI floors it. Static contiguous
-  thirds of ``[10,10,10,10] + [1]*12`` serialize 42 sleep units on one
-  worker; the elastic schedule lands near the 20-unit critical path. A
-  third *hint-blind* arm withholds the cost hints (uniform unit
-  weights), so the heavies land wherever and run-time queue stealing —
-  not placement — reaches the same optimum (``steal_speedup_blind``).
+  ratio is machine-independent and CI floors it. The static arm runs
+  three jobs, one per contiguous third of ``[10,10,10,10] + [1]*12``,
+  each sleeping its third's summed units, so one worker serializes 42
+  units. The queue arm runs the 16 jobs in canonical order, each idle
+  worker taking the head job, and lands on the 20-unit critical path.
 * **sched_parity_identical** — a real mini-campaign through
-  ``FleetRunner`` (2 workers, elastic schedule) vs ``SerialRunner``:
+  ``FleetRunner`` (2 workers) vs ``SerialRunner``:
   summary rows and per-fault outcomes must be byte-identical. The
   any-schedule-one-answer invariant, floored at 1.
 * **stranded_recovery_s** — wall-clock for two crash-on-arrival jobs
@@ -48,7 +46,6 @@ from repro.fleet import (
     FleetRunner,
     ProcessBackend,
     SerialRunner,
-    WorkUnit,
 )
 
 WORKERS = 3
@@ -57,19 +54,19 @@ COSTS = [HEAVY] * 4 + [LIGHT] * 12
 
 
 class SleepJob:
-    """A schedulable sleep: ``cost_hint`` units of ``unit_s`` each."""
+    """A schedulable sleep: ``units`` units of ``unit_s`` each."""
 
-    __slots__ = ("index", "cost_hint", "unit_s")
+    __slots__ = ("index", "units", "unit_s")
 
-    def __init__(self, index: int, cost_hint: int, unit_s: float) -> None:
+    def __init__(self, index: int, units: int, unit_s: float) -> None:
         self.index = index
-        self.cost_hint = cost_hint
+        self.units = units
         self.unit_s = unit_s
 
 
 def sleepy_execute(job: SleepJob) -> int:
     """The worker entry for synthetic jobs (``entry_ref`` target)."""
-    time.sleep(job.cost_hint * job.unit_s)
+    time.sleep(job.units * job.unit_s)
     return job.index
 
 
@@ -78,48 +75,32 @@ def exiting_system():
     os._exit(3)
 
 
-def contiguous_thirds(jobs):
-    """The static baseline: even contiguous slices, one per worker."""
+def static_thirds(jobs):
+    """The static baseline: one job per worker, sleeping the summed
+    units of that worker's even contiguous slice of *jobs*."""
     per, extra = divmod(len(jobs), WORKERS)
-    slices, at = [], 0
+    thirds, at = [], 0
     for worker in range(WORKERS):
         size = per + (1 if worker < extra else 0)
-        slices.append(jobs[at:at + size])
+        units = sum(job.units for job in jobs[at:at + size])
+        thirds.append(SleepJob(worker, units, jobs[0].unit_s))
         at += size
-    return slices
+    return thirds
 
 
-def run_skew_arm(jobs, *, arm: str, chunk: int = 2):
-    """One scheduling regime over the skew corpus; returns (s, sched).
-
-    ``static``  — contiguous thirds pinned to their worker, no stealing:
-                  the pre-refactor chunking baseline.
-    ``elastic`` — cost-hint LPT placement + stealing: heavy units are
-                  *placed* apart, landing on the 20-unit optimum.
-    ``blind``   — hints withheld (uniform unit costs) + stealing: the
-                  heavies land wherever, and queue stealing rebalances
-                  at run time — same optimum, reached the other way.
-    """
+def run_arm(jobs) -> float:
+    """Seconds for the FIFO scheduler to run *jobs* on WORKERS processes."""
     backend = ProcessBackend(slot_count=WORKERS,
                              entry_ref="perf_sched:sleepy_execute")
-    scheduler = ElasticScheduler(backend, steal=arm != "static",
-                                 cost_placement=arm == "elastic")
-    if arm == "static":
-        units = [WorkUnit(chunk_jobs, pinned=worker)
-                 for worker, chunk_jobs in enumerate(contiguous_thirds(jobs))]
-    else:
-        units = [WorkUnit(jobs[i:i + chunk],
-                          cost=None if arm == "elastic" else chunk)
-                 for i in range(0, len(jobs), chunk)]
     start = time.perf_counter()
     try:
-        results = scheduler.run(units)
+        results = ElasticScheduler(backend).run(jobs)
     finally:
         backend.close()
     elapsed = time.perf_counter() - start
     assert results == {job.index: job.index for job in jobs}, \
         "scheduler lost or misrouted synthetic results"
-    return elapsed, scheduler
+    return elapsed
 
 
 def outcome_fingerprint(result) -> str:
@@ -144,7 +125,7 @@ def measure_parity() -> int:
                           **kw)
     fleet = run_campaign(traffic_light_system, traffic_light_monitor_suite,
                          traffic_light_code_watches,
-                         runner=FleetRunner(workers=2, chunk_size=2), **kw)
+                         runner=FleetRunner(workers=2), **kw)
     return int(outcome_fingerprint(serial) == outcome_fingerprint(fleet))
 
 
@@ -161,8 +142,7 @@ def measure_stranded_recovery(backoff_s: float) -> float:
                 InstrumentationPlan.full())
         for i, kind in enumerate(("wrong_target", "remove_transition"))
     ]
-    runner = FleetRunner(workers=2, chunk_size=1, max_retries=1,
-                         retry_backoff_s=backoff_s)
+    runner = FleetRunner(workers=2, max_retries=1, retry_backoff_s=backoff_s)
     start = time.perf_counter()
     results = runner.run(specs)
     elapsed = time.perf_counter() - start
@@ -177,19 +157,16 @@ def main() -> None:
     reps = 1 if quick else 3
     backoff_s = 0.5 if quick else 1.0
     jobs = [SleepJob(i, cost, unit_s) for i, cost in enumerate(COSTS)]
+    thirds = static_thirds(jobs)
 
-    static_best = elastic_best = blind_best = None
-    elastic_sched = blind_sched = None
+    static_best = queue_best = None
     for _ in range(reps):
-        static_s, _ = run_skew_arm(jobs, arm="static")
-        elastic_s, sched = run_skew_arm(jobs, arm="elastic")
-        blind_s, b_sched = run_skew_arm(jobs, arm="blind")
+        static_s = run_arm(thirds)
+        queue_s = run_arm(jobs)
         if static_best is None or static_s < static_best:
             static_best = static_s
-        if elastic_best is None or elastic_s < elastic_best:
-            elastic_best, elastic_sched = elastic_s, sched
-        if blind_best is None or blind_s < blind_best:
-            blind_best, blind_sched = blind_s, b_sched
+        if queue_best is None or queue_s < queue_best:
+            queue_best = queue_s
 
     parity = measure_parity()
     stranded_s = measure_stranded_recovery(backoff_s)
@@ -201,17 +178,10 @@ def main() -> None:
         "cost_profile": f"{COSTS.count(HEAVY)}x{HEAVY} + "
                         f"{COSTS.count(LIGHT)}x{LIGHT}",
         "sleep_unit_ms": unit_s * 1000,
-        "static_units": max(sum(job.cost_hint for job in chunk_jobs)
-                            for chunk_jobs in contiguous_thirds(jobs)),
+        "static_units": max(job.units for job in thirds),
         "static_s": round(static_best, 3),
-        "elastic_s": round(elastic_best, 3),
-        "blind_s": round(blind_best, 3),
-        "steal_speedup_skew": round(static_best / elastic_best, 2),
-        "steal_speedup_blind": round(static_best / blind_best, 2),
-        "unit_steals": elastic_sched.steals,
-        "unit_preemptions": elastic_sched.preemptions,
-        "blind_unit_steals": blind_sched.steals,
-        "blind_unit_preemptions": blind_sched.preemptions,
+        "queue_s": round(queue_best, 3),
+        "queue_speedup_skew": round(static_best / queue_best, 2),
         "sched_parity_identical": parity,
         "stranded_backoff_s": backoff_s,
         "stranded_jobs": 2,
@@ -226,11 +196,8 @@ def main() -> None:
         handle.write("\n")
     print(f"skew corpus ({results['cost_profile']} sleep units, "
           f"{WORKERS} workers): static {results['static_s']}s, "
-          f"elastic {results['elastic_s']}s "
-          f"({results['steal_speedup_skew']}x, LPT placement), "
-          f"hint-blind {results['blind_s']}s "
-          f"({results['steal_speedup_blind']}x via "
-          f"{results['blind_unit_steals']} steals); "
+          f"FIFO queue {results['queue_s']}s "
+          f"({results['queue_speedup_skew']}x); "
           f"parity={'OK' if parity else 'BROKEN'}; "
           f"stranded recovery {results['stranded_recovery_s']}s "
           f"(2 jobs @ {backoff_s}s backoff)")

@@ -439,10 +439,10 @@ def run_campaign(
     on core-starved hosts) to execute the same corpus through the fleet
     subsystem, which requires the three factories to be importable
     module-level callables (``code_watch_specs`` given as a factory,
-    not a list). Every runner is a policy shell over the one elastic
+    not a list). Every runner is a policy shell over the one FIFO
     scheduler core (:mod:`repro.fleet.sched`), and all of them produce
-    identical results through the canonical merge — any steal schedule
-    or worker count is byte-identical to ``SerialRunner`` at the same
+    identical results through the canonical merge — any worker count or
+    completion order is byte-identical to ``SerialRunner`` at the same
     master seed.
 
     ``comm_kinds`` (off by default) adds the transport-fault plane:

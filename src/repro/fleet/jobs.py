@@ -5,7 +5,7 @@ firmware image, monitor suite or lambda across the process boundary — it
 carries *recipes*: importable callable references plus the fault
 coordinates ``(category, kind, seed)``. The worker rebuilds the whole
 experiment (system, firmware, fault, debuggers) from those inputs, so a
-job produces the same result no matter which process, chunk or machine
+job produces the same result no matter which process or machine
 executes it. That property is what makes the parallel campaign equal to
 the serial one bit for bit.
 
@@ -100,33 +100,21 @@ class JobSpec:
     the model debugger's execution trace into a per-job
     :class:`~repro.tracedb.store.TraceStore` under that directory and
     hand the path back (never the trace itself) on the result.
-
-    ``cost_hint`` is an optional relative execution-weight estimate
-    (firmware activations the job will simulate, stamped by
-    :func:`enumerate_campaign_jobs`) that the elastic scheduler uses
-    for cost-weighted initial placement. It is advisory only — the
-    scheduler falls back to uniform weights when absent — and it is
-    pickle-compatible both ways: specs serialized before the field
-    existed deserialize with ``cost_hint=None``.
     """
 
     __slots__ = ("index", "category", "kind", "seed", "duration_us",
                  "system_ref", "monitor_ref", "watch_ref", "plan",
-                 "trace_dir", "cost_hint")
+                 "trace_dir")
 
     def __init__(self, index: int, category: str, kind: str, seed: int,
                  duration_us: int, system_ref: str, monitor_ref: str,
                  watch_ref: str, plan: InstrumentationPlan,
-                 trace_dir: str = "",
-                 cost_hint: Optional[int] = None) -> None:
+                 trace_dir: str = "") -> None:
         if category not in CATEGORIES:
             raise FleetError(f"unknown job category {category!r}; "
                              f"options: {CATEGORIES}")
         if duration_us <= 0:
             raise FleetError(f"job duration must be positive, got {duration_us}")
-        if cost_hint is not None and cost_hint < 1:
-            raise FleetError(f"cost_hint must be >= 1 when set, "
-                             f"got {cost_hint}")
         self.index = index
         self.category = category
         self.kind = kind
@@ -137,17 +125,6 @@ class JobSpec:
         self.watch_ref = watch_ref
         self.plan = plan
         self.trace_dir = trace_dir
-        self.cost_hint = cost_hint
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        # forward-compatible unpickling: payloads serialized before a
-        # slot existed restore with that slot's neutral default
-        self.cost_hint = None
-        for name, value in state.items():
-            setattr(self, name, value)
 
     @property
     def job_id(self) -> str:
@@ -235,23 +212,6 @@ class JobResult:
         return f"<JobResult #{self.index} {self.job_id} {status}>"
 
 
-def estimate_cost_hints(system, duration_us: int) -> dict:
-    """Per-category activation-count cost estimates for one system.
-
-    The dominant cost of a campaign job is simulated firmware
-    activations: every actor fires ``duration_us / period_us`` times
-    per executed phase. Control and comm jobs execute two phases
-    (model debugger + generated code); design and implementation jobs
-    add a third (faulty regeneration / patched-image run plus
-    classification). Absolute scale is irrelevant — the scheduler only
-    compares hints against each other.
-    """
-    activations = sum(max(1, duration_us // max(actor.task.period_us, 1))
-                      for actor in system.actors.values()) or 1
-    return {"control": 2 * activations, "comm": 2 * activations,
-            "design": 3 * activations, "implementation": 3 * activations}
-
-
 def enumerate_campaign_jobs(
     system_factory: Callable,
     monitor_factory: Callable,
@@ -271,7 +231,7 @@ def enumerate_campaign_jobs(
     Enumeration order is the canonical result order: control, then
     design kinds x seeds, then implementation kinds x seeds, then comm
     (transport-fault) kinds x seeds — exactly the serial loop's order,
-    independent of how jobs are later chunked or scheduled. Per-kind
+    independent of how jobs are later scheduled. Per-kind
     seeds come from :func:`~repro.faults.campaign.campaign_seeds`, so
     derived-seed corpora (``master_seed``) enumerate identically here
     and inline.
@@ -286,16 +246,11 @@ def enumerate_campaign_jobs(
     system_ref = callable_ref(system_factory)
     monitor_ref = callable_ref(monitor_factory)
     watch_ref = callable_ref(watch_factory)
-    try:
-        cost_hints = estimate_cost_hints(system_factory(), duration_us)
-    except Exception:  # noqa: BLE001 - hints are advisory, never fatal
-        cost_hints = {}
 
     def spec(index: int, category: str, kind: str, seed: int) -> JobSpec:
         return JobSpec(index, category, kind, seed, duration_us,
                        system_ref, monitor_ref, watch_ref, plan,
-                       trace_dir=trace_dir or "",
-                       cost_hint=cost_hints.get(category))
+                       trace_dir=trace_dir or "")
 
     specs = [spec(CONTROL_INDEX, "control", "", 0)]
     index = CONTROL_INDEX + 1

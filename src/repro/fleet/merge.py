@@ -3,8 +3,8 @@
 The merge is where "parallel equals serial" is enforced: results arrive
 keyed by their spec's canonical index (enumeration order), declined jobs
 vanish exactly like the serial loop's ``continue``, and the control job
-becomes the false-positive count. Execution order, chunking and worker
-count leave no fingerprint on the output.
+becomes the false-positive count. Execution order and worker count
+leave no fingerprint on the output.
 
 Failures are loud by default: a campaign with worker-side failures raises
 :class:`~repro.errors.FleetError` listing every broken job (type, message

@@ -1,28 +1,26 @@
-"""Campaign runners: thin policy shells over the elastic scheduler core.
+"""Campaign runners: thin policy shells over the FIFO scheduler core.
 
 Runner contract — ``run(specs) -> results`` where ``results[i]`` answers
 ``specs[i]`` (canonical order restored no matter which worker finished
 first). Every runner implements it identically, so every call site takes
 a ``runner`` and stays oblivious to whether experiments fan out or not.
 
-Since the scheduler refactor, no dispatch/retry/timeout/collection loop
-lives here: :class:`SerialRunner` and :class:`FleetRunner` only choose a
-*policy* — unit shape, backend, worker count, retry budget — and hand it
-to :class:`~repro.fleet.sched.ElasticScheduler`, the one event loop
-under every execution layer (see :mod:`repro.fleet.sched`).
+No dispatch/retry/timeout/collection loop lives here:
+:class:`SerialRunner` and :class:`FleetRunner` only choose a *policy* —
+backend, worker count, retry budget — and hand the specs to
+:class:`~repro.fleet.sched.ElasticScheduler`, the one event loop under
+both runners (see :mod:`repro.fleet.sched`).
 
-* **SerialRunner** — one single-spec unit per job, one in-process slot
+* **SerialRunner** — one in-process slot
   (:class:`~repro.fleet.sched.InlineBackend`), canonical dispatch order.
   It *is* the parity baseline every other schedule is measured against.
-* **FleetRunner** — contiguous chunks as work units over persistent
-  worker processes (:class:`~repro.fleet.sched.ProcessBackend`):
-  cost-hint-weighted placement, idle-worker stealing, per-job deadlines
+* **FleetRunner** — persistent worker processes
+  (:class:`~repro.fleet.sched.ProcessBackend`), each taking the next
+  spec off one FIFO queue as it goes idle: per-job deadlines
   (``job_timeout_s`` is per in-flight job, not a whole-pass bound),
   bounded non-blocking retry with exponential backoff, and mid-run
-  heartbeat draining for the live telemetry plane. Workers stream one
-  result per spec, so a crasher costs exactly its own job: chunk mates
-  that finished are already home and the queued rest is re-dispatched
-  uncharged.
+  heartbeat draining for the live telemetry plane. A worker holds one
+  job at a time, so a crasher costs exactly its own job.
 
 **crash containment** — a worker that dies outright (segfault,
 ``os._exit``) is respawned; the job it was executing burns one retry
@@ -34,13 +32,13 @@ with the burned count on the :class:`~repro.fleet.jobs.JobResult`.
 **hang containment** — with ``job_timeout_s``, the in-flight job of
 every worker has its own deadline; a wedged job gets its worker killed
 and is reported as a structured ``JobTimeout`` failure after the retry
-budget, while its queue mates continue unharmed on other workers.
+budget, while the rest of the queue continues on the other workers.
 
 :func:`derive_seed` / :func:`seed_stream` (canonical home:
 :mod:`repro.util.seeds`, re-exported here for compatibility) are the
 deterministic seed expanders for growing fault corpora: a stable 63-bit
 stream derived from ``(master_seed, *parts)`` via SHA-256 — independent
-of process, chunk, hash randomization and Python version, so a campaign
+of process, hash randomization and Python version, so a campaign
 described by one master seed enumerates the same per-job seeds
 everywhere.
 """
@@ -54,12 +52,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import FleetError
 from repro.fleet.jobs import JobResult, JobSpec, default_mp_context
-from repro.fleet.sched import (
-    ElasticScheduler,
-    InlineBackend,
-    ProcessBackend,
-    WorkUnit,
-)
+from repro.fleet.sched import ElasticScheduler, InlineBackend, ProcessBackend
 from repro.fleet.worker import run_job
 from repro.obs.runtime import OBS
 from repro.util.seeds import derive_seed, seed_stream
@@ -72,11 +65,6 @@ def default_workers() -> int:
     """Worker-count policy: fill the small-machine cores, cap at 4."""
     import os
     return max(1, min(4, os.cpu_count() or 1))
-
-
-def _chunk(specs: Sequence[JobSpec], chunk_size: int) -> List[List[JobSpec]]:
-    return [list(specs[i:i + chunk_size])
-            for i in range(0, len(specs), chunk_size)]
 
 
 def _crash_result(spec: JobSpec, retries: int = 0) -> JobResult:
@@ -144,13 +132,12 @@ class SerialRunner:
     """The in-process fallback: identical interface, zero processes.
 
     A policy shell over :class:`~repro.fleet.sched.ElasticScheduler`:
-    one single-spec unit per job on one inline slot, placement in
-    canonical order, stealing irrelevant — i.e. the canonical serial
-    schedule every elastic schedule must be byte-identical to. Jobs run
-    through the same :func:`~repro.fleet.worker.run_job` the pool
-    workers use. With ``live=`` (a
-    :class:`~repro.obs.live.LiveAggregator`) heartbeats flow through
-    :func:`serial_live_scope` straight into the aggregator.
+    one inline slot running the queue in canonical order — i.e. the
+    canonical serial schedule every fleet schedule must be
+    byte-identical to. Jobs run through the same
+    :func:`~repro.fleet.worker.run_job` the pool workers use. With
+    ``live=`` (a :class:`~repro.obs.live.LiveAggregator`) heartbeats
+    flow through :func:`serial_live_scope` straight into the aggregator.
     """
 
     workers = 1
@@ -164,9 +151,7 @@ class SerialRunner:
         if not specs:
             return []
         with serial_live_scope(self.live):
-            scheduler = ElasticScheduler(InlineBackend(run_job),
-                                         cost_placement=False)
-            by_index = scheduler.run([WorkUnit([spec]) for spec in specs])
+            by_index = ElasticScheduler(InlineBackend(run_job)).run(specs)
         return [by_index[spec.index] for spec in specs]
 
     def __repr__(self) -> str:
@@ -175,10 +160,9 @@ class SerialRunner:
 
 
 class FleetRunner:
-    """Elastic campaign dispatch over persistent worker processes."""
+    """FIFO campaign dispatch over persistent worker processes."""
 
     def __init__(self, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  mp_context: Optional[str] = None,
                  max_retries: int = 1,
                  retry_backoff_s: float = 0.0,
@@ -186,8 +170,6 @@ class FleetRunner:
                  live=None) -> None:
         if workers is not None and workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise FleetError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_retries < 0:
             raise FleetError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_s < 0:
@@ -197,7 +179,6 @@ class FleetRunner:
             raise FleetError(f"job_timeout_s must be positive, "
                              f"got {job_timeout_s}")
         self.workers = workers if workers is not None else default_workers()
-        self.chunk_size = chunk_size
         self.mp_context = (mp_context if mp_context is not None
                            else default_mp_context())
         #: resubmission attempts for a job whose worker died or was
@@ -208,21 +189,13 @@ class FleetRunner:
         #: it, so N stranded jobs recover in max-of-backoffs wall time
         self.retry_backoff_s = retry_backoff_s
         #: per-job deadline: the in-flight job of each worker is killed
-        #: this many wall-clock seconds after dispatch (or its worker's
-        #: previous result) — no whole-pass timeout exists anymore
+        #: this many wall-clock seconds after dispatch
         self.job_timeout_s = job_timeout_s
         #: optional repro.obs.live.LiveAggregator: workers stream
         #: heartbeat deltas to it over a managed queue piggybacked on
         #: the pool's init plumbing (None = live plane off, zero cost)
         self.live = live
         self._hb_queue = None  # managed queue, alive only inside run()
-
-    def _chunk_size_for(self, total: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # ~4 chunks per worker: coarse enough to amortize dispatch,
-        # fine enough that stealing has units left to rebalance.
-        return max(1, -(-total // (self.workers * 4)))
 
     def _terminal_result(self, spec: JobSpec, kind: str,
                          retries: int) -> JobResult:
@@ -253,10 +226,8 @@ class FleetRunner:
                 manager.shutdown()
 
     def _run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        chunks = _chunk(specs, self._chunk_size_for(len(specs)))
-        units = [WorkUnit(chunk) for chunk in chunks]
         backend = ProcessBackend(
-            slot_count=min(self.workers, len(chunks)),
+            slot_count=min(self.workers, len(specs)),
             mp_context=self.mp_context,
             hb_config=self.live.config if self.live is not None else None,
             hb_queue=self._hb_queue,
@@ -272,7 +243,7 @@ class FleetRunner:
             terminal_result=self._terminal_result,
         )
         try:
-            by_index = scheduler.run(units)
+            by_index = scheduler.run(specs)
         finally:
             backend.close()
 
@@ -287,14 +258,8 @@ class FleetRunner:
             # what is deterministic here)
             metrics = OBS.metrics
             metrics.counter("fleet.jobs_dispatched").inc(len(specs))
-            metrics.counter("fleet.chunks").inc(len(chunks))
             metrics.counter("fleet.jobs_stranded").inc(
                 len(scheduler.stranded_items))
-            if scheduler.steals:
-                metrics.counter("fleet.unit_steals").inc(scheduler.steals)
-            if scheduler.preemptions:
-                metrics.counter("fleet.unit_preemptions").inc(
-                    scheduler.preemptions)
             for result in results:
                 if result.failed:
                     metrics.counter("fleet.jobs_failed",
@@ -309,6 +274,5 @@ class FleetRunner:
         timeout = (f" timeout={self.job_timeout_s}s"
                    if self.job_timeout_s is not None else "")
         return (f"<FleetRunner workers={self.workers} "
-                f"chunk_size={self.chunk_size or 'auto'} "
                 f"ctx={self.mp_context} retries={self.max_retries}"
                 f"{timeout}>")

@@ -184,18 +184,12 @@ class ShardHost:
                      injections: Sequence[Injection]) -> None:
         """Start the epoch without waiting for it.
 
-        The split half of :meth:`run_to`: the scheduler dispatches every
+        Pairs with :meth:`collect`: the sharded kernel dispatches every
         shard's epoch first and only then collects, so process-backend
         shards execute one epoch genuinely in parallel instead of
         serializing on one synchronous pipe round-trip per shard.
         """
         self._send(("run", t2, list(injections)))
-
-    def run_to(self, t2: int,
-               injections: Sequence[Injection]) -> List[Publication]:
-        """Advance the shard to *t2*; returns its epoch publications."""
-        self.dispatch_run(t2, injections)
-        return self.collect()
 
     def report(self) -> ShardReport:
         """Fetch the shard's current observable state."""

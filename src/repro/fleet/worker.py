@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import traceback
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.codegen.pipeline import generate_firmware
 from repro.faults.campaign import (
@@ -155,27 +155,3 @@ def _execute(spec: JobSpec) -> JobResult:
         if trace_store is not None:
             trace_store.close()
 
-
-def run_unit_stealable(specs: Sequence[JobSpec],
-                       emit,
-                       should_yield=None,
-                       execute=None) -> int:
-    """Steal-aware unit entry: stream each result, yield on rebalance.
-
-    Runs *specs* in order, handing every finished result to
-    ``emit(offset, result)`` immediately — the scheduler sees partial
-    progress, so a later crash loses only the item being executed.
-    Between items (never before the first, so a yielded unit always
-    made progress) ``should_yield()`` is polled; when it reports a
-    steal request, the untouched remainder stays unexecuted and the
-    next offset is returned — the partial-batch contract
-    :class:`~repro.fleet.sched.ElasticScheduler` re-queues on the idle
-    worker that asked. Returns ``len(specs)`` when the unit completed.
-    """
-    if execute is None:
-        execute = run_job
-    for offset, spec in enumerate(specs):
-        if offset and should_yield is not None and should_yield():
-            return offset
-        emit(offset, execute(spec))
-    return len(specs)

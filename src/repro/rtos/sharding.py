@@ -28,16 +28,13 @@ Two backends behind one API:
   reference, and the way to bound memory per kernel via
   ``record_capacity``;
 * ``backend="process"`` — each shard lives in a persistent
-  :class:`~repro.fleet.shards.ShardHost` worker process and epochs
-  dispatch through the shared fleet scheduler core
-  (:class:`~repro.fleet.sched.ElasticScheduler` over pinned
-  single-epoch work units): every shard's epoch is *sent* before any
-  reply is awaited, so node boards genuinely execute in parallel on
-  multicore hosts instead of serializing on one synchronous pipe
-  round-trip per shard. Requires declarative inputs
-  (``system_ref`` + ``plan``): workers rebuild system and firmware
-  locally, per the fleet rule that recipes cross processes and live
-  boards never do.
+  :class:`~repro.fleet.shards.ShardHost` worker process. Each epoch
+  calls ``dispatch_run`` on every shard before any ``collect``, so node
+  boards genuinely execute in parallel on multicore hosts instead of
+  serializing on one synchronous pipe round-trip per shard. Requires
+  declarative inputs (``system_ref`` + ``plan``): workers rebuild
+  system and firmware locally, per the fleet rule that recipes cross
+  processes and live boards never do.
 
 Both backends produce identical records, jitter samples and bus views —
 ``tests/test_sharding.py`` pins sharded == monolithic equivalence.
@@ -45,13 +42,12 @@ Both backends produce identical records, jitter samples and bus views —
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
 from repro.comdes.system import System
 from repro.errors import FleetError, SchedulerError
-from repro.fleet.sched import ElasticScheduler, WorkUnit
 from repro.fleet.shards import (
     Injection,
     Publication,
@@ -103,67 +99,8 @@ class _InlineShard:
             raise FleetError("collect() without a dispatched epoch")
         return collected
 
-    def run_to(self, t2: int,
-               injections: Sequence[Injection]) -> List[Publication]:
-        self.dispatch_run(t2, injections)
-        return self.collect()
-
     def report(self) -> ShardReport:
         return shard_report(self.kernel)
-
-    def close(self) -> None:
-        pass
-
-
-class _EpochItem:
-    """One shard's epoch command as a schedulable work item.
-
-    ``index`` doubles as the shard/slot number — the canonical result
-    key of the scheduler's unit abstraction, exactly like a job spec's
-    corpus index.
-    """
-
-    __slots__ = ("index", "t2", "injections")
-
-    def __init__(self, index: int, t2: int,
-                 injections: List[Injection]) -> None:
-        self.index = index
-        self.t2 = t2
-        self.injections = injections
-
-
-class _ShardBackend:
-    """Scheduler backend over persistent shard hosts (or inline shards).
-
-    Slot *i* is shard *i*; epoch units are pinned there because the
-    shard's kernel state lives in that process. ``dispatch`` sends the
-    epoch without waiting and ``poll`` collects every outstanding reply
-    — all sends strictly before any receive, which is what makes one
-    epoch's process shards execute concurrently. A dead shard raises
-    from ``collect`` (persistent state is unrecoverable: a crashed
-    shard is a diagnosis, not a retry candidate).
-    """
-
-    supports_steal = False
-    supports_kill = False
-
-    def __init__(self, shards: Sequence[object]) -> None:
-        self.shards = list(shards)
-        self.slot_count = len(self.shards)
-        self._inflight: List[tuple] = []
-
-    def dispatch(self, slot: int, uid: int, items: Sequence[object]) -> None:
-        item = items[0]
-        self.shards[slot].dispatch_run(item.t2, item.injections)
-        self._inflight.append((slot, uid))
-
-    def poll(self, timeout_s) -> List[tuple]:
-        inflight, self._inflight = self._inflight, []
-        events: List[tuple] = []
-        for slot, uid in inflight:
-            events.append(("result", slot, uid, self.shards[slot].collect()))
-            events.append(("done", slot, uid))
-        return events
 
     def close(self) -> None:
         pass
@@ -234,9 +171,6 @@ class ShardedDtmKernel:
                 for nodes in self.partition
             ]
         self.backend = backend
-        #: epoch dispatch runs through the shared fleet scheduler core,
-        #: one pinned single-item unit per shard per epoch
-        self._sched = ElasticScheduler(_ShardBackend(self._shards))
         self._now = 0
         #: publications from the last epoch, not yet handed to the shards
         self._pending: List[List[Publication]] = [[] for _ in self._shards]
@@ -255,15 +189,13 @@ class ShardedDtmKernel:
             duration_us - self._now, 1)
         while self._now < duration_us:
             t2 = min(self._now + epoch, duration_us)
-            units = []
-            for i, pending in enumerate(self._pending):
-                injections = [(t + self.net_delay_us, signal, value)
-                              for t, _node, signal, value in pending]
-                units.append(WorkUnit([_EpochItem(i, t2, injections)],
-                                      pinned=i))
-            by_shard = self._sched.run(units)
-            harvested: List[List[Publication]] = [
-                by_shard[i] for i in range(len(self._shards))]
+            # every send before any receive: process shards run the
+            # epoch concurrently
+            for shard, pending in zip(self._shards, self._pending):
+                shard.dispatch_run(t2, [
+                    (t + self.net_delay_us, signal, value)
+                    for t, _node, signal, value in pending])
+            harvested = [shard.collect() for shard in self._shards]
             # Barrier: everything shard i published this epoch arrives at
             # every other shard next epoch, at t_publish + delay.
             self._pending = [

@@ -2,7 +2,7 @@
 
 :func:`derive_seed` is the one seed expander in the codebase: a stable
 63-bit value derived from ``(master_seed, *parts)`` via SHA-256 —
-independent of process, chunk, hash randomization and Python version.
+independent of process, hash randomization and Python version.
 Fault campaigns (:mod:`repro.fleet`) and transport chaos injection
 (:mod:`repro.comm.chaos`) both consume it, which is what makes "one
 master seed describes the whole experiment" true across layers: the

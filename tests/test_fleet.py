@@ -2,7 +2,7 @@
 
 The headline invariant: a campaign run through worker processes is
 *equal* to the serial one — same outcomes, same order, same summary
-bytes — for any worker count, chunk size and completion order. Plus the
+bytes — for any worker count and completion order. Plus the
 failure contract: worker exceptions and worker deaths come back as
 structured failures, never hangs or holes.
 """
@@ -151,13 +151,16 @@ class TestCampaignParity:
         assert ([o.fault.fault_id for o in serial.outcomes]
                 == [o.fault.fault_id for o in inline_result.outcomes])
 
-    @pytest.mark.parametrize("workers,chunk_size", [(4, None), (4, 1), (2, 3)])
+    # Armed per-job deadlines (tens of times a job's run time) must not
+    # perturb the result any more than the worker count does.
+    @pytest.mark.parametrize("workers,job_timeout_s",
+                             [(4, None), (4, 1), (2, 3)])
     def test_fleet_runner_equals_inline(self, inline_result, workers,
-                                        chunk_size):
+                                        job_timeout_s):
         fleet = run_campaign(
             traffic_light_system, traffic_light_monitor_suite,
             traffic_light_code_watches,
-            runner=FleetRunner(workers=workers, chunk_size=chunk_size),
+            runner=FleetRunner(workers=workers, job_timeout_s=job_timeout_s),
             **CAMPAIGN_KW)
         assert summary_bytes(fleet) == summary_bytes(inline_result)
         assert fleet.false_positives == inline_result.false_positives
@@ -181,12 +184,12 @@ class TestCampaignParity:
         fleet = run_campaign(
             traffic_light_system, traffic_light_monitor_suite,
             traffic_light_code_watches,
-            runner=FleetRunner(workers=4, chunk_size=2), **kw)
+            runner=FleetRunner(workers=4), **kw)
         assert summary_bytes(serial) == summary_bytes(fleet)
 
 
 class TestMergeInvariance:
-    """Merge output is independent of completion order and chunking."""
+    """Merge output is independent of completion order."""
 
     @pytest.fixture(scope="class")
     def executed(self):
@@ -237,9 +240,9 @@ class TestStructuredFailures:
             self._spec(2, callable_ref(traffic_light_system),
                        kind="remove_transition"),
         ]
-        # One chunk: the crasher takes its chunk mates down with the
-        # pool; the retry pass must still complete the innocent jobs.
-        runner = FleetRunner(workers=2, chunk_size=3)
+        # The crasher takes its worker down; the other worker and the
+        # respawned one must still complete the innocent jobs.
+        runner = FleetRunner(workers=2)
         results = runner.run(specs)
         assert [r.index for r in results] == [0, 1, 2]
         assert not results[0].failed and not results[2].failed

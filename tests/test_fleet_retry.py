@@ -74,7 +74,7 @@ class TestBoundedCrashRetry:
                  spec(1, "test_fleet_retry:exiting_system"),
                  spec(2, callable_ref(traffic_light_system),
                       kind="remove_transition")]
-        runner = FleetRunner(workers=2, chunk_size=3, max_retries=2)
+        runner = FleetRunner(workers=2, max_retries=2)
         results = runner.run(specs)
         assert [r.index for r in results] == [0, 1, 2]
         assert not results[0].failed and not results[2].failed
@@ -85,19 +85,19 @@ class TestBoundedCrashRetry:
         assert crashed.retries == 2
 
     def test_zero_retries_reports_the_first_crash(self):
-        runner = FleetRunner(workers=1, chunk_size=1, max_retries=0)
+        runner = FleetRunner(workers=1, max_retries=0)
         results = runner.run([spec(0, "test_fleet_retry:exiting_system")])
         assert results[0].failed
         assert results[0].error["type"] == "WorkerCrashed"
         assert results[0].retries == 0
 
     def test_innocent_chunk_mates_are_unaffected(self):
-        # one chunk, one crasher: workers stream one result per spec,
-        # so the innocent's result is already home when the crasher
-        # takes the worker down — it never reruns, never burns a retry
+        # one worker, one crasher queued behind an innocent: the
+        # innocent's result is already home when the crasher takes the
+        # worker down — it never reruns, never burns a retry
         specs = [spec(0, callable_ref(traffic_light_system)),
                  spec(1, "test_fleet_retry:exiting_system")]
-        runner = FleetRunner(workers=1, chunk_size=2, max_retries=1)
+        runner = FleetRunner(workers=1, max_retries=1)
         results = runner.run(specs)
         assert not results[0].failed
         assert results[0].retries == 0
@@ -106,8 +106,7 @@ class TestBoundedCrashRetry:
         assert results[1].retries == 1
 
     def test_backoff_sleeps_between_attempts(self):
-        runner = FleetRunner(workers=1, chunk_size=1, max_retries=2,
-                             retry_backoff_s=0.2)
+        runner = FleetRunner(workers=1, max_retries=2, retry_backoff_s=0.2)
         start = time.monotonic()
         results = runner.run([spec(0, "test_fleet_retry:exiting_system")])
         elapsed = time.monotonic() - start
@@ -117,13 +116,14 @@ class TestBoundedCrashRetry:
 
 class TestJobTimeout:
     def test_hanging_job_is_killed_and_structured(self):
-        runner = FleetRunner(workers=1, chunk_size=1, max_retries=1,
-                             job_timeout_s=3.0)
+        # one short deadline; the two-attempt accounting is pinned on a
+        # virtual clock in test_sched
+        runner = FleetRunner(workers=1, max_retries=0, job_timeout_s=0.5)
         results = runner.run([spec(0, "test_fleet_retry:hanging_system")])
         assert results[0].failed
         assert results[0].error["type"] == "JobTimeout"
-        assert "3.0s" in results[0].error["message"]
-        assert results[0].retries == 1
+        assert "0.5s" in results[0].error["message"]
+        assert results[0].retries == 0
 
     def test_healthy_jobs_finish_under_a_timeout(self):
         runner = FleetRunner(workers=2, job_timeout_s=120.0)

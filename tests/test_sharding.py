@@ -103,6 +103,40 @@ class TestShardedEquivalence:
         assert_equivalent(system, monolithic, sharded)
 
 
+class _RecordingShard:
+    """A fake shard that logs every epoch call into a shared list."""
+
+    def __init__(self, nodes, log):
+        self.nodes = nodes
+        self.log = log
+
+    def dispatch_run(self, t2, injections):
+        self.log.append(("dispatch_run", self.nodes[0], t2))
+
+    def collect(self):
+        self.log.append(("collect", self.nodes[0]))
+        return []
+
+    def close(self):
+        pass
+
+
+class TestEpochProtocol:
+    def test_every_dispatch_precedes_any_collect_within_an_epoch(self):
+        # all sends before any receive is what lets process shards run
+        # one epoch concurrently
+        sharded = ShardedDtmKernel(cruise_control_system(), shards=2)
+        log = []
+        sharded._shards = [_RecordingShard(nodes, log)
+                           for nodes in sharded.partition]
+        sharded.run(300)
+        first, second = (nodes[0] for nodes in sharded.partition)
+        epoch = lambda t2: [("dispatch_run", first, t2),
+                            ("dispatch_run", second, t2),
+                            ("collect", first), ("collect", second)]
+        assert log == epoch(100) + epoch(200) + epoch(300)
+
+
 class TestShardedGuards:
     def test_period_at_or_below_delay_rejected(self):
         # Conservative sync needs lookahead below every task period.

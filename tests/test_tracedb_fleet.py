@@ -44,7 +44,7 @@ class TestCampaignTraceCollection:
     @pytest.fixture(scope="class")
     def fleet(self, tmp_path_factory):
         return collect(tmp_path_factory.mktemp("fleet"), "t",
-                       FleetRunner(workers=2, chunk_size=1))
+                       FleetRunner(workers=2))
 
     def test_campaign_store_attached_to_result(self, serial):
         result, trace_dir = serial
