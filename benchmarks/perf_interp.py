@@ -10,16 +10,23 @@ same loop and are measured:
   metric since PR 2);
 * ``fused_instr_per_sec`` — fusion on (``Cpu.load`` fuses the loop body
   into ALU+STORE / ALU+JNZ superinstruction rows);
-* ``fusion_speedup`` — their ratio, the machine-independent gate.
+* ``fusion_speedup`` — their ratio, the machine-independent gate;
+* ``watched_instr_per_sec`` — the cruise control firmware's task jobs
+  under a ``SourceDebugger`` holding its code watches: watched stores
+  are stop pcs of the fast loop;
+* ``watch_speedup`` — that rate over the same jobs on the checked
+  per-instruction loop (forced with ``pc_profile``), the
+  machine-independent gate of the code debugger's watch path.
 
-Reps alternate plain and fused, so a host-speed dip hits both arms
-alike, and each rep is timed in process CPU time
-(``time.process_time``), which does not count time the process spent
-descheduled. The best rep per arm is reported, with every rep's rate in
+Reps alternate plain and fused (and stop-pc and checked for the
+watched arms), so a host-speed dip hits both arms alike, and each rep
+is timed in process CPU time (``time.process_time``), which does not
+count time the process spent descheduled. The best rep per arm is reported, with every rep's rate in
 ``rep_instr_per_sec`` as the recorded spread.
 
 Fusion must be *observably invisible*, so the run also asserts the two
-decodings retire identical instruction and cycle counts. The payload
+decodings retire identical instruction and cycle counts; the watched
+arms must retire identical counts and record identical watch hits. The payload
 also carries ``opcode_profile`` — the measured per-opcode retirement
 counts from ``Cpu.run(profile=...)`` on the same workload, hottest
 first — so fusion decisions are grounded in what the scoreboard loop
@@ -42,7 +49,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
+from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.comdes.examples import cruise_control_system
+from repro.debugger.gdb import SourceDebugger
+from repro.experiments import cruise_code_watches
 from repro.target.assembler import Assembler
+from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import profile_names
 from repro.target.memory import RAM_BASE, MemoryMap
@@ -51,6 +63,9 @@ from repro.target.memory import RAM_BASE, MemoryMap
 FULL_ITERS = 500_000
 QUICK_ITERS = 50_000
 REPS = 5  # per arm, interleaved; best-of rides out host noise
+#: rounds of every cruise control task job per watched rep
+FULL_WATCH_ROUNDS = 4_000
+QUICK_WATCH_ROUNDS = 600
 
 
 def counting_loop(iterations: int):
@@ -100,6 +115,54 @@ def interleaved_best(iterations: int):
     return {fuse: best[fuse] + (rates[fuse],) for fuse in best}
 
 
+def run_watched(firmware, rounds: int, checked: bool):
+    """Every task job of *firmware*, *rounds* times, on one board under a
+    ``SourceDebugger`` with the cruise control code watches; *checked*
+    forces the per-instruction loop. Returns (instructions, cycles,
+    hits, cpu_s)."""
+    board = Board()
+    board.load_firmware(firmware)
+    debugger = SourceDebugger(board, firmware)
+    for symbol, predicate, description in cruise_code_watches():
+        debugger.watch(symbol, predicate, description)
+    cpu = board.cpu
+    entries = [firmware.entry_of(task) for task in firmware.entries]
+    pc_profile = {} if checked else None
+    instructions = 0
+    start = time.process_time()
+    for _ in range(rounds):
+        for entry in entries:
+            cpu.reset_task(entry)
+            result = cpu.run(pc_profile=pc_profile)
+            instructions += result.instructions
+    cpu_s = time.process_time() - start
+    assert result.reason is StopReason.HALTED, result
+    hits = [(hit.watchpoint.symbol, hit.pc, hit.cycles, hit.value,
+             hit.previous) for hit in debugger.hits]
+    return instructions, cpu.cycles, hits, cpu_s
+
+
+def interleaved_watched(rounds: int):
+    """Alternate the stop-pc and checked watched arms; best rate and all
+    rates per arm, after checking both arms observe the same machine."""
+    firmware = generate_firmware(cruise_control_system(),
+                                 InstrumentationPlan.full())
+    best = {}
+    rates = {False: [], True: []}
+    outcomes = {}
+    for rep in range(REPS):
+        # alternate which arm goes first
+        for checked in ((False, True) if rep % 2 == 0 else (True, False)):
+            instructions, cycles, hits, cpu_s = run_watched(
+                firmware, rounds, checked)
+            outcomes[checked] = (instructions, cycles, hits)
+            rate = instructions / cpu_s
+            rates[checked].append(round(rate))
+            best[checked] = max(best.get(checked, 0.0), rate)
+    assert outcomes[False] == outcomes[True], "watched arms disagree"
+    return best, rates, outcomes[False]
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
     iterations = QUICK_ITERS if quick else FULL_ITERS
@@ -107,6 +170,8 @@ def main() -> None:
     run_once(QUICK_ITERS, fuse=True)
 
     arms = interleaved_best(iterations)
+    watch_best, watch_rates, watched = interleaved_watched(
+        QUICK_WATCH_ROUNDS if quick else FULL_WATCH_ROUNDS)
     plain_rate, plain_result, plain_cpu_s, _, plain_reps = arms[False]
     fused_rate, fused_result, fused_cpu_s, fused_rows, fused_reps = arms[True]
 
@@ -136,7 +201,14 @@ def main() -> None:
         "cycles": plain_result.cycles,
         "cpu_s": round(plain_cpu_s, 6),
         "fused_cpu_s": round(fused_cpu_s, 6),
-        "rep_instr_per_sec": {"plain": plain_reps, "fused": fused_reps},
+        "rep_instr_per_sec": {"plain": plain_reps, "fused": fused_reps,
+                              "watched": watch_rates[False],
+                              "watched_checked": watch_rates[True]},
+        "watched_instr_per_sec": round(watch_best[False]),
+        "watched_checked_instr_per_sec": round(watch_best[True]),
+        "watch_speedup": round(watch_best[False] / watch_best[True], 2),
+        "watched_instructions": watched[0],
+        "watch_hits": len(watched[2]),
         "instructions": plain_result.instructions,
         "opcode_profile": opcode_profile,
         "quick": quick,
@@ -153,7 +225,9 @@ def main() -> None:
           f"{best['fused_instr_per_sec']:,} fused "
           f"({best['fusion_speedup']}x, {fused_rows} superinstruction rows; "
           f"{best['instructions']:,} instructions, "
-          f"{best['cycles']:,} cycles) -> {out}")
+          f"{best['cycles']:,} cycles); watched "
+          f"{best['watched_instr_per_sec']:,} instr/sec, "
+          f"{best['watch_speedup']}x the checked loop -> {out}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,12 @@ invariants):
 * **heartbeats are near-free** — the exemplar serial campaign with a
   ``SerialRunner(live=...)`` heartbeat stream vs the same campaign
   with the live plane off must stay within a 1.10x wall-clock ratio
-  (``overhead.live_disabled_ratio``, ceiling-gated). Arms are
-  interleaved (off, on, off, on, ...) so clock drift cancels;
+  (``overhead.live_disabled_ratio``, ceiling-gated: the median of the
+  per-rep on/off ratios). Within a rep the arms take turns campaign by
+  campaign until each arm's timed window reaches ``MIN_ARM_S``, and
+  which arm goes first alternates from rep to rep, so host-speed drift
+  hits both arms alike; each arm reports seconds per campaign. Every
+  rep's ratio and their spread are recorded;
 * **the aggregator keeps up** — parent-side ingest of synthetic
   window-delta messages (the fleet's hot path while workers stream)
   is recorded as ``aggregator.deltas_per_sec``, floor-gated well below
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -52,6 +57,8 @@ from repro.util.timeunits import sec
 PERIOD_US = 250_000
 FULL_REPS = 5
 QUICK_REPS = 3
+#: shortest timed window per arm and rep; one campaign takes ~50 ms
+MIN_ARM_S = 0.5
 FULL_DELTAS = 200_000
 QUICK_DELTAS = 20_000
 SERIES_PER_DELTA = 6
@@ -120,23 +127,49 @@ def live_campaign_transcript(duration_us: int, runner_of) -> tuple:
     return transcript, history
 
 
-def measure_overhead(duration_us: int, reps: int):
-    """The exemplar serial campaign, heartbeats on vs off, interleaved."""
-    disable()
-    off_t = on_t = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        run_exemplar(duration_us, SerialRunner())
-        off_t = min(off_t, time.perf_counter() - start)
+def run_arm(duration_us: int, live: bool) -> float:
+    """Wall seconds of one exemplar campaign, heartbeats on or off."""
+    start = time.perf_counter()
+    if live:
         agg = LiveAggregator(HeartbeatConfig(period_us=PERIOD_US))
-        start = time.perf_counter()
         run_exemplar(duration_us, SerialRunner(live=agg))
-        on_t = min(on_t, time.perf_counter() - start)
         agg.close()
+    else:
+        run_exemplar(duration_us, SerialRunner())
+    return time.perf_counter() - start
+
+
+def timed_pair(duration_us: int, live_first: bool):
+    """Seconds per campaign for each arm over one rep. The arms take
+    turns campaign by campaign, so both see the same host speed, until
+    each arm's timed window reaches ``MIN_ARM_S``."""
+    spent = {False: 0.0, True: 0.0}
+    runs = {False: 0, True: 0}
+    order = (True, False) if live_first else (False, True)
+    while min(spent.values()) < MIN_ARM_S:
+        for live in order:
+            spent[live] += run_arm(duration_us, live)
+            runs[live] += 1
+    return spent[False] / runs[False], spent[True] / runs[True]
+
+
+def measure_overhead(duration_us: int, reps: int):
+    """The exemplar serial campaign, heartbeats on vs off, interleaved;
+    which arm goes first alternates from rep to rep."""
+    disable()
+    off_s, on_s, ratios = [], [], []
+    for rep in range(reps):
+        off, on = timed_pair(duration_us, live_first=rep % 2 == 1)
+        off_s.append(off)
+        on_s.append(on)
+        ratios.append(on / off)
     return {
-        "campaign_off_wall_s": round(off_t, 4),
-        "campaign_live_wall_s": round(on_t, 4),
-        "live_disabled_ratio": round(on_t / off_t, 3),
+        "campaign_off_wall_s": round(min(off_s), 4),
+        "campaign_live_wall_s": round(min(on_s), 4),
+        "min_arm_window_s": MIN_ARM_S,
+        "rep_ratios": [round(ratio, 3) for ratio in ratios],
+        "ratio_spread": round(max(ratios) - min(ratios), 3),
+        "live_disabled_ratio": round(statistics.median(ratios), 3),
     }
 
 

@@ -11,6 +11,13 @@ Memory inspection routes through a :class:`~repro.comm.link.DebugLink`
 so pointing the same debugger at a JTAG link prices every ``inspect`` as
 a real probe transaction — and ``inspect_many`` batches a whole variable
 view into one.
+
+Watchpoints are address comparators, as in hardware: the debugger
+declares the watched addresses to the memory's write hook
+(:meth:`~repro.target.memory.MemoryMap.set_write_hook`), and the CPU
+stops its fast loop only at the stores that can write one of them. A
+debugger holding no watchpoints declares an empty set, so the target
+runs exactly as fast as an undebugged one.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ class SourceDebugger:
         self.hits: List[WatchHit] = []
         self._shadow: dict = {}
         self.on_hit: Optional[Callable[[WatchHit], None]] = None
-        board.memory.set_write_hook(self._write_hook)
+        board.memory.set_write_hook(self._write_hook, ())
 
     # -- breakpoints -----------------------------------------------------------
 
@@ -105,6 +112,8 @@ class SourceDebugger:
         watchpoint = Watchpoint(symbol, addr, predicate, description)
         self.watchpoints.append(watchpoint)
         self._shadow[addr] = self.board.memory.peek(addr)
+        self.board.memory.set_write_hook(
+            self._write_hook, [w.addr for w in self.watchpoints])
         return watchpoint
 
     def _write_hook(self, addr: int, value: int) -> None:

@@ -5,7 +5,7 @@ runs here, the active command interface EMITs from here, and the passive
 JTAG probe scans this board's RAM. The interpreter is the framework's
 hottest path and is engineered accordingly — see :mod:`repro.target.cpu`
 for the performance rules (decode once, int dispatch, hoisted locals,
-zero-cost debug features when unused).
+watchpoints and breakpoints as stop rows of the one fast loop).
 
 ISA reference
 =============
@@ -98,18 +98,29 @@ mid-sequence, an address is outside RAM, the constituents' transient
 stack pushes would overflow, or a fused divide sees a zero divisor — the
 row decomposes back to per-instruction execution, so LIMIT stops land on
 a legal unfused pc and faults carry the constituent's pc and counters.
-Debug features are untouched: breakpoints, watchpoints and
-single-stepping route to the per-instruction checked loop exactly as
-before, at any pc. ``tests/test_superinstructions.py`` holds the
-lockstep proof; ``benchmarks/perf_interp.py`` scores the speedup
-(``fusion_speedup``, floor-gated in CI).
+
+**Debug stops.** Watchpoints and breakpoints are *stop pcs* of the same
+fast loop. Per program and stop set, the CPU builds trapped copies of
+the fused and plain rows: a stop row at every store to a watched
+address, every ``STI`` while anything is watched and every armed
+breakpoint, and a fused row that would run across a stop pc goes back
+to its plain rows.
+The loop returns before a stop row; ``Cpu.run`` reports the breakpoint
+or runs that one instruction on the per-instruction checked loop, where
+the write hook fires, then re-enters the fast loop. A decomposing row
+lands on the trapped plain rows, so it cannot run past a stop either.
+Single-stepping and the opcode/pc profiles still check every
+instruction. ``tests/test_superinstructions.py`` holds the lockstep
+proofs (fused == plain, and stop-pc route == checked loop);
+``benchmarks/perf_interp.py`` scores the speedups (``fusion_speedup``
+and ``watch_speedup``, floor-gated in CI).
 
 Fusion decisions are driven by measurement, not guesswork:
 ``Cpu.run(profile=...)`` fills a dict with per-opcode retirement counts
 (plain decoded opcodes, never superinstruction ids) at zero cost when
-unused — the hook is priced once at ``run()`` entry, exactly like
-breakpoints — and ``benchmarks/perf_interp.py`` dumps the measured
-profile (``opcode_profile``) with every run.
+unused — the hook is priced once at ``run()`` entry — and
+``benchmarks/perf_interp.py`` dumps the measured profile
+(``opcode_profile``) with every run.
 """
 
 from repro.target.assembler import Assembler, disassemble

@@ -17,15 +17,23 @@ built around four rules:
 3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
    counters and constants live in locals for the duration of a run; state
    is written back once in a ``finally``.
-4. **Zero-cost when unused.** Breakpoints, data-watchpoint write hooks and
-   single-stepping are resolved **once, before the loop**: if any is
-   active, execution routes to the fully-checked debug loop
-   (:meth:`_run_debug`, one :meth:`_step` per instruction); otherwise the
-   one fast loop (:meth:`_run_fused`) runs the fused or the plain decoded
-   rows and contains not a single hook or breakpoint test. Stack
-   underflow and runaway program counters are caught by the
-   ``IndexError`` of the faulting list access instead of
-   per-instruction guards.
+4. **Debug stops are rows, not tests.** The fast loop
+   (:meth:`_run_fused`) contains not a single hook or breakpoint test.
+   Watched stores and armed breakpoints are priced **once, per program
+   and stop set**: every *stop pc* — a ``STORE`` to a watched address,
+   every ``STI`` (its address is dynamic) while anything is watched,
+   every armed breakpoint — gets a stop row in a trapped copy of the
+   fused and plain decodings, and a fused row that would run across a
+   stop pc goes back to its plain rows. The loop returns before a stop
+   row; :meth:`run` then reports the breakpoint, or executes exactly
+   that one instruction on the checked path (:meth:`_run_debug`, where
+   the memory's write hook fires with the machine state current) and
+   re-enters the fast loop. Like a hardware comparator, a watchpoint
+   costs nothing until a store that can hit it retires. Only
+   single-stepping and the opcode/pc profiles run every instruction
+   through :meth:`_step`. Stack underflow and runaway program counters
+   are caught by the ``IndexError`` of the faulting list access instead
+   of per-instruction guards.
 
 The ISA's semantics therefore exist twice: in the fast loop and in
 :meth:`_step`, the independent reference. Fused rows must be
@@ -53,8 +61,8 @@ from repro.target.isa import (
     OP_F_ALU_JZ, OP_F_ALU_ST, OP_F_EMIT, OP_F_LOAD_JNZ, OP_F_LOAD_JZ,
     OP_F_LOAD_ST, OP_F_PUSH_ST, OP_GE, OP_GT, OP_HALT, OP_JMP, OP_JNZ,
     OP_JZ, OP_LDI, OP_LE, OP_LOAD, OP_LT, OP_MAX, OP_MIN, OP_MOD, OP_MUL,
-    OP_NE, OP_NEG, OP_NOT, OP_OR, OP_POP, OP_PUSH, OP_STI, OP_STORE,
-    OP_SUB, OP_SWAP,
+    OP_NE, OP_NEG, OP_NOT, OP_OR, OP_POP, OP_PUSH, OP_STI, OP_STOP,
+    OP_STORE, OP_SUB, OP_SWAP,
 )
 from repro.target.memory import RAM_BASE
 from repro.target.peripherals import Gpio
@@ -64,6 +72,15 @@ from repro.util.intmath import INT_MAX, INT_MIN, sdiv, smod, wrap32
 EmitHandler = Callable[[int, int, int], None]
 
 DEFAULT_RUN_LIMIT = 1_000_000
+
+#: instructions covered by each superinstruction row (head pc included)
+_FUSED_SPAN = {
+    OP_F_ALU_ST: 4, OP_F_ALU_JZ: 4, OP_F_ALU_JNZ: 4, OP_F_EMIT: 3,
+    OP_F_PUSH_ST: 2, OP_F_LOAD_ST: 2, OP_F_LOAD_JZ: 2, OP_F_LOAD_JNZ: 2,
+}
+
+_STOP_ROW = (OP_STOP, 0, 0)
+_NO_STOPS: frozenset = frozenset()
 
 
 class StopReason(enum.Enum):
@@ -115,6 +132,9 @@ class Cpu:
         self.fused_rows = 0
         # pc of the last breakpoint stop, so resuming steps over it
         self._resume_pc = -1
+        # trapped (fused, plain) rows for the stop set in _trap_key
+        self._trap_key: Optional[tuple] = None
+        self._trap_rows: Tuple[List[tuple], List[tuple]] = ([], [])
 
     # -- program loading ---------------------------------------------------
 
@@ -152,6 +172,7 @@ class Cpu:
         self.instructions = 0
         self.emit_log.clear()
         self._resume_pc = -1
+        self._trap_key = None
 
     def _fuse_rows(self, entries: Optional[Sequence[int]]) -> None:
         """Install superinstruction rows over the decoded program.
@@ -266,16 +287,24 @@ class Cpu:
             pc_profile: Optional[dict] = None) -> RunResult:
         """Execute until HALT, a debug stop, or the instruction budget.
 
-        The debug features are priced here, once: only when a write hook,
-        an armed breakpoint set, single-stepping, or an opcode profile is
-        actually present does execution take the checked path.
+        Watched stores and armed breakpoints (with
+        ``break_on_breakpoints``) are stop pcs of the fast loop: it runs
+        the trapped rows up to one, then this method either returns
+        ``BREAKPOINT`` (resuming steps over it) or executes that one
+        instruction on the checked path, so the write hook sees ``pc`` at
+        the store and ``cycles`` including its charge, and re-enters the
+        fast loop with the remaining budget. Watchpoints or breakpoints
+        added while a run is in progress take effect at the next run.
+
+        Only single-stepping and the two profiles take the checked path
+        for every instruction.
 
         ``profile`` is the measurement hook driving fusion decisions:
         pass a dict (or ``collections.Counter``) and every retired
         instruction increments ``profile[opcode]`` — plain
         decoded opcodes (the reference stream, what a fusion pass needs
-        to see), never superinstruction ids. Like breakpoints, the hook
-        is priced once here: the fast loop carries no counting code.
+        to see), never superinstruction ids. The hook is priced once
+        here: the fast loop carries no counting code.
 
         ``pc_profile`` counts retired instructions *by address* instead
         of by opcode — ``pc_profile[pc] += 1`` — which is what
@@ -286,29 +315,95 @@ class Cpu:
         """
         if self.halted:
             return RunResult(StopReason.HALTED, 0, 0)
-        if (single_step or profile is not None or pc_profile is not None
-                or self.memory.write_hook is not None
-                or (break_on_breakpoints and self.breakpoints)):
+        if single_step or profile is not None or pc_profile is not None:
             return self._run_debug(max_instructions, single_step,
                                    break_on_breakpoints, profile,
                                    pc_profile)
-        # uncontrolled execution invalidates any pending resume-over marker
+        watched = self.memory.watched
+        bps = (frozenset(self.breakpoints)
+               if break_on_breakpoints and self.breakpoints else _NO_STOPS)
+        skip_pc = self._resume_pc
         self._resume_pc = -1
-        # fuse is re-consulted here so toggling it after load() (Board
-        # exposes no fuse parameter) honestly selects the reference decoding
-        rows = self._frows
-        if not self.fuse or rows is None:
-            rows = self._rows
-        return self._run_fused(rows, max_instructions)
+        if not watched and not bps:
+            # fuse is re-consulted here so toggling it after load() (Board
+            # exposes no fuse parameter) honestly selects the reference
+            # decoding
+            rows = self._frows
+            if not self.fuse or rows is None:
+                rows = self._rows
+            return self._run_fused(rows, self._rows, max_instructions)
+        rows, plain_rows = self._trapped_rows(watched, bps)
+        n = cycles = 0
+        while True:
+            result = self._run_fused(rows, plain_rows, max_instructions - n)
+            n += result.instructions
+            cycles += result.cycles
+            if result.reason is not StopReason.BREAKPOINT:
+                return RunResult(result.reason, n, cycles)
+            # the loop stopped before a stop pc with budget left; only the
+            # run's first instruction may step over a breakpoint
+            pc = self.pc
+            if pc in bps and (pc != skip_pc or result.instructions):
+                self._resume_pc = pc
+                return RunResult(StopReason.BREAKPOINT, n, cycles)
+            skip_pc = -1
+            step = self._run_debug(1, False, False)
+            n += 1
+            cycles += step.cycles
+            if step.reason is StopReason.HALTED:
+                return RunResult(StopReason.HALTED, n, cycles)
 
-    def _run_fused(self, rows: List[tuple], limit: int) -> RunResult:
+    def _trapped_rows(self, watched: frozenset, bps: frozenset
+                      ) -> Tuple[List[tuple], List[tuple]]:
+        """The (fused, plain) decodings with a stop row at every stop pc,
+        cached until :meth:`load`, the watched set or the breakpoint set
+        changes."""
+        fused = self.fuse and self._frows is not None
+        key = (fused, watched, bps)
+        if key == self._trap_key:
+            return self._trap_rows
+        prows = self._rows
+        ncode = len(prows)
+        stops = {pc for pc in bps if 0 <= pc < ncode}
+        if watched:
+            for pc, (op, arg, _) in enumerate(prows):
+                if op == OP_STI or (op == OP_STORE and arg in watched):
+                    stops.add(pc)
+        plain = list(prows)
+        for pc in stops:
+            plain[pc] = _STOP_ROW
+        trapped = plain
+        if fused:
+            frows = self._frows
+            trapped = list(frows)
+            for pc in stops:
+                # a fused row running across a stop pc (a watched store
+                # at its tail, a breakpoint inside it) goes back to its
+                # plain rows
+                for head in range(max(0, pc - 3), pc):
+                    op = frows[head][0]
+                    if op >= FUSE_BASE and head + _FUSED_SPAN[op] > pc:
+                        trapped[head] = prows[head]
+            for pc in stops:
+                trapped[pc] = _STOP_ROW
+        self._trap_key = key
+        self._trap_rows = (trapped, plain)
+        return self._trap_rows
+
+    def _run_fused(self, rows: List[tuple], plain_rows: List[tuple],
+                   limit: int) -> RunResult:
         """The one hot loop: no hooks, no breakpoints, no string/dict
         dispatch, over either decoding.
 
-        *rows* is the fused program or the plain decoded rows; the plain
-        opcodes share one dispatch chain, and every superinstruction id
-        sits behind a single ``op >= FUSED`` guard ahead of it, so plain
-        rows pay one comparison for fusion's existence.
+        *rows* is the fused program or the plain decoded rows (either of
+        them possibly trapped); *plain_rows* is the plain decoding a row
+        decomposes onto, trapped whenever *rows* is, so decomposing can
+        never run past a stop pc. The plain opcodes share one dispatch
+        chain, and every superinstruction id sits behind a single
+        ``op >= FUSED`` guard ahead of it, so plain rows pay one
+        comparison for fusion's existence. The stop row sits behind the
+        same guard: reaching it with budget left ends the run with
+        ``BREAKPOINT`` before its pc, charging nothing.
 
         Timing identity with the plain rows (and with :meth:`_step`) is
         the contract: every fused row charges the summed constituent
@@ -325,7 +420,7 @@ class Cpu:
         resuming from such a stop is automatically legal.)
         """
         memory = self.memory
-        prows = self._rows
+        prows = plain_rows
         ncode = len(prows)
         cells = memory.cells
         nram = len(cells)
@@ -527,7 +622,7 @@ class Cpu:
                             pc = target
                         else:
                             pc += 2
-                    else:  # F_EMIT
+                    elif op == F_EMIT:
                         path_id, bmode, bval, kind = arg
                         if (n + 2 > limit or len(stack) + 2 > depth
                                 or (bmode and not 0 <= bval < nram)):
@@ -547,11 +642,15 @@ class Cpu:
                             in_handler = False
                         n += 2
                         pc += 3
+                    else:  # stop row: run() takes this pc
+                        n -= 1
+                        reason = StopReason.BREAKPOINT
+                        break
                 elif op == LOAD:
                     index = arg - ram_base
                     if not 0 <= index < nram:
                         raise TargetFault(
-                            f"LOAD outside RAM: 0x{arg:08x}", pc)
+                            f"memory access outside RAM: 0x{arg:08x}", pc)
                     if len(stack) >= depth:
                         raise TargetFault("stack overflow", pc)
                     append(cells[index])
@@ -566,7 +665,7 @@ class Cpu:
                     index = arg - ram_base
                     if not 0 <= index < nram:
                         raise TargetFault(
-                            f"STORE outside RAM: 0x{arg:08x}", pc)
+                            f"memory access outside RAM: 0x{arg:08x}", pc)
                     cells[index] = pop()
                     writes += 1
                     pc += 1
@@ -603,14 +702,14 @@ class Cpu:
                     pc += 1
                 elif op == JMP:
                     if not 0 <= arg < ncode:
-                        raise TargetFault(f"JMP target {arg} outside code",
-                                          pc)
+                        raise TargetFault(
+                            f"jump target {arg} outside code", pc)
                     pc = arg
                 elif op == JZ:
                     if pop() == 0:
                         if not 0 <= arg < ncode:
                             raise TargetFault(
-                                f"JZ target {arg} outside code", pc)
+                                f"jump target {arg} outside code", pc)
                         pc = arg
                     else:
                         pc += 1
@@ -618,7 +717,7 @@ class Cpu:
                     if pop() != 0:
                         if not 0 <= arg < ncode:
                             raise TargetFault(
-                                f"JNZ target {arg} outside code", pc)
+                                f"jump target {arg} outside code", pc)
                         pc = arg
                     else:
                         pc += 1
@@ -689,7 +788,8 @@ class Cpu:
                 elif op == LDI:
                     index = pop() - ram_base
                     if not 0 <= index < nram:
-                        raise TargetFault("LDI outside RAM", pc)
+                        raise TargetFault("memory access outside RAM: "
+                                          f"0x{index + ram_base:08x}", pc)
                     append(cells[index])
                     reads += 1
                     pc += 1
@@ -697,7 +797,8 @@ class Cpu:
                     index = pop() - ram_base
                     value = pop()
                     if not 0 <= index < nram:
-                        raise TargetFault("STI outside RAM", pc)
+                        raise TargetFault("memory access outside RAM: "
+                                          f"0x{index + ram_base:08x}", pc)
                     cells[index] = value
                     writes += 1
                     pc += 1

@@ -89,6 +89,11 @@ OP_F_LOAD_JNZ = FUSE_BASE + 6
 #: PUSH ch; [LOAD|PUSH] v; EMIT kind  (the codegen's command preamble —
 #: the residual scalar work left after PR 5's quads/pairs)
 OP_F_EMIT = FUSE_BASE + 7
+#: stop row: not an instruction. The CPU's trapped decodings hold it at
+#: every *stop pc* (a store that may hit a watched address, an armed
+#: breakpoint); the fast loop returns before it, charging nothing, and
+#: ``Cpu.run`` handles that one instruction itself.
+OP_STOP = FUSE_BASE + 8
 
 #: binary ALU opcodes legal as the third constituent of a fused quad
 #: (everything with stack effect ``a b -- r``; DIV/MOD fuse too — their

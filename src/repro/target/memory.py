@@ -4,8 +4,13 @@ Two access planes with different accounting, mirroring real silicon:
 
 * **Target plane** — :meth:`MemoryMap.read_word` / :meth:`write_word`: what
   the CPU (and anything pretending to be the CPU) uses. Counted in
-  :attr:`reads` / :attr:`writes`, and writes fire the optional write hook
-  (the debug unit's data-watchpoint comparators).
+  :attr:`reads` / :attr:`writes`. Writes to a declared address set fire
+  the optional write hook: :meth:`MemoryMap.set_write_hook` installs the
+  hook together with :attr:`watched`, the addresses the debug unit's
+  data-watchpoint comparators match. A write anywhere else is not seen,
+  so a hook with an empty set observes nothing and costs nothing — the
+  CPU's fast loop only has to stop at the instructions that can store to
+  a watched address (see :mod:`repro.target.cpu`).
 * **Backdoor plane** — :meth:`peek` / :meth:`poke`: DMA-style access used
   by the JTAG debug port and the test harness. Never counted, never hooks —
   which is exactly why passive monitoring costs the target nothing.
@@ -17,7 +22,7 @@ the methods here are the reference implementation of those semantics.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import TargetFault
 
@@ -30,7 +35,8 @@ WriteHook = Callable[[int, int], None]
 class MemoryMap:
     """Word-addressed RAM of ``words`` cells starting at :data:`RAM_BASE`."""
 
-    __slots__ = ("cells", "reads", "writes", "write_hook", "_init_image")
+    __slots__ = ("cells", "reads", "writes", "write_hook", "watched",
+                 "_init_image")
 
     def __init__(self, words: int = 4096) -> None:
         if words <= 0:
@@ -39,6 +45,8 @@ class MemoryMap:
         self.reads = 0
         self.writes = 0
         self.write_hook: Optional[WriteHook] = None
+        #: addresses whose target writes fire :attr:`write_hook`
+        self.watched: frozenset = frozenset()
         self._init_image: Dict[int, int] = {}
 
     # -- geometry -----------------------------------------------------------
@@ -65,16 +73,19 @@ class MemoryMap:
         return value
 
     def write_word(self, addr: int, value: int) -> None:
-        """A target-side write: counted, fires the write hook."""
+        """A target-side write: counted; fires the write hook when *addr*
+        is watched."""
         self.cells[self._index(addr)] = value
         self.writes += 1
-        hook = self.write_hook
-        if hook is not None:
-            hook(addr, value)
+        if addr in self.watched:
+            self.write_hook(addr, value)
 
-    def set_write_hook(self, hook: Optional[WriteHook]) -> None:
-        """Install (or clear) the data-watchpoint hook for target writes."""
+    def set_write_hook(self, hook: Optional[WriteHook],
+                       addrs: Iterable[int] = ()) -> None:
+        """Install (or clear, with None) the data-watchpoint hook: it fires
+        for target writes to the addresses in *addrs* and no others."""
         self.write_hook = hook
+        self.watched = frozenset(addrs) if hook is not None else frozenset()
 
     # -- backdoor plane (debug port, harness) -------------------------------
 

@@ -5,22 +5,32 @@ rows; the contract (ISA doc, ``repro/target/__init__.py``) is that fused
 execution is **bit-identical** to unfused execution at every stop:
 ``pc``, ``cycles``, ``instructions``, stack, RAM, ``emit_log``,
 read/write counters and fault pcs — including budget stops landing
-mid-sequence and breakpoints armed over fused regions (which route to
-the per-instruction ``_run_debug`` loop). Randomized programs are
-codegen-shaped: operand/operand/alu/store quads, constant and move
-pairs, compare-and-branch, bounded loops, EMITs and unfusable filler.
+mid-sequence. Randomized programs are codegen-shaped:
+operand/operand/alu/store quads, constant and move pairs,
+compare-and-branch, bounded loops, EMITs, indirect stores and unfusable
+filler.
+
+Watched stores and armed breakpoints are *stop pcs* of the same fast
+loop; the second half of this file proves that route equal to the
+checked per-instruction loop (``_run_debug``, forced with a
+``pc_profile``): identical watch hits (pc, cycles, value, previous),
+identical machine state at every stop and identical faults.
 """
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from repro.codegen import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
-from repro.comdes.examples import traffic_light_system
+from repro.comdes.examples import cruise_control_system, traffic_light_system
+from repro.debugger.gdb import SourceDebugger
 from repro.errors import TargetFault
+from repro.experiments import cruise_code_watches, traffic_light_code_watches
 from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
-from repro.target.isa import OP_HALT, Instr
+from repro.target.isa import OP_HALT, OP_STOP, Instr
 from repro.target.memory import RAM_BASE, MemoryMap
 from repro.util.intmath import INT_MAX, INT_MIN
 
@@ -86,10 +96,12 @@ snip_loop = st.tuples(st.just("loop"), st.integers(1, 5), addr_ix,
 snip_emit = st.tuples(st.just("emit"), st.integers(1, 5), operand,
                       st.integers(1, 6))
 snip_plain = st.tuples(st.just("plain"), addr_ix, addr_ix)
+# indirect store: the address is in RAM except when the last draw is 0
+snip_sti = st.tuples(st.just("sti"), imm, addr_ix, st.integers(0, 7))
 
 snippets = st.lists(
     st.one_of(snip_alu_store, snip_const_store, snip_move, snip_cmp_branch,
-              snip_load_branch, snip_loop, snip_emit, snip_plain),
+              snip_load_branch, snip_loop, snip_emit, snip_plain, snip_sti),
     min_size=1, max_size=8,
 )
 
@@ -167,6 +179,11 @@ def assemble_program(snips):
             asm.emit("PUSH", path_id)
             emit_operand(asm, value)
             asm.emit("EMIT", cmd_kind)
+        elif kind == "sti":
+            _, value, y, in_ram = snip
+            asm.emit("PUSH", value)
+            asm.emit("PUSH", RAM_BASE + (y if in_ram else RAM_WORDS + y))
+            asm.emit("STI")
         else:  # plain, unfusable filler
             _, a, y = snip
             asm.emit("LOAD", RAM_BASE + a)
@@ -215,26 +232,32 @@ class TestLockstepProperties:
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets, data=st.data())
     def test_debug_loop_breakpoint_stops_match_fast_path(self, snips, data):
-        """The per-instruction debug loop (breakpoints armed at random
-        pcs, possibly mid-fusion) and the fused fast path observe the
-        same machine at every stop."""
+        """Breakpoints armed at random pcs, possibly mid-fusion: the
+        fast loop's breakpoint stops and the checked loop's observe the
+        same machine at every stop, and an undebugged fast run retiring
+        the same instruction counts agrees with both."""
         code = assemble_program(snips)
-        debug = build(code, fuse=True)
-        fast = build(code, fuse=True)
         pcs = data.draw(st.lists(st.integers(0, len(code) - 1),
                                  min_size=1, max_size=4, unique=True))
-        debug.breakpoints.update(pcs)
-        executed = 0
-        while executed <= RUN_LIMIT:
-            result = debug.run(max_instructions=RUN_LIMIT,
-                               break_on_breakpoints=True)
-            executed += result.instructions
-            if result.instructions:
-                fast.run(max_instructions=result.instructions)
-            assert snap(fast) == snap(debug)
-            if debug.halted:
+        route = build(code, fuse=True)
+        reference = build(code, fuse=True)
+        fast = build(code, fuse=True)
+        for cpu in (route, reference):
+            cpu.breakpoints.update(pcs)
+        for _ in range(RUN_LIMIT):
+            outcome = run_route(route, RUN_LIMIT, True, reference=False)
+            assert outcome == run_route(reference, RUN_LIMIT, True,
+                                        reference=True)
+            assert snap(route) == snap(reference)
+            if outcome[0] == "fault":
                 break
-        assert debug.halted
+            if outcome[1]:
+                run_guarded(fast, limit=outcome[1])
+            assert snap(fast) == snap(route)
+            if route.halted:
+                break
+            assert route.pc in pcs
+        assert route.halted or outcome[0] == "fault"
 
     @settings(max_examples=25, deadline=None)
     @given(snips=snippets)
@@ -260,6 +283,159 @@ def run_guarded_step(cpu):
         return (result.reason, None)
     except TargetFault as fault:
         return ("fault", (fault.reason, fault.pc))
+
+
+# -- watched stores and breakpoints as stop pcs -------------------------------
+
+class Watcher:
+    """Records what a data watchpoint sees, like ``SourceDebugger``:
+    every hook call as (pc, cycles, value, previous)."""
+
+    def __init__(self, cpu, addrs):
+        self.cpu = cpu
+        self.hits = []
+        self.shadow = {addr: cpu.memory.peek(addr)
+                       for addr in addrs if cpu.memory.contains(addr)}
+        cpu.memory.set_write_hook(self.hook, addrs)
+
+    def hook(self, addr, value):
+        self.hits.append((addr, self.cpu.pc, self.cpu.cycles, value,
+                          self.shadow.get(addr)))
+        self.shadow[addr] = value
+
+
+def run_route(cpu, limit, breaks, reference):
+    """One run on the stop-pc route, or on the checked reference loop
+    (a pc profile sends every instruction through ``_step``)."""
+    try:
+        result = cpu.run(max_instructions=limit, break_on_breakpoints=breaks,
+                         pc_profile={} if reference else None)
+        return (result.reason, result.instructions, result.cycles)
+    except TargetFault as fault:
+        return ("fault", type(fault), fault.reason, fault.pc)
+
+
+def store_targets(code):
+    """Addresses the program stores to: STORE operands (fused quad and
+    pair destinations, loop counters) and the immediates fed to STI."""
+    targets = {instr.arg for instr in code if instr.op == "STORE"}
+    for i, instr in enumerate(code):
+        if instr.op == "STI" and i and code[i - 1].op == "PUSH":
+            targets.add(code[i - 1].arg)
+    return sorted(targets)
+
+
+def watch_strategy(code):
+    ram = addr_ix.map(lambda ix: RAM_BASE + ix)
+    targets = store_targets(code)
+    choice = st.one_of(st.sampled_from(targets), ram) if targets else ram
+    return st.lists(choice, min_size=1, max_size=4, unique=True)
+
+
+def drive_in_lockstep(code, watched, pcs, chunks, fuse=True):
+    """Run the stop-pc route and the checked reference through the same
+    budget chunks (then to the end), stop for stop; returns the route's
+    watch hits."""
+    route, reference = build(code, fuse=fuse), build(code, fuse=fuse)
+    watchers = [Watcher(route, watched), Watcher(reference, watched)]
+    for cpu in (route, reference):
+        cpu.breakpoints.update(pcs)
+    budgets = list(chunks) + [RUN_LIMIT] * RUN_LIMIT
+    for limit in budgets:
+        outcome = run_route(route, limit, bool(pcs), reference=False)
+        assert outcome == run_route(reference, limit, bool(pcs),
+                                    reference=True)
+        assert snap(route) == snap(reference)
+        assert watchers[0].hits == watchers[1].hits
+        if route.halted or outcome[0] == "fault":
+            return watchers[0].hits
+    raise AssertionError("program did not finish")
+
+
+class TestWatchLockstep:
+    @settings(max_examples=80, deadline=None)
+    @given(snips=snippets, data=st.data())
+    def test_watched_stores_match_checked_loop(self, snips, data):
+        code = assemble_program(snips)
+        watched = data.draw(watch_strategy(code))
+        pcs = data.draw(st.lists(st.integers(0, len(code) - 1),
+                                 max_size=3, unique=True))
+        chunks = data.draw(st.lists(st.integers(1, 7), max_size=24))
+        drive_in_lockstep(code, watched, pcs, chunks)
+
+    @settings(max_examples=30, deadline=None)
+    @given(snips=snippets, data=st.data())
+    def test_watched_stores_match_checked_loop_unfused(self, snips, data):
+        code = assemble_program(snips)
+        watched = data.draw(watch_strategy(code))
+        chunks = data.draw(st.lists(st.integers(1, 7), max_size=12))
+        drive_in_lockstep(code, watched, (), chunks, fuse=False)
+
+    def test_every_budget_lands_in_lockstep(self):
+        """Budgets of 1..N land on every pc once: on the watched store,
+        inside the quad demoted for it, and on the breakpoint inside the
+        other fused quad."""
+        code = counting_loop(4)
+        total = build(code, fuse=False).run().instructions
+        for limit in range(1, total + 1):
+            hits = drive_in_lockstep(code, [RAM_BASE], [5], [limit])
+            assert [hit[3] for hit in hits] == [1, 2, 3, 4]
+
+    def test_out_of_ram_sti_faults_identically(self):
+        code = [Instr("PUSH", 3), Instr("PUSH", RAM_BASE + RAM_WORDS),
+                Instr("STI"), Instr("HALT")]
+        route, reference = build(code, fuse=True), build(code, fuse=True)
+        Watcher(route, [RAM_BASE])
+        Watcher(reference, [RAM_BASE])
+        outcome = run_route(route, RUN_LIMIT, False, reference=False)
+        assert outcome == ("fault", TargetFault,
+                           f"memory access outside RAM: "
+                           f"0x{RAM_BASE + RAM_WORDS:08x}", 2)
+        assert outcome == run_route(reference, RUN_LIMIT, False,
+                                    reference=True)
+        assert snap(route) == snap(reference)
+
+
+def firmware_jobs_in_lockstep(system, watches, change_symbol):
+    """Every task job of *system*'s firmware, 25 rounds, under a
+    ``SourceDebugger`` holding the requirement watches plus an any-change
+    watch on *change_symbol*: stop-pc route vs the checked loop."""
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    boards = [Board(), Board()]
+    debuggers = []
+    for board in boards:
+        board.load_firmware(firmware)
+        debugger = SourceDebugger(board, firmware)
+        for symbol, predicate, description in watches:
+            debugger.watch(symbol, predicate, description)
+        debugger.watch(change_symbol)
+        debuggers.append(debugger)
+    route, reference = boards
+    for _ in range(25):
+        for task in firmware.entries:
+            entry = firmware.entry_of(task)
+            route.cpu.reset_task(entry)
+            reference.cpu.reset_task(entry)
+            assert route.cpu.run() == reference.cpu.run(pc_profile={})
+            assert snap(route.cpu) == snap(reference.cpu)
+    hits = [[(hit.watchpoint.symbol, hit.pc, hit.cycles, hit.value,
+              hit.previous) for hit in debugger.hits]
+            for debugger in debuggers]
+    assert hits[0] == hits[1]
+    return hits[0]
+
+
+class TestFirmwareWatchParity:
+    def test_cruise_code_watches(self):
+        hits = firmware_jobs_in_lockstep(
+            cruise_control_system(), cruise_code_watches(), "plant.out.speed")
+        assert hits
+
+    def test_traffic_light_code_watches(self):
+        hits = firmware_jobs_in_lockstep(
+            traffic_light_system(), traffic_light_code_watches(),
+            "lights.lamp.$t")
+        assert hits
 
 
 # -- deterministic edges ----------------------------------------------------
@@ -477,11 +653,104 @@ class TestFirmwareIntegration:
         assert result == plain.run()
         assert snap(cpu) == snap(plain)
 
-    def test_run_route_selection_unchanged(self):
-        """Debug features still force the per-instruction loop; the fused
-        loop only ever runs hook-free."""
+
+def count_checked_runs(cpu):
+    """Record the budget of every ``_run_debug`` call on *cpu*."""
+    calls = []
+    checked = cpu._run_debug
+
+    def recording(limit, *args, **kwargs):
+        calls.append(limit)
+        return checked(limit, *args, **kwargs)
+    cpu._run_debug = recording
+    return calls
+
+
+class TestStopRouting:
+    def test_debug_stops_step_the_checked_loop_once(self):
+        """A watched store or a breakpoint costs one checked instruction
+        per stop, never a checked run."""
         cpu = build(counting_loop(3), fuse=True)
-        cpu.breakpoints.add(1)
-        result = cpu.run(break_on_breakpoints=True)
-        assert result.reason is StopReason.BREAKPOINT
-        assert cpu.pc == 1
+        calls = count_checked_runs(cpu)
+        Watcher(cpu, [RAM_BASE])
+        cpu.breakpoints.add(4)
+        stops = 0
+        while not cpu.halted:
+            result = cpu.run(break_on_breakpoints=True)
+            stops += result.reason is StopReason.BREAKPOINT
+        # three watched stores, plus stepping over each breakpoint stop
+        assert stops == 3
+        assert calls == [1] * (3 + 3)
+
+    def test_unwatched_hook_runs_the_fast_loop_only(self):
+        cpu = build(counting_loop(3), fuse=True)
+        calls = count_checked_runs(cpu)
+        Watcher(cpu, [RAM_BASE + 5])
+        assert cpu.run().reason is StopReason.HALTED
+        assert calls == []
+
+    def test_step_and_profiles_still_check_every_instruction(self):
+        for kwargs in ({"single_step": True}, {"profile": {}},
+                       {"pc_profile": {}}):
+            cpu = build(counting_loop(3), fuse=True)
+            calls = count_checked_runs(cpu)
+            result = cpu.run(max_instructions=RUN_LIMIT, **kwargs)
+            assert calls == [RUN_LIMIT]
+            assert result.instructions == (1 if "single_step" in kwargs
+                                           else 3 * 8 + 1)
+
+    def test_trapped_rows_rebuild_on_load_watch_and_breakpoints(self):
+        code = counting_loop(3)
+        cpu = build(code, fuse=True)
+        memory = cpu.memory
+        memory.set_write_hook(lambda addr, value: None, [RAM_BASE])
+        cpu.run(max_instructions=1)
+        first = cpu._trap_rows
+        assert first[0][3] == (OP_STOP, 0, 0)   # the watched STORE
+        assert first[0][0] == cpu._rows[0]     # its quad went plain
+        cpu.run(max_instructions=1)
+        assert cpu._trap_rows is first          # same stop set: cached
+        # a new watch between runs
+        memory.set_write_hook(lambda addr, value: None,
+                              [RAM_BASE, RAM_BASE + 1])
+        cpu.run(max_instructions=1)
+        assert cpu._trap_rows is not first
+        second = cpu._trap_rows
+        # a changed breakpoint set
+        cpu.breakpoints.add(5)
+        cpu.run(max_instructions=1, break_on_breakpoints=True)
+        assert cpu._trap_rows is not second
+        assert cpu._trap_rows[0][5] == (OP_STOP, 0, 0)
+        assert cpu._trap_rows[0][4] == cpu._rows[4]   # compare quad demoted
+        third = cpu._trap_rows
+        # load() drops the cache even for the same program
+        cpu.load(code)
+        cpu.reset_task(0)
+        cpu.run(max_instructions=1, break_on_breakpoints=True)
+        assert cpu._trap_rows is not third
+        assert cpu._trap_rows[0] == third[0]
+
+    def test_debugger_without_watchpoints_declares_nothing(self):
+        firmware = generate_firmware(traffic_light_system(),
+                                     InstrumentationPlan.full())
+        board = Board()
+        board.load_firmware(firmware)
+        debugger = SourceDebugger(board, firmware)
+        assert board.memory.watched == frozenset()
+        debugger.watch("lights.lamp.$t")
+        assert board.memory.watched == {
+            firmware.symbols.addr_of("lights.lamp.$t")}
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, RUN_LIMIT])
+    def test_breakpoint_inside_a_fused_quad_stops_there(self, limit):
+        """A breakpoint at an interior pc of a fused quad stops at that
+        pc; smaller budgets stop on legal unfused pcs before it."""
+        route = build(counting_loop(3), fuse=True)
+        reference = build(counting_loop(3), fuse=True)
+        for cpu in (route, reference):
+            cpu.breakpoints.add(2)
+        outcome = run_route(route, limit, True, reference=False)
+        assert outcome == run_route(reference, limit, True, reference=True)
+        assert snap(route) == snap(reference)
+        if limit == RUN_LIMIT:
+            assert outcome[0] is StopReason.BREAKPOINT and route.pc == 2

@@ -178,7 +178,9 @@ class TestFastAndDebugPathsAgree:
             debug_cpu.load(code)
             debug_cpu.reset_task(0)
             writes = []
-            debug_memory.set_write_hook(lambda a, v: writes.append((a, v)))
+            debug_memory.set_write_hook(
+                lambda a, v: writes.append((a, v)),
+                range(RAM_BASE, RAM_BASE + len(debug_memory)))
             debug = debug_cpu.run()
 
             assert fast.reason is debug.reason is StopReason.HALTED
@@ -193,17 +195,21 @@ class TestFastAndDebugPathsAgree:
                      [Instr("PUSH", 1), Instr("PUSH", 0), Instr("DIV")],
                      [Instr("LOAD", 1234)]):
             outcomes = []
-            for hooked in (False, True):
+            # fast loop, fast loop with every RAM word watched, and the
+            # checked loop (a pc profile routes every instruction there)
+            for arm in ("fast", "hooked", "checked"):
                 memory = MemoryMap(16)
                 cpu = Cpu(memory, Gpio())
-                if hooked:
-                    memory.set_write_hook(lambda a, v: None)
+                if arm == "hooked":
+                    memory.set_write_hook(
+                        lambda a, v: None,
+                        range(RAM_BASE, RAM_BASE + len(memory)))
                 cpu.load(code)
                 cpu.reset_task(0)
                 with pytest.raises(TargetFault) as caught:
-                    cpu.run()
-                outcomes.append(caught.value.pc)
-            assert outcomes[0] == outcomes[1]
+                    cpu.run(pc_profile={} if arm == "checked" else None)
+                outcomes.append((caught.value.reason, caught.value.pc))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestIsaTotality:
@@ -237,8 +243,10 @@ class TestIsaTotality:
         for hooked in (False, True):
             memory = MemoryMap(16)
             cpu = Cpu(memory, Gpio())
-            if hooked:
-                memory.set_write_hook(lambda a, v: None)
+            if hooked:  # every store and STI stops on the checked path
+                memory.set_write_hook(
+                    lambda a, v: None,
+                    range(RAM_BASE, RAM_BASE + len(memory)))
             cpu.load(code)
             cpu.reset_task(0)
             result = cpu.run()

@@ -198,10 +198,20 @@ class TestMemoryMap:
     def test_write_hook_fires(self):
         memory = MemoryMap(16)
         seen = []
-        memory.set_write_hook(lambda addr, value: seen.append((addr, value)))
+        memory.set_write_hook(lambda addr, value: seen.append((addr, value)),
+                              (RAM_BASE + 1, RAM_BASE + 2))
         memory.write_word(RAM_BASE + 1, 5)
+        memory.write_word(RAM_BASE + 3, 7)  # unwatched: must NOT fire
         memory.poke(RAM_BASE + 2, 6)  # poke must NOT fire the hook
         assert seen == [(RAM_BASE + 1, 5)]
+        assert memory.writes == 2  # an unwatched write still counts
+
+    def test_cleared_hook_watches_nothing(self):
+        memory = MemoryMap(16)
+        memory.set_write_hook(lambda addr, value: None, (RAM_BASE,))
+        memory.set_write_hook(None, (RAM_BASE,))
+        assert memory.watched == frozenset()
+        memory.write_word(RAM_BASE, 1)  # no hook to call
 
 
 class TestAssembler:
