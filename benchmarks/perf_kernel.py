@@ -1,0 +1,103 @@
+"""Event-kernel and command-path throughput of the model debugger.
+
+Runs the cruise control model-debugger simulation exactly as a campaign
+job wires it (:func:`repro.faults.campaign.model_debugger_rig`: DTM
+kernel, one active channel per node, the GDM engine and the monitor
+suite on one simulator) for 3 s of modeled time, and reports:
+
+* ``events_per_sec`` — simulator events executed per CPU second
+  (releases, completions, publications, frame deliveries);
+* ``commands_per_sec`` — debug commands the engine reacted to per CPU
+  second (frame decode, binding dispatch, reactions, monitors).
+
+Each rep builds a fresh rig (untimed) and times ``kernel.run`` in
+process CPU time (``time.process_time``), which does not count time the
+process spent descheduled. The best rep per metric is reported, with
+every rep's rates recorded as the spread. Every rep must execute the
+same event and command counts — the run is deterministic — and the
+counts are recorded too.
+
+Writes ``BENCH_kernel.json`` (or ``BENCH_kernel_quick.json`` under
+``--quick``) next to this file.
+
+Usage::
+
+    python benchmarks/perf_kernel.py           # full run (15 reps)
+    python benchmarks/perf_kernel.py --quick   # CI smoke (5 reps)
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.comdes.examples import cruise_control_system
+from repro.experiments import cruise_monitor_suite
+from repro.faults.campaign import model_debugger_rig
+from repro.util.timeunits import sec
+
+DURATION_US = sec(3)
+FULL_REPS = 15
+QUICK_REPS = 5
+
+
+def one_rep(system, firmware):
+    """(events, commands, CPU seconds) of one simulated run."""
+    kernel, engine, _ = model_debugger_rig(system, firmware,
+                                           cruise_monitor_suite)
+    start = time.process_time()
+    kernel.run(DURATION_US)
+    elapsed = time.process_time() - start
+    return kernel.sim.executed_events, engine.commands_processed, elapsed
+
+
+def measure(reps: int):
+    system = cruise_control_system()
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    one_rep(system, firmware)  # warm caches and the allocator
+    counts = set()
+    event_rates, command_rates = [], []
+    for _ in range(reps):
+        events, commands, elapsed = one_rep(system, firmware)
+        counts.add((events, commands))
+        event_rates.append(events / elapsed)
+        command_rates.append(commands / elapsed)
+    if len(counts) != 1:
+        raise RuntimeError(f"non-deterministic run: counts {sorted(counts)}")
+    (events, commands), = counts
+    return {
+        "system": "cruise_control",
+        "duration_us": DURATION_US,
+        "events": events,
+        "commands": commands,
+        "events_per_sec": int(max(event_rates)),
+        "commands_per_sec": int(max(command_rates)),
+        "rep_events_per_sec": [int(rate) for rate in event_rates],
+        "rep_commands_per_sec": [int(rate) for rate in command_rates],
+    }
+
+
+def main() -> None:
+    quick = "--quick" in sys.argv
+    results = measure(QUICK_REPS if quick else FULL_REPS)
+    results["quick"] = quick
+    name = "BENCH_kernel_quick.json" if quick else "BENCH_kernel.json"
+    out = os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
+    with open(out, "w", encoding="utf-8") as handle:
+        json.dump(results, handle, indent=2)
+        handle.write("\n")
+    print(f"cruise model debugger, {results['duration_us']} us modeled: "
+          f"{results['events']} events at {results['events_per_sec']}/s, "
+          f"{results['commands']} commands at "
+          f"{results['commands_per_sec']}/s")
+    print(f"-> {out}")
+
+
+if __name__ == "__main__":
+    main()

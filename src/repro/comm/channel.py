@@ -34,22 +34,26 @@ from repro.target.firmware import FirmwareImage
 
 CommandHandler = Callable[[Command], None]
 
+#: wire discriminator -> kind (unknown bytes still raise via CommandKind)
+_KINDS = {kind.value: kind for kind in CommandKind}
+
 
 class DebugChannel:
     """Base class: fan-out of decoded commands to subscribers."""
 
     def __init__(self) -> None:
-        self._handlers: List[CommandHandler] = []
+        # copy-on-subscribe: deliver iterates the tuple current at its start
+        self._handlers: Tuple[CommandHandler, ...] = ()
         self.commands_delivered = 0
 
     def subscribe(self, handler: CommandHandler) -> None:
         """Register a command consumer (the engine, trace recorders...)."""
-        self._handlers.append(handler)
+        self._handlers += (handler,)
 
     def deliver(self, command: Command) -> None:
         """Hand a command to every subscriber."""
         self.commands_delivered += 1
-        for handler in list(self._handlers):
+        for handler in self._handlers:
             handler(command)
 
     # Target control used by model-level breakpoints; channel-specific.
@@ -135,8 +139,9 @@ class ActiveChannel(DebugChannel):
         frame = encode_frame(kind, path_id, value)
 
         # UART FIFO occupancy: bytes whose transmission has not finished.
-        self._inflight = [(done, n) for done, n in self._inflight if done > t_emit]
-        pending = sum(n for _, n in self._inflight)
+        inflight = self._inflight = [
+            entry for entry in self._inflight if entry[0] > t_emit]
+        pending = sum([entry[1] for entry in inflight])
         if pending + len(frame) > self.board.uart.fifo_depth:
             self.board.uart.overruns += 1
             self.frames_dropped += 1
@@ -153,7 +158,8 @@ class ActiveChannel(DebugChannel):
     def _deliver_frame(self, frame: bytes, t_emit: int) -> None:
         for kind, path_id, value in self.decoder.feed(frame):
             command = Command(
-                CommandKind(kind), self.firmware.path_of_id(path_id), value,
+                _KINDS.get(kind) or CommandKind(kind),
+                self.firmware.path_of_id(path_id), value,
                 t_target=t_emit, t_host=self.sim.now,
             )
             self.deliver(command)

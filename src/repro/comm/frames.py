@@ -13,16 +13,21 @@ survive a noisy serial line.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Tuple
 
 from repro.errors import CommError
-from repro.util.intmath import wrap32
 
 SOF = 0x7E
 PAYLOAD_LEN = 7  # KIND(1) + PATH_ID(2) + VALUE(4)
 FRAME_LEN = 10   # SOF + LEN + payload + checksum
 
 MAX_PATH_ID = 0xFFFF
+
+#: SOF, LEN, KIND, PATH_ID, VALUE as sent (everything but the checksum)
+_HEAD = struct.Struct("<BBBHI")
+#: KIND, PATH_ID, VALUE as decoded (the value read back signed)
+_PAYLOAD = struct.Struct("<BHi")
 
 
 class FrameError(CommError):
@@ -39,15 +44,8 @@ def encode_frame(kind: int, path_id: int, value: int) -> bytes:
         raise FrameError(f"kind {kind} out of byte range")
     if not (0 <= path_id <= MAX_PATH_ID):
         raise FrameError(f"path id {path_id} out of range 0..{MAX_PATH_ID}")
-    value = wrap32(value) & 0xFFFFFFFF
-    body = bytes([
-        PAYLOAD_LEN,
-        kind,
-        path_id & 0xFF, (path_id >> 8) & 0xFF,
-        value & 0xFF, (value >> 8) & 0xFF,
-        (value >> 16) & 0xFF, (value >> 24) & 0xFF,
-    ])
-    return bytes([SOF]) + body + bytes([_checksum(body)])
+    head = _HEAD.pack(SOF, PAYLOAD_LEN, kind, path_id, value & 0xFFFFFFFF)
+    return head + bytes((_checksum(head[1:]),))
 
 
 def decode_frame(frame: bytes) -> Tuple[int, int, int]:
@@ -72,30 +70,27 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Tuple[int, int, int]]:
         """Consume *data*; return decoded (kind, path_id, value) tuples."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         out: List[Tuple[int, int, int]] = []
         while True:
             # Resynchronize on SOF — one find() instead of a byte-at-a-
             # time pop loop, so a garbage burst costs O(n), not O(n^2).
-            sof = self._buffer.find(SOF)
+            sof = buffer.find(SOF)
             if sof < 0:
-                self.framing_errors += len(self._buffer)
-                self._buffer.clear()
+                self.framing_errors += len(buffer)
+                buffer.clear()
             elif sof:
                 self.framing_errors += sof
-                del self._buffer[:sof]
-            if len(self._buffer) < FRAME_LEN:
+                del buffer[:sof]
+            if len(buffer) < FRAME_LEN:
                 return out
-            frame = bytes(self._buffer[:FRAME_LEN])
-            body = frame[1:-1]
-            if frame[1] != PAYLOAD_LEN or _checksum(body) != frame[-1]:
+            if (buffer[1] != PAYLOAD_LEN
+                    or _checksum(buffer[1:FRAME_LEN - 1]) != buffer[FRAME_LEN - 1]):
                 # Corrupt: drop the SOF and rescan (classic resync).
-                self._buffer.pop(0)
+                del buffer[0]
                 self.checksum_errors += 1
                 continue
-            del self._buffer[:FRAME_LEN]
-            kind = body[1]
-            path_id = body[2] | (body[3] << 8)
-            raw = (body[4] | (body[5] << 8) | (body[6] << 16) | (body[7] << 24))
-            out.append((kind, path_id, wrap32(raw)))
+            out.append(_PAYLOAD.unpack_from(buffer, 2))
+            del buffer[:FRAME_LEN]
             self.frames_decoded += 1

@@ -32,7 +32,7 @@ class Command:
 
     def __init__(self, kind: CommandKind, path: str, value: int,
                  t_target: int = 0, t_host: Optional[int] = None) -> None:
-        self.kind = CommandKind(kind)
+        self.kind = kind if kind.__class__ is CommandKind else CommandKind(kind)
         self.path = path
         self.value = value
         self.t_target = t_target

@@ -18,7 +18,7 @@ from repro.engine.breakpoints import BreakpointManager
 from repro.engine.trace import ExecutionTrace
 from repro.errors import DebuggerError
 from repro.gdm.model import GdmModel
-from repro.gdm.reactions import ReactionRecord, apply_reaction, decay_pulses
+from repro.gdm.reactions import ReactionRecord, apply_reaction
 from repro.render.animation import FrameSequence
 from repro.util.events import EventBus
 
@@ -104,7 +104,7 @@ class DebuggerEngine:
 
         self._set_state(EngineState.REACTING)
         # Pulses are transient: they light up for exactly one animation step.
-        decay_pulses(self.gdm)
+        self.gdm.decay_pulses()
         reactions: List[ReactionRecord] = []
         for binding in self.gdm.bindings_for(command):
             record = apply_reaction(self.gdm, binding, command)

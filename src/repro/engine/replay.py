@@ -91,7 +91,7 @@ class ReplayPlayer:
             if element is None:
                 link = self.gdm.links.get(record.element_id)
                 if link is not None:
-                    link.style["pulse"] = "true"
+                    self.gdm.pulse(link)
                 continue
             if record.kind is ReactionKind.HIGHLIGHT:
                 if element.group:
@@ -103,7 +103,7 @@ class ReplayPlayer:
             elif record.kind is ReactionKind.ANNOTATE:
                 element.style["value"] = record.detail.replace("value=", "")
             elif record.kind is ReactionKind.PULSE:
-                element.style["pulse"] = "true"
+                self.gdm.pulse(element)
             elif record.kind is ReactionKind.MARK_ERROR:
                 element.style["error"] = "true"
 

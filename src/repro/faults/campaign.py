@@ -173,26 +173,18 @@ def _patch_boards(kernel: DtmKernel, system: System,
         write_patches(link, patches)
 
 
-def _run_model_debugger(system: System, firmware: FirmwareImage,
-                        monitor_factory: Callable[[], MonitorSuite],
-                        duration_us: int,
-                        memory_patches: MemoryPatches = (),
-                        trace_store: Optional[object] = None,
-                        chaos: Optional[object] = None,
-                        ) -> Tuple[bool, Optional[int], str]:
-    """Run GMDF over the faulty target; returns (detected, latency, how).
+def model_debugger_rig(system: System, firmware: FirmwareImage,
+                       monitor_factory: Callable[[], MonitorSuite],
+                       memory_patches: MemoryPatches = (),
+                       trace_store: Optional[object] = None,
+                       chaos: Optional[object] = None,
+                       ) -> Tuple[DtmKernel, DebuggerEngine, MonitorSuite]:
+    """Wire the model debugger over a fresh target, ready to run.
 
-    With ``trace_store`` the engine records through a spilling ring
-    (``ExecutionTrace`` with the shared
-    :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS` hot cache):
-    the full model-level execution trace lands on disk for post-campaign
-    replay while the in-memory footprint stays flat.
-
-    With ``chaos`` (a :class:`~repro.comm.chaos.ChaosConfig`) every
-    node's serial transport is wrapped in a
-    :class:`~repro.comm.chaos.ChaosLink` seeded per node, so the model
-    debugger observes the target through a deterministically faulty
-    wire — the comm-fault campaign plane.
+    One simulator carries the DTM kernel, one active channel per node
+    (fanned into a composite), the GDM engine and the monitor suite;
+    ``kernel.run(duration_us)`` drives the whole loop. See
+    :func:`_run_model_debugger` for ``trace_store`` and ``chaos``.
     """
     sim = Simulator()
     kernel = DtmKernel(system, firmware, sim=sim, latched=True)
@@ -222,10 +214,37 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
                             trace=trace)
     suite = monitor_factory()
     suite.attach(engine)
+    return kernel, engine, suite
+
+
+def _run_model_debugger(system: System, firmware: FirmwareImage,
+                        monitor_factory: Callable[[], MonitorSuite],
+                        duration_us: int,
+                        memory_patches: MemoryPatches = (),
+                        trace_store: Optional[object] = None,
+                        chaos: Optional[object] = None,
+                        ) -> Tuple[bool, Optional[int], str]:
+    """Run GMDF over the faulty target; returns (detected, latency, how).
+
+    With ``trace_store`` the engine records through a spilling ring
+    (``ExecutionTrace`` with the shared
+    :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS` hot cache):
+    the full model-level execution trace lands on disk for post-campaign
+    replay while the in-memory footprint stays flat.
+
+    With ``chaos`` (a :class:`~repro.comm.chaos.ChaosConfig`) every
+    node's serial transport is wrapped in a
+    :class:`~repro.comm.chaos.ChaosLink` seeded per node, so the model
+    debugger observes the target through a deterministically faulty
+    wire — the comm-fault campaign plane.
+    """
+    kernel, _, suite = model_debugger_rig(
+        system, firmware, monitor_factory, memory_patches=memory_patches,
+        trace_store=trace_store, chaos=chaos)
     try:
         kernel.run(duration_us)
     except TargetFault:
-        return True, sim.now, "crash"
+        return True, kernel.sim.now, "crash"
     if suite.any_violation:
         return True, suite.first_violation_time(), "monitor"
     return False, None, ""

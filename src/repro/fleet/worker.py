@@ -76,6 +76,8 @@ def run_job(spec: JobSpec) -> JobResult:
     live = OBS.live
     if live is not None:
         live.job_start(spec.index, spec.job_id)
+    registry = OBS.metrics
+    mark = registry.binding_mark() if registry is not None else 0
     try:
         result = _execute(spec)
     except Exception as exc:  # noqa: BLE001 - the whole point is capture
@@ -100,6 +102,10 @@ def run_job(spec: JobSpec) -> JobResult:
         live.job_finish(spec.index, spec.job_id, result.status,
                         error_type=(result.error["type"]
                                     if result.failed else ""))
+    if registry is not None:
+        # the job's kernels, links and channels are finished: fold
+        # their books into fixed series and stop pinning them
+        registry.release_bindings(mark)
     return result
 
 

@@ -76,7 +76,7 @@ class CommandSetupDialog:
             raise DebuggerError(
                 f"binding index {index} outside 0..{len(self.gdm.bindings) - 1}"
             )
-        return self.gdm.bindings.pop(index)
+        return self.gdm.remove_binding(index)
 
     def finish(self) -> GdmModel:
         """Close the dialog; at least one binding must remain."""

@@ -3,11 +3,25 @@
 :class:`GdmModel` is the object the engine animates. It can round-trip into
 the reflective form conforming to :func:`~repro.gdm.metamodel.gdm_metamodel`
 (the file the prototype writes as "an initial GDM file", Fig 6 step 3).
+
+Command dispatch costs one dict lookup, not a scan of the model:
+
+* the **binding index** maps ``(kind, path)`` to the bindings a command
+  triggers, filled on first use from the registration-order scan and
+  dropped whenever the binding list changes (:meth:`GdmModel.add_binding`
+  and :meth:`GdmModel.remove_binding` are the only mutators, and
+  :attr:`GdmModel.bindings` is an immutable tuple);
+* the **group index** lists each exclusive-highlight group's elements and
+  the **link index** the first link per source path, both kept by
+  :meth:`GdmModel.add_element` / :meth:`GdmModel.add_link`;
+* the **lit set** holds every element and link given a pulse through
+  :meth:`GdmModel.pulse` (or restored with one), so pulse decay visits
+  only those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.comm.protocol import Command, CommandKind
 from repro.errors import AbstractionError
@@ -94,6 +108,10 @@ class CommandBinding:
                 f"{self.path_selector} -> {self.reaction}>")
 
 
+#: bound on the binding index; a stream of ever-new paths refills it
+_BINDING_INDEX_LIMIT = 4096
+
+
 class GdmModel:
     """The complete debug model: elements + links + command bindings."""
 
@@ -103,8 +121,15 @@ class GdmModel:
         self._ids = IdGenerator()
         self.elements: Dict[str, GdmElement] = {}
         self.links: Dict[str, GdmLink] = {}
-        self.bindings: List[CommandBinding] = []
+        self._bindings: Tuple[CommandBinding, ...] = ()
         self._by_path: Dict[str, GdmElement] = {}
+        self._link_by_path: Dict[str, GdmLink] = {}
+        self._groups: Dict[str, Tuple[GdmElement, ...]] = {}
+        self._binding_index: Dict[Tuple[CommandKind, str],
+                                  Tuple[CommandBinding, ...]] = {}
+        #: decay order of every item: elements (0, n), then links (1, n)
+        self._rank: Dict[str, Tuple[int, int]] = {}
+        self._lit: Dict[str, Union[GdmElement, GdmLink]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -119,6 +144,9 @@ class GdmModel:
                              source_path, group)
         self.elements[element.id] = element
         self._by_path[source_path] = element
+        self._rank[element.id] = (0, len(self.elements))
+        if group:
+            self._groups[group] = self._groups.get(group, ()) + (element,)
         return element
 
     def add_link(self, src: GdmElement, dst: GdmElement, pattern: PatternSpec,
@@ -130,11 +158,27 @@ class GdmModel:
         link = GdmLink(self._ids.next("ln"), src.id, dst.id, pattern,
                        source_path, label)
         self.links[link.id] = link
+        self._link_by_path.setdefault(source_path, link)
+        self._rank[link.id] = (1, len(self.links))
         return link
+
+    @property
+    def bindings(self) -> Tuple[CommandBinding, ...]:
+        """The command bindings in registration order (read-only)."""
+        return self._bindings
 
     def add_binding(self, binding: CommandBinding) -> CommandBinding:
         """Register a command binding (order matters: first match wins set)."""
-        self.bindings.append(binding)
+        self._bindings += (binding,)
+        self._binding_index.clear()
+        return binding
+
+    def remove_binding(self, index: int) -> CommandBinding:
+        """Unregister and return the binding at *index* in the list."""
+        bindings = list(self._bindings)
+        binding = bindings.pop(index)
+        self._bindings = tuple(bindings)
+        self._binding_index.clear()
         return binding
 
     # -- lookup -----------------------------------------------------------
@@ -143,13 +187,46 @@ class GdmModel:
         """Element created from *source_path*, or None."""
         return self._by_path.get(source_path)
 
-    def elements_in_group(self, group: str) -> List[GdmElement]:
-        """All elements sharing an exclusive-highlight group."""
-        return [e for e in self.elements.values() if e.group == group]
+    def link_by_path(self, source_path: str) -> Optional[GdmLink]:
+        """First link created from *source_path*, or None."""
+        return self._link_by_path.get(source_path)
 
-    def bindings_for(self, command: Command) -> List[CommandBinding]:
+    def elements_in_group(self, group: str) -> Tuple[GdmElement, ...]:
+        """All elements sharing an exclusive-highlight group."""
+        return self._groups.get(group, ())
+
+    def bindings_for(self, command: Command) -> Tuple[CommandBinding, ...]:
         """All bindings triggered by *command* (in registration order)."""
-        return [b for b in self.bindings if b.matches(command)]
+        key = (command.kind, command.path)
+        found = self._binding_index.get(key)
+        if found is None:
+            index = self._binding_index
+            if len(index) >= _BINDING_INDEX_LIMIT:
+                index.clear()
+            found = index[key] = tuple(
+                b for b in self._bindings if b.matches(command))
+        return found
+
+    # -- pulses -------------------------------------------------------------
+
+    def pulse(self, item: Union[GdmElement, GdmLink]) -> None:
+        """Light *item*'s transient pulse until the next decay."""
+        item.style["pulse"] = "true"
+        self._lit[item.id] = item
+
+    def decay_pulses(self) -> List[str]:
+        """Clear every pulse; returns the affected ids, elements first,
+        each kind in creation order."""
+        lit = self._lit
+        if not lit:
+            return []
+        items = list(lit.values())
+        lit.clear()
+        if len(items) > 1:
+            rank = self._rank
+            items.sort(key=lambda item: rank[item.id])
+        return [item.id for item in items
+                if item.style.pop("pulse", None) is not None]
 
     def styles_snapshot(self) -> Dict[str, Dict[str, str]]:
         """Copy of every element's dynamic style (animation frames)."""
@@ -173,14 +250,14 @@ class GdmModel:
             self, state: Dict[str, Dict[str, Dict[str, str]]]) -> None:
         """Inverse of :meth:`dynamic_state` (clears everything else)."""
         self.reset_styles()
-        for eid, style in state.get("elements", {}).items():
-            element = self.elements.get(eid)
-            if element is not None:
-                element.style.update(style)
-        for lid, style in state.get("links", {}).items():
-            link = self.links.get(lid)
-            if link is not None:
-                link.style.update(style)
+        for items, styles in ((self.elements, state.get("elements", {})),
+                              (self.links, state.get("links", {}))):
+            for item_id, style in styles.items():
+                item = items.get(item_id)
+                if item is not None:
+                    item.style.update(style)
+                    if "pulse" in style:
+                        self._lit[item_id] = item
 
     def reset_styles(self) -> None:
         """Clear all dynamic styling."""
@@ -188,6 +265,7 @@ class GdmModel:
             element.reset_style()
         for link in self.links.values():
             link.style.clear()
+        self._lit.clear()
 
     # -- reflective form -------------------------------------------------------
 

@@ -54,6 +54,10 @@ class ReactionRecord:
                 f"({self.detail}) @ {self.t_us}us>")
 
 
+#: reaction names as bindings spell them -> kind
+_KINDS = {kind.name: kind for kind in ReactionKind}
+
+
 def apply_reaction(gdm: GdmModel, binding: CommandBinding,
                    command: Command) -> Optional[ReactionRecord]:
     """Apply *binding*'s reaction for *command*; returns the record.
@@ -61,19 +65,18 @@ def apply_reaction(gdm: GdmModel, binding: CommandBinding,
     Returns None when the command's path has no element (e.g. a binding with
     a wildcard selector receiving a path that was never abstracted).
     """
-    try:
-        kind = ReactionKind[binding.reaction]
-    except KeyError:
-        raise DebuggerError(f"unknown reaction {binding.reaction!r}") from None
+    kind = _KINDS.get(binding.reaction)
+    if kind is None:
+        raise DebuggerError(f"unknown reaction {binding.reaction!r}")
 
     element = gdm.element_by_path(command.path)
     if element is None:
         # Link reactions: pulse the link itself.
-        for link in gdm.links.values():
-            if link.source_path == command.path:
-                link.style["pulse"] = "true"
-                return ReactionRecord(kind, link.id, command.path,
-                                      f"value={command.value}", command.t_host)
+        link = gdm.link_by_path(command.path)
+        if link is not None:
+            gdm.pulse(link)
+            return ReactionRecord(kind, link.id, command.path,
+                                  f"value={command.value}", command.t_host)
         return None
 
     if kind is ReactionKind.HIGHLIGHT:
@@ -89,7 +92,7 @@ def apply_reaction(gdm: GdmModel, binding: CommandBinding,
         element.style["value"] = str(command.value)
         detail = f"value={command.value}"
     elif kind is ReactionKind.PULSE:
-        element.style["pulse"] = "true"
+        gdm.pulse(element)
         detail = "pulse"
     elif kind is ReactionKind.MARK_ERROR:
         element.style["error"] = "true"
@@ -101,12 +104,8 @@ def apply_reaction(gdm: GdmModel, binding: CommandBinding,
 
 
 def decay_pulses(gdm: GdmModel) -> List[str]:
-    """Clear transient pulse styling; returns affected ids (engine tick)."""
-    affected: List[str] = []
-    for element in gdm.elements.values():
-        if element.style.pop("pulse", None) is not None:
-            affected.append(element.id)
-    for link in gdm.links.values():
-        if link.style.pop("pulse", None) is not None:
-            affected.append(link.id)
-    return affected
+    """Clear transient pulse styling; returns affected ids (engine tick).
+
+    Visits only the model's lit set (see :meth:`GdmModel.pulse`).
+    """
+    return gdm.decay_pulses()

@@ -102,7 +102,7 @@ class Rule:
     """
 
     __slots__ = ("name", "series_glob", "predicate", "severity",
-                 "debounce", "description")
+                 "debounce", "description", "_glob_hits")
 
     def __init__(self, name: str, series_glob: str,
                  predicate: Callable[[int, Any], bool],
@@ -119,14 +119,21 @@ class Rule:
         self.severity = severity
         self.debounce = debounce
         self.description = description
+        #: series name -> whether the glob matches it, resolved once
+        self._glob_hits: Dict[str, bool] = {}
 
     def matches(self, window) -> List[Tuple[str, int]]:
         """``(series, value)`` hits in this window, sorted by name."""
         hits: List[Tuple[str, int]] = []
-        for name in sorted(window.delta.counters):
-            if not fnmatchcase(name, self.series_glob):
+        glob_hits = self._glob_hits
+        counters = window.delta.counters
+        for name in sorted(counters):
+            hit = glob_hits.get(name)
+            if hit is None:
+                hit = glob_hits[name] = fnmatchcase(name, self.series_glob)
+            if not hit:
                 continue
-            value = sum(window.delta.counters[name].values())
+            value = sum(counters[name].values())
             if self.predicate(value, window):
                 hits.append((name, value))
         return hits

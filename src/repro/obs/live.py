@@ -425,7 +425,7 @@ class LiveAggregator:
         lane.windows[index] = delta if cur is None else cur.merge(delta)
         lane.last_t_us = max(lane.last_t_us, t_us)
         if not self._dirty:
-            self._merged = self._merged.merge(delta)
+            self._merged.absorb(delta)
         self.windows_fed += 1
         period = self.config.period_us
         self.recorder.push(Window(
@@ -500,7 +500,8 @@ class LiveAggregator:
     # -- reads -------------------------------------------------------------
 
     def current(self) -> MetricsSnapshot:
-        """The running merge of every ingested delta."""
+        """The running merge of every ingested delta (updated in place
+        as later deltas arrive)."""
         if self._dirty:
             merged = MetricsSnapshot()
             for window in self.history():

@@ -31,6 +31,7 @@ documented gauge rule.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -186,32 +187,37 @@ class MetricsSnapshot:
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         out = MetricsSnapshot()
-        for snap in (self, other):
-            for name, table in snap.counters.items():
-                dst = out.counters.setdefault(name, {})
-                for key, value in table.items():
-                    dst[key] = dst.get(key, 0) + value
-            for name, table in snap.gauges.items():
-                dst = out.gauges.setdefault(name, {})
-                dst.update(table)
-            for name, table in snap.histograms.items():
-                dst = out.histograms.setdefault(name, {})
-                for key, h in table.items():
-                    cur = dst.get(key)
-                    if cur is None:
-                        dst[key] = {"bounds": tuple(h["bounds"]),
-                                    "counts": list(h["counts"]),
-                                    "sum": h["sum"], "count": h["count"]}
-                        continue
-                    if tuple(cur["bounds"]) != tuple(h["bounds"]):
-                        raise ValueError(
-                            f"histogram {name!r} bucket bounds differ "
-                            "between snapshots; cannot merge")
-                    cur["counts"] = [a + b for a, b
-                                     in zip(cur["counts"], h["counts"])]
-                    cur["sum"] += h["sum"]
-                    cur["count"] += h["count"]
+        out.absorb(self)
+        out.absorb(other)
         return out
+
+    def absorb(self, other: "MetricsSnapshot") -> None:
+        """Merge *other* into this snapshot in place (``merge``'s rule;
+        *other* is never mutated nor shared)."""
+        for name, table in other.counters.items():
+            dst = self.counters.setdefault(name, {})
+            for key, value in table.items():
+                dst[key] = dst.get(key, 0) + value
+        for name, table in other.gauges.items():
+            dst = self.gauges.setdefault(name, {})
+            dst.update(table)
+        for name, table in other.histograms.items():
+            dst = self.histograms.setdefault(name, {})
+            for key, h in table.items():
+                cur = dst.get(key)
+                if cur is None:
+                    dst[key] = {"bounds": tuple(h["bounds"]),
+                                "counts": list(h["counts"]),
+                                "sum": h["sum"], "count": h["count"]}
+                    continue
+                if tuple(cur["bounds"]) != tuple(h["bounds"]):
+                    raise ValueError(
+                        f"histogram {name!r} bucket bounds differ "
+                        "between snapshots; cannot merge")
+                cur["counts"] = [a + b for a, b
+                                 in zip(cur["counts"], h["counts"])]
+                cur["sum"] += h["sum"]
+                cur["count"] += h["count"]
 
     def diff(self, prev: "MetricsSnapshot") -> "MetricsSnapshot":
         """The incremental change since *prev* — the heartbeat delta.
@@ -228,6 +234,8 @@ class MetricsSnapshot:
         out = MetricsSnapshot()
         for name, table in self.counters.items():
             ptable = prev.counters.get(name, {})
+            if table == ptable:
+                continue
             dst = None
             for key, value in table.items():
                 d = value - ptable.get(key, 0)
@@ -237,6 +245,8 @@ class MetricsSnapshot:
                     dst[key] = d
         for name, table in self.gauges.items():
             ptable = prev.gauges.get(name, {})
+            if table == ptable:
+                continue
             dst = None
             for key, value in table.items():
                 if key not in ptable or ptable[key] != value:
@@ -245,6 +255,8 @@ class MetricsSnapshot:
                     dst[key] = value
         for name, table in self.histograms.items():
             ptable = prev.histograms.get(name, {})
+            if table == ptable:
+                continue
             for key, h in table.items():
                 p = ptable.get(key)
                 if p is not None and tuple(p["bounds"]) != tuple(h["bounds"]):
@@ -310,6 +322,66 @@ class MetricsSnapshot:
         return snap
 
 
+class _Binding:
+    """One bound stats surface, with its labels key kept until the label
+    values change and its series names made once per stat."""
+
+    __slots__ = ("ident", "anchor", "prefix", "stats_fn", "labels",
+                 "label_keys", "_label_items", "_key", "_names")
+
+    def __init__(self, ident: Tuple[str, int], anchor: object, prefix: str,
+                 stats_fn: Callable[[], Mapping[str, Any]],
+                 labels: Dict[str, Any], label_keys: Tuple[str, ...]) -> None:
+        self.ident = ident
+        self.anchor = anchor
+        self.prefix = prefix
+        self.stats_fn = stats_fn
+        self.labels = labels
+        self.label_keys = label_keys
+        self._label_items: Optional[Tuple[Tuple[str, Any], ...]] = None
+        self._key: LabelsKey = _labels_key(labels)
+        self._names: Dict[str, str] = {}
+
+    def fold_into(self, counters: Dict[str, Dict[LabelsKey, int]]) -> None:
+        """Read the stats dict once and add every numeric value to its
+        ``{prefix}.{stat}`` counter series in *counters*."""
+        stats = self.stats_fn()
+        label_keys = self.label_keys
+        if label_keys:
+            items = tuple([(k, stats[k]) for k in label_keys if k in stats])
+            if items != self._label_items:
+                labels = dict(self.labels)
+                labels.update(items)
+                self._label_items = items
+                self._key = _labels_key(labels)
+        key = self._key
+        names = self._names
+        for stat, value in stats.items():
+            if stat in label_keys:
+                continue
+            if value.__class__ is not int:
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float)):
+                    continue
+                value = int(value)
+            series = names.get(stat)
+            if series is None:
+                series = names[stat] = f"{self.prefix}.{stat}"
+            table = counters.get(series)
+            if table is None:
+                table = counters[series] = {}
+            table[key] = table.get(key, 0) + value
+
+
+def _owner_ref(anchor: object) -> Callable[[], object]:
+    """A weak reference to *anchor*, or a strong one when it cannot be
+    weakly referenced (then it stays alive, as a live binding's does)."""
+    try:
+        return weakref.ref(anchor)
+    except TypeError:
+        return lambda: anchor
+
+
 class MetricsRegistry:
     """Get-or-create instrument registry with late-bound stats views.
 
@@ -319,17 +391,31 @@ class MetricsRegistry:
     per :meth:`snapshot` and folded into counter series named
     ``{prefix}.{key}``, so the existing stats surface *is* the registry
     series and the component's hot path is untouched.
+
+    Bindings made for one unit of work (a campaign job) are released
+    when it ends (:meth:`binding_mark`, :meth:`release_bindings`): their
+    final values fold into fixed *retired* series, so snapshot totals do
+    not move, and the registry stops holding the finished kernels, links
+    and channels alive.
     """
+
+    #: released owners remembered for de-duplication before a prune
+    _RETIRED_OWNERS_PRUNE = 256
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelsKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
-        # (prefix, stats_fn, static labels, label_keys), deduped by owner
-        self._bound: List[Tuple[str, Callable[[], Mapping[str, Any]],
-                                Dict[str, Any], Tuple[str, ...]]] = []
-        self._bound_owners: set = set()
-        self._bound_anchors: List[object] = []
+        self._bound: List[_Binding] = []
+        # live bindings by (prefix, id(anchor)); a binding pins its
+        # anchor, because ids are only unique among *live* objects
+        self._bound_owners: Dict[Tuple[str, int], _Binding] = {}
+        # released bindings by the same ident, held weakly: re-binding
+        # a released owner that is still alive stays a no-op
+        self._retired_owners: Dict[Tuple[str, int],
+                                   Callable[[], object]] = {}
+        # released bindings' final rows, summed per series
+        self._retired: Dict[str, Dict[LabelsKey, int]] = {}
 
     # -- direct instruments ------------------------------------------------
 
@@ -374,25 +460,56 @@ class MetricsRegistry:
         see wrapper/channel reassignment. Multiple bindings landing on
         the same series sum. Re-binding the same *owner* (default: the
         function object) under the same prefix is a no-op, so
-        construction-time binding is idempotent.
+        construction-time binding is idempotent — also after the
+        binding was released, while the owner lives.
         """
         anchor = owner if owner is not None else stats_fn
         ident = (prefix, id(anchor))
         if ident in self._bound_owners:
             return
-        self._bound_owners.add(ident)
-        # pin the anchor: ids are only unique among *live* objects, so
-        # the dedupe set is meaningless unless every anchor stays alive
-        self._bound_anchors.append(anchor)
-        self._bound.append((prefix, stats_fn, dict(labels),
-                            tuple(label_keys)))
+        retired = self._retired_owners.pop(ident, None)
+        if retired is not None and retired() is anchor:
+            self._retired_owners[ident] = retired
+            return
+        binding = _Binding(ident, anchor, prefix, stats_fn, dict(labels),
+                           tuple(label_keys))
+        self._bound_owners[ident] = binding
+        self._bound.append(binding)
+
+    def binding_mark(self) -> int:
+        """A mark for :meth:`release_bindings`: bindings made after it
+        belong to the work that starts now."""
+        return len(self._bound)
+
+    def release_bindings(self, mark: int = 0) -> int:
+        """Release every binding made since *mark*; returns the count.
+
+        Each binding is read one last time and its values fold into
+        the retired series, so every snapshot after this reads the same
+        totals as if the binding were still there (its owner's books
+        must be final: the work that made it has ended).
+        """
+        released = self._bound[mark:]
+        del self._bound[mark:]
+        retired_owners = self._retired_owners
+        for binding in released:
+            binding.fold_into(self._retired)
+            del self._bound_owners[binding.ident]
+            retired_owners[binding.ident] = _owner_ref(binding.anchor)
+        if len(retired_owners) > self._RETIRED_OWNERS_PRUNE:
+            for ident in [i for i, ref in retired_owners.items()
+                          if ref() is None]:
+                del retired_owners[ident]
+        return len(released)
 
     # -- snapshot ----------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
         snap = MetricsSnapshot()
+        counters = snap.counters = {
+            name: dict(table) for name, table in self._retired.items()}
         for (name, key), c in self._counters.items():
-            table = snap.counters.setdefault(name, {})
+            table = counters.setdefault(name, {})
             table[key] = table.get(key, 0) + c.value
         for (name, key), g in self._gauges.items():
             snap.gauges.setdefault(name, {})[key] = g.value
@@ -400,21 +517,8 @@ class MetricsRegistry:
             snap.histograms.setdefault(name, {})[key] = {
                 "bounds": h.bounds, "counts": list(h.counts),
                 "sum": h.sum, "count": h.count}
-        for prefix, stats_fn, labels, label_keys in self._bound:
-            stats = stats_fn()
-            if label_keys:
-                labels = dict(labels)
-                labels.update((k, stats[k]) for k in label_keys
-                              if k in stats)
-            key = _labels_key(labels)
-            for stat_name, value in stats.items():
-                if stat_name in label_keys:
-                    continue
-                if isinstance(value, bool) or not isinstance(
-                        value, (int, float)):
-                    continue
-                table = snap.counters.setdefault(f"{prefix}.{stat_name}", {})
-                table[key] = table.get(key, 0) + int(value)
+        for binding in self._bound:
+            binding.fold_into(counters)
         return snap
 
 

@@ -15,11 +15,17 @@ Semantics per actor job:
    completion become visible exactly at the deadline instant (DTM); with
    ``latched=False`` they become visible at completion (the jitter
    ablation). Deadline misses publish at completion and are counted.
+
+Each actor's input ``(addr, signal)`` and output ``(signal, addr)`` port
+tables are resolved from the firmware's symbol table once, when the
+kernel is built, so a release does no symbol lookup; a firmware image
+missing an actor's port symbols is refused at construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.comdes.actor import Actor
 from repro.comdes.system import System
@@ -129,6 +135,19 @@ class DtmKernel:
             name: 0 for name, actor in system.actors.items()
             if actor.node in local
         }
+        # per-actor port tables, resolved once: the release path latches
+        # inputs and captures outputs without a symbol lookup per port
+        symbols = firmware.symbols
+        self._ports: Dict[str, Tuple[Tuple[Tuple[int, str], ...],
+                                     Tuple[Tuple[str, int], ...]]] = {
+            name: (
+                tuple((symbols.addr_of(f"{name}.in.{port}"), signal)
+                      for port, signal in actor.inputs.items()),
+                tuple((signal, symbols.addr_of(f"{name}.out.{port}"))
+                      for port, signal in actor.outputs.items()),
+            )
+            for name, actor in system.actors.items() if actor.node in local
+        }
         self._load_tasks: List[LoadTask] = []
         self._started = False
 
@@ -195,10 +214,11 @@ class DtmKernel:
             ))
             return
 
+        inputs, outputs_at = self._ports[actor.name]
+        memory = runtime.board.memory
         # Input latching at the release instant.
-        for port, signal in actor.inputs.items():
-            addr = self.firmware.symbols.addr_of(f"{actor.name}.in.{port}")
-            runtime.board.memory.poke(addr, self.bus.read(actor.node, signal))
+        for addr, signal in inputs:
+            memory.poke(addr, self.bus.read(actor.node, signal))
 
         for hook in runtime.job_hooks:
             hook(actor.name, now)
@@ -208,16 +228,13 @@ class DtmKernel:
 
         # Outputs are captured now (they are functions of latched inputs);
         # visibility is deferred to completion/deadline below.
-        outputs: Dict[str, int] = {}
-        for port, signal in actor.outputs.items():
-            addr = self.firmware.symbols.addr_of(f"{actor.name}.out.{port}")
-            outputs[signal] = runtime.board.memory.peek(addr)
+        outputs: Dict[str, int] = {
+            signal: memory.peek(addr) for signal, addr in outputs_at}
 
         job = ActiveJob(
             actor.name, actor.task.priority, now, deadline_abs, demand_us,
-            on_complete=lambda t_done, a=actor, i=index, o=outputs,
-                               r=now, d=deadline_abs, c=demand_us:
-                self._on_job_complete(a, i, o, r, d, c, t_done),
+            on_complete=partial(self._on_job_complete, actor, index, outputs,
+                                now, deadline_abs, demand_us),
         )
         runtime.scheduler.release(job)
 

@@ -1,35 +1,48 @@
 """Event-queue simulator.
 
-A classic calendar-queue kernel: callbacks are scheduled at absolute integer
+A binary-heap kernel: callbacks are scheduled at absolute integer
 timestamps and executed in (time, insertion order) order. Insertion order as
 the tie-breaker makes simultaneous events deterministic, which the trace and
 replay machinery relies on.
+
+Heap entries are ``(time, seq, event)`` tuples. ``seq`` is unique per
+scheduling call, so ``heapq`` settles every comparison on the two ints in C
+and never compares the :class:`ScheduledEvent` itself. A periodic activity
+(:meth:`Simulator.every`) takes a fresh ``seq`` each time it re-arms, right
+after its callback returns, exactly as if the callback had scheduled its own
+next tick. Cancellation leaves a tombstone that is skipped when popped.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class ScheduledEvent:
-    """Handle to a pending callback; supports cancellation."""
+    """Handle to a pending callback; supports cancellation.
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
+    ``period`` is 0 for a one-shot event; a periodic event's successor is
+    a new handle, so cancelling this one only cancels this firing.
+    """
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: tuple):
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "period")
+
+    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
+                 args: tuple, period: int = 0):
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
+        self.period = period
 
     def cancel(self) -> None:
         """Prevent the callback from firing (no-op if already fired)."""
         self.cancelled = True
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -42,7 +55,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now: int = 0
         self._seq: int = 0
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[Tuple[int, int, ScheduledEvent]] = []
         self._executed: int = 0
 
     @property
@@ -57,16 +70,16 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        """Number of events still queued (cancelled tombstones excluded)."""
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *fn(*args)* at absolute *time* (must not be in the past)."""
         if time < self._now:
             raise ValueError(f"cannot schedule at t={time} before now={self._now}")
-        self._seq += 1
-        event = ScheduledEvent(time, self._seq, fn, args)
-        heapq.heappush(self._queue, event)
+        self._seq = seq = self._seq + 1
+        event = ScheduledEvent(time, seq, fn, args)
+        _heappush(self._queue, (time, seq, event))
         return event
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
@@ -82,27 +95,35 @@ class Simulator:
         Cancelling the returned handle only cancels the next occurrence, so
         periodic activities that must be stoppable should instead check a
         flag inside *fn*. The first firing is at *start* (default: now +
-        period).
+        period). Each firing re-arms *period* after the current time once
+        *fn* returns (a raising *fn* is not re-armed).
         """
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         first = start if start is not None else self._now + period
+        event = self.schedule_at(first, fn, *args)
+        event.period = period
+        return event
 
-        def tick(*tick_args: Any) -> None:
-            fn(*tick_args)
-            self.schedule(period, tick, *tick_args)
-
-        return self.schedule_at(first, tick, *args)
+    def _rearm(self, event: ScheduledEvent) -> None:
+        """Queue the next firing of periodic *event*, a fresh handle."""
+        time = self._now + event.period
+        self._seq = seq = self._seq + 1
+        _heappush(self._queue, (time, seq, ScheduledEvent(
+            time, seq, event.fn, event.args, event.period)))
 
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = _heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._executed += 1
             event.fn(*event.args)
+            if event.period:
+                self._rearm(event)
             return True
         return False
 
@@ -114,16 +135,22 @@ class Simulator:
         """
         if time < self._now:
             raise ValueError(f"cannot run backwards to t={time} from now={self._now}")
+        queue = self._queue
         executed = 0
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
+        while queue:
+            entry = _heappop(queue)
+            event = entry[2]
+            if event.cancelled:
                 continue
-            if head.time > time:
+            if entry[0] > time:
+                _heappush(queue, entry)
                 break
-            self.step()
+            self._now = entry[0]
+            self._executed += 1
             executed += 1
+            event.fn(*event.args)
+            if event.period:
+                self._rearm(event)
         self._now = time
         return executed
 

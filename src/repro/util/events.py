@@ -6,8 +6,7 @@ animation capture, requirement monitors) without threading.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Tuple
 
 Handler = Callable[..., None]
 
@@ -18,24 +17,30 @@ class EventBus:
     Handlers are invoked in subscription order, on the publisher's stack.
     A handler raising propagates to the publisher — errors should never pass
     silently in a debugger framework.
+
+    Each topic's handlers are an immutable tuple replaced on (un)subscribe,
+    so a publish iterates the set current at its start without copying it,
+    and a handler (un)subscribing mid-publish affects only later publishes.
     """
 
     def __init__(self) -> None:
-        self._handlers: Dict[str, List[Handler]] = defaultdict(list)
+        self._handlers: Dict[str, Tuple[Handler, ...]] = {}
         self._published: int = 0
 
     def subscribe(self, topic: str, handler: Handler) -> None:
         """Register *handler* for *topic*."""
-        self._handlers[topic].append(handler)
+        self._handlers[topic] = self._handlers.get(topic, ()) + (handler,)
 
     def unsubscribe(self, topic: str, handler: Handler) -> None:
         """Remove *handler* from *topic*; raises ValueError if absent."""
-        self._handlers[topic].remove(handler)
+        handlers = list(self._handlers.get(topic, ()))
+        handlers.remove(handler)
+        self._handlers[topic] = tuple(handlers)
 
     def publish(self, topic: str, **payload: Any) -> int:
         """Invoke every handler subscribed to *topic*; return handler count."""
         self._published += 1
-        handlers = list(self._handlers.get(topic, ()))
+        handlers = self._handlers.get(topic, ())
         for handler in handlers:
             handler(**payload)
         return len(handlers)

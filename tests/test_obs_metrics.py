@@ -15,11 +15,18 @@ The contracts under test (see ``repro/obs/__init__.py``):
   ``observed()`` restores prior state on exit.
 """
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
+from repro.comdes.examples import traffic_light_system
 from repro.comm.link import DirectLink
+from repro.experiments import (traffic_light_code_watches,
+                               traffic_light_monitor_suite)
+from repro.faults import run_campaign
+from repro.fleet import SerialRunner
 from repro.obs import (
     OBS,
     MetricsRegistry,
@@ -36,6 +43,7 @@ from repro.obs import (
 )
 from repro.target.board import Board
 from repro.target.memory import RAM_BASE
+from repro.util.timeunits import sec
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +120,21 @@ class TestSnapshot:
         assert s1.counter("c", k="v") == 3
         assert merge_snapshots([s1, s2]).to_dict() == merged.to_dict()
 
+    def test_absorb_equals_merge_and_leaves_operand_alone(self):
+        a, b = MetricsSnapshot(), MetricsSnapshot()
+        a.counters["c"] = {(): 1}
+        b.counters["c"] = {(): 2, (("k", "v"),): 3}
+        b.gauges["g"] = {(): 7}
+        b.histograms["h"] = {(): {"bounds": (1, 4), "counts": [1, 0, 2],
+                                  "sum": 9, "count": 3}}
+        merged = a.merge(b)
+        b_before = b.to_dict()
+        a.absorb(b)
+        assert a.to_dict() == merged.to_dict()
+        a.absorb(b)
+        assert b.to_dict() == b_before
+        assert a.histograms["h"][()]["counts"] == [2, 0, 4]
+
     def test_merge_rejects_histogram_bound_mismatch(self):
         r1, r2 = MetricsRegistry(), MetricsRegistry()
         r1.histogram("h", bounds=(1, 2)).observe(1)
@@ -187,6 +210,83 @@ class TestBindStats:
             assert snap.counter(f"link.{key}", kind=stats["kind"],
                                 label=stats["label"]) == value
         assert reg is OBS.metrics
+
+
+class TestReleaseBindings:
+    def test_release_keeps_totals_and_unpins_owner(self):
+        reg = MetricsRegistry()
+        reg.bind_stats("keep", lambda: {"n": 1}, owner=object())
+
+        class Owner:
+            pass
+
+        owner = Owner()
+        state = {"n": 0, "kind": "k"}
+        mark = reg.binding_mark()
+        reg.bind_stats("job", lambda: state, owner=owner,
+                       label_keys=("kind",))
+        state["n"] = 4
+        before = reg.snapshot()
+        assert reg.release_bindings(mark) == 1
+        ref = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert ref() is None
+        assert reg.snapshot().to_dict() == before.to_dict()
+        assert reg.snapshot().counter("job.n", kind="k") == 4
+
+    def test_rebinding_a_released_live_owner_is_a_noop(self):
+        reg = MetricsRegistry()
+
+        class Owner:
+            pass
+
+        owner = Owner()
+        reg.bind_stats("x", lambda: {"n": 2}, owner=owner)
+        reg.release_bindings()
+        reg.bind_stats("x", lambda: {"n": 2}, owner=owner)
+        assert reg.snapshot().counter("x.n") == 2
+        # an owner that cannot be weakly referenced is still deduped
+        plain = object()
+        reg.bind_stats("y", lambda: {"n": 3}, owner=plain)
+        reg.release_bindings()
+        reg.bind_stats("y", lambda: {"n": 3}, owner=plain)
+        assert reg.snapshot().counter("y.n") == 3
+
+    def test_every_snapshot_reads_the_current_stats(self):
+        reg = MetricsRegistry()
+        state = {"n": 1}
+        reg.bind_stats("x", lambda: state)
+        assert reg.snapshot().counter("x.n") == 1
+        assert reg.snapshot().counter("x.n") == 1
+        state["n"] = 9
+        state["m"] = 2
+        snap = reg.snapshot()
+        assert (snap.counter("x.n"), snap.counter("x.m")) == (9, 2)
+
+    def test_campaign_releases_job_bindings_with_equal_totals(self,
+                                                              monkeypatch):
+        def campaign_snapshot():
+            reg, _ = enable(spans=False)
+            try:
+                run_campaign(traffic_light_system,
+                             traffic_light_monitor_suite,
+                             traffic_light_code_watches,
+                             design_kinds=("wrong_target",),
+                             impl_kinds=("inverted_branch",), seeds=(1,),
+                             duration_us=sec(1), runner=SerialRunner())
+                return reg, reg.snapshot().to_dict()
+            finally:
+                disable()
+
+        reg, released = campaign_snapshot()
+        assert reg.binding_mark() == 0  # every job binding was released
+        monkeypatch.setattr(MetricsRegistry, "release_bindings",
+                            lambda self, mark=0: 0)
+        pinned_reg, pinned = campaign_snapshot()
+        assert pinned_reg.binding_mark() > 0
+        assert released == pinned
+        assert released["counters"]["kernel.deadline_misses"]
 
 
 class TestSpans:
