@@ -16,13 +16,20 @@ same loop and are measured:
   are stop pcs of the fast loop;
 * ``watch_speedup`` — that rate over the same jobs on the checked
   per-instruction loop (forced with ``pc_profile``), the
-  machine-independent gate of the code debugger's watch path.
+  machine-independent gate of the code debugger's watch path;
+* ``activation`` — short activations: every task job of the cruise
+  control and traffic light firmware through ``Board.run_task``, no
+  debugger attached. Per firmware it records ``activation_us`` (CPU time
+  per job), ``instr_per_activation`` and ``activation_instr_per_sec``.
+  Campaign jobs are this shape, a few dozen instructions per entry, so
+  per-activation entry costs weigh here and not on the long loop.
 
-Reps alternate plain and fused (and stop-pc and checked for the
-watched arms), so a host-speed dip hits both arms alike, and each rep
-is timed in process CPU time (``time.process_time``), which does not
-count time the process spent descheduled. The best rep per arm is reported, with every rep's rate in
-``rep_instr_per_sec`` as the recorded spread.
+Reps alternate plain, fused and the activation arm (and stop-pc and
+checked for the watched arms), so a host-speed dip hits every arm alike,
+and each rep is timed in process CPU time (``time.process_time``), which
+does not count time the process spent descheduled. The best rep per arm
+is reported, with every rep's rate in ``rep_instr_per_sec`` (and
+``rep_activation_us``) as the recorded spread.
 
 Fusion must be *observably invisible*, so the run also asserts the two
 decodings retire identical instruction and cycle counts; the watched
@@ -50,7 +57,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
 from repro.codegen import InstrumentationPlan, generate_firmware
-from repro.comdes.examples import cruise_control_system
+from repro.comdes.examples import cruise_control_system, traffic_light_system
 from repro.debugger.gdb import SourceDebugger
 from repro.experiments import cruise_code_watches
 from repro.target.assembler import Assembler
@@ -66,6 +73,12 @@ REPS = 5  # per arm, interleaved; best-of rides out host noise
 #: rounds of every cruise control task job per watched rep
 FULL_WATCH_ROUNDS = 4_000
 QUICK_WATCH_ROUNDS = 600
+#: rounds of every task job per activation rep, per firmware
+FULL_ACTIVATION_ROUNDS = 2_000
+QUICK_ACTIVATION_ROUNDS = 300
+#: firmware of the activation arm
+ACTIVATION_SYSTEMS = {"cruise": cruise_control_system,
+                      "traffic": traffic_light_system}
 
 
 def counting_loop(iterations: int):
@@ -98,13 +111,51 @@ def run_once(iterations: int, fuse: bool):
     return result, cpu_s, cpu
 
 
-def interleaved_best(iterations: int):
-    """Alternate plain and fused reps; best rep and all rates per arm.
+def run_activations(firmware, rounds: int):
+    """Every task job of *firmware*, *rounds* times, through
+    ``Board.run_task`` with no debugger. Returns (activations,
+    instructions, cpu_s)."""
+    board = Board()
+    board.load_firmware(firmware)
+    tasks = list(firmware.entries)
+    instructions = 0
+    start = time.process_time()
+    for _ in range(rounds):
+        for task in tasks:
+            result = board.run_task(task)
+            instructions += result.instructions
+    cpu_s = time.process_time() - start
+    assert result.reason is StopReason.HALTED, result
+    return rounds * len(tasks), instructions, cpu_s
 
-    Returns ``{fuse: (best rate, result, cpu_s, fused_rows, rates)}``.
+
+def activation_record(reps):
+    """Best rep (least CPU time) of one firmware's activation arm."""
+    assert len({rep[:2] for rep in reps}) == 1, "activation reps disagree"
+    count, instructions, cpu_s = min(reps, key=lambda rep: rep[2])
+    return {
+        "activation_us": round(cpu_s / count * 1e6, 3),
+        "instr_per_activation": round(instructions / count, 1),
+        "activation_instr_per_sec": round(instructions / cpu_s),
+        "activations": count,
+        "rep_activation_us": [round(rep[2] / count * 1e6, 3)
+                              for rep in reps],
+    }
+
+
+def interleaved_best(iterations: int, activation_rounds: int):
+    """Alternate plain, fused and activation reps; best rep and all rates
+    per arm.
+
+    Returns ``({fuse: (best rate, result, cpu_s, fused_rows, rates)},
+    {firmware: activation record})``.
     """
+    firmwares = {name: generate_firmware(factory(),
+                                         InstrumentationPlan.full())
+                 for name, factory in ACTIVATION_SYSTEMS.items()}
     best = {}
     rates = {False: [], True: []}
+    activations = {name: [] for name in firmwares}
     for _ in range(REPS):
         for fuse in (False, True):
             result, cpu_s, cpu = run_once(iterations, fuse)
@@ -112,7 +163,12 @@ def interleaved_best(iterations: int):
             rates[fuse].append(round(rate))
             if fuse not in best or rate > best[fuse][0]:
                 best[fuse] = (rate, result, cpu_s, cpu.fused_rows)
-    return {fuse: best[fuse] + (rates[fuse],) for fuse in best}
+        for name, firmware in firmwares.items():
+            activations[name].append(
+                run_activations(firmware, activation_rounds))
+    return ({fuse: best[fuse] + (rates[fuse],) for fuse in best},
+            {name: activation_record(reps)
+             for name, reps in activations.items()})
 
 
 def run_watched(firmware, rounds: int, checked: bool):
@@ -169,7 +225,9 @@ def main() -> None:
     run_once(QUICK_ITERS, fuse=False)  # warm up caches and the allocator
     run_once(QUICK_ITERS, fuse=True)
 
-    arms = interleaved_best(iterations)
+    arms, activation = interleaved_best(
+        iterations,
+        QUICK_ACTIVATION_ROUNDS if quick else FULL_ACTIVATION_ROUNDS)
     watch_best, watch_rates, watched = interleaved_watched(
         QUICK_WATCH_ROUNDS if quick else FULL_WATCH_ROUNDS)
     plain_rate, plain_result, plain_cpu_s, _, plain_reps = arms[False]
@@ -209,6 +267,7 @@ def main() -> None:
         "watch_speedup": round(watch_best[False] / watch_best[True], 2),
         "watched_instructions": watched[0],
         "watch_hits": len(watched[2]),
+        "activation": activation,
         "instructions": plain_result.instructions,
         "opcode_profile": opcode_profile,
         "quick": quick,
@@ -227,7 +286,10 @@ def main() -> None:
           f"{best['instructions']:,} instructions, "
           f"{best['cycles']:,} cycles); watched "
           f"{best['watched_instr_per_sec']:,} instr/sec, "
-          f"{best['watch_speedup']}x the checked loop -> {out}")
+          f"{best['watch_speedup']}x the checked loop; activations "
+          + ", ".join(f"{name} {record['activation_us']} us"
+                      for name, record in activation.items())
+          + f" -> {out}")
 
 
 if __name__ == "__main__":

@@ -16,12 +16,34 @@ the code does not implement the model: an **implementation error** (bad
 transformation / manual coding). If they agree bit-for-bit, the code
 faithfully implements the model, so an observed requirement violation must
 originate in the model itself: a **design error**.
+
+The model side of that comparison depends only on the system and the
+round count, never on the firmware under test. Campaigns classify the
+pristine system once per implementation fault, and design mutants repeat,
+so :func:`model_reference` memoizes it:
+
+* the key is ``(pickle.dumps(system), rounds)``. The raw pickle bytes are
+  the key, not a hash of them, so two keys are equal exactly when the two
+  systems serialize to the same object graph. Keying on object identity
+  would be wrong: campaigns build a fresh system per job, and a design
+  mutant is a mutated copy;
+* the memo is exact because :meth:`System.lockstep_run` is a pure
+  function of that pickled state. A system mutated in place after a
+  lookup pickles differently and misses;
+* at most :data:`REFERENCE_MEMO_SIZE` entries are kept, and the least
+  recently used goes first. A campaign's repeats lie close together in
+  its call sequence, so a small bound catches them;
+* entries hold read-only rows, so no caller can corrupt one;
+* a system that cannot be pickled is replayed without the memo.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+import pickle
+from collections import OrderedDict
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.codegen.pipeline import run_firmware_lockstep
 from repro.comdes.system import System
@@ -55,6 +77,34 @@ class Classification(NamedTuple):
     detail: str
 
 
+#: model references kept by :func:`model_reference`
+REFERENCE_MEMO_SIZE = 4
+
+#: (pickled system, rounds) -> read-only reference rows, oldest use first
+_reference_memo: OrderedDict = OrderedDict()
+
+
+def model_reference(system: System,
+                    rounds: int) -> Sequence[Mapping[str, int]]:
+    """``system.lockstep_run(rounds)``, memoized as read-only rows.
+
+    See the module docstring for the key and why it is exact.
+    """
+    try:
+        key = (pickle.dumps(system, pickle.HIGHEST_PROTOCOL), rounds)
+    except Exception:  # pickling raises several types; all mean "no memo"
+        return system.lockstep_run(rounds)
+    rows = _reference_memo.get(key)
+    if rows is None:
+        rows = _reference_memo[key] = tuple(
+            MappingProxyType(row) for row in system.lockstep_run(rounds))
+        if len(_reference_memo) > REFERENCE_MEMO_SIZE:
+            _reference_memo.popitem(last=False)
+    else:
+        _reference_memo.move_to_end(key)
+    return rows
+
+
 class BugClassifier:
     """Differential model-vs-code oracle for one system/firmware pair."""
 
@@ -67,7 +117,7 @@ class BugClassifier:
         self.rounds = rounds
 
     def _first_divergence(self) -> Optional[Divergence]:
-        reference = self.system.lockstep_run(self.rounds)
+        reference = model_reference(self.system, self.rounds)
         target = run_firmware_lockstep(self.system, self.firmware,
                                        self.rounds, board=Board())
         for index, (ref_row, tgt_row) in enumerate(zip(reference, target)):

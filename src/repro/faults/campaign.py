@@ -90,6 +90,14 @@ class FaultOutcome:
                 f"code={'HIT' if self.code_detected else 'miss'}>")
 
 
+def _debugger_prefix(debugger: str) -> str:
+    """The outcome-field prefix of a debugger name; unknown names raise."""
+    if debugger not in ("model", "code"):
+        raise ValueError(
+            f"unknown debugger {debugger!r}; options: 'model', 'code'")
+    return debugger
+
+
 class CampaignResult:
     """Aggregated campaign outcomes.
 
@@ -112,16 +120,15 @@ class CampaignResult:
 
     def detection_rate(self, category: str, debugger: str) -> Optional[float]:
         """Fraction detected: debugger is 'model' or 'code'."""
+        flag = f"{_debugger_prefix(debugger)}_detected"
         selected = self.of_category(category)
         if not selected:
             return None
-        flag = ("model_detected" if debugger == "model" else "code_detected")
         return sum(getattr(o, flag) for o in selected) / len(selected)
 
     def mean_latency_us(self, category: str, debugger: str) -> Optional[float]:
         """Mean detection latency among detected faults."""
-        attr = ("model_latency_us" if debugger == "model"
-                else "code_latency_us")
+        attr = f"{_debugger_prefix(debugger)}_latency_us"
         values = [getattr(o, attr) for o in self.of_category(category)
                   if getattr(o, attr) is not None]
         if not values:

@@ -4,6 +4,22 @@ These emulate bugs introduced during model transformation or manual glue
 coding (the paper's "hybrid-coding procedure"). Mutations are applied to a
 copy of a firmware image; instructions belonging to the debug
 instrumentation itself are excluded so the command channel stays honest.
+
+The copy is structural, not deep: :func:`inject_implementation_fault`
+builds the mutant with the :class:`FirmwareImage` constructor, which
+copies the ``code`` list and the ``entries``, ``data_init`` and
+``path_table`` dicts. The mutant shares two read-only parts with its base:
+
+* the :class:`~repro.target.firmware.SymbolTable` — only code generation
+  allocates into it, and injectors only look symbols up;
+* the :class:`~repro.target.isa.Instr` objects in ``code``.
+
+So every injector follows one rule: **replace, never mutate**. It writes
+a new ``Instr`` into a slot of ``firmware.code`` (or a new word into
+``data_init``) and never assigns to an attribute of an existing
+``Instr``. The base image is shared by every job that reuses it (the
+fleet worker's per-process pristine-firmware cache), so an in-place edit
+would leak one fault into every later job.
 """
 
 from __future__ import annotations
@@ -139,12 +155,9 @@ def _fault_dead_store_zero(firmware: FirmwareImage,
     pc = rng.choice(candidates)
     old = firmware.code[pc]
     symbol = firmware.symbols.at_addr(old.arg)
-    # Replace the stored value with zero: POP the real value, PUSH 0... a
-    # single-slot rewrite keeps addresses stable: STORE -> POP, then the
-    # *next* write never happens, so instead corrupt semantics by storing
-    # to the same address after zeroing via data_init is impossible inline.
-    # Model it as "STORE writes a stuck-at-zero cell": swap to POP and zero
-    # the initial value.
+    # Model a stuck-at-zero cell in one slot, so no address moves: the
+    # STORE becomes a POP (the value is discarded and this store never
+    # writes the cell) and the cell's initial value becomes 0.
     firmware.code[pc] = Instr("POP", src_path=old.src_path)
     if symbol is not None:
         firmware.data_init[symbol.addr] = 0
@@ -219,7 +232,9 @@ def inject_implementation_fault(firmware: FirmwareImage, kind: str,
             f"unknown implementation fault kind {kind!r}; "
             f"options: {sorted(IMPL_FAULT_KINDS)}"
         )
-    mutant = copy.deepcopy(firmware)
+    mutant = FirmwareImage(firmware.name, firmware.code, firmware.entries,
+                           firmware.symbols, firmware.data_init,
+                           firmware.path_table)
     rng = random.Random(seed)
     description = IMPL_FAULT_KINDS[kind](mutant, rng)
     if description is None:

@@ -18,7 +18,9 @@ Workers memoize the pristine firmware per ``(system_ref, plan)``: every
 implementation-fault job and the control job start from the same
 deterministic codegen output, so regenerating it per job is pure waste.
 The cache is per-process and read-only shared state (firmware images are
-never mutated after generation; fault injectors deep-copy first).
+never mutated after generation; implementation-fault injectors copy the
+image and replace instructions, never edit one in place — see
+:mod:`repro.faults.implementation`).
 """
 
 from __future__ import annotations

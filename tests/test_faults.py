@@ -172,6 +172,15 @@ class TestCampaign:
         for row in rows:
             assert 0.0 <= row["model_rate"] <= 1.0
 
+    @pytest.mark.parametrize("category", ["design", "comm"])
+    def test_unknown_debugger_name_rejected(self, result, category):
+        # "comm" has no outcomes here: the name is checked regardless
+        for bad in ("modle", "Model", "gdb", ""):
+            with pytest.raises(ValueError, match="unknown debugger"):
+                result.detection_rate(category, bad)
+            with pytest.raises(ValueError, match="unknown debugger"):
+                result.mean_latency_us(category, bad)
+
     def test_detections_carry_oracle_verdicts(self, result):
         for outcome in result.outcomes:
             if outcome.model_detected:
