@@ -12,7 +12,13 @@ The scoreboard for the spill-to-disk trace subsystem:
   construction, enforced as a FLOORS ceiling);
 * **memory ratio** — tracemalloc peak while recording N vs 4N events at
   ``capacity=256``: flat-memory means the ratio stays ~1.0 no matter how
-  much history lands on disk.
+  much history lands on disk;
+* **merge events/sec** — ``merge_job_stores`` folding a cell-campaign-
+  shaped corpus (85 per-job stores, ~32k ``ExecutionTrace`` records,
+  default segment size and codec) into one campaign store, in process CPU
+  time (best rep), plus ``memory_ratio``: the tracemalloc peak merging
+  4N per-job stores over merging N, into one destination segment so the
+  O(segments) index rows stay out of it (~1.0: the merge streams).
 
 Writes ``BENCH_trace.json`` next to this file so the trace subsystem's
 perf trajectory is tracked across PRs.
@@ -32,6 +38,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
@@ -42,13 +49,25 @@ from repro.engine.trace import ExecutionTrace
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
-from repro.tracedb import StoredTrace, TraceStore, build_checkpoints
+from repro.tracedb import (
+    StoredTrace,
+    TraceStore,
+    build_checkpoints,
+    merge_job_stores,
+)
+from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS
 
 CAPACITY = 256
 SEGMENT_EVENTS = 4096
 CHECKPOINT_EVERY = 512
 FULL_EVENTS = 50_000
 QUICK_EVENTS = 8_000
+#: shaped like the traced production-cell campaign: 85 per-job stores,
+#: ~32k records
+MERGE_JOBS = 85
+QUICK_MERGE_JOBS = 16
+MERGE_JOB_EVENTS = 377
+MERGE_REPS = 3
 
 
 def make_gdm() -> GdmModel:
@@ -164,15 +183,78 @@ def measure_memory(base: str, n: int) -> dict:
     }
 
 
+def build_job_stores(base: str, jobs: int, events_per_job: int) -> list:
+    """Per-job stores spilled through ``ExecutionTrace`` as campaign
+    workers do; returns JobResult-shaped stubs pointing at them."""
+    gdm = make_gdm()
+    results = []
+    for index in range(jobs):
+        root = os.path.join(base, f"job-{index:05d}")
+        store = TraceStore(root)
+        trace = ExecutionTrace(capacity=CAPACITY, spill=store)
+        for i in range(events_per_job):
+            command, reactions = synth_event(gdm, index * events_per_job + i)
+            trace.record(command, reactions, "REACTING")
+        store.close()
+        results.append(SimpleNamespace(index=index, job_id=f"job/{index}",
+                                       trace_path=root, failed=False))
+    return results
+
+
+def measure_merge(base: str, jobs: int, events_per_job: int) -> dict:
+    results = build_job_stores(os.path.join(base, "jobs"), jobs,
+                               events_per_job)
+    events = jobs * events_per_job
+
+    def merge(subset, segment_events: int = DEFAULT_SEGMENT_EVENTS) -> float:
+        dest = os.path.join(base, "campaign")
+        start = time.process_time()
+        merged = merge_job_stores(subset, dest, segment_events=segment_events)
+        elapsed = time.process_time() - start
+        count = merged.event_count
+        shutil.rmtree(dest)
+        assert count == len(subset) * events_per_job
+        return elapsed
+
+    cpu_s = [merge(results) for _ in range(MERGE_REPS)]
+
+    def peak_kb(count: int) -> float:
+        # one destination segment for both sizes: the index keeps one
+        # row per sealed segment (O(segments) by design, the same for
+        # any merge) and would otherwise dominate the ratio, which
+        # guards against memory growing with the records or stores merged
+        tracemalloc.start()
+        merge(results[:count], segment_events=events)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak / 1024
+
+    small_jobs = jobs // 4
+    small = peak_kb(small_jobs)
+    large = peak_kb(4 * small_jobs)
+    return {
+        "jobs": jobs,
+        "events": events,
+        "cpu_s": [round(c, 4) for c in cpu_s],
+        "events_per_sec": round(events / max(min(cpu_s), 1e-9), 1),
+        "memory_jobs_1x": small_jobs,
+        "peak_kb_1x": round(small, 1),
+        "peak_kb_4x": round(large, 1),
+        "memory_ratio": round(large / max(small, 1e-9), 3),
+    }
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
     n = QUICK_EVENTS if quick else FULL_EVENTS
+    merge_jobs = QUICK_MERGE_JOBS if quick else MERGE_JOBS
     base = tempfile.mkdtemp(prefix="perf_trace_")
     try:
         results = {
             "append": measure_append(base, n),
             "seek": measure_seek(base, n),
             "memory": measure_memory(base, max(2000, n // 8)),
+            "merge": measure_merge(base, merge_jobs, MERGE_JOB_EVENTS),
             "quick": quick,
         }
     finally:
@@ -193,6 +275,10 @@ def main() -> None:
     print(f"memory: peak {results['memory']['peak_kb_1x']}KB @1x vs "
           f"{results['memory']['peak_kb_4x']}KB @4x "
           f"(ratio {results['memory']['ratio']})")
+    print(f"merge:  {results['merge']['events_per_sec']} events/sec "
+          f"({results['merge']['events']} events from "
+          f"{results['merge']['jobs']} job stores, CPU time), memory ratio "
+          f"{results['merge']['memory_ratio']} (4x over 1x job stores)")
     print(f"-> {out}")
 
 

@@ -57,8 +57,9 @@ Fleet collection (``collect.py``)
 
 Workers spill per-job stores and hand back paths; the parent merges them
 in canonical job order into one campaign store (original seqs preserved
-as ``job_seq``). Serial and parallel campaigns produce byte-identical
-campaign stores.
+as ``job_seq``) by splicing each canonical payload at the byte level —
+no record is decoded or re-encoded. Serial and parallel campaigns
+produce byte-identical campaign stores.
 """
 
 from repro.tracedb.checkpoint import Checkpoint, build_checkpoints

@@ -1,22 +1,29 @@
-"""Segment record formats: versioned header + two writer-chosen codecs.
+"""Segment record formats: a versioned header, then framed canonical payloads.
 
 Every segment file opens with one UTF-8 JSON header line (readable with
 ``head -1`` regardless of codec)::
 
     {"codec": "jsonl", "magic": "repro-tracedb-segment", "version": 1}
 
-followed by the records in the codec named by the header:
+Every record is stored as its **canonical payload**: the JSON object
+with sorted keys and no whitespace (:func:`encode_record`), UTF-8. A
+record is encoded once, when it is first appended; from then on the
+payload is the record. A codec only *frames* payloads — it never sees a
+record:
 
-* ``jsonl`` — one canonical JSON object per ``\\n``-terminated line.
-  Greppable, diffable, the default.
-* ``binary`` — length-prefixed records: a 4-byte big-endian payload
-  length, then the payload (the same canonical JSON, UTF-8). Cheaper to
-  skip through and immune to embedded newlines.
+* ``jsonl`` — payload + ``\\n``, one record per line. Greppable,
+  diffable, the default.
+* ``binary`` — a 4-byte big-endian payload length, then the payload.
+  Cheaper to skip through and immune to embedded newlines.
 
-Canonical JSON (sorted keys, no whitespace) makes encoding a pure
-function of the record: two stores built from the same events are
-byte-identical files, which is what lets the fleet-collection tests
-compare serial and parallel campaign stores with ``filecmp``.
+``frame(payload)`` is the write side, ``payloads(fh)`` the read side
+(raw payload bytes, undecoded). Because both codecs carry the same
+payload bytes, anything that rewrites stores at the payload level (the
+campaign merge in :mod:`repro.tracedb.collect`) works across codecs
+without decoding. Canonical payloads make segment bytes a pure function
+of the records: two stores built from the same events are byte-identical
+files, which is what lets the fleet-collection tests compare serial and
+parallel campaign stores with ``filecmp``.
 """
 
 from __future__ import annotations
@@ -40,38 +47,33 @@ def encode_record(record: dict) -> bytes:
 
 
 class JsonlCodec:
-    """One canonical-JSON record per line."""
+    """One canonical-JSON payload per line."""
 
     name = "jsonl"
 
     @staticmethod
-    def write(fh: BinaryIO, record: dict) -> int:
-        payload = encode_record(record) + b"\n"
-        fh.write(payload)
-        return len(payload)
+    def frame(payload: bytes) -> bytes:
+        return payload + b"\n"
 
     @staticmethod
-    def read(fh: BinaryIO) -> Iterator[dict]:
+    def payloads(fh: BinaryIO) -> Iterator[bytes]:
         for line in fh:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                yield line
 
 
 class BinaryCodec:
-    """Length-prefixed records: 4-byte big-endian length + JSON payload."""
+    """Length-prefixed payloads: 4-byte big-endian length + JSON payload."""
 
     name = "binary"
 
     @staticmethod
-    def write(fh: BinaryIO, record: dict) -> int:
-        payload = encode_record(record)
-        fh.write(_LEN.pack(len(payload)))
-        fh.write(payload)
-        return _LEN.size + len(payload)
+    def frame(payload: bytes) -> bytes:
+        return _LEN.pack(len(payload)) + payload
 
     @staticmethod
-    def read(fh: BinaryIO) -> Iterator[dict]:
+    def payloads(fh: BinaryIO) -> Iterator[bytes]:
         while True:
             prefix = fh.read(_LEN.size)
             if not prefix:
@@ -86,7 +88,7 @@ class BinaryCodec:
                 raise TraceStoreError(
                     f"truncated record: expected {length} payload bytes, "
                     f"got {len(payload)}")
-            yield json.loads(payload.decode("utf-8"))
+            yield payload
 
 
 CODECS: Dict[str, object] = {JsonlCodec.name: JsonlCodec,

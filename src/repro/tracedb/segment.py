@@ -4,16 +4,20 @@ A :class:`SegmentWriter` owns the open file of the store's *active*
 segment; when the store rotates, the writer closes and its
 :class:`SegmentInfo` (the index row) is frozen. Reading never needs the
 writer — :func:`read_segment` streams any segment file, live or closed,
-decoding with whatever codec its header names.
+decoding with whatever codec its header names, and
+:func:`read_segment_payloads` streams the same records as raw canonical
+payloads. Every write, record or payload, goes through
+:meth:`SegmentWriter.append_payload`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterator, Optional
 
 from repro.errors import TraceStoreError
-from repro.tracedb.format import read_header, write_header
+from repro.tracedb.format import encode_record, read_header, write_header
 
 
 class SegmentInfo:
@@ -83,18 +87,26 @@ class SegmentWriter:
         self.byte_size = write_header(self._fh, codec.name)
 
     def append(self, record: dict) -> None:
-        """Write one record (caller guarantees seq order)."""
+        """Encode and write one record (caller guarantees seq order)."""
+        self.append_payload(record["seq"], record.get("t_target", 0),
+                            encode_record(record))
+
+    def append_payload(self, seq: int, t_target, payload: bytes) -> None:
+        """Write one record given as its canonical payload — the one
+        segment write path. *seq* and *t_target* are the payload's own
+        top-level values; the caller guarantees seq order."""
         if self._fh is None:
             raise TraceStoreError(f"segment {self.name} is closed")
-        t_target = record.get("t_target", 0)
         if self.first_t_target is None:
             self.first_t_target = self.last_t_target = t_target
         else:
             self.first_t_target = min(self.first_t_target, t_target)
             self.last_t_target = max(self.last_t_target, t_target)
-        self.last_seq = record["seq"]
+        self.last_seq = seq
         self.count += 1
-        self.byte_size += self.codec.write(self._fh, record)
+        framed = self.codec.frame(payload)
+        self._fh.write(framed)
+        self.byte_size += len(framed)
 
     def flush(self) -> None:
         """Push buffered bytes to the OS so readers see every record."""
@@ -115,11 +127,16 @@ class SegmentWriter:
         return self.info()
 
 
-def read_segment(path: str) -> Iterator[dict]:
-    """Stream every record of the segment file at *path*."""
+def read_segment_payloads(path: str) -> Iterator[bytes]:
+    """Stream every record's canonical payload, undecoded."""
     with open(path, "rb") as fh:
         codec = read_header(fh)
-        yield from codec.read(fh)
+        yield from codec.payloads(fh)
+
+
+def read_segment(path: str) -> Iterator[dict]:
+    """Stream every record of the segment file at *path*."""
+    return map(json.loads, read_segment_payloads(path))
 
 
 def salvage_segment(path: str) -> list:

@@ -31,12 +31,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import TraceStoreError
 from repro.obs.runtime import OBS
 from repro.tracedb.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.tracedb.format import codec_named, read_header
+from repro.tracedb.format import codec_named, encode_record, read_header
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import (
     SegmentInfo,
     SegmentWriter,
     read_segment,
+    read_segment_payloads,
     salvage_segment,
 )
 
@@ -224,14 +225,21 @@ class TraceStore:
             raise TraceStoreError(
                 f"out-of-order append: record seq {seq}, store expects "
                 f"{expected} (stores are contiguous and 0-based)")
+        self._append_payload(seq, record.get("t_target", 0),
+                             encode_record(record))
+        return seq
+
+    def _append_payload(self, seq: int, t_target, payload: bytes) -> None:
+        """Write one canonical payload as record *seq* (the caller has
+        checked that *seq* is :attr:`next_seq`); shared by :meth:`append`
+        and the campaign merge, which splices payloads without decoding."""
         if self._writer is None:
             self._writer = SegmentWriter(
-                self.root, f"seg-{expected:012d}.trc", self.codec, expected)
-        self._writer.append(record)
+                self.root, f"seg-{seq:012d}.trc", self.codec, seq)
+        self._writer.append_payload(seq, t_target, payload)
         self.appends += 1
         if self._writer.count >= self.segment_events:
             self._rotate()
-        return seq
 
     def _rotate(self) -> None:
         # In-memory index only: rewriting index.json here would put an
@@ -327,6 +335,14 @@ class TraceStore:
         self._flush_bytes()
         self.segments_read += 1
         return list(read_segment(os.path.join(self.root, info.name)))
+
+    def _payloads(self) -> Iterator[bytes]:
+        """Stream every record's canonical payload, undecoded, one
+        segment at a time (the campaign merge's read path)."""
+        for info in self._all_segments():
+            self.segments_read += 1
+            yield from read_segment_payloads(
+                os.path.join(self.root, info.name))
 
     def events(self, seq_range: Optional[Tuple[int, int]] = None
                ) -> Iterator[dict]:

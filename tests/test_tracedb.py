@@ -86,7 +86,7 @@ class TestFormat:
         path = tmp_path / "seg.trc"
         with open(path, "wb") as fh:
             write_header(fh, "binary")
-            CODECS["binary"].write(fh, {"seq": 0})
+            fh.write(CODECS["binary"].frame(encode_record({"seq": 0})))
         data = path.read_bytes()
         path.write_bytes(data[:-3])  # chop the payload tail
         with pytest.raises(TraceStoreError):
