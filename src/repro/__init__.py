@@ -44,7 +44,6 @@ from repro.comm.protocol import Command, CommandKind
 
 # RTOS
 from repro.rtos.kernel import DtmKernel
-from repro.rtos.sharding import ShardedDtmKernel
 from repro.rtos.task import LoadTask
 
 # GDM + engine (the paper's contribution)
@@ -90,7 +89,7 @@ __all__ = [
     "Command", "CommandKind", "ActiveChannel", "PassiveChannel", "WatchSpec",
     "TapController", "JtagProbe",
     # rtos
-    "DtmKernel", "ShardedDtmKernel", "LoadTask",
+    "DtmKernel", "LoadTask",
     # gdm + engine
     "PatternKind", "PatternSpec", "MappingRule", "MappingTable",
     "default_comdes_table", "AbstractionGuide", "AbstractionEngine",

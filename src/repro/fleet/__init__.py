@@ -1,11 +1,11 @@
-"""repro.fleet — scheduled execution for campaigns and multi-board sharding.
+"""repro.fleet — scheduled execution of fault-campaign jobs.
 
 Parson's observation (*Extension Language Automation of Embedded System
 Debugging*) is that a debugger becomes an experimentation platform the
 moment its runs can be scripted and batched. This package is that batch
-layer: fault campaigns and multi-board simulations stop serializing on
-one interpreter and fan out over worker processes, so scenario count
-scales with cores instead of wall-clock.
+layer: a fault campaign runs the whole debug loop once per fault, and
+those jobs stop serializing on one interpreter and fan out over worker
+processes, so scenario count scales with cores instead of wall-clock.
 
 Architecture — policy shells around one scheduler core::
 
@@ -19,8 +19,6 @@ Architecture — policy shells around one scheduler core::
                                                  heartbeat draining
     worker.py    run_job                         the process entry point
     jobs.py      JobSpec / JobResult             picklable recipes
-    shards.py    ShardHost                       persistent shard workers for
-                                                 repro.rtos.sharding
 
 Both runners hand their specs, in canonical order, to
 :class:`~repro.fleet.sched.ElasticScheduler`: each idle slot takes the
@@ -53,11 +51,6 @@ Entry points:
 * campaigns — ``run_campaign(..., runner=FleetRunner(workers=4))`` in
   :mod:`repro.faults.campaign`; on a core-starved host keep the default
   ``SerialRunner`` — process scale-out cannot win there;
-* multi-board sharding — :class:`repro.rtos.sharding.ShardedDtmKernel`
-  runs node-subset kernels in persistent shard workers
-  (:mod:`repro.fleet.shards`); each lookahead epoch is sent to every
-  shard before any reply is read, so process shards run it
-  concurrently;
 * scoreboard — ``benchmarks/perf_fleet.py`` (BENCH_fleet.json) tracks
   campaign throughput and parity; ``benchmarks/perf_sched.py``
   (BENCH_sched.json) floors the FIFO queue's speedup over static

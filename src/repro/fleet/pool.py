@@ -46,7 +46,6 @@ everywhere.
 from __future__ import annotations
 
 import multiprocessing
-import sys
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
@@ -163,7 +162,6 @@ class FleetRunner:
     """FIFO campaign dispatch over persistent worker processes."""
 
     def __init__(self, workers: Optional[int] = None,
-                 mp_context: Optional[str] = None,
                  max_retries: int = 1,
                  retry_backoff_s: float = 0.0,
                  job_timeout_s: Optional[float] = None,
@@ -179,8 +177,6 @@ class FleetRunner:
             raise FleetError(f"job_timeout_s must be positive, "
                              f"got {job_timeout_s}")
         self.workers = workers if workers is not None else default_workers()
-        self.mp_context = (mp_context if mp_context is not None
-                           else default_mp_context())
         #: resubmission attempts for a job whose worker died or was
         #: deadline-killed (0 = report the first death as terminal)
         self.max_retries = max_retries
@@ -215,7 +211,8 @@ class FleetRunner:
             # `put` is a synchronous round-trip to the manager process,
             # so a worker's last heartbeat is never lost in a feeder
             # thread when its process exits.
-            manager = multiprocessing.get_context(self.mp_context).Manager()
+            manager = multiprocessing.get_context(
+                default_mp_context()).Manager()
             self._hb_queue = manager.Queue()
         try:
             return self._run(specs)
@@ -228,10 +225,8 @@ class FleetRunner:
     def _run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
         backend = ProcessBackend(
             slot_count=min(self.workers, len(specs)),
-            mp_context=self.mp_context,
             hb_config=self.live.config if self.live is not None else None,
             hb_queue=self._hb_queue,
-            extra_paths=list(sys.path),
         )
         scheduler = ElasticScheduler(
             backend,
@@ -274,5 +269,4 @@ class FleetRunner:
         timeout = (f" timeout={self.job_timeout_s}s"
                    if self.job_timeout_s is not None else "")
         return (f"<FleetRunner workers={self.workers} "
-                f"ctx={self.mp_context} retries={self.max_retries}"
-                f"{timeout}>")
+                f"retries={self.max_retries}{timeout}>")

@@ -184,19 +184,15 @@ class ProcessBackend:
 
     supports_kill = True
 
-    def __init__(self, slot_count: int, mp_context: Optional[str] = None,
-                 entry_ref: str = "", hb_config=None, hb_queue=None,
-                 extra_paths: Optional[List[str]] = None) -> None:
+    def __init__(self, slot_count: int, entry_ref: str = "",
+                 hb_config=None, hb_queue=None) -> None:
         if slot_count < 1:
             raise FleetError(f"slot_count must be >= 1, got {slot_count}")
         self.slot_count = slot_count
-        self._ctx = multiprocessing.get_context(
-            mp_context if mp_context is not None else default_mp_context())
+        self._ctx = multiprocessing.get_context(default_mp_context())
         self.entry_ref = entry_ref
         self.hb_config = hb_config
         self.hb_queue = hb_queue
-        self.extra_paths = (list(sys.path) if extra_paths is None
-                            else list(extra_paths))
         self._slots = [_ProcSlot() for _ in range(slot_count)]
         self._busy: Dict[int, int] = {}  # slot -> uid of in-flight job
         #: worker processes (re)spawned over the backend's lifetime
@@ -210,7 +206,7 @@ class ProcessBackend:
         parent, child = self._ctx.Pipe()
         state.proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child, self.extra_paths, self.entry_ref,
+            args=(child, list(sys.path), self.entry_ref,
                   self.hb_config, self.hb_queue),
             daemon=True,
         )

@@ -12,7 +12,6 @@ from repro.rtos.scheduler import NodeScheduler
 from repro.rtos.network import SignalBus
 from repro.rtos.jitter import JitterMeter
 from repro.rtos.kernel import DtmKernel
-from repro.rtos.sharding import ShardedDtmKernel, partition_nodes
 
 __all__ = [
     "ActiveJob", "JobRecord", "LoadTask",
@@ -20,5 +19,4 @@ __all__ = [
     "SignalBus",
     "JitterMeter",
     "DtmKernel",
-    "ShardedDtmKernel", "partition_nodes",
 ]

@@ -22,16 +22,9 @@ class JitterMeter:
         self._records.setdefault(signal, []).append((release, t_publish))
 
     def export_records(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Plain-data snapshot of all samples (crosses process pipes)."""
+        """Plain-data copy of all samples, per signal in record order."""
         return {signal: list(samples)
                 for signal, samples in self._records.items()}
-
-    def load_records(self, records: Dict[str, List[Tuple[int, int]]]) -> None:
-        """Absorb an :meth:`export_records` snapshot."""
-        for signal, samples in records.items():
-            merged = self._records.setdefault(signal, [])
-            merged.extend(tuple(s) for s in samples)
-            merged.sort()
 
     def signals(self) -> List[str]:
         """Signals with at least one record."""

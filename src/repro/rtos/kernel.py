@@ -25,7 +25,7 @@ missing an actor's port symbols is refused at construction.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.comdes.actor import Actor
 from repro.comdes.system import System
@@ -66,43 +66,32 @@ class DtmKernel:
         latched: bool = True,
         net_delay_us: int = 100,
         boards: Optional[Dict[str, Board]] = None,
-        nodes: Optional[Sequence[str]] = None,
         record_capacity: Optional[int] = None,
         record_spill: Optional[object] = None,
     ) -> None:
-        """``nodes`` restricts this kernel to a shard: boards are built
-        and actor jobs dispatched only for the named nodes, while the
-        signal bus keeps views for the whole system (remote values
-        arrive via :meth:`SignalBus.inject` at epoch barriers — see
-        :mod:`repro.rtos.sharding`). ``record_capacity`` bounds
-        :attr:`records` to a ring of the newest N entries, mirroring
-        ``ExecutionTrace(capacity=N)``, with evictions counted in
-        :attr:`records_dropped`. ``record_spill`` attaches a
-        :class:`~repro.tracedb.store.TraceStore` that receives every
-        :class:`~repro.rtos.task.JobRecord` as it is appended — the ring
-        becomes a hot cache, :attr:`records_dropped` stays 0, and
-        :meth:`spilled_records` streams the full job history back. A
-        spilling kernel with no explicit ``record_capacity`` defaults
-        its ring to :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS`
-        — spilling while
-        also keeping an unbounded in-memory copy would defeat the
-        flat-memory point.
+        """Build one board and scheduler per node of *system*, all on
+        one simulator and one signal bus; ``boards`` supplies prebuilt
+        boards by node name.
+
+        ``record_capacity`` bounds :attr:`records` to a ring of the
+        newest N entries, mirroring ``ExecutionTrace(capacity=N)``, with
+        evictions counted in :attr:`records_dropped`. ``record_spill``
+        attaches a :class:`~repro.tracedb.store.TraceStore` that
+        receives every :class:`~repro.rtos.task.JobRecord` as it is
+        appended — the ring becomes a hot cache, :attr:`records_dropped`
+        stays 0, and :meth:`spilled_records` streams the full job
+        history back. A spilling kernel with no explicit
+        ``record_capacity`` defaults its ring to
+        :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS` —
+        spilling while also keeping an unbounded in-memory copy would
+        defeat the flat-memory point.
         """
         self.system = system
         self.firmware = firmware
         self.sim = sim if sim is not None else Simulator()
         self.latched = latched
-        if nodes is None:
-            self.local_nodes = list(system.nodes())
-        else:
-            unknown = sorted(set(nodes) - set(system.nodes()))
-            if unknown:
-                raise SchedulerError(
-                    f"shard names nodes the system does not have: {unknown}")
-            self.local_nodes = list(nodes)
-        local = set(self.local_nodes)
         self._nodes: Dict[str, _NodeRuntime] = {}
-        for node in self.local_nodes:
+        for node in system.nodes():
             board = (boards or {}).get(node)
             self._nodes[node] = _NodeRuntime(self.sim, node, firmware, board)
         self.bus = SignalBus(self.sim, system.nodes(),
@@ -131,10 +120,7 @@ class DtmKernel:
                          "jobs_skipped": self.jobs_skipped,
                          "records_dropped": self.records_dropped},
                 owner=self)
-        self._job_index: Dict[str, int] = {
-            name: 0 for name, actor in system.actors.items()
-            if actor.node in local
-        }
+        self._job_index: Dict[str, int] = {name: 0 for name in system.actors}
         # per-actor port tables, resolved once: the release path latches
         # inputs and captures outputs without a symbol lookup per port
         symbols = firmware.symbols
@@ -146,7 +132,7 @@ class DtmKernel:
                 tuple((signal, symbols.addr_of(f"{name}.out.{port}"))
                       for port, signal in actor.outputs.items()),
             )
-            for name, actor in system.actors.items() if actor.node in local
+            for name, actor in system.actors.items()
         }
         self._load_tasks: List[LoadTask] = []
         self._started = False
@@ -162,6 +148,8 @@ class DtmKernel:
 
     def add_job_hook(self, node: str, hook: JobHook) -> None:
         """Call *hook(actor, t_release)* before each job on *node* runs."""
+        if node not in self._nodes:
+            raise SchedulerError(f"job hook on unknown node {node!r}")
         self._nodes[node].job_hooks.append(hook)
 
     def add_load_task(self, load: LoadTask) -> None:
@@ -178,8 +166,6 @@ class DtmKernel:
             raise SchedulerError("kernel already started")
         self._started = True
         for actor in self.system.actors.values():
-            if actor.node not in self._nodes:
-                continue  # another shard's actor
             self.sim.every(actor.task.period_us, self._release_actor, actor,
                            start=actor.task.offset_us)
         for load in self._load_tasks:

@@ -9,17 +9,19 @@ experiments need (who saw which value when).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.errors import ModelError
 from repro.sim.kernel import Simulator
 
-#: publication observer: (t_publish, producer_node, signal, value)
-PublishHook = Callable[[int, str, str, int], None]
-
 
 class SignalBus:
-    """Per-node signal views with delayed cross-node propagation."""
+    """Per-node signal views with delayed cross-node propagation.
+
+    Every node of the system has a view on the one bus; a cross-node
+    update is an event on the kernel's simulator, ``net_delay_us`` after
+    the publication (applied at once when the delay is 0).
+    """
 
     def __init__(self, sim: Simulator, nodes: Sequence[str],
                  signal_inits: Dict[str, int], net_delay_us: int = 100) -> None:
@@ -32,9 +34,6 @@ class SignalBus:
         }
         self.messages_sent = 0
         self.cross_node_messages = 0
-        #: sharding tap: observes local publications so a sharded kernel
-        #: can forward them to the other shards at the epoch barrier
-        self.on_publish: Optional[PublishHook] = None
 
     def nodes(self) -> List[str]:
         """All node names with a view."""
@@ -51,8 +50,6 @@ class SignalBus:
         """Publish a new value now; remote nodes see it after the delay."""
         if producer_node not in self._views:
             raise ModelError(f"unknown node {producer_node!r}")
-        if self.on_publish is not None:
-            self.on_publish(self.sim.now, producer_node, signal, value)
         self.messages_sent += 1
         self._views[producer_node][signal] = value
         for node in self._views:
@@ -68,19 +65,9 @@ class SignalBus:
     def _apply(self, node: str, signal: str, value: int) -> None:
         self._views[node][signal] = value
 
-    def inject(self, signal: str, value: int) -> None:
-        """Apply a remote shard's publication to every local view.
-
-        The receive side of cross-shard exchange: by the time an epoch
-        barrier forwards a publication here, every node in this bus is a
-        *remote* node relative to the producer, so all views update at
-        the scheduled arrival instant — exactly what
-        :meth:`publish`'s delayed ``_apply`` would have done in a
-        monolithic kernel. Does not re-fire :attr:`on_publish`.
-        """
-        for views in self._views.values():
-            views[signal] = value
-
     def snapshot(self, node: str) -> Dict[str, int]:
         """Copy of one node's full signal view."""
-        return dict(self._views[node])
+        try:
+            return dict(self._views[node])
+        except KeyError:
+            raise ModelError(f"unknown node {node!r}") from None

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.codegen import InstrumentationPlan, generate_firmware
-from repro.comdes.examples import blinker_system, cruise_control_system
-from repro.errors import SchedulerError
+from repro.comdes.examples import (
+    blinker_system,
+    cruise_control_system,
+    traffic_light_system,
+)
+from repro.errors import ModelError, SchedulerError
 from repro.rtos.jitter import JitterMeter
 from repro.rtos.kernel import DtmKernel
 from repro.rtos.network import SignalBus
@@ -102,6 +106,8 @@ class TestSignalBus:
             bus.read("nX", "s")
         with pytest.raises(Exception):
             bus.publish("nX", "s", 1)
+        with pytest.raises(ModelError):
+            bus.snapshot("nX")
 
     def test_cross_node_message_counter(self):
         sim = Simulator()
@@ -181,6 +187,34 @@ class TestDtmKernel:
         _, kernel = cruise_kernel()
         with pytest.raises(SchedulerError):
             kernel.board_of("mars")
+        with pytest.raises(SchedulerError):
+            kernel.add_job_hook("mars", lambda actor, t_release: None)
+
+    @staticmethod
+    def _traffic_kernel(capacity):
+        system = traffic_light_system()
+        firmware = generate_firmware(system, InstrumentationPlan.none())
+        kernel = DtmKernel(system, firmware, sim=Simulator(),
+                           record_capacity=capacity)
+        kernel.run(ms(400))
+        return kernel
+
+    def test_unbounded_by_default(self):
+        kernel = self._traffic_kernel(None)
+        assert kernel.records_dropped == 0
+        assert len(kernel.records) > 4
+
+    def test_capacity_above_load_never_drops(self):
+        full = self._traffic_kernel(None)
+        roomy = self._traffic_kernel(len(full.records) + 10)
+        assert roomy.records_dropped == 0
+        assert len(roomy.records) == len(full.records)
+
+    def test_invalid_capacity_rejected(self):
+        system = traffic_light_system()
+        firmware = generate_firmware(system, InstrumentationPlan.none())
+        with pytest.raises(SchedulerError, match="capacity"):
+            DtmKernel(system, firmware, record_capacity=0)
 
 
 class TestJitterMeter:

@@ -45,7 +45,8 @@ class TestSharedHelper:
         # the literal same class object, not a same-named copy
         assert type(kernel._ring) is type(ExecutionTrace(capacity=4)._ring)
 
-    def test_kernel_ring_parity_with_unbounded_run(self):
+    @pytest.mark.parametrize("capacity", [4, 6])
+    def test_kernel_ring_parity_with_unbounded_run(self, capacity):
         """Same eviction behavior through the kernel call site: the ring
         keeps exactly the newest N of what an unbounded kernel records,
         in the same order, and counts the rest as dropped."""
@@ -53,12 +54,14 @@ class TestSharedHelper:
         firmware = generate_firmware(system, InstrumentationPlan.none())
         full = DtmKernel(system, firmware)
         full.run(ms(3000))
-        ringed = DtmKernel(system, firmware, record_capacity=6)
+        ringed = DtmKernel(system, firmware, record_capacity=capacity)
         ringed.run(ms(3000))
-        key = lambda r: (r.actor, r.index, r.release, r.completion)
+        key = lambda r: (r.actor, r.index, r.release, r.completion,
+                         r.deadline_abs, r.demand_us, r.skipped, r.missed)
+        assert len(ringed.records) == capacity
         assert [key(r) for r in ringed.records] \
-            == [key(r) for r in full.records[-6:]]
-        assert ringed.records_dropped == len(full.records) - 6
+            == [key(r) for r in full.records[-capacity:]]
+        assert ringed.records_dropped == len(full.records) - capacity
 
     def test_spilling_kernel_drops_nothing(self, tmp_path):
         system = traffic_light_system()
