@@ -517,11 +517,6 @@ class DebugSession:
                            self.sim.now - t_start,
                            track=("engine", "session"), cat="session",
                            args={"horizon_us": duration_us})
-        if OBS.live is not None:
-            # flush the live plane at every run boundary: a session
-            # driven in short windows streams one delta per window even
-            # without the kernel's activation ticks
-            OBS.live.tick(self.sim.now)
         self._check_budget()
         return self
 

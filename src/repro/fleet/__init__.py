@@ -15,15 +15,14 @@ Architecture — policy shells around one scheduler core::
     sched.py     ElasticScheduler                THE event loop: one FIFO job
                  Inline/Process backends         queue, one job per slot,
                                                  per-job deadlines,
-                                                 non-blocking retry,
-                                                 heartbeat draining
+                                                 non-blocking retry
     worker.py    run_job                         the process entry point
     jobs.py      JobSpec / JobResult             picklable recipes
 
 Both runners hand their specs, in canonical order, to
 :class:`~repro.fleet.sched.ElasticScheduler`: each idle slot takes the
 head of the queue, per-job deadlines are enforced, and crash/timeout
-retries fold into the same loop as dispatch and heartbeat draining.
+retries fold into the same loop as dispatch.
 
 The load-bearing design rules:
 
@@ -33,10 +32,9 @@ The load-bearing design rules:
   No live ``Board``, monitor lambda or half-run simulator is ever
   pickled, so results cannot depend on which process ran the job.
 * **Any schedule, one answer.** Workers execute the exact functions the
-  inline serial loop uses, results key on the canonical corpus index,
-  and the live plane canonicalizes on ``(job, window)`` — so any worker
-  count or completion order produces a ``CampaignResult``, campaign
-  trace store and live-alert transcript byte-identical to
+  inline serial loop uses and results key on the canonical corpus
+  index — so any worker count or completion order produces a
+  ``CampaignResult`` and campaign trace store byte-identical to
   ``SerialRunner`` at the same master seed (hypothesis-forced in
   ``tests/test_sched.py``).
 * **Failures are data, and they are contained.** A slot holds one job
@@ -72,7 +70,6 @@ from repro.fleet.pool import (
     default_workers,
     derive_seed,
     seed_stream,
-    serial_live_scope,
 )
 from repro.fleet.sched import ElasticScheduler, InlineBackend, ProcessBackend
 from repro.fleet.worker import run_job
@@ -80,7 +77,7 @@ from repro.fleet.worker import run_job
 __all__ = [
     "JobSpec", "JobResult", "callable_ref", "resolve_ref",
     "enumerate_campaign_jobs",
-    "FleetRunner", "SerialRunner", "default_workers", "serial_live_scope",
+    "FleetRunner", "SerialRunner", "default_workers",
     "ElasticScheduler", "InlineBackend", "ProcessBackend",
     "derive_seed", "seed_stream",
     "run_job",

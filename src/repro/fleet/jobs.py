@@ -193,9 +193,7 @@ class JobResult:
     def status(self) -> str:
         """Canonical one-word outcome: ``failed``/``declined``/``ok``.
 
-        The shared vocabulary of the ``fleet.job`` metric series and
-        the live plane's finish heartbeats, derived in one place so the
-        two surfaces can never disagree.
+        The label vocabulary of the ``fleet.job`` metric series.
         """
         if self.failed:
             return "failed"

@@ -18,9 +18,8 @@ both runners (see :mod:`repro.fleet.sched`).
   (:class:`~repro.fleet.sched.ProcessBackend`), each taking the next
   spec off one FIFO queue as it goes idle: per-job deadlines
   (``job_timeout_s`` is per in-flight job, not a whole-pass bound),
-  bounded non-blocking retry with exponential backoff, and mid-run
-  heartbeat draining for the live telemetry plane. A worker holds one
-  job at a time, so a crasher costs exactly its own job.
+  and bounded non-blocking retry with exponential backoff. A worker
+  holds one job at a time, so a crasher costs exactly its own job.
 
 **crash containment** — a worker that dies outright (segfault,
 ``os._exit``) is respawned; the job it was executing burns one retry
@@ -45,19 +44,17 @@ everywhere.
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
 from repro.errors import FleetError
-from repro.fleet.jobs import JobResult, JobSpec, default_mp_context
+from repro.fleet.jobs import JobResult, JobSpec
 from repro.fleet.sched import ElasticScheduler, InlineBackend, ProcessBackend
 from repro.fleet.worker import run_job
 from repro.obs.runtime import OBS
 from repro.util.seeds import derive_seed, seed_stream
 
 __all__ = ["FleetRunner", "SerialRunner", "default_workers",
-           "serial_live_scope", "derive_seed", "seed_stream"]
+           "derive_seed", "seed_stream"]
 
 
 def default_workers() -> int:
@@ -94,39 +91,6 @@ def _timeout_result(spec: JobSpec, retries: int, timeout_s: float) -> JobResult:
     )
 
 
-@contextmanager
-def serial_live_scope(live):
-    """In-process heartbeat wiring for serial-schedule execution.
-
-    With a :class:`~repro.obs.live.LiveAggregator`, installs a
-    :class:`~repro.obs.live.HeartbeatEmitter` in ``OBS.live`` whose sink
-    is the aggregator's ``feed`` directly — same delta protocol as the
-    fleet's worker queue, zero queues — which is exactly how the
-    serial-vs-fleet transcript identity is provable: both paths
-    aggregate the same canonical messages. The scheduler-parity tests
-    reuse this scope around forced-interleaving schedules, so their
-    transcripts are wired identically to :class:`SerialRunner`'s.
-    """
-    if live is None:
-        yield None
-        return
-    from repro.obs.live import HeartbeatEmitter
-    from repro.obs.metrics import MetricsRegistry
-    prior_live = OBS.live
-    own_registry = OBS.metrics is None
-    if own_registry:
-        OBS.metrics = MetricsRegistry()
-    emitter = HeartbeatEmitter(live.config, live.feed, source="serial")
-    OBS.live = emitter
-    try:
-        yield emitter
-    finally:
-        emitter.close()
-        OBS.live = prior_live
-        if own_registry:
-            OBS.metrics = None
-
-
 class SerialRunner:
     """The in-process fallback: identical interface, zero processes.
 
@@ -134,28 +98,20 @@ class SerialRunner:
     one inline slot running the queue in canonical order — i.e. the
     canonical serial schedule every fleet schedule must be
     byte-identical to. Jobs run through the same
-    :func:`~repro.fleet.worker.run_job` the pool workers use. With
-    ``live=`` (a :class:`~repro.obs.live.LiveAggregator`) heartbeats
-    flow through :func:`serial_live_scope` straight into the aggregator.
+    :func:`~repro.fleet.worker.run_job` the pool workers use.
     """
 
     workers = 1
-
-    def __init__(self, live=None) -> None:
-        #: optional repro.obs.live.LiveAggregator receiving heartbeats
-        self.live = live
 
     def run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
         specs = list(specs)
         if not specs:
             return []
-        with serial_live_scope(self.live):
-            by_index = ElasticScheduler(InlineBackend(run_job)).run(specs)
+        by_index = ElasticScheduler(InlineBackend(run_job)).run(specs)
         return [by_index[spec.index] for spec in specs]
 
     def __repr__(self) -> str:
-        live = " live" if self.live is not None else ""
-        return f"<SerialRunner{live}>"
+        return "<SerialRunner>"
 
 
 class FleetRunner:
@@ -164,8 +120,7 @@ class FleetRunner:
     def __init__(self, workers: Optional[int] = None,
                  max_retries: int = 1,
                  retry_backoff_s: float = 0.0,
-                 job_timeout_s: Optional[float] = None,
-                 live=None) -> None:
+                 job_timeout_s: Optional[float] = None) -> None:
         if workers is not None and workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
@@ -187,11 +142,6 @@ class FleetRunner:
         #: per-job deadline: the in-flight job of each worker is killed
         #: this many wall-clock seconds after dispatch
         self.job_timeout_s = job_timeout_s
-        #: optional repro.obs.live.LiveAggregator: workers stream
-        #: heartbeat deltas to it over a managed queue piggybacked on
-        #: the pool's init plumbing (None = live plane off, zero cost)
-        self.live = live
-        self._hb_queue = None  # managed queue, alive only inside run()
 
     def _terminal_result(self, spec: JobSpec, kind: str,
                          retries: int) -> JobResult:
@@ -204,37 +154,12 @@ class FleetRunner:
         specs = list(specs)
         if not specs:
             return []
-        manager = None
-        if self.live is not None:
-            # A managed queue, not a raw mp.Queue: the proxy pickles
-            # through the worker spawn args under fork *and* spawn, and
-            # `put` is a synchronous round-trip to the manager process,
-            # so a worker's last heartbeat is never lost in a feeder
-            # thread when its process exits.
-            manager = multiprocessing.get_context(
-                default_mp_context()).Manager()
-            self._hb_queue = manager.Queue()
-        try:
-            return self._run(specs)
-        finally:
-            if self.live is not None:
-                self.live.drain(self._hb_queue)
-                self._hb_queue = None
-                manager.shutdown()
-
-    def _run(self, specs: Sequence[JobSpec]) -> List[JobResult]:
-        backend = ProcessBackend(
-            slot_count=min(self.workers, len(specs)),
-            hb_config=self.live.config if self.live is not None else None,
-            hb_queue=self._hb_queue,
-        )
+        backend = ProcessBackend(slot_count=min(self.workers, len(specs)))
         scheduler = ElasticScheduler(
             backend,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_s,
             job_timeout_s=self.job_timeout_s,
-            live=self.live,
-            live_queue=self._hb_queue,
             terminal_result=self._terminal_result,
         )
         try:

@@ -3,8 +3,7 @@
 :class:`ElasticScheduler` owns one FIFO queue of schedulable items —
 campaign :class:`~repro.fleet.jobs.JobSpec`\\ s in canonical order — and
 runs a single loop that interleaves dispatch, result harvesting,
-heartbeat draining (``live.drain``), deadline enforcement and retry
-resubmission:
+deadline enforcement and retry resubmission:
 
 * **dispatch** — each idle slot takes the head of the queue; a slot
   never has more than one job in flight, so a crash or a deadline kill
@@ -14,17 +13,17 @@ resubmission:
 * **non-blocking retries** — a died/killed job burns one attempt and
   re-enters the queue after a ``not_before`` deadline
   (``backoff * 2**(attempt-1)`` after the death), so N stranded jobs
-  recover concurrently in max-of-backoffs wall time, with heartbeats
-  drained between polls, instead of a serial sum-of-backoffs stall.
+  recover concurrently in max-of-backoffs wall time instead of a serial
+  sum-of-backoffs stall.
 
 The determinism contract: results are keyed by each item's canonical
 ``index`` and merged by the caller in canonical order, and every item is
 executed by the same pure ``run_job`` path no matter which worker or
 completion order ran it — so *any* schedule produces byte-identical
-campaign results, trace stores and live-alert transcripts to
-``SerialRunner`` at the same master seed. ``tests/test_sched.py`` proves
-it under hypothesis-forced completion orders via a stepped test backend
-(``tests/sched_harness.py``) and an injectable scheduler clock.
+campaign results and trace stores to ``SerialRunner`` at the same
+master seed. ``tests/test_sched.py`` proves it under hypothesis-forced
+completion orders via a stepped test backend (``tests/sched_harness.py``)
+and an injectable scheduler clock.
 
 Backends implement mechanism, not policy::
 
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-import sys
 import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -51,7 +49,7 @@ from repro.fleet.jobs import default_mp_context
 
 __all__ = [
     "MonotonicClock", "VirtualClock",
-    "ElasticScheduler", "InlineBackend", "ProcessBackend", "worker_init",
+    "ElasticScheduler", "InlineBackend", "ProcessBackend",
 ]
 
 
@@ -83,30 +81,7 @@ class VirtualClock:
         self._now += seconds
 
 
-def worker_init(extra_paths: List[str], hb_config=None,
-                hb_queue=None) -> None:
-    """Spawned workers must see the same import roots as the parent.
-
-    With a heartbeat config + queue (the live-telemetry plane), the
-    worker also enables an in-process metrics registry and installs a
-    :class:`~repro.obs.live.HeartbeatEmitter` in ``OBS.live`` whose
-    sink is the parent's queue — every job this process runs then
-    streams windowed registry deltas upward.
-    """
-    for path in reversed(extra_paths):
-        if path not in sys.path:
-            sys.path.insert(0, path)
-    if hb_config is not None and hb_queue is not None:
-        from repro.obs.live import HeartbeatEmitter
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.runtime import OBS
-        if OBS.metrics is None:
-            OBS.metrics = MetricsRegistry()
-        OBS.live = HeartbeatEmitter(hb_config, hb_queue.put)
-
-
-def _pool_worker_main(conn, extra_paths: List[str], entry_ref: str,
-                      hb_config, hb_queue) -> None:
+def _pool_worker_main(conn, entry_ref: str) -> None:
     """Persistent pool-worker loop: one job in, one result out.
 
     Protocol: host -> worker ``("job", item)`` or ``("close",)``;
@@ -115,7 +90,6 @@ def _pool_worker_main(conn, extra_paths: List[str], entry_ref: str,
     from repro.fleet.jobs import resolve_ref
     from repro.fleet.worker import run_job
 
-    worker_init(extra_paths, hb_config, hb_queue)
     execute = resolve_ref(entry_ref) if entry_ref else run_job
     try:
         while True:
@@ -184,15 +158,12 @@ class ProcessBackend:
 
     supports_kill = True
 
-    def __init__(self, slot_count: int, entry_ref: str = "",
-                 hb_config=None, hb_queue=None) -> None:
+    def __init__(self, slot_count: int, entry_ref: str = "") -> None:
         if slot_count < 1:
             raise FleetError(f"slot_count must be >= 1, got {slot_count}")
         self.slot_count = slot_count
         self._ctx = multiprocessing.get_context(default_mp_context())
         self.entry_ref = entry_ref
-        self.hb_config = hb_config
-        self.hb_queue = hb_queue
         self._slots = [_ProcSlot() for _ in range(slot_count)]
         self._busy: Dict[int, int] = {}  # slot -> uid of in-flight job
         #: worker processes (re)spawned over the backend's lifetime
@@ -206,8 +177,7 @@ class ProcessBackend:
         parent, child = self._ctx.Pipe()
         state.proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child, list(sys.path), self.entry_ref,
-                  self.hb_config, self.hb_queue),
+            args=(child, self.entry_ref),
             daemon=True,
         )
         state.proc.start()
@@ -294,10 +264,10 @@ class ElasticScheduler:
     """The one event loop under the Serial and Fleet runners.
 
     ``run(items)`` queues the items in the given (canonical) order, then
-    loops: drain heartbeats, re-queue due retries, hand the queue head
-    to every idle slot, poll the backend, harvest results and deaths,
-    and enforce per-job deadlines — until every item index has a
-    result. Returns ``{item.index: payload}``.
+    loops: re-queue due retries, hand the queue head to every idle
+    slot, poll the backend, harvest results and deaths, and enforce
+    per-job deadlines — until every item index has a result. Returns
+    ``{item.index: payload}``.
 
     A death charges its job one attempt: the job re-enters the queue
     after ``retry_backoff_s * 2**(attempt-1)`` (a deadline, not a
@@ -312,16 +282,13 @@ class ElasticScheduler:
 
     def __init__(self, backend, *, max_retries: int = 0,
                  retry_backoff_s: float = 0.0,
-                 job_timeout_s: Optional[float] = None,
-                 live=None, live_queue=None, clock=None,
+                 job_timeout_s: Optional[float] = None, clock=None,
                  terminal_result: Optional[Callable[[Any, str, int], Any]]
                  = None) -> None:
         self.backend = backend
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.job_timeout_s = job_timeout_s
-        self.live = live
-        self.live_queue = live_queue
         self.clock = clock if clock is not None else MonotonicClock()
         self.terminal_result = terminal_result
         #: indexes of items whose worker died or was killed at least once
@@ -339,8 +306,6 @@ class ElasticScheduler:
         if not busy:
             return 0.0
         bounds = []
-        if self.live is not None:
-            bounds.append(0.05)
         for flight in busy.values():
             if flight.deadline is not None:
                 bounds.append(max(flight.deadline - now, 0.0))
@@ -372,8 +337,6 @@ class ElasticScheduler:
                 queue.append(item)
 
         while len(results) < expected:
-            if self.live is not None and self.live_queue is not None:
-                self.live.drain(self.live_queue)
             now = self.clock.now()
 
             # re-queue retries whose backoff deadline passed
@@ -399,10 +362,7 @@ class ElasticScheduler:
                                                           now))
             if not events and not busy and waiting:
                 pause = min(nb for nb, _ in waiting) - self.clock.now()
-                # drain heartbeats at least every 50ms while backing off
-                self.clock.sleep(min(max(pause, 0.0), 0.05)
-                                 if self.live is not None
-                                 else max(pause, 0.0))
+                self.clock.sleep(max(pause, 0.0))
 
             for event in events:
                 kind, slot, uid = event[:3]

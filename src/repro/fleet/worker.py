@@ -75,9 +75,6 @@ def _sealed_trace_path(spec: JobSpec) -> str:
 
 def run_job(spec: JobSpec) -> JobResult:
     """Execute one experiment; exceptions become structured failures."""
-    live = OBS.live
-    if live is not None:
-        live.job_start(spec.index, spec.job_id)
     registry = OBS.metrics
     mark = registry.binding_mark() if registry is not None else 0
     try:
@@ -99,11 +96,6 @@ def run_job(spec: JobSpec) -> JobResult:
         # fault category
         OBS.metrics.counter("fleet.job", category=spec.category,
                             status=result.status).inc()
-    if live is not None:
-        # after the metrics counter so the finish delta carries it
-        live.job_finish(spec.index, spec.job_id, result.status,
-                        error_type=(result.error["type"]
-                                    if result.failed else ""))
     if registry is not None:
         # the job's kernels, links and channels are finished: fold
         # their books into fixed series and stop pinning them

@@ -44,33 +44,6 @@ Invariants (each one gated, not aspirational):
   them once per snapshot, so they became the registry's series
   without their hot paths learning anything new.
 
-The live plane (:mod:`repro.obs.live` + :mod:`repro.obs.health`)
-streams the same books *while the run executes*, under three more
-invariants:
-
-* **Delta protocol.** Workers never ship full snapshots mid-run: a
-  heartbeat carries ``snapshot().diff(last_published)`` — counters and
-  histograms subtract (zero-change series omitted, negative deltas
-  legal for shrinking bound surfaces), gauges ride only when changed —
-  and folding a delta chain through the canonical ``merge``
-  reconstructs the full snapshot exactly. Empty deltas are skipped,
-  and emptiness is itself deterministic, so serial and fleet skip the
-  same windows.
-* **Modeled-time windowing.** Window indexes are modeled-µs buckets
-  (``t // period_us``), ticked from the kernel's activation releases
-  and session run boundaries — never timers or the wall clock — with
-  the emitter's clock clamped monotone within a job (campaign phases
-  each restart simulation time at zero). Which window a delta lands
-  in is therefore a pure function of the seed.
-* **Live determinism contract.** Everything canonical keys on
-  ``(job_index, window_index)``; worker pids and queue arrival order
-  decorate dashboard lanes only. Same master seed ⇒ byte-identical
-  window history, health alerts and transcript whether the campaign
-  ran under ``SerialRunner(live=...)`` or ``FleetRunner(live=...)`` —
-  pinned by the committed ``artifacts/obs_live_alerts.txt`` exemplar
-  and the serial-vs-fleet identity tests, with the heartbeat-enabled
-  campaign overhead ceilinged (≤1.10x) in ``BENCH_live.json``.
-
 Quick start::
 
     from repro.obs import observed
@@ -85,33 +58,14 @@ Export a campaign store for https://ui.perfetto.dev::
     python -m repro.obs.export --campaign runs/trace_dir/campaign -o t.json
 """
 
-from repro.obs.health import DEFAULT_RULES, Alert, Rule
-from repro.obs.live import (
-    FlightRecorder,
-    HeartbeatConfig,
-    HeartbeatEmitter,
-    LiveAggregator,
-)
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_snapshots,
-    percentile,
-)
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
 from repro.obs.runtime import OBS, disable, enable, enabled, observed
 from repro.obs.spans import Span, SpanTracer, merge_spans, span_order
 
 __all__ = [
     "OBS",
-    "Alert",
-    "DEFAULT_RULES",
-    "FlightRecorder",
-    "HeartbeatConfig",
-    "HeartbeatEmitter",
-    "LiveAggregator",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "Rule",
     "Span",
     "SpanTracer",
     "disable",
@@ -120,6 +74,5 @@ __all__ = [
     "merge_snapshots",
     "merge_spans",
     "observed",
-    "percentile",
     "span_order",
 ]

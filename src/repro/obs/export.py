@@ -141,54 +141,21 @@ def _span_events(spans: Iterable[Span]) -> List[Dict[str, Any]]:
     return events
 
 
-def _recorder_events(recorder) -> List[Dict[str, Any]]:
-    """Render flight-recorder windows as Perfetto counter tracks.
-
-    One process per recorded job (pids start at 2000, clear of store
-    jobs at 1.. and span lanes at 1000..), one ``ph:"C"`` sample per
-    counter series per window at the window's start — so a recorder
-    replay draws the storm's shape (retry spikes, fault bursts) as
-    counter graphs alongside the campaign's slice lanes.
-    """
-    windows = recorder.history()
-    job_ids: Dict[int, str] = {}
-    for window in windows:
-        job_ids.setdefault(window.job_index, window.job_id)
-    pid_of = {job_index: 2000 + rank
-              for rank, job_index in enumerate(sorted(job_ids))}
-    events: List[Dict[str, Any]] = []
-    for job_index in sorted(job_ids):
-        events.append(_meta(pid_of[job_index], 0, "process_name",
-                            f"recorder:{job_ids[job_index]}"))
-    for window in windows:
-        pid = pid_of[window.job_index]
-        for name in sorted(window.delta.counters):
-            events.append({
-                "ph": "C", "pid": pid, "tid": 0, "name": name,
-                "ts": window.t_start_us,
-                "args": {"value": window.delta.counter_total(name)}})
-    return events
-
-
 def chrome_trace(store: Optional[TraceStore] = None,
                  spans: Optional[Iterable[Span]] = None,
                  metrics: Optional[MetricsSnapshot] = None,
-                 recorder=None,
                  title: str = "repro campaign") -> Dict[str, Any]:
     """Build one Trace Event JSON document from any mix of sources.
 
     Metric snapshots ride in ``otherData`` (Perfetto shows it in trace
     info) — counters have no timeline, so they annotate rather than
-    draw; a :class:`~repro.obs.live.FlightRecorder` *does* have a
-    timeline and draws as per-window counter tracks.
+    draw.
     """
     events: List[Dict[str, Any]] = []
     if store is not None:
         events.extend(_store_events(store))
     if spans is not None:
         events.extend(_span_events(spans))
-    if recorder is not None:
-        events.extend(_recorder_events(recorder))
     events.sort(key=lambda e: (e["ph"] != "M", e["pid"], e["tid"],
                                e.get("ts", -1), e["name"]))
     doc: Dict[str, Any] = {
@@ -224,37 +191,23 @@ def export_campaign(store_root: str, out_path: Optional[str] = None,
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.export",
-        description="Export a tracedb store and/or a flight-recorder "
-                    "file as Chrome trace-event JSON (open it at "
-                    "https://ui.perfetto.dev).")
-    parser.add_argument("--campaign", metavar="STORE_ROOT", default=None,
+        description="Export a tracedb store as Chrome trace-event JSON "
+                    "(open it at https://ui.perfetto.dev).")
+    parser.add_argument("--campaign", metavar="STORE_ROOT", required=True,
                         help="root directory of a tracedb store (a merged "
                              "campaign store or a single per-job store)")
-    parser.add_argument("--flight-recorder", metavar="FILE", default=None,
-                        help="a saved repro.obs.live flight-recorder JSON "
-                             "file; its windows render as counter tracks")
     parser.add_argument("-o", "--out", default=None, metavar="PATH",
                         help="output file (default: stdout)")
     parser.add_argument("--title", default="repro campaign")
     opts = parser.parse_args(argv)
-    if opts.campaign is None and opts.flight_recorder is None:
-        parser.error("pass --campaign and/or --flight-recorder")
-    store = (TraceStore.open(opts.campaign)
-             if opts.campaign is not None else None)
-    recorder = None
-    if opts.flight_recorder is not None:
-        from repro.obs.live import FlightRecorder
-        recorder = FlightRecorder.load(opts.flight_recorder)
-    data = render_bytes(chrome_trace(store=store, recorder=recorder,
+    data = render_bytes(chrome_trace(store=TraceStore.open(opts.campaign),
                                      title=opts.title))
     if opts.out:
         with open(opts.out, "wb") as fh:
             fh.write(data)
         slices = data.count(b'"ph":"X"')
-        counters = data.count(b'"ph":"C"')
         sys.stderr.write(f"wrote {opts.out}: {len(data)} bytes, "
-                         f"{slices} slice(s), {counters} counter "
-                         f"sample(s)\n")
+                         f"{slices} slice(s)\n")
     else:
         sys.stdout.write(data.decode("ascii"))
     return 0

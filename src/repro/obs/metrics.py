@@ -90,47 +90,6 @@ class Histogram:
                 return
         self.counts[-1] += 1
 
-    def percentile(self, q: float) -> Optional[float]:
-        """Bucket-interpolated percentile; see :func:`percentile`."""
-        return percentile(self, q)
-
-
-def percentile(hist: Any, q: float) -> Optional[float]:
-    """Bucket-interpolated percentile of a histogram series.
-
-    Accepts either a live :class:`Histogram` instrument or the plain
-    snapshot dict form (``{"bounds", "counts", "sum", "count"}``).
-    Within a bucket the value is linearly interpolated between the
-    previous bound and the bucket's own bound, and the estimate is
-    **exact on recorded bounds**: when the requested rank lands exactly
-    on a bucket's cumulative count, the bucket's upper bound is returned
-    unfudged. Observations past the last bound (the overflow bucket)
-    have no upper edge to interpolate against and clamp to
-    ``bounds[-1]``. Returns ``None`` for an empty series.
-    """
-    if isinstance(hist, Histogram):
-        bounds, counts, count = hist.bounds, hist.counts, hist.count
-    else:
-        bounds, counts, count = (tuple(hist["bounds"]),
-                                 list(hist["counts"]), hist["count"])
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    if count <= 0:
-        return None
-    rank = q * count / 100.0
-    cum = 0
-    lo = 0
-    for i, bound in enumerate(bounds):
-        c = counts[i]
-        if c:
-            if cum + c >= rank:
-                if rank <= cum:  # q == 0 lands on the bucket's low edge
-                    return float(lo)
-                return lo + (rank - cum) / c * (bound - lo)
-            cum += c
-        lo = bound
-    return float(bounds[-1])
-
 
 class MetricsSnapshot:
     """Picklable point-in-time registry state with canonical merge.
@@ -173,16 +132,6 @@ class MetricsSnapshot:
         table = self.counters.get(name) or self.gauges.get(name) or {}
         return sorted(table.items())
 
-    def histogram_percentile(self, name: str, q: float,
-                             **labels: Any) -> Optional[float]:
-        """:func:`percentile` of one histogram series (None if absent)."""
-        h = self.histograms.get(name, {}).get(_labels_key(labels))
-        return None if h is None else percentile(h, q)
-
-    def empty(self) -> bool:
-        """True when no series carries any data (the delta-skip test)."""
-        return not (self.counters or self.gauges or self.histograms)
-
     # -- merge -------------------------------------------------------------
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
@@ -218,66 +167,6 @@ class MetricsSnapshot:
                                  in zip(cur["counts"], h["counts"])]
                 cur["sum"] += h["sum"]
                 cur["count"] += h["count"]
-
-    def diff(self, prev: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The incremental change since *prev* — the heartbeat delta.
-
-        Counters and histograms subtract per series (zero-change series
-        are omitted, so an idle window diffs to an :meth:`empty`
-        snapshot; negative deltas are legal — bound stats surfaces may
-        shrink, e.g. a shed watch list — and re-merge correctly).
-        Gauges carry their *current* value, included only when it
-        changed, so folding a delta chain with :meth:`merge`
-        reconstructs the full snapshot under the documented
-        last-write-wins gauge rule. Never mutates either operand.
-        """
-        out = MetricsSnapshot()
-        for name, table in self.counters.items():
-            ptable = prev.counters.get(name, {})
-            if table == ptable:
-                continue
-            dst = None
-            for key, value in table.items():
-                d = value - ptable.get(key, 0)
-                if d:
-                    if dst is None:
-                        dst = out.counters.setdefault(name, {})
-                    dst[key] = d
-        for name, table in self.gauges.items():
-            ptable = prev.gauges.get(name, {})
-            if table == ptable:
-                continue
-            dst = None
-            for key, value in table.items():
-                if key not in ptable or ptable[key] != value:
-                    if dst is None:
-                        dst = out.gauges.setdefault(name, {})
-                    dst[key] = value
-        for name, table in self.histograms.items():
-            ptable = prev.histograms.get(name, {})
-            if table == ptable:
-                continue
-            for key, h in table.items():
-                p = ptable.get(key)
-                if p is not None and tuple(p["bounds"]) != tuple(h["bounds"]):
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ "
-                        "between snapshots; cannot diff")
-                if p is None:
-                    if h["count"]:
-                        out.histograms.setdefault(name, {})[key] = {
-                            "bounds": tuple(h["bounds"]),
-                            "counts": list(h["counts"]),
-                            "sum": h["sum"], "count": h["count"]}
-                    continue
-                if h["count"] != p["count"] or h["sum"] != p["sum"]:
-                    out.histograms.setdefault(name, {})[key] = {
-                        "bounds": tuple(h["bounds"]),
-                        "counts": [a - b for a, b
-                                   in zip(h["counts"], p["counts"])],
-                        "sum": h["sum"] - p["sum"],
-                        "count": h["count"] - p["count"]}
-        return out
 
     # -- canonical plain form ---------------------------------------------
 

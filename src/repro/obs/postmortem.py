@@ -103,40 +103,12 @@ def _metrics_section(metrics: Optional[MetricsSnapshot]) -> List[str]:
     return lines or ["  (no transport/chaos counters fired)"]
 
 
-def _recorder_section(recorder, job_index: int, top: int = 3) -> List[str]:
-    """The trajectory into death: the job's last aggregated windows.
-
-    Each surviving flight-recorder window for the job renders as one
-    line with its *top* counter deltas (largest magnitude first, name
-    tie-break) — how the storm built, not just where it landed.
-    """
-    windows = recorder.for_job(job_index)
-    if not windows:
-        return ["  (flight recorder holds no windows for this job)"]
-    lines = []
-    for window in windows:
-        deltas = sorted(
-            ((-abs(window.delta.counter_total(name)), name)
-             for name in window.delta.counters),
-            )[:top]
-        detail = ", ".join(
-            f"{name} {window.delta.counter_total(name):+d}"
-            for _, name in deltas) or "(idle)"
-        lines.append(f"  window {window.index:>3} "
-                     f"[{window.t_start_us:>9}..{window.t_end_us:>9})us: "
-                     f"{detail}")
-    return lines
-
-
 def job_postmortem(result, metrics: Optional[MetricsSnapshot] = None,
-                   tail: int = 20, recorder=None) -> str:
+                   tail: int = 20) -> str:
     """Render one failed :class:`~repro.fleet.jobs.JobResult` as text.
 
     Accepts non-failed results too (reported as such) so callers can
-    map it over a whole result list without filtering first. With a
-    :class:`~repro.obs.live.FlightRecorder` the report gains the
-    trajectory section — the job's last aggregated telemetry windows
-    leading into the failure.
+    map it over a whole result list without filtering first.
     """
     lines = [_RULE,
              f"POST-MORTEM  job #{result.index}  {result.job_id}",
@@ -159,10 +131,6 @@ def job_postmortem(result, metrics: Optional[MetricsSnapshot] = None,
     lines.append("")
     lines.append("transport/chaos counters at time of death:")
     lines.extend(_metrics_section(metrics))
-    if recorder is not None:
-        lines.append("")
-        lines.append("flight recorder (trajectory into death):")
-        lines.extend(_recorder_section(recorder, result.index))
     traceback_text = (error.get("traceback") or "").rstrip()
     if traceback_text:
         lines.append("")
@@ -174,16 +142,13 @@ def job_postmortem(result, metrics: Optional[MetricsSnapshot] = None,
 def campaign_postmortem(failures: Iterable[Any],
                         total_jobs: Optional[int] = None,
                         metrics: Optional[MetricsSnapshot] = None,
-                        tail: int = 20, recorder=None) -> str:
+                        tail: int = 20) -> str:
     """One report over every failed job of a campaign.
 
     *failures* is ``CampaignResult.failures`` (or any JobResult
-    iterable); pass the corpus size as *total_jobs* for the headline
-    and a live-plane :class:`~repro.obs.live.FlightRecorder` as
-    *recorder* for per-job trajectory sections. Deterministic:
-    failures are reported in canonical job-index order regardless of
-    completion order (size the recorder to the campaign — windows ≤
-    capacity — so its surviving set is canonical too).
+    iterable); pass the corpus size as *total_jobs* for the headline.
+    Deterministic: failures are reported in canonical job-index order
+    regardless of completion order.
     """
     failures = sorted(failures, key=lambda r: r.index)
     headline = (f"CAMPAIGN POST-MORTEM: {len(failures)} failed job(s)"
@@ -191,7 +156,6 @@ def campaign_postmortem(failures: Iterable[Any],
     if not failures:
         return headline + "\n\nall jobs completed; nothing to report\n"
     sections = [headline, ""]
-    sections.extend(job_postmortem(result, metrics=metrics, tail=tail,
-                                   recorder=recorder)
+    sections.extend(job_postmortem(result, metrics=metrics, tail=tail)
                     for result in failures)
     return "\n".join(sections)

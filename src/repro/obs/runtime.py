@@ -8,11 +8,9 @@ unused discipline (see ``repro.obs``'s package docstring and the
 ``obs.*_disabled_ratio`` ceilings in benchmarks/FLOORS.json).
 
 The mechanism is a single module-global holder, :data:`OBS`, with
-three slots: ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`
-or ``None``), ``spans`` (a :class:`~repro.obs.spans.SpanTracer` or
-``None``) and ``live`` (a :class:`~repro.obs.live.HeartbeatEmitter` or
-``None`` — the streaming plane, installed by fleet runners rather than
-by :func:`enable`). Disabled means the slot is ``None``, so the guard
+two slots: ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`
+or ``None``) and ``spans`` (a :class:`~repro.obs.spans.SpanTracer` or
+``None``). Disabled means the slot is ``None``, so the guard
 an instrumentation site pays is one attribute load and an
 ``is not None`` test — no dict lookup, no call, no allocation:
 
@@ -48,21 +46,13 @@ from repro.obs.spans import SpanTracer
 
 
 class _ObsState:
-    """The holder. One per process; every slot ``None`` when disabled.
+    """The holder. One per process; both slots ``None`` when disabled."""
 
-    ``live`` is the streaming plane's slot (a
-    :class:`~repro.obs.live.HeartbeatEmitter`); unlike the other two it
-    is managed by whoever owns the delta stream — fleet runners install
-    it around a run — so :func:`enable` leaves it alone and
-    :func:`disable` clears it like everything else.
-    """
-
-    __slots__ = ("metrics", "spans", "live")
+    __slots__ = ("metrics", "spans")
 
     def __init__(self) -> None:
         self.metrics: Optional[MetricsRegistry] = None
         self.spans: Optional[SpanTracer] = None
-        self.live = None  # Optional[repro.obs.live.HeartbeatEmitter]
 
 
 #: The process-wide telemetry holder. Import the *holder* (module
@@ -92,13 +82,11 @@ def disable() -> None:
     """Turn all telemetry off (hot paths go back to one None check)."""
     OBS.metrics = None
     OBS.spans = None
-    OBS.live = None
 
 
 def enabled() -> bool:
     """True if any telemetry facet is currently on."""
-    return (OBS.metrics is not None or OBS.spans is not None
-            or OBS.live is not None)
+    return OBS.metrics is not None or OBS.spans is not None
 
 
 @contextmanager
@@ -112,8 +100,8 @@ def observed(metrics: bool = True, spans: bool = True
             session.run(10_000)
         snap = reg.snapshot()
     """
-    prior = (OBS.metrics, OBS.spans, OBS.live)
+    prior = (OBS.metrics, OBS.spans)
     try:
         yield enable(metrics=metrics, spans=spans)
     finally:
-        OBS.metrics, OBS.spans, OBS.live = prior
+        OBS.metrics, OBS.spans = prior

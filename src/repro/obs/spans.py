@@ -103,8 +103,8 @@ def merge_spans(parts: Iterable[Iterable[Span]]) -> List[Span]:
 
     Sorted under :func:`span_order` — a genuine total order — so the
     merged list is byte-stable no matter which worker's spans arrive
-    first (concurrently-heartbeating workers deliver in wall-clock
-    completion order, which must never show in the output).
+    first (concurrent workers deliver in wall-clock completion order,
+    which must never show in the output).
     """
     merged: List[Span] = []
     for part in parts:

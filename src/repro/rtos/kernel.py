@@ -182,12 +182,6 @@ class DtmKernel:
 
     def _release_actor(self, actor: Actor) -> None:
         now = self.sim.now
-        live = OBS.live
-        if live is not None:
-            # the live plane's modeled clock: activation releases are
-            # dense enough to bound window-flush latency, rare enough
-            # (never per instruction) to keep the guard one None check
-            live.tick(now)
         runtime = self._nodes[actor.node]
         index = self._job_index[actor.name]
         self._job_index[actor.name] += 1

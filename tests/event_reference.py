@@ -28,7 +28,6 @@ from unittest import mock
 
 from repro.comm.protocol import Command
 from repro.gdm.model import CommandBinding, GdmElement, GdmLink, GdmModel
-from repro.obs.runtime import OBS
 from repro.rtos.kernel import DtmKernel
 from repro.rtos.task import ActiveJob, JobRecord
 
@@ -142,9 +141,6 @@ class HeapSimulator:
 def reference_release_actor(self: DtmKernel, actor) -> None:
     """``DtmKernel._release_actor`` with a symbol lookup per port."""
     now = self.sim.now
-    live = OBS.live
-    if live is not None:
-        live.tick(now)
     runtime = self._nodes[actor.node]
     index = self._job_index[actor.name]
     self._job_index[actor.name] += 1

@@ -175,3 +175,8 @@ class TestCli:
         out = tmp_path / "t.json"
         data = export_campaign(campaign_root, out_path=str(out))
         assert out.read_bytes() == data
+
+    def test_export_requires_a_source(self):
+        with pytest.raises(SystemExit) as exc:
+            export_main([])
+        assert exc.value.code == 2

@@ -34,17 +34,7 @@ from repro.experiments import (
     traffic_light_monitor_suite,
 )
 from repro.faults import run_campaign
-from repro.fleet import FleetRunner, SerialRunner
-from repro.obs import (
-    OBS,
-    HeartbeatConfig,
-    HeartbeatEmitter,
-    LiveAggregator,
-    disable,
-    observed,
-)
-from repro.obs.export import export_campaign
-from repro.tracedb import campaign_store_root
+from repro.obs import disable, observed
 from repro.util.timeunits import ms, sec
 
 cell_value = st.integers(-(2 ** 31), 2 ** 31 - 1)
@@ -118,61 +108,3 @@ class TestCampaignIdentity:
             watched = fingerprint()
         assert watched == bare
 
-
-class TestLiveIdentity:
-    """Heartbeats are telemetry too: on vs off changes no observable bit."""
-
-    CAMPAIGN_KW = dict(design_kinds=("wrong_target",),
-                       impl_kinds=("inverted_branch",), seeds=(1,),
-                       duration_us=sec(1))
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2 ** 16))
-    def test_heartbeats_never_perturb_chaos_sessions(self, seed):
-        kw = dict(chaos=ChaosConfig(seed=seed, transient_error=0.15,
-                                    read_corrupt=0.02),
-                  retry=RetryPolicy(max_attempts=5, backoff_us=50,
-                                    seed=seed))
-        disable()
-        bare = session_transcript(**kw)
-        agg = LiveAggregator(HeartbeatConfig(period_us=ms(5)))
-        with observed():
-            OBS.live = HeartbeatEmitter(agg.config, agg.feed, source="hb")
-            watched = session_transcript(**kw)
-            OBS.live.close()
-        assert watched == bare
-        # ...and the heartbeats genuinely flowed while we proved it
-        assert agg.windows_fed > 0
-
-    def test_heartbeat_campaign_fingerprint_and_store_identical(
-            self, tmp_path):
-        def campaign(root, runner):
-            result = run_campaign(
-                traffic_light_system, traffic_light_monitor_suite,
-                traffic_light_code_watches, runner=runner,
-                trace_dir=str(root), **self.CAMPAIGN_KW)
-            return (result.summary_rows(),
-                    export_campaign(campaign_store_root(str(root))))
-
-        disable()
-        bare = campaign(tmp_path / "bare", SerialRunner())
-        agg = LiveAggregator(HeartbeatConfig(period_us=250_000))
-        beating = campaign(tmp_path / "live", SerialRunner(live=agg))
-        assert beating == bare
-        assert agg.windows_fed > 0
-
-    def test_serial_vs_fleet_alert_transcript_identical(self):
-        # a second window width (offset from the exemplar's 250ms) so
-        # the serial==fleet property is not one lucky period
-        def transcript(runner_of):
-            agg = LiveAggregator(HeartbeatConfig(period_us=125_000))
-            run_campaign(
-                traffic_light_system, traffic_light_monitor_suite,
-                traffic_light_code_watches, runner=runner_of(agg),
-                **self.CAMPAIGN_KW)
-            return agg.close()
-
-        disable()
-        serial = transcript(lambda agg: SerialRunner(live=agg))
-        fleet = transcript(lambda agg: FleetRunner(workers=2, live=agg))
-        assert serial == fleet

@@ -3,9 +3,8 @@ bookkeeping on a virtual clock, and crash/timeout containment against
 the process backend.
 
 The load-bearing property: ANY forced completion order over any worker
-count yields byte-identical canonical merge, campaign fingerprint,
-trace store and live-alert transcript vs ``SerialRunner`` at the same
-master seed. Hypothesis drives the completion orders through
+count yields byte-identical canonical merge, campaign fingerprint and
+trace store vs ``SerialRunner`` at the same master seed. Hypothesis drives the completion orders through
 ``sched_harness.SteppedInlineBackend``, which executes the real
 ``run_job`` path for one caller-chosen virtual worker per poll.
 """
@@ -36,11 +35,9 @@ from repro.fleet import (
     callable_ref,
     enumerate_campaign_jobs,
     merge_results,
-    serial_live_scope,
 )
 from repro.fleet.sched import VirtualClock
 from repro.fleet.worker import run_job
-from repro.obs.live import LiveAggregator
 from repro.tracedb import campaign_store_root
 from repro.util.timeunits import sec
 from sched_harness import SteppedInlineBackend
@@ -100,7 +97,7 @@ class TestAnyScheduleIsLossless:
 
 
 # ---------------------------------------------------------------------------
-# permutation invariance, real half: campaign + store + transcript bytes
+# permutation invariance, real half: campaign + store bytes
 
 KW = dict(design_kinds=("wrong_target", "remove_transition"),
           impl_kinds=(), comm_kinds=(), seeds=(1,), duration_us=sec(1),
@@ -112,10 +109,8 @@ def _campaign_under(schedule_run, trace_dir):
         traffic_light_system, traffic_light_monitor_suite,
         traffic_light_code_watches, plan=InstrumentationPlan.full(),
         trace_dir=trace_dir, **KW)
-    aggregator = LiveAggregator()
-    results = schedule_run(specs, aggregator)
-    merged = merge_results(specs, results, trace_dir=trace_dir)
-    return merged, aggregator.close()
+    results = schedule_run(specs)
+    return merge_results(specs, results, trace_dir=trace_dir)
 
 
 def _fingerprint(result):
@@ -141,11 +136,8 @@ def _store_bytes(trace_dir):
 def serial_reference(tmp_path_factory):
     trace_dir = str(tmp_path_factory.mktemp("sched_serial") / "traces")
 
-    def serial(specs, aggregator):
-        return SerialRunner(live=aggregator).run(specs)
-
-    merged, transcript = _campaign_under(serial, trace_dir)
-    return _fingerprint(merged), _store_bytes(trace_dir), transcript
+    merged = _campaign_under(SerialRunner().run, trace_dir)
+    return _fingerprint(merged), _store_bytes(trace_dir)
 
 
 class TestStealScheduleByteIdentity:
@@ -155,25 +147,23 @@ class TestStealScheduleByteIdentity:
     @settings(max_examples=6, deadline=None)
     def test_forced_interleavings_match_serial_byte_for_byte(
             self, serial_reference, workers, order):
-        ref_fingerprint, ref_store, ref_transcript = serial_reference
+        ref_fingerprint, ref_store = serial_reference
         trace_dir = tempfile.mkdtemp(prefix="sched_hyp_")
         shutil.rmtree(trace_dir)  # enumerate wants to create it fresh
 
         def choose(busy, step):
             return busy[order[step % len(order)] % len(busy)]
 
-        def stepped(specs, aggregator):
-            with serial_live_scope(aggregator):
-                scheduler = ElasticScheduler(
-                    SteppedInlineBackend(workers, choose, run_job))
-                by_index = scheduler.run(specs)
+        def stepped(specs):
+            scheduler = ElasticScheduler(
+                SteppedInlineBackend(workers, choose, run_job))
+            by_index = scheduler.run(specs)
             return [by_index[s.index] for s in specs]
 
         try:
-            merged, transcript = _campaign_under(stepped, trace_dir)
+            merged = _campaign_under(stepped, trace_dir)
             assert _fingerprint(merged) == ref_fingerprint
             assert _store_bytes(trace_dir) == ref_store
-            assert transcript == ref_transcript
         finally:
             shutil.rmtree(trace_dir, ignore_errors=True)
 
