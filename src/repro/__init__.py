@@ -60,7 +60,7 @@ from repro.engine.classify import BugClass, classify_bug
 from repro.engine.engine import DebuggerEngine, EngineState
 from repro.engine.inspector import ModelInspector
 from repro.engine.replay import ReplayPlayer
-from repro.engine.session import DebugSession, TransportBudget
+from repro.engine.session import DebugSession
 from repro.engine.timing_diagram import TimingDiagram
 from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.store import load_gdm, save_gdm
@@ -95,7 +95,7 @@ __all__ = [
     "default_comdes_table", "AbstractionGuide", "AbstractionEngine",
     "GdmModel", "CommandBinding", "DebuggerEngine", "EngineState",
     "StateEntryBreakpoint", "SignalConditionBreakpoint",
-    "ReplayPlayer", "TimingDiagram", "DebugSession", "TransportBudget",
+    "ReplayPlayer", "TimingDiagram", "DebugSession",
     "ModelInspector",
     "CommandSetupDialog", "save_gdm", "load_gdm",
     "BugClass", "classify_bug",

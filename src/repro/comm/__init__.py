@@ -48,35 +48,14 @@ state restoration) are grouped into contiguous runs by
 :func:`~repro.comm.link.write_patches` and each run moves as one
 MEMADDR + BLOCKWRITE sequence inside a single transaction.
 
-**Fault injection, retry, and degradation.** Real debug transports lose
-frames, corrupt bits and wedge mid-campaign; the robustness layer models
-that without giving up reproducibility. Two stackable link wrappers
-(:mod:`repro.comm.chaos`, :mod:`repro.comm.retry`) and a session-level
-degradation policy (:class:`repro.engine.session.DegradationPolicy`)
-obey three invariants:
-
-* **determinism at a fixed seed** — every injected fault, every retry
-  and every backoff delay is a pure function of the chaos seed and the
-  operation index (:func:`repro.util.seeds.derive_seed` per-op streams,
-  never shared RNG state), so two runs at the same seed produce
-  byte-identical command transcripts, ``transport_stats()`` and
-  degradation event logs — a failing chaos run is replayable, exactly
-  like a failing fault-injection run;
-* **zero overhead when disabled** — a :class:`~repro.comm.chaos.ChaosLink`
-  with all rates at 0.0 performs no hashing and draws no randomness on
-  the hot path (one attribute check per op), so wrappers can stay in
-  the stack permanently and the perf floors gate that claim
-  (``benchmarks/perf_chaos.py``);
-* **idempotency-aware retries** — :class:`~repro.comm.retry.RetryingLink`
-  retries BLOCKREAD-class operations freely (reads have no side
-  effects), but a write retry first verify-reads the target range and
-  re-issues only on mismatch, so a write whose completion ack was lost
-  is never blindly doubled. Frame transmission is fire-and-forget and
-  never retried (the decoder's checksum already rejects corrupt
-  frames). Exhausted retries raise a structured
-  :class:`~repro.errors.LinkDownError`; budget-busting passive plans
-  degrade (slower polls, split plans, shed watches) under a
-  ``DegradationPolicy`` instead of raising.
+**Comm faults.** Real serial wires lose, corrupt, duplicate and delay
+command frames. :class:`~repro.comm.chaos.ChaosLink` wraps an active
+channel's serial link and injects those four frame faults on a schedule
+that is a pure function of the chaos seed and the frame index
+(:func:`repro.util.seeds.derive_seed`), so two runs at the same seed
+produce byte-identical command transcripts and ``transport_stats()``.
+With every rate at 0.0 the wrapper draws no randomness. The campaign's
+comm-fault plane (:mod:`repro.faults.comm`) is its one user.
 """
 
 from repro.comm.protocol import Command, CommandKind
@@ -98,7 +77,6 @@ from repro.comm.channel import (
     PollPlan,
 )
 from repro.comm.chaos import ChaosConfig, ChaosLink
-from repro.comm.retry import RetryPolicy, RetryingLink
 
 __all__ = [
     "Command", "CommandKind",
@@ -108,5 +86,5 @@ __all__ = [
     "TapState", "TapController", "JtagProbe", "group_runs",
     "DebugLink", "DirectLink", "JtagLink", "SerialLink", "write_patches",
     "DebugChannel", "ActiveChannel", "PassiveChannel", "PollPlan",
-    "ChaosConfig", "ChaosLink", "RetryPolicy", "RetryingLink",
+    "ChaosConfig", "ChaosLink",
 ]

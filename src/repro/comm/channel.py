@@ -26,7 +26,7 @@ from repro.comm.jtag import JtagProbe, group_runs
 from repro.comm.link import DebugLink, JtagLink, SerialLink
 from repro.comm.protocol import Command, CommandKind
 from repro.comm.rs232 import Rs232Link
-from repro.errors import CommError, LinkDownError, TransientLinkError
+from repro.errors import CommError
 from repro.obs.runtime import OBS
 from repro.sim.kernel import Simulator
 from repro.target.board import Board
@@ -257,11 +257,7 @@ class PassiveChannel(DebugChannel):
         self.firmware = firmware
         self.watches = list(watches)
         self.poll_period_us = poll_period_us
-        #: the period the channel was configured with — degradation caps
-        #: (DegradationPolicy.max_slowdown) are written against this
-        self.initial_poll_period_us = poll_period_us
         self.polls = 0
-        self.polls_failed = 0
         self.scan_us_total = 0
         if OBS.metrics is not None:
             # the channel's poll books become poll.* registry series
@@ -269,19 +265,11 @@ class PassiveChannel(DebugChannel):
             OBS.metrics.bind_stats(
                 "poll",
                 lambda: {"polls": self.polls,
-                         "polls_failed": self.polls_failed,
                          "scan_us_total": self.scan_us_total,
-                         "watches": len(self.watches),
-                         "shed": len(self.shed)},
+                         "watches": len(self.watches)},
                 owner=self)
         self.plan: Optional[PollPlan] = None
-        self.shed: List[str] = []  #: symbols dropped by shed_watches
-        self._addrs: List[int] = []  # resolved once at start()
         self._last: List[int] = []
-        self._baseline_scan_us = 0
-        self._stride = 1
-        self._phase = 0
-        self._groups: List[Tuple[List[int], PollPlan]] = []
         self._running = False
         for watch in self.watches:
             firmware.symbols.lookup(watch.symbol)  # fail fast on bad names
@@ -290,135 +278,36 @@ class PassiveChannel(DebugChannel):
         """Compile the poll plan, baseline all watches, poll periodically.
 
         Symbol resolution happens here, exactly once per watch — polls
-        never consult the symbol table again, and neither do the
-        degradation-time plan recompiles (:meth:`set_stride`,
-        :meth:`shed_watches`), which reuse the addresses resolved here.
+        never consult the symbol table again.
         """
         if self._running:
             raise CommError("passive channel already started")
         self._running = True
         symbols = self.firmware.symbols
-        self._addrs = [symbols.addr_of(w.symbol) for w in self.watches]
-        self._recompile()
-        try:
-            self._last, self._baseline_scan_us = self.link.read_scatter(
-                self.plan.addrs)
-        except (TransientLinkError, LinkDownError):
-            # a wire that is down at start() must not kill the session:
-            # baseline to "never seen", so the first successful poll
-            # reports every watch as changed
-            self._last = [None] * len(self._addrs)
-            self._baseline_scan_us = 0
+        self.plan = PollPlan([symbols.addr_of(w.symbol)
+                              for w in self.watches])
+        self._last, _ = self.link.read_scatter(self.plan.addrs)
         self.sim.schedule(self.poll_period_us, self._poll)
 
     def stop(self) -> None:
         """Stop scheduling polls (takes effect at the next tick)."""
         self._running = False
 
-    # -- degradation hooks (driven by engine.session.DegradationPolicy) -----
-
-    def set_poll_period(self, period_us: int) -> None:
-        """Change the poll rate; takes effect when the next poll reschedules."""
-        if period_us <= 0:
-            raise CommError(f"poll period must be positive, got {period_us}")
-        self.poll_period_us = period_us
-
-    def set_stride(self, stride: int) -> None:
-        """Split the poll plan into *stride* contiguous groups.
-
-        Each tick polls one group round-robin, so per-tick transport
-        drops to ~1/stride of the full plan (still one transaction per
-        tick) while every watch is still visited every ``stride`` ticks
-        — change-detection latency trades against bus occupancy.
-        """
-        if stride < 1:
-            raise CommError(f"stride must be >= 1, got {stride}")
-        self._stride = min(stride, len(self.watches))
-        self._recompile()
-
-    @property
-    def stride(self) -> int:
-        """How many groups the poll plan is currently split into."""
-        return self._stride
-
-    def shed_watches(self, count: int = 1) -> List[str]:
-        """Drop the *count* lowest-priority (last-listed) watches.
-
-        Watch order is priority order by convention (default_watches
-        lists state machines before output signals), so shedding from
-        the end gives up the least critical observability first.
-        Returns the dropped symbols; never sheds the last watch.
-        """
-        dropped: List[str] = []
-        while count > 0 and len(self.watches) > 1:
-            watch = self.watches.pop()
-            self._addrs.pop()
-            if self._last:
-                self._last.pop()
-            dropped.append(watch.symbol)
-            count -= 1
-        if dropped:
-            self.shed.extend(dropped)
-            self._recompile()
-        return dropped
-
-    def _recompile(self) -> None:
-        """Rebuild plan + stride groups from the stored resolved addrs."""
-        self.plan = PollPlan(self._addrs)
-        self._stride = min(self._stride, max(1, len(self._addrs)))
-        if self._stride == 1:
-            self._groups = []
-            return
-        per = -(-len(self._addrs) // self._stride)  # ceil division
-        self._groups = []
-        for g in range(self._stride):
-            indices = list(range(g * per, min((g + 1) * per,
-                                              len(self._addrs))))
-            if indices:
-                self._groups.append(
-                    (indices, PollPlan([self._addrs[i] for i in indices])))
-
-    def estimated_tick(self) -> Tuple[int, int]:
-        """Per-tick transport estimate ``(words, cost_us)`` for budget
-        projection: the baseline scan scaled to the current plan split."""
-        total = max(1, len(self._addrs))
-        if self._stride <= 1 or not self._groups:
-            return total, max(1, self._baseline_scan_us)
-        words = -(-total // self._stride)
-        cost = max(1, self._baseline_scan_us * words // total)
-        return words, cost
-
-    # -- the poll path -------------------------------------------------------
-
     def _poll(self) -> None:
         if not self._running:
             return
         self.polls += 1
         t_poll = self.sim.now
-        if self._stride > 1 and self._groups:
-            indices, plan = self._groups[self._phase % len(self._groups)]
-            self._phase += 1
-        else:
-            indices, plan = None, self.plan
-        try:
-            values, scan_cost = self.link.read_scatter(plan.addrs)
-        except (TransientLinkError, LinkDownError):
-            # the wire ate this poll; the next tick resamples everything
-            self.polls_failed += 1
-            if OBS.metrics is not None:
-                OBS.metrics.counter("poll.failed",
-                                    channel=self.link.label).inc()
-            self.sim.schedule(self.poll_period_us, self._poll)
-            return
+        addrs = self.plan.addrs
+        values, scan_cost = self.link.read_scatter(addrs)
         self.scan_us_total += scan_cost
         if OBS.spans is not None:
             # one slice per poll scan, timed by the transport cost model
             OBS.spans.emit("poll", t_poll, scan_cost,
                            track=("comm", self.link.label), cat="poll",
-                           args={"words": len(plan.addrs)})
+                           args={"words": len(addrs)})
         last = self._last
-        for offset, value in enumerate(values):
-            index = indices[offset] if indices is not None else offset
+        for index, value in enumerate(values):
             if value == last[index]:
                 continue
             last[index] = value
@@ -428,8 +317,8 @@ class PassiveChannel(DebugChannel):
             kind, path, mapped = made
             self.sim.schedule(scan_cost, self._deliver_change,
                               kind, path, mapped, t_poll)
-        # self-scheduled (not sim.every): period changes take effect at
-        # the next tick, and a stopped channel stops cleanly
+        # self-scheduled (not sim.every) so a stopped channel stops
+        # cleanly
         self.sim.schedule(self.poll_period_us, self._poll)
 
     def _deliver_change(self, kind: CommandKind, path: str, value: int,

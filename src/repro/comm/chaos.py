@@ -1,116 +1,84 @@
 """Deterministic transport fault injection: ChaosLink.
 
-Real debug transports lose frames, flip bits, stall and drop out; the
-rest of this framework assumed a perfect wire. :class:`ChaosLink` wraps
-any :class:`~repro.comm.link.DebugLink` and injects wire faults whose
-schedule is **seeded and deterministic**: every operation draws its
-fault decisions from a :class:`random.Random` seeded by
-:func:`~repro.util.seeds.derive_seed` over ``(seed, plane, op_index)``,
-so two runs at the same seed produce byte-identical fault schedules,
-transcripts and transport accounting — chaos experiments replay exactly.
+Real debug transports lose, flip, double and delay frames; the rest of
+this framework assumed a perfect wire. :class:`ChaosLink` wraps a
+serial :class:`~repro.comm.link.DebugLink` and injects faults into its
+command-frame stream (``transmit_frame``) on a **seeded, deterministic**
+schedule: every frame draws its fault decisions from a
+:class:`random.Random` seeded by :func:`~repro.util.seeds.derive_seed`
+over ``(seed, "frame", op_index)``, so two runs at the same seed
+produce byte-identical fault schedules, transcripts and transport
+accounting — chaos experiments replay exactly.
 
-Fault classes (all independently rated, all off by default):
-
-* **frame plane** (serial command stream through ``transmit_frame``) —
-  frame loss (the wire delivers nothing), byte corruption (one bit flip,
-  surfacing as a checksum failure in the
-  :class:`~repro.comm.frames.FrameDecoder`), duplication (the frame
-  arrives twice), reordering (delivery delayed past later frames);
-* **memory plane** (JTAG-class reads/writes) — transient transaction
-  errors (:class:`~repro.errors.TransientLinkError`; writes fail with
-  lost-ack semantics about half the time, i.e. the write *landed* but
-  the host cannot know), read corruption (one bit flip in one returned
-  word), latency spikes (the op succeeds but costs extra);
-* **link drop** — a multi-op outage window during which every memory op
-  fails; :meth:`drop`/:meth:`reattach` give tests manual control.
+Fault classes (all independently rated, all off by default): frame loss
+(the wire delivers nothing), byte corruption (one bit flip, surfacing as
+a checksum failure in the :class:`~repro.comm.frames.FrameDecoder`),
+duplication (the frame arrives twice) and reordering (delivery delayed
+past later frames).
 
 Invariants:
 
 * **determinism** — the schedule is a pure function of ``(seed,
   op_index)``; concurrency, wall clock and host state never enter it;
-* **zero overhead when disabled** — with every rate at 0.0 each op is a
-  straight delegate: no RNG construction, no hashing, no draws;
+* **zero overhead when disabled** — with every rate at 0.0 each frame
+  is a straight delegate: no RNG construction, no hashing, no draws;
 * **transparent accounting** — the wrapper mirrors the inner link's
-  counter deltas (plus its own chaos surcharges), so budgets and
-  ``transport_stats()`` see one link with honest books. Failed attempts
-  book one transaction at zero cost: a round trip that went nowhere.
+  counter deltas, so ``transport_stats()`` sees one link with honest
+  books.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.comm.link import DebugLink
-from repro.errors import CommError, TransientLinkError
+from repro.errors import CommError
 from repro.obs.runtime import OBS
 from repro.util.seeds import derive_seed
 
-#: counters every wrapper mirrors from its inner link
+#: counters the wrapper mirrors from its inner link
 _MIRRORED = ("transactions", "words_read", "words_written",
              "frames_carried", "cost_us_total")
 
 
 class ChaosConfig:
-    """Fault rates and shape parameters for one :class:`ChaosLink`.
+    """Fault rates for one :class:`ChaosLink`.
 
-    All rates are probabilities in ``[0, 1]`` per operation. A config
-    with every rate at zero is *disabled*: the link adds no overhead and
-    never constructs an RNG. ``seed`` is the master chaos seed;
-    :meth:`with_seed` derives per-link copies so multi-node sessions
-    give every link an independent (but reproducible) schedule.
+    All rates are probabilities in ``[0, 1]`` per frame. A config with
+    every rate at zero is *disabled*: the link adds no overhead and never
+    constructs an RNG. ``seed`` is the master chaos seed;
+    :meth:`with_seed` derives per-link copies so multi-node rigs give
+    every link an independent (but reproducible) schedule.
     """
 
     __slots__ = ("seed", "frame_loss", "frame_corrupt", "frame_reorder",
-                 "reorder_delay_us", "frame_duplicate", "transient_error",
-                 "read_corrupt", "latency_spike", "latency_spike_us",
-                 "link_drop", "drop_ops", "record_schedule")
+                 "reorder_delay_us", "frame_duplicate")
 
     _RATES = ("frame_loss", "frame_corrupt", "frame_reorder",
-              "frame_duplicate", "transient_error", "read_corrupt",
-              "latency_spike", "link_drop")
+              "frame_duplicate")
 
     def __init__(self, seed: int = 0,
                  frame_loss: float = 0.0,
                  frame_corrupt: float = 0.0,
                  frame_reorder: float = 0.0,
                  reorder_delay_us: int = 2000,
-                 frame_duplicate: float = 0.0,
-                 transient_error: float = 0.0,
-                 read_corrupt: float = 0.0,
-                 latency_spike: float = 0.0,
-                 latency_spike_us: int = 1000,
-                 link_drop: float = 0.0,
-                 drop_ops: int = 3,
-                 record_schedule: bool = False) -> None:
+                 frame_duplicate: float = 0.0) -> None:
         for name, value in (("frame_loss", frame_loss),
                             ("frame_corrupt", frame_corrupt),
                             ("frame_reorder", frame_reorder),
-                            ("frame_duplicate", frame_duplicate),
-                            ("transient_error", transient_error),
-                            ("read_corrupt", read_corrupt),
-                            ("latency_spike", latency_spike),
-                            ("link_drop", link_drop)):
+                            ("frame_duplicate", frame_duplicate)):
             if not (0.0 <= value <= 1.0):
                 raise CommError(f"{name} must be a probability in [0, 1], "
                                 f"got {value}")
-        if reorder_delay_us < 0 or latency_spike_us < 0:
+        if reorder_delay_us < 0:
             raise CommError("chaos delays must be non-negative")
-        if drop_ops < 1:
-            raise CommError(f"drop_ops must be >= 1, got {drop_ops}")
         self.seed = seed
         self.frame_loss = frame_loss
         self.frame_corrupt = frame_corrupt
         self.frame_reorder = frame_reorder
         self.reorder_delay_us = reorder_delay_us
         self.frame_duplicate = frame_duplicate
-        self.transient_error = transient_error
-        self.read_corrupt = read_corrupt
-        self.latency_spike = latency_spike
-        self.latency_spike_us = latency_spike_us
-        self.link_drop = link_drop
-        self.drop_ops = drop_ops
-        self.record_schedule = record_schedule
 
     @property
     def enabled(self) -> bool:
@@ -132,21 +100,31 @@ class ChaosConfig:
                 f"{' '.join(active) or 'disabled'}>")
 
 
-class _Wrapper(DebugLink):
-    """Shared plumbing for links that wrap another link.
+class ChaosLink(DebugLink):
+    """Seeded frame-fault injection over a serial :class:`DebugLink`.
 
-    Unknown attributes (``probe``, ``line``, ``board``,
-    ``host_latency_us``...) delegate to the wrapped link, so a wrapped
-    transport stays a drop-in replacement for channel code that reaches
-    through. Accounting does **not** delegate: the wrapper keeps its own
-    books, fed by mirroring the inner link's counter deltas.
+    Unknown attributes (``line``, ``board``, ``host_latency_us``...)
+    delegate to the wrapped link, so a wrapped transport stays a drop-in
+    replacement for channel code that reaches through. Accounting does
+    **not** delegate: the wrapper keeps its own books, fed by mirroring
+    the inner link's counter deltas.
     """
 
-    def __init__(self, inner: DebugLink) -> None:
+    kind = "chaos"
+
+    def __init__(self, inner: DebugLink,
+                 config: Optional[ChaosConfig] = None) -> None:
         super().__init__()
         self.inner = inner
         self.label = inner.label
         self.kind = f"{type(self).kind}[{inner.kind}]"
+        self.config = config if config is not None else ChaosConfig()
+        self._frame_ops = 0
+        # chaos accounting, surfaced via stats()
+        self.frames_lost = 0
+        self.frames_corrupted = 0
+        self.frames_duplicated = 0
+        self.frames_reordered = 0
 
     def __getattr__(self, name: str):
         # only reached for attributes missing on the wrapper itself;
@@ -160,12 +138,11 @@ class _Wrapper(DebugLink):
     def _snapshot(self) -> Tuple[int, ...]:
         return tuple(getattr(self.inner, key) for key in _MIRRORED)
 
-    def _mirror(self, before: Tuple[int, ...], extra_cost_us: int = 0) -> None:
-        """Fold the inner link's counter deltas (plus surcharges) in."""
+    def _mirror(self, before: Tuple[int, ...]) -> None:
+        """Fold the inner link's counter deltas in."""
         for key, prior in zip(_MIRRORED, before):
             setattr(self, key, getattr(self, key)
                     + getattr(self.inner, key) - prior)
-        self.cost_us_total += extra_cost_us
 
     def halt_target(self) -> None:
         self.inner.halt_target()
@@ -173,223 +150,14 @@ class _Wrapper(DebugLink):
     def resume_target(self) -> None:
         self.inner.resume_target()
 
-
-class ChaosLink(_Wrapper):
-    """Seeded wire-fault injection over any :class:`DebugLink`."""
-
-    kind = "chaos"
-
-    def __init__(self, inner: DebugLink,
-                 config: Optional[ChaosConfig] = None) -> None:
-        super().__init__(inner)
-        self.config = config if config is not None else ChaosConfig()
-        self._mem_ops = 0
-        self._frame_ops = 0
-        self._down_until_op = -1  # memory-op index the outage ends before
-        self._manual_down = False
-        # chaos accounting, surfaced via stats()
-        self.frames_lost = 0
-        self.frames_corrupted = 0
-        self.frames_duplicated = 0
-        self.frames_reordered = 0
-        self.transient_errors = 0
-        self.reads_corrupted = 0
-        self.latency_spikes = 0
-        self.link_drops = 0
-        #: fault schedule log when ``config.record_schedule`` is set:
-        #: ``(plane, op_index, op, fault)`` tuples in injection order
-        self.schedule: List[Tuple[str, int, str, str]] = []
-
-    # -- manual outage control ---------------------------------------------
-
-    def drop(self) -> None:
-        """Take the link down until :meth:`reattach` (models a pulled cable)."""
-        if not self._manual_down:
-            self._manual_down = True
-            self.link_drops += 1
-
-    def reattach(self) -> None:
-        """Bring a manually dropped link back up."""
-        self._manual_down = False
-
-    @property
-    def down(self) -> bool:
-        """Whether the link is currently in an outage window."""
-        return self._manual_down or self._mem_ops < self._down_until_op
-
-    # -- the seeded schedule -----------------------------------------------
-
-    def _rng(self, plane: str, op_index: int) -> random.Random:
-        return random.Random(derive_seed(self.config.seed, plane, op_index))
-
-    def _record(self, plane: str, op_index: int, op: str, fault: str) -> None:
+    def _record(self, fault: str) -> None:
         # every injected fault funnels through here, so this is the one
         # telemetry tap for chaos outcomes: a chaos.fault series per
-        # (plane, fault kind). The aggregate counters stay on stats()
-        # (bound as link.* series by DebugLink).
+        # fault kind. The aggregate counters stay on stats() (bound as
+        # link.* series by DebugLink).
         if OBS.metrics is not None:
-            OBS.metrics.counter("chaos.fault", plane=plane,
+            OBS.metrics.counter("chaos.fault", plane="frame",
                                 fault=fault).inc()
-        if self.config.record_schedule:
-            self.schedule.append((plane, op_index, op, fault))
-
-    def _fail(self, plane: str, op_index: int, op: str, fault: str,
-              reason: str) -> None:
-        """Book a failed round trip and raise the transient error."""
-        self.transient_errors += 1
-        self._account(0)  # a transaction happened; it carried nothing
-        self._record(plane, op_index, op, fault)
-        raise TransientLinkError(op, reason)
-
-    def _mem_gate(self, op: str) -> Tuple[int, int, bool]:
-        """Pre-op chaos for the memory plane.
-
-        Returns ``(op_index, extra_latency_us, corrupt_read)``; raises
-        :class:`TransientLinkError` for outage windows and read-side
-        transient failures. Write-side transients are decided here too
-        but half of them are *lost acks* — the caller is told to execute
-        the write first and fail after (see :meth:`_write_gate`).
-        """
-        op_index = self._mem_ops
-        self._mem_ops += 1
-        if self._manual_down:
-            self._fail("mem", op_index, op, "manual_drop", "link is down")
-        cfg = self.config
-        if not cfg.enabled:
-            return op_index, 0, False
-        if op_index < self._down_until_op:
-            self._fail("mem", op_index, op, "link_down",
-                       "link is in an outage window")
-        rng = self._rng("mem", op_index)
-        # fixed draw order: drop, transient, spike, corrupt — every op
-        # consumes the same stream shape, so the schedule is stable
-        r_drop = rng.random()
-        r_transient = rng.random()
-        r_spike = rng.random()
-        r_corrupt = rng.random()
-        if r_drop < cfg.link_drop:
-            self.link_drops += 1
-            self._down_until_op = op_index + 1 + cfg.drop_ops
-            self._fail("mem", op_index, op, "link_drop",
-                       "link dropped mid-operation")
-        if r_transient < cfg.transient_error:
-            self._fail("mem", op_index, op, "transient",
-                       "transaction glitched")
-        extra = 0
-        if r_spike < cfg.latency_spike:
-            extra = cfg.latency_spike_us
-            self.latency_spikes += 1
-            self._record("mem", op_index, op, "latency_spike")
-        corrupt = r_corrupt < cfg.read_corrupt
-        return op_index, extra, corrupt
-
-    def _write_gate(self, op: str) -> Tuple[int, int, bool]:
-        """Memory-plane chaos for writes.
-
-        Same schedule as reads, except a transient failure flips a coin
-        between *rejected* (the write never executed) and *lost ack*
-        (the write executed; the completion was lost). Returns
-        ``(op_index, extra_latency_us, fail_after)``.
-        """
-        op_index = self._mem_ops
-        self._mem_ops += 1
-        if self._manual_down:
-            self._fail("mem", op_index, op, "manual_drop", "link is down")
-        cfg = self.config
-        if not cfg.enabled:
-            return op_index, 0, False
-        if op_index < self._down_until_op:
-            self._fail("mem", op_index, op, "link_down",
-                       "link is in an outage window")
-        rng = self._rng("mem", op_index)
-        r_drop = rng.random()
-        r_transient = rng.random()
-        r_spike = rng.random()
-        r_ack = rng.random()
-        if r_drop < cfg.link_drop:
-            self.link_drops += 1
-            self._down_until_op = op_index + 1 + cfg.drop_ops
-            self._fail("mem", op_index, op, "link_drop",
-                       "link dropped mid-operation")
-        if r_transient < cfg.transient_error:
-            if r_ack < 0.5:
-                return op_index, 0, True  # lost ack: execute, then fail
-            self._fail("mem", op_index, op, "transient",
-                       "write rejected by the wire")
-        extra = 0
-        if r_spike < cfg.latency_spike:
-            extra = cfg.latency_spike_us
-            self.latency_spikes += 1
-            self._record("mem", op_index, op, "latency_spike")
-        return op_index, extra, False
-
-    def _corrupt_one(self, rng: random.Random, values: List[int],
-                     op_index: int, op: str) -> None:
-        index = rng.randrange(len(values))
-        values[index] ^= 1 << rng.randrange(32)
-        self.reads_corrupted += 1
-        self._record("mem", op_index, op, "read_corrupt")
-
-    def _fail_lost_ack(self, op_index: int, op: str) -> None:
-        self.transient_errors += 1
-        self._record("mem", op_index, op, "transient_lost_ack")
-        raise TransientLinkError(op, "completion ack lost (write landed)")
-
-    # -- memory plane --------------------------------------------------------
-
-    def read_word(self, addr: int) -> Tuple[int, int]:
-        op_index, extra, corrupt = self._mem_gate("read_word")
-        before = self._snapshot()
-        value, cost = self.inner.read_word(addr)
-        self._mirror(before, extra)
-        if corrupt:
-            values = [value]
-            self._corrupt_one(self._rng("mem-corrupt", op_index), values,
-                              op_index, "read_word")
-            value = values[0]
-        return value, cost + extra
-
-    def read_block(self, base: int, count: int) -> Tuple[List[int], int]:
-        op_index, extra, corrupt = self._mem_gate("read_block")
-        before = self._snapshot()
-        values, cost = self.inner.read_block(base, count)
-        self._mirror(before, extra)
-        if corrupt:
-            values = list(values)
-            self._corrupt_one(self._rng("mem-corrupt", op_index), values,
-                              op_index, "read_block")
-        return values, cost + extra
-
-    def read_scatter(self, addrs: Sequence[int]) -> Tuple[List[int], int]:
-        op_index, extra, corrupt = self._mem_gate("read_scatter")
-        before = self._snapshot()
-        values, cost = self.inner.read_scatter(addrs)
-        self._mirror(before, extra)
-        if corrupt:
-            values = list(values)
-            self._corrupt_one(self._rng("mem-corrupt", op_index), values,
-                              op_index, "read_scatter")
-        return values, cost + extra
-
-    def write_word(self, addr: int, value: int) -> int:
-        op_index, extra, fail_after = self._write_gate("write_word")
-        before = self._snapshot()
-        cost = self.inner.write_word(addr, value)
-        self._mirror(before, extra)
-        if fail_after:
-            self._fail_lost_ack(op_index, "write_word")
-        return cost + extra
-
-    def write_block(self, base: int, values: Sequence[int]) -> int:
-        op_index, extra, fail_after = self._write_gate("write_block")
-        before = self._snapshot()
-        cost = self.inner.write_block(base, values)
-        self._mirror(before, extra)
-        if fail_after:
-            self._fail_lost_ack(op_index, "write_block")
-        return cost + extra
-
-    # -- frame plane ---------------------------------------------------------
 
     def transmit_frame(self, t_ready: int,
                        frame: bytes) -> Tuple[bytes, int, int]:
@@ -401,7 +169,7 @@ class ChaosLink(_Wrapper):
         cfg = self.config
         if not cfg.enabled:
             return wire, t_done, t_arrive
-        rng = self._rng("frame", op_index)
+        rng = random.Random(derive_seed(cfg.seed, "frame", op_index))
         r_loss = rng.random()
         r_corrupt = rng.random()
         r_duplicate = rng.random()
@@ -409,25 +177,23 @@ class ChaosLink(_Wrapper):
         if r_loss < cfg.frame_loss:
             # the line time was spent; the frame never arrives
             self.frames_lost += 1
-            self._record("frame", op_index, "transmit_frame", "loss")
+            self._record("loss")
             return b"", t_done, t_arrive
         if r_corrupt < cfg.frame_corrupt and wire:
             mutated = bytearray(wire)
             mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
             wire = bytes(mutated)
             self.frames_corrupted += 1
-            self._record("frame", op_index, "transmit_frame", "corrupt")
+            self._record("corrupt")
         if r_duplicate < cfg.frame_duplicate:
             wire = wire + wire
             self.frames_duplicated += 1
-            self._record("frame", op_index, "transmit_frame", "duplicate")
+            self._record("duplicate")
         if r_reorder < cfg.frame_reorder:
             t_arrive += cfg.reorder_delay_us
             self.frames_reordered += 1
-            self._record("frame", op_index, "transmit_frame", "reorder")
+            self._record("reorder")
         return wire, t_done, t_arrive
-
-    # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
         snapshot = super().stats()
@@ -436,9 +202,5 @@ class ChaosLink(_Wrapper):
             "frames_corrupted": self.frames_corrupted,
             "frames_duplicated": self.frames_duplicated,
             "frames_reordered": self.frames_reordered,
-            "transient_errors": self.transient_errors,
-            "reads_corrupted": self.reads_corrupted,
-            "latency_spikes": self.latency_spikes,
-            "link_drops": self.link_drops,
         })
         return snapshot

@@ -1,4 +1,4 @@
-"""The debug link layer: transaction-budgeted host <-> target transport.
+"""The debug link layer: transaction-accounted host <-> target transport.
 
 Every byte that moves between the debugger host and the embedded target
 crosses a :class:`DebugLink`. The link owns the *transport cost model* —
@@ -46,25 +46,20 @@ class DebugLink:
 
     def __init__(self) -> None:
         #: attribution channel this link's traffic is booked under in
-        #: per-channel budget accounting ("passive", "active", "inspect",
-        #: ...); defaults to the transport kind until a layer claims it.
+        #: per-channel transport accounting ("passive", "active",
+        #: "inspect", ...); defaults to the transport kind until a layer
+        #: claims it.
         self.label = type(self).kind
         self.transactions = 0
         self.words_read = 0
         self.words_written = 0
         self.frames_carried = 0
         self.cost_us_total = 0
-        #: retry-layer accounting; bare links never retry or time out,
-        #: but keeping the counters here means every link's stats() has
-        #: the same shape and session aggregation never special-cases
-        #: wrapped transports (:mod:`repro.comm.retry`).
-        self.retries = 0
-        self.timeouts = 0
         if OBS.metrics is not None:
             # stats() IS the registry series (repro.obs unification):
             # every key folds into a link.* counter labeled by the
             # dict's own kind/label fields, read at snapshot time so
-            # wrapper kinds ("chaos[jtag]") and later channel label
+            # wrapper kinds ("chaos[serial]") and later channel label
             # claims land correctly. Wrappers mirror their inner
             # link's counters, so each series is one link's honest
             # books — aggregate via the session's transport.* series
@@ -130,8 +125,6 @@ class DebugLink:
             "words_written": self.words_written,
             "frames_carried": self.frames_carried,
             "cost_us_total": self.cost_us_total,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
         }
 
     def __repr__(self) -> str:

@@ -63,7 +63,7 @@ class SourceDebugger:
         self.firmware = firmware
         if link is None:
             link = DirectLink(board)
-        # Inspection traffic is its own budget-attribution channel; a
+        # Inspection traffic is its own attribution channel; a
         # caller-provided link keeps whatever label its layer assigned.
         if link.label == type(link).kind:
             link.label = "inspect"

@@ -38,7 +38,7 @@ from repro.engine.checks import (
 )
 from repro.engine.classify import BugClass, BugClassifier, classify_bug
 from repro.engine.inspector import ModelInspector
-from repro.engine.session import DebugSession, TransportBudget
+from repro.engine.session import DebugSession
 
 __all__ = [
     "DebuggerEngine", "EngineState",
@@ -53,5 +53,5 @@ __all__ = [
     "HeartbeatMonitor", "InitialStateMonitor", "CrossInvariantMonitor",
     "BugClass", "BugClassifier", "classify_bug",
     "ModelInspector",
-    "DebugSession", "TransportBudget",
+    "DebugSession",
 ]

@@ -51,41 +51,7 @@ class TargetFault(ReproError):
 
 
 class CommError(ReproError):
-    """A communication channel failed (framing, checksum, link down...)."""
-
-
-class TransientLinkError(CommError):
-    """One transport operation failed in a retryable way.
-
-    Raised by fault-injecting links (:class:`repro.comm.chaos.ChaosLink`)
-    for transient wire conditions — a dropped transaction, a glitched
-    probe, a link-down window. A :class:`repro.comm.retry.RetryingLink`
-    absorbs these up to its policy's attempt budget; anything above a
-    bare link sees them as ordinary :class:`CommError` failures.
-    """
-
-    def __init__(self, op: str, reason: str = "transient wire fault"):
-        self.op = op
-        self.reason = reason
-        super().__init__(f"transient link failure in {op}: {reason}")
-
-
-class LinkDownError(CommError):
-    """A transport operation exhausted its retry budget.
-
-    The structured give-up a :class:`repro.comm.retry.RetryingLink`
-    raises after ``max_attempts`` failures: carries the operation name,
-    how many attempts were burned and the last underlying error.
-    """
-
-    def __init__(self, op: str, attempts: int,
-                 last_error: Exception | None = None):
-        self.op = op
-        self.attempts = attempts
-        self.last_error = last_error
-        detail = f": {last_error}" if last_error is not None else ""
-        super().__init__(
-            f"link down: {op} failed after {attempts} attempt(s){detail}")
+    """A communication channel failed (framing, checksum, unsupported op...)."""
 
 
 class JtagError(CommError):
@@ -136,20 +102,6 @@ class TruncatedTraceError(DebuggerError):
 
 class TraceStoreError(ReproError):
     """The on-disk trace store was driven illegally or is corrupt."""
-
-
-class BudgetExceededError(DebuggerError):
-    """A debug session burned through its transport budget.
-
-    Carries the individual violation strings in :attr:`violations` and
-    the offending stats snapshot in :attr:`stats`.
-    """
-
-    def __init__(self, violations, stats):
-        self.violations = list(violations)
-        self.stats = dict(stats)
-        super().__init__("transport budget exceeded: "
-                         + "; ".join(self.violations))
 
 
 class SchedulerError(ReproError):

@@ -1,7 +1,7 @@
 """repro.obs — unified observability: metrics, spans, export, post-mortems.
 
 Every subsystem in this framework already keeps books — link
-transaction accounting, chaos/retry outcome counters, session
+transaction accounting, chaos frame-fault counters, session
 transport totals, tracedb segment I/O. This package is the layer that
 makes those books *one surface*: a labeled metrics registry they all
 publish into, a span tracer that turns modeled time into renderable
@@ -37,8 +37,8 @@ Invariants (each one gated, not aspirational):
   tracedb campaign merge, so fleet workers ship telemetry upward
   without breaking parallel == serial.
 * **Existing stats APIs are unchanged.** ``DebugLink.stats()``,
-  ``ChaosLink.stats()``, ``RetryingLink.stats()`` and
-  ``DebugSession.transport_stats()`` keep their exact keys and values;
+  ``ChaosLink.stats()`` and ``DebugSession.transport_stats()`` keep
+  their exact keys and values;
   the registry *binds* them
   (:meth:`~repro.obs.metrics.MetricsRegistry.bind_stats`) and reads
   them once per snapshot, so they became the registry's series

@@ -1,9 +1,9 @@
 """Metrics registry: labeled counters/gauges/histograms + canonical snapshots.
 
 The registry is the unification layer over the stack's ad-hoc stats
-surfaces: ``DebugLink.stats()`` (transaction accounting), chaos/retry
-outcome counters, ``DebugSession.transport_stats()``, tracedb segment
-I/O. Each of those dicts stays
+surfaces: ``DebugLink.stats()`` (transaction accounting), chaos
+frame-fault counters, ``DebugSession.transport_stats()``, tracedb
+segment I/O. Each of those dicts stays
 exactly what it was — the registry *binds* them (:meth:`MetricsRegistry.
 bind_stats`) and reads them once at snapshot time, so the existing
 dict-returning APIs become the source of truth for registry series

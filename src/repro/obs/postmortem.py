@@ -35,8 +35,7 @@ _FAULT_PC = re.compile(r"pc=(-?\d+)")
 _RULE = "-" * 72
 
 #: counter-name prefixes worth quoting in a death report, in order
-_DEATH_STATS = ("link.", "chaos.", "retry.", "transport.", "session.",
-                "fleet.", "tracedb.")
+_DEATH_STATS = ("link.", "chaos.", "transport.", "fleet.", "tracedb.")
 
 
 def fault_pc_of(error: Optional[dict]) -> Optional[int]:

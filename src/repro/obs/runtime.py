@@ -17,7 +17,7 @@ an instrumentation site pays is one attribute load and an
     from repro.obs.runtime import OBS
     ...
     if OBS.metrics is not None:
-        OBS.metrics.counter("poll.failed", channel=self.label).inc()
+        OBS.metrics.counter("chaos.fault", plane="frame", fault=fault).inc()
 
 Scope and lifetime:
 

@@ -25,8 +25,6 @@ from test_superinstructions import (
 )
 
 from repro.comdes.examples import traffic_light_system
-from repro.comm.chaos import ChaosConfig
-from repro.comm.retry import RetryPolicy
 from repro.engine.session import DebugSession
 from repro.errors import TargetFault
 from repro.experiments import (
@@ -56,12 +54,11 @@ def run_program(snips, fills):
     return outcomes
 
 
-def session_transcript(**kw):
+def session_transcript():
     session = DebugSession(traffic_light_system(), channel_kind="passive",
-                           poll_period_us=500, **kw).setup()
-    session.run(ms(20))
-    return (session.engine.trace.to_dicts(), session.transport_stats(),
-            session.degradation_events)
+                           poll_period_us=500).setup()
+    session.run(ms(600))  # long enough for the polls to see state changes
+    return session.engine.trace.to_dicts(), session.transport_stats()
 
 
 class TestCpuIdentity:
@@ -79,14 +76,12 @@ class TestCpuIdentity:
 
 
 class TestSessionIdentity:
-    def test_chaos_session_transcript_identical(self):
-        kw = dict(chaos=ChaosConfig(seed=7, transient_error=0.15,
-                                    read_corrupt=0.02),
-                  retry=RetryPolicy(max_attempts=5, backoff_us=50, seed=7))
+    def test_passive_session_transcript_identical(self):
         disable()
-        bare = session_transcript(**kw)
+        bare = session_transcript()
         with observed():
-            watched = session_transcript(**kw)
+            watched = session_transcript()
+        assert bare[0]  # the poll path delivered commands
         assert watched == bare
 
 

@@ -1,38 +1,27 @@
-"""Explicit coverage of DebugSession's merged transport accounting.
+"""Explicit coverage of DebugSession's transport accounting.
 
-``DebugSession.transport_stats()`` is the one surface where the chaos
-layer (faulty-wire absorption), the retry layer (retries/timeouts) and
-the degradation policy (events ladder) meet: its key set is the merged
-contract budget ceilings and dashboards are written against, so this
-file pins it — top-level totals, per-channel breakdown rows,
-``projected_stats`` sharing the same shape, and the degradation-event
-ladder showing up both on the stats surface and (when telemetry is
-on) as ``session.degradation``/``transport.*`` registry series.
+``DebugSession.transport_stats()`` aggregates every per-node link's
+:meth:`DebugLink.stats` into cross-channel totals plus a per-label
+``channels`` breakdown. This file pins that surface: the key set, the
+aggregation across node links, the attribution of passive and active
+traffic to their channel labels, and (when telemetry is on) the
+``transport.*`` registry series that bind it.
 """
 
 import pytest
 
 from repro.comdes.examples import traffic_light_system
-from repro.comm.chaos import ChaosConfig
-from repro.comm.retry import RetryPolicy
-from repro.engine.session import (
-    DebugSession,
-    DegradationPolicy,
-    TransportBudget,
-)
+from repro.engine.session import DebugSession
 from repro.obs import disable, enable
 from repro.util.timeunits import ms
 
-#: the merged cross-layer key set: link counters + retry absorption +
-#: structure + degradation — THE contract of transport_stats()
+#: the key set of transport_stats(): link counters + structure
 TOTAL_KEYS = {
     "transactions", "words_read", "words_written", "frames_carried",
     "cost_us_total",              # link accounting
-    "retries", "timeouts",        # retry-layer absorption
     "links", "channels",          # structure
-    "degradations",               # degradation-policy events
 }
-CHANNEL_ROW_KEYS = (TOTAL_KEYS - {"channels", "degradations"})
+CHANNEL_ROW_KEYS = TOTAL_KEYS - {"channels"}
 
 
 @pytest.fixture(autouse=True)
@@ -42,14 +31,9 @@ def _obs_off():
     disable()
 
 
-def passive_session(**kw):
-    defaults = dict(
-        chaos=ChaosConfig(seed=7, transient_error=0.15, read_corrupt=0.02),
-        retry=RetryPolicy(max_attempts=5, backoff_us=50, seed=7),
-    )
-    defaults.update(kw)
+def passive_session():
     return DebugSession(traffic_light_system(), channel_kind="passive",
-                        poll_period_us=500, **defaults).setup()
+                        poll_period_us=500).setup()
 
 
 class TestMergedKeySet:
@@ -61,71 +45,46 @@ class TestMergedKeySet:
         for row in stats["channels"].values():
             assert set(row) == CHANNEL_ROW_KEYS
 
-    def test_chaos_and_retry_layers_feed_the_same_books(self):
+
+class TestSessionStats:
+    def test_stats_aggregate_across_node_links(self):
         session = passive_session()
         session.run(ms(20))
         stats = session.transport_stats()
-        assert stats["retries"] > 0  # chaos really injected, retry absorbed
-        assert stats["channels"]["passive"]["retries"] == stats["retries"]
+        assert stats["links"] == 1
+        # One scatter-read transaction per poll at 500us period (plus
+        # the priming poll at start()).
+        assert stats["transactions"] == ms(20) // 500 + 1
+        assert stats["words_read"] > 0
+        assert stats["cost_us_total"] > 0
 
-    def test_bare_links_report_zero_not_missing(self):
-        session = passive_session(chaos=None, retry=None)
-        session.run(ms(5))
+
+class TestPerChannelAttribution:
+    def test_passive_traffic_books_under_passive_channel(self):
+        session = passive_session()
+        session.run(ms(10))
         stats = session.transport_stats()
-        assert set(stats) == TOTAL_KEYS  # keys present even with no layer
-        assert stats["retries"] == 0 and stats["timeouts"] == 0
-        assert stats["degradations"] == 0
+        assert set(stats["channels"]) == {"passive"}
+        row = stats["channels"]["passive"]
+        assert row["links"] == 1
+        assert row["transactions"] == stats["transactions"]
+        assert row["cost_us_total"] == stats["cost_us_total"]
 
-    def test_projected_stats_same_shape_and_monotone(self):
-        session = passive_session(chaos=None, retry=None)
-        session.run(ms(5))
-        now = session.transport_stats()
-        projected = session.projected_stats(ms(20))
-        assert set(projected) == TOTAL_KEYS
-        assert projected["transactions"] > now["transactions"]
-        assert projected["cost_us_total"] >= now["cost_us_total"]
-        assert set(projected["channels"]) == set(now["channels"])
+    def test_active_traffic_books_under_active_channel(self):
+        session = DebugSession(traffic_light_system(),
+                               channel_kind="active").setup()
+        session.run(ms(500))
+        stats = session.transport_stats()
+        assert set(stats["channels"]) == {"active"}
+        assert stats["channels"]["active"]["frames_carried"] > 0
 
 
-class TestDegradationInSnapshots:
-    def degraded_session(self):
-        return passive_session(
-            chaos=None, retry=None,
-            budget=TransportBudget(max_transactions=3),
-            degradation=DegradationPolicy(max_slowdown=2, max_stride=2))
-
-    def test_ladder_counted_in_transport_stats(self):
-        session = self.degraded_session()
-        session.run(ms(20))
-        actions = [e["action"] for e in session.degradation_events]
-        assert actions[0] == "slow_poll"
-        assert "split_plan" in actions and "shed_watch" in actions
-        assert (session.transport_stats()["degradations"]
-                == len(session.degradation_events))
-
-    def test_ladder_appears_in_registry_snapshot(self):
-        reg, _ = enable()
-        session = self.degraded_session()
-        session.run(ms(20))
-        snap = reg.snapshot()
-        per_action = {dict(key)["action"]: value
-                      for key, value in snap.series("session.degradation")}
-        want = {}
-        for event in session.degradation_events:
-            want[str(event["action"])] = want.get(str(event["action"]), 0) + 1
-        assert per_action == want
-        # and the canonical transport totals ride along as transport.*
-        assert (snap.counter_total("transport.transactions")
-                == session.transport_stats()["transactions"])
-        assert (snap.counter_total("transport.degradations")
-                == len(session.degradation_events))
-
+class TestTransportSeries:
     def test_transport_series_tracks_stats_surface(self):
         reg, _ = enable()
         session = passive_session()
         session.run(ms(20))
         snap = reg.snapshot()
         stats = session.transport_stats()
-        for key in ("transactions", "words_read", "retries", "timeouts",
-                    "cost_us_total"):
+        for key in ("transactions", "words_read", "cost_us_total"):
             assert snap.counter_total(f"transport.{key}") == stats[key], key
