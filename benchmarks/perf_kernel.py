@@ -17,6 +17,15 @@ every rep's rates recorded as the spread. Every rep must execute the
 same event and command counts — the run is deterministic — and the
 counts are recorded too.
 
+The ``job_garbage`` arm is deterministic rather than timed: with the
+cyclic garbage collector disabled it runs one cruise control job and one
+implementation job whose model run traps (``jump_offby`` seed 1)
+through the campaign path (``run_control_experiment`` /
+``run_fault_experiment``) and records what ``gc.collect()`` finds after
+each. A job whose rig is freed by reference counting leaves only the
+metamodel containment graph ``system_to_model`` builds (~190 objects);
+a rig left in reference cycles leaves ~11k.
+
 Writes ``BENCH_kernel.json`` (or ``BENCH_kernel_quick.json`` under
 ``--quick``) next to this file.
 
@@ -28,6 +37,7 @@ Usage::
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -38,8 +48,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comdes.examples import cruise_control_system
-from repro.experiments import cruise_monitor_suite
-from repro.faults.campaign import model_debugger_rig
+from repro.experiments import cruise_code_watches, cruise_monitor_suite
+from repro.faults.campaign import (
+    model_debugger_rig,
+    run_control_experiment,
+    run_fault_experiment,
+)
 from repro.util.timeunits import sec
 
 DURATION_US = sec(3)
@@ -83,9 +97,39 @@ def measure(reps: int):
     }
 
 
+def job_garbage():
+    """Objects the cyclic collector finds after each of two campaign jobs."""
+    plan = InstrumentationPlan.full()
+    watches = cruise_code_watches()
+
+    def control():
+        run_control_experiment(cruise_control_system, cruise_monitor_suite,
+                               watches, DURATION_US, plan)
+
+    def trapping_implementation():
+        outcome = run_fault_experiment(
+            cruise_control_system, cruise_monitor_suite, watches,
+            "implementation", "jump_offby", 1, DURATION_US, plan)
+        if outcome.model_how != "crash":
+            raise RuntimeError(f"expected a trapping job, got {outcome!r}")
+
+    per_job = {}
+    for name, job in (("control", control),
+                      ("implementation_trap", trapping_implementation)):
+        gc.collect()
+        gc.disable()
+        try:
+            job()
+            per_job[name] = gc.collect()
+        finally:
+            gc.enable()
+    return {"per_job": per_job, "max_per_job": max(per_job.values())}
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
     results = measure(QUICK_REPS if quick else FULL_REPS)
+    results["job_garbage"] = job_garbage()
     results["quick"] = quick
     name = "BENCH_kernel_quick.json" if quick else "BENCH_kernel.json"
     out = os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
@@ -96,6 +140,7 @@ def main() -> None:
           f"{results['events']} events at {results['events_per_sec']}/s, "
           f"{results['commands']} commands at "
           f"{results['commands_per_sec']}/s")
+    print(f"cyclic garbage per job: {results['job_garbage']['per_job']}")
     print(f"-> {out}")
 
 

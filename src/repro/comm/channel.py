@@ -56,6 +56,10 @@ class DebugChannel:
         for handler in self._handlers:
             handler(command)
 
+    def close(self) -> None:
+        """Unsubscribe every handler (subscribers often point back here)."""
+        self._handlers = ()
+
     # Target control used by model-level breakpoints; channel-specific.
     def halt_target(self) -> None:
         raise NotImplementedError
@@ -78,6 +82,12 @@ class CompositeChannel(DebugChannel):
         self.children.append(child)
         child.subscribe(self.deliver)
         return child
+
+    def close(self) -> None:
+        """Unsubscribe every handler here and in every child."""
+        super().close()
+        for child in self.children:
+            child.close()
 
     def halt_target(self) -> None:
         """Stall every node."""
@@ -270,7 +280,6 @@ class PassiveChannel(DebugChannel):
                 owner=self)
         self.plan: Optional[PollPlan] = None
         self._last: List[int] = []
-        self._running = False
         for watch in self.watches:
             firmware.symbols.lookup(watch.symbol)  # fail fast on bad names
 
@@ -280,22 +289,15 @@ class PassiveChannel(DebugChannel):
         Symbol resolution happens here, exactly once per watch — polls
         never consult the symbol table again.
         """
-        if self._running:
+        if self.plan is not None:
             raise CommError("passive channel already started")
-        self._running = True
         symbols = self.firmware.symbols
         self.plan = PollPlan([symbols.addr_of(w.symbol)
                               for w in self.watches])
         self._last, _ = self.link.read_scatter(self.plan.addrs)
-        self.sim.schedule(self.poll_period_us, self._poll)
-
-    def stop(self) -> None:
-        """Stop scheduling polls (takes effect at the next tick)."""
-        self._running = False
+        self.sim.every(self.poll_period_us, self._poll)
 
     def _poll(self) -> None:
-        if not self._running:
-            return
         self.polls += 1
         t_poll = self.sim.now
         addrs = self.plan.addrs
@@ -317,9 +319,6 @@ class PassiveChannel(DebugChannel):
             kind, path, mapped = made
             self.sim.schedule(scan_cost, self._deliver_change,
                               kind, path, mapped, t_poll)
-        # self-scheduled (not sim.every) so a stopped channel stops
-        # cleanly
-        self.sim.schedule(self.poll_period_us, self._poll)
 
     def _deliver_change(self, kind: CommandKind, path: str, value: int,
                         t_poll: int) -> None:

@@ -34,7 +34,15 @@ class EngineState(enum.Enum):
 
 
 class DebuggerEngine:
-    """Animates a debug model from channel commands."""
+    """Animates a debug model from channel commands.
+
+    Lifetime: the channel's subscription to :meth:`on_command` and the
+    bus handlers tie the engine, its channels and its observers into
+    reference cycles. The owner of a finished run calls :meth:`close`
+    (campaign jobs do, in :mod:`repro.faults.campaign`); the trace, the
+    model and the counters stay readable, but a closed engine is
+    disconnected and reacts to no further command.
+    """
 
     def __init__(self, gdm: GdmModel,
                  channel: Optional[DebugChannel] = None,
@@ -83,6 +91,17 @@ class DebuggerEngine:
         self.channel = channel
         channel.subscribe(self.on_command)
         self._set_state(EngineState.WAITING)
+
+    def close(self) -> None:
+        """Disconnect for good: drop the channel subscription (and the
+        fan-out below it) and every bus handler, so the engine, its
+        channels and its observers are freed by reference counting.
+        The trace, the model and the counters stay readable."""
+        self.bus.clear()
+        if self.channel is not None:
+            self.channel.close()
+            self.channel = None
+        self.state = EngineState.DISCONNECTED
 
     def _set_state(self, state: EngineState) -> None:
         if state is not self.state:

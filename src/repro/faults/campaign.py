@@ -12,6 +12,15 @@ For every injected fault the campaign runs the same scenario twice:
 Detection and detection latency are recorded per fault; aggregation by
 category reproduces the paper's claim that the model debugger's "primary
 job" — design errors — is where it pulls ahead.
+
+Each debugger run builds a fresh rig (simulator, DTM kernel, boards,
+channels, engine, monitors or watchpoints) and ends in
+:func:`_run_and_close`, which closes the kernel and the engine whether
+the run completed or trapped. A finished job's rigs are therefore freed
+by reference counting as soon as its verdict is read, not at the next
+full garbage collection; a closed rig cannot run again.
+:func:`model_debugger_rig` hands its rig to the caller unclosed, so the
+caller can inspect it after ``kernel.run``.
 """
 
 from __future__ import annotations
@@ -224,6 +233,25 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
     return kernel, engine, suite
 
 
+def _run_and_close(kernel: DtmKernel, duration_us: int,
+                   engine: Optional[DebuggerEngine] = None) -> Optional[int]:
+    """Run one debugger rig to *duration_us*, then close it.
+
+    Returns the simulated time of a :class:`TargetFault`, or ``None``
+    when the run completed. The kernel and the engine are closed
+    whatever happens, which breaks the rig's reference cycles.
+    """
+    try:
+        kernel.run(duration_us)
+    except TargetFault:
+        return kernel.sim.now
+    finally:
+        kernel.close()
+        if engine is not None:
+            engine.close()
+    return None
+
+
 def _run_model_debugger(system: System, firmware: FirmwareImage,
                         monitor_factory: Callable[[], MonitorSuite],
                         duration_us: int,
@@ -245,13 +273,12 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
     debugger observes the target through a deterministically faulty
     wire — the comm-fault campaign plane.
     """
-    kernel, _, suite = model_debugger_rig(
+    kernel, engine, suite = model_debugger_rig(
         system, firmware, monitor_factory, memory_patches=memory_patches,
         trace_store=trace_store, chaos=chaos)
-    try:
-        kernel.run(duration_us)
-    except TargetFault:
-        return True, kernel.sim.now, "crash"
+    crashed_at = _run_and_close(kernel, duration_us, engine)
+    if crashed_at is not None:
+        return True, crashed_at, "crash"
     if suite.any_violation:
         return True, suite.first_violation_time(), "monitor"
     return False, None, ""
@@ -279,10 +306,9 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
             debugger.watch(symbol, predicate, description)
             installed += 1
         debugger.on_hit = lambda hit, s=sim: hits.append(s.now)
-    try:
-        kernel.run(duration_us)
-    except TargetFault:
-        return True, sim.now, "crash"
+    crashed_at = _run_and_close(kernel, duration_us)
+    if crashed_at is not None:
+        return True, crashed_at, "crash"
     if hits:
         return True, min(hits), "watch"
     return False, None, ""

@@ -56,7 +56,16 @@ class _NodeRuntime:
 
 
 class DtmKernel:
-    """Executes a COMDES system under Distributed Timed Multitasking."""
+    """Executes a COMDES system under Distributed Timed Multitasking.
+
+    Lifetime: the simulator's pending events, the schedulers' active
+    jobs, the job hooks and the boards' emit and write hooks all point
+    back at the objects that own this kernel, so a finished kernel sits
+    in reference cycles until :meth:`close` drops them. Whoever runs
+    the kernel to a verdict closes it (campaign jobs do, in
+    :mod:`repro.faults.campaign`); results stay readable after
+    :meth:`close`, but a closed kernel cannot start or run again.
+    """
 
     def __init__(
         self,
@@ -136,6 +145,7 @@ class DtmKernel:
         }
         self._load_tasks: List[LoadTask] = []
         self._started = False
+        self._closed = False
 
     # -- configuration -----------------------------------------------------
 
@@ -162,6 +172,8 @@ class DtmKernel:
 
     def start(self) -> None:
         """Schedule all periodic releases (idempotent-guarded)."""
+        if self._closed:
+            raise SchedulerError("kernel is closed")
         if self._started:
             raise SchedulerError("kernel already started")
         self._started = True
@@ -174,9 +186,28 @@ class DtmKernel:
 
     def run(self, duration_us: int) -> None:
         """Start (if needed) and simulate until *duration_us*."""
+        if self._closed:
+            raise SchedulerError("kernel is closed")
         if not self._started:
             self.start()
         self.sim.run_until(duration_us)
+
+    def close(self) -> None:
+        """Drop the back-references that tie this rig into cycles.
+
+        Clears the simulator's pending events, the schedulers' active
+        jobs, the job hooks and every board's emit handler and write
+        hook, so the rig is freed by reference counting once its owner
+        lets go. Records, counters, the bus and the boards stay
+        readable; a closed kernel cannot run again.
+        """
+        self._closed = True
+        self.sim.clear()
+        for runtime in self._nodes.values():
+            runtime.scheduler.close()
+            runtime.job_hooks = []
+            runtime.board.cpu.emit_handler = None
+            runtime.board.memory.set_write_hook(None)
 
     # -- actor jobs ----------------------------------------------------------
 

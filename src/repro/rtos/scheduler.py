@@ -33,6 +33,13 @@ class NodeScheduler:
         """Whether any job is currently active on this node."""
         return bool(self._jobs)
 
+    def close(self) -> None:
+        """Drop the active jobs and the pending completion (their
+        ``on_complete`` callbacks point back at the owner)."""
+        self._jobs = []
+        self._running = None
+        self._completion_event = None
+
     def release(self, job: ActiveJob) -> None:
         """Admit a job at the current simulation time."""
         if job.release != self.sim.now:

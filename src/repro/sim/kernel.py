@@ -112,6 +112,14 @@ class Simulator:
         _heappush(self._queue, (time, seq, ScheduledEvent(
             time, seq, event.fn, event.args, event.period)))
 
+    def clear(self) -> None:
+        """Drop every pending event and the callbacks it holds.
+
+        The clock and the executed-event count stay readable. Owners of
+        a finished run call this to free what the queue references.
+        """
+        self._queue.clear()
+
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
         queue = self._queue

@@ -37,6 +37,10 @@ class EventBus:
         handlers.remove(handler)
         self._handlers[topic] = tuple(handlers)
 
+    def clear(self) -> None:
+        """Unsubscribe every handler of every topic."""
+        self._handlers = {}
+
     def publish(self, topic: str, **payload: Any) -> int:
         """Invoke every handler subscribed to *topic*; return handler count."""
         self._published += 1

@@ -101,6 +101,9 @@ class HeapSimulator:
 
         return self.schedule_at(first, tick, *args)
 
+    def clear(self) -> None:
+        self._queue.clear()
+
     def step(self) -> bool:
         while self._queue:
             event = heapq.heappop(self._queue)

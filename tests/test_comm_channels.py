@@ -152,9 +152,13 @@ class TestPassiveChannel:
             PassiveChannel(Simulator(), probe, firmware, [])
 
     def test_double_start_rejected(self):
-        sim, kernel, channel, _ = self.passive_setup()
-        with pytest.raises(CommError):
+        sim, kernel, channel, _ = self.passive_setup(poll_period_us=1000)
+        plan = channel.plan
+        with pytest.raises(CommError, match="already started"):
             channel.start()
+        assert channel.plan is plan
+        kernel.run(ms(10))
+        assert channel.polls == 10  # still one poll per period
 
 
 class TestCompositeChannel:
@@ -169,6 +173,17 @@ class TestCompositeChannel:
         a.deliver(command)
         b.deliver(command)
         assert len(received) == 2
+
+    def test_close_unsubscribes_down_the_fan_in(self):
+        composite = CompositeChannel()
+        child = composite.add(CompositeChannel())
+        received = []
+        composite.subscribe(received.append)
+        composite.close()
+        child.deliver(Command(CommandKind.USER, "signal:x", 1))
+        composite.deliver(Command(CommandKind.USER, "signal:x", 2))
+        assert received == []
+        assert composite.children == [child]
 
     def test_watchspec_state_ignores_wild_index(self):
         from repro.comdes.examples import blinker_machine

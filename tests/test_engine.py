@@ -97,6 +97,21 @@ class TestEngineFsm:
         assert (EngineState.WAITING, EngineState.REACTING) in transitions
         assert (EngineState.REACTING, EngineState.WAITING) in transitions
 
+    def test_close_unsubscribes_and_disconnects(self):
+        engine, channel, _ = make_engine()
+        seen = []
+        engine.bus.subscribe("command", lambda **payload: seen.append(1))
+        channel.send(CommandKind.STATE_ENTER, f"{S}GREEN", 1)
+        engine.close()
+        assert engine.state is EngineState.DISCONNECTED
+        assert engine.channel is None
+        assert engine.bus.subscriber_count("command") == 0
+        channel.send(CommandKind.STATE_ENTER, f"{S}RED", 0)  # reaches no one
+        assert seen == [1] and engine.commands_processed == 1
+        assert len(engine.trace) == 1
+        with pytest.raises(DebuggerError):
+            engine.on_command(Command(CommandKind.USER, "signal:light", 0))
+
 
 class TestBreakpoints:
     def test_state_entry_breakpoint_pauses_and_halts(self):

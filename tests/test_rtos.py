@@ -1,5 +1,8 @@
 """Tests for the DTM kernel, scheduler, bus and jitter instrumentation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.codegen import InstrumentationPlan, generate_firmware
@@ -180,8 +183,54 @@ class TestDtmKernel:
     def test_double_start_rejected(self):
         _, kernel = cruise_kernel()
         kernel.start()
-        with pytest.raises(SchedulerError):
+        pending = kernel.sim.pending_events
+        with pytest.raises(SchedulerError, match="already started"):
             kernel.start()
+        assert kernel.sim.pending_events == pending  # no second release set
+
+    def test_close_drops_back_references_and_keeps_results(self):
+        _, kernel = cruise_kernel()
+        board = kernel.board_of("node0")
+        hooked = []
+        kernel.add_job_hook("node0",
+                            lambda actor, t, k=kernel: hooked.append(k))
+        board.cpu.emit_handler = lambda kind, path_id, value, k=kernel: None
+        board.memory.set_write_hook(lambda addr, value, k=kernel: None, [0])
+        kernel.run(ms(95))
+        records, now = kernel.records, kernel.sim.now
+        assert kernel.sim.pending_events and hooked
+        hooked.clear()
+        kernel.close()
+        assert kernel.sim.pending_events == 0
+        assert board.cpu.emit_handler is None
+        assert board.memory.write_hook is None
+        assert kernel.records == records and kernel.sim.now == now
+        # nothing left points back at the kernel: reference counting
+        # frees it without the cyclic collector
+        freed = weakref.ref(kernel)
+        gc.disable()
+        try:
+            del kernel
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_closed_kernel_cannot_run_again(self):
+        _, kernel = cruise_kernel()
+        kernel.run(ms(50))
+        kernel.close()
+        with pytest.raises(SchedulerError, match="closed"):
+            kernel.run(ms(100))
+        with pytest.raises(SchedulerError, match="closed"):
+            kernel.start()
+        assert kernel.sim.now == ms(50)
+
+    def test_unstarted_kernel_closed_cannot_start(self):
+        _, kernel = cruise_kernel()
+        kernel.close()
+        with pytest.raises(SchedulerError, match="closed"):
+            kernel.run(ms(10))
+        assert kernel.sim.executed_events == 0
 
     def test_unknown_node_queries_rejected(self):
         _, kernel = cruise_kernel()

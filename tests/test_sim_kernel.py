@@ -64,6 +64,18 @@ class TestScheduling:
         sim.run()
         assert fired == [10, 20, 30]
 
+    def test_clear_drops_pending_events_and_keeps_the_clock(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, fired.append, "in")
+        sim.every(5, fired.append, "tick")
+        sim.run_until(12)
+        sim.clear()
+        assert sim.pending_events == 0
+        assert (sim.now, sim.executed_events) == (12, 3)
+        sim.run_until(100)
+        assert fired == ["tick", "in", "tick"]
+
 
 class TestRunUntil:
     def test_run_until_respects_horizon(self):
