@@ -23,8 +23,18 @@ implementation job whose model run traps (``jump_offby`` seed 1)
 through the campaign path (``run_control_experiment`` /
 ``run_fault_experiment``) and records what ``gc.collect()`` finds after
 each. A job whose rig is freed by reference counting leaves only the
-metamodel containment graph ``system_to_model`` builds (~190 objects);
-a rig left in reference cycles leaves ~11k.
+model containment graph ``system_to_model`` builds (~107 objects; ~190
+while every job built its own COMDES metamodel); a rig left in
+reference cycles leaves ~11k.
+
+The ``calls`` arm is deterministic too: it counts the Python-level
+``call`` events (``sys.setprofile``) of one cruise control job
+(``run_control_experiment``: codegen, the model-debugger run and the
+code-debugger run). The job runs once uncounted first, so per-process
+first-use work (the shared COMDES metamodel, the firmware decode memo)
+is not charged to it. Each task activation and each debug command pays
+a fixed number of calls, so the count tracks the per-event plumbing the
+interpreter loop does not account for.
 
 Writes ``BENCH_kernel.json`` (or ``BENCH_kernel_quick.json`` under
 ``--quick``) next to this file.
@@ -126,10 +136,37 @@ def job_garbage():
     return {"per_job": per_job, "max_per_job": max(per_job.values())}
 
 
+def job_calls():
+    """Python calls (``sys.setprofile`` "call" events) of one cruise
+    control job, after one uncounted warm-up job."""
+    plan = InstrumentationPlan.full()
+    watches = cruise_code_watches()
+
+    def control():
+        run_control_experiment(cruise_control_system, cruise_monitor_suite,
+                               watches, DURATION_US, plan)
+
+    control()
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        control()
+    finally:
+        sys.setprofile(None)
+    return {"per_job": calls}
+
+
 def main() -> None:
     quick = "--quick" in sys.argv
     results = measure(QUICK_REPS if quick else FULL_REPS)
     results["job_garbage"] = job_garbage()
+    results["calls"] = job_calls()
     results["quick"] = quick
     name = "BENCH_kernel_quick.json" if quick else "BENCH_kernel.json"
     out = os.path.join(os.path.dirname(os.path.abspath(__file__)), name)
@@ -141,6 +178,7 @@ def main() -> None:
           f"{results['commands']} commands at "
           f"{results['commands_per_sec']}/s")
     print(f"cyclic garbage per job: {results['job_garbage']['per_job']}")
+    print(f"python calls per control job: {results['calls']['per_job']}")
     print(f"-> {out}")
 
 

@@ -7,12 +7,31 @@ the abstraction engine navigates models conforming to this metamodel.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.meta.metamodel import AttributeKind, MetaModel
 
 COMDES_METAMODEL_NAME = "comdes"
 
 
+_SHARED: Optional[MetaModel] = None
+
+
 def comdes_metamodel() -> MetaModel:
+    """The COMDES metamodel, built and frozen once per process.
+
+    Every reflected system shares this one instance, so a model-debugger
+    run builds no metaclasses of its own. It is built on the first call,
+    not at import, and it is frozen (:meth:`MetaModel.freeze`): changing
+    it raises.
+    """
+    global _SHARED
+    if _SHARED is None:
+        _SHARED = _build_comdes_metamodel().freeze()
+    return _SHARED
+
+
+def _build_comdes_metamodel() -> MetaModel:
     """Build (and consistency-check) the COMDES metamodel."""
     mm = MetaModel(COMDES_METAMODEL_NAME)
 

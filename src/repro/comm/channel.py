@@ -9,6 +9,16 @@ Both of the paper's command-interface solutions implement the same
   synthesizes commands on change; zero target cost, latency bounded by the
   poll period plus scan time.
 
+The active channel accounts the UART TX FIFO without rescanning it: the
+frames still on the line sit in a min-heap on the instant the line
+finishes them, next to a running count of their bytes, so a frame costs
+one push and each retirement one pop. An emission first
+retires every frame the line has finished by its timestamp, then admits
+its own frame only if it fits the FIFO (an overrun drops it). This is
+exactly the occupancy of the older full rescan, which kept every frame
+with ``t_done > t_emit``: a retired frame stays retired even when the
+next job's ``t_emit`` is earlier (two jobs released at one instant).
+
 Neither channel talks to a transport directly: all host <-> target I/O
 routes through a :class:`~repro.comm.link.DebugLink`, which owns the cost
 model and the transaction batching. A passive poll is **one** link
@@ -18,6 +28,7 @@ contiguous runs grouped) is compiled once at :meth:`PassiveChannel.start`.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.comdes.fsm import StateMachine
@@ -121,7 +132,10 @@ class ActiveChannel(DebugChannel):
         self.frames_dropped = 0
         self._job_base_cycles = 0
         self._job_base_time = 0
-        self._inflight: List[Tuple[int, int]] = []  # (t_done, nbytes)
+        # frames on the line: min-heap of (t_done, nbytes), and their bytes
+        self._inflight: List[Tuple[int, int]] = []
+        self._pending_bytes = 0
+        self._paths = firmware.path_table
         board.cpu.emit_handler = self._on_emit
 
     @property
@@ -144,33 +158,45 @@ class ActiveChannel(DebugChannel):
         self._job_base_time = t_release
 
     def _on_emit(self, kind: int, path_id: int, value: int) -> None:
-        delta = self.board.cpu.cycles - self._job_base_cycles
-        t_emit = self._job_base_time + self.board.cycles_to_us(delta)
+        board = self.board
+        clock_hz = board.clock_hz
+        # Board.cycles_to_us of the cycles since the job began, inline
+        t_emit = self._job_base_time + (
+            (board.cpu.cycles - self._job_base_cycles) * 1_000_000
+            + clock_hz - 1) // clock_hz
         frame = encode_frame(kind, path_id, value)
+        nbytes = len(frame)
 
         # UART FIFO occupancy: bytes whose transmission has not finished.
-        inflight = self._inflight = [
-            entry for entry in self._inflight if entry[0] > t_emit]
-        pending = sum([entry[1] for entry in inflight])
-        if pending + len(frame) > self.board.uart.fifo_depth:
-            self.board.uart.overruns += 1
+        inflight = self._inflight
+        pending = self._pending_bytes
+        while inflight and inflight[0][0] <= t_emit:
+            pending -= heappop(inflight)[1]
+        self._pending_bytes = pending
+        uart = board.uart
+        if pending + nbytes > uart.fifo_depth:
+            uart.overruns += 1
             self.frames_dropped += 1
             return
 
         wire_frame, t_done, t_arrive = self.debug_link.transmit_frame(
             t_emit, frame)
-        self._inflight.append((t_done, len(frame)))
-        self.board.uart.bytes_sent += len(frame)
+        heappush(inflight, (t_done, nbytes))
+        self._pending_bytes = pending + nbytes
+        uart.bytes_sent += nbytes
         self.frames_sent += 1
-        self.sim.schedule_at(max(t_arrive, self.sim.now), self._deliver_frame,
-                             wire_frame, t_emit)
+        sim = self.sim
+        sim.schedule_at(t_arrive if t_arrive > sim.now else sim.now,
+                        self._deliver_frame, wire_frame, t_emit)
 
     def _deliver_frame(self, frame: bytes, t_emit: int) -> None:
+        paths = self._paths
+        t_host = self.sim.now
         for kind, path_id, value in self.decoder.feed(frame):
             command = Command(
                 _KINDS.get(kind) or CommandKind(kind),
-                self.firmware.path_of_id(path_id), value,
-                t_target=t_emit, t_host=self.sim.now,
+                paths.get(path_id) or self.firmware.path_of_id(path_id),
+                value, t_emit, t_host,
             )
             self.deliver(command)
 

@@ -37,10 +37,6 @@ from repro.errors import CommError
 from repro.obs.runtime import OBS
 from repro.util.seeds import derive_seed
 
-#: counters the wrapper mirrors from its inner link
-_MIRRORED = ("transactions", "words_read", "words_written",
-             "frames_carried", "cost_us_total")
-
 
 class ChaosConfig:
     """Fault rates for one :class:`ChaosLink`.
@@ -135,15 +131,6 @@ class ChaosLink(DebugLink):
             raise AttributeError(name) from None
         return getattr(inner, name)
 
-    def _snapshot(self) -> Tuple[int, ...]:
-        return tuple(getattr(self.inner, key) for key in _MIRRORED)
-
-    def _mirror(self, before: Tuple[int, ...]) -> None:
-        """Fold the inner link's counter deltas in."""
-        for key, prior in zip(_MIRRORED, before):
-            setattr(self, key, getattr(self, key)
-                    + getattr(self.inner, key) - prior)
-
     def halt_target(self) -> None:
         self.inner.halt_target()
 
@@ -163,11 +150,22 @@ class ChaosLink(DebugLink):
                        frame: bytes) -> Tuple[bytes, int, int]:
         op_index = self._frame_ops
         self._frame_ops += 1
-        before = self._snapshot()
-        wire, t_done, t_arrive = self.inner.transmit_frame(t_ready, frame)
-        self._mirror(before)
+        inner = self.inner
+        # mirror the inner link's counter deltas into this link's books
+        transactions = inner.transactions
+        words_read = inner.words_read
+        words_written = inner.words_written
+        frames_carried = inner.frames_carried
+        cost_us_total = inner.cost_us_total
+        wire, t_done, t_arrive = inner.transmit_frame(t_ready, frame)
+        self.transactions += inner.transactions - transactions
+        self.words_read += inner.words_read - words_read
+        self.words_written += inner.words_written - words_written
+        self.frames_carried += inner.frames_carried - frames_carried
+        self.cost_us_total += inner.cost_us_total - cost_us_total
         cfg = self.config
-        if not cfg.enabled:
+        if not (cfg.frame_loss or cfg.frame_corrupt or cfg.frame_duplicate
+                or cfg.frame_reorder):  # cfg.enabled, inline
             return wire, t_done, t_arrive
         rng = random.Random(derive_seed(cfg.seed, "frame", op_index))
         r_loss = rng.random()

@@ -34,10 +34,6 @@ class FrameError(CommError):
     """A frame could not be encoded (bad field ranges)."""
 
 
-def _checksum(data: bytes) -> int:
-    return sum(data) & 0xFF
-
-
 def encode_frame(kind: int, path_id: int, value: int) -> bytes:
     """Encode one command frame."""
     if not (0 <= kind <= 0xFF):
@@ -45,7 +41,8 @@ def encode_frame(kind: int, path_id: int, value: int) -> bytes:
     if not (0 <= path_id <= MAX_PATH_ID):
         raise FrameError(f"path id {path_id} out of range 0..{MAX_PATH_ID}")
     head = _HEAD.pack(SOF, PAYLOAD_LEN, kind, path_id, value & 0xFFFFFFFF)
-    return head + bytes((_checksum(head[1:]),))
+    # checksum: modulo-256 sum of LEN..VALUE
+    return head + bytes(((sum(head) - SOF) & 0xFF,))
 
 
 def decode_frame(frame: bytes) -> Tuple[int, int, int]:
@@ -86,7 +83,8 @@ class FrameDecoder:
             if len(buffer) < FRAME_LEN:
                 return out
             if (buffer[1] != PAYLOAD_LEN
-                    or _checksum(buffer[1:FRAME_LEN - 1]) != buffer[FRAME_LEN - 1]):
+                    or sum(buffer[1:FRAME_LEN - 1]) & 0xFF
+                    != buffer[FRAME_LEN - 1]):
                 # Corrupt: drop the SOF and rescan (classic resync).
                 del buffer[0]
                 self.checksum_errors += 1

@@ -198,11 +198,16 @@ class SerialLink(DebugLink):
         costs — line time plus host latency — not the queueing wait
         behind earlier frames (that is congestion, not transport).
         """
-        t_start, t_done = self.line.transmit(t_ready, len(frame))
-        wire = self.line.corrupt(frame)
-        t_arrive = t_done + self.host_latency_us
-        self._account(t_done - t_start + self.host_latency_us, frames=1)
-        return bytes(wire), t_done, t_arrive
+        line = self.line
+        t_start, t_done = line.transmit(t_ready, len(frame))
+        # a clean line returns the frame as is: skip the noise model
+        wire = frame if line.byte_error_rate == 0.0 else line.corrupt(frame)
+        latency = self.host_latency_us
+        # _account(cost, frames=1), inline
+        self.transactions += 1
+        self.frames_carried += 1
+        self.cost_us_total += t_done - t_start + latency
+        return bytes(wire), t_done, t_done + latency
 
     def halt_target(self) -> None:
         """Debug-agent halt request carried over the serial RX line."""

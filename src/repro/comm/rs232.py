@@ -57,7 +57,8 @@ class Rs232Link:
         if nbytes <= 0:
             raise CommError(f"nbytes must be positive, got {nbytes}")
         t_start = max(t_ready, self._free_at)
-        duration = round(nbytes * self.byte_time_us())
+        # nbytes * byte_time_us(), inline
+        duration = round(nbytes * (LINE_BITS_PER_BYTE * 1_000_000 / self.baud))
         t_done = t_start + max(1, duration)
         self._free_at = t_done
         self.bytes_carried += nbytes

@@ -8,7 +8,8 @@ and subscribe to the engine's command stream; violations become
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.engine import DebuggerEngine
@@ -30,7 +31,15 @@ class BugReport:
 
 
 class Monitor:
-    """Base class: inspect each command, report violations."""
+    """Base class: inspect each command, report violations.
+
+    ``kinds`` names the command kinds :meth:`inspect` can act on; for any
+    other kind it must return None and change no state, so a
+    :class:`MonitorSuite` never hands it those commands. None (the
+    default) means every kind.
+    """
+
+    kinds: Optional[FrozenSet[CommandKind]] = None
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -58,6 +67,8 @@ class SequenceMonitor(Monitor):
     legally follow it. The first observed state seeds the tracking.
     """
 
+    kinds = frozenset({CommandKind.STATE_ENTER})
+
     def __init__(self, name: str, group_prefix: str,
                  allowed: Dict[str, Set[str]]) -> None:
         super().__init__(name)
@@ -82,6 +93,8 @@ class SequenceMonitor(Monitor):
 
 class RangeMonitor(Monitor):
     """A signal must stay inside [lo, hi]."""
+
+    kinds = frozenset({CommandKind.SIG_UPDATE})
 
     def __init__(self, name: str, signal_path: str, lo: int, hi: int) -> None:
         super().__init__(name)
@@ -143,6 +156,8 @@ class DwellMonitor(Monitor):
     Catches timing design errors (a wrong guard constant changes a phase
     duration) that sequence and range checks cannot see.
     """
+
+    kinds = frozenset({CommandKind.STATE_ENTER})
 
     def __init__(self, name: str, state_path: str, group_prefix: str,
                  lo_us: int, hi_us: int) -> None:
@@ -226,6 +241,8 @@ class CrossInvariantMonitor(Monitor):
     the state is active — "the press must never close while the belt runs".
     """
 
+    kinds = frozenset({CommandKind.SIG_UPDATE, CommandKind.STATE_ENTER})
+
     def __init__(self, name: str, state_path: str, group_prefix: str,
                  signal_path: str, predicate: Callable[[int], bool],
                  initial_value: int = 0) -> None:
@@ -298,6 +315,8 @@ class InitialStateMonitor(Monitor):
     i.e. the system boots in RED").
     """
 
+    kinds = frozenset({CommandKind.STATE_ENTER})
+
     def __init__(self, name: str, group_prefix: str,
                  expected_path: str) -> None:
         super().__init__(name)
@@ -322,10 +341,18 @@ class InitialStateMonitor(Monitor):
 
 
 class MonitorSuite:
-    """Attaches monitors to an engine and aggregates their reports."""
+    """Attaches monitors to an engine and aggregates their reports.
+
+    Commands are dispatched by kind: each command reaches, in suite
+    order, only the monitors whose :attr:`Monitor.kinds` admit it.
+    """
 
     def __init__(self, monitors: Sequence[Monitor]) -> None:
-        self.monitors = list(monitors)
+        self.monitors: Tuple[Monitor, ...] = tuple(monitors)
+        self._by_kind: Dict[CommandKind, Tuple[Monitor, ...]] = {
+            kind: tuple(m for m in self.monitors
+                        if m.kinds is None or kind in m.kinds)
+            for kind in CommandKind}
         self._attached = False
 
     def attach(self, engine: DebuggerEngine) -> None:
@@ -336,7 +363,7 @@ class MonitorSuite:
         engine.bus.subscribe("command", self._on_command)
 
     def _on_command(self, command: Command, **_: object) -> None:
-        for monitor in self.monitors:
+        for monitor in self._by_kind[command.kind]:
             monitor.inspect(command)
 
     def reports(self) -> List[BugReport]:

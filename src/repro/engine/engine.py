@@ -4,7 +4,9 @@ States: DISCONNECTED -> WAITING <-> REACTING, with PAUSED entered on a
 breakpoint hit and left by resume/step, and REPLAYING while a replay player
 owns the model. Observers (monitors, animation capture, UI) subscribe to
 the engine's event bus topics: ``command``, ``reaction``, ``breakpoint``,
-``engine_state``.
+``engine_state``. The engine builds and publishes a topic's payload only
+while the topic has a subscriber, so an observer that subscribes late
+sees every event from then on, and an unobserved topic costs nothing.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class EngineState(enum.Enum):
     REACTING = "REACTING"
     PAUSED = "PAUSED"
     REPLAYING = "REPLAYING"
+
+
+_WAITING = EngineState.WAITING
+_REACTING = EngineState.REACTING
 
 
 class DebuggerEngine:
@@ -60,6 +66,7 @@ class DebuggerEngine:
         self.channel: Optional[DebugChannel] = None
         self.state = EngineState.DISCONNECTED
         self.bus = EventBus()
+        self._topics = self.bus.topics
         self.trace = trace if trace is not None else ExecutionTrace()
         self.breakpoints = BreakpointManager()
         self.frames = FrameSequence(max_frames=max_frames) if capture_frames else None
@@ -106,34 +113,50 @@ class DebuggerEngine:
     def _set_state(self, state: EngineState) -> None:
         if state is not self.state:
             previous, self.state = self.state, state
-            self.bus.publish("engine_state", previous=previous, current=state)
+            if self._topics.get("engine_state"):
+                self.bus.publish("engine_state", previous=previous,
+                                 current=state)
 
     # -- the reaction cycle (Fig 3) --------------------------------------------
 
     def on_command(self, command: Command) -> None:
         """Handle one command: react, trace, check breakpoints."""
-        if self.state is EngineState.DISCONNECTED:
-            raise DebuggerError("engine received a command while disconnected")
-        if self.state is EngineState.REPLAYING:
-            raise DebuggerError("engine received a live command during replay")
-        if self.state is EngineState.PAUSED:
-            # Stragglers already in flight when the target halted.
+        state = self.state
+        if state is not _WAITING and state is not _REACTING:
+            if state is EngineState.DISCONNECTED:
+                raise DebuggerError(
+                    "engine received a command while disconnected")
+            if state is EngineState.REPLAYING:
+                raise DebuggerError(
+                    "engine received a live command during replay")
+            # PAUSED: stragglers already in flight when the target halted.
             self.commands_while_paused += 1
             return
 
-        self._set_state(EngineState.REACTING)
+        topics = self._topics
+        if state is _WAITING:
+            # _set_state(REACTING), inline
+            self.state = _REACTING
+            if topics.get("engine_state"):
+                self.bus.publish("engine_state", previous=state,
+                                 current=_REACTING)
         # Pulses are transient: they light up for exactly one animation step.
-        self.gdm.decay_pulses()
+        gdm = self.gdm
+        gdm.decay_pulses()
         reactions: List[ReactionRecord] = []
-        for binding in self.gdm.bindings_for(command):
-            record = apply_reaction(self.gdm, binding, command)
+        for binding in gdm.bindings_for(command):
+            record = apply_reaction(gdm, binding, command)
             if record is not None:
                 reactions.append(record)
-                self.bus.publish("reaction", record=record, command=command)
+                if topics.get("reaction"):
+                    self.bus.publish("reaction", record=record,
+                                     command=command)
 
-        event = self.trace.record(command, reactions, self.state.name)
+        # _name_: the member's name without the enum property's call
+        event = self.trace.record(command, reactions, self.state._name_)
         self.commands_processed += 1
-        self.bus.publish("command", command=command, event=event)
+        if topics.get("command"):
+            self.bus.publish("command", command=command, event=event)
 
         # Live checkpointing: while spilling to a store that wants them,
         # persist the model state so post-run seeks start near their
@@ -163,7 +186,13 @@ class DebuggerEngine:
                 self.bus.publish("step_complete", command=command)
                 return
 
-        self._set_state(EngineState.WAITING)
+        state = self.state
+        if state is not _WAITING:
+            # _set_state(WAITING), inline
+            self.state = _WAITING
+            if topics.get("engine_state"):
+                self.bus.publish("engine_state", previous=state,
+                                 current=_WAITING)
 
     def _pause_on_breakpoint(self, breakpoint, command: Command) -> None:
         self._halt_target()

@@ -4,12 +4,19 @@ This mirrors the Ecore subset GMDF needs: single/multiple inheritance of
 metaclasses, typed attributes with defaults, and references that are either
 *containment* (forming the model tree) or *cross* references, with optional
 ``many`` multiplicity.
+
+A metamodel shared between models (the COMDES metamodel is built once per
+process) is frozen with :meth:`MetaModel.freeze`: defining classes,
+attributes or references then raises, its tables become read-only
+mappings, and each class's inheritance-aware lookups are computed once
+and reused.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import MetamodelError
 
@@ -36,7 +43,24 @@ class AttributeKind(enum.Enum):
         return isinstance(value, str)  # ENUM literals are strings
 
 
-class MetaAttribute:
+class _Freezable:
+    """Attribute writes raise once :meth:`MetaModel.freeze` has sealed
+    the object (``_sealed``)."""
+
+    _sealed = False
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if self._sealed:
+            raise MetamodelError(
+                f"{type(self).__name__} of a frozen metamodel cannot "
+                f"change ({name!r})")
+        object.__setattr__(self, name, value)
+
+    def _seal(self) -> None:
+        object.__setattr__(self, "_sealed", True)
+
+
+class MetaAttribute(_Freezable):
     """A typed attribute slot on a metaclass."""
 
     def __init__(
@@ -71,7 +95,7 @@ class MetaAttribute:
         return f"<MetaAttribute {self.name}:{self.kind.value}>"
 
 
-class MetaReference:
+class MetaReference(_Freezable):
     """A reference slot: containment or cross, single- or many-valued."""
 
     def __init__(
@@ -94,7 +118,7 @@ class MetaReference:
         return f"<MetaReference {self.name} {flavor} {self.target}[{mult}]>"
 
 
-class MetaClass:
+class MetaClass(_Freezable):
     """A class in a metamodel; supports multiple inheritance of features."""
 
     def __init__(self, name: str, metamodel: "MetaModel", abstract: bool = False,
@@ -103,13 +127,22 @@ class MetaClass:
         self.metamodel = metamodel
         self.abstract = abstract
         self.supertype_names = tuple(supertypes)
-        self.own_attributes: Dict[str, MetaAttribute] = {}
-        self.own_references: Dict[str, MetaReference] = {}
+        self.own_attributes: Mapping[str, MetaAttribute] = {}
+        self.own_references: Mapping[str, MetaReference] = {}
+        # (supertypes, attributes, references), set when frozen
+        self._frozen_lookups: Optional[tuple] = None
 
     # -- definition -------------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self.metamodel.frozen:
+            raise MetamodelError(
+                f"metamodel {self.metamodel.name!r} is frozen; "
+                f"cannot change {self.name}")
+
     def attribute(self, name: str, kind: AttributeKind, **kwargs: Any) -> "MetaClass":
         """Define an attribute; returns self for chaining."""
+        self._check_open()
         if name in self.own_attributes:
             raise MetamodelError(f"duplicate attribute {name!r} on {self.name}")
         self.own_attributes[name] = MetaAttribute(name, kind, **kwargs)
@@ -117,6 +150,7 @@ class MetaClass:
 
     def reference(self, name: str, target: str, **kwargs: Any) -> "MetaClass":
         """Define a reference; returns self for chaining."""
+        self._check_open()
         if name in self.own_references:
             raise MetamodelError(f"duplicate reference {name!r} on {self.name}")
         self.own_references[name] = MetaReference(name, target, **kwargs)
@@ -128,8 +162,10 @@ class MetaClass:
         """Direct supertypes, resolved through the owning metamodel."""
         return [self.metamodel.metaclass(name) for name in self.supertype_names]
 
-    def all_supertypes(self) -> List["MetaClass"]:
+    def all_supertypes(self) -> Sequence["MetaClass"]:
         """Transitive supertypes in MRO-ish order (no duplicates)."""
+        if self._frozen_lookups is not None:
+            return self._frozen_lookups[0]
         seen: Dict[str, MetaClass] = {}
         stack = list(self.supertypes())
         while stack:
@@ -145,16 +181,20 @@ class MetaClass:
             return True
         return any(cls.name == name for cls in self.all_supertypes())
 
-    def all_attributes(self) -> Dict[str, MetaAttribute]:
+    def all_attributes(self) -> Mapping[str, MetaAttribute]:
         """Own + inherited attributes; subclasses override supertype slots."""
+        if self._frozen_lookups is not None:
+            return self._frozen_lookups[1]
         merged: Dict[str, MetaAttribute] = {}
         for cls in reversed(self.all_supertypes()):
             merged.update(cls.own_attributes)
         merged.update(self.own_attributes)
         return merged
 
-    def all_references(self) -> Dict[str, MetaReference]:
+    def all_references(self) -> Mapping[str, MetaReference]:
         """Own + inherited references; subclasses override supertype slots."""
+        if self._frozen_lookups is not None:
+            return self._frozen_lookups[2]
         merged: Dict[str, MetaReference] = {}
         for cls in reversed(self.all_supertypes()):
             merged.update(cls.own_references)
@@ -165,16 +205,21 @@ class MetaClass:
         return f"<MetaClass {self.metamodel.name}.{self.name}>"
 
 
-class MetaModel:
+class MetaModel(_Freezable):
     """A named collection of metaclasses (an Ecore package stand-in)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._classes: Dict[str, MetaClass] = {}
+        self._classes: Mapping[str, MetaClass] = {}
+        #: set by :meth:`freeze`; a frozen metamodel cannot change
+        self.frozen = False
 
     def define(self, name: str, abstract: bool = False,
                supertypes: Sequence[str] = ()) -> MetaClass:
         """Create a metaclass; supertypes may be defined later (checked at check())."""
+        if self.frozen:
+            raise MetamodelError(
+                f"metamodel {self.name!r} is frozen; cannot define {name!r}")
         if name in self._classes:
             raise MetamodelError(f"duplicate metaclass {name!r} in {self.name}")
         cls = MetaClass(name, self, abstract=abstract, supertypes=supertypes)
@@ -214,6 +259,36 @@ class MetaModel:
                     )
         for cls in self._classes.values():
             self._check_acyclic(cls, set())
+
+    def freeze(self) -> "MetaModel":
+        """Check, then make this metamodel immutable; returns self.
+
+        Every definition call and every attribute write on the metamodel,
+        its classes, attributes and references raises from now on, the
+        class, attribute and reference tables become read-only mappings,
+        and each class's
+        :meth:`~MetaClass.all_supertypes`, ``all_attributes`` and
+        ``all_references`` are computed here once.
+        """
+        if self.frozen:
+            return self
+        self.check()
+        lookups = {cls.name: (tuple(cls.all_supertypes()),
+                              MappingProxyType(dict(cls.all_attributes())),
+                              MappingProxyType(dict(cls.all_references())))
+                   for cls in self._classes.values()}
+        for cls in self._classes.values():
+            cls.own_attributes = MappingProxyType(dict(cls.own_attributes))
+            cls.own_references = MappingProxyType(dict(cls.own_references))
+            cls._frozen_lookups = lookups[cls.name]
+            for feature in (*cls.own_attributes.values(),
+                            *cls.own_references.values()):
+                feature._seal()
+            cls._seal()
+        self._classes = MappingProxyType(dict(self._classes))
+        self.frozen = True
+        self._seal()
+        return self
 
     def _check_acyclic(self, cls: MetaClass, path: set) -> None:
         if cls.name in path:

@@ -8,7 +8,7 @@ of that phase across jobs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class JitterMeter:
@@ -17,9 +17,13 @@ class JitterMeter:
     def __init__(self) -> None:
         self._records: Dict[str, List[Tuple[int, int]]] = {}
 
-    def record(self, signal: str, release: int, t_publish: int) -> None:
-        """Note that the job released at *release* published at *t_publish*."""
-        self._records.setdefault(signal, []).append((release, t_publish))
+    def record(self, signals: Iterable[str], release: int,
+               t_publish: int) -> None:
+        """Note that the job released at *release* published each of
+        *signals* (signal names, not one name) at *t_publish*."""
+        records = self._records
+        for signal in signals:
+            records.setdefault(signal, []).append((release, t_publish))
 
     def export_records(self) -> Dict[str, List[Tuple[int, int]]]:
         """Plain-data copy of all samples, per signal in record order."""

@@ -16,10 +16,17 @@ Semantics per actor job:
    ``latched=False`` they become visible at completion (the jitter
    ablation). Deadline misses publish at completion and are counted.
 
-Each actor's input ``(addr, signal)`` and output ``(signal, addr)`` port
-tables are resolved from the firmware's symbol table once, when the
-kernel is built, so a release does no symbol lookup; a firmware image
-missing an actor's port symbols is refused at construction.
+Each actor's release plan is resolved once, when the kernel is built:
+its task entry, and input ``(cell, signal)`` and output ``(signal, cell)``
+port tables that hold RAM cell indexes (not addresses) next to the live
+bus view of the actor's node. A release therefore latches inputs with
+``cells[cell] = view[signal]`` and captures outputs with ``cells[cell]``,
+with no symbol lookup and no call through the memory's checked backdoor
+(:meth:`~repro.target.memory.MemoryMap.poke` / ``peek``) or
+:meth:`~repro.rtos.network.SignalBus.read`. The checks those calls made
+move to construction: a firmware image missing an actor's entry or port
+symbols, a port outside RAM, or an input signal the node has no view of
+is refused there.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.comdes.actor import Actor
 from repro.comdes.system import System
-from repro.errors import SchedulerError
+from repro.errors import ModelError, SchedulerError, TargetFault
 from repro.obs.runtime import OBS
 from repro.rtos.jitter import JitterMeter
 from repro.rtos.network import SignalBus
@@ -37,10 +44,19 @@ from repro.rtos.scheduler import NodeScheduler
 from repro.rtos.task import ActiveJob, JobRecord, LoadTask
 from repro.sim.kernel import Simulator
 from repro.target.board import Board
-from repro.target.firmware import FirmwareImage
+from repro.target.firmware import FirmwareImage, SymbolTable
+from repro.target.memory import RAM_BASE, MemoryMap
 
 #: hook called before a job's functional execution: (actor_name, t_release)
 JobHook = Callable[[str, int], None]
+
+
+def _cell_of(memory: MemoryMap, symbols: SymbolTable, symbol: str) -> int:
+    """RAM cell index of a port *symbol* in *memory*."""
+    addr = symbols.addr_of(symbol)
+    if not memory.contains(addr):
+        raise TargetFault(f"memory access outside RAM: 0x{addr:08x}")
+    return addr - RAM_BASE
 
 
 class _NodeRuntime:
@@ -115,7 +131,9 @@ class DtmKernel:
             record_capacity = DEFAULT_SPILL_CACHE_EVENTS
         self.record_capacity = record_capacity
         # the persist-first/overwrite-at-head policy is the SAME helper
-        # ExecutionTrace uses — structural mirror, not by-convention
+        # ExecutionTrace uses — structural mirror, not by-convention; job
+        # records go straight into it (with JobRecord.to_dict as the
+        # spill encoder), and the spill store stamps each record's seq
         from repro.tracedb.spillring import SpillRing
         self._ring = SpillRing(record_capacity, record_spill)
         self.deadline_misses = 0
@@ -130,19 +148,28 @@ class DtmKernel:
                          "records_dropped": self.records_dropped},
                 owner=self)
         self._job_index: Dict[str, int] = {name: 0 for name in system.actors}
-        # per-actor port tables, resolved once: the release path latches
-        # inputs and captures outputs without a symbol lookup per port
+        # per-actor release plans, resolved once: the release path
+        # latches inputs and captures outputs by RAM cell index, with no
+        # symbol lookup and no checked backdoor call per port
+        self._plans: Dict[str, Tuple[_NodeRuntime, Dict[str, int], int,
+                                     Tuple[Tuple[int, str], ...],
+                                     Tuple[Tuple[str, int], ...]]] = {}
         symbols = firmware.symbols
-        self._ports: Dict[str, Tuple[Tuple[Tuple[int, str], ...],
-                                     Tuple[Tuple[str, int], ...]]] = {
-            name: (
-                tuple((symbols.addr_of(f"{name}.in.{port}"), signal)
+        for name, actor in system.actors.items():
+            runtime = self._nodes[actor.node]
+            view = self.bus.view(actor.node)
+            for signal in actor.inputs.values():
+                if signal not in view:
+                    raise ModelError(f"no view of signal {signal!r} on node "
+                                     f"{actor.node!r}")
+            memory = runtime.board.memory
+            self._plans[name] = (
+                runtime, view, firmware.entry_of(name),
+                tuple((_cell_of(memory, symbols, f"{name}.in.{port}"), signal)
                       for port, signal in actor.inputs.items()),
-                tuple((signal, symbols.addr_of(f"{name}.out.{port}"))
+                tuple((signal, _cell_of(memory, symbols, f"{name}.out.{port}"))
                       for port, signal in actor.outputs.items()),
             )
-            for name, actor in system.actors.items()
-        }
         self._load_tasks: List[LoadTask] = []
         self._started = False
         self._closed = False
@@ -213,41 +240,46 @@ class DtmKernel:
 
     def _release_actor(self, actor: Actor) -> None:
         now = self.sim.now
-        runtime = self._nodes[actor.node]
-        index = self._job_index[actor.name]
-        self._job_index[actor.name] += 1
+        name = actor.name
+        runtime, view, entry, inputs, outputs_at = self._plans[name]
+        index = self._job_index[name]
+        self._job_index[name] = index + 1
         deadline_abs = now + actor.task.deadline_us
+        board = runtime.board
 
-        if runtime.board.stalled:
+        if board.stalled:
             self.jobs_skipped += 1
-            self._append_record(JobRecord(
-                actor.name, index, now, None, deadline_abs, 0, skipped=True,
-            ))
+            self._ring.append(JobRecord(
+                name, index, now, None, deadline_abs, 0, skipped=True,
+            ), JobRecord.to_dict)
             return
 
-        inputs, outputs_at = self._ports[actor.name]
-        memory = runtime.board.memory
+        cells = board.memory.cells
         # Input latching at the release instant.
-        for addr, signal in inputs:
-            memory.poke(addr, self.bus.read(actor.node, signal))
+        for cell, signal in inputs:
+            cells[cell] = view[signal]
 
         for hook in runtime.job_hooks:
-            hook(actor.name, now)
+            hook(name, now)
 
-        result = runtime.board.run_task(actor.name)
-        demand_us = runtime.board.cycles_to_us(result.cycles)
+        cpu = board.cpu
+        cpu.reset_task(entry)
+        cycles = cpu.run().cycles
+        # Board.cycles_to_us, inline: rounded up to whole microseconds
+        clock_hz = board.clock_hz
+        demand_us = (cycles * 1_000_000 + clock_hz - 1) // clock_hz
 
         # Outputs are captured now (they are functions of latched inputs);
         # visibility is deferred to completion/deadline below.
-        outputs: Dict[str, int] = {
-            signal: memory.peek(addr) for signal, addr in outputs_at}
+        outputs: Dict[str, int] = {}
+        for signal, cell in outputs_at:
+            outputs[signal] = cells[cell]
 
-        job = ActiveJob(
-            actor.name, actor.task.priority, now, deadline_abs, demand_us,
+        runtime.scheduler.release(ActiveJob(
+            name, actor.task.priority, now, deadline_abs, demand_us,
             on_complete=partial(self._on_job_complete, actor, index, outputs,
                                 now, deadline_abs, demand_us),
-        )
-        runtime.scheduler.release(job)
+        ))
 
     def _on_job_complete(self, actor: Actor, index: int,
                          outputs: Dict[str, int], release: int,
@@ -255,7 +287,7 @@ class DtmKernel:
                          t_done: int) -> None:
         record = JobRecord(actor.name, index, release, t_done, deadline_abs,
                            demand_us)
-        self._append_record(record)
+        self._ring.append(record, JobRecord.to_dict)
         if record.missed:
             self.deadline_misses += 1
         if OBS.spans is not None:
@@ -274,10 +306,8 @@ class DtmKernel:
 
     def _publish(self, actor: Actor, release: int,
                  outputs: Dict[str, int]) -> None:
-        now = self.sim.now
-        for signal, value in outputs.items():
-            self.bus.publish(actor.node, signal, value)
-            self.jitter.record(signal, release, now)
+        self.bus.publish(actor.node, outputs)
+        self.jitter.record(outputs, release, self.sim.now)
 
     # -- load jobs --------------------------------------------------------
 
@@ -289,18 +319,6 @@ class DtmKernel:
         runtime.scheduler.release(job)
 
     # -- records ------------------------------------------------------------
-
-    def _append_record(self, record: JobRecord) -> None:
-        """Append (overwriting the oldest when at capacity).
-
-        With a spill store attached the record is persisted first
-        (:class:`~repro.tracedb.spillring.SpillRing` semantics, shared
-        with :class:`~repro.engine.trace.ExecutionTrace`), so eviction
-        only drops the cached copy and the dropped counter stays 0 —
-        the full job history remains streamable. The spill store stamps
-        each record's seq, continuing a resumed store's line.
-        """
-        self._ring.append(record, encode=JobRecord.to_dict)
 
     @property
     def record_spill(self) -> Optional[object]:

@@ -46,24 +46,43 @@ class SignalBus:
         except KeyError:
             raise ModelError(f"no view of signal {signal!r} on node {node!r}") from None
 
-    def publish(self, producer_node: str, signal: str, value: int) -> None:
-        """Publish a new value now; remote nodes see it after the delay."""
-        if producer_node not in self._views:
-            raise ModelError(f"unknown node {producer_node!r}")
-        self.messages_sent += 1
-        self._views[producer_node][signal] = value
-        for node in self._views:
-            if node == producer_node:
-                continue
-            self.cross_node_messages += 1
-            if self.net_delay_us == 0:
-                self._views[node][signal] = value
-            else:
-                self.sim.schedule(self.net_delay_us, self._apply, node,
-                                  signal, value)
+    def view(self, node: str) -> Dict[str, int]:
+        """The live signal view of *node* (not a copy).
 
-    def _apply(self, node: str, signal: str, value: int) -> None:
-        self._views[node][signal] = value
+        The DTM kernel resolves each actor's view once and latches inputs
+        from it directly; everyone else should :meth:`read` or
+        :meth:`snapshot`.
+        """
+        try:
+            return self._views[node]
+        except KeyError:
+            raise ModelError(f"unknown node {node!r}") from None
+
+    def publish(self, producer_node: str, outputs: Dict[str, int]) -> None:
+        """Publish every ``signal: value`` of *outputs* now, in order;
+        remote nodes see each value after the delay.
+
+        Each signal updates the producer's view at once and schedules
+        one update per remote node, ``net_delay_us`` later. The update
+        event is the remote view's own ``__setitem__``, so applying it
+        costs no Python call.
+        """
+        views = self._views
+        local = views.get(producer_node)
+        if local is None:
+            raise ModelError(f"unknown node {producer_node!r}")
+        delay = self.net_delay_us
+        for signal, value in outputs.items():
+            self.messages_sent += 1
+            local[signal] = value
+            for view in views.values():
+                if view is local:
+                    continue
+                self.cross_node_messages += 1
+                if delay == 0:
+                    view[signal] = value
+                else:
+                    self.sim.schedule(delay, view.__setitem__, signal, value)
 
     def snapshot(self, node: str) -> Dict[str, int]:
         """Copy of one node's full signal view."""

@@ -42,11 +42,21 @@ class NodeScheduler:
 
     def release(self, job: ActiveJob) -> None:
         """Admit a job at the current simulation time."""
-        if job.release != self.sim.now:
+        now = self.sim.now
+        if job.release != now:
             raise SchedulerError(
-                f"job {job.name} released at t={self.sim.now} but stamped "
+                f"job {job.name} released at t={now} but stamped "
                 f"{job.release}"
             )
+        if not self._jobs:
+            # idle node: nothing runs to charge or preempt, so the new
+            # job simply starts (what _update_progress + _replan do here)
+            self._jobs.append(job)
+            self._running = job
+            self._last_update = now
+            self._completion_event = self.sim.schedule(
+                job.remaining_us, self._complete, job)
+            return
         self._update_progress()
         self._jobs.append(job)
         self._replan()
@@ -80,16 +90,21 @@ class NodeScheduler:
         )
 
     def _complete(self, job: ActiveJob) -> None:
-        self._update_progress()
+        # only the running job has a completion event pending
+        now = self.sim.now
+        job.remaining_us -= now - self._last_update
+        self._last_update = now
         if job.remaining_us != 0:
             raise SchedulerError(
                 f"job {job.name} completed with {job.remaining_us}us remaining"
             )
-        self._jobs.remove(job)
+        jobs = self._jobs
+        jobs.remove(job)
         self._completion_event = None
         self._running = None
-        job.completion = self.sim.now
+        job.completion = now
         self.jobs_completed += 1
         if job.on_complete is not None:
-            job.on_complete(self.sim.now)
-        self._replan()
+            job.on_complete(now)
+        if jobs:
+            self._replan()

@@ -5,63 +5,69 @@ timestamps and executed in (time, insertion order) order. Insertion order as
 the tie-breaker makes simultaneous events deterministic, which the trace and
 replay machinery relies on.
 
-Heap entries are ``(time, seq, event)`` tuples. ``seq`` is unique per
-scheduling call, so ``heapq`` settles every comparison on the two ints in C
-and never compares the :class:`ScheduledEvent` itself. A periodic activity
-(:meth:`Simulator.every`) takes a fresh ``seq`` each time it re-arms, right
-after its callback returns, exactly as if the callback had scheduled its own
-next tick. Cancellation leaves a tombstone that is skipped when popped.
+Each heap entry *is* the event's handle: a :class:`ScheduledEvent` is a
+list ``[time, seq, fn, args, period]``, the entry layout the ``heapq``
+documentation recommends. ``seq`` is unique per scheduling call, so
+``heapq`` settles every comparison on the two leading ints in C and never
+looks at the callback. Cancellation clears ``fn``, leaving a tombstone
+that is skipped when popped. A periodic activity (:meth:`Simulator.every`)
+takes a fresh entry and ``seq`` each time it re-arms, right after its
+callback returns, exactly as if the callback had scheduled its own next
+tick.
+
+:attr:`Simulator.now` is a plain attribute, not a property: the clock is
+read on every release, completion and emitted command, and only the run
+loops write it. Treat it as read-only.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
 
-class ScheduledEvent:
+class ScheduledEvent(list):
     """Handle to a pending callback; supports cancellation.
 
-    ``period`` is 0 for a one-shot event; a periodic event's successor is
-    a new handle, so cancelling this one only cancels this firing.
+    The handle is the heap entry itself, ``[time, seq, fn, args,
+    period]``. ``period`` is 0 for a one-shot event; a periodic event's
+    successor is a new handle, so cancelling this one only cancels this
+    firing.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "period")
+    __slots__ = ()
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: tuple, period: int = 0):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.period = period
+    @property
+    def time(self) -> int:
+        """Absolute firing time in microseconds."""
+        return self[0]
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` was called before the event fired."""
+        return self[2] is None
 
     def cancel(self) -> None:
         """Prevent the callback from firing (no-op if already fired)."""
-        self.cancelled = True
+        self[2] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent t={self.time} seq={self.seq} {state}>"
+        state = "cancelled" if self[2] is None else "pending"
+        return f"<ScheduledEvent t={self[0]} seq={self[1]} {state}>"
 
 
 class Simulator:
     """Discrete-event simulator with integer-microsecond time."""
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: current simulated time in microseconds (read-only for callers)
+        self.now: int = 0
         self._seq: int = 0
-        self._queue: List[Tuple[int, int, ScheduledEvent]] = []
+        self._queue: List[ScheduledEvent] = []
         self._executed: int = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in microseconds."""
-        return self._now
 
     @property
     def executed_events(self) -> int:
@@ -71,22 +77,25 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (cancelled tombstones excluded)."""
-        return sum(1 for entry in self._queue if not entry[2].cancelled)
+        return sum(1 for entry in self._queue if entry[2] is not None)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *fn(*args)* at absolute *time* (must not be in the past)."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at t={time} before now={self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot schedule at t={time} before now={self.now}")
         self._seq = seq = self._seq + 1
-        event = ScheduledEvent(time, seq, fn, args)
-        _heappush(self._queue, (time, seq, event))
+        event = ScheduledEvent((time, seq, fn, args, 0))
+        _heappush(self._queue, event)
         return event
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *fn(*args)* after *delay* microseconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, fn, *args)
+        self._seq = seq = self._seq + 1
+        event = ScheduledEvent((self.now + delay, seq, fn, args, 0))
+        _heappush(self._queue, event)
+        return event
 
     def every(self, period: int, fn: Callable[..., Any], *args: Any,
               start: Optional[int] = None) -> ScheduledEvent:
@@ -100,17 +109,10 @@ class Simulator:
         """
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
-        first = start if start is not None else self._now + period
-        event = self.schedule_at(first, fn, *args)
-        event.period = period
+        event = self.schedule_at(
+            start if start is not None else self.now + period, fn, *args)
+        event[4] = period
         return event
-
-    def _rearm(self, event: ScheduledEvent) -> None:
-        """Queue the next firing of periodic *event*, a fresh handle."""
-        time = self._now + event.period
-        self._seq = seq = self._seq + 1
-        _heappush(self._queue, (time, seq, ScheduledEvent(
-            time, seq, event.fn, event.args, event.period)))
 
     def clear(self) -> None:
         """Drop every pending event and the callbacks it holds.
@@ -124,14 +126,16 @@ class Simulator:
         """Execute the next event; return False when the queue is empty."""
         queue = self._queue
         while queue:
-            time, _, event = _heappop(queue)
-            if event.cancelled:
+            time, _, fn, args, period = _heappop(queue)
+            if fn is None:
                 continue
-            self._now = time
+            self.now = time
             self._executed += 1
-            event.fn(*event.args)
-            if event.period:
-                self._rearm(event)
+            fn(*args)
+            if period:
+                self._seq = seq = self._seq + 1
+                _heappush(queue, ScheduledEvent(
+                    (self.now + period, seq, fn, args, period)))
             return True
         return False
 
@@ -141,25 +145,27 @@ class Simulator:
         Returns the number of events executed. Events scheduled during the
         run are honoured if they fall inside the horizon.
         """
-        if time < self._now:
-            raise ValueError(f"cannot run backwards to t={time} from now={self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot run backwards to t={time} from now={self.now}")
         queue = self._queue
         executed = 0
         while queue:
             entry = _heappop(queue)
-            event = entry[2]
-            if event.cancelled:
+            at, _, fn, args, period = entry
+            if fn is None:
                 continue
-            if entry[0] > time:
+            if at > time:
                 _heappush(queue, entry)
                 break
-            self._now = entry[0]
+            self.now = at
             self._executed += 1
             executed += 1
-            event.fn(*event.args)
-            if event.period:
-                self._rearm(event)
-        self._now = time
+            fn(*args)
+            if period:
+                self._seq = seq = self._seq + 1
+                _heappush(queue, ScheduledEvent(
+                    (self.now + period, seq, fn, args, period)))
+        self.now = time
         return executed
 
     def run(self, max_events: int = 1_000_000) -> int:

@@ -9,7 +9,8 @@ built around four rules:
    tuples — direct-threaded style: the run loop does **one** list index
    plus one unpack per instruction instead of three parallel-array
    indexes, and never looks at an :class:`~repro.target.isa.Instr`, a
-   string, or a dict.
+   string, or a dict. Decoding is memoized per process on the program's
+   content, so every board flashed with one image shares its rows.
 2. **Dispatch on ints.** The loop is a frequency-ordered ``if/elif`` chain
    comparing a local int against hoisted local constants — no dictionary,
    no attribute lookup, no method call per instruction. Superinstruction
@@ -44,11 +45,14 @@ timing-identical to the plain rows they replace, and plain rows to
 Semantics are bit-identical to the reference expression interpreter
 (:mod:`repro.comdes.expr`) via the shared :mod:`repro.util.intmath` rules:
 signed 32-bit wraparound, C-style truncating division, 0/1 comparisons.
+The fast loop inlines ``sdiv``/``smod`` (no call per divide); the checked
+:meth:`_step` calls them, and the lockstep tests hold the two together.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
 from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import TargetFault
@@ -83,6 +87,134 @@ _STOP_ROW = (OP_STOP, 0, 0)
 _NO_STOPS: frozenset = frozenset()
 
 
+def _fuse_rows(rows: List[Tuple[int, int, int]],
+               entries: Optional[Sequence[int]]) -> Tuple[Optional[List[tuple]], int]:
+    """Install superinstruction rows over the decoded program.
+
+    Greedy longest-match over the plain rows: quads
+    (``operand operand alu STORE/JZ/JNZ``) first, then the command
+    preamble triple (``PUSH ch; PUSH/LOAD v; EMIT``), then pairs
+    (``PUSH/LOAD STORE`` moves and ``LOAD JZ/JNZ`` tests). A fused
+    row never spans a branch target or task entry — the sequence
+    starting *at* such a boundary fuses normally, which is what lets
+    loop bodies stay fused. Operand fields are precomputed: RAM
+    indexes for LOAD-mode operands, wrapped immediates for PUSH-mode;
+    the row's cost is the exact sum of constituent CYCLES. Returns the
+    fused rows (None when nothing fused) and the superinstruction count.
+    """
+    ncode = len(rows)
+    boundaries = set(entries or ())
+    for op, arg, _ in rows:
+        if op == OP_JMP or op == OP_JZ or op == OP_JNZ:
+            if 0 <= arg < ncode:
+                boundaries.add(arg)
+    frows: List[tuple] = list(rows)
+    fused = 0
+    ram_base = RAM_BASE
+    i = 0
+    while i < ncode:
+        op, arg, cst = rows[i]
+        # quad: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; STORE|JZ|JNZ
+        if ((op == OP_LOAD or op == OP_PUSH) and i + 3 < ncode
+                and i + 1 not in boundaries and i + 2 not in boundaries
+                and i + 3 not in boundaries):
+            op2, arg2, cst2 = rows[i + 1]
+            op3, _, cst3 = rows[i + 2]
+            op4, arg4, cst4 = rows[i + 3]
+            if ((op2 == OP_LOAD or op2 == OP_PUSH)
+                    and op3 in FUSABLE_ALU
+                    and (op4 == OP_STORE
+                         or ((op4 == OP_JZ or op4 == OP_JNZ)
+                             and 0 <= arg4 < ncode))):
+                amode = op == OP_LOAD
+                bmode = op2 == OP_LOAD
+                if op4 == OP_STORE:
+                    fop = OP_F_ALU_ST
+                    dest = arg4 - ram_base
+                elif op4 == OP_JZ:
+                    fop, dest = OP_F_ALU_JZ, arg4
+                else:
+                    fop, dest = OP_F_ALU_JNZ, arg4
+                frows[i] = (fop,
+                            (amode, arg - ram_base if amode else arg,
+                             bmode, arg2 - ram_base if bmode else arg2,
+                             op3, dest),
+                            cst + cst2 + cst3 + cst4)
+                fused += 1
+                i += 4
+                continue
+        # triple: PUSH ch; [PUSH|LOAD] v; EMIT kind (command preamble)
+        if (op == OP_PUSH and i + 2 < ncode
+                and i + 1 not in boundaries and i + 2 not in boundaries):
+            op2, arg2, cst2 = rows[i + 1]
+            op3, arg3, cst3 = rows[i + 2]
+            if (op3 == OP_EMIT
+                    and (op2 == OP_PUSH or op2 == OP_LOAD)):
+                bmode = op2 == OP_LOAD
+                frows[i] = (OP_F_EMIT,
+                            (arg, bmode,
+                             arg2 - ram_base if bmode else arg2, arg3),
+                            cst + cst2 + cst3)
+                fused += 1
+                i += 3
+                continue
+        # pair: PUSH/LOAD + STORE, LOAD + JZ/JNZ
+        if i + 1 < ncode and i + 1 not in boundaries:
+            op2, arg2, cst2 = rows[i + 1]
+            pair = None
+            if op2 == OP_STORE:
+                if op == OP_PUSH:
+                    pair = (OP_F_PUSH_ST, (arg, arg2 - ram_base))
+                elif op == OP_LOAD:
+                    pair = (OP_F_LOAD_ST,
+                            (arg - ram_base, arg2 - ram_base))
+            elif op == OP_LOAD and 0 <= arg2 < ncode:
+                if op2 == OP_JZ:
+                    pair = (OP_F_LOAD_JZ, (arg - ram_base, arg2))
+                elif op2 == OP_JNZ:
+                    pair = (OP_F_LOAD_JNZ, (arg - ram_base, arg2))
+            if pair is not None:
+                frows[i] = (pair[0], pair[1], cst + cst2)
+                fused += 1
+                i += 2
+                continue
+        i += 1
+    return (frows, fused) if fused else (None, 0)
+
+
+#: decoded programs by content, oldest first (see :func:`_decode`)
+_DECODED: "OrderedDict[tuple, tuple]" = OrderedDict()
+#: programs kept decoded: a campaign job flashes one or two images (the
+#: pristine one and its mutant) on every board of both debugger rigs
+_DECODED_LIMIT = 4
+
+
+def _decode(code: Sequence[Instr], entries: Optional[Sequence[int]],
+            fuse: bool) -> Tuple[List[Tuple[int, int, int]],
+                                 Optional[List[tuple]], int]:
+    """Plain rows, fused rows (or None) and fused count of *code*.
+
+    Memoized on content: a program whose ``(opcode, arg)`` rows, entries
+    and fusion flag match one decoded before gets the same row lists,
+    which callers must not mutate. The table keeps the
+    :data:`_DECODED_LIMIT` most recently used programs.
+    """
+    content = tuple([(instr.code, instr.arg) for instr in code])
+    key = (content, frozenset(entries or ()) if fuse else None)
+    found = _DECODED.get(key)
+    if found is not None:
+        _DECODED.move_to_end(key)
+        return found
+    rows = [(op, wrap32(arg) if op == OP_PUSH else (0 if arg is None else arg),
+             CYCLES[op])
+            for op, arg in content]
+    frows, fused = _fuse_rows(rows, entries) if fuse else (None, 0)
+    found = _DECODED[key] = (rows, frows, fused)
+    if len(_DECODED) > _DECODED_LIMIT:
+        _DECODED.popitem(last=False)
+    return found
+
+
 class StopReason(enum.Enum):
     """Why a ``run`` returned."""
 
@@ -98,6 +230,9 @@ class RunResult(NamedTuple):
     reason: StopReason
     instructions: int
     cycles: int
+
+
+_new_tuple = tuple.__new__
 
 
 class Cpu:
@@ -152,19 +287,17 @@ class Cpu:
         fine). Entries the caller forgot are still safe — interior pcs of
         a fused sequence keep their plain rows, so entering one simply
         executes unfused — declared boundaries just fuse better.
+
+        Decoding is memoized per process on the program's content (the
+        ``(opcode, arg)`` of every instruction, the entries and the
+        fusion flag), so every board flashed with the same image shares
+        one set of rows. Shared rows are read-only: the trapped copies
+        (:meth:`_trapped_rows`) are built fresh, and an image edited in
+        place keys a new entry.
         """
         self.code = list(code)
-        self._rows = [
-            (instr.code,
-             wrap32(instr.arg) if instr.code == OP_PUSH
-             else (0 if instr.arg is None else instr.arg),
-             CYCLES[instr.code])
-            for instr in self.code
-        ]
-        self._frows = None
-        self.fused_rows = 0
-        if self.fuse:
-            self._fuse_rows(entries)
+        self._rows, self._frows, self.fused_rows = _decode(
+            self.code, entries, self.fuse)
         self.pc = 0
         self.stack.clear()
         self.halted = True
@@ -173,101 +306,6 @@ class Cpu:
         self.emit_log.clear()
         self._resume_pc = -1
         self._trap_key = None
-
-    def _fuse_rows(self, entries: Optional[Sequence[int]]) -> None:
-        """Install superinstruction rows over the decoded program.
-
-        Greedy longest-match over the plain rows: quads
-        (``operand operand alu STORE/JZ/JNZ``) first, then the command
-        preamble triple (``PUSH ch; PUSH/LOAD v; EMIT``), then pairs
-        (``PUSH/LOAD STORE`` moves and ``LOAD JZ/JNZ`` tests). A fused
-        row never spans a branch target or task entry — the sequence
-        starting *at* such a boundary fuses normally, which is what lets
-        loop bodies stay fused. Operand fields are precomputed: RAM
-        indexes for LOAD-mode operands, wrapped immediates for PUSH-mode;
-        the row's cost is the exact sum of constituent CYCLES.
-        """
-        rows = self._rows
-        ncode = len(rows)
-        boundaries = set(entries or ())
-        for op, arg, _ in rows:
-            if op == OP_JMP or op == OP_JZ or op == OP_JNZ:
-                if 0 <= arg < ncode:
-                    boundaries.add(arg)
-        frows: List[tuple] = list(rows)
-        fused = 0
-        ram_base = RAM_BASE
-        i = 0
-        while i < ncode:
-            op, arg, cst = rows[i]
-            # quad: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; STORE|JZ|JNZ
-            if ((op == OP_LOAD or op == OP_PUSH) and i + 3 < ncode
-                    and i + 1 not in boundaries and i + 2 not in boundaries
-                    and i + 3 not in boundaries):
-                op2, arg2, cst2 = rows[i + 1]
-                op3, _, cst3 = rows[i + 2]
-                op4, arg4, cst4 = rows[i + 3]
-                if ((op2 == OP_LOAD or op2 == OP_PUSH)
-                        and op3 in FUSABLE_ALU
-                        and (op4 == OP_STORE
-                             or ((op4 == OP_JZ or op4 == OP_JNZ)
-                                 and 0 <= arg4 < ncode))):
-                    amode = op == OP_LOAD
-                    bmode = op2 == OP_LOAD
-                    if op4 == OP_STORE:
-                        fop = OP_F_ALU_ST
-                        dest = arg4 - ram_base
-                    elif op4 == OP_JZ:
-                        fop, dest = OP_F_ALU_JZ, arg4
-                    else:
-                        fop, dest = OP_F_ALU_JNZ, arg4
-                    frows[i] = (fop,
-                                (amode, arg - ram_base if amode else arg,
-                                 bmode, arg2 - ram_base if bmode else arg2,
-                                 op3, dest),
-                                cst + cst2 + cst3 + cst4)
-                    fused += 1
-                    i += 4
-                    continue
-            # triple: PUSH ch; [PUSH|LOAD] v; EMIT kind (command preamble)
-            if (op == OP_PUSH and i + 2 < ncode
-                    and i + 1 not in boundaries and i + 2 not in boundaries):
-                op2, arg2, cst2 = rows[i + 1]
-                op3, arg3, cst3 = rows[i + 2]
-                if (op3 == OP_EMIT
-                        and (op2 == OP_PUSH or op2 == OP_LOAD)):
-                    bmode = op2 == OP_LOAD
-                    frows[i] = (OP_F_EMIT,
-                                (arg, bmode,
-                                 arg2 - ram_base if bmode else arg2, arg3),
-                                cst + cst2 + cst3)
-                    fused += 1
-                    i += 3
-                    continue
-            # pair: PUSH/LOAD + STORE, LOAD + JZ/JNZ
-            if i + 1 < ncode and i + 1 not in boundaries:
-                op2, arg2, cst2 = rows[i + 1]
-                pair = None
-                if op2 == OP_STORE:
-                    if op == OP_PUSH:
-                        pair = (OP_F_PUSH_ST, (arg, arg2 - ram_base))
-                    elif op == OP_LOAD:
-                        pair = (OP_F_LOAD_ST,
-                                (arg - ram_base, arg2 - ram_base))
-                elif op == OP_LOAD and 0 <= arg2 < ncode:
-                    if op2 == OP_JZ:
-                        pair = (OP_F_LOAD_JZ, (arg - ram_base, arg2))
-                    elif op2 == OP_JNZ:
-                        pair = (OP_F_LOAD_JNZ, (arg - ram_base, arg2))
-                if pair is not None:
-                    frows[i] = (pair[0], pair[1], cst + cst2)
-                    fused += 1
-                    i += 2
-                    continue
-            i += 1
-        if fused:
-            self._frows = frows
-            self.fused_rows = fused
 
     def reset_task(self, entry: int) -> None:
         """Point the CPU at a task entry with an empty stack."""
@@ -339,7 +377,7 @@ class Cpu:
             n += result.instructions
             cycles += result.cycles
             if result.reason is not StopReason.BREAKPOINT:
-                return RunResult(result.reason, n, cycles)
+                return _new_tuple(RunResult, (result.reason, n, cycles))
             # the loop stopped before a stop pc with budget left; only the
             # run's first instruction may step over a breakpoint
             pc = self.pc
@@ -351,7 +389,7 @@ class Cpu:
             n += 1
             cycles += step.cycles
             if step.reason is StopReason.HALTED:
-                return RunResult(StopReason.HALTED, n, cycles)
+                return _new_tuple(RunResult, (StopReason.HALTED, n, cycles))
 
     def _trapped_rows(self, watched: frozenset, bps: frozenset
                       ) -> Tuple[List[tuple], List[tuple]]:
@@ -431,8 +469,6 @@ class Cpu:
         emit_log = self.emit_log
         handler = self.emit_handler
         base_cycles = self.cycles
-        sdiv_ = sdiv
-        smod_ = smod
         int_max = INT_MAX
         int_min = INT_MIN
         ram_base = RAM_BASE
@@ -507,20 +543,21 @@ class Cpu:
                             r = 1 if (a != 0 and b != 0) else 0
                         elif alu == OR:
                             r = 1 if (a != 0 or b != 0) else 0
-                        elif alu == DIV:
+                        else:  # DIV, MOD: intmath.sdiv / smod, inline
                             if b == 0:  # trap must surface unfused
                                 rows = prows
                                 run_cycles -= cst
                                 n -= 1
                                 continue
-                            r = sdiv_(a, b)
-                        else:  # MOD
-                            if b == 0:
-                                rows = prows
-                                run_cycles -= cst
-                                n -= 1
-                                continue
-                            r = smod_(a, b)
+                            r = (a // b if (a >= 0) == (b > 0)
+                                 else -(-a // b))
+                            if r > int_max or r < int_min:
+                                r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+                            if alu == MOD:
+                                r = a - r * b
+                                if r > int_max or r < int_min:
+                                    r = (((r + 0x80000000) & 0xFFFFFFFF)
+                                         - 0x80000000)
                         cells[yi] = r
                         reads += amode + bmode
                         writes += 1
@@ -563,20 +600,22 @@ class Cpu:
                             r = a != b
                         elif alu == MUL:
                             r = (a * b) % 0x100000000 != 0
-                        elif alu == DIV:
+                        else:  # DIV, MOD: intmath.sdiv / smod, inline
                             if b == 0:
                                 rows = prows
                                 run_cycles -= cst
                                 n -= 1
                                 continue
-                            r = sdiv_(a, b) != 0
-                        else:  # MOD
-                            if b == 0:
-                                rows = prows
-                                run_cycles -= cst
-                                n -= 1
-                                continue
-                            r = smod_(a, b) != 0
+                            r = (a // b if (a >= 0) == (b > 0)
+                                 else -(-a // b))
+                            if r > int_max or r < int_min:
+                                r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+                            if alu == MOD:
+                                r = a - r * b
+                                if r > int_max or r < int_min:
+                                    r = (((r + 0x80000000) & 0xFFFFFFFF)
+                                         - 0x80000000)
+                            r = r != 0
                         reads += amode + bmode
                         n += 3
                         if op == F_ALU_JNZ:
@@ -765,17 +804,21 @@ class Cpu:
                         raise TargetFault("stack overflow", pc)
                     append(stack[-1])
                     pc += 1
-                elif op == MOD:
+                elif op == MOD or op == DIV:
+                    # intmath.sdiv / smod, inline: truncating quotient,
+                    # remainder a - q*b, both wrapped to int32
                     b = pop(); a = pop()
                     if b == 0:
-                        raise TargetFault("modulo by zero", pc)
-                    append(smod_(a, b))
-                    pc += 1
-                elif op == DIV:
-                    b = pop(); a = pop()
-                    if b == 0:
-                        raise TargetFault("division by zero", pc)
-                    append(sdiv_(a, b))
+                        raise TargetFault("modulo by zero" if op == MOD
+                                          else "division by zero", pc)
+                    r = a // b if (a >= 0) == (b > 0) else -(-a // b)
+                    if r > int_max or r < int_min:
+                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+                    if op == MOD:
+                        r = a - r * b
+                        if r > int_max or r < int_min:
+                            r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
+                    append(r)
                     pc += 1
                 elif op == SWAP:
                     b = pop(); a = pop()
@@ -836,7 +879,8 @@ class Cpu:
             self.instructions += n
             memory.reads += reads
             memory.writes += writes
-        return RunResult(reason, n, run_cycles)
+        # tuple.__new__ builds the named tuple without a Python-level call
+        return _new_tuple(RunResult, (reason, n, run_cycles))
 
     # -- checked execution (debugger path) ----------------------------------
 

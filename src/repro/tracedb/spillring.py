@@ -39,7 +39,7 @@ class SpillRing:
     :class:`~repro.tracedb.store.TraceStore`.
     """
 
-    __slots__ = ("capacity", "spill", "items", "head", "dropped", "_seq")
+    __slots__ = ("capacity", "spill", "items", "head", "dropped", "next_seq")
 
     def __init__(self, capacity: Optional[int] = None,
                  spill: Optional[object] = None) -> None:
@@ -51,19 +51,16 @@ class SpillRing:
         self.items: List[Any] = []
         self.head = 0
         self.dropped = 0
-        # a ring over a resumed store continues the store's seq line
-        self._seq = getattr(spill, "next_seq", 0) if spill is not None else 0
+        #: the seq the next appended item will carry (read-only for
+        #: callers); a ring over a resumed store continues its seq line
+        self.next_seq = (getattr(spill, "next_seq", 0)
+                         if spill is not None else 0)
 
     # -- recording ---------------------------------------------------------
 
-    @property
-    def next_seq(self) -> int:
-        """The seq the next appended item will carry."""
-        return self._seq
-
     def resume_seq(self, seq: int) -> None:
         """Continue numbering at *seq* (deserialization support)."""
-        self._seq = seq
+        self.next_seq = seq
 
     def append(self, item: Any,
                encode: Optional[Callable[[Any], dict]] = None) -> None:
@@ -77,7 +74,7 @@ class SpillRing:
         """
         if self.spill is not None:
             self.spill.append(encode(item) if encode is not None else item)
-        self._seq += 1
+        self.next_seq += 1
         if self.capacity is not None and len(self.items) == self.capacity:
             self.items[self.head] = item
             self.head = (self.head + 1) % self.capacity
@@ -115,4 +112,4 @@ class SpillRing:
     def __repr__(self) -> str:
         spilling = "spilling" if self.spill is not None else "in-memory"
         return (f"<SpillRing {len(self.items)}/{self.capacity} {spilling}, "
-                f"dropped={self.dropped}, next_seq={self._seq}>")
+                f"dropped={self.dropped}, next_seq={self.next_seq}>")

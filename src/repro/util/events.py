@@ -21,10 +21,18 @@ class EventBus:
     Each topic's handlers are an immutable tuple replaced on (un)subscribe,
     so a publish iterates the set current at its start without copying it,
     and a handler (un)subscribing mid-publish affects only later publishes.
+
+    :attr:`topics` is the live ``topic -> handlers`` table, for
+    publishers on a hot path: ``if bus.topics.get(topic)`` skips building
+    a payload nobody listens to. It stays the same dict object for the
+    bus's lifetime (:meth:`clear` empties it in place), so a publisher
+    may hold on to it; only the bus's own methods may change it.
     """
 
     def __init__(self) -> None:
         self._handlers: Dict[str, Tuple[Handler, ...]] = {}
+        #: the live topic -> handlers table (read-only for callers)
+        self.topics = self._handlers
         self._published: int = 0
 
     def subscribe(self, topic: str, handler: Handler) -> None:
@@ -39,7 +47,7 @@ class EventBus:
 
     def clear(self) -> None:
         """Unsubscribe every handler of every topic."""
-        self._handlers = {}
+        self._handlers.clear()
 
     def publish(self, topic: str, **payload: Any) -> int:
         """Invoke every handler subscribed to *topic*; return handler count."""

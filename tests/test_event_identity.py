@@ -10,7 +10,13 @@ here runs the same work through both and compares everything observable:
   binding edits and checkpoint restores mid-stream and replay afterwards
   — the reaction records and ``dynamic_state()`` after every command;
 * whole systems — job records, bus views, the engine trace and the
-  traced campaign store bytes.
+  traced campaign store bytes;
+* the active channels and the engine — UART overruns and bytes sent,
+  dropped frames, link books and the delivered command stream at small
+  FIFO depths and behind a ``ChaosLink``, two actors released on one
+  node at one instant, and a late ``engine_state`` subscriber;
+* monitor suites — dispatch by command kind against every monitor seeing
+  every command.
 """
 
 from __future__ import annotations
@@ -20,17 +26,20 @@ import filecmp
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from event_reference import (HeapSimulator, make_reference_gdm,
-                             reference_decay_pulses, reference_event_paths)
+                             reference_decay_pulses, reference_event_paths,
+                             reference_on_emit, reference_suite_on_command)
 from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comdes.examples import (blinker_system, cruise_control_system,
                                    production_cell_system,
                                    traffic_light_system)
 from repro.comdes.reflect import system_to_model
-from repro.comm.channel import DebugChannel
+from repro.comm.channel import ActiveChannel, DebugChannel
+from repro.comm.chaos import ChaosConfig
 from repro.comm.protocol import Command, CommandKind
+from repro.comm.rs232 import Rs232Link
 from repro.engine.checks import MonitorSuite
 from repro.engine.engine import DebuggerEngine
 from repro.engine.replay import ReplayPlayer
@@ -50,6 +59,9 @@ from repro.gdm.mapping import default_comdes_table
 from repro.gdm.model import CommandBinding
 from repro.gdm.reactions import ReactionKind, decay_pulses
 from repro.sim.kernel import Simulator
+from repro.target.board import Board
+from repro.target.firmware import FirmwareImage, SymbolTable
+from repro.target.isa import Instr
 from repro.tracedb import campaign_store_root
 from repro.util.timeunits import sec
 
@@ -401,3 +413,199 @@ class TestSystems:
             assert filecmp.cmp(os.path.join(roots[0], file_name),
                                os.path.join(roots[1], file_name),
                                shallow=False), file_name
+
+
+# -- active channels and engine publication ----------------------------------
+
+CHAOS_RATES = dict(frame_loss=0.05, frame_corrupt=0.05, frame_duplicate=0.05,
+                   frame_reorder=0.05)
+
+
+def channel_run(name, fifo_depth, chaos_seed, duration_us, late_after):
+    """What the UARTs, the active channels and the engine show for one
+    model-debugger run: UART and channel counters, link books, the
+    delivered command stream, the trace and the ``engine_state``
+    transitions a subscriber added after *late_after* commands sees."""
+    system_factory, monitors, _ = _RIGS[name]
+    system = system_factory()
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    chaos = (None if chaos_seed is None
+             else ChaosConfig(seed=chaos_seed, **CHAOS_RATES))
+    kernel, engine, suite = model_debugger_rig(system, firmware, monitors,
+                                               chaos=chaos)
+    boards = [kernel.board_of(node) for node in system.nodes()]
+    for board in boards:
+        board.uart.fifo_depth = fifo_depth
+    delivered = []
+    engine.channel.subscribe(lambda c: delivered.append(
+        (c.kind, c.path, c.value, c.t_target, c.t_host)))
+    per_node = [[] for _ in engine.channel.children]
+    for seen, child in zip(per_node, engine.channel.children):
+        child.subscribe(lambda c, seen=seen: seen.append(c.t_target))
+    transitions = []
+    commands = [0]
+
+    def late_subscriber(**_):
+        commands[0] += 1
+        if commands[0] == late_after:
+            engine.bus.subscribe("engine_state", lambda previous, current:
+                                 transitions.append((previous, current)))
+
+    engine.bus.subscribe("command", late_subscriber)
+    kernel.run(duration_us)
+    return {
+        "uart": [(b.uart.overruns, b.uart.bytes_sent) for b in boards],
+        "channels": [(ch.frames_sent, ch.frames_dropped,
+                      ch.decoder.frames_decoded, ch.decoder.checksum_errors,
+                      ch.decoder.framing_errors, ch.debug_link.stats())
+                     for ch in engine.channel.children],
+        "delivered": delivered,
+        "per_node": per_node,
+        "trace": engine.trace.to_dicts(),
+        "transitions": transitions,
+        "violations": [(r.t_us, r.message) for r in suite.reports()],
+        "records": [r.to_dict() for r in kernel.records],
+        "events": (kernel.sim.executed_events, kernel.sim.now),
+    }
+
+
+def both_channel_runs(*args):
+    fast = channel_run(*args)
+    with reference_event_paths():
+        ref = channel_run(*args)
+    return fast, ref
+
+
+class TestChannelsAndEngine:
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["traffic", "cruise", "cell"]),
+           st.integers(10, 60),
+           st.one_of(st.none(), st.integers(0, 1000)),
+           st.integers(100_000, 800_000),
+           st.integers(1, 200))
+    @example("cruise", 10, None, 600_000, 5)
+    @example("cruise", 20, 7, 600_000, 50)
+    def test_uart_fifo_transport_and_stream_match_references(
+            self, name, fifo_depth, chaos_seed, duration_us, late_after):
+        fast, ref = both_channel_runs(name, fifo_depth, chaos_seed,
+                                      duration_us, late_after)
+        assert fast == ref
+        assert fast["delivered"]
+
+    def test_small_fifo_overruns_identically(self):
+        fast, ref = both_channel_runs("cruise", 10, None, 1_000_000, 1)
+        assert fast == ref
+        assert sum(overruns for overruns, _ in fast["uart"]) > 0
+        assert sum(ch[1] for ch in fast["channels"]) > 0  # frames dropped
+
+    def test_same_instant_releases_emit_backwards_in_time(self):
+        """cruise's hmi and controller share node0 and are released at
+        the same instant: the second job's first emission is stamped
+        before the first job's last one, and a frame the line retired
+        stays retired. At this FIFO depth node0 also overruns."""
+        fast, ref = both_channel_runs("cruise", 40, None, 1_000_000, 1)
+        assert fast == ref
+        node0 = fast["per_node"][0]
+        assert any(b < a for a, b in zip(node0, node0[1:]))
+        assert fast["uart"][0][0] > 0
+
+    def test_chaos_link_books_match_references(self):
+        fast, ref = both_channel_runs("cell", 128, 11, 1_000_000, 1)
+        assert fast == ref
+        stats = [ch[-1] for ch in fast["channels"]]
+        assert any(s["frames_lost"] + s["frames_corrupted"]
+                   + s["frames_duplicated"] + s["frames_reordered"]
+                   for s in stats)
+
+    def test_late_engine_state_subscriber_sees_every_transition(self):
+        fast, ref = both_channel_runs("traffic", 128, None, 1_000_000, 30)
+        assert fast == ref
+        # from its first command on, the subscriber sees both transitions
+        # of every command the engine handled
+        handled = len(fast["trace"]) - 30
+        assert len(fast["transitions"]) == 2 * handled + 1
+
+
+_SUITES = {
+    "traffic": traffic_light_monitor_suite,
+    "cruise": cruise_monitor_suite,
+    "cell": production_cell_monitor_suite,
+}
+
+_cmd = st.tuples(st.integers(0, len(KINDS) - 1), st.integers(0, 10_000),
+                 st.integers(-5, 2000), st.integers(0, 400_000))
+
+
+class TestMonitorDispatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(_SUITES)), st.lists(_cmd, max_size=120))
+    def test_dispatch_by_kind_reports_like_every_monitor(self, name, cmds):
+        fast, ref = _SUITES[name](), _SUITES[name]()
+        paths = model_paths(built_gdm(name))
+        t = 0
+        for kind, path, value, gap in cmds:
+            t += gap
+            command = Command(KINDS[kind], paths[path % len(paths)], value,
+                              t_target=t, t_host=t)
+            fast._on_command(command)
+            reference_suite_on_command(ref, command)
+        assert ([(r.monitor, r.message, r.t_us) for r in fast.reports()]
+                == [(r.monitor, r.message, r.t_us) for r in ref.reports()])
+
+
+#: line time of one 10-byte frame at the default 115200 baud, in us
+FRAME_US = 868
+
+_emission = st.tuples(
+    st.booleans(),  # a new job (re-anchors the emission clock)
+    st.integers(0, 3),  # release step in frame times (0: same instant)
+    st.one_of(st.integers(0, 6).map(lambda k: k * FRAME_US),
+              st.integers(0, 6000)),  # emission offset within the job
+)
+
+
+def fifo_run(emissions, fifo_depth, emit):
+    """Drive one active channel's emit handler through synthetic
+    emissions; returns the UART/channel counters after each one."""
+    sim = Simulator()
+    board = Board(uart_fifo=fifo_depth)
+    firmware = FirmwareImage("fifo", [Instr("HALT")], {}, SymbolTable(), {},
+                             {1: "signal:x"})
+    channel = ActiveChannel(sim, board, firmware, link=Rs232Link())
+    clock_per_us = board.clock_hz // 1_000_000
+    release = 0
+    log = []
+    for new_job, step, offset in emissions:
+        if new_job:
+            release += step * FRAME_US
+            board.cpu.cycles = 0
+            channel.begin_job(release)
+        board.cpu.cycles = offset * clock_per_us
+        emit(channel, 2, 1, offset)
+        log.append((board.uart.overruns, board.uart.bytes_sent,
+                    channel.frames_sent, channel.frames_dropped))
+    return log, channel.debug_link.stats()
+
+
+class TestFifoAccounting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_emission, min_size=1, max_size=60),
+           st.integers(10, 60))
+    def test_heap_accounting_equals_rescan(self, emissions, fifo_depth):
+        """Emissions that go back in time, land exactly on a frame's
+        finishing instant or overrun the FIFO: the heap and the running
+        byte count drop exactly what the full rescan drops."""
+        fast = fifo_run(emissions, fifo_depth,
+                        lambda ch, *args: ch._on_emit(*args))
+        ref = fifo_run(emissions, fifo_depth, reference_on_emit)
+        assert fast == ref
+
+    def test_frame_finishing_at_the_emission_instant_is_retired(self):
+        # the first frame occupies the line until FRAME_US; at a 10-byte
+        # FIFO a second frame fits exactly then, and not one us earlier
+        on_time = [(True, 0, 0), (False, 0, FRAME_US)]
+        early = [(True, 0, 0), (False, 0, FRAME_US - 1)]
+        for emissions, dropped in ((on_time, 0), (early, 1)):
+            for emit in (lambda ch, *a: ch._on_emit(*a), reference_on_emit):
+                log, _ = fifo_run(emissions, 10, emit)
+                assert log[-1][3] == dropped

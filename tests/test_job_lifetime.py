@@ -6,11 +6,12 @@ known. These tests run one job of each category with the cyclic garbage
 collector disabled, then ask a ``DEBUG_SAVEALL`` collection what it
 found: nothing the rigs are made of may be in it.
 
-The one allowed residual is the metamodel containment graph that
+The one allowed residual is the model containment graph that
 :func:`~repro.comdes.reflect.system_to_model` builds per job (model
-objects point at their container, metaclasses at their metamodel). It
-is a few dozen objects and holds no rig object; the allowlist below
-names its types.
+objects point at their container). It is a few dozen objects and holds
+no rig object; the allowlist below names its one type. The COMDES
+metamodel is built once per process and shared, so no metaclass or
+metamodel may be in the residual.
 """
 
 import gc
@@ -33,7 +34,6 @@ from repro.experiments.requirements import (
     traffic_light_monitor_suite,
 )
 from repro.faults.campaign import run_control_experiment, run_fault_experiment
-from repro.meta.metamodel import MetaAttribute, MetaClass, MetaModel, MetaReference
 from repro.meta.model import ModelObject
 from repro.tracedb.store import TraceStore
 from repro.util.timeunits import sec
@@ -44,9 +44,8 @@ DURATION_US = sec(3)
 RIG_MODULES = ("repro.target", "repro.sim", "repro.rtos", "repro.comm",
                "repro.engine", "repro.debugger", "repro.gdm.reactions")
 
-#: the per-job metamodel graph: the only cycle a job leaves behind
-METAMODEL_RESIDUAL = (ModelObject, MetaModel, MetaClass, MetaAttribute,
-                      MetaReference)
+#: the per-job model graph: the only cycle a job leaves behind
+MODEL_RESIDUAL = (ModelObject,)
 
 #: system factories, and the implementation fault (kind, seed) whose
 #: model-debugger run ends in a TargetFault on that system
@@ -92,11 +91,11 @@ def rig_objects(found):
 
 
 def unexpected_types(found):
-    """Non-builtin garbage outside the metamodel allowlist."""
+    """Non-builtin garbage outside the model allowlist."""
     return sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
                    for obj in found
                    if type(obj).__module__ != "builtins"
-                   and not isinstance(obj, METAMODEL_RESIDUAL)})
+                   and not isinstance(obj, MODEL_RESIDUAL)})
 
 
 def jobs(name):

@@ -240,3 +240,66 @@ class TestRegistry:
     def test_unknown_lookup_raises(self):
         with pytest.raises(MetamodelError):
             MetamodelRegistry().get("nope")
+
+
+class TestFrozenMetamodel:
+    def test_definitions_raise_and_tables_are_read_only(self):
+        mm = library_metamodel().freeze()
+        assert mm.frozen
+        book = mm.metaclass("Book")
+        with pytest.raises(MetamodelError, match="frozen"):
+            mm.define("Shelf")
+        with pytest.raises(MetamodelError, match="frozen"):
+            book.attribute("isbn", AttributeKind.STR)
+        with pytest.raises(MetamodelError, match="frozen"):
+            book.reference("author", "Book")
+        with pytest.raises(TypeError):
+            book.own_attributes["isbn"] = None
+        with pytest.raises(TypeError):
+            book.all_attributes()["isbn"] = None
+        with pytest.raises(TypeError):
+            mm._classes["Shelf"] = book
+        with pytest.raises(MetamodelError, match="frozen"):
+            book.abstract = True
+        with pytest.raises(MetamodelError, match="frozen"):
+            book.own_attributes["pages"].default = 7
+        with pytest.raises(MetamodelError, match="frozen"):
+            mm.metaclass("Library").own_references["books"].many = False
+        with pytest.raises(MetamodelError, match="frozen"):
+            mm.frozen = False
+
+    def test_lookups_match_an_unfrozen_twin(self):
+        frozen, open_ = library_metamodel().freeze(), library_metamodel()
+        for cls in frozen.classes():
+            twin = open_.metaclass(cls.name)
+            assert ([c.name for c in cls.all_supertypes()]
+                    == [c.name for c in twin.all_supertypes()])
+            assert list(cls.all_attributes()) == list(twin.all_attributes())
+            assert list(cls.all_references()) == list(twin.all_references())
+            assert cls.is_subtype_of("Named") == twin.is_subtype_of("Named")
+
+    def test_frozen_metamodel_still_builds_models(self):
+        mm = library_metamodel().freeze()
+        model = Model(mm)
+        lib = model.create("Library", name="city")
+        book = model.create("Book", name="b")
+        lib.add_ref("books", book)
+        assert book.get("pages") == 100 and book.container is lib
+        with pytest.raises(ModelError):
+            book.set("genre", "poetry")
+
+    def test_comdes_metamodel_is_built_once_and_shared(self):
+        from repro.comdes import comdes_metamodel, system_to_model
+        from repro.comdes.examples import cruise_control_system
+        from repro.comdes.metamodel import _build_comdes_metamodel
+        shared = comdes_metamodel()
+        assert shared is comdes_metamodel() and shared.frozen
+        first = system_to_model(cruise_control_system())
+        second = system_to_model(cruise_control_system())
+        assert first.metamodel is shared and second.metamodel is shared
+        fresh = _build_comdes_metamodel()
+        assert not fresh.frozen
+        assert ([c.name for c in shared.classes()]
+                == [c.name for c in fresh.classes()])
+        with pytest.raises(MetamodelError):
+            shared.define("Extra")

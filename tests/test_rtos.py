@@ -85,14 +85,14 @@ class TestSignalBus:
     def test_same_node_sees_value_immediately(self):
         sim = Simulator()
         bus = SignalBus(sim, ["n0", "n1"], {"s": 0}, net_delay_us=100)
-        bus.publish("n0", "s", 7)
+        bus.publish("n0", {"s": 7})
         assert bus.read("n0", "s") == 7
         assert bus.read("n1", "s") == 0   # still in flight
 
     def test_remote_node_sees_value_after_delay(self):
         sim = Simulator()
         bus = SignalBus(sim, ["n0", "n1"], {"s": 0}, net_delay_us=100)
-        bus.publish("n0", "s", 7)
+        bus.publish("n0", {"s": 7})
         sim.run_until(99)
         assert bus.read("n1", "s") == 0
         sim.run_until(100)
@@ -100,7 +100,7 @@ class TestSignalBus:
 
     def test_zero_delay_is_synchronous(self):
         bus = SignalBus(Simulator(), ["n0", "n1"], {"s": 0}, net_delay_us=0)
-        bus.publish("n0", "s", 3)
+        bus.publish("n0", {"s": 3})
         assert bus.read("n1", "s") == 3
 
     def test_unknown_node_or_signal_rejected(self):
@@ -108,14 +108,14 @@ class TestSignalBus:
         with pytest.raises(Exception):
             bus.read("nX", "s")
         with pytest.raises(Exception):
-            bus.publish("nX", "s", 1)
+            bus.publish("nX", {"s": 1})
         with pytest.raises(ModelError):
             bus.snapshot("nX")
 
     def test_cross_node_message_counter(self):
         sim = Simulator()
         bus = SignalBus(sim, ["n0", "n1", "n2"], {"s": 0})
-        bus.publish("n0", "s", 1)
+        bus.publish("n0", {"s": 1})
         assert bus.messages_sent == 1
         assert bus.cross_node_messages == 2
 
@@ -269,30 +269,30 @@ class TestDtmKernel:
 class TestJitterMeter:
     def test_phases_and_jitter(self):
         meter = JitterMeter()
-        meter.record("s", 0, 100)
-        meter.record("s", 1000, 1100)
-        meter.record("s", 2000, 2150)
+        meter.record(["s"], 0, 100)
+        meter.record(["s"], 1000, 1100)
+        meter.record(["s"], 2000, 2150)
         assert meter.phases("s") == [100, 100, 150]
         assert meter.jitter_us("s") == 50
         assert meter.mean_phase_us("s") == pytest.approx(116.7, abs=0.1)
 
     def test_skip_discards_warmup(self):
         meter = JitterMeter()
-        meter.record("s", 0, 999)     # warm-up outlier
-        meter.record("s", 1000, 1100)
-        meter.record("s", 2000, 2100)
+        meter.record(["s"], 0, 999)     # warm-up outlier
+        meter.record(["s"], 1000, 1100)
+        meter.record(["s"], 2000, 2100)
         assert meter.jitter_us("s", skip=1) == 0
 
     def test_insufficient_samples_return_none(self):
         meter = JitterMeter()
         assert meter.jitter_us("s") is None
-        meter.record("s", 0, 10)
+        meter.record(["s"], 0, 10)
         assert meter.jitter_us("s") is None
 
     def test_inter_publication_jitter(self):
         meter = JitterMeter()
         for k, pub in enumerate((100, 1100, 2100, 3200)):
-            meter.record("s", k * 1000, pub)
+            meter.record(["s"], k * 1000, pub)
         assert meter.inter_publication_jitter_us("s") == 100
 
 

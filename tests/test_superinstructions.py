@@ -28,11 +28,14 @@ from repro.debugger.gdb import SourceDebugger
 from repro.errors import TargetFault
 from repro.experiments import cruise_code_watches, traffic_light_code_watches
 from repro.target.assembler import Assembler
+from repro.faults.implementation import (IMPL_FAULT_KINDS,
+                                        inject_implementation_fault)
+from repro.target import cpu as cpu_module
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import OP_HALT, OP_STOP, Instr
 from repro.target.memory import RAM_BASE, MemoryMap
-from repro.util.intmath import INT_MAX, INT_MIN
+from repro.util.intmath import INT_MAX, INT_MIN, sdiv, smod
 
 RAM_WORDS = 12
 STACK_DEPTH = 16
@@ -283,6 +286,107 @@ def run_guarded_step(cpu):
         return (result.reason, None)
     except TargetFault as fault:
         return ("fault", (fault.reason, fault.pc))
+
+
+# -- signed division and remainder ----------------------------------------------
+
+#: int32 operands where truncation, sign and overflow rules bite
+DIV_EDGES = (INT_MIN, INT_MIN + 1, -7, -3, -2, -1, 0, 1, 2, 3, 7,
+             INT_MAX - 1, INT_MAX)
+#: cells outside int32 (a backdoor poke can leave one): wrap32 must still
+#: match intmath exactly
+WIDE_CELLS = (INT_MAX + 1, INT_MIN - 1, 2 ** 40 + 3, -(2 ** 40) - 5)
+
+div_operand = st.tuples(st.booleans(), addr_ix, st.sampled_from(DIV_EDGES))
+div_snip = st.tuples(st.sampled_from(("DIV", "MOD")),
+                     st.sampled_from(("store", "branch", "plain")),
+                     div_operand, div_operand, addr_ix)
+
+
+def assemble_divisions(snips):
+    """DIV/MOD as the fused store quad, the fused branch quad and the
+    plain row (a SWAP pair keeps the quad from fusing)."""
+    asm = Assembler()
+    for alu, form, a, b, y in snips:
+        emit_operand(asm, a)
+        emit_operand(asm, b)
+        if form == "plain":
+            asm.emit("SWAP")
+            asm.emit("SWAP")
+        if form == "branch":
+            skip = asm.fresh_label("skip")
+            asm.emit(alu)
+            asm.emit_jump("JZ", skip)
+            asm.emit("PUSH", 1)
+            asm.emit("STORE", RAM_BASE + y)
+            asm.label(skip)
+        else:
+            asm.emit(alu)
+            asm.emit("STORE", RAM_BASE + y)
+    asm.emit("HALT")
+    return asm.assemble()
+
+
+def division_lockstep(code, cells):
+    """Fused, unfused and checked (``_step``, i.e. ``intmath``) runs of
+    *code* over RAM preloaded with *cells*: one outcome and one machine
+    state, or the assertion fails."""
+    runs = []
+    for fuse, checked in ((True, False), (False, False), (True, True)):
+        cpu = build(code, fuse=fuse)
+        cpu.memory.cells[:] = cells
+        runs.append((run_route(cpu, RUN_LIMIT, False, reference=checked),
+                     snap(cpu)))
+    assert runs[0] == runs[1] == runs[2]
+    return runs[0]
+
+
+class TestSignedDivisionLockstep:
+    """The fast loop's inline signed division and remainder against the
+    checked loop's :func:`~repro.util.intmath.sdiv` / ``smod``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(div_snip, min_size=1, max_size=6),
+           st.lists(st.sampled_from(DIV_EDGES + WIDE_CELLS),
+                    min_size=RAM_WORDS, max_size=RAM_WORDS))
+    def test_fused_plain_and_checked_agree(self, snips, cells):
+        division_lockstep(assemble_divisions(snips), cells)
+
+    @pytest.mark.parametrize("form", ["store", "branch", "plain"])
+    @pytest.mark.parametrize("alu", ["DIV", "MOD"])
+    def test_every_sign_pair_and_int_min_over_minus_one(self, alu, form):
+        cells = [0] * RAM_WORDS
+        for a in DIV_EDGES:
+            for b in DIV_EDGES:
+                if b == 0:
+                    continue
+                code = assemble_divisions(
+                    [(alu, form, (False, 0, a), (False, 0, b), 1)])
+                outcome, state = division_lockstep(code, cells)
+                assert outcome[0] is StopReason.HALTED
+                expected = sdiv(a, b) if alu == "DIV" else smod(a, b)
+                if form != "branch":
+                    assert state["ram"][1] == expected, (a, b)
+        code = assemble_divisions(
+            [(alu, form, (False, 0, INT_MIN), (False, 0, -1), 1)])
+        _, state = division_lockstep(code, cells)
+        if form != "branch":
+            assert state["ram"][1] == (INT_MIN if alu == "DIV" else 0)
+
+    @pytest.mark.parametrize("form", ["store", "branch", "plain"])
+    @pytest.mark.parametrize("alu", ["DIV", "MOD"])
+    def test_zero_divisor_from_ram_decomposes_and_traps(self, alu, form):
+        """A fused row that meets a zero divisor decomposes, so the trap
+        surfaces at the divide's own pc with unfused counters."""
+        cells = [0] * RAM_WORDS
+        code = assemble_divisions(
+            [(alu, form, (False, 0, INT_MIN), (True, 3, 0), 1)])
+        outcome, state = division_lockstep(code, cells)
+        reason = "division by zero" if alu == "DIV" else "modulo by zero"
+        divide_pc = next(pc for pc, instr in enumerate(code)
+                         if instr.op == alu)
+        assert outcome == ("fault", TargetFault, reason, divide_pc)
+        assert state["instr"] == divide_pc + 1
 
 
 # -- watched stores and breakpoints as stop pcs -------------------------------
@@ -754,3 +858,79 @@ class TestStopRouting:
         assert snap(route) == snap(reference)
         if limit == RUN_LIMIT:
             assert outcome[0] is StopReason.BREAKPOINT and route.pc == 2
+
+
+# -- decode memo ---------------------------------------------------------------
+
+def fresh_rows(code, entries):
+    """Decode *code* with the memo emptied first (the uncached path)."""
+    saved = dict(cpu_module._DECODED)
+    cpu_module._DECODED.clear()
+    try:
+        cpu = Cpu(MemoryMap(4096))
+        cpu.load(code, entries=entries)
+        return cpu._rows, cpu._frows, cpu.fused_rows
+    finally:
+        cpu_module._DECODED.clear()
+        cpu_module._DECODED.update(saved)
+
+
+def cruise_firmware():
+    return generate_firmware(cruise_control_system(),
+                             InstrumentationPlan.full())
+
+
+class TestDecodeMemo:
+    def test_boards_share_rows_equal_to_a_fresh_decode(self):
+        firmware = cruise_firmware()
+        first, second = Board(), Board()
+        first.load_firmware(firmware)
+        second.load_firmware(firmware)
+        assert first.cpu._rows is second.cpu._rows
+        assert first.cpu._frows is second.cpu._frows
+        entries = firmware.entries.values()
+        assert ((first.cpu._rows, first.cpu._frows, first.cpu.fused_rows)
+                == fresh_rows(firmware.code, entries))
+
+    def test_code_edited_in_place_never_gets_stale_rows(self):
+        """A mutant that rewrites the loaded image's own list and its
+        own Instr objects (instead of copying) still decodes afresh."""
+        firmware = cruise_firmware()
+        entries = firmware.entries.values()
+        pristine = Board()
+        pristine.load_firmware(firmware)
+        rows_before = list(pristine.cpu._rows)
+        push = next(pc for pc, instr in enumerate(firmware.code)
+                    if instr.op == "PUSH")
+        store = next(pc for pc, instr in enumerate(firmware.code)
+                     if instr.op == "STORE")
+        firmware.code[push].arg += 1          # the Instr object itself
+        firmware.code[store] = Instr("POP")   # the image's own list
+        mutant = Board()
+        mutant.load_firmware(firmware)
+        assert ((mutant.cpu._rows, mutant.cpu._frows, mutant.cpu.fused_rows)
+                == fresh_rows(firmware.code, entries))
+        assert mutant.cpu._rows[push][1] == rows_before[push][1] + 1
+        assert mutant.cpu._rows[store] != rows_before[store]
+        # the shared rows of the pristine board were not touched
+        assert pristine.cpu._rows == rows_before
+
+    def test_implementation_mutants_run_like_fresh_decodes(self):
+        """Every injector's mutant, loaded after its pristine image, runs
+        each task exactly like a board whose rows were decoded afresh."""
+        firmware = cruise_firmware()
+        Board().load_firmware(firmware)
+        for kind in sorted(IMPL_FAULT_KINDS):
+            mutant, _ = inject_implementation_fault(firmware, kind, 1)
+            if mutant is None:
+                continue
+            cached = Board()
+            cached.load_firmware(mutant)
+            rows = fresh_rows(mutant.code, mutant.entries.values())
+            assert (cached.cpu._rows, cached.cpu._frows,
+                    cached.cpu.fused_rows) == rows, kind
+
+    def test_memo_is_bounded(self):
+        for value in range(cpu_module._DECODED_LIMIT + 3):
+            build([Instr("PUSH", value), Instr("HALT")], fuse=True)
+        assert len(cpu_module._DECODED) <= cpu_module._DECODED_LIMIT
