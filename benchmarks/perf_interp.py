@@ -2,14 +2,13 @@
 
 Measures instructions/second of ``Cpu.run``'s fast loop on a counting
 loop whose opcode mix (load/store, immediate, ALU, compare, branch)
-resembles generated firmware — which makes it exactly the shape the
-superinstruction fusion pass targets. Both decodings run through the
-same loop and are measured:
+resembles generated firmware. Both decodings run through the same loop
+and are measured:
 
-* ``instr_per_sec`` — fusion off (plain decoded rows, the scoreboard
+* ``instr_per_sec`` — blocks off (plain decoded rows, the scoreboard
   metric since PR 2);
-* ``fused_instr_per_sec`` — fusion on (``Cpu.load`` fuses the loop body
-  into ALU+STORE / ALU+JNZ superinstruction rows);
+* ``fused_instr_per_sec`` — blocks on (``Cpu.load`` compiles the loop
+  body into one block row, ``block_rows`` in the payload);
 * ``fusion_speedup`` — their ratio, the machine-independent gate;
 * ``watched_instr_per_sec`` — the cruise control firmware's task jobs
   under a ``SourceDebugger`` holding its code watches: watched stores
@@ -22,7 +21,13 @@ same loop and are measured:
   debugger attached. Per firmware it records ``activation_us`` (CPU time
   per job), ``instr_per_activation`` and ``activation_instr_per_sec``.
   Campaign jobs are this shape, a few dozen instructions per entry, so
-  per-activation entry costs weigh here and not on the long loop.
+  per-activation entry costs weigh here and not on the long loop;
+* ``activation_dispatches`` — deterministic rather than timed: rows the
+  fast loop dispatches per task activation of the cruise control and
+  traffic light firmware over one bare-kernel run (``DtmKernel``, no
+  debugger) of 3 s modeled time. Each board's CPU gets row lists that
+  count their own indexing, and the loop indexes its rows once per
+  dispatch, so the count is exact on any host.
 
 Reps alternate plain, fused and the activation arm (and stop-pc and
 checked for the watched arms), so a host-speed dip hits every arm alike,
@@ -31,13 +36,12 @@ does not count time the process spent descheduled. The best rep per arm
 is reported, with every rep's rate in ``rep_instr_per_sec`` (and
 ``rep_activation_us``) as the recorded spread.
 
-Fusion must be *observably invisible*, so the run also asserts the two
-decodings retire identical instruction and cycle counts; the watched
-arms must retire identical counts and record identical watch hits. The payload
-also carries ``opcode_profile`` — the measured per-opcode retirement
-counts from ``Cpu.run(profile=...)`` on the same workload, hottest
-first — so fusion decisions are grounded in what the scoreboard loop
-actually executes. Writes ``BENCH_interp.json`` next to
+Block rows must be *observably invisible*, so the run also asserts the
+two decodings retire identical instruction and cycle counts; the
+watched arms must retire identical counts and record identical watch
+hits. The payload also carries ``opcode_profile`` — the measured
+per-opcode retirement counts from ``Cpu.run(profile=...)`` on the same
+workload, hottest first. Writes ``BENCH_interp.json`` next to
 this file so the perf trajectory of the hot loop is tracked across PRs.
 
 Usage::
@@ -60,11 +64,13 @@ from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comdes.examples import cruise_control_system, traffic_light_system
 from repro.debugger.gdb import SourceDebugger
 from repro.experiments import cruise_code_watches
+from repro.rtos.kernel import DtmKernel
 from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import profile_names
 from repro.target.memory import RAM_BASE, MemoryMap
+from repro.util.timeunits import sec
 
 #: loop iterations per rep; 8 instructions each
 FULL_ITERS = 500_000
@@ -79,6 +85,8 @@ QUICK_ACTIVATION_ROUNDS = 300
 #: firmware of the activation arm
 ACTIVATION_SYSTEMS = {"cruise": cruise_control_system,
                       "traffic": traffic_light_system}
+#: modeled time of the dispatch-count arm's bare-kernel run
+DISPATCH_US = sec(3)
 
 
 def counting_loop(iterations: int):
@@ -143,11 +151,49 @@ def activation_record(reps):
     }
 
 
+class CountingRows(list):
+    """Decoded rows that count every index: the fast loop reads
+    ``rows[pc]`` once per dispatch."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingRows.reads += 1
+        return list.__getitem__(self, index)
+
+
+def activation_dispatches(factory) -> dict:
+    """Rows dispatched per task activation over one bare-kernel run of
+    *factory*'s system (no debugger, no emit handler)."""
+    system = factory()
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    kernel = DtmKernel(system, firmware)
+    runs = [0]
+    for node in system.nodes():
+        cpu = kernel.board_of(node).cpu
+        # private copies: the decoded rows are shared and read-only
+        cpu._rows = CountingRows(cpu._rows)
+        if cpu._brows is not None:
+            cpu._brows = CountingRows(cpu._brows)
+        run = cpu.run
+
+        def counted_run(*args, _run=run, **kwargs):
+            runs[0] += 1
+            return _run(*args, **kwargs)
+        cpu.run = counted_run
+    CountingRows.reads = 0
+    kernel.run(DISPATCH_US)
+    dispatches = CountingRows.reads
+    kernel.close()
+    return {"per_activation": round(dispatches / runs[0], 1),
+            "dispatches": dispatches, "activations": runs[0]}
+
+
 def interleaved_best(iterations: int, activation_rounds: int):
     """Alternate plain, fused and activation reps; best rep and all rates
     per arm.
 
-    Returns ``({fuse: (best rate, result, cpu_s, fused_rows, rates)},
+    Returns ``({fuse: (best rate, result, cpu_s, block_rows, rates)},
     {firmware: activation record})``.
     """
     firmwares = {name: generate_firmware(factory(),
@@ -162,7 +208,7 @@ def interleaved_best(iterations: int, activation_rounds: int):
             rate = result.instructions / cpu_s
             rates[fuse].append(round(rate))
             if fuse not in best or rate > best[fuse][0]:
-                best[fuse] = (rate, result, cpu_s, cpu.fused_rows)
+                best[fuse] = (rate, result, cpu_s, cpu.block_rows)
         for name, firmware in firmwares.items():
             activations[name].append(
                 run_activations(firmware, activation_rounds))
@@ -231,10 +277,12 @@ def main() -> None:
     watch_best, watch_rates, watched = interleaved_watched(
         QUICK_WATCH_ROUNDS if quick else FULL_WATCH_ROUNDS)
     plain_rate, plain_result, plain_cpu_s, _, plain_reps = arms[False]
-    fused_rate, fused_result, fused_cpu_s, fused_rows, fused_reps = arms[True]
+    fused_rate, fused_result, fused_cpu_s, block_rows, fused_reps = arms[True]
+    dispatches = {name: activation_dispatches(factory)
+                  for name, factory in ACTIVATION_SYSTEMS.items()}
 
     # measured opcode mix of the scoreboard workload (plain decoded
-    # opcodes — what the fusion pass dispatches on)
+    # opcodes, never block rows)
     memory = MemoryMap(16)
     cpu = Cpu(memory)
     cpu.load(counting_loop(QUICK_ITERS))
@@ -245,7 +293,7 @@ def main() -> None:
     opcode_profile = profile_names(counts)
 
     # the timing-identity invariant, enforced on the scoreboard workload:
-    # fusion changes wall time, never the architectural counters
+    # block rows change wall time, never the architectural counters
     assert fused_result.instructions == plain_result.instructions, (
         fused_result, plain_result)
     assert fused_result.cycles == plain_result.cycles, (
@@ -255,7 +303,7 @@ def main() -> None:
         "instr_per_sec": round(plain_rate),
         "fused_instr_per_sec": round(fused_rate),
         "fusion_speedup": round(fused_rate / plain_rate, 2),
-        "fused_rows": fused_rows,
+        "block_rows": block_rows,
         "cycles": plain_result.cycles,
         "cpu_s": round(plain_cpu_s, 6),
         "fused_cpu_s": round(fused_cpu_s, 6),
@@ -268,6 +316,7 @@ def main() -> None:
         "watched_instructions": watched[0],
         "watch_hits": len(watched[2]),
         "activation": activation,
+        "activation_dispatches": dispatches,
         "instructions": plain_result.instructions,
         "opcode_profile": opcode_profile,
         "quick": quick,
@@ -282,13 +331,16 @@ def main() -> None:
         handle.write("\n")
     print(f"{best['instr_per_sec']:,} instr/sec unfused, "
           f"{best['fused_instr_per_sec']:,} fused "
-          f"({best['fusion_speedup']}x, {fused_rows} superinstruction rows; "
+          f"({best['fusion_speedup']}x, {block_rows} block rows; "
           f"{best['instructions']:,} instructions, "
           f"{best['cycles']:,} cycles); watched "
           f"{best['watched_instr_per_sec']:,} instr/sec, "
           f"{best['watch_speedup']}x the checked loop; activations "
           + ", ".join(f"{name} {record['activation_us']} us"
                       for name, record in activation.items())
+          + "; dispatches per activation "
+          + ", ".join(f"{name} {record['per_activation']}"
+                      for name, record in dispatches.items())
           + f" -> {out}")
 
 

@@ -38,8 +38,7 @@ def run_active(plan):
     if plan.any_enabled:
         channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                                 link=Rs232Link(115200))
-        kernel.add_job_hook("node0",
-                            lambda actor, t: channel.begin_job(t))
+        kernel.add_job_hook("node0", channel.begin_job)
     kernel.run(PERIOD * JOBS)
     board = kernel.board_of("node0")
     frames = channel.frames_sent if channel else 0

@@ -98,31 +98,33 @@ class BreakpointManager:
     """Holds breakpoints; reports the first enabled match."""
 
     def __init__(self) -> None:
-        self._breakpoints: List[ModelBreakpoint] = []
+        #: registered breakpoints, in order (read-only to callers: add
+        #: and remove through the methods)
+        self.registered: List[ModelBreakpoint] = []
 
     def add(self, breakpoint: ModelBreakpoint) -> ModelBreakpoint:
         """Register a breakpoint."""
-        self._breakpoints.append(breakpoint)
+        self.registered.append(breakpoint)
         return breakpoint
 
     def remove(self, breakpoint: ModelBreakpoint) -> None:
         """Unregister a breakpoint."""
         try:
-            self._breakpoints.remove(breakpoint)
+            self.registered.remove(breakpoint)
         except ValueError:
             raise DebuggerError("breakpoint is not registered") from None
 
     def all(self) -> List[ModelBreakpoint]:
         """All registered breakpoints."""
-        return list(self._breakpoints)
+        return list(self.registered)
 
     def check(self, command: Command) -> Optional[ModelBreakpoint]:
         """First enabled breakpoint matching *command* (hit count bumped)."""
-        for breakpoint in self._breakpoints:
+        for breakpoint in self.registered:
             if breakpoint.enabled and breakpoint.matches(command):
                 breakpoint.hit_count += 1
                 return breakpoint
         return None
 
     def __len__(self) -> int:
-        return len(self._breakpoints)
+        return len(self.registered)

@@ -140,9 +140,11 @@ class DebuggerEngine:
             if topics.get("engine_state"):
                 self.bus.publish("engine_state", previous=state,
                                  current=_REACTING)
-        # Pulses are transient: they light up for exactly one animation step.
+        # Pulses are transient: they light up for exactly one animation
+        # step (an empty lit set has nothing to decay).
         gdm = self.gdm
-        gdm.decay_pulses()
+        if gdm.lit:
+            gdm.decay_pulses()
         reactions: List[ReactionRecord] = []
         for binding in gdm.bindings_for(command):
             record = apply_reaction(gdm, binding, command)
@@ -172,10 +174,11 @@ class DebuggerEngine:
                                 f"{command.kind.name} {command.path}",
                                 self.gdm.styles_snapshot())
 
-        hit = self.breakpoints.check(command)
-        if hit is not None:
-            self._pause_on_breakpoint(hit, command)
-            return
+        if self.breakpoints.registered:
+            hit = self.breakpoints.check(command)
+            if hit is not None:
+                self._pause_on_breakpoint(hit, command)
+                return
 
         if self.step_budget is not None:
             self.step_budget -= 1

@@ -226,10 +226,7 @@ class DebugSession:
                                         link=Rs232Link(self.baud))
                 channel.debug_link.label = "active"
                 self.links[node] = channel.debug_link
-                self.kernel.add_job_hook(
-                    node,
-                    lambda actor, t, ch=channel: ch.begin_job(t),
-                )
+                self.kernel.add_job_hook(node, channel.begin_job)
                 composite.add(channel)
             else:
                 tap = TapController(DebugPort(board))

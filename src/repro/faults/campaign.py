@@ -216,7 +216,7 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
             channel.debug_link = ChaosLink(
                 channel.debug_link,
                 chaos.with_seed(derive_seed(chaos.seed, "node", node)))
-        kernel.add_job_hook(node, lambda actor, t, ch=channel: ch.begin_job(t))
+        kernel.add_job_hook(node, channel.begin_job)
         composite.add(channel)
     model = system_to_model(system)
     gdm = AbstractionEngine(default_comdes_table(model.metamodel)).build(model)

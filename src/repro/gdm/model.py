@@ -129,7 +129,9 @@ class GdmModel:
                                   Tuple[CommandBinding, ...]] = {}
         #: decay order of every item: elements (0, n), then links (1, n)
         self._rank: Dict[str, Tuple[int, int]] = {}
-        self._lit: Dict[str, Union[GdmElement, GdmLink]] = {}
+        #: items carrying a pulse, by id (read-only to callers: an empty
+        #: dict means a decay has nothing to clear)
+        self.lit: Dict[str, Union[GdmElement, GdmLink]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -212,12 +214,12 @@ class GdmModel:
     def pulse(self, item: Union[GdmElement, GdmLink]) -> None:
         """Light *item*'s transient pulse until the next decay."""
         item.style["pulse"] = "true"
-        self._lit[item.id] = item
+        self.lit[item.id] = item
 
     def decay_pulses(self) -> List[str]:
         """Clear every pulse; returns the affected ids, elements first,
         each kind in creation order."""
-        lit = self._lit
+        lit = self.lit
         if not lit:
             return []
         items = list(lit.values())
@@ -257,7 +259,7 @@ class GdmModel:
                 if item is not None:
                     item.style.update(style)
                     if "pulse" in style:
-                        self._lit[item_id] = item
+                        self.lit[item_id] = item
 
     def reset_styles(self) -> None:
         """Clear all dynamic styling."""
@@ -265,7 +267,7 @@ class GdmModel:
             element.reset_style()
         for link in self.links.values():
             link.style.clear()
-        self._lit.clear()
+        self.lit.clear()
 
     # -- reflective form -------------------------------------------------------
 

@@ -47,8 +47,9 @@ from repro.target.board import Board
 from repro.target.firmware import FirmwareImage, SymbolTable
 from repro.target.memory import RAM_BASE, MemoryMap
 
-#: hook called before a job's functional execution: (actor_name, t_release)
-JobHook = Callable[[str, int], None]
+#: hook called before a job's functional execution, with its release time
+#: (``ActiveChannel.begin_job`` is one)
+JobHook = Callable[[int], None]
 
 
 def _cell_of(memory: MemoryMap, symbols: SymbolTable, symbol: str) -> int:
@@ -184,7 +185,7 @@ class DtmKernel:
             raise SchedulerError(f"unknown node {node!r}") from None
 
     def add_job_hook(self, node: str, hook: JobHook) -> None:
-        """Call *hook(actor, t_release)* before each job on *node* runs."""
+        """Call *hook(t_release)* before each job on *node* runs."""
         if node not in self._nodes:
             raise SchedulerError(f"job hook on unknown node {node!r}")
         self._nodes[node].job_hooks.append(hook)
@@ -260,7 +261,7 @@ class DtmKernel:
             cells[cell] = view[signal]
 
         for hook in runtime.job_hooks:
-            hook(name, now)
+            hook(now)
 
         cpu = board.cpu
         cpu.reset_task(entry)

@@ -4,8 +4,9 @@ This package is the "embedded controller" of the paper: generated firmware
 runs here, the active command interface EMITs from here, and the passive
 JTAG probe scans this board's RAM. The interpreter is the framework's
 hottest path and is engineered accordingly — see :mod:`repro.target.cpu`
-for the performance rules (decode once, int dispatch, hoisted locals,
-watchpoints and breakpoints as stop rows of the one fast loop).
+for the performance rules (decode once, one dispatch per straight-line
+run, hoisted locals, watchpoints and breakpoints as stop rows of the one
+fast loop).
 
 ISA reference
 =============
@@ -58,67 +59,37 @@ Cycle costs model a small in-order MCU; EMIT's cost is deliberately large
 (formatting + UART FIFO push) because it *is* the instrumentation overhead
 the paper's passive JTAG solution eliminates (benchmark E7).
 
-Superinstructions
-=================
+Block rows
+==========
 
-Generated firmware is dominated by a handful of rigid shapes, so
-:meth:`~repro.target.cpu.Cpu.load` runs a fusion pass (on by default;
-``Cpu(fuse=False)`` keeps the reference decoding) that collapses them
-into single decoded rows, dispatched by the one fast loop that also runs
-plain rows:
-
-========================================== ================================
-Constituent sequence                        Fused row
-========================================== ================================
-``[LOAD|PUSH] a; [LOAD|PUSH] b; <alu>;     ALU+STORE quad (one dispatch
-STORE y``                                  computes ``m[y]``)
-``[LOAD|PUSH] a; [LOAD|PUSH] b; <alu>;     ALU+branch quad (state-machine
-JZ/JNZ t``                                 dispatch, loop back-edges)
-``PUSH k; STORE y``                        constant store
-``LOAD a; STORE y``                        move (Delay outputs, port copies)
-``LOAD a; JZ/JNZ t``                       load-and-test
-``PUSH ch; [LOAD|PUSH] v; EMIT kind``      command preamble (the codegen's
-                                           EMIT shape — instrumentation in
-                                           one dispatch)
-========================================== ================================
-
-``<alu>`` is any binary op (``a b -- r``), DIV/MOD included.
-
-**Branch-target rule.** No fused row spans a jump target, a task entry,
-or the end of code; fusing may *start* at one (that is what keeps loop
-bodies fused). Interior pcs of a fused region keep their plain decoded
-rows, so an undeclared entry or a resume from a mid-sequence stop simply
-executes unfused.
-
-**Timing-identity invariant.** Fusion is observably invisible: a fused
-row charges the exact sum of its constituents' cycle costs, counts their
-instruction count and performs their RAM reads/writes. Whenever fused
-execution could be *observed* to differ — the instruction budget lands
-mid-sequence, an address is outside RAM, the constituents' transient
-stack pushes would overflow, or a fused divide sees a zero divisor — the
-row decomposes back to per-instruction execution, so LIMIT stops land on
-a legal unfused pc and faults carry the constituent's pc and counters.
+Generated firmware is straight-line runs of stack code between branches,
+so :meth:`~repro.target.cpu.Cpu.load` compiles each maximal run into one
+**block row** (on by default; ``Cpu(fuse=False)`` keeps the reference
+decoding): a Python function generated from per-opcode templates,
+dispatched by the one fast loop that also runs plain rows. A cruise
+control activation of ~52 instructions takes ~7 dispatches instead of
+one per instruction. :mod:`repro.target.blocks` states where a run ends
+and the **timing-identity invariant**: a block charges, counts, reads
+and writes exactly what its plain rows would, and decomposes back to
+them whenever a budget, stack-depth or divisor check could tell the
+difference, so LIMIT stops land on a legal pc and faults carry the plain
+pc and counters.
 
 **Debug stops.** Watchpoints and breakpoints are *stop pcs* of the same
-fast loop. Per program and stop set, the CPU builds trapped copies of
-the fused and plain rows: a stop row at every store to a watched
-address, every ``STI`` while anything is watched and every armed
-breakpoint, and a fused row that would run across a stop pc goes back
-to its plain rows.
-The loop returns before a stop row; ``Cpu.run`` reports the breakpoint
-or runs that one instruction on the per-instruction checked loop, where
-the write hook fires, then re-enters the fast loop. A decomposing row
-lands on the trapped plain rows, so it cannot run past a stop either.
-Single-stepping and the opcode/pc profiles still check every
-instruction. ``tests/test_superinstructions.py`` holds the lockstep
-proofs (fused == plain, and stop-pc route == checked loop);
+fast loop: per program and stop set, the CPU builds trapped decodings
+with a stop row at every store to a watched address, every ``STI``
+while anything is watched and every armed breakpoint, with the blocks
+formed again around them (see :mod:`repro.target.cpu`). Single-stepping
+and the opcode/pc profiles still check every instruction.
+``tests/test_superinstructions.py`` holds the lockstep proofs (blocks ==
+plain == checked, and stop-pc route == checked loop);
 ``benchmarks/perf_interp.py`` scores the speedups (``fusion_speedup``
-and ``watch_speedup``, floor-gated in CI).
+and ``watch_speedup``, floor-gated in CI) and counts the rows dispatched
+per activation (ceiling-gated).
 
-Fusion decisions are driven by measurement, not guesswork:
 ``Cpu.run(profile=...)`` fills a dict with per-opcode retirement counts
-(plain decoded opcodes, never superinstruction ids) at zero cost when
-unused — the hook is priced once at ``run()`` entry — and
+(plain decoded opcodes, never block rows) at zero cost when unused — the
+hook is priced once at ``run()`` entry — and
 ``benchmarks/perf_interp.py`` dumps the measured profile
 (``opcode_profile``) with every run.
 """

@@ -50,8 +50,8 @@ class Board:
                 f"data words but the board has {len(self.memory)}"
             )
         self.firmware = firmware
-        # task entries are fusion boundaries: no superinstruction may span
-        # one, so every reset_task lands on a legal decoded row
+        # task entries are block boundaries: no block row may span one,
+        # so every reset_task lands on a block head
         self.cpu.load(firmware.code, entries=firmware.entries.values())
         self.memory.load_init_image(firmware.data_init)
         self.memory.reset()

@@ -7,46 +7,55 @@ built around four rules:
 1. **Decode once, one row per instruction.** :meth:`Cpu.load` turns the
    instruction list into a single array of packed ``(opcode, arg, cycles)``
    tuples — direct-threaded style: the run loop does **one** list index
-   plus one unpack per instruction instead of three parallel-array
-   indexes, and never looks at an :class:`~repro.target.isa.Instr`, a
-   string, or a dict. Decoding is memoized per process on the program's
-   content, so every board flashed with one image shares its rows.
-2. **Dispatch on ints.** The loop is a frequency-ordered ``if/elif`` chain
-   comparing a local int against hoisted local constants — no dictionary,
-   no attribute lookup, no method call per instruction. Superinstruction
-   ids sit behind one ``op >= FUSE_BASE`` guard ahead of the plain chain.
+   plus one unpack per row and never looks at an
+   :class:`~repro.target.isa.Instr`, a string, or a dict. Decoding is
+   memoized per process on the program's content, so every board flashed
+   with one image shares its rows.
+2. **One dispatch per straight-line run.** With :attr:`Cpu.fuse` on, the
+   decoder compiles each straight-line run of plain rows into one block
+   row (:mod:`repro.target.blocks`): a generated function that keeps the
+   run's stack in locals, commits its stores once and returns the next
+   pc. The loop charges the block's static instruction, cycle, read and
+   write counts in one step, after one budget check and one stack-depth
+   check. Plain rows dispatch on a frequency-ordered ``if/elif`` chain of
+   local int constants; the block and stop rows sit behind one
+   ``op >= BLOCK`` guard ahead of it.
 3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
    counters and constants live in locals for the duration of a run; state
    is written back once in a ``finally``.
 4. **Debug stops are rows, not tests.** The fast loop
-   (:meth:`_run_fused`) contains not a single hook or breakpoint test.
+   (:meth:`_run_fast`) contains not a single hook or breakpoint test.
    Watched stores and armed breakpoints are priced **once, per program
    and stop set**: every *stop pc* — a ``STORE`` to a watched address,
    every ``STI`` (its address is dynamic) while anything is watched,
-   every armed breakpoint — gets a stop row in a trapped copy of the
-   fused and plain decodings, and a fused row that would run across a
-   stop pc goes back to its plain rows. The loop returns before a stop
-   row; :meth:`run` then reports the breakpoint, or executes exactly
-   that one instruction on the checked path (:meth:`_run_debug`, where
-   the memory's write hook fires with the machine state current) and
+   every armed breakpoint — gets a stop row in a trapped decoding, whose
+   blocks are formed again with the stop pcs as boundaries. Trapped
+   decodings are memoized with the program, so every board of every
+   code-debugger rig shares them. The loop returns before a stop row;
+   :meth:`run` then reports the breakpoint, or executes exactly that one
+   instruction on the checked path (:meth:`_run_debug`, where the
+   memory's write hook fires with the machine state current) and
    re-enters the fast loop. Like a hardware comparator, a watchpoint
    costs nothing until a store that can hit it retires. Only
    single-stepping and the opcode/pc profiles run every instruction
-   through :meth:`_step`. Stack underflow and runaway program counters
-   are caught by the ``IndexError`` of the faulting list access instead
-   of per-instruction guards.
+   through :meth:`_step`. On plain rows, stack underflow and runaway
+   program counters are caught by the ``IndexError`` of the faulting
+   list access instead of per-instruction guards.
 
-The ISA's semantics therefore exist twice: in the fast loop and in
-:meth:`_step`, the independent reference. Fused rows must be
-timing-identical to the plain rows they replace, and plain rows to
-:meth:`_step`; ``tests/test_superinstructions.py`` checks fused == plain
-== debug in lockstep.
+The ISA's semantics therefore exist in three places: the plain-row chain
+of the fast loop (the decomposition target, and the whole program with
+``fuse=False``), the block templates, and :meth:`_step`, the independent
+reference. Blocks must be timing-identical to the plain rows they
+replace, and plain rows to :meth:`_step`;
+``tests/test_superinstructions.py`` checks blocks == plain == checked in
+lockstep.
 
 Semantics are bit-identical to the reference expression interpreter
 (:mod:`repro.comdes.expr`) via the shared :mod:`repro.util.intmath` rules:
 signed 32-bit wraparound, C-style truncating division, 0/1 comparisons.
-The fast loop inlines ``sdiv``/``smod`` (no call per divide); the checked
-:meth:`_step` calls them, and the lockstep tests hold the two together.
+The fast loop and the blocks inline ``sdiv``/``smod`` (no call per
+divide); the checked :meth:`_step` calls them, and the lockstep tests
+hold them together.
 """
 
 from __future__ import annotations
@@ -56,17 +65,14 @@ from collections import OrderedDict
 from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import TargetFault
+from repro.target.blocks import TAIL_HALT, form_blocks
 from repro.target.isa import (
     CYCLES,
-    FUSABLE_ALU,
-    FUSE_BASE,
     Instr,
-    OP_ADD, OP_AND, OP_DIV, OP_DUP, OP_EMIT, OP_EQ, OP_F_ALU_JNZ,
-    OP_F_ALU_JZ, OP_F_ALU_ST, OP_F_EMIT, OP_F_LOAD_JNZ, OP_F_LOAD_JZ,
-    OP_F_LOAD_ST, OP_F_PUSH_ST, OP_GE, OP_GT, OP_HALT, OP_JMP, OP_JNZ,
-    OP_JZ, OP_LDI, OP_LE, OP_LOAD, OP_LT, OP_MAX, OP_MIN, OP_MOD, OP_MUL,
-    OP_NE, OP_NEG, OP_NOT, OP_OR, OP_POP, OP_PUSH, OP_STI, OP_STOP,
-    OP_STORE, OP_SUB, OP_SWAP,
+    OP_ADD, OP_AND, OP_BLOCK, OP_DIV, OP_DUP, OP_EMIT, OP_EQ, OP_GE, OP_GT,
+    OP_HALT, OP_JMP, OP_JNZ, OP_JZ, OP_LDI, OP_LE, OP_LOAD, OP_LT, OP_MAX,
+    OP_MIN, OP_MOD, OP_MUL, OP_NE, OP_NEG, OP_NOT, OP_OR, OP_POP, OP_PUSH,
+    OP_STI, OP_STOP, OP_STORE, OP_SUB, OP_SWAP,
 )
 from repro.target.memory import RAM_BASE
 from repro.target.peripherals import Gpio
@@ -77,130 +83,72 @@ EmitHandler = Callable[[int, int, int], None]
 
 DEFAULT_RUN_LIMIT = 1_000_000
 
-#: instructions covered by each superinstruction row (head pc included)
-_FUSED_SPAN = {
-    OP_F_ALU_ST: 4, OP_F_ALU_JZ: 4, OP_F_ALU_JNZ: 4, OP_F_EMIT: 3,
-    OP_F_PUSH_ST: 2, OP_F_LOAD_ST: 2, OP_F_LOAD_JZ: 2, OP_F_LOAD_JNZ: 2,
-}
-
 _STOP_ROW = (OP_STOP, 0, 0)
 _NO_STOPS: frozenset = frozenset()
 
 
-def _fuse_rows(rows: List[Tuple[int, int, int]],
-               entries: Optional[Sequence[int]]) -> Tuple[Optional[List[tuple]], int]:
-    """Install superinstruction rows over the decoded program.
+class _Program:
+    """One decoded program: its plain rows, its block rows (None when
+    blocks are off or none formed) and its trapped decodings by stop
+    set. Shared by every CPU that loads the same content; read-only
+    apart from the trapped memo."""
 
-    Greedy longest-match over the plain rows: quads
-    (``operand operand alu STORE/JZ/JNZ``) first, then the command
-    preamble triple (``PUSH ch; PUSH/LOAD v; EMIT``), then pairs
-    (``PUSH/LOAD STORE`` moves and ``LOAD JZ/JNZ`` tests). A fused
-    row never spans a branch target or task entry — the sequence
-    starting *at* such a boundary fuses normally, which is what lets
-    loop bodies stay fused. Operand fields are precomputed: RAM
-    indexes for LOAD-mode operands, wrapped immediates for PUSH-mode;
-    the row's cost is the exact sum of constituent CYCLES. Returns the
-    fused rows (None when nothing fused) and the superinstruction count.
-    """
-    ncode = len(rows)
-    boundaries = set(entries or ())
-    for op, arg, _ in rows:
-        if op == OP_JMP or op == OP_JZ or op == OP_JNZ:
-            if 0 <= arg < ncode:
-                boundaries.add(arg)
-    frows: List[tuple] = list(rows)
-    fused = 0
-    ram_base = RAM_BASE
-    i = 0
-    while i < ncode:
-        op, arg, cst = rows[i]
-        # quad: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; STORE|JZ|JNZ
-        if ((op == OP_LOAD or op == OP_PUSH) and i + 3 < ncode
-                and i + 1 not in boundaries and i + 2 not in boundaries
-                and i + 3 not in boundaries):
-            op2, arg2, cst2 = rows[i + 1]
-            op3, _, cst3 = rows[i + 2]
-            op4, arg4, cst4 = rows[i + 3]
-            if ((op2 == OP_LOAD or op2 == OP_PUSH)
-                    and op3 in FUSABLE_ALU
-                    and (op4 == OP_STORE
-                         or ((op4 == OP_JZ or op4 == OP_JNZ)
-                             and 0 <= arg4 < ncode))):
-                amode = op == OP_LOAD
-                bmode = op2 == OP_LOAD
-                if op4 == OP_STORE:
-                    fop = OP_F_ALU_ST
-                    dest = arg4 - ram_base
-                elif op4 == OP_JZ:
-                    fop, dest = OP_F_ALU_JZ, arg4
-                else:
-                    fop, dest = OP_F_ALU_JNZ, arg4
-                frows[i] = (fop,
-                            (amode, arg - ram_base if amode else arg,
-                             bmode, arg2 - ram_base if bmode else arg2,
-                             op3, dest),
-                            cst + cst2 + cst3 + cst4)
-                fused += 1
-                i += 4
-                continue
-        # triple: PUSH ch; [PUSH|LOAD] v; EMIT kind (command preamble)
-        if (op == OP_PUSH and i + 2 < ncode
-                and i + 1 not in boundaries and i + 2 not in boundaries):
-            op2, arg2, cst2 = rows[i + 1]
-            op3, arg3, cst3 = rows[i + 2]
-            if (op3 == OP_EMIT
-                    and (op2 == OP_PUSH or op2 == OP_LOAD)):
-                bmode = op2 == OP_LOAD
-                frows[i] = (OP_F_EMIT,
-                            (arg, bmode,
-                             arg2 - ram_base if bmode else arg2, arg3),
-                            cst + cst2 + cst3)
-                fused += 1
-                i += 3
-                continue
-        # pair: PUSH/LOAD + STORE, LOAD + JZ/JNZ
-        if i + 1 < ncode and i + 1 not in boundaries:
-            op2, arg2, cst2 = rows[i + 1]
-            pair = None
-            if op2 == OP_STORE:
-                if op == OP_PUSH:
-                    pair = (OP_F_PUSH_ST, (arg, arg2 - ram_base))
-                elif op == OP_LOAD:
-                    pair = (OP_F_LOAD_ST,
-                            (arg - ram_base, arg2 - ram_base))
-            elif op == OP_LOAD and 0 <= arg2 < ncode:
-                if op2 == OP_JZ:
-                    pair = (OP_F_LOAD_JZ, (arg - ram_base, arg2))
-                elif op2 == OP_JNZ:
-                    pair = (OP_F_LOAD_JNZ, (arg - ram_base, arg2))
-            if pair is not None:
-                frows[i] = (pair[0], pair[1], cst + cst2)
-                fused += 1
-                i += 2
-                continue
-        i += 1
-    return (frows, fused) if fused else (None, 0)
+    __slots__ = ("rows", "brows", "blocks", "entries", "nram", "trapped")
+
+    def __init__(self, rows: List[tuple], brows: Optional[List[tuple]],
+                 blocks: int, entries: frozenset, nram: int) -> None:
+        self.rows = rows
+        self.brows = brows
+        self.blocks = blocks
+        self.entries = entries
+        self.nram = nram
+        self.trapped: "OrderedDict[tuple, Tuple[List[tuple], List[tuple]]]" = (
+            OrderedDict())
+
+    def trapped_rows(self, blocks: bool, stops: frozenset
+                     ) -> Tuple[List[tuple], List[tuple]]:
+        """The (fast, plain) decodings with a stop row at every pc in
+        *stops*; the fast one holds blocks formed around the stops when
+        *blocks* is set. Memoized per stop set."""
+        key = (blocks, stops)
+        found = self.trapped.get(key)
+        if found is not None:
+            self.trapped.move_to_end(key)
+            return found
+        plain = list(self.rows)
+        for pc in stops:
+            plain[pc] = _STOP_ROW
+        fast = plain
+        if blocks:
+            fast = form_blocks(plain, self.entries, self.nram)[0] or plain
+        found = self.trapped[key] = (fast, plain)
+        if len(self.trapped) > _TRAPPED_LIMIT:
+            self.trapped.popitem(last=False)
+        return found
 
 
 #: decoded programs by content, oldest first (see :func:`_decode`)
-_DECODED: "OrderedDict[tuple, tuple]" = OrderedDict()
+_DECODED: "OrderedDict[tuple, _Program]" = OrderedDict()
 #: programs kept decoded: a campaign job flashes one or two images (the
 #: pristine one and its mutant) on every board of both debugger rigs
 _DECODED_LIMIT = 4
+#: trapped decodings kept per program: one per watch set and breakpoint
+#: set in use (a code-debugger rig has one)
+_TRAPPED_LIMIT = 8
 
 
 def _decode(code: Sequence[Instr], entries: Optional[Sequence[int]],
-            fuse: bool) -> Tuple[List[Tuple[int, int, int]],
-                                 Optional[List[tuple]], int]:
-    """Plain rows, fused rows (or None) and fused count of *code*.
+            blocks: bool, nram: int) -> _Program:
+    """The decoded program of *code* for a RAM of *nram* words.
 
-    Memoized on content: a program whose ``(opcode, arg)`` rows, entries
-    and fusion flag match one decoded before gets the same row lists,
-    which callers must not mutate. The table keeps the
-    :data:`_DECODED_LIMIT` most recently used programs.
+    Memoized on content: a program whose ``(opcode, arg)`` rows, entries,
+    block flag and RAM size match one decoded before gets the same
+    :class:`_Program`, whose rows callers must not mutate. The table
+    keeps the :data:`_DECODED_LIMIT` most recently used programs.
     """
     content = tuple([(instr.code, instr.arg) for instr in code])
-    key = (content, frozenset(entries or ()) if fuse else None)
+    entry_set = frozenset(entries or ())
+    key = (content, entry_set, nram) if blocks else (content,)
     found = _DECODED.get(key)
     if found is not None:
         _DECODED.move_to_end(key)
@@ -208,8 +156,8 @@ def _decode(code: Sequence[Instr], entries: Optional[Sequence[int]],
     rows = [(op, wrap32(arg) if op == OP_PUSH else (0 if arg is None else arg),
              CYCLES[op])
             for op, arg in content]
-    frows, fused = _fuse_rows(rows, entries) if fuse else (None, 0)
-    found = _DECODED[key] = (rows, frows, fused)
+    brows, count = form_blocks(rows, entry_set, nram) if blocks else (None, 0)
+    found = _DECODED[key] = _Program(rows, brows, count, entry_set, nram)
     if len(_DECODED) > _DECODED_LIMIT:
         _DECODED.popitem(last=False)
     return found
@@ -245,7 +193,8 @@ class Cpu:
         self.memory = memory
         self.gpio = gpio if gpio is not None else Gpio()
         self.stack_depth = stack_depth
-        #: superinstruction fusion at load time (off: reference decoding only)
+        #: compile straight-line runs into block rows at load time (off:
+        #: plain rows only, the reference decoding)
         self.fuse = fuse
         self.stack: List[int] = []
         self.pc = 0
@@ -256,18 +205,19 @@ class Cpu:
         self.emit_handler: Optional[EmitHandler] = None
         self.emit_log: List[Tuple[int, int, int]] = []
         self.code: List[Instr] = []
+        self._program: Optional[_Program] = None
         # decoded program: one packed (op, arg, cycles) row per pc
         self._rows: List[Tuple[int, int, int]] = []
-        # fused program: same length, a superinstruction row wherever a
-        # fusable sequence starts, the plain row everywhere else (so any
-        # pc — mid-sequence resume, undeclared entry — executes legally).
-        # None when fusion is off or found nothing.
-        self._frows: Optional[List[tuple]] = None
-        #: number of superinstruction rows installed by the last load
-        self.fused_rows = 0
+        # block program: same length, a block row at the head of every
+        # compiled run, the plain row everywhere else (so any pc — a
+        # mid-block resume, an undeclared entry — executes legally).
+        # None when blocks are off or none formed.
+        self._brows: Optional[List[tuple]] = None
+        #: number of block rows installed by the last load
+        self.block_rows = 0
         # pc of the last breakpoint stop, so resuming steps over it
         self._resume_pc = -1
-        # trapped (fused, plain) rows for the stop set in _trap_key
+        # trapped (fast, plain) rows for the stop set in _trap_key
         self._trap_key: Optional[tuple] = None
         self._trap_rows: Tuple[List[tuple], List[tuple]] = ([], [])
 
@@ -281,23 +231,26 @@ class Cpu:
         immediate field — the machine's cells-are-int32 invariant must hold
         even for hand-built (or fault-corrupted) out-of-range constants.
 
-        With :attr:`fuse` on, a second pass fuses the codegen's regular
-        sequences into superinstruction rows. *entries* names task entry
-        pcs; like jump targets, no fusion spans one (fusing *at* one is
-        fine). Entries the caller forgot are still safe — interior pcs of
-        a fused sequence keep their plain rows, so entering one simply
-        executes unfused — declared boundaries just fuse better.
+        With :attr:`fuse` on, a second pass compiles every straight-line
+        run into a block row (:mod:`repro.target.blocks`). *entries* names
+        task entry pcs; like jump targets, no block spans one (a block may
+        start at one). Entries the caller forgot are still safe — interior
+        pcs of a block keep their plain rows, so entering one simply
+        executes plain rows — declared boundaries just compile better.
 
         Decoding is memoized per process on the program's content (the
-        ``(opcode, arg)`` of every instruction, the entries and the
-        fusion flag), so every board flashed with the same image shares
-        one set of rows. Shared rows are read-only: the trapped copies
-        (:meth:`_trapped_rows`) are built fresh, and an image edited in
-        place keys a new entry.
+        ``(opcode, arg)`` of every instruction, the entries, the block
+        flag and the RAM size), so every board flashed with the same
+        image shares one set of rows, and one set of trapped decodings
+        per stop set (:meth:`_trapped_rows`). Shared rows are read-only;
+        an image edited in place keys a new entry.
         """
         self.code = list(code)
-        self._rows, self._frows, self.fused_rows = _decode(
-            self.code, entries, self.fuse)
+        program = self._program = _decode(self.code, entries, self.fuse,
+                                          len(self.memory.cells))
+        self._rows = program.rows
+        self._brows = program.brows
+        self.block_rows = program.blocks
         self.pc = 0
         self.stack.clear()
         self.halted = True
@@ -337,11 +290,10 @@ class Cpu:
         Only single-stepping and the two profiles take the checked path
         for every instruction.
 
-        ``profile`` is the measurement hook driving fusion decisions:
-        pass a dict (or ``collections.Counter``) and every retired
-        instruction increments ``profile[opcode]`` — plain
-        decoded opcodes (the reference stream, what a fusion pass needs
-        to see), never superinstruction ids. The hook is priced once
+        ``profile`` is the opcode-mix measurement hook: pass a dict (or
+        ``collections.Counter``) and every retired instruction
+        increments ``profile[opcode]`` — plain decoded opcodes (the
+        reference stream), never block rows. The hook is priced once
         here: the fast loop carries no counting code.
 
         ``pc_profile`` counts retired instructions *by address* instead
@@ -366,14 +318,14 @@ class Cpu:
             # fuse is re-consulted here so toggling it after load() (Board
             # exposes no fuse parameter) honestly selects the reference
             # decoding
-            rows = self._frows
+            rows = self._brows
             if not self.fuse or rows is None:
                 rows = self._rows
-            return self._run_fused(rows, self._rows, max_instructions)
+            return self._run_fast(rows, self._rows, max_instructions)
         rows, plain_rows = self._trapped_rows(watched, bps)
         n = cycles = 0
         while True:
-            result = self._run_fused(rows, plain_rows, max_instructions - n)
+            result = self._run_fast(rows, plain_rows, max_instructions - n)
             n += result.instructions
             cycles += result.cycles
             if result.reason is not StopReason.BREAKPOINT:
@@ -393,11 +345,12 @@ class Cpu:
 
     def _trapped_rows(self, watched: frozenset, bps: frozenset
                       ) -> Tuple[List[tuple], List[tuple]]:
-        """The (fused, plain) decodings with a stop row at every stop pc,
+        """The (fast, plain) decodings with a stop row at every stop pc,
         cached until :meth:`load`, the watched set or the breakpoint set
-        changes."""
-        fused = self.fuse and self._frows is not None
-        key = (fused, watched, bps)
+        changes, and shared through the program by every CPU with the
+        same stop pcs."""
+        blocks = self.fuse and self._brows is not None
+        key = (blocks, watched, bps)
         if key == self._trap_key:
             return self._trap_rows
         prows = self._rows
@@ -407,55 +360,39 @@ class Cpu:
             for pc, (op, arg, _) in enumerate(prows):
                 if op == OP_STI or (op == OP_STORE and arg in watched):
                     stops.add(pc)
-        plain = list(prows)
-        for pc in stops:
-            plain[pc] = _STOP_ROW
-        trapped = plain
-        if fused:
-            frows = self._frows
-            trapped = list(frows)
-            for pc in stops:
-                # a fused row running across a stop pc (a watched store
-                # at its tail, a breakpoint inside it) goes back to its
-                # plain rows
-                for head in range(max(0, pc - 3), pc):
-                    op = frows[head][0]
-                    if op >= FUSE_BASE and head + _FUSED_SPAN[op] > pc:
-                        trapped[head] = prows[head]
-            for pc in stops:
-                trapped[pc] = _STOP_ROW
         self._trap_key = key
-        self._trap_rows = (trapped, plain)
+        self._trap_rows = self._program.trapped_rows(blocks, frozenset(stops))
         return self._trap_rows
 
-    def _run_fused(self, rows: List[tuple], plain_rows: List[tuple],
-                   limit: int) -> RunResult:
+    def _run_fast(self, rows: List[tuple], plain_rows: List[tuple],
+                  limit: int) -> RunResult:
         """The one hot loop: no hooks, no breakpoints, no string/dict
         dispatch, over either decoding.
 
-        *rows* is the fused program or the plain decoded rows (either of
-        them possibly trapped); *plain_rows* is the plain decoding a row
-        decomposes onto, trapped whenever *rows* is, so decomposing can
-        never run past a stop pc. The plain opcodes share one dispatch
-        chain, and every superinstruction id sits behind a single
-        ``op >= FUSED`` guard ahead of it, so plain rows pay one
-        comparison for fusion's existence. The stop row sits behind the
-        same guard: reaching it with budget left ends the run with
-        ``BREAKPOINT`` before its pc, charging nothing.
+        *rows* is the block program or the plain decoded rows (either of
+        them possibly trapped); *plain_rows* is the plain decoding a
+        block decomposes onto, trapped whenever *rows* is, so
+        decomposing can never run past a stop pc. Plain opcodes share
+        one dispatch chain; the block and stop rows sit behind a single
+        ``op >= BLOCK`` guard ahead of it, so plain rows pay one
+        comparison for blocks' existence. Reaching a stop row with
+        budget left ends the run with ``BREAKPOINT`` before its pc,
+        charging nothing.
 
         Timing identity with the plain rows (and with :meth:`_step`) is
-        the contract: every fused row charges the summed constituent
-        cycles, counts the constituent instructions and performs the
-        constituent memory accesses. Whenever fused execution could be
-        *observably* different — the instruction budget lands
-        mid-sequence, an operand or store address is outside RAM, the
-        transient stack headroom the constituent pushes need is missing,
-        or a fused divide sees a zero divisor — the row **decomposes**:
-        the loop swaps to the plain decoded rows and re-executes the same
-        pc unfused, so budget stops land on a legal unfused pc and faults
-        surface with the exact pc/counters of the constituent sequence.
-        (Interior pcs of a fused region always hold plain rows, so
-        resuming from such a stop is automatically legal.)
+        the contract: a block charges its instructions' summed cycles,
+        counts them and performs their memory accesses. Whenever it
+        could be *observably* different — the instruction budget lands
+        inside it, the stack is too shallow or lacks the headroom its
+        pushes need, or it meets a zero divisor or an ``LDI`` outside
+        RAM before its commit — the block **decomposes**: the loop swaps
+        to the plain rows and re-executes the same pc, so budget stops
+        land on a legal pc and faults surface with the exact
+        pc/counters of the plain rows. (Interior pcs of a block always
+        hold plain rows, so resuming from such a stop is legal.) A block
+        ending in ``EMIT`` has committed everything when it returns; the
+        handler then runs at the ``EMIT``'s pc with ``cycles`` including
+        its charge, as on plain rows.
         """
         memory = self.memory
         prows = plain_rows
@@ -473,18 +410,14 @@ class Cpu:
         int_min = INT_MIN
         ram_base = RAM_BASE
         # dispatch constants as locals: LOAD_FAST beats LOAD_GLOBAL
-        FUSED = FUSE_BASE
-        F_ALU_ST = OP_F_ALU_ST; F_ALU_JZ = OP_F_ALU_JZ
-        F_ALU_JNZ = OP_F_ALU_JNZ; F_PUSH_ST = OP_F_PUSH_ST
-        F_LOAD_ST = OP_F_LOAD_ST; F_LOAD_JZ = OP_F_LOAD_JZ
-        F_LOAD_JNZ = OP_F_LOAD_JNZ; F_EMIT = OP_F_EMIT
+        BLOCK = OP_BLOCK; HALTS = TAIL_HALT
         LOAD = OP_LOAD; PUSH = OP_PUSH; STORE = OP_STORE; ADD = OP_ADD
         EQ = OP_EQ; NE = OP_NE; LT = OP_LT; LE = OP_LE; GT = OP_GT; GE = OP_GE
         JMP = OP_JMP; JZ = OP_JZ; JNZ = OP_JNZ; SUB = OP_SUB; MUL = OP_MUL
         MIN = OP_MIN; MAX = OP_MAX; AND = OP_AND; OR = OP_OR; NOT = OP_NOT
         NEG = OP_NEG; DUP = OP_DUP; MOD = OP_MOD; DIV = OP_DIV
         SWAP = OP_SWAP; POPC = OP_POP; LDI = OP_LDI; STI = OP_STI
-        EMIT = OP_EMIT; HALT = OP_HALT
+        EMIT = OP_EMIT
 
         pc = self.pc
         run_cycles = 0
@@ -498,189 +431,41 @@ class Cpu:
                 op, arg, cst = rows[pc]
                 run_cycles += cst
                 n += 1
-                if op >= FUSED:
-                    if op == F_ALU_ST:
-                        amode, aval, bmode, bval, alu, yi = arg
-                        if (n + 3 > limit or not 0 <= yi < nram
-                                or len(stack) + 2 > depth
-                                or (amode and not 0 <= aval < nram)
-                                or (bmode and not 0 <= bval < nram)):
+                if op >= BLOCK:
+                    if op == BLOCK:
+                        fn, more, need, peak, nread, nwrite, tail = arg
+                        height = len(stack)
+                        if (n + more > limit or height < need
+                                or height + peak > depth):
+                            rows = prows  # decompose: same pc, plain rows
+                            run_cycles -= cst
+                            n -= 1
+                            continue
+                        target = fn(cells, stack, emit_log)
+                        if target < 0:  # zero divisor / LDI outside RAM
                             rows = prows
                             run_cycles -= cst
                             n -= 1
                             continue
-                        a = cells[aval] if amode else aval
-                        b = cells[bval] if bmode else bval
-                        if alu == ADD:
-                            r = a + b
-                            if r > int_max or r < int_min:
-                                r = wrap32(r)
-                        elif alu == EQ:
-                            r = 1 if a == b else 0
-                        elif alu == LT:
-                            r = 1 if a < b else 0
-                        elif alu == SUB:
-                            r = a - b
-                            if r > int_max or r < int_min:
-                                r = wrap32(r)
-                        elif alu == GE:
-                            r = 1 if a >= b else 0
-                        elif alu == NE:
-                            r = 1 if a != b else 0
-                        elif alu == LE:
-                            r = 1 if a <= b else 0
-                        elif alu == GT:
-                            r = 1 if a > b else 0
-                        elif alu == MUL:
-                            r = a * b
-                            if r > int_max or r < int_min:
-                                r = wrap32(r)
-                        elif alu == MIN:
-                            r = a if a <= b else b
-                        elif alu == MAX:
-                            r = a if a >= b else b
-                        elif alu == AND:
-                            r = 1 if (a != 0 and b != 0) else 0
-                        elif alu == OR:
-                            r = 1 if (a != 0 or b != 0) else 0
-                        else:  # DIV, MOD: intmath.sdiv / smod, inline
-                            if b == 0:  # trap must surface unfused
-                                rows = prows
-                                run_cycles -= cst
-                                n -= 1
-                                continue
-                            r = (a // b if (a >= 0) == (b > 0)
-                                 else -(-a // b))
-                            if r > int_max or r < int_min:
-                                r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                            if alu == MOD:
-                                r = a - r * b
-                                if r > int_max or r < int_min:
-                                    r = (((r + 0x80000000) & 0xFFFFFFFF)
-                                         - 0x80000000)
-                        cells[yi] = r
-                        reads += amode + bmode
-                        writes += 1
-                        n += 3
-                        pc += 4
-                    elif op == F_ALU_JZ or op == F_ALU_JNZ:
-                        amode, aval, bmode, bval, alu, target = arg
-                        if (n + 3 > limit or len(stack) + 2 > depth
-                                or (amode and not 0 <= aval < nram)
-                                or (bmode and not 0 <= bval < nram)):
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        a = cells[aval] if amode else aval
-                        b = cells[bval] if bmode else bval
-                        if alu == EQ:
-                            r = a == b
-                        elif alu == LT:
-                            r = a < b
-                        elif alu == GE:
-                            r = a >= b
-                        elif alu == NE:
-                            r = a != b
-                        elif alu == LE:
-                            r = a <= b
-                        elif alu == GT:
-                            r = a > b
-                        elif alu == AND:
-                            r = a != 0 and b != 0
-                        elif alu == OR:
-                            r = a != 0 or b != 0
-                        elif alu == MIN:
-                            r = (a if a <= b else b) != 0
-                        elif alu == MAX:
-                            r = (a if a >= b else b) != 0
-                        elif alu == ADD:
-                            r = (a + b) % 0x100000000 != 0
-                        elif alu == SUB:
-                            r = a != b
-                        elif alu == MUL:
-                            r = (a * b) % 0x100000000 != 0
-                        else:  # DIV, MOD: intmath.sdiv / smod, inline
-                            if b == 0:
-                                rows = prows
-                                run_cycles -= cst
-                                n -= 1
-                                continue
-                            r = (a // b if (a >= 0) == (b > 0)
-                                 else -(-a // b))
-                            if r > int_max or r < int_min:
-                                r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                            if alu == MOD:
-                                r = a - r * b
-                                if r > int_max or r < int_min:
-                                    r = (((r + 0x80000000) & 0xFFFFFFFF)
-                                         - 0x80000000)
-                            r = r != 0
-                        reads += amode + bmode
-                        n += 3
-                        if op == F_ALU_JNZ:
-                            pc = target if r else pc + 4
-                        else:
-                            pc = pc + 4 if r else target
-                    elif op == F_PUSH_ST:
-                        imm, yi = arg
-                        if (n >= limit or not 0 <= yi < nram
-                                or len(stack) >= depth):
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        cells[yi] = imm
-                        writes += 1
-                        n += 1
-                        pc += 2
-                    elif op == F_LOAD_ST:
-                        ai, yi = arg
-                        if (n >= limit or not 0 <= ai < nram
-                                or not 0 <= yi < nram or len(stack) >= depth):
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        cells[yi] = cells[ai]
-                        reads += 1
-                        writes += 1
-                        n += 1
-                        pc += 2
-                    elif op == F_LOAD_JZ or op == F_LOAD_JNZ:
-                        ai, target = arg
-                        if (n >= limit or not 0 <= ai < nram
-                                or len(stack) >= depth):
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        reads += 1
-                        n += 1
-                        if (cells[ai] != 0) == (op == F_LOAD_JNZ):
-                            pc = target
-                        else:
-                            pc += 2
-                    elif op == F_EMIT:
-                        path_id, bmode, bval, kind = arg
-                        if (n + 2 > limit or len(stack) + 2 > depth
-                                or (bmode and not 0 <= bval < nram)):
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        value = cells[bval] if bmode else bval
-                        reads += bmode
-                        emit_log.append((kind, path_id, value))
-                        if handler is not None:
-                            # handler observes the full preamble's cycle
-                            # charge, exactly like the unfused EMIT step
-                            self.cycles = base_cycles + run_cycles
-                            in_handler = True
-                            handler(kind, path_id, value)
-                            in_handler = False
-                        n += 2
-                        pc += 3
+                        n += more
+                        reads += nread
+                        writes += nwrite
+                        if tail:
+                            if tail == HALTS:
+                                self.halted = True
+                                pc = target
+                                reason = StopReason.HALTED
+                                break
+                            if handler is not None:
+                                # the handler runs at the EMIT's pc and
+                                # reads self.cycles: sync before calling
+                                pc = target - 1
+                                self.cycles = base_cycles + run_cycles
+                                kind, path_id, value = emit_log[-1]
+                                in_handler = True
+                                handler(kind, path_id, value)
+                                in_handler = False
+                        pc = target
                     else:  # stop row: run() takes this pc
                         n -= 1
                         reason = StopReason.BREAKPOINT
@@ -942,10 +727,17 @@ class Cpu:
 
     def _step(self, op: int, arg: int, pc: int, stack: List[int],
               depth: int, memory, ncode: int) -> int:
-        """Execute one non-HALT instruction, returning the next pc."""
+        """Execute one non-HALT instruction, returning the next pc.
+
+        A faulting instruction leaves the machine as the fast loop's
+        plain rows do: an underflow has popped what there was, and a
+        ``LOAD`` or ``STORE`` checks its address before it touches the
+        stack.
+        """
 
         def need(count: int) -> None:
             if len(stack) < count:
+                stack.clear()
                 raise TargetFault("stack underflow", pc)
 
         def push(value: int) -> None:
@@ -958,13 +750,19 @@ class Cpu:
                 raise TargetFault(f"jump target {target} outside code", pc)
             return target
 
-        if op == OP_LOAD:
-            push(memory.read_word(arg))
+        if op == OP_LOAD or op == OP_STORE:
+            if not memory.contains(arg):
+                raise TargetFault(f"memory access outside RAM: 0x{arg:08x}",
+                                  pc)
+            if op == OP_STORE:
+                need(1)
+                memory.write_word(arg, stack.pop())
+            elif len(stack) >= depth:
+                raise TargetFault("stack overflow", pc)
+            else:
+                stack.append(memory.read_word(arg))
         elif op == OP_PUSH:
             push(arg)
-        elif op == OP_STORE:
-            need(1)
-            memory.write_word(arg, stack.pop())
         elif op == OP_JMP:
             return jump(arg)
         elif op == OP_JZ:

@@ -60,48 +60,22 @@ _CYCLE_TABLE = {
 #: cycle cost indexed by opcode int — used by the CPU's load-time decoder.
 CYCLES = tuple(_CYCLE_TABLE[name] for name in OPCODES)
 
-# -- superinstruction (fused) opcode ids -------------------------------------
+# -- decoded-only row ids -----------------------------------------------------
 #
-# Decoded-only opcodes: :meth:`repro.target.cpu.Cpu.load`'s fusion pass
-# synthesizes rows carrying these ids for the codegen's regular sequences.
-# They are never assembled, never appear in an :class:`Instr`, and are
-# architecturally invisible — a fused row charges the *sum* of its
-# constituents' :data:`CYCLES`, counts their instruction count, performs
-# their reads/writes, and decomposes back to the constituent rows whenever
-# any observation (instruction budget, fault, transient stack pressure)
-# could tell the difference. See the superinstruction section of the
-# package docstring (``repro/target/__init__.py``) for the fusion rules.
-FUSE_BASE = len(OPCODES)
-#: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; STORE y  (one decoded row)
-OP_F_ALU_ST = FUSE_BASE
-#: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; JZ t
-OP_F_ALU_JZ = FUSE_BASE + 1
-#: [LOAD|PUSH] a; [LOAD|PUSH] b; <alu>; JNZ t
-OP_F_ALU_JNZ = FUSE_BASE + 2
-#: PUSH k; STORE y
-OP_F_PUSH_ST = FUSE_BASE + 3
-#: LOAD a; STORE y
-OP_F_LOAD_ST = FUSE_BASE + 4
-#: LOAD a; JZ t
-OP_F_LOAD_JZ = FUSE_BASE + 5
-#: LOAD a; JNZ t
-OP_F_LOAD_JNZ = FUSE_BASE + 6
-#: PUSH ch; [LOAD|PUSH] v; EMIT kind  (the codegen's command preamble —
-#: the residual scalar work left after PR 5's quads/pairs)
-OP_F_EMIT = FUSE_BASE + 7
+# Rows the CPU's decoder synthesizes; they are never assembled and never
+# appear in an :class:`Instr`.
+
+#: block row: one compiled straight-line run of plain rows (see
+#: :mod:`repro.target.blocks`). It is architecturally invisible: it
+#: charges the exact sum of its instructions' :data:`CYCLES`, counts them,
+#: performs their reads and writes, and decomposes back to plain rows
+#: whenever a budget, stack or divisor check could tell the difference.
+OP_BLOCK = len(OPCODES)
 #: stop row: not an instruction. The CPU's trapped decodings hold it at
 #: every *stop pc* (a store that may hit a watched address, an armed
 #: breakpoint); the fast loop returns before it, charging nothing, and
 #: ``Cpu.run`` handles that one instruction itself.
-OP_STOP = FUSE_BASE + 8
-
-#: binary ALU opcodes legal as the third constituent of a fused quad
-#: (everything with stack effect ``a b -- r``; DIV/MOD fuse too — their
-#: divide-by-zero guard decomposes so the trap surfaces unfused).
-FUSABLE_ALU = frozenset((
-    OP_ADD, OP_SUB, OP_MUL, OP_EQ, OP_NE, OP_LT, OP_LE, OP_GT, OP_GE,
-    OP_MIN, OP_MAX, OP_AND, OP_OR, OP_DIV, OP_MOD,
-))
+OP_STOP = OP_BLOCK + 1
 
 
 def profile_names(counts) -> dict:

@@ -3,10 +3,11 @@
 COMDES guards/actions are evaluated twice in this reproduction: once by the
 reference model interpreter and once as compiled bytecode on the virtual
 target. Both must agree bit-for-bit, so the wrap/divide rules live here.
-The one exception is the CPU's fast loop (:mod:`repro.target.cpu`), which
-inlines :func:`sdiv` and :func:`smod` to save a call per divide;
-``tests/test_superinstructions.py`` proves it equal to these functions,
-negative operands and ``INT_MIN / -1`` included.
+The one exception is the CPU's fast loop (:mod:`repro.target.cpu`) and
+its block rows (:mod:`repro.target.blocks`), which inline :func:`sdiv` and
+:func:`smod` to save a call per divide; ``tests/test_superinstructions.py``
+proves them equal to these functions, negative operands and
+``INT_MIN / -1`` included.
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ def reference_release_actor(self: DtmKernel, actor) -> None:
         runtime.board.memory.poke(addr, self.bus.read(actor.node, signal))
 
     for hook in runtime.job_hooks:
-        hook(actor.name, now)
+        hook(now)
 
     result = runtime.board.run_task(actor.name)
     demand_us = runtime.board.cycles_to_us(result.cycles)
@@ -477,6 +477,8 @@ def reference_link_by_path(gdm: GdmModel,
 
 def reference_pulse(gdm: GdmModel, item) -> None:
     item.style["pulse"] = "true"
+    # the engine decays only while the lit set is non-empty
+    gdm.lit[item.id] = item
 
 
 def reference_decay_pulses(gdm: GdmModel) -> List[str]:
@@ -487,6 +489,7 @@ def reference_decay_pulses(gdm: GdmModel) -> List[str]:
     for link in gdm.links.values():
         if link.style.pop("pulse", None) is not None:
             affected.append(link.id)
+    gdm.lit.clear()
     return affected
 
 

@@ -25,7 +25,7 @@ def active_setup(system=None, plan=None, baud=115200):
     kernel = DtmKernel(system, firmware, sim=sim)
     channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                             link=Rs232Link(baud))
-    kernel.add_job_hook("node0", lambda actor, t: channel.begin_job(t))
+    kernel.add_job_hook("node0", channel.begin_job)
     received = []
     channel.subscribe(received.append)
     return sim, kernel, channel, received
@@ -62,7 +62,7 @@ class TestActiveChannel:
         kernel = DtmKernel(system, firmware, sim=sim, boards=boards)
         channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                                 link=Rs232Link(300))
-        kernel.add_job_hook("node0", lambda actor, t: channel.begin_job(t))
+        kernel.add_job_hook("node0", channel.begin_job)
         kernel.run(ms(100) * 30)
         assert channel.frames_dropped > 0
         assert kernel.board_of("node0").uart.overruns == channel.frames_dropped

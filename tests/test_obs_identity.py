@@ -8,8 +8,8 @@ read-only bookkeeping on the side; the moment it changes an outcome it
 has become part of the experiment.
 
 Randomized programs reuse the codegen-shaped snippet generator from
-``test_superinstructions`` (the same corpus the fusion and batch
-tiers are proven against).
+``test_superinstructions`` (the same corpus the block rows are proven
+against).
 """
 
 from hypothesis import given, settings, strategies as st

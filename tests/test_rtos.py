@@ -192,8 +192,7 @@ class TestDtmKernel:
         _, kernel = cruise_kernel()
         board = kernel.board_of("node0")
         hooked = []
-        kernel.add_job_hook("node0",
-                            lambda actor, t, k=kernel: hooked.append(k))
+        kernel.add_job_hook("node0", lambda t, k=kernel: hooked.append(k))
         board.cpu.emit_handler = lambda kind, path_id, value, k=kernel: None
         board.memory.set_write_hook(lambda addr, value, k=kernel: None, [0])
         kernel.run(ms(95))
@@ -237,7 +236,7 @@ class TestDtmKernel:
         with pytest.raises(SchedulerError):
             kernel.board_of("mars")
         with pytest.raises(SchedulerError):
-            kernel.add_job_hook("mars", lambda actor, t_release: None)
+            kernel.add_job_hook("mars", lambda t_release: None)
 
     @staticmethod
     def _traffic_kernel(capacity):

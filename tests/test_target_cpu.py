@@ -157,9 +157,10 @@ class TestOpcodeProfile:
         assert sum(counts.values()) == result.instructions
 
     def test_profile_counts_constituents_not_superinstructions(self):
-        # fusion is on by default; the profile must still speak plain ISA
+        # block rows are on by default; the profile must still speak
+        # plain ISA
         cpu, _ = make_cpu(self.LOOP)
-        assert cpu.fused_rows > 0
+        assert cpu.block_rows > 0
         counts = {}
         cpu.run(profile=counts)
         from repro.target.isa import OPCODES
