@@ -14,7 +14,7 @@ and are measured:
   under a ``SourceDebugger`` holding its code watches: watched stores
   are stop pcs of the fast loop;
 * ``watch_speedup`` — that rate over the same jobs on the checked
-  per-instruction loop (forced with ``pc_profile``), the
+  per-instruction loop (forced with ``profile={}``), the
   machine-independent gate of the code debugger's watch path;
 * ``activation`` — short activations: every task job of the cruise
   control and traffic light firmware through ``Board.run_task``, no
@@ -229,13 +229,13 @@ def run_watched(firmware, rounds: int, checked: bool):
         debugger.watch(symbol, predicate, description)
     cpu = board.cpu
     entries = [firmware.entry_of(task) for task in firmware.entries]
-    pc_profile = {} if checked else None
+    profile = {} if checked else None
     instructions = 0
     start = time.process_time()
     for _ in range(rounds):
         for entry in entries:
             cpu.reset_task(entry)
-            result = cpu.run(pc_profile=pc_profile)
+            result = cpu.run(profile=profile)
             instructions += result.instructions
     cpu_s = time.process_time() - start
     assert result.reason is StopReason.HALTED, result

@@ -1,4 +1,4 @@
-"""Ablation: the bug classifier (paper's future work, DESIGN.md §5).
+"""Ablation: the bug classifier (paper's future work, repro.engine.classify).
 
 Runs the differential oracle over every fault the E9 campaign injects and
 scores classification accuracy against the injected ground truth. Faults

@@ -2,7 +2,8 @@
 
 Runs the complete workflow — inputs, selection, abstraction, command setup,
 GDM creation + connection — then the runtime interaction, and saves the
-numbered log as the Fig 6 artifact. Also exercises the user-control features
+numbered log as the Fig 6 artifact and step 4's command-setting dialog
+(``e6_command_setup.txt``). Also exercises the user-control features
 the paper lists: model-level breakpoint, stepping, resume.
 """
 
@@ -22,6 +23,8 @@ def test_e6_full_workflow(benchmark):
     assert [line[:3] for line in session.workflow_log] == [
         "[1]", "[2]", "[3]", "[4]", "[5]",
     ]
+    # step 4 ran through the command-setting dialog and closed it
+    assert session.command_dialog.finished
 
     # Break when the cruise controller engages.
     session.engine.breakpoints.add(
@@ -48,6 +51,8 @@ def test_e6_full_workflow(benchmark):
                          f"{len(session.trace)} commands traced")
     table.print()
     save_artifact("e6_workflow.txt", table.render())
+    save_artifact("e6_command_setup.txt",
+                  session.command_dialog.render_dialog())
     save_artifact("fig6_execution_flow.txt", fig6_execution_flow())
 
     def full_workflow():

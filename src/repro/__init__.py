@@ -1,8 +1,11 @@
 """GMDF: Graphical Model Debugger Framework for embedded systems.
 
 A full reproduction of Zeng, Guo & Angelov (DATE 2010): model-driven
-debugging of embedded software at the *model* level. See README.md for the
-architecture and DESIGN.md for the paper-to-module mapping.
+debugging of embedded software at the *model* level. Each subpackage's
+docstring maps its part of the paper to code (``repro.comdes`` the
+modeling language, ``repro.gdm`` the debug model, ``repro.engine`` the
+runtime engine, ``repro.comm`` the command channels, ``repro.debugger``
+the code-level baseline); PAPER.md holds the paper's abstract.
 
 Quickstart::
 
@@ -58,13 +61,10 @@ from repro.engine.breakpoints import (
 )
 from repro.engine.classify import BugClass, classify_bug
 from repro.engine.engine import DebuggerEngine, EngineState
-from repro.engine.inspector import ModelInspector
 from repro.engine.replay import ReplayPlayer
 from repro.engine.session import DebugSession
 from repro.engine.timing_diagram import TimingDiagram
 from repro.gdm.command_setup import CommandSetupDialog
-from repro.gdm.store import load_gdm, save_gdm
-from repro.rtos.analysis import AnalyzedTask, analyze
 
 # Baseline + faults + fleet
 from repro.debugger.gdb import SourceDebugger
@@ -96,10 +96,8 @@ __all__ = [
     "GdmModel", "CommandBinding", "DebuggerEngine", "EngineState",
     "StateEntryBreakpoint", "SignalConditionBreakpoint",
     "ReplayPlayer", "TimingDiagram", "DebugSession",
-    "ModelInspector",
-    "CommandSetupDialog", "save_gdm", "load_gdm",
+    "CommandSetupDialog",
     "BugClass", "classify_bug",
-    "AnalyzedTask", "analyze",
     # baseline + faults + fleet
     "SourceDebugger", "run_campaign", "FleetRunner", "SerialRunner",
     # utilities

@@ -17,7 +17,6 @@ interface the runtime engine consumes. The stack, top to bottom::
     DebugLink           transaction batching + the whole cost model
       SerialLink        RS-232 line time + host receive latency
       JtagLink          TCK-rate scan cost + one USB round trip per txn
-      DirectLink        in-process backdoor (free, still accounted)
     wire models         Rs232Link / TapController+JtagProbe / UsbTransport
 
 TAP instruction register map (:mod:`repro.comm.jtag`):
@@ -65,7 +64,6 @@ from repro.comm.usb import UsbTransport
 from repro.comm.jtag import JtagProbe, TapController, TapState, group_runs
 from repro.comm.link import (
     DebugLink,
-    DirectLink,
     JtagLink,
     SerialLink,
     write_patches,
@@ -84,7 +82,7 @@ __all__ = [
     "Rs232Link",
     "UsbTransport",
     "TapState", "TapController", "JtagProbe", "group_runs",
-    "DebugLink", "DirectLink", "JtagLink", "SerialLink", "write_patches",
+    "DebugLink", "JtagLink", "SerialLink", "write_patches",
     "DebugChannel", "ActiveChannel", "PassiveChannel", "PollPlan",
     "ChaosConfig", "ChaosLink",
 ]

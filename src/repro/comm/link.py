@@ -4,11 +4,11 @@ Every byte that moves between the debugger host and the embedded target
 crosses a :class:`DebugLink`. The link owns the *transport cost model* —
 what a transaction costs, how many words or frames it carried — so the
 layers above it (:class:`~repro.comm.channel.PassiveChannel`,
-:class:`~repro.comm.channel.ActiveChannel`, the source-level debugger)
-never price I/O themselves and never issue more transactions than the
+:class:`~repro.comm.channel.ActiveChannel`, the fault injectors) never
+price I/O themselves and never issue more transactions than the
 link hands them.
 
-Three concrete links cover the framework's access paths:
+Two concrete links cover the framework's access paths:
 
 * :class:`JtagLink` — scan-chain access through a
   :class:`~repro.comm.jtag.JtagProbe`: TCK-rate cost per shifted bit,
@@ -18,8 +18,6 @@ Three concrete links cover the framework's access paths:
 * :class:`SerialLink` — the active interface's RS-232 line: per-byte
   line time, store-and-forward queueing, optional corruption, and a
   fixed host-side latency per received frame.
-* :class:`DirectLink` — the in-process backdoor (simulator-only): zero
-  cost, still fully accounted, used by the code-level debugger baseline.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ class DebugLink:
 
     def __init__(self) -> None:
         #: attribution channel this link's traffic is booked under in
-        #: per-channel transport accounting ("passive", "active",
-        #: "inspect", ...); defaults to the transport kind until a layer
-        #: claims it.
+        #: per-channel transport accounting ("passive", "active", ...);
+        #: defaults to the transport kind until a layer claims it.
         self.label = type(self).kind
         self.transactions = 0
         self.words_read = 0
@@ -218,55 +215,6 @@ class SerialLink(DebugLink):
     def resume_target(self) -> None:
         if self.board is None:
             raise CommError("serial link is not attached to a board")
-        self.board.stalled = False
-
-
-class DirectLink(DebugLink):
-    """In-process backdoor over a board: zero cost, full accounting.
-
-    The simulator-only shortcut the code-level debugger uses; it follows
-    the same batching contract (one transaction per operation), so code
-    written against a :class:`JtagLink` behaves identically here, just
-    with a free transport.
-    """
-
-    kind = "direct"
-
-    def __init__(self, board: Board) -> None:
-        super().__init__()
-        self.board = board
-
-    def read_word(self, addr: int) -> Tuple[int, int]:
-        value = self.board.memory.peek(addr)
-        return value, self._account(0, words_read=1)
-
-    def read_block(self, base: int, count: int) -> Tuple[List[int], int]:
-        if count <= 0:
-            raise CommError(f"block count must be positive, got {count}")
-        values = [self.board.memory.peek(base + i) for i in range(count)]
-        return values, self._account(0, words_read=count)
-
-    def read_scatter(self, addrs: Sequence[int]) -> Tuple[List[int], int]:
-        if not addrs:
-            raise CommError("scatter read needs at least one address")
-        values = [self.board.memory.peek(addr) for addr in addrs]
-        return values, self._account(0, words_read=len(addrs))
-
-    def write_word(self, addr: int, value: int) -> int:
-        self.board.memory.poke(addr, value)
-        return self._account(0, words_written=1)
-
-    def write_block(self, base: int, values: Sequence[int]) -> int:
-        if not values:
-            raise CommError("block write needs at least one value")
-        for offset, value in enumerate(values):
-            self.board.memory.poke(base + offset, value)
-        return self._account(0, words_written=len(values))
-
-    def halt_target(self) -> None:
-        self.board.stalled = True
-
-    def resume_target(self) -> None:
         self.board.stalled = False
 
 

@@ -37,7 +37,6 @@ from repro.engine.checks import (
     StateValueMonitor,
 )
 from repro.engine.classify import BugClass, BugClassifier, classify_bug
-from repro.engine.inspector import ModelInspector
 from repro.engine.session import DebugSession
 
 __all__ = [
@@ -52,6 +51,5 @@ __all__ = [
     "SequenceMonitor", "DwellMonitor", "StateValueMonitor",
     "HeartbeatMonitor", "InitialStateMonitor", "CrossInvariantMonitor",
     "BugClass", "BugClassifier", "classify_bug",
-    "ModelInspector",
     "DebugSession",
 ]

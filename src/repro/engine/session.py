@@ -42,6 +42,7 @@ from repro.engine.engine import DebuggerEngine
 from repro.engine.stepping import StepController
 from repro.engine.timing_diagram import TimingDiagram
 from repro.errors import DebuggerError
+from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.guide import AbstractionGuide
 from repro.gdm.mapping import MappingTable, default_comdes_table
 from repro.gdm.model import CommandBinding, GdmModel
@@ -141,6 +142,7 @@ class DebugSession:
         self.model = None
         self.firmware = None
         self.guide: Optional[AbstractionGuide] = None
+        self.command_dialog: Optional[CommandSetupDialog] = None
         self.gdm: Optional[GdmModel] = None
         self.kernel: Optional[DtmKernel] = None
         self.engine: Optional[DebuggerEngine] = None
@@ -201,10 +203,16 @@ class DebugSession:
     def step4_command_setup(self,
                             extra_bindings: Sequence[CommandBinding] = ()
                             ) -> "DebugSession":
-        """Add command reaction information (defaults + user additions)."""
+        """Add command reaction information through the command-setting
+        dialog: the abstraction's default bindings stay, each user
+        binding goes in with :meth:`CommandSetupDialog.add`, and
+        ``finish()`` closes the dialog, kept as :attr:`command_dialog`."""
         self._require(self.gdm is not None, "run step3_abstraction first")
+        dialog = self.command_dialog = CommandSetupDialog(self.gdm)
         for binding in extra_bindings:
-            self.gdm.add_binding(binding)
+            dialog.add(binding.command_kind, binding.path_selector,
+                       binding.reaction)
+        dialog.finish()
         self._log(4, (
             f"command setup complete: {len(self.gdm.bindings)} bindings "
             f"({len(extra_bindings)} user-defined)"
@@ -336,12 +344,6 @@ class DebugSession:
         """The engine's execution trace."""
         self._require(self.engine is not None, "run step5_connect first")
         return self.engine.trace
-
-    def inspector(self):
-        """A model-level inspector over the running target."""
-        self._require(self.kernel is not None, "run step5_connect first")
-        from repro.engine.inspector import ModelInspector
-        return ModelInspector(self.system, self.firmware, self.kernel)
 
     def snapshot_ascii(self) -> str:
         """ASCII rendering of the debug model's current display state."""

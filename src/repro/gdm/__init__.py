@@ -16,7 +16,6 @@ from repro.gdm.reactions import ReactionKind, ReactionRecord, apply_reaction
 from repro.gdm.guide import AbstractionGuide
 from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.scenegen import gdm_to_scene
-from repro.gdm.store import gdm_from_json, gdm_to_json, load_gdm, save_gdm
 
 __all__ = [
     "PatternKind", "PatternSpec",
@@ -28,5 +27,4 @@ __all__ = [
     "AbstractionGuide",
     "CommandSetupDialog",
     "gdm_to_scene",
-    "gdm_to_json", "gdm_from_json", "save_gdm", "load_gdm",
 ]

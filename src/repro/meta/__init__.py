@@ -17,7 +17,6 @@ from repro.meta.metamodel import (
 )
 from repro.meta.model import Model, ModelObject
 from repro.meta.registry import MetamodelRegistry
-from repro.meta.serialize import model_from_dict, model_to_dict
 from repro.meta.validate import validate_model
 
 __all__ = [
@@ -29,7 +28,5 @@ __all__ = [
     "Model",
     "ModelObject",
     "MetamodelRegistry",
-    "model_to_dict",
-    "model_from_dict",
     "validate_model",
 ]

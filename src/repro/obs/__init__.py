@@ -5,8 +5,8 @@ transaction accounting, chaos frame-fault counters, session
 transport totals, tracedb segment I/O. This package is the layer that
 makes those books *one surface*: a labeled metrics registry they all
 publish into, a span tracer that turns modeled time into renderable
-slices, a Perfetto-compatible exporter, flame-style calltrace rollups,
-and automated post-mortems for failed campaign jobs. Raw event streams
+slices, a Perfetto-compatible exporter and automated post-mortems for
+failed campaign jobs. Raw event streams
 only become debugging leverage once they are aggregated, rendered and
 scriptable — that is the job here.
 

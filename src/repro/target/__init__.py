@@ -5,8 +5,8 @@ runs here, the active command interface EMITs from here, and the passive
 JTAG probe scans this board's RAM. The interpreter is the framework's
 hottest path and is engineered accordingly — see :mod:`repro.target.cpu`
 for the performance rules (decode once, one dispatch per straight-line
-run, hoisted locals, watchpoints and breakpoints as stop rows of the one
-fast loop).
+run, hoisted locals, watched stores as stop rows of the one fast
+loop).
 
 ISA reference
 =============
@@ -75,23 +75,25 @@ them whenever a budget, stack-depth or divisor check could tell the
 difference, so LIMIT stops land on a legal pc and faults carry the plain
 pc and counters.
 
-**Debug stops.** Watchpoints and breakpoints are *stop pcs* of the same
-fast loop: per program and stop set, the CPU builds trapped decodings
-with a stop row at every store to a watched address, every ``STI``
-while anything is watched and every armed breakpoint, with the blocks
-formed again around them (see :mod:`repro.target.cpu`). Single-stepping
-and the opcode/pc profiles still check every instruction.
+**Watch stops.** Watched stores are *stop pcs* of the same fast loop:
+per program and watch set, the CPU builds trapped decodings with a stop
+row at every ``STORE`` to a watched address and every ``STI`` while
+anything is watched, with the blocks formed again around them (see
+:mod:`repro.target.cpu`). There are no code breakpoints and no
+single-stepping: the code-level baseline uses watchpoints only.
 ``tests/test_superinstructions.py`` holds the lockstep proofs (blocks ==
 plain == checked, and stop-pc route == checked loop);
 ``benchmarks/perf_interp.py`` scores the speedups (``fusion_speedup``
 and ``watch_speedup``, floor-gated in CI) and counts the rows dispatched
 per activation (ceiling-gated).
 
-``Cpu.run(profile=...)`` fills a dict with per-opcode retirement counts
-(plain decoded opcodes, never block rows) at zero cost when unused — the
-hook is priced once at ``run()`` entry — and
-``benchmarks/perf_interp.py`` dumps the measured profile
-(``opcode_profile``) with every run.
+``Cpu.run(max_instructions, profile=None)`` is the whole run interface.
+A ``profile`` dict selects the checked reference loop for every
+instruction and fills with per-opcode retirement counts (plain decoded
+opcodes, never block rows); unused, it costs nothing, because the hook
+is priced once at ``run()`` entry. The lockstep tests force the checked
+loop with ``profile={}``, and ``benchmarks/perf_interp.py`` dumps the
+measured profile (``opcode_profile``) with every run.
 """
 
 from repro.target.assembler import Assembler, disassemble

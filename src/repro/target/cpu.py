@@ -23,24 +23,23 @@ built around four rules:
 3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
    counters and constants live in locals for the duration of a run; state
    is written back once in a ``finally``.
-4. **Debug stops are rows, not tests.** The fast loop
-   (:meth:`_run_fast`) contains not a single hook or breakpoint test.
-   Watched stores and armed breakpoints are priced **once, per program
-   and stop set**: every *stop pc* — a ``STORE`` to a watched address,
-   every ``STI`` (its address is dynamic) while anything is watched,
-   every armed breakpoint — gets a stop row in a trapped decoding, whose
-   blocks are formed again with the stop pcs as boundaries. Trapped
-   decodings are memoized with the program, so every board of every
-   code-debugger rig shares them. The loop returns before a stop row;
-   :meth:`run` then reports the breakpoint, or executes exactly that one
+4. **Watched stores are rows, not tests.** The fast loop
+   (:meth:`_run_fast`) contains not a single hook test. Watched stores
+   are priced **once, per program and watch set**: every *stop pc* — a
+   ``STORE`` to a watched address, and every ``STI`` (its address is
+   dynamic) while anything is watched — gets a stop row in a trapped
+   decoding, whose blocks are formed again with the stop pcs as
+   boundaries. Trapped decodings are memoized with the program, so
+   every board of every code-debugger rig shares them. The loop returns
+   before a stop row; :meth:`run` then executes exactly that one
    instruction on the checked path (:meth:`_run_debug`, where the
    memory's write hook fires with the machine state current) and
    re-enters the fast loop. Like a hardware comparator, a watchpoint
-   costs nothing until a store that can hit it retires. Only
-   single-stepping and the opcode/pc profiles run every instruction
-   through :meth:`_step`. On plain rows, stack underflow and runaway
-   program counters are caught by the ``IndexError`` of the faulting
-   list access instead of per-instruction guards.
+   costs nothing until a store that can hit it retires. Only the
+   opcode profile runs every instruction through :meth:`_step`. On
+   plain rows, stack underflow and runaway program counters are caught
+   by the ``IndexError`` of the faulting list access instead of
+   per-instruction guards.
 
 The ISA's semantics therefore exist in three places: the plain-row chain
 of the fast loop (the decomposition target, and the whole program with
@@ -62,7 +61,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TargetFault
 from repro.target.blocks import TAIL_HALT, form_blocks
@@ -84,7 +83,6 @@ EmitHandler = Callable[[int, int, int], None]
 DEFAULT_RUN_LIMIT = 1_000_000
 
 _STOP_ROW = (OP_STOP, 0, 0)
-_NO_STOPS: frozenset = frozenset()
 
 
 class _Program:
@@ -132,8 +130,8 @@ _DECODED: "OrderedDict[tuple, _Program]" = OrderedDict()
 #: programs kept decoded: a campaign job flashes one or two images (the
 #: pristine one and its mutant) on every board of both debugger rigs
 _DECODED_LIMIT = 4
-#: trapped decodings kept per program: one per watch set and breakpoint
-#: set in use (a code-debugger rig has one)
+#: trapped decodings kept per program: one per set of watched stores in
+#: use (a code-debugger rig has one)
 _TRAPPED_LIMIT = 8
 
 
@@ -167,9 +165,7 @@ class StopReason(enum.Enum):
     """Why a ``run`` returned."""
 
     HALTED = "halted"          # executed HALT
-    BREAKPOINT = "breakpoint"  # stopped *before* a breakpointed instruction
     LIMIT = "limit"            # instruction budget exhausted
-    STEP = "step"              # single_step executed its one instruction
 
 
 class RunResult(NamedTuple):
@@ -201,7 +197,6 @@ class Cpu:
         self.cycles = 0
         self.instructions = 0
         self.halted = True
-        self.breakpoints: Set[int] = set()
         self.emit_handler: Optional[EmitHandler] = None
         self.emit_log: List[Tuple[int, int, int]] = []
         self.code: List[Instr] = []
@@ -215,9 +210,7 @@ class Cpu:
         self._brows: Optional[List[tuple]] = None
         #: number of block rows installed by the last load
         self.block_rows = 0
-        # pc of the last breakpoint stop, so resuming steps over it
-        self._resume_pc = -1
-        # trapped (fast, plain) rows for the stop set in _trap_key
+        # trapped (fast, plain) rows for the watch set in _trap_key
         self._trap_key: Optional[tuple] = None
         self._trap_rows: Tuple[List[tuple], List[tuple]] = ([], [])
 
@@ -257,7 +250,6 @@ class Cpu:
         self.cycles = 0
         self.instructions = 0
         self.emit_log.clear()
-        self._resume_pc = -1
         self._trap_key = None
 
     def reset_task(self, entry: int) -> None:
@@ -267,54 +259,34 @@ class Cpu:
         self.pc = entry
         self.stack.clear()
         self.halted = False
-        self._resume_pc = -1
 
     # -- execution ---------------------------------------------------------
 
     def run(self, max_instructions: int = DEFAULT_RUN_LIMIT,
-            single_step: bool = False,
-            break_on_breakpoints: bool = False,
-            profile: Optional[dict] = None,
-            pc_profile: Optional[dict] = None) -> RunResult:
-        """Execute until HALT, a debug stop, or the instruction budget.
+            profile: Optional[dict] = None) -> RunResult:
+        """Execute until HALT or the instruction budget.
 
-        Watched stores and armed breakpoints (with
-        ``break_on_breakpoints``) are stop pcs of the fast loop: it runs
-        the trapped rows up to one, then this method either returns
-        ``BREAKPOINT`` (resuming steps over it) or executes that one
-        instruction on the checked path, so the write hook sees ``pc`` at
-        the store and ``cycles`` including its charge, and re-enters the
-        fast loop with the remaining budget. Watchpoints or breakpoints
-        added while a run is in progress take effect at the next run.
+        Watched stores are stop pcs of the fast loop: it runs the trapped
+        rows up to one, then this method executes that one instruction
+        on the checked path, so the write hook sees ``pc`` at the store
+        and ``cycles`` including its charge, and re-enters the fast loop
+        with the remaining budget. Watchpoints added while a run is in
+        progress take effect at the next run.
 
-        Only single-stepping and the two profiles take the checked path
-        for every instruction.
-
-        ``profile`` is the opcode-mix measurement hook: pass a dict (or
-        ``collections.Counter``) and every retired instruction
-        increments ``profile[opcode]`` — plain decoded opcodes (the
-        reference stream), never block rows. The hook is priced once
-        here: the fast loop carries no counting code.
-
-        ``pc_profile`` counts retired instructions *by address* instead
-        of by opcode — ``pc_profile[pc] += 1`` — which is what
-        flame-style calltrace aggregation needs
-        (:func:`repro.obs.calltrace.pc_rollup` folds it into per-task /
-        per-model-element frames via the firmware source map). Same
-        pricing rule: pass None (the default) and no loop carries it.
+        ``profile`` is the opcode-mix measurement hook and the one way to
+        run every instruction through the checked reference loop
+        (:meth:`_run_debug`): pass a dict (or ``collections.Counter``)
+        and every retired instruction increments ``profile[opcode]`` —
+        plain decoded opcodes (the reference stream), never block rows.
+        The hook is priced once here: the fast loop carries no counting
+        code.
         """
         if self.halted:
             return RunResult(StopReason.HALTED, 0, 0)
-        if single_step or profile is not None or pc_profile is not None:
-            return self._run_debug(max_instructions, single_step,
-                                   break_on_breakpoints, profile,
-                                   pc_profile)
+        if profile is not None:
+            return self._run_debug(max_instructions, profile)
         watched = self.memory.watched
-        bps = (frozenset(self.breakpoints)
-               if break_on_breakpoints and self.breakpoints else _NO_STOPS)
-        skip_pc = self._resume_pc
-        self._resume_pc = -1
-        if not watched and not bps:
+        if not watched:
             # fuse is re-consulted here so toggling it after load() (Board
             # exposes no fuse parameter) honestly selects the reference
             # decoding
@@ -322,52 +294,40 @@ class Cpu:
             if not self.fuse or rows is None:
                 rows = self._rows
             return self._run_fast(rows, self._rows, max_instructions)
-        rows, plain_rows = self._trapped_rows(watched, bps)
+        rows, plain_rows = self._trapped_rows(watched)
         n = cycles = 0
         while True:
             result = self._run_fast(rows, plain_rows, max_instructions - n)
             n += result.instructions
             cycles += result.cycles
-            if result.reason is not StopReason.BREAKPOINT:
+            if result.reason is not None:
                 return _new_tuple(RunResult, (result.reason, n, cycles))
-            # the loop stopped before a stop pc with budget left; only the
-            # run's first instruction may step over a breakpoint
-            pc = self.pc
-            if pc in bps and (pc != skip_pc or result.instructions):
-                self._resume_pc = pc
-                return RunResult(StopReason.BREAKPOINT, n, cycles)
-            skip_pc = -1
-            step = self._run_debug(1, False, False)
+            # the loop stopped before a watched STORE or STI with budget
+            # left: retire it on the checked path, where the hook fires
             n += 1
-            cycles += step.cycles
-            if step.reason is StopReason.HALTED:
-                return _new_tuple(RunResult, (StopReason.HALTED, n, cycles))
+            cycles += self._run_debug(1).cycles
 
-    def _trapped_rows(self, watched: frozenset, bps: frozenset
+    def _trapped_rows(self, watched: frozenset
                       ) -> Tuple[List[tuple], List[tuple]]:
-        """The (fast, plain) decodings with a stop row at every stop pc,
-        cached until :meth:`load`, the watched set or the breakpoint set
-        changes, and shared through the program by every CPU with the
-        same stop pcs."""
+        """The (fast, plain) decodings with a stop row at every store
+        that can write a *watched* address, cached until :meth:`load` or
+        the watched set changes, and shared through the program by every
+        CPU with the same stop pcs."""
         blocks = self.fuse and self._brows is not None
-        key = (blocks, watched, bps)
+        key = (blocks, watched)
         if key == self._trap_key:
             return self._trap_rows
-        prows = self._rows
-        ncode = len(prows)
-        stops = {pc for pc in bps if 0 <= pc < ncode}
-        if watched:
-            for pc, (op, arg, _) in enumerate(prows):
-                if op == OP_STI or (op == OP_STORE and arg in watched):
-                    stops.add(pc)
+        stops = frozenset(
+            pc for pc, (op, arg, _) in enumerate(self._rows)
+            if op == OP_STI or (op == OP_STORE and arg in watched))
         self._trap_key = key
-        self._trap_rows = self._program.trapped_rows(blocks, frozenset(stops))
+        self._trap_rows = self._program.trapped_rows(blocks, stops)
         return self._trap_rows
 
     def _run_fast(self, rows: List[tuple], plain_rows: List[tuple],
                   limit: int) -> RunResult:
-        """The one hot loop: no hooks, no breakpoints, no string/dict
-        dispatch, over either decoding.
+        """The one hot loop: no hooks, no string/dict dispatch, over
+        either decoding.
 
         *rows* is the block program or the plain decoded rows (either of
         them possibly trapped); *plain_rows* is the plain decoding a
@@ -376,8 +336,8 @@ class Cpu:
         one dispatch chain; the block and stop rows sit behind a single
         ``op >= BLOCK`` guard ahead of it, so plain rows pay one
         comparison for blocks' existence. Reaching a stop row with
-        budget left ends the run with ``BREAKPOINT`` before its pc,
-        charging nothing.
+        budget left ends the run before its pc with reason ``None``,
+        charging nothing; :meth:`run` retires the watched store.
 
         Timing identity with the plain rows (and with :meth:`_step`) is
         the contract: a block charges its instructions' summed cycles,
@@ -468,7 +428,7 @@ class Cpu:
                         pc = target
                     else:  # stop row: run() takes this pc
                         n -= 1
-                        reason = StopReason.BREAKPOINT
+                        reason = None
                         break
                 elif op == LOAD:
                     index = arg - ram_base
@@ -669,36 +629,28 @@ class Cpu:
 
     # -- checked execution (debugger path) ----------------------------------
 
-    def _run_debug(self, limit: int, single_step: bool,
-                   break_on_breakpoints: bool,
-                   profile: Optional[dict] = None,
-                   pc_profile: Optional[dict] = None) -> RunResult:
-        """Full-fidelity loop: breakpoints, write hooks, single-stepping,
-        opcode-frequency profiling.
+    def _run_debug(self, limit: int,
+                   profile: Optional[dict] = None) -> RunResult:
+        """The checked reference loop: every instruction through
+        :meth:`_step`, counting opcodes into *profile* when given.
 
         Memory goes through :meth:`MemoryMap.read_word` / ``write_word`` so
         data watchpoints and access accounting behave exactly like the
         reference semantics; ``self.pc``/``self.cycles`` are kept current so
-        hooks observe a consistent machine state.
+        hooks observe a consistent machine state. :meth:`run` takes it for
+        a whole run when profiling, and for the one watched store at each
+        stop pc otherwise.
         """
         memory = self.memory
         rows = self._rows
         ncode = len(rows)
         stack = self.stack
         depth = self.stack_depth
-        bps = self.breakpoints if break_on_breakpoints else None
-        skip_pc = self._resume_pc
-        self._resume_pc = -1
         start_cycles = self.cycles
         n = 0
 
         while n < limit:
             pc = self.pc
-            if bps and pc in bps and pc != skip_pc:
-                self._resume_pc = pc
-                return RunResult(StopReason.BREAKPOINT, n,
-                                 self.cycles - start_cycles)
-            skip_pc = -1
             if not 0 <= pc < ncode:
                 raise TargetFault("pc ran outside the code", pc)
             op, arg, cst = rows[pc]
@@ -707,8 +659,6 @@ class Cpu:
             n += 1
             if profile is not None:
                 profile[op] = profile.get(op, 0) + 1
-            if pc_profile is not None:
-                pc_profile[pc] = pc_profile.get(pc, 0) + 1
             try:
                 if op == OP_HALT:
                     self.halted = True
@@ -720,9 +670,6 @@ class Cpu:
                 if fault.pc < 0:  # pin memory faults to this instruction
                     raise TargetFault(fault.reason, pc) from None
                 raise
-            if single_step:
-                return RunResult(StopReason.STEP, n,
-                                 self.cycles - start_cycles)
         return RunResult(StopReason.LIMIT, n, self.cycles - start_cycles)
 
     def _step(self, op: int, arg: int, pc: int, stack: List[int],

@@ -134,13 +134,6 @@ class FirmwareImage:
                 f"firmware {self.name!r} has no path {path!r}"
             ) from None
 
-    # -- source map --------------------------------------------------------
-
-    def instructions_for_path(self, src_path: str) -> List[int]:
-        """All instruction addresses generated from one model element."""
-        return [pc for pc, instr in enumerate(self.code)
-                if instr.src_path == src_path]
-
     def __repr__(self) -> str:
         return (f"<FirmwareImage {self.name!r}: {len(self.code)} instrs, "
                 f"{len(self.entries)} task(s), {len(self.symbols)} symbol(s)>")

@@ -1,17 +1,12 @@
-"""Tests for the fluent system builder and the model-level inspector."""
+"""Tests for the fluent system builder."""
 
 import pytest
 
 from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comdes.blocks import GainFB, SequenceFB
 from repro.comdes.builder import SystemBuilder
-from repro.comdes.examples import (
-    blinker_machine, cruise_control_system, traffic_light_machine,
-    traffic_light_system,
-)
-from repro.engine.inspector import ModelInspector
-from repro.errors import DebuggerError, ModelError, ValidationError
-from repro.rtos.kernel import DtmKernel
+from repro.comdes.examples import traffic_light_machine, traffic_light_system
+from repro.errors import ModelError, ValidationError
 from repro.util.timeunits import ms
 
 
@@ -81,63 +76,3 @@ class TestSystemBuilder:
         firmware = generate_firmware(system, InstrumentationPlan.full())
         assert (run_firmware_lockstep(system, firmware, 40)
                 == system.lockstep_run(40))
-
-
-class TestModelInspector:
-    def make(self, rounds=30):
-        system = cruise_control_system()
-        firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel = DtmKernel(system, firmware)
-        kernel.run(ms(20) * rounds)
-        return system, firmware, kernel, ModelInspector(system, firmware, kernel)
-
-    def test_current_state_reads_target_ram(self):
-        _, _, _, inspector = self.make(rounds=30)
-        assert inspector.current_state("controller", "mode_logic") == "CRUISE"
-
-    def test_machine_variables(self):
-        system = (SystemBuilder("blink").signal("led")
-                  .actor("blinky", period_us=ms(10))
-                  .machine("blink", blinker_machine())
-                  .writes("led", from_="blink.led")
-                  .done().build())
-        firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel = DtmKernel(system, firmware)
-        kernel.run(ms(10) * 2)  # releases at 0/10/20ms -> three jobs
-        inspector = ModelInspector(system, firmware, kernel)
-        # Third step fires OFF->ON, resetting the phase timer.
-        assert inspector.current_state("blinky", "blink") == "ON"
-        assert inspector.machine_variables("blinky", "blink") == {"t": 0}
-
-    def test_signal_values_use_freshest_view(self):
-        _, _, kernel, inspector = self.make(rounds=30)
-        # 'speed' is produced on node1; its freshest value lives there.
-        assert (inspector.signal_value("speed")
-                == kernel.bus.read("node1", "speed"))
-
-    def test_all_machines_summary(self):
-        _, _, _, inspector = self.make(rounds=10)
-        machines = inspector.all_machines()
-        assert "controller.mode_logic" in machines
-
-    def test_status_report_renders(self):
-        _, _, _, inspector = self.make(rounds=10)
-        report = inspector.status_report()
-        assert "state machines:" in report and "signals:" in report
-        assert "controller.mode_logic" in report
-
-    def test_unknown_signal_rejected(self):
-        _, _, _, inspector = self.make(rounds=2)
-        with pytest.raises(DebuggerError):
-            inspector.signal_value("ghost")
-
-    def test_non_machine_block_rejected(self):
-        _, _, _, inspector = self.make(rounds=2)
-        with pytest.raises(DebuggerError):
-            inspector.current_state("controller", "regulator")
-
-    def test_inspection_does_not_perturb_target(self):
-        system, firmware, kernel, inspector = self.make(rounds=10)
-        cycles_before = kernel.board_of("node0").cpu.cycles
-        inspector.status_report()
-        assert kernel.board_of("node0").cpu.cycles == cycles_before

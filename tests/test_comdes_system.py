@@ -8,13 +8,11 @@ from repro.comdes.dataflow import ComponentNetwork, PortRef
 from repro.comdes.examples import (
     blinker_system, cruise_control_system, traffic_light_system,
 )
-from repro.comdes.metamodel import comdes_metamodel
 from repro.comdes.reflect import collect_state_paths, system_to_model
 from repro.comdes.signals import Signal
 from repro.comdes.system import System
 from repro.comdes.validate import system_problems, validate_system
 from repro.errors import ModelError, ValidationError
-from repro.meta.serialize import model_from_dict, model_to_dict
 from repro.meta.validate import validate_model
 
 
@@ -163,11 +161,6 @@ class TestReflection:
         model = system_to_model(cruise_control_system())
         modes = model.objects_of("Mode")
         assert {m.get("name") for m in modes} == {"OFF", "CRUISE"}
-
-    def test_reflective_model_serializes(self):
-        model = system_to_model(traffic_light_system())
-        restored = model_from_dict(model_to_dict(model), comdes_metamodel())
-        assert model_to_dict(restored) == model_to_dict(model)
 
     def test_collect_state_paths(self):
         paths = collect_state_paths(traffic_light_system())

@@ -6,7 +6,7 @@ from repro.comdes.examples import blinker_system
 from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comm.channel import PassiveChannel, PollPlan, WatchSpec
 from repro.comm.jtag import JtagProbe, TapController, group_runs
-from repro.comm.link import DebugLink, DirectLink, JtagLink, SerialLink
+from repro.comm.link import DebugLink, JtagLink, SerialLink
 from repro.comm.rs232 import Rs232Link
 from repro.comm.usb import UsbTransport
 from repro.errors import CommError
@@ -162,25 +162,7 @@ class TestSerialLink:
             SerialLink(Rs232Link(), host_latency_us=-1)
 
 
-class TestDirectLink:
-    def test_reads_are_free_but_accounted(self):
-        board = Board()
-        board.memory.poke(RAM_BASE + 2, 9)
-        link = DirectLink(board)
-        value, cost = link.read_word(RAM_BASE + 2)
-        assert (value, cost) == (9, 0)
-        values, cost = link.read_scatter([RAM_BASE + 2, RAM_BASE + 2])
-        assert (values, cost) == ([9, 9], 0)
-        assert link.transactions == 2
-
-    def test_write_and_halt(self):
-        board = Board()
-        link = DirectLink(board)
-        link.write_word(RAM_BASE, 5)
-        assert board.memory.peek(RAM_BASE) == 5
-        link.halt_target()
-        assert board.stalled
-
+class TestDebugLink:
     def test_base_link_refuses_everything(self):
         link = DebugLink()
         for call in (lambda: link.read_word(0),

@@ -7,7 +7,6 @@ from repro.comdes.examples import traffic_light_system
 from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger
 from repro.errors import DebuggerError
 from repro.target.board import Board
-from repro.target.cpu import StopReason
 
 
 def make_debugger():
@@ -16,61 +15,6 @@ def make_debugger():
     board = Board()
     board.load_firmware(firmware)
     return SourceDebugger(board, firmware), board, firmware
-
-
-class TestBreakpoints:
-    def test_break_at_pc_stops_run(self):
-        debugger, board, firmware = make_debugger()
-        entry = firmware.entry_of("lights")
-        debugger.break_at(entry + 3)
-        result = debugger.run_task("lights")
-        assert result.reason is StopReason.BREAKPOINT
-        assert board.cpu.pc == entry + 3
-
-    def test_continue_after_breakpoint(self):
-        debugger, board, firmware = make_debugger()
-        debugger.break_at(firmware.entry_of("lights") + 3)
-        debugger.run_task("lights")
-        result = debugger.continue_()
-        assert result.reason is StopReason.HALTED
-
-    def test_break_at_path_uses_source_map(self):
-        debugger, _, firmware = make_debugger()
-        pcs = debugger.break_at_path("sm:lights.lamp")
-        assert pcs
-        result = debugger.run_task("lights")
-        assert result.reason is StopReason.BREAKPOINT
-
-    def test_break_at_unknown_path_rejected(self):
-        debugger, _, _ = make_debugger()
-        with pytest.raises(DebuggerError):
-            debugger.break_at_path("sm:ghost.machine")
-
-    def test_break_outside_code_rejected(self):
-        debugger, _, _ = make_debugger()
-        with pytest.raises(DebuggerError):
-            debugger.break_at(10_000)
-
-    def test_clear_breakpoints(self):
-        debugger, _, firmware = make_debugger()
-        debugger.break_at(firmware.entry_of("lights") + 1)
-        debugger.clear_breakpoints()
-        assert debugger.run_task("lights").reason is StopReason.HALTED
-
-
-class TestSingleStep:
-    def test_step_instruction_advances_one(self):
-        debugger, board, firmware = make_debugger()
-        debugger.break_at(firmware.entry_of("lights"))
-        board.cpu.reset_task(firmware.entry_of("lights"))
-        before = board.cpu.instructions
-        debugger.step_instruction()
-        assert board.cpu.instructions == before + 1
-
-    def test_step_requires_stopped_target(self):
-        debugger, _, _ = make_debugger()
-        with pytest.raises(DebuggerError):
-            debugger.step_instruction()
 
 
 class TestWatchpoints:
@@ -107,22 +51,3 @@ class TestWatchpoints:
         debugger.run_task("lights")
         debugger.run_task("lights")
         assert seen
-
-
-class TestInspection:
-    def test_inspect_symbol(self):
-        debugger, _, _ = make_debugger()
-        debugger.run_task("lights")
-        assert debugger.inspect("lights.lamp.$t") == 1
-
-    def test_list_source_marks_pc(self):
-        debugger, board, firmware = make_debugger()
-        board.cpu.reset_task(firmware.entry_of("lights"))
-        listing = debugger.list_source()
-        assert "=>" in listing
-
-    def test_backtrace_names_model_element(self):
-        debugger, board, firmware = make_debugger()
-        debugger.break_at_path("sm:lights.lamp")
-        debugger.run_task("lights")
-        assert "lights.lamp" in debugger.backtrace()

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comdes.examples import traffic_light_system
-from repro.comm.link import DirectLink, write_patches
+from repro.comm.jtag import JtagProbe, TapController
+from repro.comm.link import JtagLink, write_patches
 from repro.errors import FleetError
 from repro.experiments.requirements import (
     traffic_light_code_watches,
@@ -34,7 +35,7 @@ from repro.fleet import (
     seed_stream,
 )
 from repro.codegen import InstrumentationPlan
-from repro.target.board import Board
+from repro.target.board import Board, DebugPort
 from repro.target.memory import RAM_BASE
 from repro.util.timeunits import sec
 
@@ -283,10 +284,14 @@ class TestStructuredFailures:
         assert merged.failures[0].error["type"] == "RuntimeError"
 
 
+def jtag_link(board):
+    return JtagLink(JtagProbe(TapController(DebugPort(board))))
+
+
 class TestWritePatches:
     def test_contiguous_runs_become_single_transactions(self):
         board = Board()
-        link = DirectLink(board)
+        link = jtag_link(board)
         patches = [(RAM_BASE + a, a * 10) for a in (0, 1, 2, 7, 8, 40)]
         write_patches(link, patches)
         assert link.transactions == 3  # [0..2], [7..8], [40]
@@ -296,10 +301,10 @@ class TestWritePatches:
 
     def test_later_duplicate_wins(self):
         board = Board()
-        write_patches(DirectLink(board), [(RAM_BASE, 1), (RAM_BASE, 2)])
+        write_patches(jtag_link(board), [(RAM_BASE, 1), (RAM_BASE, 2)])
         assert board.memory.peek(RAM_BASE) == 2
 
     def test_empty_is_free(self):
-        link = DirectLink(Board())
+        link = jtag_link(Board())
         assert write_patches(link, []) == 0
         assert link.transactions == 0

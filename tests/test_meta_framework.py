@@ -6,7 +6,6 @@ from repro.errors import MetamodelError, ModelError, ValidationError
 from repro.meta.metamodel import AttributeKind, MetaModel
 from repro.meta.model import Model
 from repro.meta.registry import MetamodelRegistry
-from repro.meta.serialize import model_from_dict, model_to_dict
 from repro.meta.validate import validate_model, validation_problems
 
 
@@ -191,36 +190,6 @@ class TestValidation:
         with pytest.raises(ValidationError) as excinfo:
             validate_model(model)
         assert excinfo.value.problems
-
-
-class TestSerialization:
-    def build(self):
-        model = Model(library_metamodel(), name="demo")
-        lib = model.create("Library", name="City")
-        model.add_root(lib)
-        b1 = model.create("Book", name="One", pages=7)
-        b2 = model.create("Book", name="Two", genre="reference")
-        lib.add_ref("books", b1)
-        lib.add_ref("books", b2)
-        lib.set_ref("featured", b2)
-        return model
-
-    def test_roundtrip_preserves_structure(self):
-        original = self.build()
-        restored = model_from_dict(model_to_dict(original), library_metamodel())
-        assert model_to_dict(restored) == model_to_dict(original)
-
-    def test_roundtrip_preserves_cross_reference(self):
-        restored = model_from_dict(model_to_dict(self.build()), library_metamodel())
-        lib = restored.roots[0]
-        assert lib.ref("featured").get("name") == "Two"
-
-    def test_wrong_metamodel_rejected(self):
-        data = model_to_dict(self.build())
-        other = MetaModel("other")
-        other.define("X")
-        with pytest.raises(ModelError):
-            model_from_dict(data, other)
 
 
 class TestRegistry:

@@ -22,7 +22,8 @@ import weakref
 import pytest
 
 from repro.comdes.examples import traffic_light_system
-from repro.comm.link import DirectLink
+from repro.comm.jtag import JtagProbe, TapController
+from repro.comm.link import JtagLink
 from repro.experiments import (traffic_light_code_watches,
                                traffic_light_monitor_suite)
 from repro.faults import run_campaign
@@ -41,7 +42,7 @@ from repro.obs import (
     observed,
     span_order,
 )
-from repro.target.board import Board
+from repro.target.board import Board, DebugPort
 from repro.target.memory import RAM_BASE
 from repro.util.timeunits import sec
 
@@ -199,7 +200,7 @@ class TestBindStats:
     def test_link_stats_parity(self):
         """The link.* series are exactly DebugLink.stats(), unchanged."""
         reg, _ = enable(spans=False)
-        link = DirectLink(Board())
+        link = JtagLink(JtagProbe(TapController(DebugPort(Board()))))
         link.read_word(RAM_BASE)
         link.read_word(RAM_BASE + 1)
         stats = link.stats()

@@ -1,10 +1,10 @@
-"""Tests for GDM/trace persistence, the command-setup dialog, line noise."""
+"""Tests for trace persistence, the command-setup dialog, line noise."""
 
 import pytest
 
 from repro.comdes.examples import traffic_light_system
 from repro.comdes.reflect import system_to_model
-from repro.comm.protocol import Command, CommandKind
+from repro.comm.protocol import CommandKind
 from repro.comm.rs232 import Rs232Link
 from repro.engine.session import DebugSession
 from repro.engine.trace import ExecutionTrace
@@ -12,50 +12,12 @@ from repro.errors import CommError, DebuggerError
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.mapping import default_comdes_table
-from repro.gdm.store import (
-    gdm_from_json, gdm_to_json, load_gdm, save_gdm,
-)
 from repro.util.timeunits import ms
 
 
 def build_gdm():
     model = system_to_model(traffic_light_system())
     return AbstractionEngine(default_comdes_table(model.metamodel)).build(model)
-
-
-class TestGdmPersistence:
-    def test_json_roundtrip_preserves_structure(self):
-        gdm = build_gdm()
-        restored = gdm_from_json(gdm_to_json(gdm))
-        assert len(restored.elements) == len(gdm.elements)
-        assert len(restored.links) == len(gdm.links)
-        assert len(restored.bindings) == len(gdm.bindings)
-
-    def test_roundtrip_preserves_paths_and_geometry(self):
-        gdm = build_gdm()
-        restored = gdm_from_json(gdm_to_json(gdm))
-        for element in gdm.elements.values():
-            twin = restored.element_by_path(element.source_path)
-            assert twin is not None
-            assert twin.rect == element.rect
-            assert twin.pattern.kind is element.pattern.kind
-
-    def test_restored_gdm_animates(self):
-        restored = gdm_from_json(gdm_to_json(build_gdm()))
-        command = Command(CommandKind.STATE_ENTER,
-                          "state:lights.lamp.GREEN", 1)
-        matched = restored.bindings_for(command)
-        assert matched
-        from repro.gdm.reactions import apply_reaction
-        apply_reaction(restored, matched[0], command)
-        assert restored.element_by_path("state:lights.lamp.GREEN").highlighted
-
-    def test_file_roundtrip(self, tmp_path):
-        gdm = build_gdm()
-        path = str(tmp_path / "model.gdm.json")
-        save_gdm(gdm, path)
-        restored = load_gdm(path)
-        assert gdm_to_json(restored) == gdm_to_json(gdm)
 
 
 class TestTracePersistence:

@@ -17,9 +17,6 @@ from repro.comdes.expr import Binary, Const, Unary, Var
 from repro.comm.frames import FrameDecoder, encode_frame
 from repro.comm.jtag import TAP_TRANSITIONS, TapController, TapState
 from repro.experiments.workloads import chain_system
-from repro.meta.serialize import model_from_dict, model_to_dict
-from repro.comdes.metamodel import comdes_metamodel
-from repro.comdes.reflect import system_to_model
 from repro.rtos.scheduler import NodeScheduler
 from repro.rtos.task import ActiveJob
 from repro.sim.kernel import Simulator
@@ -201,16 +198,6 @@ class TestChainSystemsProperty:
         firmware = generate_firmware(system, InstrumentationPlan.full())
         assert (run_firmware_lockstep(system, firmware, rounds)
                 == system.lockstep_run(rounds))
-
-
-class TestSerializationProperty:
-    @given(n_states=st.integers(2, 10))
-    @settings(max_examples=20, deadline=None)
-    def test_reflective_roundtrip(self, n_states):
-        model = system_to_model(chain_system(n_states))
-        data = model_to_dict(model)
-        restored = model_from_dict(data, comdes_metamodel())
-        assert model_to_dict(restored) == data
 
 
 class TestSchedulerProperties:

@@ -1,14 +1,10 @@
-"""More property-based tests: layouts, persistence, builder round-trips."""
+"""More property-based tests: layouts, trace persistence and replay."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.comdes.reflect import system_to_model
 from repro.engine.replay import ReplayPlayer
 from repro.engine.trace import ExecutionTrace
 from repro.experiments.workloads import chain_system
-from repro.gdm.abstraction import AbstractionEngine
-from repro.gdm.mapping import default_comdes_table
-from repro.gdm.store import gdm_from_json, gdm_to_json
 from repro.render.layout import (
     assert_no_overlap, circular_layout, grid_layout, layered_layout,
 )
@@ -50,15 +46,6 @@ class TestLayoutProperties:
 
 
 class TestPersistenceProperties:
-    @given(n_states=st.integers(2, 20))
-    @settings(max_examples=20, deadline=None)
-    def test_gdm_json_roundtrip_any_size(self, n_states):
-        model = system_to_model(chain_system(n_states))
-        gdm = AbstractionEngine(default_comdes_table(model.metamodel)).build(model)
-        document = gdm_to_json(gdm)
-        restored = gdm_from_json(document)
-        assert gdm_to_json(restored) == document
-
     @given(n_states=st.integers(2, 10), rounds=st.integers(1, 30))
     @settings(max_examples=15, deadline=None)
     def test_replay_of_serialized_trace_matches_live(self, n_states, rounds):

@@ -13,11 +13,11 @@ and move pairs, compare-and-branch, bounded loops, EMITs, indirect
 loads and stores, stack values carried across a jump target, stack
 shuffles and filler.
 
-Watched stores and armed breakpoints are *stop pcs* of the same fast
-loop; the second half of this file proves that route equal to the
-checked per-instruction loop (``_run_debug``, forced with a
-``pc_profile``): identical watch hits (pc, cycles, value, previous),
-identical machine state at every stop and identical faults.
+Watched stores are *stop pcs* of the same fast loop; the second half of
+this file proves that route equal to the checked per-instruction loop
+(``_run_debug``, forced with ``profile={}``): identical watch hits (pc,
+cycles, value, previous), identical machine state at every stop and
+identical faults.
 """
 
 from collections import OrderedDict
@@ -310,7 +310,7 @@ ROUTES = ((True, False), (False, False), (True, True))
 
 
 def three_way(code, chunks=(), raise_at=0, **build_args):
-    """Block rows, plain rows and the checked loop (a pc profile sends
+    """Block rows, plain rows and the checked loop (a profile sends
     every instruction through ``_step``) through the same budget
     chunks, then to the end: one outcome, one machine state and one
     handler record at every stop, or the assertion fails. Returns the
@@ -322,7 +322,7 @@ def three_way(code, chunks=(), raise_at=0, **build_args):
         step = []
         for cpu, (_, checked) in zip(cpus, ROUTES):
             try:
-                step.append(run_route(cpu, limit, False, reference=checked))
+                step.append(run_route(cpu, limit, reference=checked))
             except HandlerRaised as raised:
                 step.append(("raised", raised.args))
         assert step[0] == step[1] == step[2]
@@ -363,58 +363,40 @@ class TestLockstepProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets, data=st.data())
-    def test_debug_loop_breakpoint_stops_match_fast_path(self, snips, data):
-        """Breakpoints armed at random pcs, possibly inside a block: the
-        fast loop's breakpoint stops and the checked loop's observe the
-        same machine at every stop, and an undebugged fast run retiring
-        the same instruction counts agrees with both."""
+    def test_watched_run_matches_unwatched_fast_run(self, snips, data):
+        """Watched stores at random addresses, their stop pcs possibly
+        inside a block: at every budget stop the watched route, the
+        checked loop and an unwatched fast run through the same budgets
+        observe the same machine."""
         code = assemble_program(snips)
-        pcs = data.draw(st.lists(st.integers(0, len(code) - 1),
-                                 min_size=1, max_size=4, unique=True))
-        route = build(code, fuse=True)
-        reference = build(code, fuse=True)
-        fast = build(code, fuse=True)
-        for cpu in (route, reference):
-            cpu.breakpoints.update(pcs)
-        for _ in range(RUN_LIMIT):
-            outcome = run_route(route, RUN_LIMIT, True, reference=False)
-            assert outcome == run_route(reference, RUN_LIMIT, True,
-                                        reference=True)
-            assert snap(route) == snap(reference)
-            if outcome[0] == "fault":
+        watched = data.draw(watch_strategy(code))
+        chunks = data.draw(st.lists(st.integers(1, 7), max_size=24))
+        route, reference, fast = (build(code, fuse=True) for _ in range(3))
+        Watcher(route, watched)
+        Watcher(reference, watched)
+        for limit in chunks + [RUN_LIMIT]:
+            outcome = run_route(route, limit, reference=False)
+            assert outcome == run_route(reference, limit, reference=True)
+            assert outcome == run_route(fast, limit, reference=False)
+            assert snap(route) == snap(reference) == snap(fast)
+            if route.halted or outcome[0] == "fault":
                 break
-            if outcome[1]:
-                run_guarded(fast, limit=outcome[1])
-            assert snap(fast) == snap(route)
-            if route.halted:
-                break
-            assert route.pc in pcs
         assert route.halted or outcome[0] == "fault"
 
     @settings(max_examples=25, deadline=None)
     @given(snips=snippets)
-    def test_single_step_matches_fused_one_instruction_budgets(self, snips):
-        """Single-stepping the debug loop == block runs of budget 1 (every
-        block decomposes), at every architectural stop."""
+    def test_checked_one_instruction_budgets_match_blocks(self, snips):
+        """The checked loop one instruction at a time == block runs of
+        budget 1 (every block decomposes), at every architectural stop."""
         code = assemble_program(snips)
-        stepper = build(code, fuse=True)
+        checked = build(code, fuse=True)
         fused = build(code, fuse=True)
         for _ in range(RUN_LIMIT):
-            step = run_guarded_step(stepper)
-            one = run_guarded(fused, limit=1)
-            assert step == one or (step[0] is StopReason.STEP
-                                   and one[0] is StopReason.LIMIT)
-            assert snap(stepper) == snap(fused)
-            if stepper.halted or step[0] == "fault":
+            step = run_route(checked, 1, reference=True)
+            assert step == run_route(fused, 1, reference=False)
+            assert snap(checked) == snap(fused)
+            if checked.halted or step[0] == "fault":
                 break
-
-
-def run_guarded_step(cpu):
-    try:
-        result = cpu.run(max_instructions=1, single_step=True)
-        return (result.reason, None)
-    except TargetFault as fault:
-        return ("fault", (fault.reason, fault.pc))
 
 
 # -- signed division and remainder ----------------------------------------------
@@ -464,7 +446,7 @@ def division_lockstep(code, cells):
     for fuse, checked in ((True, False), (False, False), (True, True)):
         cpu = build(code, fuse=fuse)
         cpu.memory.cells[:] = cells
-        runs.append((run_route(cpu, RUN_LIMIT, False, reference=checked),
+        runs.append((run_route(cpu, RUN_LIMIT, reference=checked),
                      snap(cpu)))
     assert runs[0] == runs[1] == runs[2]
     return runs[0]
@@ -528,7 +510,7 @@ class TestSignedDivisionLockstep:
         assert state["instr"] == divide_pc + 1
 
 
-# -- watched stores and breakpoints as stop pcs -------------------------------
+# -- watched stores as stop pcs -----------------------------------------------
 
 class Watcher:
     """Records what a data watchpoint sees, like ``SourceDebugger``:
@@ -547,12 +529,12 @@ class Watcher:
         self.shadow[addr] = value
 
 
-def run_route(cpu, limit, breaks, reference):
+def run_route(cpu, limit, reference):
     """One run on the stop-pc route, or on the checked reference loop
-    (a pc profile sends every instruction through ``_step``)."""
+    (a profile sends every instruction through ``_step``)."""
     try:
-        result = cpu.run(max_instructions=limit, break_on_breakpoints=breaks,
-                         pc_profile={} if reference else None)
+        result = cpu.run(max_instructions=limit,
+                         profile={} if reference else None)
         return (result.reason, result.instructions, result.cycles)
     except TargetFault as fault:
         return ("fault", type(fault), fault.reason, fault.pc)
@@ -575,19 +557,16 @@ def watch_strategy(code):
     return st.lists(choice, min_size=1, max_size=4, unique=True)
 
 
-def drive_in_lockstep(code, watched, pcs, chunks, fuse=True):
+def drive_in_lockstep(code, watched, chunks, fuse=True):
     """Run the stop-pc route and the checked reference through the same
     budget chunks (then to the end), stop for stop; returns the route's
     watch hits."""
     route, reference = build(code, fuse=fuse), build(code, fuse=fuse)
     watchers = [Watcher(route, watched), Watcher(reference, watched)]
-    for cpu in (route, reference):
-        cpu.breakpoints.update(pcs)
     budgets = list(chunks) + [RUN_LIMIT] * RUN_LIMIT
     for limit in budgets:
-        outcome = run_route(route, limit, bool(pcs), reference=False)
-        assert outcome == run_route(reference, limit, bool(pcs),
-                                    reference=True)
+        outcome = run_route(route, limit, reference=False)
+        assert outcome == run_route(reference, limit, reference=True)
         assert snap(route) == snap(reference)
         assert watchers[0].hits == watchers[1].hits
         if route.halted or outcome[0] == "fault":
@@ -601,10 +580,8 @@ class TestWatchLockstep:
     def test_watched_stores_match_checked_loop(self, snips, data):
         code = assemble_program(snips)
         watched = data.draw(watch_strategy(code))
-        pcs = data.draw(st.lists(st.integers(0, len(code) - 1),
-                                 max_size=3, unique=True))
         chunks = data.draw(st.lists(st.integers(1, 7), max_size=24))
-        drive_in_lockstep(code, watched, pcs, chunks)
+        drive_in_lockstep(code, watched, chunks)
 
     @settings(max_examples=30, deadline=None)
     @given(snips=snippets, data=st.data())
@@ -612,16 +589,15 @@ class TestWatchLockstep:
         code = assemble_program(snips)
         watched = data.draw(watch_strategy(code))
         chunks = data.draw(st.lists(st.integers(1, 7), max_size=12))
-        drive_in_lockstep(code, watched, (), chunks, fuse=False)
+        drive_in_lockstep(code, watched, chunks, fuse=False)
 
     def test_every_budget_lands_in_lockstep(self):
-        """Budgets of 1..N land on every pc once: on the watched store,
-        inside the block split around it, and on the breakpoint inside the
-        loop body."""
+        """Budgets of 1..N land on every pc once: on the watched store
+        and inside the blocks split around it."""
         code = counting_loop(4)
         total = build(code, fuse=False).run().instructions
         for limit in range(1, total + 1):
-            hits = drive_in_lockstep(code, [RAM_BASE], [5], [limit])
+            hits = drive_in_lockstep(code, [RAM_BASE], [limit])
             assert [hit[3] for hit in hits] == [1, 2, 3, 4]
 
     def test_out_of_ram_sti_faults_identically(self):
@@ -630,12 +606,11 @@ class TestWatchLockstep:
         route, reference = build(code, fuse=True), build(code, fuse=True)
         Watcher(route, [RAM_BASE])
         Watcher(reference, [RAM_BASE])
-        outcome = run_route(route, RUN_LIMIT, False, reference=False)
+        outcome = run_route(route, RUN_LIMIT, reference=False)
         assert outcome == ("fault", TargetFault,
                            f"memory access outside RAM: "
                            f"0x{RAM_BASE + RAM_WORDS:08x}", 2)
-        assert outcome == run_route(reference, RUN_LIMIT, False,
-                                    reference=True)
+        assert outcome == run_route(reference, RUN_LIMIT, reference=True)
         assert snap(route) == snap(reference)
 
 
@@ -659,7 +634,7 @@ def firmware_jobs_in_lockstep(system, watches, change_symbol):
             entry = firmware.entry_of(task)
             route.cpu.reset_task(entry)
             reference.cpu.reset_task(entry)
-            assert route.cpu.run() == reference.cpu.run(pc_profile={})
+            assert route.cpu.run() == reference.cpu.run(profile={})
             assert snap(route.cpu) == snap(reference.cpu)
     hits = [[(hit.watchpoint.symbol, hit.pc, hit.cycles, hit.value,
               hit.previous) for hit in debugger.hits]
@@ -694,6 +669,20 @@ def counting_loop(iterations):
     asm.emit("PUSH", iterations)
     asm.emit("LT")
     asm.emit_jump("JNZ", "top")
+    asm.emit("HALT")
+    return asm.assemble()
+
+
+def store_chain():
+    """One straight-line run (a single block, unwatched): four
+    load/add/store quads writing 1, 3, 6, 10 to cells 1..4, then HALT.
+    Cell ``i + 1`` is stored at pc ``4 * i + 3``."""
+    asm = Assembler()
+    for i in range(4):
+        asm.emit("LOAD", RAM_BASE + i)
+        asm.emit("PUSH", i + 1)
+        asm.emit("ADD")
+        asm.emit("STORE", RAM_BASE + i + 1)
     asm.emit("HALT")
     return asm.assemble()
 
@@ -1105,19 +1094,13 @@ def count_checked_runs(cpu):
 
 class TestStopRouting:
     def test_debug_stops_step_the_checked_loop_once(self):
-        """A watched store or a breakpoint costs one checked instruction
-        per stop, never a checked run."""
+        """A watched store costs one checked instruction per stop, never
+        a checked run."""
         cpu = build(counting_loop(3), fuse=True)
         calls = count_checked_runs(cpu)
         Watcher(cpu, [RAM_BASE])
-        cpu.breakpoints.add(4)
-        stops = 0
-        while not cpu.halted:
-            result = cpu.run(break_on_breakpoints=True)
-            stops += result.reason is StopReason.BREAKPOINT
-        # three watched stores, plus stepping over each breakpoint stop
-        assert stops == 3
-        assert calls == [1] * (3 + 3)
+        assert cpu.run().reason is StopReason.HALTED
+        assert calls == [1] * 3  # the three watched stores
 
     def test_unwatched_hook_runs_the_fast_loop_only(self):
         cpu = build(counting_loop(3), fuse=True)
@@ -1126,57 +1109,52 @@ class TestStopRouting:
         assert cpu.run().reason is StopReason.HALTED
         assert calls == []
 
-    def test_step_and_profiles_still_check_every_instruction(self):
-        for kwargs in ({"single_step": True}, {"profile": {}},
-                       {"pc_profile": {}}):
-            cpu = build(counting_loop(3), fuse=True)
-            calls = count_checked_runs(cpu)
-            result = cpu.run(max_instructions=RUN_LIMIT, **kwargs)
-            assert calls == [RUN_LIMIT]
-            assert result.instructions == (1 if "single_step" in kwargs
-                                           else 3 * 8 + 1)
+    def test_profile_still_checks_every_instruction(self):
+        cpu = build(counting_loop(3), fuse=True)
+        calls = count_checked_runs(cpu)
+        result = cpu.run(max_instructions=RUN_LIMIT, profile={})
+        assert calls == [RUN_LIMIT]
+        assert result.instructions == 3 * 8 + 1
 
-    def test_trapped_rows_rebuild_on_load_watch_and_breakpoints(self):
-        code = counting_loop(3)
+    def test_trapped_rows_rebuild_on_load_and_watch_change(self):
+        code = store_chain()
         cpu = build(code, fuse=True)
         memory = cpu.memory
-        memory.set_write_hook(lambda addr, value: None, [RAM_BASE])
+        memory.set_write_hook(lambda addr, value: None, [RAM_BASE + 2])
         cpu.run(max_instructions=1)
         first = cpu._trap_rows
-        assert first[0][3] == (OP_STOP, 0, 0)   # the watched STORE
-        # the loop block is split around it
-        assert block_spans(first[0]) == [(0, 3), (4, 8)]
-        assert first[1][3] == (OP_STOP, 0, 0)   # and in the plain rows
+        assert first[0][7] == (OP_STOP, 0, 0)   # the watched STORE
+        # the block is split around it
+        assert block_spans(first[0]) == [(0, 7), (8, 17)]
+        assert first[1][7] == (OP_STOP, 0, 0)   # and in the plain rows
         cpu.run(max_instructions=1)
-        assert cpu._trap_rows is first          # same stop set: cached
+        assert cpu._trap_rows is first          # same watch set: cached
         # a new watch between runs is priced again, but no store hits
         # the new address: same stop pcs, same shared rows
         memory.set_write_hook(lambda addr, value: None,
-                              [RAM_BASE, RAM_BASE + 1])
+                              [RAM_BASE + 2, RAM_BASE + 9])
         cpu.run(max_instructions=1)
-        assert cpu._trap_key[1] == {RAM_BASE, RAM_BASE + 1}
+        assert cpu._trap_key[1] == {RAM_BASE + 2, RAM_BASE + 9}
         assert cpu._trap_rows is first
-        # a changed breakpoint set
-        cpu.breakpoints.add(5)
-        cpu.run(max_instructions=1, break_on_breakpoints=True)
-        assert cpu._trap_rows is not first
-        assert cpu._trap_rows[0][5] == (OP_STOP, 0, 0)
-        # pc 4 alone between two stops stays plain
-        assert cpu._trap_rows[0][4] == cpu._rows[4]
-        assert block_spans(cpu._trap_rows[0]) == [(0, 3), (6, 8)]
-        third = cpu._trap_rows
+        # a watch on a stored cell adds a stop pc
+        memory.set_write_hook(lambda addr, value: None,
+                              [RAM_BASE + 2, RAM_BASE + 3])
+        cpu.run(max_instructions=1)
+        second = cpu._trap_rows
+        assert second is not first
+        assert second[0][11] == (OP_STOP, 0, 0)
+        assert block_spans(second[0]) == [(0, 7), (8, 11), (12, 17)]
         # trapped decodings live with the decoded program: reloading it
         # (or loading it on another CPU) with the same stops shares them
         cpu.load(code)
         cpu.reset_task(0)
-        cpu.run(max_instructions=1, break_on_breakpoints=True)
-        assert cpu._trap_rows is third
+        cpu.run(max_instructions=1)
+        assert cpu._trap_rows is second
         other = build(code, fuse=True)
         other.memory.set_write_hook(lambda addr, value: None,
-                                    [RAM_BASE, RAM_BASE + 1])
-        other.breakpoints.add(5)
-        other.run(max_instructions=1, break_on_breakpoints=True)
-        assert other._trap_rows is third
+                                    [RAM_BASE + 3, RAM_BASE + 2])
+        other.run(max_instructions=1)
+        assert other._trap_rows is second
 
     def test_code_debugger_boards_share_trapped_rows(self):
         firmware = generate_firmware(cruise_control_system(),
@@ -1192,28 +1170,21 @@ class TestStopRouting:
             trapped.append(board.cpu._trap_rows)
         assert trapped[0] is trapped[1]
 
-    def test_watch_and_breakpoint_inside_one_block(self):
-        """A straight-line run that is one block unwatched: a watched
-        store and a breakpoint inside it split it, and every budget
-        stays in lockstep with the checked loop."""
-        asm = Assembler()
-        for i in range(4):
-            asm.emit("LOAD", RAM_BASE + i)
-            asm.emit("PUSH", i + 1)
-            asm.emit("ADD")
-            asm.emit("STORE", RAM_BASE + i + 1)
-        asm.emit("HALT")
-        code = asm.assemble()
+    def test_two_watched_stores_inside_one_block(self):
+        """A straight-line run that is one block unwatched: two watched
+        stores inside it split it, and every budget stays in lockstep
+        with the checked loop."""
+        code = store_chain()
         assert block_spans(build(code, fuse=True)._brows) == [(0, 17)]
+        watched = [RAM_BASE + 2, RAM_BASE + 4]
         total = build(code, fuse=False).run().instructions
         for limit in range(1, total + 1):
-            hits = drive_in_lockstep(code, [RAM_BASE + 2], [9], [limit])
-            assert [hit[3] for hit in hits] == [3]
+            hits = drive_in_lockstep(code, watched, [limit])
+            assert [hit[3] for hit in hits] == [3, 10]
         route = build(code, fuse=True)
-        Watcher(route, [RAM_BASE + 2])
-        route.breakpoints.add(9)
-        route.run(max_instructions=1, break_on_breakpoints=True)
-        assert block_spans(route._trap_rows[0]) == [(0, 7), (10, 17)]
+        Watcher(route, watched)
+        route.run(max_instructions=1)
+        assert block_spans(route._trap_rows[0]) == [(0, 7), (8, 15)]
 
     def test_debugger_without_watchpoints_declares_nothing(self):
         firmware = generate_firmware(traffic_light_system(),
@@ -1227,18 +1198,23 @@ class TestStopRouting:
             firmware.symbols.addr_of("lights.lamp.$t")}
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 4, RUN_LIMIT])
-    def test_breakpoint_inside_a_fused_quad_stops_there(self, limit):
-        """A breakpoint at an interior pc of the loop block stops at that
-        pc; smaller budgets stop on legal plain pcs before it."""
+    def test_watch_inside_loop_block_stops_and_resumes(self, limit):
+        """The watched ``STORE`` at interior pc 3 of the loop block:
+        smaller budgets stop on legal plain pcs before it, the stop
+        retires it on the checked loop, and the run resumes on the fast
+        loop at pc 4, in lockstep with the checked reference."""
         route = build(counting_loop(3), fuse=True)
         reference = build(counting_loop(3), fuse=True)
-        for cpu in (route, reference):
-            cpu.breakpoints.add(2)
-        outcome = run_route(route, limit, True, reference=False)
-        assert outcome == run_route(reference, limit, True, reference=True)
+        watchers = [Watcher(cpu, [RAM_BASE]) for cpu in (route, reference)]
+        outcome = run_route(route, limit, reference=False)
+        assert outcome == run_route(reference, limit, reference=True)
         assert snap(route) == snap(reference)
+        assert watchers[0].hits == watchers[1].hits
+        if limit == 4:
+            assert route.pc == 4 and len(watchers[0].hits) == 1
         if limit == RUN_LIMIT:
-            assert outcome[0] is StopReason.BREAKPOINT and route.pc == 2
+            assert route.halted
+            assert [hit[3] for hit in watchers[0].hits] == [1, 2, 3]
 
 
 # -- decode memo ---------------------------------------------------------------
@@ -1341,7 +1317,7 @@ EXAMPLE_SYSTEMS = {"blinker": blinker_system,
 def board_outcome(board, task):
     try:
         result = board.cpu.run(max_instructions=5_000,
-                               pc_profile=getattr(board, "pc_profile", None))
+                               profile=getattr(board, "profile", None))
         return (result.reason, result.instructions, result.cycles)
     except TargetFault as fault:
         return ("fault", fault.reason, fault.pc)
@@ -1369,7 +1345,7 @@ class TestMutantLockstep:
                 board = Board()
                 board.cpu.fuse = fuse
                 board.load_firmware(image)
-                board.pc_profile = {} if checked else None
+                board.profile = {} if checked else None
                 boards.append(board)
             recorders = [Recorder(board.cpu) for board in boards]
             for _ in range(12):

@@ -196,7 +196,7 @@ class TestFastAndDebugPathsAgree:
                      [Instr("LOAD", 1234)]):
             outcomes = []
             # fast loop, fast loop with every RAM word watched, and the
-            # checked loop (a pc profile routes every instruction there)
+            # checked loop (a profile routes every instruction there)
             for arm in ("fast", "hooked", "checked"):
                 memory = MemoryMap(16)
                 cpu = Cpu(memory, Gpio())
@@ -207,7 +207,7 @@ class TestFastAndDebugPathsAgree:
                 cpu.load(code)
                 cpu.reset_task(0)
                 with pytest.raises(TargetFault) as caught:
-                    cpu.run(pc_profile={} if arm == "checked" else None)
+                    cpu.run(profile={} if arm == "checked" else None)
                 outcomes.append((caught.value.reason, caught.value.pc))
             assert outcomes[0] == outcomes[1] == outcomes[2]
 
