@@ -8,8 +8,8 @@ Three claims gated here (see ``repro/obs/__init__.py`` invariants):
   telemetry tap, so it is the obs-free baseline this layer can never
   touch (``overhead.poll_disabled_ratio``, ceiling-gated);
 * **zero cost when unused (interp plane)** — the per-instruction
-  interpreter loop carries no telemetry at all, so enabling the full
-  registry + tracer must not move the fused counting-loop kernel
+  interpreter loop carries no telemetry at all, so enabling the
+  registry must not move the fused counting-loop kernel
   (``overhead.interp_disabled_ratio`` = enabled/disabled wall-clock,
   ceiling-gated: any future per-instruction tap trips this);
 * **deterministic export** — two campaigns at the same seed, collected
@@ -134,7 +134,7 @@ def run_interp(iterations: int):
 
 
 def measure_interp_overhead(iterations: int, reps: int):
-    """The fused fast loop with the full registry+tracer on vs off.
+    """The fused fast loop with the registry on vs off.
 
     Arms are interleaved (off, on, off, on, ...) so clock/thermal drift
     over the run cancels instead of biasing whichever arm went first.

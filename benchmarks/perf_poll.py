@@ -70,13 +70,13 @@ def measure(count: int, reps: int):
     # Deterministic modeled costs (independent of wall clock).
     _, scan_us_batched = link.read_scatter(addrs)
     txn_per_poll = link.probe.transport.transactions  # that was one poll
-    reference = make_link()
-    # Prior poll loop: per-word MEMADDR+MEMREAD scans, one amortized USB
-    # transaction of 2 words per watch — the exact pre-BLOCKREAD model.
+    # Prior poll loop: per-word MEMADDR+MEMREAD scans (priced by a probe
+    # with no transport), one amortized USB transaction of 2 words per
+    # watch — the exact pre-BLOCKREAD model.
+    scan_only = JtagProbe(TapController(DebugPort(Board())), tck_hz=TCK_HZ)
     scan_us_prior_poll = sum(
-        reference.probe.read_word_timed(addr, charge_transport=False)[1]
-        for addr in addrs
-    ) + reference.probe.transport.transaction_cost_us(2 * count)
+        scan_only.read_word_timed(addr)[1] for addr in addrs
+    ) + UsbTransport().transaction_cost_us(2 * count)
     # Unbatched probe: every word its own USB round trip (read_word_timed
     # default), what a naive host-side variable view pays.
     per_word_us = make_link().read_word(addrs[0])[1]

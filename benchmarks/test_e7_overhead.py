@@ -154,11 +154,10 @@ def test_e7_watch_count_scaling(benchmark):
         _, batched_us = link.read_scatter(addrs)
         txns = link.probe.transport.transactions
         target_cycles = board.cpu.cycles
-        _, prior = make_link()
+        scan_only = JtagProbe(TapController(DebugPort(Board())))
         prior_us = sum(
-            prior.probe.read_word_timed(a, charge_transport=False)[1]
-            for a in addrs
-        ) + prior.probe.transport.transaction_cost_us(2 * count)
+            scan_only.read_word_timed(a)[1] for a in addrs
+        ) + UsbTransport().transaction_cost_us(2 * count)
         _, per_word = make_link()
         per_word_us = per_word.read_word(addrs[0])[1] * count
         rows.append((count, batched_us, prior_us, per_word_us, txns,

@@ -12,9 +12,11 @@ to ship:
 
 Everything here is modeled-time and fixed-seed, so re-running the suite
 rewrites both files byte-identically — a dirty git tree after a test
-run would itself be a determinism regression.
+run would itself be a determinism regression. The sha256 of each file
+is pinned below, so a change to either is a deliberate edit of the pin.
 """
 
+import hashlib
 import json
 
 from repro.comdes.examples import traffic_light_system
@@ -32,10 +34,22 @@ from repro.obs.postmortem import campaign_postmortem
 from repro.tracedb import campaign_store_root, job_store_root
 from repro.util.timeunits import sec
 
+#: sha256 of the committed ``artifacts/obs_campaign.perfetto.json``
+PERFETTO_SHA256 = (
+    "f86cd61e535584f902b83b5b2d72883f789ed438a50717e02a24d996351925a3")
+#: sha256 of the committed ``artifacts/obs_postmortem.txt``
+POSTMORTEM_SHA256 = (
+    "90c6f98951180533c4eebe49cf270d5d035ddc846d9e4c6846cfccedc27f7088")
+
+
+def file_sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
 
 def test_obs_artifacts(tmp_path):
     trace_dir = str(tmp_path / "campaign")
-    reg, _ = enable()
+    reg = enable()
     try:
         run_campaign(
             traffic_light_system, traffic_light_monitor_suite,
@@ -73,5 +87,7 @@ def test_obs_artifacts(tmp_path):
     assert "fault pc   : 42" in text
     assert "last model events" in text
     assert "transport/chaos counters at time of death:" in text
-    save_artifact("obs_postmortem.txt", text)
+    postmortem = save_artifact("obs_postmortem.txt", text)
     assert path.endswith("obs_campaign.perfetto.json")
+    assert file_sha256(path) == PERFETTO_SHA256
+    assert file_sha256(postmortem) == POSTMORTEM_SHA256

@@ -52,7 +52,7 @@ command frames. :class:`~repro.comm.chaos.ChaosLink` wraps an active
 channel's serial link and injects those four frame faults on a schedule
 that is a pure function of the chaos seed and the frame index
 (:func:`repro.util.seeds.derive_seed`), so two runs at the same seed
-produce byte-identical command transcripts and ``transport_stats()``.
+produce byte-identical command transcripts and link ``stats()``.
 With every rate at 0.0 the wrapper draws no randomness. The campaign's
 comm-fault plane (:mod:`repro.faults.comm`) is its one user.
 """

@@ -326,14 +326,8 @@ class PassiveChannel(DebugChannel):
     def _poll(self) -> None:
         self.polls += 1
         t_poll = self.sim.now
-        addrs = self.plan.addrs
-        values, scan_cost = self.link.read_scatter(addrs)
+        values, scan_cost = self.link.read_scatter(self.plan.addrs)
         self.scan_us_total += scan_cost
-        if OBS.spans is not None:
-            # one slice per poll scan, timed by the transport cost model
-            OBS.spans.emit("poll", t_poll, scan_cost,
-                           track=("comm", self.link.label), cat="poll",
-                           args={"words": len(addrs)})
         last = self._last
         for index, value in enumerate(values):
             if value == last[index]:

@@ -23,7 +23,7 @@ Invariants:
 * **zero overhead when disabled** — with every rate at 0.0 each frame
   is a straight delegate: no RNG construction, no hashing, no draws;
 * **transparent accounting** — the wrapper mirrors the inner link's
-  counter deltas, so ``transport_stats()`` sees one link with honest
+  counter deltas, so its ``stats()`` reads as one link with honest
   books.
 """
 

@@ -221,9 +221,9 @@ def _sign32(raw: int) -> int:
 class JtagProbe:
     """Host-side probe: drives the TAP and accounts for scan time.
 
-    ``*_timed`` variants return ``(result, cost_us)`` where the cost covers
-    TCK cycles at ``tck_hz`` plus (optionally) a USB transaction — the
-    latency the passive channel pays per poll.
+    ``*_timed`` operations return their cost in microseconds: TCK cycles
+    at ``tck_hz`` plus one USB transaction when a *transport* is attached
+    — the latency the passive channel pays per poll.
     """
 
     def __init__(self, tap: TapController, tck_hz: int = 4_000_000,
@@ -239,12 +239,6 @@ class JtagProbe:
 
     def _clock(self, tms: int, tdi: int = 0) -> int:
         return self.tap.drive(tms, tdi)
-
-    def reset(self) -> None:
-        """Force Test-Logic-Reset (5x TMS=1) and park in Run-Test/Idle."""
-        for _ in range(5):
-            self._clock(1)
-        self._clock(0)
 
     def _shift_register(self, ir_scan: bool, value: int, width: int) -> int:
         """From Run-Test/Idle: scan *width* bits through IR or DR, back to RTI."""
@@ -285,18 +279,7 @@ class JtagProbe:
         self.operations += 1
         return result, cost
 
-    def read_idcode_timed(self) -> Tuple[int, int]:
-        """Read the device IDCODE; returns (idcode, cost_us)."""
-        def op() -> int:
-            self.shift_ir(Instruction.IDCODE)
-            return self.shift_dr(0, 32)
-        value, cost = self._timed(op)
-        if self.transport is not None:
-            cost += self.transport.transaction_cost_us(1)
-        return value, cost
-
-    def read_word_timed(self, addr: int,
-                        charge_transport: bool = True) -> Tuple[int, int]:
+    def read_word_timed(self, addr: int) -> Tuple[int, int]:
         """Read one RAM word; returns (value, cost_us)."""
         def op() -> int:
             self.shift_ir(Instruction.MEMADDR)
@@ -304,39 +287,11 @@ class JtagProbe:
             self.shift_ir(Instruction.MEMREAD)
             return self.shift_dr(0, 32)
         raw, cost = self._timed(op)
-        if charge_transport and self.transport is not None:
+        if self.transport is not None:
             cost += self.transport.transaction_cost_us(2)
         return _sign32(raw), cost
 
-    def read_word(self, addr: int) -> int:
-        """Read one RAM word (cost ignored)."""
-        return self.read_word_timed(addr)[0]
-
-    def read_block_timed(self, base: int, count: int,
-                         charge_transport: bool = True
-                         ) -> Tuple[List[int], int]:
-        """Read *count* consecutive RAM words starting at *base*.
-
-        One MEMADDR load, one BLOCKREAD IR select, then *count* DR scans
-        riding the auto-increment — and at most **one** USB transaction,
-        however large the block. Returns ``(values, cost_us)``.
-        """
-        if count <= 0:
-            raise JtagError(f"block count must be positive, got {count}")
-
-        def op() -> List[int]:
-            self.shift_ir(Instruction.MEMADDR)
-            self.shift_dr(base, 32)
-            self.shift_ir(Instruction.BLOCKREAD)
-            return [_sign32(self.shift_dr(0, 32)) for _ in range(count)]
-
-        values, cost = self._timed(op)
-        if charge_transport and self.transport is not None:
-            cost += self.transport.transaction_cost_us(1 + count)
-        return values, cost
-
-    def read_scatter_timed(self, addrs: Sequence[int],
-                           charge_transport: bool = True
+    def read_scatter_timed(self, addrs: Sequence[int]
                            ) -> Tuple[List[int], int]:
         """Read arbitrary RAM words, batched into contiguous block runs.
 
@@ -360,13 +315,12 @@ class JtagProbe:
             return values
 
         by_addr, cost = self._timed(op)
-        if charge_transport and self.transport is not None:
+        if self.transport is not None:
             words = len(runs) + sum(count for _, count in runs)
             cost += self.transport.transaction_cost_us(words)
         return [by_addr[addr] for addr in addrs], cost
 
-    def write_block_timed(self, base: int, values: Sequence[int],
-                          charge_transport: bool = True) -> int:
+    def write_block_timed(self, base: int, values: Sequence[int]) -> int:
         """Write consecutive RAM words starting at *base*; returns cost_us.
 
         One MEMADDR load, one BLOCKWRITE IR select, then one DR scan per
@@ -386,21 +340,8 @@ class JtagProbe:
             return 0
 
         _, cost = self._timed(op)
-        if charge_transport and self.transport is not None:
-            cost += self.transport.transaction_cost_us(1 + len(values))
-        return cost
-
-    def write_word_timed(self, addr: int, value: int) -> int:
-        """Write one RAM word; returns cost_us."""
-        def op() -> int:
-            self.shift_ir(Instruction.MEMADDR)
-            self.shift_dr(addr, 32)
-            self.shift_ir(Instruction.MEMWRITE)
-            self.shift_dr(value & 0xFFFFFFFF, 32)
-            return 0
-        _, cost = self._timed(op)
         if self.transport is not None:
-            cost += self.transport.transaction_cost_us(2)
+            cost += self.transport.transaction_cost_us(1 + len(values))
         return cost
 
     def halt_target(self) -> None:

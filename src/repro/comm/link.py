@@ -59,8 +59,8 @@ class DebugLink:
             # wrapper kinds ("chaos[serial]") and later channel label
             # claims land correctly. Wrappers mirror their inner
             # link's counters, so each series is one link's honest
-            # books — aggregate via the session's transport.* series
-            # (outermost links only), not by summing link.* kinds.
+            # books — a total takes the outermost links only, not the
+            # sum of every link.* kind.
             OBS.metrics.bind_stats("link", self.stats, owner=self,
                                    label_keys=("kind", "label"))
 
@@ -79,17 +79,9 @@ class DebugLink:
         """Read one word; returns ``(value, cost_us)``. One transaction."""
         raise CommError(f"{self.kind} link cannot read target memory")
 
-    def read_block(self, base: int, count: int) -> Tuple[List[int], int]:
-        """Read *count* consecutive words from *base*. One transaction."""
-        raise CommError(f"{self.kind} link cannot read target memory")
-
     def read_scatter(self, addrs: Sequence[int]) -> Tuple[List[int], int]:
         """Read arbitrary words batched into runs. One transaction."""
         raise CommError(f"{self.kind} link cannot read target memory")
-
-    def write_word(self, addr: int, value: int) -> int:
-        """Write one word; returns cost_us. One transaction."""
-        raise CommError(f"{self.kind} link cannot write target memory")
 
     def write_block(self, base: int, values: Sequence[int]) -> int:
         """Write consecutive words starting at *base*. One transaction."""
@@ -142,17 +134,9 @@ class JtagLink(DebugLink):
         value, cost = self.probe.read_word_timed(addr)
         return value, self._account(cost, words_read=1)
 
-    def read_block(self, base: int, count: int) -> Tuple[List[int], int]:
-        values, cost = self.probe.read_block_timed(base, count)
-        return values, self._account(cost, words_read=count)
-
     def read_scatter(self, addrs: Sequence[int]) -> Tuple[List[int], int]:
         values, cost = self.probe.read_scatter_timed(addrs)
         return values, self._account(cost, words_read=len(addrs))
-
-    def write_word(self, addr: int, value: int) -> int:
-        cost = self.probe.write_word_timed(addr, value)
-        return self._account(cost, words_written=1)
 
     def write_block(self, base: int, values: Sequence[int]) -> int:
         cost = self.probe.write_block_timed(base, values)

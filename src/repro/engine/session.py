@@ -48,7 +48,6 @@ from repro.gdm.mapping import MappingTable, default_comdes_table
 from repro.gdm.model import CommandBinding, GdmModel
 from repro.gdm.scenegen import gdm_to_scene
 from repro.meta.registry import MetamodelRegistry
-from repro.obs.runtime import OBS
 from repro.render.ascii_art import scene_to_ascii
 from repro.render.svg import scene_to_svg
 from repro.rtos.kernel import DtmKernel
@@ -151,10 +150,6 @@ class DebugSession:
         self.probes: Dict[str, JtagProbe] = {}
         #: one DebugLink per node — the transport every debug byte crosses
         self.links: Dict[str, DebugLink] = {}
-        if OBS.metrics is not None:
-            # the session's transport totals become transport.* series
-            OBS.metrics.bind_stats("transport", self.transport_stats,
-                                   owner=self)
 
     def _log(self, step: int, message: str) -> None:
         self.workflow_log.append(f"[{step}] {message}")
@@ -294,48 +289,16 @@ class DebugSession:
         """Advance the simulated world to *duration_us*.
 
         The kernel drives every node, channel poll and command delivery
-        up to that instant; the session's transport books
-        (:meth:`transport_stats`) accumulate across runs.
+        up to that instant; each node link's transport books
+        (:meth:`DebugLink.stats`) accumulate across runs.
         """
         self._require(self.kernel is not None, "run step5_connect first")
-        t_start = self.sim.now
         self.kernel.run(duration_us)
-        if OBS.spans is not None:
-            OBS.spans.emit("session.run", t_start,
-                           self.sim.now - t_start,
-                           track=("engine", "session"), cat="session",
-                           args={"horizon_us": duration_us})
         return self
 
     def run_for(self, delta_us: int) -> "DebugSession":
         """Advance by *delta_us* from the current instant."""
         return self.run(self.sim.now + delta_us)
-
-    # -- transport accounting ----------------------------------------------
-
-    def transport_stats(self) -> Dict[str, object]:
-        """Session-wide :meth:`DebugLink.stats` aggregate over all nodes.
-
-        Top-level keys are the cross-channel totals; ``"channels"``
-        breaks the same counters down per attribution label —
-        ``passive`` (JTAG poll plane) or ``active`` (RS-232 command
-        stream).
-        """
-        counters = ("transactions", "words_read", "words_written",
-                    "frames_carried", "cost_us_total")
-        totals: Dict[str, object] = {key: 0 for key in counters}
-        channels: Dict[str, Dict[str, int]] = {}
-        for link in self.links.values():
-            stats = link.stats()
-            row = channels.setdefault(
-                stats["label"], {key: 0 for key in counters} | {"links": 0})
-            row["links"] += 1
-            for key in counters:
-                totals[key] += stats[key]
-                row[key] += stats[key]
-        totals["links"] = sum(row["links"] for row in channels.values())
-        totals["channels"] = channels
-        return totals
 
     # -- views --------------------------------------------------------------
 

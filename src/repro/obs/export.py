@@ -1,24 +1,16 @@
-"""Chrome trace-event (Perfetto-compatible) export of campaigns and spans.
+"""Chrome trace-event (Perfetto-compatible) export of trace stores.
 
-Renders the framework's modeled-time telemetry into the Trace Event
-JSON format that ``chrome://tracing`` and https://ui.perfetto.dev open
-directly: lanes (pid/tid) are boards, workers, and comm channels;
-slices (``ph:"X"``) are activations, transactions, polls, and stored
-trace events. Timestamps are the model's microseconds verbatim — the
-format's ``ts``/``dur`` unit *is* microseconds, so no scaling happens
-and a slice you measure in Perfetto is a modeled cost you can assert
-on in a test.
-
-Two sources, composable into one document:
-
-* a :class:`~repro.tracedb.store.TraceStore` (per-job or merged
-  campaign): every stored record becomes a slice — engine trace events
-  on the command lane of their job's process, kernel
-  :class:`~repro.rtos.task.JobRecord` spills as activation slices on
-  their actor's lane;
-* a :class:`~repro.obs.spans.SpanTracer` snapshot: live spans from an
-  instrumented run (polls, session windows, activations), laned by
-  their ``(process-ish, thread-ish)`` track.
+Renders a recorded :class:`~repro.tracedb.store.TraceStore` (per-job
+or merged campaign) into the Trace Event JSON format that
+``chrome://tracing`` and https://ui.perfetto.dev open directly. Every
+stored record becomes a slice (``ph:"X"``): engine trace events on the
+command lane of their job's process, kernel
+:class:`~repro.rtos.task.JobRecord` spills as activation slices on
+their actor's lane. Timestamps are the model's microseconds verbatim —
+the format's ``ts``/``dur`` unit *is* microseconds, so no scaling
+happens and a slice you measure in Perfetto is a modeled cost you can
+assert on in a test. A metrics snapshot, when given, rides along in
+``otherData``.
 
 Determinism: pid/tid assignment is by sorted lane name (never dict or
 arrival order), events are emitted under a total sort, and the JSON is
@@ -35,10 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.spans import Span, span_order
 from repro.tracedb.store import TraceStore
 
 
@@ -117,45 +108,16 @@ def _store_events(store: TraceStore) -> List[Dict[str, Any]]:
     return events
 
 
-def _span_events(spans: Iterable[Span]) -> List[Dict[str, Any]]:
-    """Render tracer spans, pids by sorted process-lane name."""
-    spans = [Span(*s) for s in spans]
-    procs = sorted({s.track[0] for s in spans})
-    # store pids occupy 1..N-jobs; span pids start high to avoid clashes
-    pid_of = {proc: 1000 + i for i, proc in enumerate(procs)}
-    threads = sorted({s.track for s in spans})
-    tid_of: Dict[Tuple[str, str], int] = {}
-    events: List[Dict[str, Any]] = []
-    for proc in procs:
-        events.append(_meta(pid_of[proc], 0, "process_name", proc))
-    next_tid: Dict[str, int] = {}
-    for track in threads:
-        tid = next_tid.get(track[0], 1)
-        next_tid[track[0]] = tid + 1
-        tid_of[track] = tid
-        events.append(_meta(pid_of[track[0]], tid, "thread_name",
-                            track[1] or track[0]))
-    for s in sorted(spans, key=span_order):
-        events.append(_slice(pid_of[s.track[0]], tid_of[s.track], s.name,
-                             s.cat, s.ts_us, s.dur_us, dict(s.args)))
-    return events
-
-
-def chrome_trace(store: Optional[TraceStore] = None,
-                 spans: Optional[Iterable[Span]] = None,
+def chrome_trace(store: TraceStore,
                  metrics: Optional[MetricsSnapshot] = None,
                  title: str = "repro campaign") -> Dict[str, Any]:
-    """Build one Trace Event JSON document from any mix of sources.
+    """Build one Trace Event JSON document from *store*.
 
     Metric snapshots ride in ``otherData`` (Perfetto shows it in trace
     info) — counters have no timeline, so they annotate rather than
     draw.
     """
-    events: List[Dict[str, Any]] = []
-    if store is not None:
-        events.extend(_store_events(store))
-    if spans is not None:
-        events.extend(_span_events(spans))
+    events = _store_events(store)
     events.sort(key=lambda e: (e["ph"] != "M", e["pid"], e["tid"],
                                e.get("ts", -1), e["name"]))
     doc: Dict[str, Any] = {
@@ -180,8 +142,7 @@ def export_campaign(store_root: str, out_path: Optional[str] = None,
     """Export the store at *store_root* to canonical trace JSON bytes,
     optionally writing them to *out_path*."""
     store = TraceStore.open(store_root)
-    data = render_bytes(chrome_trace(store=store, metrics=metrics,
-                                     title=title))
+    data = render_bytes(chrome_trace(store, metrics=metrics, title=title))
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(data)
@@ -200,11 +161,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="output file (default: stdout)")
     parser.add_argument("--title", default="repro campaign")
     opts = parser.parse_args(argv)
-    data = render_bytes(chrome_trace(store=TraceStore.open(opts.campaign),
-                                     title=opts.title))
+    data = export_campaign(opts.campaign, opts.out, title=opts.title)
     if opts.out:
-        with open(opts.out, "wb") as fh:
-            fh.write(data)
         slices = data.count(b'"ph":"X"')
         sys.stderr.write(f"wrote {opts.out}: {len(data)} bytes, "
                          f"{slices} slice(s)\n")

@@ -1,45 +1,29 @@
-"""Metrics registry: labeled counters/gauges/histograms + canonical snapshots.
+"""Metrics registry: labeled counters + canonical snapshots.
 
 The registry is the unification layer over the stack's ad-hoc stats
 surfaces: ``DebugLink.stats()`` (transaction accounting), chaos
-frame-fault counters, ``DebugSession.transport_stats()``, tracedb
-segment I/O. Each of those dicts stays
-exactly what it was — the registry *binds* them (:meth:`MetricsRegistry.
-bind_stats`) and reads them once at snapshot time, so the existing
-dict-returning APIs become the source of truth for registry series
-without adding a single instruction to their hot paths.
-
-Three instrument kinds, all with labeled series:
-
-* :class:`Counter` — monotone int, ``inc(n)``.
-* :class:`Gauge` — last-write-wins value, ``set(v)``.
-* :class:`Histogram` — fixed-bound bucket counts + sum/count,
-  ``observe(v)``.
+frame-fault counters, kernel and poll books, tracedb segment I/O. Each
+of those dicts stays exactly what it was — the registry *binds* them
+(:meth:`MetricsRegistry.bind_stats`) and reads them once at snapshot
+time, so the existing dict-returning APIs become the source of truth
+for registry series without adding a single instruction to their hot
+paths. Event-shaped facts counted where they happen (chaos faults,
+fleet job outcomes) use a direct :class:`Counter`.
 
 A *series* is ``(name, sorted label items)``; asking for the same
-name+labels twice returns the same instrument, so call sites can be
-naive. Instruments are plain-slot objects — ``inc`` is one integer add.
+name+labels twice returns the same counter, so call sites can be
+naive. Counters are plain-slot objects — ``inc`` is one integer add.
 
-Snapshots (:class:`MetricsSnapshot`) are picklable plain data with
-**canonical merge** semantics, the same discipline as
-``fleet.merge.merge_results`` and the tracedb campaign merge: counters
-and histograms sum per-series, gauges take the right-hand value,
-ordering is deterministic. Fleet workers can therefore ship snapshots
-upward and the merged result is independent of arrival order up to the
-documented gauge rule.
+Snapshots (:class:`MetricsSnapshot`) are picklable plain data with a
+canonical, sorted JSON-able form (:meth:`MetricsSnapshot.to_dict`).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 LabelsKey = Tuple[Tuple[str, str], ...]
-
-#: Default histogram bounds: powers-of-4 microsecond-ish ladder wide
-#: enough for both per-poll costs (~1e2) and whole-run spans (~1e7).
-DEFAULT_BOUNDS: Tuple[int, ...] = (
-    1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304)
 
 
 def _labels_key(labels: Mapping[str, Any]) -> LabelsKey:
@@ -58,157 +42,25 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """Last-write-wins value; one series of one registry."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def set(self, v: int) -> None:
-        self.value = v
-
-
-class Histogram:
-    """Fixed-bound histogram: counts per bucket (+overflow), sum, count."""
-
-    __slots__ = ("bounds", "counts", "sum", "count")
-
-    def __init__(self, bounds: Tuple[int, ...] = DEFAULT_BOUNDS) -> None:
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)
-        self.sum = 0
-        self.count = 0
-
-    def observe(self, v: int) -> None:
-        self.sum += v
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if v <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-
 class MetricsSnapshot:
-    """Picklable point-in-time registry state with canonical merge.
+    """Picklable point-in-time registry state.
 
-    Plain-data mirrors of the registry's series::
-
-        counters   {name: {labels_key: int}}
-        gauges     {name: {labels_key: int}}
-        histograms {name: {labels_key: {"bounds","counts","sum","count"}}}
-
-    ``merge`` sums counters and histograms per series, lets the
-    right-hand gauge win, and never mutates its operands — so folding a
-    list of worker snapshots is associative and order-independent
-    except for the documented gauge rule.
+    ``counters`` maps each series name to ``{labels_key: int}``.
     """
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: Dict[str, Dict[LabelsKey, int]] = {}
-        self.gauges: Dict[str, Dict[LabelsKey, int]] = {}
-        self.histograms: Dict[str, Dict[LabelsKey, Dict[str, Any]]] = {}
-
-    # -- reads -------------------------------------------------------------
-
-    def counter(self, name: str, **labels: Any) -> int:
-        """Counter series value (0 if the series never fired)."""
-        return self.counters.get(name, {}).get(_labels_key(labels), 0)
-
-    def gauge(self, name: str, **labels: Any) -> int:
-        return self.gauges.get(name, {}).get(_labels_key(labels), 0)
-
-    def counter_total(self, name: str) -> int:
-        """Sum of a counter across all label sets."""
-        return sum(self.counters.get(name, {}).values())
-
-    def series(self, name: str) -> List[Tuple[LabelsKey, int]]:
-        """All ``(labels_key, value)`` pairs of a counter/gauge name,
-        in canonical (sorted) label order."""
-        table = self.counters.get(name) or self.gauges.get(name) or {}
-        return sorted(table.items())
-
-    # -- merge -------------------------------------------------------------
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        out = MetricsSnapshot()
-        out.absorb(self)
-        out.absorb(other)
-        return out
-
-    def absorb(self, other: "MetricsSnapshot") -> None:
-        """Merge *other* into this snapshot in place (``merge``'s rule;
-        *other* is never mutated nor shared)."""
-        for name, table in other.counters.items():
-            dst = self.counters.setdefault(name, {})
-            for key, value in table.items():
-                dst[key] = dst.get(key, 0) + value
-        for name, table in other.gauges.items():
-            dst = self.gauges.setdefault(name, {})
-            dst.update(table)
-        for name, table in other.histograms.items():
-            dst = self.histograms.setdefault(name, {})
-            for key, h in table.items():
-                cur = dst.get(key)
-                if cur is None:
-                    dst[key] = {"bounds": tuple(h["bounds"]),
-                                "counts": list(h["counts"]),
-                                "sum": h["sum"], "count": h["count"]}
-                    continue
-                if tuple(cur["bounds"]) != tuple(h["bounds"]):
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ "
-                        "between snapshots; cannot merge")
-                cur["counts"] = [a + b for a, b
-                                 in zip(cur["counts"], h["counts"])]
-                cur["sum"] += h["sum"]
-                cur["count"] += h["count"]
-
-    # -- canonical plain form ---------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """Deterministic JSON-able form: every level sorted."""
-        def render(table: Dict[LabelsKey, Any],
-                   value_fn: Callable[[Any], Any]) -> List[Dict[str, Any]]:
-            return [{"labels": dict(key), "value": value_fn(v)}
-                    for key, v in sorted(table.items())]
-
         return {
-            "counters": {name: render(self.counters[name], int)
-                         for name in sorted(self.counters)},
-            "gauges": {name: render(self.gauges[name], int)
-                       for name in sorted(self.gauges)},
-            "histograms": {
-                name: render(self.histograms[name],
-                             lambda h: {"bounds": list(h["bounds"]),
-                                        "counts": list(h["counts"]),
-                                        "sum": h["sum"],
-                                        "count": h["count"]})
-                for name in sorted(self.histograms)},
+            "counters": {
+                name: [{"labels": dict(key), "value": int(value)}
+                       for key, value in sorted(self.counters[name].items())]
+                for name in sorted(self.counters)},
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
-        snap = cls()
-        for name, rows in data.get("counters", {}).items():
-            snap.counters[name] = {
-                _labels_key(row["labels"]): int(row["value"]) for row in rows}
-        for name, rows in data.get("gauges", {}).items():
-            snap.gauges[name] = {
-                _labels_key(row["labels"]): int(row["value"]) for row in rows}
-        for name, rows in data.get("histograms", {}).items():
-            snap.histograms[name] = {
-                _labels_key(row["labels"]): {
-                    "bounds": tuple(row["value"]["bounds"]),
-                    "counts": list(row["value"]["counts"]),
-                    "sum": row["value"]["sum"],
-                    "count": row["value"]["count"],
-                } for row in rows}
-        return snap
 
 
 class _Binding:
@@ -274,8 +126,8 @@ def _owner_ref(anchor: object) -> Callable[[], object]:
 class MetricsRegistry:
     """Get-or-create instrument registry with late-bound stats views.
 
-    Direct instruments (``counter``/``gauge``/``histogram``) are for
-    event-shaped facts counted where they happen. ``bind_stats`` is for
+    Direct counters (:meth:`counter`) are for event-shaped facts
+    counted where they happen. ``bind_stats`` is for
     components that already keep books — the bound dict is read once
     per :meth:`snapshot` and folded into counter series named
     ``{prefix}.{key}``, so the existing stats surface *is* the registry
@@ -293,8 +145,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelsKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelsKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelsKey], Histogram] = {}
         self._bound: List[_Binding] = []
         # live bindings by (prefix, id(anchor)); a binding pins its
         # anchor, because ids are only unique among *live* objects
@@ -306,29 +156,13 @@ class MetricsRegistry:
         # released bindings' final rows, summed per series
         self._retired: Dict[str, Dict[LabelsKey, int]] = {}
 
-    # -- direct instruments ------------------------------------------------
+    # -- direct counters ---------------------------------------------------
 
     def counter(self, name: str, **labels: Any) -> Counter:
         key = (name, _labels_key(labels))
         inst = self._counters.get(key)
         if inst is None:
             inst = self._counters[key] = Counter()
-        return inst
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (name, _labels_key(labels))
-        inst = self._gauges.get(key)
-        if inst is None:
-            inst = self._gauges[key] = Gauge()
-        return inst
-
-    def histogram(self, name: str,
-                  bounds: Tuple[int, ...] = DEFAULT_BOUNDS,
-                  **labels: Any) -> Histogram:
-        key = (name, _labels_key(labels))
-        inst = self._histograms.get(key)
-        if inst is None:
-            inst = self._histograms[key] = Histogram(bounds)
         return inst
 
     # -- late-bound stats surfaces ----------------------------------------
@@ -400,20 +234,7 @@ class MetricsRegistry:
         for (name, key), c in self._counters.items():
             table = counters.setdefault(name, {})
             table[key] = table.get(key, 0) + c.value
-        for (name, key), g in self._gauges.items():
-            snap.gauges.setdefault(name, {})[key] = g.value
-        for (name, key), h in self._histograms.items():
-            snap.histograms.setdefault(name, {})[key] = {
-                "bounds": h.bounds, "counts": list(h.counts),
-                "sum": h.sum, "count": h.count}
         for binding in self._bound:
             binding.fold_into(counters)
         return snap
 
-
-def merge_snapshots(snaps: Iterable[MetricsSnapshot]) -> MetricsSnapshot:
-    """Fold snapshots left-to-right under the canonical merge."""
-    out = MetricsSnapshot()
-    for snap in snaps:
-        out = out.merge(snap)
-    return out

@@ -291,13 +291,6 @@ class DtmKernel:
         self._ring.append(record, JobRecord.to_dict)
         if record.missed:
             self.deadline_misses += 1
-        if OBS.spans is not None:
-            # one activation slice per completed job, laned by node —
-            # release/completion are modeled instants from the scheduler
-            OBS.spans.emit(actor.name, release, t_done - release,
-                           track=("node", actor.node), cat="activation",
-                           args={"index": index,
-                                 "missed": bool(record.missed)})
         if self.latched and not record.missed:
             # DTM: publish exactly at the deadline instant.
             self.sim.schedule_at(deadline_abs, self._publish, actor, release,

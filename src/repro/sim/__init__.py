@@ -6,6 +6,5 @@ kernel. Time is integer microseconds (see :mod:`repro.util.timeunits`).
 """
 
 from repro.sim.kernel import ScheduledEvent, Simulator
-from repro.sim.rng import RngStreams
 
-__all__ = ["Simulator", "ScheduledEvent", "RngStreams"]
+__all__ = ["Simulator", "ScheduledEvent"]

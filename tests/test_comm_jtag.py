@@ -15,6 +15,14 @@ def make_probe(board=None, transport=None):
     return board, JtagProbe(tap, transport=transport)
 
 
+def memwrite(probe, addr, value):
+    """One MEMADDR + MEMWRITE round trip, driven scan by scan."""
+    probe.shift_ir(Instruction.MEMADDR)
+    probe.shift_dr(addr, 32)
+    probe.shift_ir(Instruction.MEMWRITE)
+    probe.shift_dr(value & 0xFFFFFFFF, 32)
+
+
 class TestTapController:
     def test_powers_up_in_test_logic_reset(self):
         tap = TapController(DebugPort(Board()))
@@ -48,29 +56,29 @@ class TestTapController:
 class TestProbeOperations:
     def test_read_idcode(self):
         _, probe = make_probe()
-        idcode, cost = probe.read_idcode_timed()
-        assert idcode == BOARD_IDCODE
-        assert cost > 0
+        probe.shift_ir(Instruction.IDCODE)
+        assert probe.shift_dr(0, 32) == BOARD_IDCODE
+        assert probe.tap.tck_count > 0
 
     def test_read_word_matches_memory(self):
         board, probe = make_probe()
         board.memory.poke(RAM_BASE + 5, 0xDEAD)
-        assert probe.read_word(RAM_BASE + 5) == 0xDEAD
+        assert probe.read_word_timed(RAM_BASE + 5)[0] == 0xDEAD
 
     def test_read_word_sign_extends(self):
         board, probe = make_probe()
         board.memory.poke(RAM_BASE, -7)
-        assert probe.read_word(RAM_BASE) == -7
+        assert probe.read_word_timed(RAM_BASE)[0] == -7
 
     def test_write_word_roundtrip(self):
         board, probe = make_probe()
-        probe.write_word_timed(RAM_BASE + 2, 4242)
+        memwrite(probe, RAM_BASE + 2, 4242)
         assert board.memory.peek(RAM_BASE + 2) == 4242
 
     def test_reads_cost_zero_target_cycles(self):
         board, probe = make_probe()
         before = board.cpu.cycles
-        probe.read_word(RAM_BASE)
+        probe.read_word_timed(RAM_BASE)
         assert board.cpu.cycles == before
         assert board.memory.reads == 0  # backdoor, not a CPU access
 
@@ -110,8 +118,11 @@ class TestBlockRead:
         for offset in range(10):
             board.memory.poke(RAM_BASE + offset, (offset - 5) * 1234)
             expected.append((offset - 5) * 1234)
-        values, _ = probe.read_block_timed(RAM_BASE, 10)
+        values, _ = probe.read_scatter_timed(
+            [RAM_BASE + offset for offset in range(10)])
         assert values == expected
+        assert values == [probe.read_word_timed(RAM_BASE + offset)[0]
+                          for offset in range(10)]
 
     def test_capture_auto_increments_address(self):
         board = Board()
@@ -139,23 +150,18 @@ class TestBlockRead:
         board, probe = make_probe()
         last = RAM_BASE + len(board.memory) - 1
         board.memory.poke(last, 7)
-        values, _ = probe.read_block_timed(last, 2)
+        values, _ = probe.read_scatter_timed([last, last + 1])
         assert values[0] == 7
         assert values[1] & 0xFFFFFFFF == 0xDEADDEAD
 
     def test_block_read_fewer_tck_cycles_than_word_reads(self):
         _, block_probe = make_probe()
-        block_probe.read_block_timed(RAM_BASE, 16)
+        block_probe.read_scatter_timed([RAM_BASE + i for i in range(16)])
         block_clocks = block_probe.tap.tck_count
         _, word_probe = make_probe()
         for offset in range(16):
             word_probe.read_word_timed(RAM_BASE + offset)
         assert block_clocks < word_probe.tap.tck_count / 2
-
-    def test_invalid_count_rejected(self):
-        _, probe = make_probe()
-        with pytest.raises(JtagError):
-            probe.read_block_timed(RAM_BASE, 0)
 
     def test_scatter_rejects_empty(self):
         _, probe = make_probe()
@@ -182,7 +188,7 @@ class TestBlockWrite:
         blocked = [board.memory.peek(RAM_BASE + offset) for offset in range(10)]
         reference, ref_probe = make_probe()
         for offset, value in enumerate(values):
-            ref_probe.write_word_timed(RAM_BASE + offset, value)
+            memwrite(ref_probe, RAM_BASE + offset, value)
         worded = [reference.memory.peek(RAM_BASE + offset)
                   for offset in range(10)]
         assert blocked == worded == values
@@ -236,7 +242,7 @@ class TestBlockWrite:
         block_clocks = block_probe.tap.tck_count
         _, word_probe = make_probe()
         for offset in range(16):
-            word_probe.write_word_timed(RAM_BASE + offset, offset)
+            memwrite(word_probe, RAM_BASE + offset, offset)
         assert block_clocks < word_probe.tap.tck_count / 2
 
     def test_empty_block_rejected(self):

@@ -63,8 +63,9 @@ class TestJtagLink:
         board, link = jtag_link()
         for offset in range(6):
             board.memory.poke(RAM_BASE + offset, offset * 11 - 3)
-        values, _ = link.read_block(RAM_BASE, 6)
+        values, _ = link.read_scatter([RAM_BASE + i for i in range(6)])
         assert values == [offset * 11 - 3 for offset in range(6)]
+        assert values == [link.read_word(RAM_BASE + i)[0] for i in range(6)]
 
     def test_scatter_preserves_input_order_and_duplicates(self):
         board, link = jtag_link()
@@ -85,14 +86,15 @@ class TestJtagLink:
         _, batched = jtag_link(transport=UsbTransport())
         _, bursty = jtag_link(transport=UsbTransport())
         count = 16
-        _, block_cost = batched.read_block(RAM_BASE, count)
+        _, block_cost = batched.read_scatter(
+            [RAM_BASE + i for i in range(count)])
         word_cost = sum(bursty.read_word(RAM_BASE + i)[1]
                         for i in range(count))
         assert block_cost < word_cost / 4
 
     def test_write_word_roundtrip(self):
         board, link = jtag_link()
-        cost = link.write_word(RAM_BASE + 9, 4242)
+        cost = link.write_block(RAM_BASE + 9, [4242])
         assert board.memory.peek(RAM_BASE + 9) == 4242
         assert cost > 0
         assert link.words_written == 1
@@ -112,7 +114,7 @@ class TestJtagLink:
 
     def test_stats_snapshot(self):
         _, link = jtag_link()
-        link.read_block(RAM_BASE, 4)
+        link.read_scatter([RAM_BASE + i for i in range(4)])
         stats = link.stats()
         assert stats["kind"] == "jtag"
         assert stats["transactions"] == 1
@@ -166,9 +168,8 @@ class TestDebugLink:
     def test_base_link_refuses_everything(self):
         link = DebugLink()
         for call in (lambda: link.read_word(0),
-                     lambda: link.read_block(0, 1),
                      lambda: link.read_scatter([0]),
-                     lambda: link.write_word(0, 0),
+                     lambda: link.write_block(0, [0]),
                      lambda: link.transmit_frame(0, b"x"),
                      lambda: link.halt_target()):
             with pytest.raises(CommError):

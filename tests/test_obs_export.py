@@ -30,7 +30,6 @@ from repro.obs.export import (
     main as export_main,
     render_bytes,
 )
-from repro.obs.spans import SpanTracer
 from repro.tracedb import campaign_store_root
 from repro.util.timeunits import sec
 
@@ -110,7 +109,7 @@ class TestStructure:
                            record_spill=store)
         kernel.run(ms(500))
         store.flush()
-        doc = chrome_trace(store=store)
+        doc = chrome_trace(store)
         slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert slices
         assert {e["cat"] for e in slices} == {"activation"}
@@ -134,27 +133,14 @@ class TestDeterminism:
         assert render_bytes(doc) == export_campaign(campaign_root)
 
 
-class TestSpanExport:
-    def test_span_lanes(self):
-        tr = SpanTracer()
-        tr.emit("poll", ts_us=100, dur_us=40, track=("comm", "jtag"),
-                cat="poll")
-        tr.emit("lights", ts_us=0, dur_us=900, track=("node", "node0"),
-                cat="activation", args={"index": 0})
-        doc = chrome_trace(spans=tr.snapshot())
-        slices = [e for e in doc["traceEvents"] if e["ph"] == "X"]
-        assert {e["name"] for e in slices} == {"poll", "lights"}
-        meta_names = {e["args"]["name"] for e in doc["traceEvents"]
-                      if e["ph"] == "M" and e["name"] == "process_name"}
-        assert meta_names == {"comm", "node"}
-        # span pids live in their own range, clear of store job pids
-        assert all(e["pid"] >= 1000 for e in slices)
-
-    def test_metrics_embedded_in_other_data(self):
+class TestMetricsExport:
+    def test_metrics_embedded_in_other_data(self, campaign_root):
         from repro.obs import MetricsRegistry
+        from repro.tracedb import TraceStore
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        doc = chrome_trace(metrics=reg.snapshot())
+        doc = chrome_trace(TraceStore.open(campaign_root),
+                           metrics=reg.snapshot())
         assert doc["otherData"]["metrics"]["counters"]["c"][0]["value"] == 3
 
 

@@ -1,7 +1,7 @@
 """Property: telemetry never perturbs the system under observation.
 
 The zero-interference invariant of ``repro.obs``: running any workload
-with the registry/tracer enabled must leave every *observable* output
+with the registry enabled must leave every *observable* output
 bit-identical to the disabled run — CPU machine state, emit logs,
 fault pcs, session transcripts and campaign fingerprints. Telemetry is
 read-only bookkeeping on the side; the moment it changes an outcome it
@@ -58,7 +58,8 @@ def session_transcript():
     session = DebugSession(traffic_light_system(), channel_kind="passive",
                            poll_period_us=500).setup()
     session.run(ms(600))  # long enough for the polls to see state changes
-    return session.engine.trace.to_dicts(), session.transport_stats()
+    return (session.engine.trace.to_dicts(),
+            {node: link.stats() for node, link in session.links.items()})
 
 
 class TestCpuIdentity:

@@ -1,21 +1,20 @@
-"""Unit tests for the repro.obs core: registry, snapshots, spans.
+"""Unit tests for the repro.obs core: the counter registry and snapshots.
 
 The contracts under test (see ``repro/obs/__init__.py``):
 
-* labeled series get-or-create identity, counter/gauge/histogram math;
+* labeled counter series get-or-create identity;
 * snapshots are canonical (sorted at every level), picklable plain
-  data, and merge associatively — counters/histograms sum, gauges take
-  the right-hand value (CampaignResult-style canonical fold);
+  data;
 * ``bind_stats`` makes an existing ``stats()`` dict a thin registry
   view: values read once per snapshot, ``label_keys`` entries become
   labels read at snapshot time (so wrapper kinds assigned *after*
   ``DebugLink.__init__`` are not frozen stale);
-* spans are modeled-time tuples with a deterministic canonical sort;
-* the module-global ``OBS`` holder is None/None when disabled and
+* the module-global ``OBS`` holder is None when disabled and
   ``observed()`` restores prior state on exit.
 """
 
 import gc
+import json
 import pickle
 import weakref
 
@@ -28,20 +27,7 @@ from repro.experiments import (traffic_light_code_watches,
                                traffic_light_monitor_suite)
 from repro.faults import run_campaign
 from repro.fleet import SerialRunner
-from repro.obs import (
-    OBS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    Span,
-    SpanTracer,
-    disable,
-    enable,
-    enabled,
-    merge_snapshots,
-    merge_spans,
-    observed,
-    span_order,
-)
+from repro.obs import OBS, MetricsRegistry, disable, enable, observed
 from repro.target.board import Board, DebugPort
 from repro.target.memory import RAM_BASE
 from repro.util.timeunits import sec
@@ -53,6 +39,12 @@ def _obs_off():
     disable()
     yield
     disable()
+
+
+def counter(snap, name, **labels):
+    """One counter series of *snap* (0 if the series never fired)."""
+    key = tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return snap.counters.get(name, {}).get(key, 0)
 
 
 class TestInstruments:
@@ -72,25 +64,10 @@ class TestInstruments:
         b = reg.counter("x", b=2, a=1)
         assert a is b
 
-    def test_gauge_and_histogram(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("depth")
-        g.set(3)
-        g.set(7)
-        h = reg.histogram("lat", bounds=(10, 100))
-        for v in (1, 9, 10, 55, 1000):
-            h.observe(v)
-        assert g.value == 7
-        assert h.count == 5 and h.sum == 1075
-        assert h.counts == [3, 1, 1]  # <=10, <=100, overflow
-
-
 class TestSnapshot:
     def test_snapshot_is_picklable_plain_data(self):
         reg = MetricsRegistry()
         reg.counter("a", k="v").inc(2)
-        reg.gauge("g").set(1)
-        reg.histogram("h").observe(5)
         snap = reg.snapshot()
         clone = pickle.loads(pickle.dumps(snap))
         assert clone.to_dict() == snap.to_dict()
@@ -102,56 +79,9 @@ class TestSnapshot:
         reg.counter("a", a="1").inc()
         d = reg.snapshot().to_dict()
         assert list(d["counters"]) == sorted(d["counters"])
-        back = MetricsSnapshot.from_dict(d)
-        assert back.to_dict() == d
-
-    def test_merge_sums_counters_keeps_right_gauge(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.counter("c", k="v").inc(3)
-        r2.counter("c", k="v").inc(4)
-        r1.gauge("g").set(1)
-        r2.gauge("g").set(9)
-        r1.histogram("h").observe(5)
-        r2.histogram("h").observe(500)
-        s1, s2 = r1.snapshot(), r2.snapshot()
-        merged = s1.merge(s2)
-        assert merged.counter("c", k="v") == 7
-        assert merged.gauge("g") == 9
-        # merge is non-mutating
-        assert s1.counter("c", k="v") == 3
-        assert merge_snapshots([s1, s2]).to_dict() == merged.to_dict()
-
-    def test_absorb_equals_merge_and_leaves_operand_alone(self):
-        a, b = MetricsSnapshot(), MetricsSnapshot()
-        a.counters["c"] = {(): 1}
-        b.counters["c"] = {(): 2, (("k", "v"),): 3}
-        b.gauges["g"] = {(): 7}
-        b.histograms["h"] = {(): {"bounds": (1, 4), "counts": [1, 0, 2],
-                                  "sum": 9, "count": 3}}
-        merged = a.merge(b)
-        b_before = b.to_dict()
-        a.absorb(b)
-        assert a.to_dict() == merged.to_dict()
-        a.absorb(b)
-        assert b.to_dict() == b_before
-        assert a.histograms["h"][()]["counts"] == [2, 0, 4]
-
-    def test_merge_rejects_histogram_bound_mismatch(self):
-        r1, r2 = MetricsRegistry(), MetricsRegistry()
-        r1.histogram("h", bounds=(1, 2)).observe(1)
-        r2.histogram("h", bounds=(1, 3)).observe(1)
-        with pytest.raises(ValueError):
-            r1.snapshot().merge(r2.snapshot())
-
-    def test_counter_total_and_series(self):
-        reg = MetricsRegistry()
-        reg.counter("c", k="a").inc(2)
-        reg.counter("c", k="b").inc(5)
-        snap = reg.snapshot()
-        assert snap.counter_total("c") == 7
-        assert snap.counter_total("missing") == 0
-        assert len(snap.series("c")) == 2
-
+        assert [row["labels"] for row in d["counters"]["a"]] == [
+            {"a": "1"}, {"b": "2"}]
+        assert json.loads(json.dumps(d)) == d
 
 class TestBindStats:
     def test_bound_stats_fold_as_counters(self):
@@ -161,8 +91,8 @@ class TestBindStats:
         state["hits"] = 11
         state["misses"] = 2
         snap = reg.snapshot()
-        assert snap.counter("cache.hits") == 11
-        assert snap.counter("cache.misses") == 2
+        assert counter(snap, "cache.hits") == 11
+        assert counter(snap, "cache.misses") == 2
 
     def test_label_keys_read_at_snapshot_time(self):
         reg = MetricsRegistry()
@@ -171,8 +101,8 @@ class TestBindStats:
         state["kind"] = "chaos[bare]"  # wrapper renamed after binding
         state["ops"] = 3
         snap = reg.snapshot()
-        assert snap.counter("link.ops", kind="chaos[bare]") == 3
-        assert snap.counter("link.ops", kind="bare") == 0
+        assert counter(snap, "link.ops", kind="chaos[bare]") == 3
+        assert counter(snap, "link.ops", kind="bare") == 0
 
     def test_owner_dedupe_is_idempotent(self):
         reg = MetricsRegistry()
@@ -180,26 +110,26 @@ class TestBindStats:
         owner = object()
         reg.bind_stats("x", lambda: state, owner=owner)
         reg.bind_stats("x", lambda: state, owner=owner)
-        assert reg.snapshot().counter("x.n") == 1
+        assert counter(reg.snapshot(), "x.n") == 1
 
     def test_same_series_bindings_sum(self):
         reg = MetricsRegistry()
         reg.bind_stats("x", lambda: {"n": 2}, owner=object())
         reg.bind_stats("x", lambda: {"n": 5}, owner=object())
-        assert reg.snapshot().counter("x.n") == 7
+        assert counter(reg.snapshot(), "x.n") == 7
 
     def test_non_numeric_and_bool_values_skipped(self):
         reg = MetricsRegistry()
         reg.bind_stats("x", lambda: {"n": 2, "name": "hi", "up": True,
                                      "nested": {"a": 1}})
         snap = reg.snapshot()
-        assert snap.counter("x.n") == 2
-        assert snap.counter_total("x.name") == 0
-        assert snap.counter_total("x.up") == 0
+        assert counter(snap, "x.n") == 2
+        assert "x.name" not in snap.counters
+        assert "x.up" not in snap.counters
 
     def test_link_stats_parity(self):
         """The link.* series are exactly DebugLink.stats(), unchanged."""
-        reg, _ = enable(spans=False)
+        reg = enable()
         link = JtagLink(JtagProbe(TapController(DebugPort(Board()))))
         link.read_word(RAM_BASE)
         link.read_word(RAM_BASE + 1)
@@ -208,8 +138,8 @@ class TestBindStats:
         for key, value in stats.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
-            assert snap.counter(f"link.{key}", kind=stats["kind"],
-                                label=stats["label"]) == value
+            assert counter(snap, f"link.{key}", kind=stats["kind"],
+                           label=stats["label"]) == value
         assert reg is OBS.metrics
 
 
@@ -234,7 +164,7 @@ class TestReleaseBindings:
         gc.collect()
         assert ref() is None
         assert reg.snapshot().to_dict() == before.to_dict()
-        assert reg.snapshot().counter("job.n", kind="k") == 4
+        assert counter(reg.snapshot(), "job.n", kind="k") == 4
 
     def test_rebinding_a_released_live_owner_is_a_noop(self):
         reg = MetricsRegistry()
@@ -246,29 +176,29 @@ class TestReleaseBindings:
         reg.bind_stats("x", lambda: {"n": 2}, owner=owner)
         reg.release_bindings()
         reg.bind_stats("x", lambda: {"n": 2}, owner=owner)
-        assert reg.snapshot().counter("x.n") == 2
+        assert counter(reg.snapshot(), "x.n") == 2
         # an owner that cannot be weakly referenced is still deduped
         plain = object()
         reg.bind_stats("y", lambda: {"n": 3}, owner=plain)
         reg.release_bindings()
         reg.bind_stats("y", lambda: {"n": 3}, owner=plain)
-        assert reg.snapshot().counter("y.n") == 3
+        assert counter(reg.snapshot(), "y.n") == 3
 
     def test_every_snapshot_reads_the_current_stats(self):
         reg = MetricsRegistry()
         state = {"n": 1}
         reg.bind_stats("x", lambda: state)
-        assert reg.snapshot().counter("x.n") == 1
-        assert reg.snapshot().counter("x.n") == 1
+        assert counter(reg.snapshot(), "x.n") == 1
+        assert counter(reg.snapshot(), "x.n") == 1
         state["n"] = 9
         state["m"] = 2
         snap = reg.snapshot()
-        assert (snap.counter("x.n"), snap.counter("x.m")) == (9, 2)
+        assert (counter(snap, "x.n"), counter(snap, "x.m")) == (9, 2)
 
     def test_campaign_releases_job_bindings_with_equal_totals(self,
                                                               monkeypatch):
         def campaign_snapshot():
-            reg, _ = enable(spans=False)
+            reg = enable()
             try:
                 run_campaign(traffic_light_system,
                              traffic_light_monitor_suite,
@@ -290,68 +220,22 @@ class TestReleaseBindings:
         assert released["counters"]["kernel.deadline_misses"]
 
 
-class TestSpans:
-    def test_emit_and_canonical_snapshot(self):
-        tr = SpanTracer()
-        tr.emit("b", ts_us=10, dur_us=5, track=("node", "n1"))
-        tr.emit("a", ts_us=20, track=("node", "n0"), args={"z": 1, "a": 2})
-        spans = tr.snapshot()
-        assert spans == sorted(spans, key=span_order)
-        # the total order reads in modeled-time order, lanes interleaved
-        assert spans[0].ts_us == 10 and spans[0].track == ("node", "n1")
-        # args dicts are canonicalized to sorted tuples
-        assert spans[1].args == (("a", 2), ("z", 1))
-
-    def test_merge_spans_deterministic(self):
-        t1, t2 = SpanTracer(), SpanTracer()
-        t1.emit("x", ts_us=5)
-        t2.emit("x", ts_us=1)
-        merged = merge_spans([t1.snapshot(), t2.snapshot()])
-        assert merged == merge_spans([t2.snapshot(), t1.snapshot()])
-        assert all(isinstance(s, Span) for s in merged)
-
-    def test_merge_spans_total_order_on_mixed_arg_types(self):
-        # ties through (ts, dur, track, name, cat) used to fall into
-        # comparing args values, which TypeErrors on mixed types; the
-        # span_order key must survive any args payload and stay
-        # byte-stable regardless of arrival order
-        a = Span(("n", "t"), "x", "", 5, 1, (("k", None),))
-        b = Span(("n", "t"), "x", "", 5, 1, (("k", 3),))
-        c = Span(("n", "t"), "x", "", 5, 1, (("k", "3"),))
-        one = merge_spans([[a, b], [c]])
-        two = merge_spans([[c], [b, a]])
-        assert one == two
-        assert [s.ts_us for s in one] == [5, 5, 5]
-
-    def test_spans_picklable(self):
-        tr = SpanTracer()
-        tr.emit("x", ts_us=1, args={"k": "v"})
-        assert pickle.loads(pickle.dumps(tr.snapshot())) == tr.snapshot()
-
-
 class TestRuntimeHolder:
     def test_disabled_by_default(self):
-        assert OBS.metrics is None and OBS.spans is None
-        assert not enabled()
+        assert OBS.metrics is None
 
     def test_enable_disable(self):
-        reg, tracer = enable()
-        assert OBS.metrics is reg and OBS.spans is tracer
-        assert enabled()
+        reg = enable()
+        assert isinstance(reg, MetricsRegistry)
+        assert OBS.metrics is reg
         disable()
-        assert OBS.metrics is None and OBS.spans is None
+        assert OBS.metrics is None
 
     def test_observed_restores_prior_state(self):
-        with observed() as (reg, tracer):
-            assert OBS.metrics is reg and OBS.spans is tracer
-        assert OBS.metrics is None and OBS.spans is None
-        outer, _ = enable(spans=False)
+        with observed() as reg:
+            assert OBS.metrics is reg
+        assert OBS.metrics is None
+        outer = enable()
         with observed():
             assert OBS.metrics is not outer
         assert OBS.metrics is outer
-        assert OBS.spans is None
-
-    def test_partial_enable(self):
-        reg, tracer = enable(spans=False)
-        assert reg is not None and tracer is None
-        assert OBS.spans is None

@@ -1,11 +1,11 @@
 """Explicit coverage of DebugSession's transport accounting.
 
-``DebugSession.transport_stats()`` aggregates every per-node link's
-:meth:`DebugLink.stats` into cross-channel totals plus a per-label
-``channels`` breakdown. This file pins that surface: the key set, the
-aggregation across node links, the attribution of passive and active
-traffic to their channel labels, and (when telemetry is on) the
-``transport.*`` registry series that bind it.
+Every node of a session gets its own :class:`DebugLink`
+(``session.links``), and each link keeps its own books
+(:meth:`DebugLink.stats`). This file pins those books for a whole
+session: the totals over the node links, the attribution of passive
+and active traffic to their channel labels, and (when telemetry is on)
+the ``link.*`` registry series that bind them.
 """
 
 import pytest
@@ -15,13 +15,8 @@ from repro.engine.session import DebugSession
 from repro.obs import disable, enable
 from repro.util.timeunits import ms
 
-#: the key set of transport_stats(): link counters + structure
-TOTAL_KEYS = {
-    "transactions", "words_read", "words_written", "frames_carried",
-    "cost_us_total",              # link accounting
-    "links", "channels",          # structure
-}
-CHANNEL_ROW_KEYS = TOTAL_KEYS - {"channels"}
+COUNTERS = ("transactions", "words_read", "words_written", "frames_carried",
+            "cost_us_total")
 
 
 @pytest.fixture(autouse=True)
@@ -36,55 +31,48 @@ def passive_session():
                         poll_period_us=500).setup()
 
 
-class TestMergedKeySet:
-    def test_total_key_set_is_the_merged_contract(self):
-        session = passive_session()
-        session.run(ms(20))
-        stats = session.transport_stats()
-        assert set(stats) == TOTAL_KEYS
-        for row in stats["channels"].values():
-            assert set(row) == CHANNEL_ROW_KEYS
+def link_totals(session):
+    """Each link counter summed over the session's node links."""
+    rows = [link.stats() for link in session.links.values()]
+    return {key: sum(row[key] for row in rows) for key in COUNTERS}
 
 
 class TestSessionStats:
     def test_stats_aggregate_across_node_links(self):
         session = passive_session()
         session.run(ms(20))
-        stats = session.transport_stats()
-        assert stats["links"] == 1
+        assert len(session.links) == 1
+        totals = link_totals(session)
         # One scatter-read transaction per poll at 500us period (plus
         # the priming poll at start()).
-        assert stats["transactions"] == ms(20) // 500 + 1
-        assert stats["words_read"] > 0
-        assert stats["cost_us_total"] > 0
+        assert totals["transactions"] == ms(20) // 500 + 1
+        assert totals["words_read"] > 0
+        assert totals["cost_us_total"] > 0
 
 
 class TestPerChannelAttribution:
     def test_passive_traffic_books_under_passive_channel(self):
         session = passive_session()
         session.run(ms(10))
-        stats = session.transport_stats()
-        assert set(stats["channels"]) == {"passive"}
-        row = stats["channels"]["passive"]
-        assert row["links"] == 1
-        assert row["transactions"] == stats["transactions"]
-        assert row["cost_us_total"] == stats["cost_us_total"]
+        labels = {link.stats()["label"] for link in session.links.values()}
+        assert labels == {"passive"}
+        assert link_totals(session)["transactions"] > 0
 
     def test_active_traffic_books_under_active_channel(self):
         session = DebugSession(traffic_light_system(),
                                channel_kind="active").setup()
         session.run(ms(500))
-        stats = session.transport_stats()
-        assert set(stats["channels"]) == {"active"}
-        assert stats["channels"]["active"]["frames_carried"] > 0
+        labels = {link.stats()["label"] for link in session.links.values()}
+        assert labels == {"active"}
+        assert link_totals(session)["frames_carried"] > 0
 
 
 class TestTransportSeries:
     def test_transport_series_tracks_stats_surface(self):
-        reg, _ = enable()
+        reg = enable()
         session = passive_session()
         session.run(ms(20))
-        snap = reg.snapshot()
-        stats = session.transport_stats()
+        counters = reg.snapshot().counters
+        totals = link_totals(session)
         for key in ("transactions", "words_read", "cost_us_total"):
-            assert snap.counter_total(f"transport.{key}") == stats[key], key
+            assert sum(counters[f"link.{key}"].values()) == totals[key], key

@@ -121,9 +121,10 @@ class TestTapProperties:
         for offset, value in enumerate(values):
             board.memory.poke(base + offset, value)
         block_probe = JtagProbe(TapController(DebugPort(board)))
-        block_values, _ = block_probe.read_block_timed(base, len(values))
+        block_values, _ = block_probe.read_scatter_timed(
+            [base + offset for offset in range(len(values))])
         word_probe = JtagProbe(TapController(DebugPort(board)))
-        word_values = [word_probe.read_word(base + offset)
+        word_values = [word_probe.read_word_timed(base + offset)[0]
                        for offset in range(len(values))]
         assert block_values == word_values == values
 

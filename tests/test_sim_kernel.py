@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RngStreams
 
 
 class TestScheduling:
@@ -127,27 +126,3 @@ class TestPeriodic:
         sim.every(1, lambda: None)
         with pytest.raises(RuntimeError):
             sim.run(max_events=100)
-
-
-class TestRngStreams:
-    def test_streams_are_deterministic(self):
-        a = RngStreams(42).stream("workload")
-        b = RngStreams(42).stream("workload")
-        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-    def test_streams_are_independent(self):
-        streams = RngStreams(42)
-        first = streams.stream("a").random()
-        # Drawing from stream b must not perturb stream a's sequence.
-        fresh = RngStreams(42)
-        fresh.stream("b").random()
-        assert fresh.stream("a").random() == first
-
-    def test_different_seeds_differ(self):
-        assert RngStreams(1).stream("x").random() != RngStreams(2).stream("x").random()
-
-    def test_reseed_clears_streams(self):
-        streams = RngStreams(1)
-        before = streams.stream("x").random()
-        streams.reseed(1)
-        assert streams.stream("x").random() == before
