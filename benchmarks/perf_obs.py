@@ -15,8 +15,8 @@ Three claims gated here (see ``repro/obs/__init__.py`` invariants):
 * **deterministic export** — two campaigns at the same seed, collected
   into different directories, must export byte-identical Chrome
   trace-event documents (``determinism.export_identical``,
-  floor-gated). Export throughput over a kernel spill store is
-  recorded as ``export.events_per_sec``.
+  floor-gated). Export throughput over the first of those campaign
+  stores is recorded as ``export.events_per_sec``.
 
 Writes ``BENCH_obs.json`` (or ``BENCH_obs_quick.json`` under
 ``--quick``) next to this file.
@@ -39,8 +39,6 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.codegen import InstrumentationPlan
-from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import traffic_light_system
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink
@@ -53,13 +51,12 @@ from repro.faults import run_campaign
 from repro.fleet import SerialRunner
 from repro.obs import disable, enable
 from repro.obs.export import export_campaign, chrome_trace, render_bytes
-from repro.rtos.kernel import DtmKernel
 from repro.target.assembler import Assembler
 from repro.target.board import Board, DebugPort
 from repro.target.cpu import Cpu
 from repro.target.memory import RAM_BASE, MemoryMap
 from repro.tracedb import TraceStore, campaign_store_root
-from repro.util.timeunits import ms, sec
+from repro.util.timeunits import sec
 
 WATCHES = 64
 FULL_REPS = 40
@@ -154,19 +151,12 @@ def measure_interp_overhead(iterations: int, reps: int):
     }
 
 
-def measure_export(tmp_dir: str, duration_us: int):
-    """Export throughput over a kernel spill store (modeled-us slices)."""
-    disable()
-    system = traffic_light_system()
-    firmware = generate_firmware(system, InstrumentationPlan.none())
-    store = TraceStore(os.path.join(tmp_dir, "spill"), segment_events=4096)
-    kernel = DtmKernel(system, firmware, record_capacity=256,
-                       record_spill=store)
-    kernel.run(duration_us)
-    store.flush()
+def measure_export(trace_dir: str):
+    """Export throughput over a traced campaign store (modeled-us slices)."""
+    store = TraceStore.open(campaign_store_root(trace_dir))
     events = store.event_count
     start = time.perf_counter()
-    data = render_bytes(chrome_trace(store=store))
+    data = render_bytes(chrome_trace(store))
     wall_s = time.perf_counter() - start
     return {
         "store_events": events,
@@ -206,13 +196,15 @@ def main() -> None:
 
     tmp_dir = tempfile.mkdtemp(prefix="perf_obs_")
     try:
+        overhead = {
+            **measure_poll_overhead(reps),
+            **measure_interp_overhead(iters, INTERP_REPS),
+        }
+        determinism = measure_determinism(tmp_dir, horizon)
         results = {
-            "overhead": {
-                **measure_poll_overhead(reps),
-                **measure_interp_overhead(iters, INTERP_REPS),
-            },
-            "export": measure_export(tmp_dir, sec(30) if quick else sec(120)),
-            "determinism": measure_determinism(tmp_dir, horizon),
+            "overhead": overhead,
+            "export": measure_export(os.path.join(tmp_dir, "a")),
+            "determinism": determinism,
             "quick": quick,
         }
     finally:

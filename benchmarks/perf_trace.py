@@ -3,16 +3,16 @@
 The scoreboard for the spill-to-disk trace subsystem:
 
 * **append events/sec** — wall-clock rate of spilling synthetic trace
-  events through ``ExecutionTrace(capacity=256, spill=TraceStore(...))``
-  (binary codec, segment rotation included);
+  events through ``ExecutionTrace(spill=TraceStore(...))`` (binary
+  codec, segment rotation included);
 * **seek latency** — wall-clock ``ReplayPlayer.seek`` into a stored
   history with checkpoints vs the same seek forced linear, plus the
   *deterministic* ``max_tail_events`` (events actually re-applied after
   restoring the nearest checkpoint — bounded by ``checkpoint_every`` by
   construction, enforced as a FLOORS ceiling);
-* **memory ratio** — tracemalloc peak while recording N vs 4N events at
-  ``capacity=256``: flat-memory means the ratio stays ~1.0 no matter how
-  much history lands on disk;
+* **memory ratio** — tracemalloc peak while spilling N vs 4N events:
+  flat-memory means the ratio stays ~1.0 no matter how much history
+  lands on disk;
 * **merge events/sec** — ``merge_job_stores`` folding a cell-campaign-
   shaped corpus (85 per-job stores, ~32k ``ExecutionTrace`` records,
   default segment size and codec) into one campaign store, in process CPU
@@ -57,7 +57,6 @@ from repro.tracedb import (
 )
 from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS
 
-CAPACITY = 256
 SEGMENT_EVENTS = 4096
 CHECKPOINT_EVERY = 512
 FULL_EVENTS = 50_000
@@ -97,7 +96,7 @@ def synth_event(gdm: GdmModel, i: int):
 
 def record_spilled(root: str, n: int, checkpoint_every=None,
                    prebuild: bool = True) -> tuple:
-    """Record n synthetic events through a spilling ring; returns
+    """Record n synthetic events through a spilling trace; returns
     (store, wall seconds).
 
     ``prebuild`` materializes the event list up front so the timed loop
@@ -108,7 +107,7 @@ def record_spilled(root: str, n: int, checkpoint_every=None,
     gdm = make_gdm()
     store = TraceStore(root, segment_events=SEGMENT_EVENTS, codec="binary",
                        checkpoint_every=checkpoint_every)
-    trace = ExecutionTrace(capacity=CAPACITY, spill=store)
+    trace = ExecutionTrace(spill=store)
     events = ([synth_event(gdm, i) for i in range(n)] if prebuild
               else (synth_event(gdm, i) for i in range(n)))
     start = time.perf_counter()
@@ -116,7 +115,6 @@ def record_spilled(root: str, n: int, checkpoint_every=None,
         trace.record(command, reactions, "REACTING")
     store.flush()
     elapsed = time.perf_counter() - start
-    assert trace.dropped == 0
     return store, elapsed
 
 
@@ -175,7 +173,6 @@ def measure_memory(base: str, n: int) -> dict:
     small = peak_kb(n, "1x")
     large = peak_kb(4 * n, "4x")
     return {
-        "capacity": CAPACITY,
         "events_1x": n,
         "peak_kb_1x": round(small, 1),
         "peak_kb_4x": round(large, 1),
@@ -191,7 +188,7 @@ def build_job_stores(base: str, jobs: int, events_per_job: int) -> list:
     for index in range(jobs):
         root = os.path.join(base, f"job-{index:05d}")
         store = TraceStore(root)
-        trace = ExecutionTrace(capacity=CAPACITY, spill=store)
+        trace = ExecutionTrace(spill=store)
         for i in range(events_per_job):
             command, reactions = synth_event(gdm, index * events_per_job + i)
             trace.record(command, reactions, "REACTING")

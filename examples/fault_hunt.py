@@ -8,7 +8,7 @@ code-level baseline debugger sees for the same fault.
 Run:  python examples/fault_hunt.py
 """
 
-from repro import DebugSession, SourceDebugger, ms, sec, traffic_light_system
+from repro import DebugSession, SourceDebugger, sec, traffic_light_system
 from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,

@@ -55,10 +55,7 @@ from repro.gdm.guide import AbstractionGuide
 from repro.gdm.mapping import MappingRule, MappingTable, default_comdes_table
 from repro.gdm.model import CommandBinding, GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
-from repro.engine.breakpoints import (
-    SignalConditionBreakpoint,
-    StateEntryBreakpoint,
-)
+from repro.engine.breakpoints import StateEntryBreakpoint
 from repro.engine.classify import BugClass, classify_bug
 from repro.engine.engine import DebuggerEngine, EngineState
 from repro.engine.replay import ReplayPlayer
@@ -94,7 +91,7 @@ __all__ = [
     "PatternKind", "PatternSpec", "MappingRule", "MappingTable",
     "default_comdes_table", "AbstractionGuide", "AbstractionEngine",
     "GdmModel", "CommandBinding", "DebuggerEngine", "EngineState",
-    "StateEntryBreakpoint", "SignalConditionBreakpoint",
+    "StateEntryBreakpoint",
     "ReplayPlayer", "TimingDiagram", "DebugSession",
     "CommandSetupDialog",
     "BugClass", "classify_bug",

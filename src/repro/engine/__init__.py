@@ -13,13 +13,7 @@ with system requirements" into bug reports.
 """
 
 from repro.engine.engine import DebuggerEngine, EngineState
-from repro.engine.breakpoints import (
-    BreakpointManager,
-    CommandKindBreakpoint,
-    SignalConditionBreakpoint,
-    StateEntryBreakpoint,
-    TransitionBreakpoint,
-)
+from repro.engine.breakpoints import BreakpointManager, StateEntryBreakpoint
 from repro.engine.stepping import StepController
 from repro.engine.trace import ExecutionTrace, TraceEvent
 from repro.engine.replay import ReplayPlayer
@@ -41,8 +35,7 @@ from repro.engine.session import DebugSession
 
 __all__ = [
     "DebuggerEngine", "EngineState",
-    "BreakpointManager", "StateEntryBreakpoint", "SignalConditionBreakpoint",
-    "CommandKindBreakpoint", "TransitionBreakpoint",
+    "BreakpointManager", "StateEntryBreakpoint",
     "StepController",
     "ExecutionTrace", "TraceEvent",
     "ReplayPlayer",

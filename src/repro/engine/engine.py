@@ -55,12 +55,12 @@ class DebuggerEngine:
                  capture_frames: bool = True,
                  max_frames: Optional[int] = 10_000,
                  trace: Optional[ExecutionTrace] = None) -> None:
-        """``trace`` substitutes a pre-configured trace — typically a
-        spilling ring, ``ExecutionTrace(capacity=N, spill=TraceStore(...))``
-        — for the default unbounded one. When the spill store asks for
-        checkpoints (``checkpoint_every``), the engine captures the
-        model's dynamic state at those seqs while recording, so seeks
-        over the stored history are cheap from the moment the run ends.
+        """``trace`` substitutes a spilling trace,
+        ``ExecutionTrace(spill=TraceStore(...))``, for the default
+        in-memory one. When the spill store asks for checkpoints
+        (``checkpoint_every``), the engine captures the model's dynamic
+        state at those seqs while recording, so seeks over the stored
+        history are cheap from the moment the run ends.
         """
         self.gdm = gdm
         self.channel: Optional[DebugChannel] = None
@@ -72,16 +72,12 @@ class DebuggerEngine:
         self.frames = FrameSequence(max_frames=max_frames) if capture_frames else None
         # Live checkpoints assert "this model state == replay of events
         # [0, seq]". That only holds if every stored event passed through
-        # THIS engine's model — i.e. both the store and the trace were
-        # empty when this engine took over. An engine over a resumed
-        # store, or handed an already-populated trace, never saw the
-        # earlier events; its snapshots would lie to seek, so those
-        # histories checkpoint offline instead.
-        spill = getattr(self.trace, "spill", None)
-        self._live_checkpoints = (
-            spill is not None
-            and getattr(spill, "next_seq", 0) == 0
-            and len(self.trace) == 0)
+        # THIS engine's model — i.e. the store was empty when this engine
+        # took over. An engine over a resumed or already-written store
+        # never saw the earlier events; its snapshots would lie to seek,
+        # so those histories checkpoint offline instead.
+        spill = self.trace.spill
+        self._live_checkpoints = spill is not None and spill.next_seq == 0
         self.commands_processed = 0
         self.commands_while_paused = 0
         #: used by StepController: halt again after N commands (None = free run)

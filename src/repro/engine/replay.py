@@ -5,14 +5,11 @@ associated with a timing diagram." Replay re-animates the debug model from
 a recorded trace — no target needed — with seek and speed control. It is a
 pure function of the trace: replaying twice yields identical frames.
 
-The player accepts anything trace-shaped: a live
+The player accepts anything trace-shaped: an in-memory
 :class:`~repro.engine.trace.ExecutionTrace` or a
 :class:`~repro.tracedb.store.StoredTrace` view over a spill store, which
-replays an arbitrarily long on-disk history at flat memory. Replaying a
-ring-*truncated* trace (events evicted, no spill) raises
-:class:`~repro.errors.TruncatedTraceError` — animating from a mid-history
-event while pretending it is the beginning is a lie; pass
-``allow_truncated=True`` to accept the surviving window with a warning.
+replays an arbitrarily long on-disk history at flat memory. Either is a
+whole record, so replay always starts from the run's first event.
 
 Seek is checkpoint-accelerated when the trace offers checkpoints
 (``nearest_checkpoint``): the model restores the nearest stored snapshot
@@ -22,11 +19,10 @@ O(position) and bit-identical to linear replay at every event boundary.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional
 
 from repro.engine.trace import ExecutionTrace, TraceEvent
-from repro.errors import DebuggerError, TruncatedTraceError
+from repro.errors import DebuggerError
 from repro.gdm.model import GdmModel
 from repro.gdm.reactions import ReactionKind, decay_pulses
 from repro.render.animation import FrameSequence
@@ -36,14 +32,12 @@ class ReplayPlayer:
     """Replays a recorded trace onto a debug model."""
 
     def __init__(self, trace: ExecutionTrace, gdm: GdmModel,
-                 allow_truncated: bool = False,
                  capture_frames: bool = True) -> None:
         """``capture_frames=False`` replays state without recording
         animation frames — O(1) memory for state-only passes over long
         histories (offline checkpoint builds, end-state assertions)."""
         self.trace = trace
         self.gdm = gdm
-        self.allow_truncated = allow_truncated
         self.position = 0
         self.frames = FrameSequence()
         self._active = False
@@ -51,35 +45,7 @@ class ReplayPlayer:
         self._capture_frames = capture_frames  # also cleared during seek tails
 
     def start(self) -> None:
-        """Reset the model's dynamic state and rewind.
-
-        Refuses (or warns, with ``allow_truncated=True``) when the trace
-        is a partial window of a longer history — a ring that evicted
-        events into the void (``dropped > 0``), or the in-memory cache
-        of a spilling ring replayed directly instead of through
-        ``full_history()`` (first surviving seq != 0). Sequence numbers
-        tell the truth about the gap, so replay must too.
-        """
-        dropped = getattr(self.trace, "dropped", 0)
-        # Prefer the O(1) attribute — indexing a StoredTrace here would
-        # decode segment 0 on every seek just to learn it starts at 0.
-        first_seq = getattr(self.trace, "first_seq", None)
-        if first_seq is None:
-            first_seq = self.trace[0].seq if len(self.trace) else 0
-        missing = dropped or first_seq
-        if missing:
-            if not self.allow_truncated:
-                # "the history is in the spill store" is only true advice
-                # when there IS one (a deserialized ring window has
-                # first_seq != 0 and dropped == 0 but nothing on disk)
-                spilled = getattr(self.trace, "spill", None) is not None
-                raise TruncatedTraceError(missing, len(self.trace),
-                                          spilled=spilled)
-            warnings.warn(
-                f"replaying a truncated trace window: {missing} event(s) "
-                f"precede the {len(self.trace)} surviving one(s); replay "
-                f"starts mid-history",
-                stacklevel=2)
+        """Reset the model's dynamic state and rewind."""
         self.gdm.reset_styles()
         self.position = 0
         self.frames = FrameSequence()

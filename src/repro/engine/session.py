@@ -100,18 +100,7 @@ class DebugSession:
                  plan: Optional[InstrumentationPlan] = None,
                  latched: bool = True, net_delay_us: int = 100,
                  baud: int = 115200, poll_period_us: int = 500,
-                 tck_hz: int = 4_000_000,
-                 trace_capacity: Optional[int] = None,
-                 trace_spill: Optional[object] = None) -> None:
-        """``trace_capacity``/``trace_spill`` configure the engine's
-        execution trace: a bounded ring, and/or a
-        :class:`~repro.tracedb.store.TraceStore` the ring spills into so
-        arbitrarily long sessions keep their full history replayable at
-        flat memory (the store's ``checkpoint_every`` additionally turns
-        on live seek checkpoints). A spilling session defaults its ring
-        to :data:`DEFAULT_SPILL_CACHE_EVENTS` — spilling with an
-        unbounded in-memory copy would defeat the flat-memory point.
-        """
+                 tck_hz: int = 4_000_000) -> None:
         if channel_kind not in self.CHANNEL_KINDS:
             raise DebuggerError(
                 f"channel_kind must be one of {self.CHANNEL_KINDS}, "
@@ -131,8 +120,6 @@ class DebugSession:
         self.baud = baud
         self.poll_period_us = poll_period_us
         self.tck_hz = tck_hz
-        self.trace_capacity = trace_capacity
-        self.trace_spill = trace_spill
 
         self.sim = Simulator()
         self.registry = MetamodelRegistry()
@@ -249,18 +236,7 @@ class DebugSession:
                     channel.start()
                     composite.add(channel)
         self.channel = composite
-        trace = None
-        if self.trace_capacity is not None or self.trace_spill is not None:
-            from repro.engine.trace import ExecutionTrace
-            capacity = self.trace_capacity
-            if capacity is None:
-                # spill without a ring would keep an unbounded in-memory
-                # duplicate of the on-disk history (deferred import: a
-                # plain bounded-ring session never loads tracedb)
-                from repro.tracedb.store import DEFAULT_SPILL_CACHE_EVENTS
-                capacity = DEFAULT_SPILL_CACHE_EVENTS
-            trace = ExecutionTrace(capacity=capacity, spill=self.trace_spill)
-        self.engine = DebuggerEngine(self.gdm, channel=composite, trace=trace)
+        self.engine = DebuggerEngine(self.gdm, channel=composite)
         self.stepper = StepController(self.engine)
         self._log(5, (
             f"GDM created and {self.channel_kind} communication established "

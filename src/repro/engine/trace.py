@@ -4,33 +4,24 @@
 the execution trace. The user can then monitor the application's behavior
 via a replay function associated with a timing diagram." (paper §III)
 
-A trace is an append-only sequence of (command, reactions) events with both
-target-side and host-side timestamps. It is serializable, and replay is a
-pure function of it.
+A trace is the whole record of one run: an append-only list of (command,
+reactions) events with both target-side and host-side timestamps, where
+each event's seq is its position. It is serializable, and replay is a pure
+function of it.
 
-By default a trace grows without bound (short sessions, full replay). Long
-campaigns pass ``capacity=N``: the trace becomes a ring buffer keeping the
-newest N events, counting what it evicted in ``dropped`` — memory stays
-flat while sequence numbers keep telling the truth about how much history
-existed.
-
-Pass ``spill=TraceStore(...)`` alongside a capacity and eviction stops
-destroying history: every event is persisted to the store the moment it
-is recorded, the ring becomes a hot in-memory cache of the newest N
-events over the store, and ``dropped`` stays 0 — evicting now only
-discards the cached copy, the authoritative copy is already on disk.
-:meth:`full_history` then hands back a trace-shaped view of the store
-for full replay at flat memory. (Spilling *without* a capacity is
-allowed but keeps the whole history in memory too — the higher layers
-that promise flat memory, ``DebugSession`` and ``DtmKernel``, default a
-bounded cache when a spill store is attached.)
+A long run records through ``ExecutionTrace(spill=TraceStore(...))``
+instead: every event is written through to the store the moment it is
+recorded and none is kept in memory, so the trace list stays empty and
+memory stays flat. :class:`~repro.tracedb.store.StoredTrace` reads the
+spilled history back, trace-shaped, for replay and the timing diagram.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.comm.protocol import Command, CommandKind
+from repro.errors import DebuggerError
 from repro.gdm.reactions import ReactionRecord
 
 
@@ -76,156 +67,66 @@ class TraceEvent:
                 f"@{self.command.t_host}us>")
 
 
-class ExecutionTrace:
-    """Append-only event log with query helpers.
+class ExecutionTrace(list):
+    """The execution record: a list of :class:`TraceEvent`, seq == index.
 
-    ``capacity=None`` (default) keeps everything; ``capacity=N`` keeps the
-    newest N events in a ring buffer and counts evictions in ``dropped``.
-    The ring policy (persist-first, overwrite-at-head, seq-line
-    continuation) lives in :class:`~repro.tracedb.spillring.SpillRing`,
-    shared structurally with :class:`~repro.rtos.kernel.DtmKernel`'s job
-    ring — so the two recorders cannot drift apart by convention.
-    Indexed access stays O(1) — sequential replay over a bounded window
-    is linear, not quadratic.
+    ``spill`` is a :class:`~repro.tracedb.store.TraceStore` that receives
+    every event instead of this list (None: record in memory).
     """
 
-    def __init__(self, capacity: Optional[int] = None,
-                 spill: Optional[object] = None) -> None:
-        # deferred, like DtmKernel's: tracedb's store module defers its
-        # TraceEvent import from *this* module, so a module-level import
-        # here would couple the two packages into a latent import cycle
-        from repro.tracedb.spillring import SpillRing
-        self._ring = SpillRing(capacity, spill)
+    __slots__ = ("spill",)
 
-    @property
-    def capacity(self) -> Optional[int]:
-        """Ring capacity (None: unbounded)."""
-        return self._ring.capacity
-
-    @property
-    def spill(self) -> Optional[object]:
-        """The TraceStore receiving every event (None: in-memory only).
-
-        Read-only delegation to the ring — a second mutable copy here
-        could silently diverge from the recording path.
-        """
-        return self._ring.spill
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted without a spill store (0 while spilling)."""
-        return self._ring.dropped
+    def __init__(self, spill: Optional[object] = None) -> None:
+        super().__init__()
+        self.spill = spill
 
     def record(self, command: Command, reactions: Sequence[ReactionRecord],
                engine_state: str) -> TraceEvent:
-        """Append an event (overwriting the oldest when at capacity).
-
-        With a spill store attached the event is persisted first, so the
-        later ring eviction only drops the in-memory cached copy and
-        ``dropped`` stays 0 — no history is lost.
-        """
-        event = TraceEvent(self._ring.next_seq, command, reactions,
-                           engine_state)
-        self._ring.append(event, encode=TraceEvent.to_dict)
+        """Append an event, or write it through to the spill store."""
+        spill = self.spill
+        if spill is None:
+            event = TraceEvent(len(self), command, reactions, engine_state)
+            self.append(event)
+        else:
+            event = TraceEvent(spill.next_seq, command, reactions,
+                               engine_state)
+            spill.append(event.to_dict())
         return event
-
-    def full_history(self):
-        """The complete trace: this object, or a store-backed view.
-
-        Without a spill store the trace *is* its own full history (and a
-        truncated ring honestly is not — replay guards on ``dropped``).
-        With one, returns a :class:`~repro.tracedb.store.StoredTrace`
-        reading every event ever recorded, at flat memory.
-        """
-        if self.spill is None:
-            return self
-        self.spill.flush()
-        from repro.tracedb.store import StoredTrace
-        return StoredTrace(self.spill)
-
-    @property
-    def first_seq(self) -> int:
-        """Seq of the oldest surviving event — O(1).
-
-        Empty traces report the *next* seq: 0 for a fresh trace, but
-        nonzero for a trace resuming a populated spill store — so the
-        replay truncation guard still fires instead of presenting a
-        500-event store as an empty history.
-        """
-        ring = self._ring
-        if not ring.items:
-            return ring.next_seq
-        return ring.items[ring.head].seq
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._ring)
-
-    def __getitem__(self, index: int) -> TraceEvent:
-        try:
-            return self._ring.at(index)
-        except IndexError:
-            raise IndexError(f"trace index {index} out of range") from None
 
     def events(self, kind: Optional[CommandKind] = None,
                path_prefix: str = "") -> List[TraceEvent]:
         """Events filtered by kind and/or path prefix."""
-        selected: List[TraceEvent] = list(self)
-        if kind is not None:
-            selected = [e for e in selected if e.command.kind is kind]
-        if path_prefix:
-            selected = [e for e in selected
-                        if e.command.path.startswith(path_prefix)]
-        return selected
+        return [e for e in self
+                if (kind is None or e.command.kind is kind)
+                and e.command.path.startswith(path_prefix)]
 
     def duration_us(self) -> int:
         """Host-time span covered by the trace."""
-        if not len(self._ring):
+        if not self:
             return 0
-        return (self[len(self._ring) - 1].command.t_host
-                - self[0].command.t_host)
-
-    def counts_by_path(self) -> Dict[str, int]:
-        """Event count per source path."""
-        counts: Dict[str, int] = {}
-        for event in self._ring.items:  # order-independent: raw storage fine
-            counts[event.command.path] = counts.get(event.command.path, 0) + 1
-        return counts
+        return self[-1].command.t_host - self[0].command.t_host
 
     def mean_latency_us(self) -> Optional[float]:
         """Average host-arrival latency of traced commands."""
-        events = self._ring.items
-        if not events:
+        if not self:
             return None
-        return sum(e.command.latency_us for e in events) / len(events)
+        return sum(e.command.latency_us for e in self) / len(self)
 
     # -- serialization --------------------------------------------------------
 
     def to_dicts(self) -> List[dict]:
-        """Serialize the whole trace (oldest surviving event first)."""
+        """Serialize the whole trace."""
         return [event.to_dict() for event in self]
 
     @classmethod
     def from_dicts(cls, data: Sequence[dict]) -> "ExecutionTrace":
-        """Restore a serialized trace."""
+        """Restore a serialized trace; its seqs must be 0..n-1."""
         trace = cls()
-        for record in data:
-            trace._ring.items.append(TraceEvent.from_dict(record))
-        if trace._ring.items:
-            trace._ring.resume_seq(trace._ring.items[-1].seq + 1)
+        for position, record in enumerate(data):
+            if record["seq"] != position:
+                raise DebuggerError(
+                    f"serialized trace holds seq {record['seq']} at "
+                    f"position {position}; a trace is a whole record "
+                    f"with seqs 0..n-1")
+            trace.append(TraceEvent.from_dict(record))
         return trace
-
-    def save(self, path: str) -> None:
-        """Write the trace to a JSON file (the prototype's trace record)."""
-        import json
-        with open(path, "w") as handle:
-            json.dump(self.to_dicts(), handle)
-
-    @classmethod
-    def load(cls, path: str) -> "ExecutionTrace":
-        """Read a trace previously written by :meth:`save`."""
-        import json
-        with open(path) as handle:
-            return cls.from_dicts(json.load(handle))

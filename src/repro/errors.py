@@ -66,40 +66,6 @@ class DebuggerError(ReproError):
     """The runtime debugger engine or baseline debugger was misused."""
 
 
-class TruncatedTraceError(DebuggerError):
-    """A replay was started over a partial window of a longer history.
-
-    Either the ring buffer evicted :attr:`missing` events into the void
-    (``spilled=False``), or it evicted them into a spill store
-    (``spilled=True``) and the caller replayed the in-memory window
-    instead of ``trace.full_history()``. Both ways, replaying from the
-    oldest *surviving* event would animate from a mid-history state that
-    silently pretends to be the beginning. Opt in with
-    ``allow_truncated=True`` to replay just the surviving window.
-    """
-
-    def __init__(self, missing: int, surviving: int, spilled: bool = False):
-        self.missing = missing
-        self.surviving = surviving
-        self.spilled = spilled
-        if spilled:
-            detail = (f"the {missing} event(s) before the {surviving} "
-                      f"cached one(s) live in the spill store; replay "
-                      f"trace.full_history() instead")
-        else:
-            detail = (f"{missing} event(s) were dropped before the "
-                      f"{surviving} surviving one(s); record with a spill "
-                      f"store to keep history replayable")
-        super().__init__(
-            f"trace is a truncated window: {detail} "
-            f"(or pass allow_truncated=True to replay the window)")
-
-    @property
-    def dropped(self) -> int:
-        """Alias for :attr:`missing` (the pre-spill name)."""
-        return self.missing
-
-
 class TraceStoreError(ReproError):
     """The on-disk trace store was driven illegally or is corrupt."""
 

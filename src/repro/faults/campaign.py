@@ -220,12 +220,7 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
         composite.add(channel)
     model = system_to_model(system)
     gdm = AbstractionEngine(default_comdes_table(model.metamodel)).build(model)
-    if trace_store is not None:
-        from repro.tracedb.store import DEFAULT_SPILL_CACHE_EVENTS
-        trace = ExecutionTrace(capacity=DEFAULT_SPILL_CACHE_EVENTS,
-                               spill=trace_store)
-    else:
-        trace = None
+    trace = ExecutionTrace(spill=trace_store)
     engine = DebuggerEngine(gdm, channel=composite, capture_frames=False,
                             trace=trace)
     suite = monitor_factory()
@@ -261,11 +256,10 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
                         ) -> Tuple[bool, Optional[int], str]:
     """Run GMDF over the faulty target; returns (detected, latency, how).
 
-    With ``trace_store`` the engine records through a spilling ring
-    (``ExecutionTrace`` with the shared
-    :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS` hot cache):
-    the full model-level execution trace lands on disk for post-campaign
-    replay while the in-memory footprint stays flat.
+    With ``trace_store`` the engine writes each trace event through to
+    the store (``ExecutionTrace(spill=trace_store)``): the full
+    model-level execution trace lands on disk for post-campaign replay
+    and none of it stays in memory.
 
     With ``chaos`` (a :class:`~repro.comm.chaos.ChaosConfig`) every
     node's serial transport is wrapped in a

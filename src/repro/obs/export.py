@@ -3,17 +3,15 @@
 Renders a recorded :class:`~repro.tracedb.store.TraceStore` (per-job
 or merged campaign) into the Trace Event JSON format that
 ``chrome://tracing`` and https://ui.perfetto.dev open directly. Every
-stored record becomes a slice (``ph:"X"``): engine trace events on the
-command lane of their job's process, kernel
-:class:`~repro.rtos.task.JobRecord` spills as activation slices on
-their actor's lane. Timestamps are the model's microseconds verbatim —
-the format's ``ts``/``dur`` unit *is* microseconds, so no scaling
-happens and a slice you measure in Perfetto is a modeled cost you can
-assert on in a test. A metrics snapshot, when given, rides along in
-``otherData``.
+stored record is an engine trace event and becomes a slice (``ph:"X"``)
+on the command lane of its job's process. Timestamps are the model's
+microseconds verbatim — the format's ``ts``/``dur`` unit *is*
+microseconds, so no scaling happens and a slice you measure in Perfetto
+is a modeled cost you can assert on in a test. A metrics snapshot,
+when given, rides along in ``otherData``.
 
-Determinism: pid/tid assignment is by sorted lane name (never dict or
-arrival order), events are emitted under a total sort, and the JSON is
+Determinism: pid assignment is by job index (never dict or arrival
+order), events are emitted under a total sort, and the JSON is
 canonical (sorted keys, fixed separators) — so same seed ⇒ byte-identical
 export, which ``BENCH_obs.json``'s determinism fingerprint gates in CI.
 
@@ -51,56 +49,26 @@ def _store_events(store: TraceStore) -> List[Dict[str, Any]]:
 
     Processes are jobs: a merged campaign store's ``job_index``/
     ``job_id`` stamps pick the pid (job_index + 1); a single-session
-    store (no stamps) is pid 1, "session". Within a process, engine
-    command events share the command lane (tid 1) and kernel job
-    records get one lane per actor (tid 2..), so a campaign opens as
-    one row of boards with their activations and commands side by side.
+    store (no stamps) is pid 1, "session". Each process has one lane,
+    the command lane (tid 1), so a campaign opens as one row per job.
     """
     records = list(store.events())
-    # -- canonical pid per job ------------------------------------------
     jobs: Dict[Tuple[int, str], None] = {}
     for rec in records:
         jobs.setdefault((rec.get("job_index", 0),
                          str(rec.get("job_id", "session"))), None)
-    pid_of = {key: key[0] + 1 for key in jobs}
-    # -- canonical tid per lane within each job -------------------------
-    actors: Dict[Tuple[int, str], List[str]] = {}
-    for rec in records:
-        if "actor" in rec:
-            key = (rec.get("job_index", 0),
-                   str(rec.get("job_id", "session")))
-            lane = actors.setdefault(key, [])
-            if rec["actor"] not in lane:
-                lane.append(rec["actor"])
-    tid_of: Dict[Tuple[int, str, str], int] = {}
     events: List[Dict[str, Any]] = []
     for key in sorted(jobs):
-        pid = pid_of[key]
+        pid = key[0] + 1
         events.append(_meta(pid, 0, "process_name", key[1]))
         events.append(_meta(pid, 1, "thread_name", "commands"))
-        for tid, actor in enumerate(sorted(actors.get(key, ())), start=2):
-            tid_of[(key[0], key[1], actor)] = tid
-            events.append(_meta(pid, tid, "thread_name", actor))
     for rec in records:
-        key = (rec.get("job_index", 0), str(rec.get("job_id", "session")))
-        pid = pid_of[key]
-        if "actor" in rec:  # kernel JobRecord spill: an activation slice
-            ts = rec.get("release", rec.get("t_target", 0))
-            done = rec.get("completion")
-            dur = 0 if done is None else done - ts
-            events.append(_slice(
-                pid, tid_of[(key[0], key[1], rec["actor"])],
-                rec["actor"], "activation", ts, dur,
-                {"index": rec.get("index"),
-                 "deadline_abs": rec.get("deadline_abs"),
-                 "skipped": bool(rec.get("skipped", False)),
-                 "seq": rec.get("seq", rec.get("job_seq"))}))
-            continue
         # engine trace event: host observation of one debug command
         ts = rec.get("t_target", 0)
         dur = rec.get("t_host", ts) - ts
         events.append(_slice(
-            pid, 1, f"{rec.get('kind', 'EVENT')} {rec.get('path', '')}",
+            rec.get("job_index", 0) + 1, 1,
+            f"{rec.get('kind', 'EVENT')} {rec.get('path', '')}",
             "command", ts, dur,
             {"value": rec.get("value"),
              "engine_state": rec.get("engine_state"),

@@ -55,12 +55,6 @@ def fault_pc_of(error: Optional[dict]) -> Optional[int]:
 
 
 def _event_line(rec: dict) -> str:
-    if "actor" in rec:  # kernel JobRecord spill
-        status = ("skipped" if rec.get("skipped")
-                  else f"done@{rec.get('completion')}")
-        return (f"  seq={rec.get('seq', rec.get('job_seq')):>6} "
-                f"t={rec.get('release', 0):>9}us  activation "
-                f"{rec['actor']}#{rec.get('index')} {status}")
     return (f"  seq={rec.get('seq', rec.get('job_seq')):>6} "
             f"t={rec.get('t_target', 0):>9}us  {rec.get('kind', 'EVENT'):<12} "
             f"{rec.get('path', '')}={rec.get('value')} "

@@ -75,6 +75,10 @@ class _NodeRuntime:
 class DtmKernel:
     """Executes a COMDES system under Distributed Timed Multitasking.
 
+    Every actor job leaves one :class:`~repro.rtos.task.JobRecord` in
+    :attr:`records`, a plain list holding the whole run: completed jobs
+    at their completion, skipped ones at their release.
+
     Lifetime: the simulator's pending events, the schedulers' active
     jobs, the job hooks and the boards' emit and write hooks all point
     back at the objects that own this kernel, so a finished kernel sits
@@ -92,25 +96,10 @@ class DtmKernel:
         latched: bool = True,
         net_delay_us: int = 100,
         boards: Optional[Dict[str, Board]] = None,
-        record_capacity: Optional[int] = None,
-        record_spill: Optional[object] = None,
     ) -> None:
         """Build one board and scheduler per node of *system*, all on
         one simulator and one signal bus; ``boards`` supplies prebuilt
         boards by node name.
-
-        ``record_capacity`` bounds :attr:`records` to a ring of the
-        newest N entries, mirroring ``ExecutionTrace(capacity=N)``, with
-        evictions counted in :attr:`records_dropped`. ``record_spill``
-        attaches a :class:`~repro.tracedb.store.TraceStore` that
-        receives every :class:`~repro.rtos.task.JobRecord` as it is
-        appended — the ring becomes a hot cache, :attr:`records_dropped`
-        stays 0, and :meth:`spilled_records` streams the full job
-        history back. A spilling kernel with no explicit
-        ``record_capacity`` defaults its ring to
-        :data:`~repro.tracedb.store.DEFAULT_SPILL_CACHE_EVENTS` —
-        spilling while also keeping an unbounded in-memory copy would
-        defeat the flat-memory point.
         """
         self.system = system
         self.firmware = firmware
@@ -123,20 +112,7 @@ class DtmKernel:
         self.bus = SignalBus(self.sim, system.nodes(),
                              system.initial_board(), net_delay_us)
         self.jitter = JitterMeter()
-        if record_capacity is not None and record_capacity <= 0:
-            raise SchedulerError(
-                f"record capacity must be positive, got {record_capacity}")
-        if record_capacity is None and record_spill is not None:
-            # deferred: keep rtos importable without the tracedb package
-            from repro.tracedb.store import DEFAULT_SPILL_CACHE_EVENTS
-            record_capacity = DEFAULT_SPILL_CACHE_EVENTS
-        self.record_capacity = record_capacity
-        # the persist-first/overwrite-at-head policy is the SAME helper
-        # ExecutionTrace uses — structural mirror, not by-convention; job
-        # records go straight into it (with JobRecord.to_dict as the
-        # spill encoder), and the spill store stamps each record's seq
-        from repro.tracedb.spillring import SpillRing
-        self._ring = SpillRing(record_capacity, record_spill)
+        self.records: List[JobRecord] = []
         self.deadline_misses = 0
         self.jobs_skipped = 0
         if OBS.metrics is not None:
@@ -146,7 +122,9 @@ class DtmKernel:
                 "kernel",
                 lambda: {"deadline_misses": self.deadline_misses,
                          "jobs_skipped": self.jobs_skipped,
-                         "records_dropped": self.records_dropped},
+                         # a list drops nothing; the series stays so
+                         # exported metric snapshots keep their keys
+                         "records_dropped": 0},
                 owner=self)
         self._job_index: Dict[str, int] = {name: 0 for name in system.actors}
         # per-actor release plans, resolved once: the release path
@@ -250,9 +228,8 @@ class DtmKernel:
 
         if board.stalled:
             self.jobs_skipped += 1
-            self._ring.append(JobRecord(
-                name, index, now, None, deadline_abs, 0, skipped=True,
-            ), JobRecord.to_dict)
+            self.records.append(JobRecord(
+                name, index, now, None, deadline_abs, 0, skipped=True))
             return
 
         cells = board.memory.cells
@@ -288,7 +265,7 @@ class DtmKernel:
                          t_done: int) -> None:
         record = JobRecord(actor.name, index, release, t_done, deadline_abs,
                            demand_us)
-        self._ring.append(record, JobRecord.to_dict)
+        self.records.append(record)
         if record.missed:
             self.deadline_misses += 1
         if self.latched and not record.missed:
@@ -312,44 +289,7 @@ class DtmKernel:
                         now + load.period_us, load.demand_us)
         runtime.scheduler.release(job)
 
-    # -- records ------------------------------------------------------------
-
-    @property
-    def record_spill(self) -> Optional[object]:
-        """The TraceStore receiving every record (read-only: the ring's)."""
-        return self._ring.spill
-
-    @property
-    def records_dropped(self) -> int:
-        """Records evicted without a spill store (0 while spilling)."""
-        return self._ring.dropped
-
-    @property
-    def records(self) -> List[JobRecord]:
-        """Job records, oldest first (the newest N in ring mode)."""
-        return self._ring.snapshot()
-
-    def spilled_records(self):
-        """Stream the *full* job-record history from the spill store.
-
-        Misconfiguration (no spill store) raises here at the call site,
-        not at first iteration of the returned generator.
-        """
-        if self.record_spill is None:
-            raise SchedulerError("kernel has no record spill store")
-        self.record_spill.flush()
-
-        def _stream():
-            for data in self.record_spill.events():
-                yield JobRecord.from_dict(data)
-
-        return _stream()
-
     # -- queries ------------------------------------------------------------
-
-    def records_for(self, actor_name: str) -> List[JobRecord]:
-        """Completed/skipped job records of one actor."""
-        return [r for r in self.records if r.actor == actor_name]
 
     def signal_value(self, node: str, signal: str) -> int:
         """Current bus view of *signal* on *node*."""

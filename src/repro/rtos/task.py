@@ -62,26 +62,6 @@ class JobRecord:
             return None
         return self.completion - self.release
 
-    def to_dict(self) -> dict:
-        """Serializable form (spill-store records).
-
-        ``t_target`` mirrors the release instant so the store's
-        time-range index prunes job-record segments the same way it
-        prunes trace-event segments.
-        """
-        return {"actor": self.actor, "index": self.index,
-                "release": self.release, "completion": self.completion,
-                "deadline_abs": self.deadline_abs,
-                "demand_us": self.demand_us, "skipped": self.skipped,
-                "t_target": self.release}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobRecord":
-        """Inverse of :meth:`to_dict` (extra store keys ignored)."""
-        return cls(data["actor"], data["index"], data["release"],
-                   data["completion"], data["deadline_abs"],
-                   data["demand_us"], skipped=data["skipped"])
-
     def __repr__(self) -> str:
         status = "skipped" if self.skipped else (
             "MISS" if self.missed else "ok")

@@ -1,11 +1,12 @@
 """``repro.tracedb`` — the spill-to-disk trace store.
 
 The paper's GDM animation "always make[s] a record of the execution
-trace" so behavior can be replayed against a timing diagram (§III). The
-in-memory rings (``ExecutionTrace(capacity=N)``, ``DtmKernel
-(record_capacity=N)``) keep memory flat by *discarding* history; this
-subsystem keeps it flat by **persisting** history instead, so a campaign
-of any length replays in full with ``dropped == 0``.
+trace" so behavior can be replayed against a timing diagram (§III).
+An in-memory :class:`~repro.engine.trace.ExecutionTrace` holds that
+record whole; ``ExecutionTrace(spill=TraceStore(...))`` writes each
+event through to a store on disk instead, so a run of any length keeps
+its whole record at flat memory and replays in full through
+:class:`StoredTrace`.
 
 Store layout
 ============
@@ -35,8 +36,8 @@ Invariants
 * **Contiguous 0-based seq.** ``record["seq"]`` equals the record's
   ordinal position in the store; appends are rejected out of order.
   Consequence: ``StoredTrace[i].seq == i``, and the per-segment index
-  rows ``(first_seq, last_seq, first_t_target, last_t_target, offset)``
-  support exact bisect pruning for seq- and time-range queries.
+  rows (``first_seq``/``last_seq`` and the ``t_target`` extent) prune
+  seq-range reads to the segments that hold them.
 * **Append-only.** Segments are sealed at ``segment_events`` records and
   never rewritten; ``index.json`` is replaced atomically.
 * **Checkpoint semantics.** A checkpoint at seq ``k`` is the model's
@@ -74,10 +75,8 @@ from repro.tracedb.collect import (
 from repro.tracedb.format import CODECS, encode_record
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import SegmentInfo, read_segment
-from repro.tracedb.spillring import SpillRing
 from repro.tracedb.store import (
     DEFAULT_SEGMENT_EVENTS,
-    DEFAULT_SPILL_CACHE_EVENTS,
     StoredTrace,
     TraceStore,
 )
@@ -87,9 +86,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointInfo",
     "DEFAULT_SEGMENT_EVENTS",
-    "DEFAULT_SPILL_CACHE_EVENTS",
     "SegmentInfo",
-    "SpillRing",
     "StoreIndex",
     "StoredTrace",
     "TraceStore",

@@ -2,10 +2,10 @@
 the checkpoints are.
 
 The index is tiny (one row per segment, one per checkpoint) and lives in
-``index.json`` at the store root. Every query starts here: seq-range and
-time-range lookups scan the in-memory rows (cheap — rows, not files)
-and open only the segments that can contain matches; checkpoint lookup
-bisects a sorted key list because it sits on the per-seek hot path.
+``index.json`` at the store root. Every query starts here: seq-range
+lookups scan the in-memory rows (cheap — rows, not files) and open only
+the segments that can contain matches; checkpoint lookup bisects a
+sorted key list because it sits on the per-seek hot path.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class StoreIndex:
         return self._event_count
 
     # -- queries -----------------------------------------------------------
-    # (range pruning itself lives on SegmentInfo.intersects_seq /
-    # intersects_time — TraceStore applies it over sealed + live
-    # segments, which this index cannot see)
+    # (seq-range pruning itself lives on SegmentInfo.intersects_seq —
+    # TraceStore applies it over sealed + live segments, which this
+    # index cannot see)
 
     def nearest_checkpoint(self, seq: int) -> Optional[CheckpointInfo]:
         """The latest checkpoint at or before *seq*, or None."""

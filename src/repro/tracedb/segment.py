@@ -24,10 +24,9 @@ class SegmentInfo:
     """The per-segment index row: seq/time extents and placement.
 
     ``first_t_target``/``last_t_target`` are the **min/max** ``t_target``
-    over the segment's records, not the first/last record's values —
-    time-range pruning must stay correct for non-monotonic streams
-    (merged campaign stores interleave per-job clocks; job-record spills
-    complete out of release order).
+    over the segment's records, not the first/last record's values:
+    merged campaign stores interleave per-job clocks, so the extent of a
+    segment is not its end records'.
     """
 
     __slots__ = ("name", "first_seq", "last_seq", "first_t_target",
@@ -47,11 +46,6 @@ class SegmentInfo:
     def intersects_seq(self, lo: int, hi: int) -> bool:
         """Whether this segment can hold seqs in [lo, hi] (inclusive)."""
         return bool(self.count) and self.last_seq >= lo and self.first_seq <= hi
-
-    def intersects_time(self, t0: int, t1: int) -> bool:
-        """Whether this segment's ``t_target`` extent meets [t0, t1]."""
-        return (bool(self.count) and self.last_t_target >= t0
-                and self.first_t_target <= t1)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "first_seq": self.first_seq,

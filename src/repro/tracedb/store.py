@@ -10,9 +10,8 @@ one directory::
       ckpt/ckpt-...json      model-state checkpoints (seek restart points)
 
 Records are dicts with a mandatory contiguous 0-based ``seq`` (stamped if
-absent) and an optional ``t_target`` used for time-range pruning. The
-query API — :meth:`events`, :meth:`events_between`, :meth:`by_element`,
-:meth:`by_kind` — streams records segment by segment; no call ever
+absent) and an optional ``t_target``. The one query, :meth:`events`,
+streams every record or a seq range segment by segment; it never
 materializes the whole history, so memory stays bounded by one segment
 no matter how long the run was.
 
@@ -43,10 +42,6 @@ from repro.tracedb.segment import (
 
 DEFAULT_SEGMENT_EVENTS = 1024
 DEFAULT_CODEC = "jsonl"
-#: the hot-cache ring size every spilling layer defaults to
-#: (DebugSession, DtmKernel, campaign workers) — one constant, so their
-#: documented "mirrors each other" behavior cannot silently drift
-DEFAULT_SPILL_CACHE_EVENTS = 256
 CKPT_DIR = "ckpt"
 
 
@@ -357,32 +352,6 @@ class TraceStore:
                 if lo <= record["seq"] <= hi:
                     yield record
 
-    def events_between(self, t0: int, t1: int) -> Iterator[dict]:
-        """Stream records with ``t_target`` in [t0, t1] inclusive."""
-        for info in self._all_segments():
-            if not info.intersects_time(t0, t1):
-                continue  # index pruning: segment cannot intersect
-            for record in self.read_segment_records(info):
-                if t0 <= record.get("t_target", 0) <= t1:
-                    yield record
-
-    def by_element(self, element_id: str) -> Iterator[dict]:
-        """Stream records whose reactions touched *element_id* (by GDM
-        element id or by source path)."""
-        for record in self.events():
-            for reaction in record.get("reactions", ()):
-                if element_id in (reaction.get("element"),
-                                  reaction.get("path")):
-                    yield record
-                    break
-
-    def by_kind(self, kind) -> Iterator[dict]:
-        """Stream records of one command kind (enum or name string)."""
-        name = getattr(kind, "name", kind)
-        for record in self.events():
-            if record.get("kind") == name:
-                yield record
-
     def io_stats(self) -> Dict[str, int]:
         """Store I/O books: appends, segment seal/read counts, checkpoints.
 
@@ -410,7 +379,7 @@ class StoredTrace:
 
     Implements the slice of the :class:`~repro.engine.trace.ExecutionTrace`
     API that replay and the timing diagram consume — ``len()``, indexing,
-    iteration, ``dropped`` — decoding at most two segments at a time
+    iteration — decoding at most two segments at a time
     (current + previous), so replaying an arbitrarily long history runs
     at flat memory. ``seq == index`` holds because stores are contiguous
     and 0-based.
@@ -422,8 +391,6 @@ class StoredTrace:
         from repro.engine.trace import TraceEvent  # one-way dependency
         self._event_cls = TraceEvent
         self.store = store
-        self.dropped = 0  # a store never evicts: full history by design
-        self.first_seq = 0  # contiguous 0-based by construction (O(1) guard)
         self._cache: Dict[int, List[dict]] = {}  # segment first_seq -> records
 
     def __len__(self) -> int:

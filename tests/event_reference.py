@@ -175,9 +175,8 @@ def reference_release_actor(self: DtmKernel, actor) -> None:
 
     if runtime.board.stalled:
         self.jobs_skipped += 1
-        self._ring.append(JobRecord(
-            actor.name, index, now, None, deadline_abs, 0, skipped=True,
-        ), JobRecord.to_dict)
+        self.records.append(JobRecord(
+            actor.name, index, now, None, deadline_abs, 0, skipped=True))
         return
 
     for port, signal in actor.inputs.items():

@@ -17,7 +17,6 @@ from repro.comm.protocol import CommandKind
 from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu
-from repro.target.isa import Instr
 from repro.target.memory import MemoryMap, RAM_BASE
 from repro.target.peripherals import Gpio
 

@@ -5,8 +5,6 @@ trickiest codegen paths: scoped symbol naming, per-mode state freezing, and
 recursive phase ordering. Reference interpreter and firmware must agree.
 """
 
-import pytest
-
 from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
 from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comdes.expr import (
-    Binary, Const, Unary, Var,
+    Binary, Unary,
     band, bor, const, eq, ge, gt, le, lnot, lt, maximum, minimum, ne, var,
 )
 from repro.errors import ModelError

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comdes.examples import blinker_machine, traffic_light_machine
-from repro.comdes.expr import const, ge, gt, var
+from repro.comdes.expr import const, gt, var
 from repro.comdes.fsm import Assign, StateMachine, Transition
 from repro.errors import ModelError, ValidationError
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comdes.blocks import (
-    AddFB, ConstantFB, DelayFB, GainFB, SequenceFB, SubFB,
+    AddFB, ConstantFB, DelayFB, GainFB, SequenceFB,
 )
 from repro.comdes.composite import CompositeFB
 from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef

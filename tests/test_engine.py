@@ -6,10 +6,7 @@ from repro.comdes.examples import traffic_light_system
 from repro.comdes.reflect import system_to_model
 from repro.comm.channel import DebugChannel
 from repro.comm.protocol import Command, CommandKind
-from repro.engine.breakpoints import (
-    BreakpointManager, CommandKindBreakpoint, SignalConditionBreakpoint,
-    StateEntryBreakpoint, TransitionBreakpoint,
-)
+from repro.engine.breakpoints import BreakpointManager, StateEntryBreakpoint
 from repro.engine.engine import DebuggerEngine, EngineState
 from repro.engine.replay import ReplayPlayer
 from repro.engine.stepping import StepController
@@ -133,26 +130,6 @@ class TestBreakpoints:
         channel.send(CommandKind.STATE_ENTER, f"{S}GREEN", 1)
         assert hits
 
-    def test_signal_condition_breakpoint(self):
-        engine, channel, _ = make_engine()
-        engine.breakpoints.add(SignalConditionBreakpoint(
-            "signal:light", lambda v: v == 2))
-        channel.send(CommandKind.SIG_UPDATE, "signal:light", 1)
-        assert engine.state is EngineState.WAITING
-        channel.send(CommandKind.SIG_UPDATE, "signal:light", 2)
-        assert engine.state is EngineState.PAUSED
-
-    def test_transition_breakpoint_prefix(self):
-        bp = TransitionBreakpoint("trans:lights.lamp.")
-        assert bp.matches(Command(CommandKind.TRANS_FIRED,
-                                  "trans:lights.lamp.0.RED->GREEN", 0))
-        assert not bp.matches(Command(CommandKind.TRANS_FIRED,
-                                      "trans:other.0.A->B", 0))
-
-    def test_kind_breakpoint(self):
-        bp = CommandKindBreakpoint(CommandKind.TASK_START)
-        assert bp.matches(Command(CommandKind.TASK_START, "actor:x", 0))
-
     def test_disabled_breakpoint_ignored(self):
         engine, channel, _ = make_engine()
         bp = engine.breakpoints.add(StateEntryBreakpoint(f"{S}GREEN"))
@@ -162,23 +139,15 @@ class TestBreakpoints:
 
     def test_hit_counts(self):
         manager = BreakpointManager()
-        bp = manager.add(CommandKindBreakpoint(CommandKind.USER))
-        manager.check(Command(CommandKind.USER, "signal:x", 0))
-        manager.check(Command(CommandKind.USER, "signal:x", 0))
+        bp = manager.add(StateEntryBreakpoint(f"{S}GREEN"))
+        manager.check(Command(CommandKind.STATE_ENTER, f"{S}GREEN", 1))
+        manager.check(Command(CommandKind.STATE_ENTER, f"{S}RED", 0))
+        manager.check(Command(CommandKind.STATE_ENTER, f"{S}GREEN", 1))
         assert bp.hit_count == 2
 
     def test_path_kind_validation(self):
         with pytest.raises(DebuggerError):
             StateEntryBreakpoint("signal:light")
-        with pytest.raises(DebuggerError):
-            SignalConditionBreakpoint("state:a.b.S", lambda v: True)
-        with pytest.raises(DebuggerError):
-            TransitionBreakpoint("state:a.b.S")
-
-    def test_remove_unknown_breakpoint(self):
-        manager = BreakpointManager()
-        with pytest.raises(DebuggerError):
-            manager.remove(CommandKindBreakpoint(CommandKind.USER))
 
 
 class TestStepping:

@@ -12,13 +12,12 @@ from repro.comm.channel import DebugChannel, PassiveChannel, WatchSpec
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.engine import DebuggerEngine
-from repro.engine.session import DebugSession
 from repro.errors import CodegenError
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.mapping import default_comdes_table
 from repro.rtos.kernel import DtmKernel
 from repro.sim.kernel import Simulator
-from repro.target.board import Board, DebugPort
+from repro.target.board import DebugPort
 from repro.util.timeunits import ms
 
 

@@ -58,6 +58,7 @@ from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.mapping import default_comdes_table
 from repro.gdm.model import CommandBinding
 from repro.gdm.reactions import ReactionKind, decay_pulses
+from repro.rtos.task import JobRecord
 from repro.sim.kernel import Simulator
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage, SymbolTable
@@ -348,6 +349,11 @@ _RIGS = {
 }
 
 
+def job_fields(record):
+    """Every field of one kernel job record, for comparison."""
+    return tuple(getattr(record, name) for name in JobRecord.__slots__)
+
+
 def system_run(name):
     """Everything one model-debugger and one code-debugger run show."""
     system_factory, monitors, watches = _RIGS[name]
@@ -356,7 +362,7 @@ def system_run(name):
     kernel, engine, suite = model_debugger_rig(system, firmware, monitors)
     kernel.run(sec(3))
     return {
-        "records": [r.to_dict() for r in kernel.records],
+        "records": [job_fields(r) for r in kernel.records],
         "views": {node: kernel.bus.snapshot(node)
                   for node in kernel.bus.nodes()},
         "jitter": kernel.jitter.export_records(),
@@ -464,7 +470,7 @@ def channel_run(name, fifo_depth, chaos_seed, duration_us, late_after):
         "trace": engine.trace.to_dicts(),
         "transitions": transitions,
         "violations": [(r.t_us, r.message) for r in suite.reports()],
-        "records": [r.to_dict() for r in kernel.records],
+        "records": [job_fields(r) for r in kernel.records],
         "events": (kernel.sim.executed_events, kernel.sim.now),
     }
 

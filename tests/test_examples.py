@@ -3,7 +3,6 @@
 import io
 import os
 import runpy
-import sys
 from contextlib import redirect_stdout
 
 import pytest

@@ -12,7 +12,7 @@ from repro.gdm.mapping import MappingRule, MappingTable, default_comdes_table
 from repro.gdm.metamodel import gdm_metamodel
 from repro.gdm.model import CommandBinding, GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
-from repro.gdm.reactions import ReactionKind, apply_reaction, decay_pulses
+from repro.gdm.reactions import apply_reaction, decay_pulses
 from repro.gdm.scenegen import gdm_to_scene
 from repro.meta.validate import validate_model
 

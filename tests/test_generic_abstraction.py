@@ -6,8 +6,6 @@ reflective API, so it must work on a metamodel it has never seen — here, a
 small UML-ish deployment metamodel with nodes, components and connectors.
 """
 
-import pytest
-
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.engine import DebuggerEngine
 from repro.comm.channel import DebugChannel

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from test_superinstructions import (
     RAM_WORDS,
     RUN_LIMIT,
-    STACK_DEPTH,
     assemble_program,
     build,
     snap,

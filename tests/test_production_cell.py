@@ -1,7 +1,5 @@
 """Tests for the production-cell workload and its safety interlock."""
 
-import pytest
-
 from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
 from repro.comdes.examples import (
     conveyor_machine, press_machine, production_cell_system,
@@ -14,7 +12,7 @@ from repro.experiments.requirements import (
     production_cell_code_watches, production_cell_monitor_suite,
 )
 from repro.faults.design import inject_design_fault
-from repro.util.timeunits import ms, sec
+from repro.util.timeunits import sec
 
 
 class TestModelDynamics:

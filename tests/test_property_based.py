@@ -8,7 +8,6 @@
 * the preemptive scheduler conserves demand.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep

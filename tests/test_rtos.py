@@ -126,7 +126,7 @@ class TestDtmKernel:
         firmware = generate_firmware(system, InstrumentationPlan.none())
         kernel = DtmKernel(system, firmware)
         kernel.run(ms(10) * 10)
-        records = kernel.records_for("blinky")
+        records = [r for r in kernel.records if r.actor == "blinky"]
         assert len(records) == 10
         assert [r.release for r in records] == [ms(10) * i for i in range(10)]
 
@@ -167,7 +167,8 @@ class TestDtmKernel:
         kernel.run(ms(10) * 5)
         # Releases at 0, 10, ..., 50ms inclusive: six skipped jobs.
         assert kernel.jobs_skipped == 6
-        assert all(r.skipped for r in kernel.records_for("blinky"))
+        assert len(kernel.records) == 6
+        assert all(r.actor == "blinky" and r.skipped for r in kernel.records)
 
     def test_deadline_misses_counted(self):
         # A hog with higher priority starves the blinker past its deadline.
@@ -238,31 +239,16 @@ class TestDtmKernel:
         with pytest.raises(SchedulerError):
             kernel.add_job_hook("mars", lambda t_release: None)
 
-    @staticmethod
-    def _traffic_kernel(capacity):
-        system = traffic_light_system()
-        firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel = DtmKernel(system, firmware, sim=Simulator(),
-                           record_capacity=capacity)
-        kernel.run(ms(400))
-        return kernel
-
     def test_unbounded_by_default(self):
-        kernel = self._traffic_kernel(None)
-        assert kernel.records_dropped == 0
-        assert len(kernel.records) > 4
-
-    def test_capacity_above_load_never_drops(self):
-        full = self._traffic_kernel(None)
-        roomy = self._traffic_kernel(len(full.records) + 10)
-        assert roomy.records_dropped == 0
-        assert len(roomy.records) == len(full.records)
-
-    def test_invalid_capacity_rejected(self):
+        # the kernel keeps one record per finished job for the whole run
         system = traffic_light_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        with pytest.raises(SchedulerError, match="capacity"):
-            DtmKernel(system, firmware, record_capacity=0)
+        kernel = DtmKernel(system, firmware, sim=Simulator())
+        kernel.run(ms(400))
+        assert len(kernel.records) > 4
+        for actor in system.actors:
+            indexes = [r.index for r in kernel.records if r.actor == actor]
+            assert indexes == list(range(len(indexes)))
 
 
 class TestJitterMeter:

@@ -29,7 +29,6 @@ from repro.experiments.requirements import (
 from repro.fleet import (
     ElasticScheduler,
     FleetRunner,
-    InlineBackend,
     JobSpec,
     SerialRunner,
     callable_ref,

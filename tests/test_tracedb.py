@@ -1,22 +1,16 @@
 """Unit tests for repro.tracedb: formats, segments, index, store,
-checkpoints, spill wiring into ExecutionTrace / DtmKernel, and the
-ring-truncation replay guard."""
+checkpoints, and spilling an ExecutionTrace through to a store."""
 
 import json
 import os
-import warnings
 
 import pytest
 
-from repro.codegen import InstrumentationPlan
-from repro.codegen.pipeline import generate_firmware
-from repro.comdes.examples import traffic_light_system
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.replay import ReplayPlayer
 from repro.engine.trace import ExecutionTrace
-from repro.errors import TraceStoreError, TruncatedTraceError
+from repro.errors import DebuggerError, TraceStoreError
 from repro.gdm.model import GdmModel
-from repro.rtos.kernel import DtmKernel
 from repro.tracedb import (
     CODECS,
     StoredTrace,
@@ -26,7 +20,6 @@ from repro.tracedb import (
 from repro.tracedb.format import encode_record, read_header, write_header
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import SegmentInfo
-from repro.util.timeunits import ms
 
 
 def cmd(i: int) -> Command:
@@ -145,22 +138,6 @@ class TestStoreAppendAndQuery:
         got = [r["seq"] for r in store.events(seq_range=(25, 34))]
         assert got == list(range(25, 35))
 
-    def test_time_range_query(self, tmp_path):
-        store = make_store(tmp_path, 100, segment_events=10)
-        got = [r["t_target"] for r in store.events_between(200, 290)]
-        assert got == [t * 10 for t in range(20, 30)]
-
-    def test_by_kind_and_by_element(self, tmp_path):
-        store = make_store(tmp_path)
-        store.append({"kind": "SIG_UPDATE", "t_target": 0,
-                      "reactions": [{"element": "el1", "path": "signal:x"}]})
-        store.append({"kind": "STATE_ENTER", "t_target": 5,
-                      "reactions": [{"element": "el2", "path": "state:a"}]})
-        assert len(list(store.by_kind(CommandKind.STATE_ENTER))) == 1
-        assert len(list(store.by_kind("SIG_UPDATE"))) == 1
-        assert [r["seq"] for r in store.by_element("el2")] == [1]
-        assert [r["seq"] for r in store.by_element("signal:x")] == [0]
-
     def test_open_missing_store_is_loud(self, tmp_path):
         with pytest.raises(TraceStoreError):
             TraceStore.open(str(tmp_path / "nothing"))
@@ -216,21 +193,17 @@ class TestIndex:
         assert info.intersects_seq(31, 40) and info.intersects_seq(0, 16)
         assert not info.intersects_seq(0, 15)
         assert not info.intersects_seq(32, 99)
-        assert info.intersects_time(0, 160) and info.intersects_time(310, 999)
-        assert not info.intersects_time(0, 159)
         empty = SegmentInfo("e", 5, 4, 0, 0, 0, 30)
         assert not empty.intersects_seq(0, 99)
-        assert not empty.intersects_time(0, 99)
 
     def test_time_extent_is_min_max_not_first_last(self, tmp_path):
-        # non-monotonic t_target (merged campaign stores, out-of-order
-        # job completions) must not break index pruning
+        # non-monotonic t_target (merged campaign stores interleave
+        # per-job clocks): the index row holds the extent, not the ends
         store = TraceStore(str(tmp_path / "s"), segment_events=10)
         for t in (800, 900, 1000, 0, 100, 200):
             store.append({"t_target": t})
         store.close()
         back = TraceStore.open(store.root)
-        assert [r["t_target"] for r in back.events_between(850, 950)] == [900]
         info = back._index.segments[0]
         assert (info.first_t_target, info.last_t_target) == (0, 1000)
 
@@ -244,7 +217,6 @@ class TestStoredTrace:
             store.append(event.to_dict())
         view = StoredTrace(store)
         assert len(view) == 30
-        assert view.dropped == 0
         assert [e.seq for e in view] == list(range(30))
         assert view[13].to_dict() == ref[13].to_dict()
         assert view[-1].seq == 29
@@ -266,112 +238,35 @@ class TestStoredTrace:
 class TestExecutionTraceSpill:
     def test_spill_keeps_dropped_zero_and_full_history(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), segment_events=32)
-        ring = ExecutionTrace(capacity=8, spill=store)
+        trace = ExecutionTrace(spill=store)
         ref = ExecutionTrace()
-        fill(ring, 200)
+        fill(trace, 200)
         fill(ref, 200)
-        assert ring.dropped == 0
-        assert len(ring) == 8  # hot cache holds the newest 8
-        assert [e.seq for e in ring] == list(range(192, 200))
-        full = ring.full_history()
+        assert len(trace) == 0  # every event went through to the store
+        full = StoredTrace(store)
         assert len(full) == 200
         assert [e.to_dict() for e in full] == ref.to_dicts()
-
-    def test_full_history_without_spill_is_self(self):
-        trace = ExecutionTrace()
-        fill(trace, 5)
-        assert trace.full_history() is trace
 
     def test_unbounded_trace_can_spill_too(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"))
         trace = ExecutionTrace(spill=store)
-        fill(trace, 10)
-        assert len(trace) == 10
-        assert len(trace.full_history()) == 10
-
-
-class TestKernelRecordSpill:
-    def run_kernel(self, tmp_path, capacity, spill):
-        system = traffic_light_system()
-        firmware = generate_firmware(system, InstrumentationPlan.none())
-        store = (TraceStore(str(tmp_path / "jobs"), segment_events=16)
-                 if spill else None)
-        kernel = DtmKernel(system, firmware, record_capacity=capacity,
-                           record_spill=store)
-        kernel.run(ms(3000))
-        return kernel
-
-    def test_spilled_history_superset_of_ring(self, tmp_path):
-        kernel = self.run_kernel(tmp_path, capacity=8, spill=True)
-        assert kernel.records_dropped == 0
-        full = list(kernel.spilled_records())
-        ring = kernel.records
-        assert len(full) > len(ring) == 8
-        tail = full[-8:]
-        assert [(r.actor, r.index, r.release, r.completion) for r in tail] \
-            == [(r.actor, r.index, r.release, r.completion) for r in ring]
-
-    def test_spilled_equals_unbounded_run(self, tmp_path):
-        spilled = self.run_kernel(tmp_path, capacity=8, spill=True)
-        reference = self.run_kernel(tmp_path / "ref", capacity=None,
-                                    spill=False)
-        key = lambda r: (r.actor, r.index, r.release, r.completion,
-                         r.deadline_abs, r.demand_us, r.skipped, r.missed)
-        assert [key(r) for r in spilled.spilled_records()] \
-            == [key(r) for r in reference.records]
-
-    def test_spilled_records_without_store_is_loud(self, tmp_path):
-        kernel = self.run_kernel(tmp_path, capacity=4, spill=False)
-        with pytest.raises(Exception):
-            list(kernel.spilled_records())
+        events = [trace.record(cmd(i), [], "REACTING") for i in range(10)]
+        assert [e.seq for e in events] == list(range(10))
+        assert len(trace) == 0
+        assert len(StoredTrace(store)) == 10
 
 
 class TestTruncatedReplayGuard:
-    def truncated(self):
-        trace = ExecutionTrace(capacity=4)
-        fill(trace, 12)
-        return trace
-
-    def test_replaying_truncated_ring_raises_with_count(self):
-        trace = self.truncated()
-        with pytest.raises(TruncatedTraceError) as err:
-            ReplayPlayer(trace, GdmModel("m")).start()
-        assert err.value.dropped == 8
-        assert err.value.surviving == 4
-        assert "8" in str(err.value)
-
-    def test_allow_truncated_warns_and_replays_window(self):
-        trace = self.truncated()
-        player = ReplayPlayer(trace, GdmModel("m"), allow_truncated=True)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            player.start()
-        assert any("truncated trace window" in str(w.message) for w in caught)
-        assert player.run_to_end() == 4
-
     def test_spilling_ring_full_history_replays_without_guard(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"))
-        trace = ExecutionTrace(capacity=4, spill=store)
+        trace = ExecutionTrace(spill=store)
         fill(trace, 12)
-        player = ReplayPlayer(trace.full_history(), GdmModel("m"))
-        player.start()  # full history starts at seq 0: no guard trips
+        player = ReplayPlayer(StoredTrace(store), GdmModel("m"))
+        player.start()
         assert player.run_to_end() == 12
 
-    def test_spilling_ring_replayed_directly_is_also_guarded(self, tmp_path):
-        # dropped == 0 but the window starts mid-history: the guard must
-        # point the caller at full_history() instead of silently
-        # replaying the cached tail
-        store = TraceStore(str(tmp_path / "s"))
-        trace = ExecutionTrace(capacity=4, spill=store)
-        fill(trace, 20)
-        with pytest.raises(TruncatedTraceError) as err:
-            ReplayPlayer(trace, GdmModel("m")).start()
-        assert err.value.missing == 16
-        assert err.value.spilled
-        assert "full_history" in str(err.value)
-
     def test_untruncated_ring_replays_cleanly(self):
-        trace = ExecutionTrace(capacity=50)
+        trace = ExecutionTrace()
         fill(trace, 12)
         player = ReplayPlayer(trace, GdmModel("m"))
         player.start()
@@ -431,7 +326,6 @@ class TestReviewRegressions:
         index_path = os.path.join(store.root, "index.json")
         before = os.stat(index_path).st_mtime_ns
         list(reader.events())
-        list(reader.events_between(0, 10**9))
         list(reader.events(seq_range=(10, 20)))
         assert os.stat(index_path).st_mtime_ns == before
 
@@ -621,15 +515,15 @@ class TestReviewRegressions:
         assert len(player.frames) == 0  # flat memory for state-only passes
 
     def test_deserialized_window_raises_without_spill_advice(self):
-        # a saved+loaded ring window has dropped == 0 and no spill store:
-        # the guard must not send the caller to a full_history() dead end
-        ring = ExecutionTrace(capacity=4)
-        fill(ring, 10)
-        loaded = ExecutionTrace.from_dicts(ring.to_dicts())
-        with pytest.raises(TruncatedTraceError) as err:
-            ReplayPlayer(loaded, GdmModel("m")).start()
-        assert not err.value.spilled
-        assert "full_history" not in str(err.value)
+        # a trace is a whole record: a serialized window of a longer
+        # history (seqs 6..9) would replay from mid-history, so loading
+        # it is refused
+        trace = ExecutionTrace()
+        fill(trace, 10)
+        with pytest.raises(DebuggerError, match="seqs 0..n-1"):
+            ExecutionTrace.from_dicts(trace.to_dicts()[6:])
+        with pytest.raises(DebuggerError):
+            ExecutionTrace.from_dicts(trace.to_dicts()[:3] * 2)
 
     def test_resumed_engine_never_writes_live_checkpoints(self, tmp_path):
         # run A records 0..N with live checkpoints; run B resumes the
@@ -638,14 +532,14 @@ class TestReviewRegressions:
         from repro.engine.engine import DebuggerEngine
         store = TraceStore(str(tmp_path / "s"), checkpoint_every=4)
         engine_a = DebuggerEngine(
-            GdmModel("a"), trace=ExecutionTrace(capacity=8, spill=store))
+            GdmModel("a"), trace=ExecutionTrace(spill=store))
         assert engine_a._live_checkpoints  # fresh store: snapshots valid
         for i in range(10):
             store.append({"seq": i, "t_target": i})
         store.close()
         resumed = TraceStore.open(str(tmp_path / "s"))
         engine_b = DebuggerEngine(
-            GdmModel("b"), trace=ExecutionTrace(capacity=8, spill=resumed))
+            GdmModel("b"), trace=ExecutionTrace(spill=resumed))
         assert not engine_b._live_checkpoints
 
     def test_engine_over_populated_trace_never_checkpoints(self, tmp_path):
@@ -653,43 +547,22 @@ class TestReviewRegressions:
         # never applied the recorded events, so snapshots would lie
         from repro.engine.engine import DebuggerEngine
         store = TraceStore(str(tmp_path / "s"), checkpoint_every=4)
-        trace = ExecutionTrace(capacity=64, spill=store)
+        trace = ExecutionTrace(spill=store)
         fill(trace, 10)
         assert not DebuggerEngine(GdmModel("b"),
                                   trace=trace)._live_checkpoints
 
-    def test_empty_resumed_ring_still_guarded(self, tmp_path):
-        # a trace resuming a 20-event store but holding nothing yet must
-        # not replay as "empty history"
-        store = TraceStore(str(tmp_path / "s"))
-        first = ExecutionTrace(spill=store)
-        fill(first, 20)
-        store.close()
-        resumed = ExecutionTrace(capacity=8, spill=TraceStore.open(store.root))
-        assert resumed.first_seq == 20
-        with pytest.raises(TruncatedTraceError) as err:
-            ReplayPlayer(resumed, GdmModel("m")).start()
-        assert err.value.missing == 20 and err.value.spilled
-
     def test_resumed_recorder_continues_the_seq_line(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), segment_events=8)
-        first = ExecutionTrace(capacity=4, spill=store)
+        first = ExecutionTrace(spill=store)
         fill(first, 10)
         store.close()
         resumed_store = TraceStore.open(str(tmp_path / "s"))
-        second = ExecutionTrace(capacity=4, spill=resumed_store)
+        second = ExecutionTrace(spill=resumed_store)
         fill(second, 5)
         resumed_store.close()
         assert [r["seq"] for r in TraceStore.open(str(tmp_path / "s")).events()] \
             == list(range(15))
-
-    def test_kernel_spill_defaults_to_bounded_ring(self, tmp_path):
-        from repro.tracedb import DEFAULT_SPILL_CACHE_EVENTS
-        system = traffic_light_system()
-        firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel = DtmKernel(system, firmware,
-                           record_spill=TraceStore(str(tmp_path / "j")))
-        assert kernel.record_capacity == DEFAULT_SPILL_CACHE_EVENTS
 
     def test_seek_leaves_identical_frames_on_both_paths(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), segment_events=32)

@@ -100,25 +100,23 @@ class TestCodecRoundTrip:
 class TestSpillReplayEquivalence:
     @SETTINGS
     @given(choices=st.lists(st.integers(0, 4), min_size=1, max_size=120),
-           capacity=st.integers(1, 16),
            segment_events=st.integers(1, 32),
            codec_name=st.sampled_from(sorted(CODECS)))
     def test_spill_reload_replay_is_bit_identical(self, tmp_path, choices,
-                                                  capacity, segment_events,
-                                                  codec_name):
+                                                  segment_events, codec_name):
         # hypothesis reuses tmp_path across examples: every store (an
         # attach-on-exist resource) needs a fresh root
         root = os.path.join(tempfile.mkdtemp(dir=tmp_path), "store")
         store = TraceStore(root, segment_events=segment_events,
                            codec=codec_name)
-        ring = ExecutionTrace(capacity=capacity, spill=store)
+        spilled = ExecutionTrace(spill=store)
         ref = ExecutionTrace()
         for command, reactions in events_from_choices(choices):
-            ring.record(command, reactions, "REACTING")
+            spilled.record(command, reactions, "REACTING")
             ref.record(command, reactions, "REACTING")
         store.close()
 
-        assert ring.dropped == 0
+        assert len(spilled) == 0
         view = StoredTrace(TraceStore.open(root))
         assert [e.to_dict() for e in view] == ref.to_dicts()
 
@@ -141,8 +139,9 @@ class TestSpillReplayEquivalence:
                                              data):
         root = os.path.join(tempfile.mkdtemp(dir=tmp_path), "store")
         store = TraceStore(root, segment_events=16)
-        ref = ExecutionTrace(spill=store)
+        spilled, ref = ExecutionTrace(spill=store), ExecutionTrace()
         for command, reactions in events_from_choices(choices):
+            spilled.record(command, reactions, "REACTING")
             ref.record(command, reactions, "REACTING")
         build_checkpoints(store, build_gdm(), every=every)
         position = data.draw(st.integers(0, len(choices)))

@@ -4,15 +4,17 @@ and the 50k-event acceptance scenario runs at flat memory."""
 
 import pytest
 
+from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comm.protocol import Command, CommandKind
+from repro.engine.checks import MonitorSuite
 from repro.engine.replay import ReplayPlayer
-from repro.engine.session import DebugSession
 from repro.engine.timing_diagram import TimingDiagram
 from repro.engine.trace import ExecutionTrace
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
 from repro.experiments.workloads import chain_system
+from repro.faults.campaign import model_debugger_rig
 from repro.tracedb import StoredTrace, TraceStore, build_checkpoints
 from repro.util.timeunits import ms
 
@@ -55,35 +57,39 @@ def synth_events(n: int):
     return out
 
 
-def record_pair(tmp_path, n, capacity=256, segment_events=1024,
-                checkpoint_every=None, codec="binary"):
-    """The same event stream into (spilling ring, unbounded reference)."""
+def record_pair(tmp_path, n, segment_events=1024, checkpoint_every=None,
+                codec="binary"):
+    """The same event stream into (spilling trace, in-memory reference)."""
     store = TraceStore(str(tmp_path / "spill"), segment_events=segment_events,
                        codec=codec, checkpoint_every=checkpoint_every)
-    ring = ExecutionTrace(capacity=capacity, spill=store)
+    spilled = ExecutionTrace(spill=store)
     ref = ExecutionTrace()
     for command, reactions in synth_events(n):
-        ring.record(command, reactions, "REACTING")
+        spilled.record(command, reactions, "REACTING")
         ref.record(command, reactions, "REACTING")
-    return ring, ref, store
+    return spilled, ref, store
+
+
+def run_rig(cells, duration_us, trace_store=None):
+    """The campaign's model-debugger rig over a chain system; its engine."""
+    system = chain_system(cells, period_us=ms(2))
+    firmware = generate_firmware(system, InstrumentationPlan())
+    kernel, engine, _ = model_debugger_rig(
+        system, firmware, lambda: MonitorSuite([]), trace_store=trace_store)
+    kernel.run(duration_us)
+    return engine
 
 
 class TestSpilledReplayFidelity:
-    def test_session_spill_equals_in_memory(self, tmp_path):
-        """A real (active-channel) session records the same bytes either way."""
-        reference = DebugSession(chain_system(8, period_us=ms(2)),
-                                 channel_kind="active")
-        reference.setup().run(ms(2) * 60)
-
+    def test_rig_spill_equals_in_memory(self, tmp_path):
+        """A real (active-channel) run records the same bytes either way."""
+        reference = run_rig(8, ms(2) * 60)
         store = TraceStore(str(tmp_path / "s"), segment_events=64)
-        spilling = DebugSession(chain_system(8, period_us=ms(2)),
-                                channel_kind="active",
-                                trace_capacity=32, trace_spill=store)
-        spilling.setup().run(ms(2) * 60)
+        spilling = run_rig(8, ms(2) * 60, trace_store=store)
 
-        assert spilling.trace.dropped == 0
-        assert len(spilling.trace) == 32
-        full = spilling.trace.full_history()
+        assert len(spilling.trace) == 0  # nothing kept in memory
+        full = StoredTrace(store)
+        assert len(full) == len(reference.trace) > 64
         assert [e.to_dict() for e in full] == reference.trace.to_dicts()
 
         p_ref = ReplayPlayer(reference.trace, reference.gdm)
@@ -100,33 +106,19 @@ class TestSpilledReplayFidelity:
         assert (TimingDiagram.from_store(store).render_svg()
                 == TimingDiagram(reference.trace).render_svg())
 
-    def test_session_spill_defaults_to_bounded_cache(self, tmp_path):
-        # spilling without an explicit capacity must not keep an
-        # unbounded in-memory duplicate of the on-disk history
-        from repro.tracedb import DEFAULT_SPILL_CACHE_EVENTS
-        store = TraceStore(str(tmp_path / "s"))
-        session = DebugSession(chain_system(4, period_us=ms(2)),
-                               channel_kind="active", trace_spill=store)
-        session.setup()
-        assert session.engine.trace.capacity == DEFAULT_SPILL_CACHE_EVENTS
-        assert session.engine.trace.spill is store
-
     def test_acceptance_50k_events_flat_memory_bit_identical(self, tmp_path):
-        """The ISSUE acceptance scenario: capacity=256 ring + spill over
-        50k events — dropped == 0, cache bounded at 256, full replay
-        byte-identical to the unbounded in-memory trace."""
+        """50k events spilled through to a store: nothing kept in memory,
+        full replay byte-identical to the in-memory trace."""
         n = 50_000
-        ring, ref, store = record_pair(tmp_path, n, capacity=256,
-                                       segment_events=4096)
-        assert ring.dropped == 0
-        assert len(ring) == 256  # in-memory footprint independent of n
+        spilled, ref, store = record_pair(tmp_path, n, segment_events=4096)
+        assert len(spilled) == 0  # in-memory footprint independent of n
         assert store.event_count == n
 
         gdm_a, gdm_b = synth_gdm(), synth_gdm()
         p_ref = ReplayPlayer(ref, gdm_a)
         p_ref.start()
         assert p_ref.run_to_end() == n
-        p_store = ReplayPlayer(ring.full_history(), gdm_b)
+        p_store = ReplayPlayer(StoredTrace(store), gdm_b)
         p_store.start()
         assert p_store.run_to_end() == n
         assert gdm_a.dynamic_state() == gdm_b.dynamic_state()
@@ -141,7 +133,7 @@ class TestSpilledReplayFidelity:
 class TestCheckpointedSeek:
     def test_seek_equals_linear_at_every_boundary(self, tmp_path):
         n = 300
-        ring, ref, store = record_pair(tmp_path, n, checkpoint_every=None,
+        _, ref, store = record_pair(tmp_path, n, checkpoint_every=None,
                                        segment_events=64)
         gdm = synth_gdm()
         built = build_checkpoints(store, gdm, every=48)
@@ -161,21 +153,18 @@ class TestCheckpointedSeek:
         """The engine's live snapshots match a post-hoc replay build."""
         live_store = TraceStore(str(tmp_path / "live"), segment_events=64,
                                 checkpoint_every=40)
-        session = DebugSession(chain_system(6, period_us=ms(2)),
-                               channel_kind="active",
-                               trace_capacity=32, trace_spill=live_store)
-        session.setup().run(ms(2) * 60)
+        engine = run_rig(6, ms(2) * 60, trace_store=live_store)
 
         offline_store = TraceStore(str(tmp_path / "offline"),
                                    segment_events=64)
         for record in live_store.events():
             offline_store.append(record)
-        build_checkpoints(offline_store, session.gdm, every=40)
+        build_checkpoints(offline_store, engine.gdm, every=40)
 
         live = live_store.checkpoints()
         offline = offline_store.checkpoints()
         assert [c.seq for c in live] == [c.seq for c in offline]
-        assert live, "session too short to checkpoint"
+        assert live, "run too short to checkpoint"
         for info_a, info_b in zip(live, offline):
             a = live_store.nearest_checkpoint(info_a.seq)
             b = offline_store.nearest_checkpoint(info_b.seq)
@@ -184,7 +173,7 @@ class TestCheckpointedSeek:
 
     def test_seek_time_matches_position_seek(self, tmp_path):
         n = 200
-        ring, ref, store = record_pair(tmp_path, n, checkpoint_every=32)
+        _, ref, store = record_pair(tmp_path, n, checkpoint_every=32)
         view = StoredTrace(store)
         gdm = synth_gdm()
         player = ReplayPlayer(view, gdm)
@@ -198,7 +187,7 @@ class TestCheckpointedSeek:
             assert gdm.dynamic_state() == by_time, t
 
     def test_seek_bounds_checked(self, tmp_path):
-        ring, ref, store = record_pair(tmp_path, 10)
+        _, ref, store = record_pair(tmp_path, 10)
         player = ReplayPlayer(StoredTrace(store), synth_gdm())
         from repro.errors import DebuggerError
         with pytest.raises(DebuggerError):
