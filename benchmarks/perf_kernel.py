@@ -20,8 +20,7 @@ counts are recorded too.
 The ``job_garbage`` arm is deterministic rather than timed: with the
 cyclic garbage collector disabled it runs one cruise control job and one
 implementation job whose model run traps (``jump_offby`` seed 1)
-through the campaign path (``run_control_experiment`` /
-``run_fault_experiment``) and records what ``gc.collect()`` finds after
+through the campaign path (``run_fault_experiment``) and records what ``gc.collect()`` finds after
 each. A job whose rig is freed by reference counting leaves only the
 model containment graph ``system_to_model`` builds (~107 objects; ~190
 while every job built its own COMDES metamodel); a rig left in
@@ -29,8 +28,8 @@ reference cycles leaves ~11k.
 
 The ``calls`` arm is deterministic too: it counts the Python-level
 ``call`` events (``sys.setprofile``) of one cruise control job
-(``run_control_experiment``: codegen, the model-debugger run and the
-code-debugger run). The job runs once uncounted first, so per-process
+(``run_fault_experiment`` with ``category="control"``: codegen, the
+model-debugger run and the code-debugger run). The job runs once uncounted first, so per-process
 first-use work (the shared COMDES metamodel, the firmware decode memo)
 is not charged to it. Each task activation and each debug command pays
 a fixed number of calls, so the count tracks the per-event plumbing the
@@ -59,11 +58,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 from repro.codegen import InstrumentationPlan, generate_firmware
 from repro.comdes.examples import cruise_control_system
 from repro.experiments import cruise_code_watches, cruise_monitor_suite
-from repro.faults.campaign import (
-    model_debugger_rig,
-    run_control_experiment,
-    run_fault_experiment,
-)
+from repro.faults.campaign import model_debugger_rig, run_fault_experiment
 from repro.util.timeunits import sec
 
 DURATION_US = sec(3)
@@ -107,19 +102,20 @@ def measure(reps: int):
     }
 
 
+def cruise_job(category: str, kind: str = "", seed: int = 0):
+    """One cruise campaign job, as a campaign runs it."""
+    return run_fault_experiment(
+        cruise_control_system, cruise_monitor_suite, cruise_code_watches(),
+        category, kind, seed, DURATION_US, InstrumentationPlan.full())
+
+
 def job_garbage():
     """Objects the cyclic collector finds after each of two campaign jobs."""
-    plan = InstrumentationPlan.full()
-    watches = cruise_code_watches()
-
     def control():
-        run_control_experiment(cruise_control_system, cruise_monitor_suite,
-                               watches, DURATION_US, plan)
+        cruise_job("control")
 
     def trapping_implementation():
-        outcome = run_fault_experiment(
-            cruise_control_system, cruise_monitor_suite, watches,
-            "implementation", "jump_offby", 1, DURATION_US, plan)
+        outcome = cruise_job("implementation", "jump_offby", 1)
         if outcome.model_how != "crash":
             raise RuntimeError(f"expected a trapping job, got {outcome!r}")
 
@@ -139,14 +135,7 @@ def job_garbage():
 def job_calls():
     """Python calls (``sys.setprofile`` "call" events) of one cruise
     control job, after one uncounted warm-up job."""
-    plan = InstrumentationPlan.full()
-    watches = cruise_code_watches()
-
-    def control():
-        run_control_experiment(cruise_control_system, cruise_monitor_suite,
-                               watches, DURATION_US, plan)
-
-    control()
+    cruise_job("control")
     calls = 0
 
     def count(frame, event, arg):
@@ -156,7 +145,7 @@ def job_calls():
 
     sys.setprofile(count)
     try:
-        control()
+        cruise_job("control")
     finally:
         sys.setprofile(None)
     return {"per_job": calls}

@@ -25,7 +25,7 @@ def test_e9_detection_campaign(benchmark):
     result = run_campaign(
         traffic_light_system,
         traffic_light_monitor_suite,
-        traffic_light_code_watches(),
+        traffic_light_code_watches,
         seeds=(1, 2, 3),
         duration_us=sec(4),
     )

@@ -36,7 +36,7 @@ from repro.util.timeunits import sec
 
 #: sha256 of the committed ``artifacts/obs_campaign.perfetto.json``
 PERFETTO_SHA256 = (
-    "f86cd61e535584f902b83b5b2d72883f789ed438a50717e02a24d996351925a3")
+    "8098db606a801e9c9ee0dbce463339ac81b5a4323fc0c5d9d0120eb8a9a5e2e8")
 #: sha256 of the committed ``artifacts/obs_postmortem.txt``
 POSTMORTEM_SHA256 = (
     "90c6f98951180533c4eebe49cf270d5d035ddc846d9e4c6846cfccedc27f7088")

@@ -142,29 +142,6 @@ class ReplayPlayer:
         self.frames = FrameSequence()
         return applied
 
-    def seek_time(self, t_us: int, use_checkpoints: bool = True) -> int:
-        """Rebuild model state as of host time *t_us* (inclusive).
-
-        Seeks past every event with ``t_host <= t_us`` — binary search
-        over the host timestamps, then a checkpointed seek. Returns the
-        number of events applied.
-
-        Requires non-decreasing ``t_host``, which holds for every trace
-        recorded by one engine (events are traced in arrival order). A
-        *merged campaign store* interleaves per-job clocks that each
-        restart near zero and does not satisfy it — address those per
-        job instead (``store.events(seq_range=...)`` within one
-        ``job_index``).
-        """
-        lo, hi = 0, len(self.trace)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.trace[mid].command.t_host <= t_us:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.seek(lo, use_checkpoints=use_checkpoints)
-
     def highlighted_paths(self) -> List[str]:
         """Source paths of currently highlighted elements (assert helper)."""
         return sorted(

@@ -13,6 +13,10 @@ Detection and detection latency are recorded per fault; aggregation by
 category reproduces the paper's claim that the model debugger's "primary
 job" — design errors — is where it pulls ahead.
 
+A campaign is a list of fleet jobs (:mod:`repro.fleet`): the control
+job (the pristine system, whose detections are false positives), then
+one job per fault. Every job executes :func:`run_fault_experiment`.
+
 Each debugger run builds a fresh rig (simulator, DTM kernel, boards,
 channels, engine, monitors or watchpoints) and ends in
 :func:`_run_and_close`, which closes the kernel and the engine whether
@@ -25,7 +29,7 @@ caller can inspect it after ``kernel.run``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
@@ -56,11 +60,6 @@ from repro.target.firmware import FirmwareImage
 #: code-level watch: (symbol, predicate-or-None, description)
 CodeWatchSpec = Tuple[str, Optional[Callable[[int], bool]], str]
 
-#: watch specs, given directly or as a zero-argument factory (the factory
-#: form is what the process-pool runner ships to workers)
-WatchSpecsInput = Union[Sequence[CodeWatchSpec],
-                        Callable[[], Sequence[CodeWatchSpec]]]
-
 #: memory patches applied over the debug link before the run starts
 MemoryPatches = Sequence[Tuple[int, int]]
 
@@ -68,6 +67,7 @@ MemoryPatches = Sequence[Tuple[int, int]]
 class FaultOutcome:
     """Detection result of one fault under both debuggers.
 
+    ``fault`` is ``None`` for the control job (the pristine system).
     ``classified_as`` carries the differential oracle's verdict
     (:func:`repro.engine.classify.classify_bug`) for faults the model
     debugger detected: ``"design"``, ``"implementation"`` or
@@ -79,7 +79,7 @@ class FaultOutcome:
                  "code_detected", "code_latency_us", "code_how",
                  "classified_as")
 
-    def __init__(self, fault: FaultDescriptor,
+    def __init__(self, fault: Optional[FaultDescriptor],
                  model_detected: bool, model_latency_us: Optional[int],
                  model_how: str,
                  code_detected: bool, code_latency_us: Optional[int],
@@ -94,7 +94,8 @@ class FaultOutcome:
         self.classified_as = classified_as
 
     def __repr__(self) -> str:
-        return (f"<FaultOutcome {self.fault.fault_id} "
+        name = self.fault.fault_id if self.fault is not None else "control"
+        return (f"<FaultOutcome {name} "
                 f"model={'HIT' if self.model_detected else 'miss'} "
                 f"code={'HIT' if self.code_detected else 'miss'}>")
 
@@ -110,9 +111,9 @@ def _debugger_prefix(debugger: str) -> str:
 class CampaignResult:
     """Aggregated campaign outcomes.
 
-    ``failures`` is empty for inline campaigns; a lenient fleet merge
-    (``merge_results(..., strict=False)``) parks its structured
-    worker-side failures there so both code paths return the same shape.
+    ``failures`` is empty unless a lenient merge
+    (``merge_results(..., strict=False)``) dropped failed jobs: it parks
+    their structured worker-side failures there.
     """
 
     def __init__(self, outcomes: Sequence[FaultOutcome],
@@ -308,31 +309,6 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
     return False, None, ""
 
 
-def run_control_experiment(
-    system_factory: Callable[[], System],
-    monitor_factory: Callable[[], MonitorSuite],
-    watch_specs: Sequence[CodeWatchSpec],
-    duration_us: int,
-    plan: InstrumentationPlan,
-    base_firmware: Optional[FirmwareImage] = None,
-    trace_store: Optional[object] = None,
-) -> Tuple[bool, bool]:
-    """Fault-free run under both debuggers; returns detection flags.
-
-    Anything detected here is a false positive. ``trace_store``
-    optionally collects the model debugger's full execution trace.
-    """
-    pristine = system_factory()
-    firmware = (base_firmware if base_firmware is not None
-                else generate_firmware(pristine, plan))
-    detected, _, _ = _run_model_debugger(pristine, firmware,
-                                         monitor_factory, duration_us,
-                                         trace_store=trace_store)
-    code_detected, _, _ = _run_code_debugger(pristine, firmware,
-                                             watch_specs, duration_us)
-    return detected, code_detected
-
-
 def run_fault_experiment(
     system_factory: Callable[[], System],
     monitor_factory: Callable[[], MonitorSuite],
@@ -347,53 +323,43 @@ def run_fault_experiment(
 ) -> Optional[FaultOutcome]:
     """Inject one fault and score it under both debuggers.
 
-    This is the unit of work both the inline loop and the fleet workers
-    execute — one code path, so parallel campaigns reproduce serial
-    results exactly. Returns ``None`` when the injector declines (the
-    kind does not apply to this system). ``base_firmware`` optionally
-    reuses a pre-generated pristine image (implementation faults only;
-    codegen is deterministic, so this is a pure time save).
-    ``trace_store`` collects the model debugger's execution trace.
+    This is the unit of work every campaign job executes
+    (:func:`repro.fleet.worker.run_job`). ``category="control"`` runs
+    the pristine system with no fault: its outcome has ``fault=None``,
+    and anything it detects is a false positive. Returns ``None`` when
+    the injector declines (the kind does not apply to this system).
+    ``base_firmware`` optionally reuses a pre-generated pristine image
+    (every category but design; codegen is deterministic, so this is a
+    pure time save). ``trace_store`` collects the model debugger's
+    execution trace.
     """
+    fault: Optional[FaultDescriptor] = None
+    patches: MemoryPatches = ()
+    chaos = None
+    # the image the differential oracle replays (None: nothing to classify)
+    oracle_fw: Optional[FirmwareImage] = None
     if category == "design":
-        mutant, fault = inject_design_fault(system_factory(), kind, seed)
-        if mutant is None:
+        system, fault = inject_design_fault(system_factory(), kind, seed)
+        if system is None:
             return None
-        firmware = generate_firmware(mutant, plan)
-        model_result = _run_model_debugger(mutant, firmware,
-                                           monitor_factory, duration_us,
-                                           trace_store=trace_store)
-        code_result = _run_code_debugger(mutant, firmware,
-                                         watch_specs, duration_us)
-        verdict = _classify(mutant, firmware, model_result[0])
-        return FaultOutcome(fault, *model_result, *code_result,
-                            classified_as=verdict)
-
+        firmware = oracle_fw = generate_firmware(system, plan)
+    elif category in ("control", "implementation", "comm"):
+        system = system_factory()
+        firmware = (base_firmware if base_firmware is not None
+                    else generate_firmware(system, plan))
+    else:
+        raise FleetError(f"unknown experiment category {category!r}")
     if category == "implementation":
-        base = system_factory()
-        base_fw = (base_firmware if base_firmware is not None
-                   else generate_firmware(base, plan))
-        mutant_fw, fault = inject_implementation_fault(base_fw, kind, seed)
-        if mutant_fw is None:
+        oracle_fw, fault = inject_implementation_fault(firmware, kind, seed)
+        if oracle_fw is None:
             return None
         # Code corruptions stay in the flashed image; data-word
         # corruptions are applied to the live boards over the debug
-        # link (batched BLOCKWRITE) — fault injection over JTAG.
-        run_fw, patches = split_memory_patches(base_fw, mutant_fw)
-        model_result = _run_model_debugger(base, run_fw, monitor_factory,
-                                           duration_us,
-                                           memory_patches=patches,
-                                           trace_store=trace_store)
-        code_result = _run_code_debugger(base, run_fw, watch_specs,
-                                         duration_us,
-                                         memory_patches=patches)
-        # The oracle replays the full mutant image (patches baked in):
-        # a fresh differential board has no debug link to patch over.
-        verdict = _classify(base, mutant_fw, model_result[0])
-        return FaultOutcome(fault, *model_result, *code_result,
-                            classified_as=verdict)
-
-    if category == "comm":
+        # link (batched BLOCKWRITE) — fault injection over JTAG. The
+        # oracle replays the full mutant image (patches baked in): a
+        # fresh differential board has no debug link to patch over.
+        firmware, patches = split_memory_patches(firmware, oracle_fw)
+    elif category == "comm":
         # Pristine system and firmware; the fault lives on the wire the
         # model debugger observes through. The code debugger reads the
         # target directly (no serial hop), so it runs clean — the
@@ -401,21 +367,17 @@ def run_fault_experiment(
         # observability. No differential classification: there is no
         # design or implementation bug to classify.
         from repro.faults.comm import comm_chaos_config, comm_fault_descriptor
-        base = system_factory()
-        base_fw = (base_firmware if base_firmware is not None
-                   else generate_firmware(base, plan))
         fault = comm_fault_descriptor(kind, seed)
         chaos = comm_chaos_config(kind, seed)
-        model_result = _run_model_debugger(base, base_fw, monitor_factory,
-                                           duration_us,
-                                           trace_store=trace_store,
-                                           chaos=chaos)
-        code_result = _run_code_debugger(base, base_fw, watch_specs,
-                                         duration_us)
-        return FaultOutcome(fault, *model_result, *code_result,
-                            classified_as="")
-
-    raise FleetError(f"unknown experiment category {category!r}")
+    model_result = _run_model_debugger(system, firmware, monitor_factory,
+                                       duration_us, memory_patches=patches,
+                                       trace_store=trace_store, chaos=chaos)
+    code_result = _run_code_debugger(system, firmware, watch_specs,
+                                     duration_us, memory_patches=patches)
+    verdict = (_classify(system, oracle_fw, model_result[0])
+               if oracle_fw is not None else "")
+    return FaultOutcome(fault, *model_result, *code_result,
+                        classified_as=verdict)
 
 
 def _classify(system: System, firmware: FirmwareImage,
@@ -425,16 +387,6 @@ def _classify(system: System, firmware: FirmwareImage,
         return ""
     from repro.engine.classify import classify_bug
     return classify_bug(system, firmware, violation_observed=True).verdict.value
-
-
-def _validate_seed_plan(seeds: Sequence[int], master_seed: Optional[int],
-                        seeds_per_kind: Optional[int]) -> None:
-    """One source of truth for the seeds_per_kind/master_seed pairing."""
-    if seeds_per_kind is not None and master_seed is None:
-        raise FleetError(
-            f"seeds_per_kind={seeds_per_kind} needs a master_seed to "
-            f"derive from; without one the campaign would silently fall "
-            f"back to the {len(seeds)} explicit seed(s)")
 
 
 def campaign_seeds(
@@ -454,7 +406,11 @@ def campaign_seeds(
     no two kinds ever reuse a seed, so campaigns enumerate genuinely
     distinct scenarios as they grow.
     """
-    _validate_seed_plan(seeds, master_seed, seeds_per_kind)
+    if seeds_per_kind is not None and master_seed is None:
+        raise FleetError(
+            f"seeds_per_kind={seeds_per_kind} needs a master_seed to "
+            f"derive from; without one the campaign would silently fall "
+            f"back to the {len(seeds)} explicit seed(s)")
     if master_seed is None:
         return seeds
     from repro.fleet.pool import seed_stream  # deferred: cycle via worker
@@ -465,7 +421,7 @@ def campaign_seeds(
 def run_campaign(
     system_factory: Callable[[], System],
     monitor_factory: Callable[[], MonitorSuite],
-    code_watch_specs: WatchSpecsInput,
+    code_watch_specs: Callable[[], Sequence[CodeWatchSpec]],
     design_kinds: Sequence[str] = tuple(DESIGN_FAULT_KINDS),
     impl_kinds: Sequence[str] = tuple(IMPL_FAULT_KINDS),
     comm_kinds: Sequence[str] = (),
@@ -479,78 +435,46 @@ def run_campaign(
 ) -> CampaignResult:
     """Inject faults, run both debuggers on each, aggregate detection.
 
-    With ``runner=None`` experiments run inline, one after another. Pass
-    a :class:`repro.fleet.FleetRunner` (worker processes for scale-out)
-    or a :class:`repro.fleet.SerialRunner` (in-process, the right choice
-    on core-starved hosts) to execute the same corpus through the fleet
-    subsystem, which requires the three factories to be importable
-    module-level callables (``code_watch_specs`` given as a factory,
-    not a list). Every runner is a policy shell over the one FIFO
-    scheduler core (:mod:`repro.fleet.sched`), and all of them produce
-    identical results through the canonical merge — any worker count or
-    completion order is byte-identical to ``SerialRunner`` at the same
-    master seed.
+    The corpus is enumerated as fleet jobs
+    (:func:`repro.fleet.jobs.enumerate_campaign_jobs`: the control job
+    first, then every fault), so the three factories must be importable
+    module-level callables; ``code_watch_specs`` is a zero-argument
+    factory of watch specs. ``runner`` executes the jobs: ``None`` means
+    a :class:`repro.fleet.SerialRunner` (in-process, the right choice
+    on core-starved hosts); a :class:`repro.fleet.FleetRunner` fans them
+    out over worker processes. Every runner is a policy shell over the
+    one FIFO scheduler core (:mod:`repro.fleet.sched`), and the
+    canonical merge makes any worker count or completion order
+    byte-identical to ``SerialRunner`` at the same master seed.
 
     ``comm_kinds`` (off by default) adds the transport-fault plane:
     each kind in :data:`~repro.faults.comm.COMM_FAULT_KINDS` runs the
     pristine system with a seeded
     :class:`~repro.comm.chaos.ChaosLink` degrading the model debugger's
     wire. ``master_seed``/``seeds_per_kind`` switch seed selection to
-    :func:`campaign_seeds` derivation (per-kind deterministic streams).
+    :func:`campaign_seeds` derivation (per-kind deterministic streams);
+    a bad pairing raises during enumeration, before any job runs.
     ``trace_dir`` turns on trace collection: every job spills its model
     debugger's execution trace to a per-job store under that directory
     and the merged, canonically-ordered campaign store comes back as
-    ``CampaignResult.trace_store``. Collection runs through the fleet
-    job path (``runner=None`` falls back to a
-    :class:`~repro.fleet.pool.SerialRunner`), so it needs importable
-    factories too — and serial and parallel campaigns produce
-    byte-identical campaign stores.
+    ``CampaignResult.trace_store``; serial and parallel campaigns
+    produce byte-identical campaign stores.
     """
-    plan = plan if plan is not None else InstrumentationPlan.full()
+    from repro.fleet.jobs import enumerate_campaign_jobs  # deferred: cycle
+    from repro.fleet.merge import merge_results
+    from repro.fleet.pool import SerialRunner
 
-    # argument errors fail before any experiment burns wall-clock (the
-    # control run alone simulates the full duration twice)
-    _validate_seed_plan(seeds, master_seed, seeds_per_kind)
-
+    specs = enumerate_campaign_jobs(
+        system_factory, monitor_factory, code_watch_specs,
+        design_kinds=design_kinds, impl_kinds=impl_kinds, seeds=seeds,
+        duration_us=duration_us,
+        plan=plan if plan is not None else InstrumentationPlan.full(),
+        master_seed=master_seed, seeds_per_kind=seeds_per_kind,
+        trace_dir=trace_dir, comm_kinds=comm_kinds,
+    )
     if trace_dir is not None:
         # fail on a reused trace_dir *now*, not after the whole corpus ran
         from repro.tracedb.collect import ensure_fresh_trace_dir
         ensure_fresh_trace_dir(trace_dir)
-        if runner is None:
-            from repro.fleet.pool import SerialRunner
-            runner = SerialRunner()
-
-    if runner is not None:
-        from repro.fleet.jobs import enumerate_campaign_jobs
-        from repro.fleet.merge import merge_results
-        specs = enumerate_campaign_jobs(
-            system_factory, monitor_factory, code_watch_specs,
-            design_kinds=design_kinds, impl_kinds=impl_kinds, seeds=seeds,
-            duration_us=duration_us, plan=plan,
-            master_seed=master_seed, seeds_per_kind=seeds_per_kind,
-            trace_dir=trace_dir, comm_kinds=comm_kinds,
-        )
-        return merge_results(specs, runner.run(specs), trace_dir=trace_dir)
-
-    watch_specs = (code_watch_specs() if callable(code_watch_specs)
-                   else code_watch_specs)
-    outcomes: List[FaultOutcome] = []
-
-    # Control run: the fault-free system must trigger nothing.
-    detected, code_detected = run_control_experiment(
-        system_factory, monitor_factory, watch_specs, duration_us, plan)
-    false_positives = int(detected) + int(code_detected)
-
-    for category, kinds in (("design", design_kinds),
-                            ("implementation", impl_kinds),
-                            ("comm", comm_kinds)):
-        for kind in kinds:
-            for seed in campaign_seeds(category, kind, seeds,
-                                       master_seed, seeds_per_kind):
-                outcome = run_fault_experiment(
-                    system_factory, monitor_factory, watch_specs,
-                    category, kind, seed, duration_us, plan)
-                if outcome is not None:
-                    outcomes.append(outcome)
-
-    return CampaignResult(outcomes, false_positives)
+    runner = runner if runner is not None else SerialRunner()
+    return merge_results(specs, runner.run(specs), trace_dir=trace_dir)

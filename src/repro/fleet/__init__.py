@@ -16,7 +16,7 @@ Architecture — policy shells around one scheduler core::
                  Inline/Process backends         queue, one job per slot,
                                                  per-job deadlines,
                                                  non-blocking retry
-    worker.py    run_job                         the process entry point
+    worker.py    run_job                         the job entry point
     jobs.py      JobSpec / JobResult             picklable recipes
 
 Both runners hand their specs, in canonical order, to
@@ -31,11 +31,12 @@ The load-bearing design rules:
   coordinates; the worker rebuilds system, firmware and fault locally.
   No live ``Board``, monitor lambda or half-run simulator is ever
   pickled, so results cannot depend on which process ran the job.
-* **Any schedule, one answer.** Workers execute the exact functions the
-  inline serial loop uses and results key on the canonical corpus
-  index — so any worker count or completion order produces a
-  ``CampaignResult`` and campaign trace store byte-identical to
-  ``SerialRunner`` at the same master seed (hypothesis-forced in
+* **One path, one answer.** Every campaign runs through a runner
+  (``run_campaign(runner=None)`` means ``SerialRunner``), every job
+  through ``run_job`` and one experiment function, and results key on
+  the canonical corpus index — so any worker count or completion order
+  produces a ``CampaignResult`` and campaign trace store byte-identical
+  to ``SerialRunner`` at the same master seed (hypothesis-forced in
   ``tests/test_sched.py``).
 * **Failures are data, and they are contained.** A slot holds one job
   at a time, so a crash or deadline kill costs exactly that job; it
@@ -48,7 +49,7 @@ Entry points:
 
 * campaigns — ``run_campaign(..., runner=FleetRunner(workers=4))`` in
   :mod:`repro.faults.campaign`; on a core-starved host keep the default
-  ``SerialRunner`` — process scale-out cannot win there;
+  (``SerialRunner``) — process scale-out cannot win there;
 * scoreboard — ``benchmarks/perf_fleet.py`` (BENCH_fleet.json) tracks
   campaign throughput and parity; ``benchmarks/perf_sched.py``
   (BENCH_sched.json) floors the FIFO queue's speedup over static

@@ -24,7 +24,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.codegen.instrument import InstrumentationPlan
 from repro.errors import FleetError
-from repro.faults.design import FaultDescriptor
 
 #: the control experiment always sits at canonical index 0
 CONTROL_INDEX = 0
@@ -142,10 +141,11 @@ class JobResult:
 
     Exactly one of three shapes:
 
-    * executed — ``model`` and ``code`` hold ``(detected, latency, how)``
-      tuples (``fault`` set for fault jobs, ``None`` for the control);
+    * executed — ``outcome`` holds the job's
+      :class:`~repro.faults.campaign.FaultOutcome` (its ``fault`` is
+      ``None`` for the control job);
     * declined — the injector reported the kind does not apply
-      (``declined=True``, nothing else set);
+      (``outcome`` and ``error`` both ``None``);
     * failed — the worker caught an exception (or died); ``error`` holds
       the structured failure ``{"type", "message", "traceback"}``.
 
@@ -158,27 +158,18 @@ class JobResult:
     a job that succeeded on (or terminally failed after) retry N.
     """
 
-    __slots__ = ("index", "job_id", "fault", "declined", "model", "code",
-                 "classified_as", "error", "worker_pid", "trace_path",
-                 "retries")
+    __slots__ = ("index", "job_id", "outcome", "error", "worker_pid",
+                 "trace_path", "retries")
 
     def __init__(self, index: int, job_id: str,
-                 fault: Optional[FaultDescriptor] = None,
-                 declined: bool = False,
-                 model: Optional[tuple] = None,
-                 code: Optional[tuple] = None,
-                 classified_as: str = "",
+                 outcome: Optional[object] = None,
                  error: Optional[dict] = None,
                  worker_pid: int = 0,
                  trace_path: str = "",
                  retries: int = 0) -> None:
         self.index = index
         self.job_id = job_id
-        self.fault = fault
-        self.declined = declined
-        self.model = model
-        self.code = code
-        self.classified_as = classified_as
+        self.outcome = outcome
         self.error = error
         self.worker_pid = worker_pid
         self.trace_path = trace_path
@@ -188,6 +179,11 @@ class JobResult:
     def failed(self) -> bool:
         """Whether this job died instead of producing a verdict."""
         return self.error is not None
+
+    @property
+    def declined(self) -> bool:
+        """Whether the injector declined the job (the kind does not apply)."""
+        return self.error is None and self.outcome is None
 
     @property
     def status(self) -> str:
@@ -205,8 +201,7 @@ class JobResult:
         elif self.declined:
             status = "declined"
         else:
-            status = (f"model={'HIT' if self.model[0] else 'miss'} "
-                      f"code={'HIT' if self.code[0] else 'miss'}")
+            status = repr(self.outcome)
         return f"<JobResult #{self.index} {self.job_id} {status}>"
 
 
@@ -228,15 +223,14 @@ def enumerate_campaign_jobs(
 
     Enumeration order is the canonical result order: control, then
     design kinds x seeds, then implementation kinds x seeds, then comm
-    (transport-fault) kinds x seeds — exactly the serial loop's order,
-    independent of how jobs are later scheduled. Per-kind
-    seeds come from :func:`~repro.faults.campaign.campaign_seeds`, so
-    derived-seed corpora (``master_seed``) enumerate identically here
-    and inline.
+    (transport-fault) kinds x seeds, independent of how jobs are later
+    scheduled. Per-kind seeds come from
+    :func:`~repro.faults.campaign.campaign_seeds`, which raises on a
+    bad ``master_seed``/``seeds_per_kind`` pairing before any job runs.
     """
     if not callable(watch_factory):
         raise FleetError(
-            "a parallel campaign needs code watches as an importable "
+            "a campaign needs code watches as an importable "
             "zero-argument factory (e.g. traffic_light_code_watches), "
             f"not a pre-built list; got {type(watch_factory).__name__}"
         )

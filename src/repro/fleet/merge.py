@@ -2,9 +2,8 @@
 
 The merge is where "parallel equals serial" is enforced: results arrive
 keyed by their spec's canonical index (enumeration order), declined jobs
-vanish exactly like the serial loop's ``continue``, and the control job
-becomes the false-positive count. Execution order and worker count
-leave no fingerprint on the output.
+vanish, and the control job's outcome becomes the false-positive count.
+Execution order and worker count leave no fingerprint on the output.
 
 Failures are loud by default: a campaign with worker-side failures raises
 :class:`~repro.errors.FleetError` listing every broken job (type, message
@@ -71,13 +70,11 @@ def merge_results(specs: Sequence[JobSpec], results: Sequence[JobResult],
             continue
         if spec.category == "control":
             saw_control = True
-            false_positives = int(result.model[0]) + int(result.code[0])
-            continue
-        if result.declined:
-            continue
-        outcomes.append(FaultOutcome(result.fault, *result.model,
-                                     *result.code,
-                                     classified_as=result.classified_as))
+            control = result.outcome
+            false_positives = (int(control.model_detected)
+                               + int(control.code_detected))
+        elif not result.declined:
+            outcomes.append(result.outcome)
 
     if failures and strict:
         head = failures[:3]

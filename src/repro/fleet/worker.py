@@ -1,21 +1,21 @@
-"""The worker process entry point: run one experiment, return one result.
+"""The job entry point: run one experiment, return one result.
 
-:func:`run_job` is the whole contract between the pool and a worker — a
+:func:`run_job` is the whole contract between a runner and a job — a
 pure function from :class:`~repro.fleet.jobs.JobSpec` to
-:class:`~repro.fleet.jobs.JobResult`. It rebuilds the experiment from the
-spec's declarative refs and executes it through the *same* functions the
-inline campaign loop uses (:func:`~repro.faults.campaign.run_fault_experiment`
-and :func:`~repro.faults.campaign.run_control_experiment`), which is how
-parallel results stay equal to serial ones by construction rather than by
-testing luck.
+:class:`~repro.fleet.jobs.JobResult`. Every campaign job, in process or
+in a worker, runs through it: it rebuilds the experiment from the spec's
+declarative refs and executes
+:func:`~repro.faults.campaign.run_fault_experiment` (the control job
+included), which is how parallel results stay equal to serial ones by
+construction rather than by testing luck.
 
 Worker-side exceptions never escape as pickled tracebacks-of-doom: they
 come back as structured failures (``JobResult.error``) carrying the
 exception type, message and formatted traceback, so a campaign can report
 *which* fault recipe blew up and keep going.
 
-Workers memoize the pristine firmware per ``(system_ref, plan)``: every
-implementation-fault job and the control job start from the same
+Workers memoize the pristine firmware per ``(system_ref, plan)``: the
+control, implementation-fault and comm-fault jobs all start from the same
 deterministic codegen output, so regenerating it per job is pure waste.
 The cache is per-process and read-only shared state (firmware images are
 never mutated after generation; implementation-fault injectors copy the
@@ -30,10 +30,7 @@ import traceback
 from typing import Dict, Tuple
 
 from repro.codegen.pipeline import generate_firmware
-from repro.faults.campaign import (
-    run_control_experiment,
-    run_fault_experiment,
-)
+from repro.faults.campaign import run_fault_experiment
 from repro.fleet.jobs import JobResult, JobSpec, resolve_ref
 from repro.obs.runtime import OBS
 from repro.target.firmware import FirmwareImage
@@ -119,36 +116,14 @@ def _execute(spec: JobSpec) -> JobResult:
     trace_path = trace_store.root if trace_store is not None else ""
 
     try:
-        if spec.category == "control":
-            detected, code_detected = run_control_experiment(
-                system_factory, monitor_factory, watch_specs,
-                spec.duration_us, spec.plan,
-                base_firmware=_base_firmware(spec), trace_store=trace_store)
-            return JobResult(spec.index, spec.job_id,
-                             model=(detected, None, ""),
-                             code=(code_detected, None, ""),
-                             worker_pid=os.getpid(), trace_path=trace_path)
-
-        base_firmware = (_base_firmware(spec)
-                         if spec.category in ("implementation", "comm")
+        base_firmware = (_base_firmware(spec) if spec.category != "design"
                          else None)
         outcome = run_fault_experiment(
             system_factory, monitor_factory, watch_specs,
             spec.category, spec.kind, spec.seed, spec.duration_us, spec.plan,
             base_firmware=base_firmware, trace_store=trace_store)
-        if outcome is None:
-            return JobResult(spec.index, spec.job_id, declined=True,
-                             worker_pid=os.getpid(), trace_path=trace_path)
-        return JobResult(
-            spec.index, spec.job_id, fault=outcome.fault,
-            model=(outcome.model_detected, outcome.model_latency_us,
-                   outcome.model_how),
-            code=(outcome.code_detected, outcome.code_latency_us,
-                  outcome.code_how),
-            classified_as=outcome.classified_as,
-            worker_pid=os.getpid(),
-            trace_path=trace_path,
-        )
+        return JobResult(spec.index, spec.job_id, outcome,
+                         worker_pid=os.getpid(), trace_path=trace_path)
     finally:
         # Seal the store whatever happened: a parent only ever opens
         # complete, index-finalized per-job stores.

@@ -116,8 +116,6 @@ def job_postmortem(result, metrics: Optional[MetricsSnapshot] = None,
     pc = fault_pc_of(error)
     if pc is not None:
         lines.append(f"fault pc   : {pc}")
-    if result.fault is not None:
-        lines.append(f"fault under test: {result.fault!r}")
     lines.append("")
     lines.append(f"last model events (most recent first, tail {tail}):")
     lines.extend(_store_tail(result.trace_path, tail))

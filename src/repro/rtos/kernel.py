@@ -121,10 +121,7 @@ class DtmKernel:
             OBS.metrics.bind_stats(
                 "kernel",
                 lambda: {"deadline_misses": self.deadline_misses,
-                         "jobs_skipped": self.jobs_skipped,
-                         # a list drops nothing; the series stays so
-                         # exported metric snapshots keep their keys
-                         "records_dropped": 0},
+                         "jobs_skipped": self.jobs_skipped},
                 owner=self)
         self._job_index: Dict[str, int] = {name: 0 for name in system.actors}
         # per-actor release plans, resolved once: the release path

@@ -55,13 +55,6 @@ class JobRecord:
         self.skipped = skipped
         self.missed = (completion is not None and completion > deadline_abs)
 
-    @property
-    def response_us(self) -> Optional[int]:
-        """Completion minus release (None for skipped jobs)."""
-        if self.completion is None:
-            return None
-        return self.completion - self.release
-
     def __repr__(self) -> str:
         status = "skipped" if self.skipped else (
             "MISS" if self.missed else "ok")

@@ -36,8 +36,7 @@ Invariants
 * **Contiguous 0-based seq.** ``record["seq"]`` equals the record's
   ordinal position in the store; appends are rejected out of order.
   Consequence: ``StoredTrace[i].seq == i``, and the per-segment index
-  rows (``first_seq``/``last_seq`` and the ``t_target`` extent) prune
-  seq-range reads to the segments that hold them.
+  rows (``first_seq``/``last_seq``) prune seq-range reads to the segments that hold them.
 * **Append-only.** Segments are sealed at ``segment_events`` records and
   never rewritten; ``index.json`` is replaced atomically.
 * **Checkpoint semantics.** A checkpoint at seq ``k`` is the model's

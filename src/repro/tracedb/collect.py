@@ -30,8 +30,7 @@ Every other byte is copied, so the result equals
 "seq": n})`` — the decode/re-encode merge — byte for byte: sorted-key
 output places the three provenance keys exactly there, nested values are
 already canonical, and ``"seq"`` keeps its place because only its value
-changes. Per record the merge only locates those two positions and reads
-the top-level ``t_target`` that the segment index extents need (see
+changes. Per record the merge only locates those two positions (see
 :func:`_splice`). Payloads off the fast path's shape — a key sorting
 among the provenance keys, a nested ``"seq"`` after the top-level one —
 take an exact top-level walk (:func:`_splice_walk`), still without
@@ -49,7 +48,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 from repro.errors import TraceStoreError
 from repro.tracedb.store import DEFAULT_CODEC, DEFAULT_SEGMENT_EVENTS, TraceStore
@@ -105,9 +104,8 @@ class _Stamp(NamedTuple):
                    f'{id_item},{index_item},"job_seq":')
 
 
-def _splice(line: str, position: int, seq: int,
-            stamp: _Stamp) -> Tuple[str, object]:
-    """The campaign payload of one per-job payload, and its ``t_target``.
+def _splice(line: str, position: int, seq: int, stamp: _Stamp) -> str:
+    """The campaign payload of one per-job payload.
 
     *line* is the canonical per-job record at *position* in its job
     store. Fast path: walk the top-level keys up to the first one at or
@@ -148,17 +146,16 @@ def _splice(line: str, position: int, seq: int,
     job_seq = str(position)
     start = cut + len(_SEQ_TOKEN)
     return (f"{line[:at]}{stamp.prefix}{job_seq},{line[at:start]}{seq}"
-            f"{line[start + len(job_seq):]}", tail.get("t_target", 0))
+            f"{line[start + len(job_seq):]}")
 
 
-def _splice_walk(line: str, position: int, seq: int,
-                 stamp: _Stamp) -> Tuple[str, object]:
+def _splice_walk(line: str, position: int, seq: int, stamp: _Stamp) -> str:
     """:func:`_splice` by walking every top-level item: the raw item
     texts (``"seq"`` rewritten) plus the three provenance items, joined
     in key order — what ``sort_keys`` would emit."""
     items = [("job_id", stamp.id_item), ("job_index", stamp.index_item),
              ("job_seq", f'"job_seq":{position}')]
-    record_seq, t_target = None, 0
+    record_seq = None
     try:
         at = 1
         while line[at] == '"':
@@ -173,8 +170,6 @@ def _splice_walk(line: str, position: int, seq: int,
                 items.append((key, f'"seq":{seq}'))
             else:
                 items.append((key, line[at:stop]))
-                if key == "t_target":
-                    t_target = value
             if line[stop] == "}":
                 break
             if line[stop] != ",":
@@ -189,7 +184,7 @@ def _splice_walk(line: str, position: int, seq: int,
             f"a canonical JSON object ({exc!r})") from None
     _check_seq(record_seq, position, stamp)
     items.sort()
-    return "{" + ",".join(text for _, text in items) + "}", t_target
+    return "{" + ",".join(text for _, text in items) + "}"
 
 
 def _check_seq(record_seq, position: int, stamp: _Stamp) -> None:
@@ -233,9 +228,8 @@ def merge_job_stores(results: Sequence[object], dest_root: str,
             stamp = _Stamp.of(result.job_id, result.index)
             source = TraceStore.open(path)
             for position, payload in enumerate(source._payloads()):
-                line, t_target = _splice(payload.decode("utf-8"), position,
-                                         seq, stamp)
-                dest._append_payload(seq, t_target, line.encode("utf-8"))
+                line = _splice(payload.decode("utf-8"), position, seq, stamp)
+                dest._append_payload(seq, line.encode("utf-8"))
                 seq += 1
     except BaseException:
         if dest._writer is not None:  # close, but never index, a refused merge

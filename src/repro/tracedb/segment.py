@@ -14,32 +14,22 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import TraceStoreError
 from repro.tracedb.format import encode_record, read_header, write_header
 
 
 class SegmentInfo:
-    """The per-segment index row: seq/time extents and placement.
+    """The per-segment index row: seq extent and placement."""
 
-    ``first_t_target``/``last_t_target`` are the **min/max** ``t_target``
-    over the segment's records, not the first/last record's values:
-    merged campaign stores interleave per-job clocks, so the extent of a
-    segment is not its end records'.
-    """
-
-    __slots__ = ("name", "first_seq", "last_seq", "first_t_target",
-                 "last_t_target", "count", "byte_size")
+    __slots__ = ("name", "first_seq", "last_seq", "count", "byte_size")
 
     def __init__(self, name: str, first_seq: int, last_seq: int,
-                 first_t_target: int, last_t_target: int,
                  count: int, byte_size: int) -> None:
         self.name = name
         self.first_seq = first_seq
         self.last_seq = last_seq
-        self.first_t_target = first_t_target
-        self.last_t_target = last_t_target
         self.count = count
         self.byte_size = byte_size
 
@@ -50,14 +40,11 @@ class SegmentInfo:
     def to_dict(self) -> dict:
         return {"name": self.name, "first_seq": self.first_seq,
                 "last_seq": self.last_seq,
-                "first_t_target": self.first_t_target,
-                "last_t_target": self.last_t_target,
                 "count": self.count, "byte_size": self.byte_size}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SegmentInfo":
         return cls(data["name"], data["first_seq"], data["last_seq"],
-                   data["first_t_target"], data["last_t_target"],
                    data["count"], data["byte_size"])
 
     def __repr__(self) -> str:
@@ -74,28 +61,20 @@ class SegmentWriter:
         self.codec = codec
         self.first_seq = first_seq
         self.last_seq = first_seq - 1
-        self.first_t_target: Optional[int] = None
-        self.last_t_target = 0
         self.count = 0
         self._fh = open(self.path, "wb")
         self.byte_size = write_header(self._fh, codec.name)
 
     def append(self, record: dict) -> None:
         """Encode and write one record (caller guarantees seq order)."""
-        self.append_payload(record["seq"], record.get("t_target", 0),
-                            encode_record(record))
+        self.append_payload(record["seq"], encode_record(record))
 
-    def append_payload(self, seq: int, t_target, payload: bytes) -> None:
+    def append_payload(self, seq: int, payload: bytes) -> None:
         """Write one record given as its canonical payload — the one
-        segment write path. *seq* and *t_target* are the payload's own
-        top-level values; the caller guarantees seq order."""
+        segment write path. *seq* is the payload's own top-level seq;
+        the caller guarantees seq order."""
         if self._fh is None:
             raise TraceStoreError(f"segment {self.name} is closed")
-        if self.first_t_target is None:
-            self.first_t_target = self.last_t_target = t_target
-        else:
-            self.first_t_target = min(self.first_t_target, t_target)
-            self.last_t_target = max(self.last_t_target, t_target)
         self.last_seq = seq
         self.count += 1
         framed = self.codec.frame(payload)
@@ -110,7 +89,6 @@ class SegmentWriter:
     def info(self) -> SegmentInfo:
         """The current index row (valid for live and closed segments)."""
         return SegmentInfo(self.name, self.first_seq, self.last_seq,
-                           self.first_t_target or 0, self.last_t_target,
                            self.count, self.byte_size)
 
     def close(self) -> SegmentInfo:

@@ -10,7 +10,7 @@ one directory::
       ckpt/ckpt-...json      model-state checkpoints (seek restart points)
 
 Records are dicts with a mandatory contiguous 0-based ``seq`` (stamped if
-absent) and an optional ``t_target``. The one query, :meth:`events`,
+absent). The one query, :meth:`events`,
 streams every record or a seq range segment by segment; it never
 materializes the whole history, so memory stays bounded by one segment
 no matter how long the run was.
@@ -220,18 +220,17 @@ class TraceStore:
             raise TraceStoreError(
                 f"out-of-order append: record seq {seq}, store expects "
                 f"{expected} (stores are contiguous and 0-based)")
-        self._append_payload(seq, record.get("t_target", 0),
-                             encode_record(record))
+        self._append_payload(seq, encode_record(record))
         return seq
 
-    def _append_payload(self, seq: int, t_target, payload: bytes) -> None:
+    def _append_payload(self, seq: int, payload: bytes) -> None:
         """Write one canonical payload as record *seq* (the caller has
         checked that *seq* is :attr:`next_seq`); shared by :meth:`append`
         and the campaign merge, which splices payloads without decoding."""
         if self._writer is None:
             self._writer = SegmentWriter(
                 self.root, f"seg-{seq:012d}.trc", self.codec, seq)
-        self._writer.append_payload(seq, t_target, payload)
+        self._writer.append_payload(seq, payload)
         self.appends += 1
         if self._writer.count >= self.segment_events:
             self._rotate()

@@ -142,7 +142,7 @@ class TestCampaign:
         return run_campaign(
             traffic_light_system,
             traffic_light_monitor_suite,
-            traffic_light_code_watches(),
+            traffic_light_code_watches,
             design_kinds=("wrong_target", "remove_transition", "wrong_initial"),
             impl_kinds=("inverted_branch", "store_drop"),
             seeds=(1, 2),
@@ -195,7 +195,7 @@ class TestCampaign:
         result = run_campaign(
             traffic_light_system,
             traffic_light_monitor_suite,
-            traffic_light_code_watches(),
+            traffic_light_code_watches,
             design_kinds=("wrong_target",),
             impl_kinds=("inverted_branch",),
             seeds=(1,),

@@ -136,12 +136,36 @@ class TestEnumeration:
                     InstrumentationPlan.full())
 
 
+class TestOnePath:
+    """Every campaign runs its jobs through ``run_job``, runner or not."""
+
+    @pytest.mark.parametrize("collect_traces", [False, True])
+    def test_default_runner_runs_every_spec_through_run_job_once(
+            self, monkeypatch, tmp_path, collect_traces):
+        ran = []
+
+        def spy(spec):
+            ran.append(spec.job_id)
+            return run_job(spec)
+
+        # SerialRunner dispatches through the pool module's binding
+        monkeypatch.setattr("repro.fleet.pool.run_job", spy)
+        trace_dir = str(tmp_path / "traces") if collect_traces else None
+        result = run_campaign(
+            traffic_light_system, traffic_light_monitor_suite,
+            traffic_light_code_watches, trace_dir=trace_dir, **CAMPAIGN_KW)
+        assert ran == [spec.job_id for spec in small_specs()]
+        assert ran[0] == "control"
+        assert len(result.outcomes) == len(ran) - 1
+        assert (result.trace_store is not None) == collect_traces
+
+
 class TestCampaignParity:
     @pytest.fixture(scope="class")
     def inline_result(self):
-        return run_campaign(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches(), **CAMPAIGN_KW)
+        """The corpus run one job after another, with no scheduler."""
+        specs = small_specs()
+        return merge_results(specs, [run_job(spec) for spec in specs])
 
     def test_serial_runner_equals_inline(self, inline_result):
         serial = run_campaign(
@@ -270,7 +294,7 @@ class TestStructuredFailures:
     def test_inline_result_has_empty_failures(self):
         result = run_campaign(
             traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches(), design_kinds=("wrong_target",),
+            traffic_light_code_watches, design_kinds=("wrong_target",),
             impl_kinds=(), seeds=(1,), duration_us=sec(1))
         assert result.failures == []
 

@@ -23,7 +23,6 @@ from repro.faults import run_campaign
 from repro.fleet import (
     FleetRunner,
     JobSpec,
-    SerialRunner,
     callable_ref,
     enumerate_campaign_jobs,
 )
@@ -150,7 +149,7 @@ class TestCommCorpus:
     def test_comm_campaign_runs_and_summarizes(self):
         result = run_campaign(
             traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches(), **self.CAMPAIGN_KW)
+            traffic_light_code_watches, **self.CAMPAIGN_KW)
         assert len(result.outcomes) == 4
         assert all(o.fault.category == "comm" for o in result.outcomes)
         assert all(o.classified_as == "" for o in result.outcomes)
@@ -162,24 +161,11 @@ class TestCommCorpus:
         def fingerprint():
             result = run_campaign(
                 traffic_light_system, traffic_light_monitor_suite,
-                traffic_light_code_watches(), **self.CAMPAIGN_KW)
+                traffic_light_code_watches, **self.CAMPAIGN_KW)
             return [(o.fault.fault_id, o.model_detected, o.model_latency_us,
                      o.model_how, o.code_detected) for o in result.outcomes]
 
         assert fingerprint() == fingerprint()
-
-    def test_serial_runner_matches_inline(self):
-        inline = run_campaign(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches(), **self.CAMPAIGN_KW)
-        through_fleet = run_campaign(
-            traffic_light_system, traffic_light_monitor_suite,
-            traffic_light_code_watches, runner=SerialRunner(),
-            **self.CAMPAIGN_KW)
-        key = lambda r: [(o.fault.fault_id, o.model_detected,
-                          o.model_latency_us, o.code_detected)
-                         for o in r.outcomes]
-        assert key(inline) == key(through_fleet)
 
     def test_unknown_comm_kind_is_a_structured_error(self):
         from repro.faults.comm import comm_chaos_config

@@ -33,7 +33,7 @@ from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults.campaign import run_control_experiment, run_fault_experiment
+from repro.faults.campaign import run_fault_experiment
 from repro.meta.model import ModelObject
 from repro.tracedb.store import TraceStore
 from repro.util.timeunits import sec
@@ -111,8 +111,8 @@ def jobs(name):
 
     ran = lambda outcome: outcome is not None
     return [
-        ("control", lambda: run_control_experiment(
-            system, monitors, specs, DURATION_US, plan), lambda flags: True),
+        ("control", fault("control", "", 0),
+         lambda outcome: outcome.fault is None),
         ("design", fault("design", "wrong_target", 1), ran),
         ("implementation", fault("implementation", "inverted_branch", 1), ran),
         ("implementation-trap", fault("implementation", trap_kind, trap_seed),
@@ -136,9 +136,9 @@ def test_traced_job_frees_its_rigs(tmp_path):
 
     def job():
         try:
-            return run_control_experiment(
+            return run_fault_experiment(
                 cruise_control_system, cruise_monitor_suite,
-                cruise_code_watches(), DURATION_US,
+                cruise_code_watches(), "control", "", 0, DURATION_US,
                 InstrumentationPlan.full(), trace_store=store)
         finally:
             store.close()

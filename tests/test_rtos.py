@@ -286,13 +286,11 @@ class TestJobRecord:
         record = JobRecord("a", 0, release=0, completion=150,
                            deadline_abs=100, demand_us=150)
         assert record.missed
-        assert record.response_us == 150
 
     def test_skipped_record(self):
         record = JobRecord("a", 0, release=0, completion=None,
                            deadline_abs=100, demand_us=0, skipped=True)
         assert record.skipped and not record.missed
-        assert record.response_us is None
 
     def test_load_task_validation(self):
         with pytest.raises(SchedulerError):

@@ -154,7 +154,7 @@ class TestStoreAppendAndQuery:
 class TestIndex:
     def seg(self, first, count):
         return SegmentInfo(f"seg-{first:012d}.trc", first, first + count - 1,
-                           first * 10, (first + count - 1) * 10, count, 100)
+                           count, 100)
 
     def test_gap_rejected(self):
         index = StoreIndex("jsonl", 16)
@@ -189,23 +189,12 @@ class TestIndex:
         assert index.nearest_checkpoint(500).seq == 29
 
     def test_segment_intersection_predicates(self):
-        info = self.seg(16, 16)  # seqs 16..31, t_target 160..310
+        info = self.seg(16, 16)  # seqs 16..31
         assert info.intersects_seq(31, 40) and info.intersects_seq(0, 16)
         assert not info.intersects_seq(0, 15)
         assert not info.intersects_seq(32, 99)
-        empty = SegmentInfo("e", 5, 4, 0, 0, 0, 30)
+        empty = SegmentInfo("e", 5, 4, 0, 30)
         assert not empty.intersects_seq(0, 99)
-
-    def test_time_extent_is_min_max_not_first_last(self, tmp_path):
-        # non-monotonic t_target (merged campaign stores interleave
-        # per-job clocks): the index row holds the extent, not the ends
-        store = TraceStore(str(tmp_path / "s"), segment_events=10)
-        for t in (800, 900, 1000, 0, 100, 200):
-            store.append({"t_target": t})
-        store.close()
-        back = TraceStore.open(store.root)
-        info = back._index.segments[0]
-        assert (info.first_t_target, info.last_t_target) == (0, 1000)
 
 
 class TestStoredTrace:

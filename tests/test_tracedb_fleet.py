@@ -97,10 +97,6 @@ class TestCampaignTraceCollection:
         assert key(result) == key(bare)
         assert bare.trace_store is None
 
-    def test_trace_dir_without_runner_falls_back_to_serial(self, tmp_path):
-        result, _ = collect(tmp_path, "inline", None)
-        assert result.trace_store is not None
-
     def test_failed_job_result_still_points_at_its_trace(self, tmp_path):
         # a job that dies mid-experiment leaves a sealed store; the
         # failure result must reference it for the post-mortem

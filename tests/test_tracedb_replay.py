@@ -171,21 +171,6 @@ class TestCheckpointedSeek:
             assert a.payload == b.payload
             assert a.t_host == b.t_host
 
-    def test_seek_time_matches_position_seek(self, tmp_path):
-        n = 200
-        _, ref, store = record_pair(tmp_path, n, checkpoint_every=32)
-        view = StoredTrace(store)
-        gdm = synth_gdm()
-        player = ReplayPlayer(view, gdm)
-        for t in (-1, 0, 13, 500, 698, 699, 700, 10**9):
-            player.seek_time(t)
-            by_time = gdm.dynamic_state()
-            expected_pos = sum(1 for c, _ in synth_events(n)
-                               if c.t_host <= t)
-            assert player.position == expected_pos, t
-            player.seek(expected_pos, use_checkpoints=False)
-            assert gdm.dynamic_state() == by_time, t
-
     def test_seek_bounds_checked(self, tmp_path):
         _, ref, store = record_pair(tmp_path, 10)
         player = ReplayPlayer(StoredTrace(store), synth_gdm())
