@@ -12,20 +12,10 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.comdes.blocks import (
-    AbsFB,
-    AddFB,
-    CompareFB,
-    ConstantFB,
-    CounterFB,
     DelayFB,
-    EdgeDetectFB,
-    EmaFB,
     FunctionBlock,
     GainFB,
     IntegratorFB,
-    LimiterFB,
-    MulFB,
-    MuxFB,
     PiFB,
     SequenceFB,
     StateMachineFB,
@@ -40,9 +30,6 @@ from repro.comm.protocol import CommandKind
 from repro.errors import CodegenError
 from repro.target.assembler import Assembler
 from repro.target.firmware import SymbolTable
-
-_COMPARE_OPCODE = {"eq": "EQ", "ne": "NE", "lt": "LT",
-                   "le": "LE", "gt": "GT", "ge": "GE"}
 
 
 class PathRegistry:
@@ -235,14 +222,6 @@ class NetworkCodegen:
                       init=block.init)
         elif isinstance(block, PiFB):
             ctx.alloc(self.state_symbol(block.name, "acc"), "state")
-        elif isinstance(block, EmaFB):
-            ctx.alloc(self.state_symbol(block.name, "avg"), "state",
-                      init=block.init)
-        elif isinstance(block, CounterFB):
-            ctx.alloc(self.state_symbol(block.name, "count"), "state")
-            ctx.alloc(self.state_symbol(block.name, "prev"), "state")
-        elif isinstance(block, EdgeDetectFB):
-            ctx.alloc(self.state_symbol(block.name, "prev"), "state")
 
     # -- emission pass ----------------------------------------------------
 
@@ -265,10 +244,7 @@ class NetworkCodegen:
         asm = self.ctx.asm
         src = f"block:{self.actor_name}.{self.block_scope(block)}"
         y_addr = self._addr(self.port_symbol(block.name, "y"))
-        if isinstance(block, ConstantFB):
-            asm.emit("PUSH", block.value, src_path=src)
-            asm.emit("STORE", y_addr, src_path=src)
-        elif isinstance(block, DelayFB):
+        if isinstance(block, DelayFB):
             asm.emit("LOAD", self._addr(self.state_symbol(block.name, "z")),
                      src_path=src)
             asm.emit("STORE", y_addr, src_path=src)
@@ -286,8 +262,6 @@ class NetworkCodegen:
     def _emit_moore_advance(self, block: FunctionBlock) -> None:
         asm = self.ctx.asm
         src = f"block:{self.actor_name}.{self.block_scope(block)}"
-        if isinstance(block, ConstantFB):
-            return
         if isinstance(block, DelayFB):
             asm.emit("LOAD", self._addr(self.input_driver(block, "u")),
                      src_path=src)
@@ -335,38 +309,10 @@ class NetworkCodegen:
             asm.emit("MUL", src_path=src)
             asm.emit("PUSH", block.den, src_path=src)
             asm.emit("DIV", src_path=src)
-        elif isinstance(block, AddFB):
-            load("a")
-            load("b")
-            asm.emit("ADD", src_path=src)
         elif isinstance(block, SubFB):
             load("a")
             load("b")
             asm.emit("SUB", src_path=src)
-        elif isinstance(block, MulFB):
-            load("a")
-            load("b")
-            asm.emit("MUL", src_path=src)
-        elif isinstance(block, CompareFB):
-            load("a")
-            load("b")
-            asm.emit(_COMPARE_OPCODE[block.op], src_path=src)
-        elif isinstance(block, LimiterFB):
-            load("u")
-            asm.emit("PUSH", block.lo, src_path=src)
-            asm.emit("MAX", src_path=src)
-            asm.emit("PUSH", block.hi, src_path=src)
-            asm.emit("MIN", src_path=src)
-        elif isinstance(block, MuxFB):
-            label_b = asm.fresh_label("mux_b")
-            label_end = asm.fresh_label("mux_end")
-            load("sel")
-            asm.emit_jump("JZ", label_b, src_path=src)
-            load("a")
-            asm.emit_jump("JMP", label_end, src_path=src)
-            asm.label(label_b)
-            load("b")
-            asm.label(label_end)
         elif isinstance(block, ThresholdFB):
             on_addr = self._addr(self.state_symbol(block.name, "on"))
             load("u")
@@ -393,79 +339,6 @@ class NetworkCodegen:
             asm.emit("MIN", src_path=src)
             asm.emit("DUP", src_path=src)
             asm.emit("STORE", acc_addr, src_path=src)
-        elif isinstance(block, AbsFB):
-            label_pos = asm.fresh_label(f"{block.name}_pos")
-            load("u")
-            asm.emit("DUP", src_path=src)
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("LT", src_path=src)
-            asm.emit_jump("JZ", label_pos, src_path=src)
-            asm.emit("NEG", src_path=src)
-            asm.label(label_pos)
-        elif isinstance(block, EmaFB):
-            avg_addr = self._addr(self.state_symbol(block.name, "avg"))
-            asm.emit("LOAD", avg_addr, src_path=src)
-            load("u")
-            asm.emit("LOAD", avg_addr, src_path=src)
-            asm.emit("SUB", src_path=src)
-            asm.emit("PUSH", block.num, src_path=src)
-            asm.emit("MUL", src_path=src)
-            asm.emit("PUSH", block.den, src_path=src)
-            asm.emit("DIV", src_path=src)
-            asm.emit("ADD", src_path=src)
-            asm.emit("DUP", src_path=src)
-            asm.emit("STORE", avg_addr, src_path=src)
-        elif isinstance(block, CounterFB):
-            count_addr = self._addr(self.state_symbol(block.name, "count"))
-            prev_addr = self._addr(self.state_symbol(block.name, "prev"))
-            label_norst = asm.fresh_label(f"{block.name}_norst")
-            label_update = asm.fresh_label(f"{block.name}_upd")
-            label_noedge = asm.fresh_label(f"{block.name}_noedge")
-            # rst wins: count = 0
-            load("rst")
-            asm.emit_jump("JZ", label_norst, src_path=src)
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("STORE", count_addr, src_path=src)
-            asm.emit_jump("JMP", label_update, src_path=src)
-            asm.label(label_norst)
-            # rising = (prev == 0) and (inc != 0)
-            asm.emit("LOAD", prev_addr, src_path=src)
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("EQ", src_path=src)
-            load("inc")
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("NE", src_path=src)
-            asm.emit("AND", src_path=src)
-            asm.emit_jump("JZ", label_noedge, src_path=src)
-            asm.emit("LOAD", count_addr, src_path=src)
-            asm.emit("PUSH", 1, src_path=src)
-            asm.emit("ADD", src_path=src)
-            if block.modulus:
-                asm.emit("PUSH", block.modulus, src_path=src)
-                asm.emit("MOD", src_path=src)
-            asm.emit("STORE", count_addr, src_path=src)
-            asm.label(label_noedge)
-            asm.label(label_update)
-            load("inc")
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("NE", src_path=src)
-            asm.emit("STORE", prev_addr, src_path=src)
-            asm.emit("LOAD", count_addr, src_path=src)
-        elif isinstance(block, EdgeDetectFB):
-            prev_addr = self._addr(self.state_symbol(block.name, "prev"))
-            # y = (prev == 0) and (u != 0), using the OLD prev.
-            asm.emit("LOAD", prev_addr, src_path=src)
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("EQ", src_path=src)
-            load("u")
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("NE", src_path=src)
-            asm.emit("AND", src_path=src)
-            # prev = (u != 0)
-            load("u")
-            asm.emit("PUSH", 0, src_path=src)
-            asm.emit("NE", src_path=src)
-            asm.emit("STORE", prev_addr, src_path=src)
         elif isinstance(block, PiFB):
             acc_addr = self._addr(self.state_symbol(block.name, "acc"))
             # acc' = clamp(acc + e*ki)

@@ -5,7 +5,10 @@ al.) models an application as a network of **actors** exchanging labeled
 **signals** with non-blocking state-message semantics. Each actor contains a
 **component network** of prefabricated function blocks — basic (signal
 processing), composite, modal and state-machine blocks — executed under a
-clocked synchronous regime (Distributed Timed Multitasking).
+clocked synchronous regime (Distributed Timed Multitasking). The basic
+blocks are the ones the example systems build (gain, subtraction, delay,
+sequence, integrator, PI) plus the threshold comparator that the
+``threshold_limit`` design fault targets.
 
 This package implements the modeling constructs plus a reference interpreter
 (the ground truth that generated target code is differentially tested
@@ -32,20 +35,10 @@ from repro.comdes.expr import (
 from repro.comdes.signals import Signal
 from repro.comdes.fsm import Assign, StateMachine, Transition
 from repro.comdes.blocks import (
-    AbsFB,
-    AddFB,
-    CompareFB,
-    ConstantFB,
-    CounterFB,
     DelayFB,
-    EdgeDetectFB,
-    EmaFB,
     FunctionBlock,
     GainFB,
     IntegratorFB,
-    LimiterFB,
-    MulFB,
-    MuxFB,
     PiFB,
     SequenceFB,
     StateMachineFB,
@@ -66,10 +59,8 @@ __all__ = [
     "eq", "ne", "lt", "le", "gt", "ge", "band", "bor", "lnot",
     "Signal",
     "Assign", "Transition", "StateMachine",
-    "FunctionBlock", "ConstantFB", "GainFB", "AddFB", "SubFB", "MulFB",
-    "ThresholdFB", "LimiterFB", "DelayFB", "IntegratorFB", "PiFB", "MuxFB",
-    "CompareFB", "SequenceFB", "StateMachineFB",
-    "AbsFB", "EmaFB", "CounterFB", "EdgeDetectFB",
+    "FunctionBlock", "GainFB", "SubFB", "ThresholdFB", "DelayFB",
+    "IntegratorFB", "PiFB", "SequenceFB", "StateMachineFB",
     "PortRef", "Connection", "ComponentNetwork",
     "CompositeFB", "Mode", "ModalFB",
     "TaskSpec", "Actor",

@@ -6,13 +6,16 @@ families matter for scheduling a synchronous step:
 * **Mealy blocks** (``is_moore = False``): outputs depend on the current
   inputs — they participate in the combinational dependency order.
 * **Moore blocks** (``is_moore = True``): outputs depend on internal state
-  only (delays, constants, sequence generators) — they publish outputs
-  *before* the combinational phase and absorb inputs *after* it, which is
-  what legally breaks dataflow feedback cycles.
+  only (delays, sequence generators) — they publish outputs *before* the
+  combinational phase and absorb inputs *after* it, which is what legally
+  breaks dataflow feedback cycles.
 
 Every block defines reference semantics used by the network interpreter;
 :mod:`repro.codegen` lowers the same blocks to target bytecode and the test
-suite checks both agree.
+suite checks both agree. The library holds the kinds the example systems
+build (gain, sub, delay, sequence, integrator, PI and state machine) plus
+the threshold comparator; composite and modal blocks live in their own
+modules.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.comdes.fsm import StateMachine
 from repro.errors import ModelError
-from repro.util.intmath import sdiv, smod, wrap32
+from repro.util.intmath import sdiv, wrap32
 
 BlockState = Dict[str, int]
 PortValues = Dict[str, int]
@@ -84,25 +87,6 @@ class MooreBlock(FunctionBlock):
 # -- stateless signal processing ------------------------------------------
 
 
-class ConstantFB(MooreBlock):
-    """Emits a constant value on ``y``."""
-
-    kind = "constant"
-
-    def __init__(self, name: str, value: int) -> None:
-        super().__init__(name, inputs=[], outputs=["y"])
-        self.value = wrap32(value)
-
-    def params(self) -> Dict[str, int]:
-        return {"value": self.value}
-
-    def moore_output(self, state: BlockState) -> PortValues:
-        return {"y": self.value}
-
-    def advance(self, inputs: PortValues, state: BlockState) -> BlockState:
-        return state
-
-
 class GainFB(FunctionBlock):
     """``y = u * num / den`` — rational gain in integer arithmetic."""
 
@@ -123,19 +107,6 @@ class GainFB(FunctionBlock):
         return {"y": sdiv(wrap32(inputs["u"] * self.num), self.den)}, state
 
 
-class AddFB(FunctionBlock):
-    """``y = a + b``."""
-
-    kind = "add"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, inputs=["a", "b"], outputs=["y"])
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        return {"y": wrap32(inputs["a"] + inputs["b"])}, state
-
-
 class SubFB(FunctionBlock):
     """``y = a - b``."""
 
@@ -149,48 +120,17 @@ class SubFB(FunctionBlock):
         return {"y": wrap32(inputs["a"] - inputs["b"])}, state
 
 
-class MulFB(FunctionBlock):
-    """``y = a * b``."""
-
-    kind = "mul"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, inputs=["a", "b"], outputs=["y"])
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        return {"y": wrap32(inputs["a"] * inputs["b"])}, state
-
-
-class CompareFB(FunctionBlock):
-    """``y = (a <op> b)`` as 0/1; op is one of eq/ne/lt/le/gt/ge."""
-
-    kind = "compare"
-    _OPS = {
-        "eq": lambda a, b: a == b,
-        "ne": lambda a, b: a != b,
-        "lt": lambda a, b: a < b,
-        "le": lambda a, b: a <= b,
-        "gt": lambda a, b: a > b,
-        "ge": lambda a, b: a >= b,
-    }
-
-    def __init__(self, name: str, op: str) -> None:
-        if op not in self._OPS:
-            raise ModelError(f"compare {name}: unknown op {op!r}")
-        super().__init__(name, inputs=["a", "b"], outputs=["y"])
-        self.op = op
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        return {"y": 1 if self._OPS[self.op](inputs["a"], inputs["b"]) else 0}, state
-
-
 class ThresholdFB(FunctionBlock):
     """``y = 1`` when ``u >= limit``, with optional hysteresis.
 
     Once on, the block stays on until ``u < limit - hysteresis`` — the
     classic comparator used for alarms and bang-bang control.
+
+    No example system builds one, so the ``threshold_limit`` design fault
+    declines on every example. The kind stays because ``threshold_limit``
+    is one of the nine ``DESIGN_FAULT_KINDS`` the benchmark campaigns
+    enumerate: dropping it would change their job corpus and their pinned
+    outcome digests.
     """
 
     kind = "threshold"
@@ -214,40 +154,6 @@ class ThresholdFB(FunctionBlock):
         threshold = self.limit - self.hysteresis if state.get("on", 0) else self.limit
         on = 1 if u >= threshold else 0
         return {"y": on}, {"on": on}
-
-
-class LimiterFB(FunctionBlock):
-    """``y = clamp(u, lo, hi)``."""
-
-    kind = "limiter"
-
-    def __init__(self, name: str, lo: int, hi: int) -> None:
-        if lo > hi:
-            raise ModelError(f"limiter {name}: lo {lo} > hi {hi}")
-        super().__init__(name, inputs=["u"], outputs=["y"])
-        self.lo = wrap32(lo)
-        self.hi = wrap32(hi)
-
-    def params(self) -> Dict[str, int]:
-        return {"lo": self.lo, "hi": self.hi}
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        u = wrap32(inputs["u"])
-        return {"y": min(max(u, self.lo), self.hi)}, state
-
-
-class MuxFB(FunctionBlock):
-    """``y = a`` when ``sel != 0`` else ``b``."""
-
-    kind = "mux"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, inputs=["sel", "a", "b"], outputs=["y"])
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        return {"y": wrap32(inputs["a"] if inputs["sel"] != 0 else inputs["b"])}, state
 
 
 # -- stateful blocks ---------------------------------------------------------
@@ -380,103 +286,6 @@ class PiFB(FunctionBlock):
         y = min(max(wrap32(sdiv(wrap32(e * self.kp_num), self.kp_den) + acc),
                     self.lo), self.hi)
         return {"y": y}, {"acc": acc}
-
-
-class AbsFB(FunctionBlock):
-    """``y = |u|`` (INT_MIN maps to itself, as two's complement does)."""
-
-    kind = "abs"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, inputs=["u"], outputs=["y"])
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        u = wrap32(inputs["u"])
-        return {"y": wrap32(-u) if u < 0 else u}, state
-
-
-class EmaFB(FunctionBlock):
-    """Exponential moving average: ``y += (u - y) * num / den``.
-
-    The standard embedded low-pass filter in integer arithmetic; ``y`` is
-    the post-update average (combinational in ``u``).
-    """
-
-    kind = "ema"
-
-    def __init__(self, name: str, num: int = 1, den: int = 4,
-                 init: int = 0) -> None:
-        if den == 0:
-            raise ModelError(f"ema {name}: zero denominator")
-        super().__init__(name, inputs=["u"], outputs=["y"])
-        self.num = wrap32(num)
-        self.den = wrap32(den)
-        self.init = wrap32(init)
-
-    def params(self) -> Dict[str, int]:
-        return {"num": self.num, "den": self.den, "init": self.init}
-
-    def state_vars(self) -> BlockState:
-        return {"avg": self.init}
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        avg = wrap32(state["avg"])
-        delta = sdiv(wrap32(wrap32(inputs["u"] - avg) * self.num), self.den)
-        avg = wrap32(avg + delta)
-        return {"y": avg}, {"avg": avg}
-
-
-class CounterFB(FunctionBlock):
-    """Counts rising edges of ``inc``; ``rst != 0`` clears; wraps at modulus.
-
-    ``y`` is the post-update count.
-    """
-
-    kind = "counter"
-
-    def __init__(self, name: str, modulus: int = 0) -> None:
-        if modulus < 0:
-            raise ModelError(f"counter {name}: negative modulus")
-        super().__init__(name, inputs=["inc", "rst"], outputs=["y"])
-        self.modulus = modulus  # 0 = free-running 32-bit
-
-    def params(self) -> Dict[str, int]:
-        return {"modulus": self.modulus}
-
-    def state_vars(self) -> BlockState:
-        return {"count": 0, "prev": 0}
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        count = state["count"]
-        rising = state["prev"] == 0 and inputs["inc"] != 0
-        if inputs["rst"] != 0:
-            count = 0
-        elif rising:
-            count = wrap32(count + 1)
-            if self.modulus:
-                count = smod(count, self.modulus)
-        return {"y": count}, {"count": count, "prev": 1 if inputs["inc"] != 0 else 0}
-
-
-class EdgeDetectFB(FunctionBlock):
-    """``y = 1`` exactly on a rising edge of ``u`` (0 -> non-zero)."""
-
-    kind = "edge"
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name, inputs=["u"], outputs=["y"])
-
-    def state_vars(self) -> BlockState:
-        return {"prev": 0}
-
-    def behavior(self, inputs, state):
-        self._require(inputs)
-        now = 1 if inputs["u"] != 0 else 0
-        rising = 1 if (state["prev"] == 0 and now == 1) else 0
-        return {"y": rising}, {"prev": now}
 
 
 class StateMachineFB(FunctionBlock):

@@ -16,7 +16,6 @@ from repro.experiments.requirements import (
 from repro.experiments.workloads import (
     chain_machine,
     chain_system,
-    scaled_dataflow_system,
     scaled_model,
 )
 from repro.experiments.harness import ResultTable, artifacts_dir, save_artifact
@@ -24,6 +23,6 @@ from repro.experiments.harness import ResultTable, artifacts_dir, save_artifact
 __all__ = [
     "traffic_light_monitor_suite", "traffic_light_code_watches",
     "cruise_monitor_suite", "cruise_code_watches",
-    "chain_machine", "chain_system", "scaled_dataflow_system", "scaled_model",
+    "chain_machine", "chain_system", "scaled_model",
     "ResultTable", "artifacts_dir", "save_artifact",
 ]

@@ -1,8 +1,8 @@
 """Parametric workload generators for the scaling experiments.
 
-``chain_machine(n)`` builds an n-state ring FSM (the E4/E5 size sweeps);
-``scaled_dataflow_system`` builds wide dataflow actors (abstraction and
-animation cost vs model size); all are deterministic in their parameters.
+``chain_machine(n)`` builds an n-state ring FSM (the E4/E5 size sweeps)
+and ``scaled_model(n)`` its reflective model (abstraction cost vs model
+size); both are deterministic in their parameters.
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.comdes.actor import Actor, TaskSpec
-from repro.comdes.blocks import AddFB, ConstantFB, GainFB, StateMachineFB
-from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef
+from repro.comdes.blocks import StateMachineFB
+from repro.comdes.dataflow import ComponentNetwork, PortRef
 from repro.comdes.expr import const, ge, lt, var
 from repro.comdes.fsm import Assign as FsmAssign
 from repro.comdes.fsm import StateMachine, Transition
@@ -69,41 +69,6 @@ def chain_system(n_states: int, period_us: int = ms(10),
     actor = Actor("walker", network, TaskSpec(period_us=period_us),
                   outputs={"pos": "pos"})
     return System(f"chain{n_states}", signals=[Signal("pos")], actors=[actor])
-
-
-def scaled_dataflow_system(n_blocks: int,
-                           period_us: int = ms(10)) -> System:
-    """An adder-tree dataflow actor with ~n_blocks blocks.
-
-    Structure: constants feed a chain of adders with gains interleaved —
-    deep enough to exercise topological ordering and abstraction cost.
-    """
-    if n_blocks < 3:
-        raise ValueError(f"need at least 3 blocks, got {n_blocks}")
-    blocks = [ConstantFB("c0", 1), ConstantFB("c1", 2)]
-    connections: List[Connection] = []
-    previous = "c0"
-    other = "c1"
-    index = 0
-    while len(blocks) < n_blocks:
-        if index % 2 == 0:
-            name = f"add{index}"
-            blocks.append(AddFB(name))
-            connections.append(Connection.wire(f"{previous}.y", f"{name}.a"))
-            connections.append(Connection.wire(f"{other}.y", f"{name}.b"))
-        else:
-            name = f"gain{index}"
-            blocks.append(GainFB(name, num=3, den=2))
-            connections.append(Connection.wire(f"{previous}.y", f"{name}.u"))
-        previous = name
-        index += 1
-    network = ComponentNetwork(
-        name="tree", blocks=blocks, connections=connections,
-        output_ports={"y": PortRef(previous, "y")},
-    )
-    actor = Actor("pipeline", network, TaskSpec(period_us=period_us),
-                  outputs={"y": "y"})
-    return System(f"tree{n_blocks}", signals=[Signal("y")], actors=[actor])
 
 
 def scaled_model(n_states: int) -> Model:

@@ -158,20 +158,18 @@ class JobResult:
     a job that succeeded on (or terminally failed after) retry N.
     """
 
-    __slots__ = ("index", "job_id", "outcome", "error", "worker_pid",
-                 "trace_path", "retries")
+    __slots__ = ("index", "job_id", "outcome", "error", "trace_path",
+                 "retries")
 
     def __init__(self, index: int, job_id: str,
                  outcome: Optional[object] = None,
                  error: Optional[dict] = None,
-                 worker_pid: int = 0,
                  trace_path: str = "",
                  retries: int = 0) -> None:
         self.index = index
         self.job_id = job_id
         self.outcome = outcome
         self.error = error
-        self.worker_pid = worker_pid
         self.trace_path = trace_path
         self.retries = retries
 

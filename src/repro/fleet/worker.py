@@ -84,7 +84,6 @@ def run_job(spec: JobSpec) -> JobResult:
                 "message": str(exc),
                 "traceback": traceback.format_exc(),
             },
-            worker_pid=os.getpid(),
             trace_path=_sealed_trace_path(spec),
         )
     if OBS.metrics is not None:
@@ -123,7 +122,7 @@ def _execute(spec: JobSpec) -> JobResult:
             spec.category, spec.kind, spec.seed, spec.duration_us, spec.plan,
             base_firmware=base_firmware, trace_store=trace_store)
         return JobResult(spec.index, spec.job_id, outcome,
-                         worker_pid=os.getpid(), trace_path=trace_path)
+                         trace_path=trace_path)
     finally:
         # Seal the store whatever happened: a parent only ever opens
         # complete, index-finalized per-job stores.

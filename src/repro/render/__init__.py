@@ -8,7 +8,7 @@ package, so experiments can both save SVGs and assert on ASCII output.
 
 from repro.render.geometry import Point, Rect, Size
 from repro.render.scene import Scene, SceneNode
-from repro.render.layout import circular_layout, grid_layout, layered_layout
+from repro.render.layout import circular_layout, grid_layout
 from repro.render.svg import scene_to_svg
 from repro.render.ascii_art import scene_to_ascii
 from repro.render.animation import AnimationFrame, FrameSequence
@@ -16,7 +16,7 @@ from repro.render.animation import AnimationFrame, FrameSequence
 __all__ = [
     "Point", "Size", "Rect",
     "Scene", "SceneNode",
-    "grid_layout", "circular_layout", "layered_layout",
+    "grid_layout", "circular_layout",
     "scene_to_svg",
     "scene_to_ascii",
     "AnimationFrame", "FrameSequence",

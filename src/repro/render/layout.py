@@ -1,14 +1,15 @@
 """Layout algorithms assigning geometry to abstract elements.
 
-Three layouts cover GMDF's needs: a grid for heterogeneous element sets, a
-circle for state machines (states around a ring keeps transition arrows
-readable), and a layered left-to-right placement for dataflow DAGs.
+Two layouts cover GMDF's needs: a grid for heterogeneous element sets and
+a circle for state machines (states around a ring keeps transition arrows
+readable). :meth:`repro.gdm.abstraction.AbstractionEngine.assign_layout`
+puts state groups on circles and everything else on the grid.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 from repro.errors import RenderError
 from repro.render.geometry import Rect
@@ -51,52 +52,6 @@ def circular_layout(ids: Sequence[str], cell_w: int = 14, cell_h: int = 5,
         cx = round(r + r * math.cos(angle))
         cy = round(r + r * math.sin(angle))
         placement[element_id] = Rect(cx, cy, cell_w, cell_h)
-    return placement
-
-
-def layered_layout(ids: Sequence[str], edges: Sequence[Tuple[str, str]],
-                   cell_w: int = 16, cell_h: int = 6,
-                   h_gap: int = 10, v_gap: int = 3) -> Dict[str, Rect]:
-    """Longest-path layering for a DAG; cycles fall back to discovery order.
-
-    Produces the left-to-right block-diagram look of dataflow models:
-    sources in the first column, each consumer right of its producers.
-    """
-    known = set(ids)
-    adjacency: Dict[str, List[str]] = {i: [] for i in ids}
-    indegree: Dict[str, int] = {i: 0 for i in ids}
-    for src, dst in edges:
-        if src not in known or dst not in known:
-            raise RenderError(f"edge {src}->{dst} references unknown element")
-        adjacency[src].append(dst)
-        indegree[dst] += 1
-
-    # Longest path from any source (Kahn order); cyclic leftovers get layer 0.
-    layer: Dict[str, int] = {i: 0 for i in ids}
-    ready = [i for i in ids if indegree[i] == 0]
-    remaining = dict(indegree)
-    order: List[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for succ in adjacency[node]:
-            layer[succ] = max(layer[succ], layer[node] + 1)
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                ready.append(succ)
-
-    by_layer: Dict[int, List[str]] = {}
-    for element_id in ids:
-        by_layer.setdefault(layer[element_id], []).append(element_id)
-
-    placement: Dict[str, Rect] = {}
-    for layer_index in sorted(by_layer):
-        for row, element_id in enumerate(by_layer[layer_index]):
-            placement[element_id] = Rect(
-                layer_index * (cell_w + h_gap),
-                row * (cell_h + v_gap),
-                cell_w, cell_h,
-            )
     return placement
 
 

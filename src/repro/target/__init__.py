@@ -102,7 +102,7 @@ from repro.target.cpu import Cpu, RunResult, StopReason
 from repro.target.firmware import FirmwareImage, Symbol, SymbolTable
 from repro.target.isa import Instr, OPCODES, cycles_of
 from repro.target.memory import MemoryMap, RAM_BASE
-from repro.target.peripherals import Gpio, Uart
+from repro.target.peripherals import Uart
 
 __all__ = [
     "Assembler", "disassemble",
@@ -111,5 +111,5 @@ __all__ = [
     "FirmwareImage", "Symbol", "SymbolTable",
     "Instr", "OPCODES", "cycles_of",
     "MemoryMap", "RAM_BASE",
-    "Gpio", "Uart",
+    "Uart",
 ]

@@ -15,7 +15,7 @@ from repro.errors import TargetFault
 from repro.target.cpu import Cpu, RunResult
 from repro.target.firmware import FirmwareImage
 from repro.target.memory import MemoryMap
-from repro.target.peripherals import Gpio, Uart
+from repro.target.peripherals import Uart
 from repro.util.intmath import wrap32
 
 #: IDCODE scanned out of the TAP (LSB must be 1 per IEEE 1149.1).
@@ -23,7 +23,7 @@ BOARD_IDCODE = 0x4441_5445  # spells "DATE", for the paper's venue
 
 
 class Board:
-    """One embedded node: CPU, RAM, UART, GPIO and a firmware image."""
+    """One embedded node: CPU, RAM, UART and a firmware image."""
 
     def __init__(self, clock_hz: int = 8_000_000, ram_words: int = 4096,
                  uart_fifo: int = 128, stack_depth: int = 128) -> None:
@@ -31,12 +31,11 @@ class Board:
             raise TargetFault(f"clock must be positive, got {clock_hz}")
         self.clock_hz = clock_hz
         self.memory = MemoryMap(ram_words)
-        self.gpio = Gpio()
         # Default FIFO absorbs one fully-instrumented job burst (two actors'
         # task markers + transition + state + signal frames ~= 8 x 10 bytes)
         # so clean runs drop nothing; overrun tests shrink it explicitly.
         self.uart = Uart(fifo_depth=uart_fifo)
-        self.cpu = Cpu(self.memory, self.gpio, stack_depth=stack_depth)
+        self.cpu = Cpu(self.memory, stack_depth=stack_depth)
         self.firmware: Optional[FirmwareImage] = None
         #: set by the debugger (JTAG HALT / serial halt request): the RTOS
         #: skips job dispatch while stalled. The CPU itself is unaware.

@@ -74,7 +74,6 @@ from repro.target.isa import (
     OP_STI, OP_STOP, OP_STORE, OP_SUB, OP_SWAP,
 )
 from repro.target.memory import RAM_BASE
-from repro.target.peripherals import Gpio
 from repro.util.intmath import INT_MAX, INT_MIN, sdiv, smod, wrap32
 
 #: emit handler signature: (command kind, path id, value)
@@ -182,12 +181,11 @@ _new_tuple = tuple.__new__
 class Cpu:
     """Stack-machine core over a :class:`~repro.target.memory.MemoryMap`."""
 
-    def __init__(self, memory, gpio: Optional[Gpio] = None,
-                 stack_depth: int = 128, fuse: bool = True) -> None:
+    def __init__(self, memory, stack_depth: int = 128,
+                 fuse: bool = True) -> None:
         if stack_depth <= 0:
             raise TargetFault(f"stack depth must be positive, got {stack_depth}")
         self.memory = memory
-        self.gpio = gpio if gpio is not None else Gpio()
         self.stack_depth = stack_depth
         #: compile straight-line runs into block rows at load time (off:
         #: plain rows only, the reference decoding)

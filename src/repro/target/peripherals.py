@@ -1,54 +1,23 @@
-"""On-chip peripherals: GPIO port and the debug UART.
+"""On-chip peripherals: the debug UART.
 
 The UART models only what the active command interface needs to be honest
-about: a bounded TX FIFO with **atomic** frame admission (a frame either
-fits entirely or is dropped entirely — half-queued debug frames would
-corrupt the wire protocol) and overrun accounting, which benchmark E7 and
-the FIFO-overrun tests read back.
+about: a bounded TX FIFO and overrun accounting, which benchmark E7 and
+the FIFO-overrun tests read back. The FIFO's occupancy lives with its one
+writer, :meth:`repro.comm.channel.ActiveChannel._on_emit`, which keeps the
+bytes in flight on the wire and admits each frame **atomically** (a frame
+either fits entirely or is dropped entirely — half-queued debug frames
+would corrupt the wire protocol).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque
-
 from repro.errors import TargetFault
 
 
-class Gpio:
-    """A 32-pin general-purpose I/O port (level-latched, no interrupts)."""
-
-    __slots__ = ("levels", "writes")
-
-    WIDTH = 32
-
-    def __init__(self) -> None:
-        self.levels = 0
-        self.writes = 0
-
-    def _check(self, pin: int) -> None:
-        if not 0 <= pin < self.WIDTH:
-            raise TargetFault(f"GPIO pin {pin} out of range 0..{self.WIDTH - 1}")
-
-    def write_pin(self, pin: int, level: int) -> None:
-        """Drive one pin high (truthy) or low."""
-        self._check(pin)
-        if level:
-            self.levels |= 1 << pin
-        else:
-            self.levels &= ~(1 << pin)
-        self.writes += 1
-
-    def read_pin(self, pin: int) -> int:
-        """Sample one pin (0 or 1)."""
-        self._check(pin)
-        return (self.levels >> pin) & 1
-
-
 class Uart:
-    """The debug UART's transmit side: a bounded FIFO with overrun counting."""
+    """The debug UART's transmit side: FIFO depth, overruns, bytes sent."""
 
-    __slots__ = ("fifo_depth", "overruns", "bytes_sent", "_fifo")
+    __slots__ = ("fifo_depth", "overruns", "bytes_sent")
 
     def __init__(self, fifo_depth: int = 64) -> None:
         if fifo_depth <= 0:
@@ -56,24 +25,3 @@ class Uart:
         self.fifo_depth = fifo_depth
         self.overruns = 0
         self.bytes_sent = 0
-        self._fifo: Deque[int] = deque()
-
-    @property
-    def pending(self) -> int:
-        """Bytes queued and not yet drained."""
-        return len(self._fifo)
-
-    def push_bytes(self, data: bytes) -> bool:
-        """Queue *data* atomically; on overflow drop it all and count one
-        overrun (a partial debug frame is worse than a missing one)."""
-        if len(self._fifo) + len(data) > self.fifo_depth:
-            self.overruns += 1
-            return False
-        self._fifo.extend(data)
-        return True
-
-    def pop_byte(self) -> int:
-        """Drain one byte (the line driver's side); underrun traps."""
-        if not self._fifo:
-            raise TargetFault("UART FIFO underrun: pop from empty FIFO")
-        return self._fifo.popleft()

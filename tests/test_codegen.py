@@ -18,7 +18,6 @@ from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu
 from repro.target.memory import MemoryMap, RAM_BASE
-from repro.target.peripherals import Gpio
 
 ALL_SYSTEMS = [blinker_system, traffic_light_system, cruise_control_system]
 
@@ -34,7 +33,7 @@ def eval_compiled(expr, env):
     lower_expr(asm, expr, lambda name: addresses[name])
     asm.emit("STORE", RAM_BASE + 60)
     asm.emit("HALT")
-    cpu = Cpu(memory, Gpio())
+    cpu = Cpu(memory)
     cpu.load(asm.assemble())
     cpu.reset_task(0)
     cpu.run()

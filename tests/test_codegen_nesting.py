@@ -8,7 +8,7 @@ recursive phase ordering. Reference interpreter and firmware must agree.
 from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
 from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import (
-    AddFB, ConstantFB, DelayFB, GainFB, SequenceFB, StateMachineFB,
+    DelayFB, GainFB, SequenceFB, StateMachineFB, SubFB,
 )
 from repro.comdes.composite import CompositeFB
 from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef
@@ -19,13 +19,14 @@ from repro.comdes.system import System
 
 
 def counter_composite(name: str) -> CompositeFB:
-    """A composite wrapping a feedback counter (delay-broken cycle)."""
+    """A composite wrapping a feedback counter (delay-broken cycle):
+    ``y = z - (-1)``."""
     network = ComponentNetwork(
         name=f"{name}_net",
-        blocks=[DelayFB("z"), AddFB("inc"), ConstantFB("one", 1)],
+        blocks=[DelayFB("z"), SubFB("inc"), SequenceFB("minus_one", [-1])],
         connections=[
             Connection.wire("z.y", "inc.a"),
-            Connection.wire("one.y", "inc.b"),
+            Connection.wire("minus_one.y", "inc.b"),
             Connection.wire("inc.y", "z.u"),
         ],
         input_ports={"u": []},  # ignored input, for modal signature parity

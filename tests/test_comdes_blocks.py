@@ -1,12 +1,19 @@
-"""Tests for the function-block library's reference semantics."""
+"""Tests for the function-block library: reference semantics of each
+kind, and generated code against the reference interpreter."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import (
-    AddFB, CompareFB, ConstantFB, DelayFB, GainFB, IntegratorFB, LimiterFB,
-    MulFB, MuxFB, PiFB, SequenceFB, StateMachineFB, SubFB, ThresholdFB,
+    DelayFB, GainFB, IntegratorFB, PiFB, SequenceFB, StateMachineFB, SubFB,
+    ThresholdFB,
 )
+from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef
 from repro.comdes.examples import blinker_machine
+from repro.comdes.signals import Signal
+from repro.comdes.system import System
 from repro.errors import ModelError
 
 
@@ -21,9 +28,6 @@ def run_block(block, input_trace):
 
 
 class TestStatelessBlocks:
-    def test_constant(self):
-        assert run_block(ConstantFB("k", 42), [{}]) == [{"y": 42}]
-
     def test_gain_rational(self):
         outs = run_block(GainFB("g", num=3, den=2), [{"u": 10}, {"u": -10}])
         assert [o["y"] for o in outs] == [15, -15]
@@ -32,36 +36,12 @@ class TestStatelessBlocks:
         with pytest.raises(ModelError):
             GainFB("g", num=1, den=0)
 
-    def test_add_sub_mul(self):
-        assert run_block(AddFB("a"), [{"a": 2, "b": 3}])[0]["y"] == 5
+    def test_sub(self):
         assert run_block(SubFB("s"), [{"a": 2, "b": 3}])[0]["y"] == -1
-        assert run_block(MulFB("m"), [{"a": 4, "b": 3}])[0]["y"] == 12
-
-    def test_compare_ops(self):
-        assert run_block(CompareFB("c", "lt"), [{"a": 1, "b": 2}])[0]["y"] == 1
-        assert run_block(CompareFB("c", "ge"), [{"a": 1, "b": 2}])[0]["y"] == 0
-
-    def test_compare_unknown_op_rejected(self):
-        with pytest.raises(ModelError):
-            CompareFB("c", "spaceship")
-
-    def test_limiter_clamps(self):
-        outs = run_block(LimiterFB("l", lo=-5, hi=5),
-                         [{"u": -100}, {"u": 3}, {"u": 100}])
-        assert [o["y"] for o in outs] == [-5, 3, 5]
-
-    def test_limiter_bad_range_rejected(self):
-        with pytest.raises(ModelError):
-            LimiterFB("l", lo=5, hi=-5)
-
-    def test_mux_selects(self):
-        outs = run_block(MuxFB("m"), [{"sel": 1, "a": 10, "b": 20},
-                                      {"sel": 0, "a": 10, "b": 20}])
-        assert [o["y"] for o in outs] == [10, 20]
 
     def test_missing_input_raises(self):
         with pytest.raises(ModelError):
-            run_block(AddFB("a"), [{"a": 1}])
+            run_block(SubFB("s"), [{"a": 1}])
 
 
 class TestThreshold:
@@ -140,3 +120,60 @@ class TestStateMachineBlock:
         leds = [o["led"] for o in run_block(block, [{}] * 7)]
         # led turns on at step 3 and holds until step 6
         assert leds == [0, 0, 1, 1, 1, 0, 0]
+
+
+def _library_system(stimulus, limit, hysteresis):
+    """A sequence stimulus through every basic block kind of the library."""
+    network = ComponentNetwork(
+        name="library",
+        blocks=[
+            SequenceFB("stim", values=stimulus, repeat=True),
+            ThresholdFB("alarm", limit=limit, hysteresis=hysteresis),
+            GainFB("scale", num=3, den=2),
+            DelayFB("prev", init=5),
+            SubFB("step"),
+            IntegratorFB("acc", num=1, den=2, lo=-500, hi=500, init=7),
+            PiFB("ctl", kp_num=2, kp_den=3, ki_num=1, ki_den=4,
+                 lo=-1000, hi=1000),
+        ],
+        connections=[
+            Connection.wire("stim.y", "alarm.u"),
+            Connection.wire("stim.y", "scale.u"),
+            Connection.wire("stim.y", "prev.u"),
+            Connection.wire("stim.y", "step.a"),
+            Connection.wire("prev.y", "step.b"),
+            Connection.wire("step.y", "acc.u"),
+            Connection.wire("step.y", "ctl.e"),
+        ],
+        output_ports={
+            "alarm": PortRef("alarm", "y"),
+            "scale": PortRef("scale", "y"),
+            "prev": PortRef("prev", "y"),
+            "step": PortRef("step", "y"),
+            "acc": PortRef("acc", "y"),
+            "ctl": PortRef("ctl", "y"),
+        },
+    )
+    ports = sorted(network.output_ports)
+    actor = Actor("lib", network, TaskSpec(period_us=1000),
+                  outputs={port: port for port in ports})
+    return System("library_sys", signals=[Signal(port) for port in ports],
+                  actors=[actor])
+
+
+class TestBlocksCompile:
+    """Generated code equals the reference interpreter for every kind."""
+
+    @pytest.mark.parametrize("plan", ["full", "none"])
+    @given(stimulus=st.lists(st.integers(-1000, 1000), min_size=2,
+                             max_size=12),
+           limit=st.integers(-200, 200), hysteresis=st.integers(0, 300))
+    @example(stimulus=[0, 10, 8, 7, 6, 12], limit=10, hysteresis=3)
+    @settings(max_examples=30, deadline=None)
+    def test_firmware_matches_interpreter(self, plan, stimulus, limit,
+                                          hysteresis):
+        system = _library_system(stimulus, limit, hysteresis)
+        firmware = generate_firmware(
+            system, getattr(InstrumentationPlan, plan)())
+        assert (run_firmware_lockstep(system, firmware, 30)
+                == system.lockstep_run(30))

@@ -2,34 +2,33 @@
 
 import pytest
 
-from repro.comdes.blocks import (
-    AddFB, ConstantFB, DelayFB, GainFB, SequenceFB,
-)
+from repro.comdes.blocks import DelayFB, GainFB, SequenceFB, SubFB
 from repro.comdes.composite import CompositeFB
 from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef
 from repro.comdes.modal import ModalFB, Mode
 from repro.errors import ModelError, ValidationError
 
 
-def adder_network() -> ComponentNetwork:
-    """(a + b) * 2 with an explicit gain block."""
+def difference_network() -> ComponentNetwork:
+    """(a - b) * 2 with an explicit gain block."""
     return ComponentNetwork(
-        name="adder",
-        blocks=[AddFB("sum"), GainFB("double", num=2)],
-        connections=[Connection.wire("sum.y", "double.u")],
-        input_ports={"a": [PortRef("sum", "a")], "b": [PortRef("sum", "b")]},
+        name="difference",
+        blocks=[SubFB("diff"), GainFB("double", num=2)],
+        connections=[Connection.wire("diff.y", "double.u")],
+        input_ports={"a": [PortRef("diff", "a")],
+                     "b": [PortRef("diff", "b")]},
         output_ports={"y": PortRef("double", "y")},
     )
 
 
 def counter_network() -> ComponentNetwork:
-    """A feedback counter: y[k] = y[k-1] + 1, broken by a delay block."""
+    """A feedback counter: y[k] = y[k-1] - (-1), broken by a delay block."""
     return ComponentNetwork(
         name="counter",
-        blocks=[DelayFB("z"), AddFB("inc"), ConstantFB("one", 1)],
+        blocks=[DelayFB("z"), SubFB("inc"), SequenceFB("minus_one", [-1])],
         connections=[
             Connection.wire("z.y", "inc.a"),
-            Connection.wire("one.y", "inc.b"),
+            Connection.wire("minus_one.y", "inc.b"),
             Connection.wire("inc.y", "z.u"),
         ],
         input_ports={},
@@ -39,12 +38,13 @@ def counter_network() -> ComponentNetwork:
 
 class TestWiring:
     def test_simple_network_steps(self):
-        outs = adder_network().run([{"a": 2, "b": 3}, {"a": 10, "b": -4}])
-        assert [o["y"] for o in outs] == [10, 12]
+        outs = difference_network().run([{"a": 2, "b": 3},
+                                          {"a": 10, "b": -4}])
+        assert [o["y"] for o in outs] == [-2, 28]
 
     def test_duplicate_block_names_rejected(self):
         with pytest.raises(ValidationError):
-            ComponentNetwork("n", blocks=[AddFB("x"), AddFB("x")],
+            ComponentNetwork("n", blocks=[SubFB("x"), SubFB("x")],
                              input_ports={"a": [PortRef("x", "a")],
                                           "b": [PortRef("x", "b")]},
                              output_ports={})
@@ -52,26 +52,26 @@ class TestWiring:
     def test_unknown_block_in_connection_rejected(self):
         with pytest.raises(ValidationError):
             ComponentNetwork(
-                "n", blocks=[AddFB("sum")],
-                connections=[Connection.wire("ghost.y", "sum.a")],
-                input_ports={"b": [PortRef("sum", "b")]},
+                "n", blocks=[SubFB("diff")],
+                connections=[Connection.wire("ghost.y", "diff.a")],
+                input_ports={"b": [PortRef("diff", "b")]},
                 output_ports={},
             )
 
     def test_unknown_port_rejected(self):
         with pytest.raises(ValidationError):
             ComponentNetwork(
-                "n", blocks=[AddFB("sum"), ConstantFB("k", 1)],
-                connections=[Connection.wire("k.y", "sum.nope")],
-                input_ports={"a": [PortRef("sum", "a")],
-                             "b": [PortRef("sum", "b")]},
+                "n", blocks=[SubFB("diff"), SequenceFB("k", [1])],
+                connections=[Connection.wire("k.y", "diff.nope")],
+                input_ports={"a": [PortRef("diff", "a")],
+                             "b": [PortRef("diff", "b")]},
                 output_ports={},
             )
 
     def test_double_driven_input_rejected(self):
         with pytest.raises(ValidationError):
             ComponentNetwork(
-                "n", blocks=[ConstantFB("k1", 1), ConstantFB("k2", 2),
+                "n", blocks=[SequenceFB("k1", [1]), SequenceFB("k2", [2]),
                              GainFB("g", num=1)],
                 connections=[Connection.wire("k1.y", "g.u"),
                              Connection.wire("k2.y", "g.u")],
@@ -80,10 +80,10 @@ class TestWiring:
 
     def test_unconnected_input_rejected(self):
         with pytest.raises(ValidationError):
-            ComponentNetwork("n", blocks=[AddFB("sum")], output_ports={})
+            ComponentNetwork("n", blocks=[SubFB("diff")], output_ports={})
 
     def test_missing_network_input_value_raises(self):
-        net = adder_network()
+        net = difference_network()
         with pytest.raises(ModelError):
             net.step({"a": 1}, net.initial_state())
 
@@ -98,7 +98,7 @@ class TestCyclesAndOrder:
     def test_combinational_cycle_rejected(self):
         with pytest.raises(ValidationError) as excinfo:
             ComponentNetwork(
-                "loop", blocks=[AddFB("a"), GainFB("g", num=1)],
+                "loop", blocks=[SubFB("a"), GainFB("g", num=1)],
                 connections=[Connection.wire("a.y", "g.u"),
                              Connection.wire("g.y", "a.a")],
                 input_ports={"seed": [PortRef("a", "b")]},
@@ -113,7 +113,7 @@ class TestCyclesAndOrder:
     def test_evaluation_order_moore_first(self):
         order = counter_network().evaluation_order()
         assert order.index("z") < order.index("inc")
-        assert order.index("one") < order.index("inc")
+        assert order.index("minus_one") < order.index("inc")
 
     def test_stimulus_sequence_advances_without_inputs(self):
         net = ComponentNetwork(
@@ -124,22 +124,23 @@ class TestCyclesAndOrder:
 
     def test_fan_out_from_network_input(self):
         net = ComponentNetwork(
-            "fan", blocks=[AddFB("sum")],
-            input_ports={"u": [PortRef("sum", "a"), PortRef("sum", "b")]},
-            output_ports={"y": PortRef("sum", "y")},
+            "fan", blocks=[SubFB("diff"), GainFB("double", num=2)],
+            connections=[Connection.wire("double.y", "diff.b")],
+            input_ports={"u": [PortRef("diff", "a"), PortRef("double", "u")]},
+            output_ports={"y": PortRef("diff", "y")},
         )
-        assert net.run([{"u": 3}])[0]["y"] == 6
+        assert net.run([{"u": 3}])[0]["y"] == -3
 
 
 class TestCompositeBlock:
     def test_composite_exposes_boundary_ports(self):
-        block = CompositeFB("comp", adder_network())
+        block = CompositeFB("comp", difference_network())
         assert block.inputs == ["a", "b"]
         assert block.outputs == ["y"]
 
     def test_composite_matches_inner_network(self):
-        inner = adder_network()
-        block = CompositeFB("comp", adder_network())
+        inner = difference_network()
+        block = CompositeFB("comp", difference_network())
         state = block.state_vars()
         out, state = block.behavior({"a": 2, "b": 3}, state)
         assert out == inner.run([{"a": 2, "b": 3}])[0]
@@ -173,10 +174,10 @@ def two_mode_modal() -> ModalFB:
     )
     count_net = ComponentNetwork(
         "count",
-        blocks=[DelayFB("z"), AddFB("inc"), ConstantFB("one", 1)],
+        blocks=[DelayFB("z"), SubFB("inc"), SequenceFB("minus_one", [-1])],
         connections=[
             Connection.wire("z.y", "inc.a"),
-            Connection.wire("one.y", "inc.b"),
+            Connection.wire("minus_one.y", "inc.b"),
             Connection.wire("inc.y", "z.u"),
         ],
         input_ports={"u": []},  # declared but unused
@@ -218,7 +219,7 @@ class TestModalBlock:
         a = ComponentNetwork("a", blocks=[GainFB("g", num=1)],
                              input_ports={"u": [PortRef("g", "u")]},
                              output_ports={"y": PortRef("g", "y")})
-        b = ComponentNetwork("b", blocks=[ConstantFB("k", 1)],
+        b = ComponentNetwork("b", blocks=[SequenceFB("k", [1])],
                              output_ports={"out": PortRef("k", "y")})
         with pytest.raises(ModelError):
             ModalFB("bad", modes=[Mode("A", a), Mode("B", b)])

@@ -15,7 +15,7 @@ from repro.experiments.requirements import (
     traffic_light_monitor_suite,
 )
 from repro.experiments.workloads import (
-    chain_machine, chain_system, scaled_dataflow_system, scaled_model,
+    chain_machine, chain_system, scaled_model,
 )
 
 
@@ -74,16 +74,6 @@ class TestWorkloads:
 
     def test_chain_system_validates(self):
         validate_system(chain_system(6))
-
-    def test_scaled_dataflow_system_validates_and_runs(self):
-        system = scaled_dataflow_system(12)
-        validate_system(system)
-        history = system.lockstep_run(3)
-        assert all("y" in row for row in history)
-
-    def test_scaled_dataflow_minimum(self):
-        with pytest.raises(ValueError):
-            scaled_dataflow_system(2)
 
     def test_scaled_model_size_scales(self):
         small = scaled_model(5)

@@ -23,7 +23,6 @@ from repro.target.assembler import Assembler
 from repro.target.board import Board, DebugPort
 from repro.target.cpu import Cpu
 from repro.target.memory import MemoryMap, RAM_BASE
-from repro.target.peripherals import Gpio
 
 VAR_NAMES = ("a", "b", "c")
 
@@ -67,7 +66,7 @@ class TestExpressionEquivalence:
         lower_expr(asm, expr, lambda n: addresses[n])
         asm.emit("STORE", RAM_BASE + 60)
         asm.emit("HALT")
-        cpu = Cpu(memory, Gpio(), stack_depth=256)
+        cpu = Cpu(memory, stack_depth=256)
         cpu.load(asm.assemble())
         cpu.reset_task(0)
         cpu.run()

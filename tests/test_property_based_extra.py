@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.replay import ReplayPlayer
 from repro.engine.trace import ExecutionTrace
 from repro.experiments.workloads import chain_system
-from repro.render.layout import (
-    assert_no_overlap, circular_layout, grid_layout, layered_layout,
-)
+from repro.render.layout import assert_no_overlap, circular_layout, grid_layout
 
 
 class TestLayoutProperties:
@@ -26,23 +24,6 @@ class TestLayoutProperties:
         placement = circular_layout([f"s{i}" for i in range(n)],
                                     cell_w=cell_w)
         assert_no_overlap(placement)
-
-    @given(n=st.integers(1, 20), seed=st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
-    def test_layered_dag_respects_edge_direction(self, n, seed):
-        import random
-        rng = random.Random(seed)
-        ids = [f"v{i}" for i in range(n)]
-        # Random forward edges only => a DAG by construction.
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.2:
-                    edges.append((ids[i], ids[j]))
-        placement = layered_layout(ids, edges)
-        assert_no_overlap(placement)
-        for src, dst in edges:
-            assert placement[src].x < placement[dst].x
 
 
 class TestPersistenceProperties:

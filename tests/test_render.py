@@ -6,9 +6,7 @@ from repro.errors import RenderError
 from repro.render.animation import FrameSequence
 from repro.render.ascii_art import scene_to_ascii
 from repro.render.geometry import Point, Rect
-from repro.render.layout import (
-    assert_no_overlap, circular_layout, grid_layout, layered_layout,
-)
+from repro.render.layout import assert_no_overlap, circular_layout, grid_layout
 from repro.render.scene import Scene, SceneNode
 from repro.render.svg import scene_to_svg
 
@@ -83,17 +81,6 @@ class TestLayouts:
     def test_circular_single_element(self):
         placement = circular_layout(["only"])
         assert placement["only"].x == 0
-
-    def test_layered_orders_dag_left_to_right(self):
-        ids = ["src", "mid", "dst"]
-        edges = [("src", "mid"), ("mid", "dst")]
-        placement = layered_layout(ids, edges)
-        assert placement["src"].x < placement["mid"].x < placement["dst"].x
-        assert_no_overlap(placement)
-
-    def test_layered_unknown_edge_rejected(self):
-        with pytest.raises(RenderError):
-            layered_layout(["a"], [("a", "ghost")])
 
     def test_empty_layouts(self):
         assert grid_layout([]) == {}

@@ -18,7 +18,6 @@ from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import ARG_OPS, Instr, OPCODES
 from repro.target.memory import MemoryMap, RAM_BASE
-from repro.target.peripherals import Gpio
 
 
 class TestRoundTrip:
@@ -168,13 +167,13 @@ class TestFastAndDebugPathsAgree:
             code = _random_program(rng)
 
             fast_memory = MemoryMap(64)
-            fast_cpu = Cpu(fast_memory, Gpio())
+            fast_cpu = Cpu(fast_memory)
             fast_cpu.load(code)
             fast_cpu.reset_task(0)
             fast = fast_cpu.run()
 
             debug_memory = MemoryMap(64)
-            debug_cpu = Cpu(debug_memory, Gpio())
+            debug_cpu = Cpu(debug_memory)
             debug_cpu.load(code)
             debug_cpu.reset_task(0)
             writes = []
@@ -199,7 +198,7 @@ class TestFastAndDebugPathsAgree:
             # checked loop (a profile routes every instruction there)
             for arm in ("fast", "hooked", "checked"):
                 memory = MemoryMap(16)
-                cpu = Cpu(memory, Gpio())
+                cpu = Cpu(memory)
                 if arm == "hooked":
                     memory.set_write_hook(
                         lambda a, v: None,
@@ -242,7 +241,7 @@ class TestIsaTotality:
         code = asm.assemble()
         for hooked in (False, True):
             memory = MemoryMap(16)
-            cpu = Cpu(memory, Gpio())
+            cpu = Cpu(memory)
             if hooked:  # every store and STI stops on the checked path
                 memory.set_write_hook(
                     lambda a, v: None,

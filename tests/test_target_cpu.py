@@ -9,13 +9,13 @@ from repro.target.cpu import Cpu, StopReason
 from repro.target.firmware import FirmwareImage, SymbolTable
 from repro.target.isa import Instr, OPCODES, cycles_of
 from repro.target.memory import RAM_BASE, MemoryMap
-from repro.target.peripherals import Gpio, Uart
+from repro.target.peripherals import Uart
 from repro.util.intmath import INT_MAX, INT_MIN
 
 
 def make_cpu(code, ram_words=64):
     memory = MemoryMap(ram_words)
-    cpu = Cpu(memory, Gpio())
+    cpu = Cpu(memory)
     cpu.load(code)
     cpu.reset_task(0)
     return cpu, memory
@@ -315,18 +315,8 @@ class TestBoard:
 
 
 class TestUart:
-    def test_fifo_accounting(self):
-        uart = Uart(fifo_depth=8)
-        assert uart.push_bytes(b"12345")
-        assert uart.pending == 5
-        assert uart.pop_byte() == ord("1")
-
-    def test_atomic_overrun(self):
-        uart = Uart(fifo_depth=4)
-        assert not uart.push_bytes(b"12345")
-        assert uart.overruns == 1
-        assert uart.pending == 0  # nothing partially queued
-
-    def test_underrun_traps(self):
-        with pytest.raises(TargetFault):
-            Uart().pop_byte()
+    def test_fifo_depth_must_be_positive(self):
+        assert Uart(fifo_depth=1).fifo_depth == 1
+        for depth in (0, -8):
+            with pytest.raises(TargetFault):
+                Uart(fifo_depth=depth)
