@@ -1,48 +1,48 @@
 """Sustained interpreter throughput on a tight synthetic loop.
 
-Measures instructions/second of ``Cpu.run``'s fast loop on a counting
-loop whose opcode mix (load/store, immediate, ALU, compare, branch)
-resembles generated firmware. Both decodings run through the same loop
-and are measured:
+Measures instructions/second of ``Cpu.run`` on a counting loop whose
+opcode mix (load/store, immediate, ALU, compare, branch) resembles
+generated firmware, on both of the CPU's loops:
 
-* ``instr_per_sec`` — blocks off (plain decoded rows, the scoreboard
-  metric since PR 2);
-* ``fused_instr_per_sec`` — blocks on (``Cpu.load`` compiles the loop
-  body into one block row, ``block_rows`` in the payload);
+* ``fused_instr_per_sec`` — the fast loop (``Cpu.load`` compiles the
+  loop body into one block row, ``block_rows`` in the payload);
+* ``checked_instr_per_sec`` — the checked per-instruction loop (forced
+  with ``profile={}``), the reference semantics;
 * ``fusion_speedup`` — their ratio, the machine-independent gate;
 * ``watched_instr_per_sec`` — the cruise control firmware's task jobs
   under a ``SourceDebugger`` holding its code watches: watched stores
   are stop pcs of the fast loop;
 * ``watch_speedup`` — that rate over the same jobs on the checked
-  per-instruction loop (forced with ``profile={}``), the
-  machine-independent gate of the code debugger's watch path;
+  loop, the machine-independent gate of the code debugger's watch path;
 * ``activation`` — short activations: every task job of the cruise
   control and traffic light firmware through ``Board.run_task``, no
   debugger attached. Per firmware it records ``activation_us`` (CPU time
   per job), ``instr_per_activation`` and ``activation_instr_per_sec``.
   Campaign jobs are this shape, a few dozen instructions per entry, so
   per-activation entry costs weigh here and not on the long loop;
-* ``activation_dispatches`` — deterministic rather than timed: rows the
-  fast loop dispatches per task activation of the cruise control and
-  traffic light firmware over one bare-kernel run (``DtmKernel``, no
-  debugger) of 3 s modeled time. Each board's CPU gets row lists that
-  count their own indexing, and the loop indexes its rows once per
-  dispatch, so the count is exact on any host.
+* ``activation_dispatches`` — deterministic rather than timed: rows
+  dispatched per task activation of the cruise control and traffic
+  light firmware over one bare-kernel run (``DtmKernel``, no debugger)
+  of 3 s modeled time. Each board's CPU gets row lists that count their
+  own indexing: the fast loop indexes its block rows once per dispatch,
+  and the checked loop its plain rows once per instruction it retires
+  (a pc outside every block), so the count is exact on any host.
 
-Reps alternate plain, fused and the activation arm (and stop-pc and
-checked for the watched arms), so a host-speed dip hits every arm alike,
-and each rep is timed in process CPU time (``time.process_time``), which
-does not count time the process spent descheduled. The best rep per arm
-is reported, with every rep's rate in ``rep_instr_per_sec`` (and
-``rep_activation_us``) as the recorded spread.
+Reps alternate the fast, checked and activation arms (and stop-pc and
+checked for the watched arms), so a host-speed dip hits every arm
+alike, and each rep is timed in process CPU time
+(``time.process_time``), which does not count time the process spent
+descheduled. The best rep per arm is reported, with every rep's rate in
+``rep_instr_per_sec`` (and ``rep_activation_us``) as the recorded
+spread.
 
-Block rows must be *observably invisible*, so the run also asserts the
-two decodings retire identical instruction and cycle counts; the
-watched arms must retire identical counts and record identical watch
-hits. The payload also carries ``opcode_profile`` — the measured
-per-opcode retirement counts from ``Cpu.run(profile=...)`` on the same
-workload, hottest first. Writes ``BENCH_interp.json`` next to
-this file so the perf trajectory of the hot loop is tracked across PRs.
+Block rows must be *observably invisible*, so the run also asserts both
+loops retire identical instruction and cycle counts; the watched arms
+must retire identical counts and record identical watch hits. The
+payload also carries ``opcode_profile`` — the measured per-opcode
+retirement counts from ``Cpu.run(profile=...)`` on the same workload,
+hottest first. Writes ``BENCH_interp.json`` next to this file so the
+perf trajectory of the hot loop is tracked across PRs.
 
 Usage::
 
@@ -106,13 +106,16 @@ def counting_loop(iterations: int):
     return asm.assemble()
 
 
-def run_once(iterations: int, fuse: bool):
+def run_once(iterations: int, checked: bool):
+    """The counting loop on the fast loop, or on the checked loop when
+    *checked*."""
     memory = MemoryMap(16)
-    cpu = Cpu(memory, fuse=fuse)
+    cpu = Cpu(memory)
     cpu.load(counting_loop(iterations))
     cpu.reset_task(0)
     start = time.process_time()
-    result = cpu.run(max_instructions=10 * iterations)
+    result = cpu.run(max_instructions=10 * iterations,
+                     profile={} if checked else None)
     cpu_s = time.process_time() - start
     assert result.reason is StopReason.HALTED, result
     assert memory.peek(RAM_BASE) == iterations
@@ -153,7 +156,8 @@ def activation_record(reps):
 
 class CountingRows(list):
     """Decoded rows that count every index: the fast loop reads
-    ``rows[pc]`` once per dispatch."""
+    ``rows[pc]`` once per dispatch, and the checked loop once per
+    instruction."""
 
     reads = 0
 
@@ -173,8 +177,7 @@ def activation_dispatches(factory) -> dict:
         cpu = kernel.board_of(node).cpu
         # private copies: the decoded rows are shared and read-only
         cpu._rows = CountingRows(cpu._rows)
-        if cpu._brows is not None:
-            cpu._brows = CountingRows(cpu._brows)
+        cpu._brows = CountingRows(cpu._brows)
         run = cpu.run
 
         def counted_run(*args, _run=run, **kwargs):
@@ -190,11 +193,11 @@ def activation_dispatches(factory) -> dict:
 
 
 def interleaved_best(iterations: int, activation_rounds: int):
-    """Alternate plain, fused and activation reps; best rep and all rates
-    per arm.
+    """Alternate fast, checked and activation reps; best rep and all
+    rates per arm.
 
-    Returns ``({fuse: (best rate, result, cpu_s, block_rows, rates)},
-    {firmware: activation record})``.
+    Returns ``({checked: (best rate, result, cpu_s, block_rows,
+    rates)}, {firmware: activation record})``.
     """
     firmwares = {name: generate_firmware(factory(),
                                          InstrumentationPlan.full())
@@ -203,16 +206,17 @@ def interleaved_best(iterations: int, activation_rounds: int):
     rates = {False: [], True: []}
     activations = {name: [] for name in firmwares}
     for _ in range(REPS):
-        for fuse in (False, True):
-            result, cpu_s, cpu = run_once(iterations, fuse)
+        for checked in (False, True):
+            result, cpu_s, cpu = run_once(iterations, checked)
             rate = result.instructions / cpu_s
-            rates[fuse].append(round(rate))
-            if fuse not in best or rate > best[fuse][0]:
-                best[fuse] = (rate, result, cpu_s, cpu.block_rows)
+            rates[checked].append(round(rate))
+            if checked not in best or rate > best[checked][0]:
+                best[checked] = (rate, result, cpu_s, cpu.block_rows)
         for name, firmware in firmwares.items():
             activations[name].append(
                 run_activations(firmware, activation_rounds))
-    return ({fuse: best[fuse] + (rates[fuse],) for fuse in best},
+    return ({checked: best[checked] + (rates[checked],)
+             for checked in best},
             {name: activation_record(reps)
              for name, reps in activations.items()})
 
@@ -268,16 +272,16 @@ def interleaved_watched(rounds: int):
 def main() -> None:
     quick = "--quick" in sys.argv
     iterations = QUICK_ITERS if quick else FULL_ITERS
-    run_once(QUICK_ITERS, fuse=False)  # warm up caches and the allocator
-    run_once(QUICK_ITERS, fuse=True)
+    run_once(QUICK_ITERS, checked=False)  # warm up caches and the allocator
+    run_once(QUICK_ITERS, checked=True)
 
     arms, activation = interleaved_best(
         iterations,
         QUICK_ACTIVATION_ROUNDS if quick else FULL_ACTIVATION_ROUNDS)
     watch_best, watch_rates, watched = interleaved_watched(
         QUICK_WATCH_ROUNDS if quick else FULL_WATCH_ROUNDS)
-    plain_rate, plain_result, plain_cpu_s, _, plain_reps = arms[False]
-    fused_rate, fused_result, fused_cpu_s, block_rows, fused_reps = arms[True]
+    fused_rate, fused_result, fused_cpu_s, block_rows, fused_reps = arms[False]
+    checked_rate, checked_result, checked_cpu_s, _, checked_reps = arms[True]
     dispatches = {name: activation_dispatches(factory)
                   for name, factory in ACTIVATION_SYSTEMS.items()}
 
@@ -294,20 +298,20 @@ def main() -> None:
 
     # the timing-identity invariant, enforced on the scoreboard workload:
     # block rows change wall time, never the architectural counters
-    assert fused_result.instructions == plain_result.instructions, (
-        fused_result, plain_result)
-    assert fused_result.cycles == plain_result.cycles, (
-        fused_result, plain_result)
+    assert fused_result.instructions == checked_result.instructions, (
+        fused_result, checked_result)
+    assert fused_result.cycles == checked_result.cycles, (
+        fused_result, checked_result)
 
     best = {
-        "instr_per_sec": round(plain_rate),
         "fused_instr_per_sec": round(fused_rate),
-        "fusion_speedup": round(fused_rate / plain_rate, 2),
+        "checked_instr_per_sec": round(checked_rate),
+        "fusion_speedup": round(fused_rate / checked_rate, 2),
         "block_rows": block_rows,
-        "cycles": plain_result.cycles,
-        "cpu_s": round(plain_cpu_s, 6),
+        "cycles": fused_result.cycles,
         "fused_cpu_s": round(fused_cpu_s, 6),
-        "rep_instr_per_sec": {"plain": plain_reps, "fused": fused_reps,
+        "checked_cpu_s": round(checked_cpu_s, 6),
+        "rep_instr_per_sec": {"fused": fused_reps, "checked": checked_reps,
                               "watched": watch_rates[False],
                               "watched_checked": watch_rates[True]},
         "watched_instr_per_sec": round(watch_best[False]),
@@ -317,7 +321,7 @@ def main() -> None:
         "watch_hits": len(watched[2]),
         "activation": activation,
         "activation_dispatches": dispatches,
-        "instructions": plain_result.instructions,
+        "instructions": fused_result.instructions,
         "opcode_profile": opcode_profile,
         "quick": quick,
     }
@@ -329,8 +333,8 @@ def main() -> None:
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(best, handle, indent=2)
         handle.write("\n")
-    print(f"{best['instr_per_sec']:,} instr/sec unfused, "
-          f"{best['fused_instr_per_sec']:,} fused "
+    print(f"{best['fused_instr_per_sec']:,} instr/sec on block rows, "
+          f"{best['checked_instr_per_sec']:,} checked "
           f"({best['fusion_speedup']}x, {block_rows} block rows; "
           f"{best['instructions']:,} instructions, "
           f"{best['cycles']:,} cycles); watched "

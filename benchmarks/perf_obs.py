@@ -4,19 +4,28 @@ Three claims gated here (see ``repro/obs/__init__.py`` invariants):
 
 * **zero cost when unused (poll plane)** — with ``OBS`` disabled, a
   64-watch scatter read through the instrumented :class:`JtagLink`
-  must run at the raw probe's rate. The probe sits *below* every
+  makes exactly the raw probe's Python calls plus the link's own two
+  (``read_scatter`` and its accounting). The probe sits *below* every
   telemetry tap, so it is the obs-free baseline this layer can never
-  touch (``overhead.poll_disabled_ratio``, ceiling-gated);
-* **zero cost when unused (interp plane)** — the per-instruction
-  interpreter loop carries no telemetry at all, so enabling the
-  registry must not move the fused counting-loop kernel
-  (``overhead.interp_disabled_ratio`` = enabled/disabled wall-clock,
-  ceiling-gated: any future per-instruction tap trips this);
+  touch (``overhead.poll_extra_calls``, ceiling-gated);
+* **zero cost when unused (interp plane)** — the interpreter loops
+  carry no telemetry at all, so enabling the registry must not add a
+  single Python call to the counting-loop kernel
+  (``overhead.interp_extra_calls`` = enabled minus disabled calls,
+  ceiling-gated at 0: any future per-dispatch tap trips this);
 * **deterministic export** — two campaigns at the same seed, collected
   into different directories, must export byte-identical Chrome
   trace-event documents (``determinism.export_identical``,
   floor-gated). Export throughput over the first of those campaign
   stores is recorded as ``export.events_per_sec``.
+
+Both overhead gates count Python ``call`` events (``sys.setprofile``),
+so they hold on any host. The wall-clock ratios beside them
+(``overhead.poll_disabled_ratio``: best-of-reps link time over probe
+time; ``overhead.interp_disabled_ratio``: enabled over disabled loop
+time, interleaved) are recorded but not gated: their true value is
+~1.0 and host noise moves them by more than any margin a gate could
+hold.
 
 Writes ``BENCH_obs.json`` (or ``BENCH_obs_quick.json`` under
 ``--quick``) next to this file.
@@ -64,6 +73,8 @@ QUICK_REPS = 5
 FULL_ITERS = 200_000
 QUICK_ITERS = 50_000
 INTERP_REPS = 5  # interleaved off/on pairs, best-of each arm
+#: counting-loop iterations of the interp plane's call count
+CALL_ITERS = 50_000
 
 
 def watch_addrs(count: int):
@@ -87,15 +98,40 @@ def best_elapsed(fn, arg, reps):
     return best
 
 
+def count_calls(fn, arg) -> int:
+    """Python-level call events (``sys.setprofile``) of ``fn(arg)``, the
+    call of *fn* itself included."""
+    calls = 0
+
+    def count(frame, event, _):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        fn(arg)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def measure_poll_overhead(reps: int):
-    """Instrumented link vs the obs-free probe beneath it, OBS disabled."""
+    """Instrumented link vs the obs-free probe beneath it, OBS disabled:
+    calls of one poll each (fresh pairs, same scan state), then the
+    best-of-*reps* times."""
     disable()
     addrs = watch_addrs(WATCHES)
+    probe_calls = count_calls(jtag_pair()[0].read_scatter_timed, addrs)
+    link_calls = count_calls(jtag_pair()[1].read_scatter, addrs)
     probe, link = jtag_pair()
     probe_t = best_elapsed(probe.read_scatter_timed, addrs, reps)
     link_t = best_elapsed(link.read_scatter, addrs, reps)
     return {
         "watches": WATCHES,
+        "probe_poll_calls": probe_calls,
+        "link_poll_calls": link_calls,
+        "poll_extra_calls": link_calls - probe_calls,
         "probe_poll_us": round(probe_t * 1e6, 1),
         "link_poll_us": round(link_t * 1e6, 1),
         "poll_disabled_ratio": round(link_t / probe_t, 3),
@@ -120,7 +156,7 @@ def counting_loop(iterations: int):
 
 def run_interp(iterations: int):
     memory = MemoryMap(16)
-    cpu = Cpu(memory, fuse=True)
+    cpu = Cpu(memory)
     cpu.load(counting_loop(iterations))
     cpu.reset_task(0)
     start = time.perf_counter()
@@ -131,11 +167,19 @@ def run_interp(iterations: int):
 
 
 def measure_interp_overhead(iterations: int, reps: int):
-    """The fused fast loop with the registry on vs off.
+    """The counting loop on the fast loop with the registry on vs off:
+    calls of one :data:`CALL_ITERS` run each, after a warm-up of the
+    same size, then the best-of-*reps* times.
 
-    Arms are interleaved (off, on, off, on, ...) so clock/thermal drift
-    over the run cancels instead of biasing whichever arm went first.
+    Timed arms are interleaved (off, on, off, on, ...) so clock/thermal
+    drift over the run cancels instead of biasing whichever arm went
+    first.
     """
+    run_interp(CALL_ITERS)
+    disable()
+    disabled_calls = count_calls(run_interp, CALL_ITERS)
+    enable()
+    enabled_calls = count_calls(run_interp, CALL_ITERS)
     disabled_t = enabled_t = float("inf")
     for _ in range(reps):
         disable()
@@ -144,6 +188,10 @@ def measure_interp_overhead(iterations: int, reps: int):
         enabled_t = min(enabled_t, run_interp(iterations))
     disable()
     return {
+        "call_iterations": CALL_ITERS,
+        "interp_disabled_calls": disabled_calls,
+        "interp_enabled_calls": enabled_calls,
+        "interp_extra_calls": enabled_calls - disabled_calls,
         "iterations": iterations,
         "disabled_wall_s": round(disabled_t, 4),
         "enabled_wall_s": round(enabled_t, 4),
@@ -218,12 +266,16 @@ def main() -> None:
         json.dump(results, handle, indent=2)
         handle.write("\n")
     over = results["overhead"]
-    print(f"64-watch poll: probe {over['probe_poll_us']}us, "
-          f"instrumented link {over['link_poll_us']}us "
-          f"(disabled ratio {over['poll_disabled_ratio']}x)")
-    print(f"fused interp: off {over['disabled_wall_s']}s, "
-          f"on {over['enabled_wall_s']}s "
-          f"(ratio {over['interp_disabled_ratio']}x)")
+    print(f"64-watch poll: probe {over['probe_poll_calls']} calls "
+          f"{over['probe_poll_us']}us, instrumented link "
+          f"{over['link_poll_calls']} calls {over['link_poll_us']}us "
+          f"(+{over['poll_extra_calls']} calls, "
+          f"disabled ratio {over['poll_disabled_ratio']}x)")
+    print(f"interp: off {over['interp_disabled_calls']} calls "
+          f"{over['disabled_wall_s']}s, on {over['interp_enabled_calls']} "
+          f"calls {over['enabled_wall_s']}s "
+          f"(+{over['interp_extra_calls']} calls, "
+          f"ratio {over['interp_disabled_ratio']}x)")
     exp = results["export"]
     print(f"export: {exp['store_events']} events -> {exp['export_bytes']}B "
           f"at {exp['events_per_sec']}/s")

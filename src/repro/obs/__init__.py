@@ -24,11 +24,11 @@ Invariants (each one gated, not aspirational):
 * **Zero cost when unused.** Telemetry off means the holder slot in
   :mod:`repro.obs.runtime` is ``None`` and every instrumentation
   site pays one attribute load + ``is not None`` — no allocation, no
-  call, and nothing at all inside the per-instruction interpreter
-  loops (instrumentation sits at transaction/activation granularity,
-  never per instruction). Ceilings in FLOORS.json (``BENCH_obs`` on
-  ``overhead.poll_disabled_ratio``, ``BENCH_obs_interp`` on
-  ``overhead.interp_disabled_ratio``) keep it true.
+  call, and nothing at all inside the interpreter loops
+  (instrumentation sits at transaction/activation granularity, never
+  per instruction). Call-count ceilings in FLOORS.json (``BENCH_obs``
+  on ``overhead.poll_extra_calls``, ``BENCH_obs_interp`` on
+  ``overhead.interp_extra_calls``) keep it true.
 * **Existing stats APIs are unchanged.** ``DebugLink.stats()`` and
   ``ChaosLink.stats()`` keep their exact keys and values; the
   registry *binds* them

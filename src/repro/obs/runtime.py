@@ -5,7 +5,7 @@ fleet, the tracedb store) all asks the same question on its hot path:
 *is telemetry on?* The answer has to be cheap enough to ask millions of
 times per second when the answer is no — the repo's zero-cost-when-
 unused discipline (see ``repro.obs``'s package docstring and the
-``obs.*_disabled_ratio`` ceilings in benchmarks/FLOORS.json).
+``BENCH_obs`` call-count ceilings in benchmarks/FLOORS.json).
 
 The mechanism is a single module-global holder, :data:`OBS`, with one
 slot: ``metrics``, a :class:`~repro.obs.metrics.MetricsRegistry` or

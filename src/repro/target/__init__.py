@@ -5,8 +5,7 @@ runs here, the active command interface EMITs from here, and the passive
 JTAG probe scans this board's RAM. The interpreter is the framework's
 hottest path and is engineered accordingly — see :mod:`repro.target.cpu`
 for the performance rules (decode once, one dispatch per straight-line
-run, hoisted locals, watched stores as stop rows of the one fast
-loop).
+run, hoisted locals, every pc outside a block on the checked loop).
 
 ISA reference
 =============
@@ -64,25 +63,23 @@ Block rows
 
 Generated firmware is straight-line runs of stack code between branches,
 so :meth:`~repro.target.cpu.Cpu.load` compiles each maximal run into one
-**block row** (on by default; ``Cpu(fuse=False)`` keeps the reference
-decoding): a Python function generated from per-opcode templates,
-dispatched by the one fast loop that also runs plain rows. A cruise
-control activation of ~52 instructions takes ~7 dispatches instead of
-one per instruction. :mod:`repro.target.blocks` states where a run ends
-and the **timing-identity invariant**: a block charges, counts, reads
-and writes exactly what its plain rows would, and decomposes back to
-them whenever a budget, stack-depth or divisor check could tell the
-difference, so LIMIT stops land on a legal pc and faults carry the plain
-pc and counters.
+**block row**: a Python function generated from per-opcode templates,
+and the only row the fast loop dispatches. A cruise control activation
+of ~52 instructions takes ~6 dispatches instead of one per instruction.
+:mod:`repro.target.blocks` states where a run ends and the
+**timing-identity invariant**: a block charges, counts, reads and writes
+exactly what the checked loop would, and decomposes onto it whenever a
+budget, stack-depth or divisor check could tell the difference, so LIMIT
+stops land on a legal pc and faults carry the checked pc and counters.
 
 **Watch stops.** Watched stores are *stop pcs* of the same fast loop:
-per program and watch set, the CPU builds trapped decodings with a stop
-row at every ``STORE`` to a watched address and every ``STI`` while
-anything is watched, with the blocks formed again around them (see
+per program and watch set, the CPU forms trapped block rows that leave
+every ``STORE`` to a watched address and every ``STI`` while anything
+is watched as a plain row, which the checked loop retires (see
 :mod:`repro.target.cpu`). There are no code breakpoints and no
 single-stepping: the code-level baseline uses watchpoints only.
 ``tests/test_superinstructions.py`` holds the lockstep proofs (blocks ==
-plain == checked, and stop-pc route == checked loop);
+checked, and stop-pc route == checked loop);
 ``benchmarks/perf_interp.py`` scores the speedups (``fusion_speedup``
 and ``watch_speedup``, floor-gated in CI) and counts the rows dispatched
 per activation (ceiling-gated).
@@ -96,7 +93,7 @@ loop with ``profile={}``, and ``benchmarks/perf_interp.py`` dumps the
 measured profile (``opcode_profile``) with every run.
 """
 
-from repro.target.assembler import Assembler, disassemble
+from repro.target.assembler import Assembler
 from repro.target.board import BOARD_IDCODE, Board, DebugPort
 from repro.target.cpu import Cpu, RunResult, StopReason
 from repro.target.firmware import FirmwareImage, Symbol, SymbolTable
@@ -105,7 +102,7 @@ from repro.target.memory import MemoryMap, RAM_BASE
 from repro.target.peripherals import Uart
 
 __all__ = [
-    "Assembler", "disassemble",
+    "Assembler",
     "BOARD_IDCODE", "Board", "DebugPort",
     "Cpu", "RunResult", "StopReason",
     "FirmwareImage", "Symbol", "SymbolTable",

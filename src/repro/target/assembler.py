@@ -1,4 +1,4 @@
-"""Two-pass assembler with labels, and a disassembler for listings.
+"""Two-pass assembler with labels.
 
 ``emit``/``emit_jump``/``label`` record a program; ``assemble`` resolves
 labels (forward and backward) and returns the final instruction list. Jump
@@ -8,7 +8,7 @@ control flow in source order without knowing addresses.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import AssemblyError
 from repro.target.isa import Instr, JUMP_OPS
@@ -79,32 +79,3 @@ class Assembler:
             code.append(Instr(item.op, target, src_path=item.src_path))
         return code
 
-
-def disassemble(code: Sequence[Instr], start: int = 0,
-                count: Optional[int] = None,
-                mark_pc: Optional[int] = None) -> str:
-    """Render *code* as a listing; ``mark_pc`` gets a ``=>`` cursor.
-
-    ::
-
-           10  PUSH     1
-        => 11  STORE    0x20000003   ; signal:light
-    """
-    if count is None:
-        count = len(code) - start
-    end = min(len(code), start + count)
-    lines: List[str] = []
-    for pc in range(max(0, start), end):
-        instr = code[pc]
-        marker = "=>" if pc == mark_pc else "  "
-        if instr.arg is None:
-            operand = ""
-        elif instr.op in ("LOAD", "STORE"):
-            operand = f"0x{instr.arg:08x}"
-        else:
-            operand = str(instr.arg)
-        line = f"{marker} {pc:4d}  {instr.op:<6s} {operand:<12s}"
-        if instr.src_path:
-            line += f" ; {instr.src_path}"
-        lines.append(line.rstrip())
-    return "\n".join(lines)

@@ -4,22 +4,25 @@
 ``(opcode, arg, cycles)`` row per instruction. :func:`form_blocks` then
 finds every maximal straight-line run of those rows and compiles it into
 a Python function, installed as one **block row** at the run's first pc.
-The fast loop runs a whole block with one dispatch, one budget check and
-one stack-depth check, where plain rows pay a dispatch and a guard per
-instruction.
+The fast loop runs only block rows: a whole block with one dispatch, one
+budget check and one stack-depth check.
 
 A run ends
 
 * before a task entry or a jump target (a block may *start* at one: that
   keeps loop bodies compiled);
-* after a branch, an ``EMIT`` or a ``HALT``, which the block includes;
+* after a branch, an ``EMIT`` or a ``HALT``, which the block includes. A
+  task's closing ``EMIT; HALT`` is one block (the *fold*), unless the
+  ``HALT`` is itself a jump target or a task entry;
 * before any row the compiler cannot prove safe: ``STI``, a ``LOAD`` or
-  ``STORE`` outside RAM, a jump outside the code, or a stop row of a
-  trapped decoding (every watched store and armed breakpoint).
+  ``STORE`` outside RAM, a jump outside the code, or a *stop pc* of a
+  trapped decoding (every store that may hit a watched address).
 
-Runs shorter than :data:`MIN_BLOCK` stay plain. Interior pcs of a block
-keep their plain rows, so a run resumed mid-block (after a budget stop)
-executes plain rows up to the next block head.
+Every safe run becomes a block, a one-row run included. The unsafe rows
+and the interior pcs of a block keep their plain rows: the fast loop
+stops before them, and the CPU retires each of them on the checked
+path (``Cpu._run_debug``), so a run resumed mid-block (after a budget
+stop) steps the checked loop up to the next block head.
 
 **What a block function does.** ``fn(cells, stack, emit_log)`` keeps the
 run's stack in locals and defers every RAM store to one commit at the
@@ -28,11 +31,13 @@ pc, or ``-1`` before committing when it meets a zero divisor or an
 ``LDI`` outside RAM. The row carries the static counts the loop charges
 in one step: instructions, cycles, RAM reads and writes, the stack depth
 the run needs at entry and the headroom it needs above it. A block whose
-budget, stack or divisor check fails *decomposes*: the loop re-executes
-the same pc on plain rows, so every fault keeps its exact pc and
-counters. An ``EMIT`` block commits the stack, the cells and the
-``emit_log`` entry before it returns; the loop then calls the emit
-handler with ``cycles`` including the ``EMIT`` charge.
+budget, stack or divisor check fails *decomposes*: the loop stops before
+it and the checked path executes the same pc, so every fault keeps its
+exact pc and counters. An ``EMIT`` block commits the stack, the cells
+and the ``emit_log`` entry before it returns; the loop then calls the
+emit handler at the ``EMIT``'s pc with ``cycles`` including the
+``EMIT`` charge and not a folded ``HALT``'s, and halts after the handler
+returns (a raising handler leaves the machine unhalted at the ``EMIT``).
 
 **Generated code.** The source is built from fixed per-opcode templates.
 Every value that varies between blocks (cell indexes, immediates, pcs,
@@ -48,7 +53,8 @@ from __future__ import annotations
 
 import types
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.target.isa import (
     CYCLES,
@@ -59,12 +65,15 @@ from repro.target.isa import (
 )
 from repro.target.memory import RAM_BASE
 
-#: shortest run compiled into a block; a single row is cheaper plain
-MIN_BLOCK = 2
+#: the row past the last pc of every block program: not a block, so a
+#: run that falls off the end of the code stops before it, and the
+#: checked loop raises the fault
+END_ROW = (-1, 0, 0)
 
 #: what the fast loop does after a block returns (last field of the row's
-#: arg tuple)
+#: arg tuple): flags, so a folded ``EMIT; HALT`` carries both
 TAIL_NONE, TAIL_EMIT, TAIL_HALT = 0, 1, 2
+TAIL_EMIT_HALT = TAIL_EMIT | TAIL_HALT
 
 _WRAP = "((({}) + 2147483648) & 4294967295) - 2147483648"
 #: binary ALU templates, ``a b -- r``; DIV and MOD are built inline
@@ -104,38 +113,41 @@ _TEMPLATES_LIMIT = 256
 _GLOBALS: dict = {"__builtins__": {}}
 
 
-def form_blocks(rows: Sequence[tuple], entries: Iterable[int],
-                nram: int) -> Tuple[Optional[List[tuple]], int]:
+def form_blocks(rows: Sequence[tuple], entries: Iterable[int], nram: int,
+                stops: AbstractSet[int] = frozenset()
+                ) -> Tuple[List[tuple], int]:
     """Block rows over *rows*: a copy with a block row at the head of
-    every compilable run (None when there is none) and the block count.
+    every safe run and :data:`END_ROW` past the last pc, and the block
+    count.
 
-    *rows* are plain decoded rows, possibly trapped (a stop row is never
-    safe, so no block runs across one); *entries* are task entry pcs and
-    *nram* the RAM size in words.
+    *rows* are plain decoded rows; *entries* are task entry pcs, *nram*
+    the RAM size in words and *stops* the stop pcs of a trapped
+    decoding, which stay plain like every unsafe row.
     """
     ncode = len(rows)
     heads = set(entries)
     for op, arg, _ in rows:
         if (op == OP_JMP or op == OP_JZ or op == OP_JNZ) and 0 <= arg < ncode:
             heads.add(arg)
-    brows: Optional[List[tuple]] = None
+    brows = list(rows) + [END_ROW]
     count = 0
     pc = 0
     while pc < ncode:
         end = pc
         while end < ncode and (end == pc or end not in heads):
             op, arg, _ = rows[end]
-            if (op not in _SAFE
+            if (end in stops or op not in _SAFE
                     or ((op == OP_LOAD or op == OP_STORE)
                         and not 0 <= arg - RAM_BASE < nram)
                     or (op in _JUMPS and not 0 <= arg < ncode)):
                 break
             end += 1
-            if op in _ENDS:
+            # an EMIT followed by a HALT does not end the run: the HALT
+            # folds into it, unless it is a head
+            if op in _ENDS and not (op == OP_EMIT and end < ncode
+                                    and rows[end][0] == OP_HALT):
                 break
-        if end - pc >= MIN_BLOCK:
-            if brows is None:
-                brows = list(rows)
+        if end > pc:
             brows[pc] = block_row(rows, pc, end, nram)
             count += 1
         pc = max(end, pc + 1)
@@ -157,7 +169,7 @@ def block_row(rows: Sequence[tuple], start: int, end: int,
     fn = builder.function(end)
     row = _BLOCKS[key] = (
         OP_BLOCK,
-        (fn, end - start - 1, builder.entries, builder.peak, builder.reads,
+        (fn, end - start, builder.entries, builder.peak, builder.reads,
          builder.writes, builder.tail),
         sum(CYCLES[op] for op, _, _ in rows[start:end]))
     if len(_BLOCKS) > _BLOCKS_LIMIT:
@@ -204,7 +216,7 @@ class _Builder:
 
     def push(self, atom: str, checked: bool = False) -> None:
         """Push *atom*; a *checked* push (LOAD, PUSH, DUP) is one the
-        plain rows guard against overflow."""
+        checked loop guards against overflow."""
         self.stack.append(atom)
         height = len(self.stack) - self.entries
         if checked and height > self.peak:
@@ -288,10 +300,8 @@ class _Builder:
             path_id = self.pop()
             self.emit = (self.k(arg), path_id, value)
             self.tail = TAIL_EMIT
-            self.ret = f"return {self.k(next_pc)}"
         elif op == OP_HALT:
-            self.tail = TAIL_HALT
-            self.ret = f"return {self.k(next_pc)}"
+            self.tail |= TAIL_HALT
         elif op == OP_JMP:
             self.ret = f"return {self.k(arg)}"
         else:  # JZ, JNZ
@@ -306,8 +316,7 @@ class _Builder:
 
     def function(self, end: int):
         """Commit, compile (or reuse) the template, bind the values; a
-        run that did not end in a branch, EMIT or HALT falls through to
-        *end*."""
+        run that did not end in a branch returns *end*."""
         if not self.ret:
             self.ret = f"return {self.k(end)}"
         lines = [f"x{i} = s[-{i}]" for i in range(1, self.entries + 1)]

@@ -6,55 +6,47 @@ built around four rules:
 
 1. **Decode once, one row per instruction.** :meth:`Cpu.load` turns the
    instruction list into a single array of packed ``(opcode, arg, cycles)``
-   tuples — direct-threaded style: the run loop does **one** list index
-   plus one unpack per row and never looks at an
-   :class:`~repro.target.isa.Instr`, a string, or a dict. Decoding is
-   memoized per process on the program's content, so every board flashed
-   with one image shares its rows.
-2. **One dispatch per straight-line run.** With :attr:`Cpu.fuse` on, the
-   decoder compiles each straight-line run of plain rows into one block
-   row (:mod:`repro.target.blocks`): a generated function that keeps the
+   tuples: the checked loop does **one** list index plus one unpack per
+   row and never looks at an :class:`~repro.target.isa.Instr`, a string,
+   or a dict. Decoding is memoized per process on the program's content,
+   so every board flashed with one image shares its rows.
+2. **One dispatch per straight-line run.** The decoder compiles each
+   straight-line run of safe rows into one block row
+   (:mod:`repro.target.blocks`): a generated function that keeps the
    run's stack in locals, commits its stores once and returns the next
-   pc. The loop charges the block's static instruction, cycle, read and
-   write counts in one step, after one budget check and one stack-depth
-   check. Plain rows dispatch on a frequency-ordered ``if/elif`` chain of
-   local int constants; the block and stop rows sit behind one
-   ``op >= BLOCK`` guard ahead of it.
-3. **Hoist everything.** Memory cells, the stack's bound ``append``/``pop``,
-   counters and constants live in locals for the duration of a run; state
-   is written back once in a ``finally``.
-4. **Watched stores are rows, not tests.** The fast loop
-   (:meth:`_run_fast`) contains not a single hook test. Watched stores
-   are priced **once, per program and watch set**: every *stop pc* — a
-   ``STORE`` to a watched address, and every ``STI`` (its address is
-   dynamic) while anything is watched — gets a stop row in a trapped
-   decoding, whose blocks are formed again with the stop pcs as
-   boundaries. Trapped decodings are memoized with the program, so
-   every board of every code-debugger rig shares them. The loop returns
-   before a stop row; :meth:`run` then executes exactly that one
+   pc. The fast loop (:meth:`_run_fast`) runs block rows only: it
+   charges each block's static instruction, cycle, read and write counts
+   in one step, after one budget check and one stack-depth check, and
+   stops before any other pc.
+3. **Hoist everything.** Memory cells, the stack, counters and constants
+   live in locals for the duration of a run; state is written back once
+   in a ``finally``.
+4. **Every other pc steps the checked loop.** The fast loop contains not
+   a single hook test. Watched stores are priced **once, per program and
+   watch set**: every *stop pc* — a ``STORE`` to a watched address, and
+   every ``STI`` (its address is dynamic) while anything is watched —
+   stays a plain row of a trapped decoding, whose blocks are formed
+   again with the stop pcs as boundaries. Trapped decodings are memoized
+   with the program, so every board of every code-debugger rig shares
+   them. When the fast loop stops before a plain row — a stop pc, an
+   unsafe row such as ``STI``, a block that must decompose or an
+   interior pc of a block — :meth:`run` executes exactly that one
    instruction on the checked path (:meth:`_run_debug`, where the
    memory's write hook fires with the machine state current) and
    re-enters the fast loop. Like a hardware comparator, a watchpoint
-   costs nothing until a store that can hit it retires. Only the
-   opcode profile runs every instruction through :meth:`_step`. On
-   plain rows, stack underflow and runaway program counters are caught
-   by the ``IndexError`` of the faulting list access instead of
-   per-instruction guards.
+   costs nothing until a store that can hit it retires. Only the opcode
+   profile runs every instruction through :meth:`_step`.
 
-The ISA's semantics therefore exist in three places: the plain-row chain
-of the fast loop (the decomposition target, and the whole program with
-``fuse=False``), the block templates, and :meth:`_step`, the independent
-reference. Blocks must be timing-identical to the plain rows they
-replace, and plain rows to :meth:`_step`;
-``tests/test_superinstructions.py`` checks blocks == plain == checked in
-lockstep.
+The ISA's semantics therefore exist in two places: the block templates
+and :meth:`_step`, the independent reference. Blocks must be
+timing-identical to :meth:`_step`; ``tests/test_superinstructions.py``
+checks blocks == checked in lockstep.
 
 Semantics are bit-identical to the reference expression interpreter
 (:mod:`repro.comdes.expr`) via the shared :mod:`repro.util.intmath` rules:
 signed 32-bit wraparound, C-style truncating division, 0/1 comparisons.
-The fast loop and the blocks inline ``sdiv``/``smod`` (no call per
-divide); the checked :meth:`_step` calls them, and the lockstep tests
-hold them together.
+The blocks inline ``sdiv``/``smod`` (no call per divide); the checked
+:meth:`_step` calls them, and the lockstep tests hold them together.
 """
 
 from __future__ import annotations
@@ -64,16 +56,15 @@ from collections import OrderedDict
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TargetFault
-from repro.target.blocks import TAIL_HALT, form_blocks
+from repro.target.blocks import TAIL_EMIT, TAIL_HALT, form_blocks
 from repro.target.isa import (
     CYCLES,
     Instr,
     OP_ADD, OP_AND, OP_BLOCK, OP_DIV, OP_DUP, OP_EMIT, OP_EQ, OP_GE, OP_GT,
     OP_HALT, OP_JMP, OP_JNZ, OP_JZ, OP_LDI, OP_LE, OP_LOAD, OP_LT, OP_MAX,
     OP_MIN, OP_MOD, OP_MUL, OP_NE, OP_NEG, OP_NOT, OP_OR, OP_POP, OP_PUSH,
-    OP_STI, OP_STOP, OP_STORE, OP_SUB, OP_SWAP,
+    OP_STI, OP_STORE, OP_SUB, OP_SWAP,
 )
-from repro.target.memory import RAM_BASE
 from repro.util.intmath import INT_MAX, INT_MIN, sdiv, smod, wrap32
 
 #: emit handler signature: (command kind, path id, value)
@@ -81,44 +72,34 @@ EmitHandler = Callable[[int, int, int], None]
 
 DEFAULT_RUN_LIMIT = 1_000_000
 
-_STOP_ROW = (OP_STOP, 0, 0)
+#: cycles a folded HALT adds to its EMIT block
+_HALT_CYCLES = CYCLES[OP_HALT]
 
 
 class _Program:
-    """One decoded program: its plain rows, its block rows (None when
-    blocks are off or none formed) and its trapped decodings by stop
-    set. Shared by every CPU that loads the same content; read-only
-    apart from the trapped memo."""
+    """One decoded program: its plain rows, its block rows and its
+    trapped block rows by stop set. Shared by every CPU that loads the
+    same content; read-only apart from the trapped memo."""
 
     __slots__ = ("rows", "brows", "blocks", "entries", "nram", "trapped")
 
-    def __init__(self, rows: List[tuple], brows: Optional[List[tuple]],
-                 blocks: int, entries: frozenset, nram: int) -> None:
+    def __init__(self, rows: List[tuple], entries: frozenset,
+                 nram: int) -> None:
         self.rows = rows
-        self.brows = brows
-        self.blocks = blocks
+        self.brows, self.blocks = form_blocks(rows, entries, nram)
         self.entries = entries
         self.nram = nram
-        self.trapped: "OrderedDict[tuple, Tuple[List[tuple], List[tuple]]]" = (
-            OrderedDict())
+        self.trapped: "OrderedDict[frozenset, List[tuple]]" = OrderedDict()
 
-    def trapped_rows(self, blocks: bool, stops: frozenset
-                     ) -> Tuple[List[tuple], List[tuple]]:
-        """The (fast, plain) decodings with a stop row at every pc in
-        *stops*; the fast one holds blocks formed around the stops when
-        *blocks* is set. Memoized per stop set."""
-        key = (blocks, stops)
-        found = self.trapped.get(key)
+    def trapped_rows(self, stops: frozenset) -> List[tuple]:
+        """The block rows formed with every pc in *stops* left plain.
+        Memoized per stop set."""
+        found = self.trapped.get(stops)
         if found is not None:
-            self.trapped.move_to_end(key)
+            self.trapped.move_to_end(stops)
             return found
-        plain = list(self.rows)
-        for pc in stops:
-            plain[pc] = _STOP_ROW
-        fast = plain
-        if blocks:
-            fast = form_blocks(plain, self.entries, self.nram)[0] or plain
-        found = self.trapped[key] = (fast, plain)
+        found = self.trapped[stops] = form_blocks(
+            self.rows, self.entries, self.nram, stops)[0]
         if len(self.trapped) > _TRAPPED_LIMIT:
             self.trapped.popitem(last=False)
         return found
@@ -135,17 +116,17 @@ _TRAPPED_LIMIT = 8
 
 
 def _decode(code: Sequence[Instr], entries: Optional[Sequence[int]],
-            blocks: bool, nram: int) -> _Program:
+            nram: int) -> _Program:
     """The decoded program of *code* for a RAM of *nram* words.
 
-    Memoized on content: a program whose ``(opcode, arg)`` rows, entries,
-    block flag and RAM size match one decoded before gets the same
+    Memoized on content: a program whose ``(opcode, arg)`` rows, entries
+    and RAM size match one decoded before gets the same
     :class:`_Program`, whose rows callers must not mutate. The table
     keeps the :data:`_DECODED_LIMIT` most recently used programs.
     """
     content = tuple([(instr.code, instr.arg) for instr in code])
     entry_set = frozenset(entries or ())
-    key = (content, entry_set, nram) if blocks else (content,)
+    key = (content, entry_set, nram)
     found = _DECODED.get(key)
     if found is not None:
         _DECODED.move_to_end(key)
@@ -153,8 +134,7 @@ def _decode(code: Sequence[Instr], entries: Optional[Sequence[int]],
     rows = [(op, wrap32(arg) if op == OP_PUSH else (0 if arg is None else arg),
              CYCLES[op])
             for op, arg in content]
-    brows, count = form_blocks(rows, entry_set, nram) if blocks else (None, 0)
-    found = _DECODED[key] = _Program(rows, brows, count, entry_set, nram)
+    found = _DECODED[key] = _Program(rows, entry_set, nram)
     if len(_DECODED) > _DECODED_LIMIT:
         _DECODED.popitem(last=False)
     return found
@@ -181,15 +161,11 @@ _new_tuple = tuple.__new__
 class Cpu:
     """Stack-machine core over a :class:`~repro.target.memory.MemoryMap`."""
 
-    def __init__(self, memory, stack_depth: int = 128,
-                 fuse: bool = True) -> None:
+    def __init__(self, memory, stack_depth: int = 128) -> None:
         if stack_depth <= 0:
             raise TargetFault(f"stack depth must be positive, got {stack_depth}")
         self.memory = memory
         self.stack_depth = stack_depth
-        #: compile straight-line runs into block rows at load time (off:
-        #: plain rows only, the reference decoding)
-        self.fuse = fuse
         self.stack: List[int] = []
         self.pc = 0
         self.cycles = 0
@@ -201,16 +177,15 @@ class Cpu:
         self._program: Optional[_Program] = None
         # decoded program: one packed (op, arg, cycles) row per pc
         self._rows: List[Tuple[int, int, int]] = []
-        # block program: same length, a block row at the head of every
-        # compiled run, the plain row everywhere else (so any pc — a
-        # mid-block resume, an undeclared entry — executes legally).
-        # None when blocks are off or none formed.
-        self._brows: Optional[List[tuple]] = None
+        # block program: a block row at the head of every safe run, the
+        # plain row everywhere else and blocks.END_ROW past the last pc
+        # (the fast loop stops before every row but a block row)
+        self._brows: List[tuple] = []
         #: number of block rows installed by the last load
         self.block_rows = 0
-        # trapped (fast, plain) rows for the watch set in _trap_key
-        self._trap_key: Optional[tuple] = None
-        self._trap_rows: Tuple[List[tuple], List[tuple]] = ([], [])
+        # trapped block rows for the watch set in _trap_key
+        self._trap_key: Optional[frozenset] = None
+        self._trap_rows: List[tuple] = []
 
     # -- program loading ---------------------------------------------------
 
@@ -222,22 +197,23 @@ class Cpu:
         immediate field — the machine's cells-are-int32 invariant must hold
         even for hand-built (or fault-corrupted) out-of-range constants.
 
-        With :attr:`fuse` on, a second pass compiles every straight-line
-        run into a block row (:mod:`repro.target.blocks`). *entries* names
-        task entry pcs; like jump targets, no block spans one (a block may
-        start at one). Entries the caller forgot are still safe — interior
-        pcs of a block keep their plain rows, so entering one simply
-        executes plain rows — declared boundaries just compile better.
+        A second pass compiles every straight-line run into a block row
+        (:mod:`repro.target.blocks`). *entries* names task entry pcs;
+        like jump targets, no block spans one (a block may start at one).
+        Entries the caller forgot are still safe — interior pcs of a
+        block keep their plain rows, so entering one simply steps the
+        checked loop to the next block head — declared boundaries just
+        compile better.
 
         Decoding is memoized per process on the program's content (the
-        ``(opcode, arg)`` of every instruction, the entries, the block
-        flag and the RAM size), so every board flashed with the same
-        image shares one set of rows, and one set of trapped decodings
-        per stop set (:meth:`_trapped_rows`). Shared rows are read-only;
-        an image edited in place keys a new entry.
+        ``(opcode, arg)`` of every instruction, the entries and the RAM
+        size), so every board flashed with the same image shares one set
+        of rows, and one set of trapped block rows per stop set
+        (:meth:`_trapped_rows`). Shared rows are read-only; an image
+        edited in place keys a new entry.
         """
         self.code = list(code)
-        program = self._program = _decode(self.code, entries, self.fuse,
+        program = self._program = _decode(self.code, entries,
                                           len(self.memory.cells))
         self._rows = program.rows
         self._brows = program.brows
@@ -264,12 +240,13 @@ class Cpu:
             profile: Optional[dict] = None) -> RunResult:
         """Execute until HALT or the instruction budget.
 
-        Watched stores are stop pcs of the fast loop: it runs the trapped
-        rows up to one, then this method executes that one instruction
-        on the checked path, so the write hook sees ``pc`` at the store
-        and ``cycles`` including its charge, and re-enters the fast loop
-        with the remaining budget. Watchpoints added while a run is in
-        progress take effect at the next run.
+        The fast loop runs block rows and stops before any other pc; this
+        method then executes that one instruction on the checked path and
+        re-enters the fast loop with the remaining budget. A watched store
+        is such a pc (its block rows are trapped), so the write hook sees
+        ``pc`` at the store and ``cycles`` including its charge.
+        Watchpoints added while a run is in progress take effect at the
+        next run.
 
         ``profile`` is the opcode-mix measurement hook and the one way to
         run every instruction through the checked reference loop
@@ -284,338 +261,122 @@ class Cpu:
         if profile is not None:
             return self._run_debug(max_instructions, profile)
         watched = self.memory.watched
-        if not watched:
-            # fuse is re-consulted here so toggling it after load() (Board
-            # exposes no fuse parameter) honestly selects the reference
-            # decoding
-            rows = self._brows
-            if not self.fuse or rows is None:
-                rows = self._rows
-            return self._run_fast(rows, self._rows, max_instructions)
-        rows, plain_rows = self._trapped_rows(watched)
-        n = cycles = 0
+        rows = self._trapped_rows(watched) if watched else self._brows
+        result = self._run_fast(rows, max_instructions)
+        if result.reason is not None:
+            return result
+        n = result.instructions
+        cycles = result.cycles
         while True:
-            result = self._run_fast(rows, plain_rows, max_instructions - n)
+            # the loop stopped, with budget left, before a pc it does not
+            # run (no block there, or one that must decompose): retire
+            # that one instruction on the checked path
+            step = self._run_debug(1)
+            n += 1
+            cycles += step.cycles
+            if step.reason is StopReason.HALTED:
+                return _new_tuple(RunResult, (StopReason.HALTED, n, cycles))
+            result = self._run_fast(rows, max_instructions - n)
             n += result.instructions
             cycles += result.cycles
             if result.reason is not None:
                 return _new_tuple(RunResult, (result.reason, n, cycles))
-            # the loop stopped before a watched STORE or STI with budget
-            # left: retire it on the checked path, where the hook fires
-            n += 1
-            cycles += self._run_debug(1).cycles
 
-    def _trapped_rows(self, watched: frozenset
-                      ) -> Tuple[List[tuple], List[tuple]]:
-        """The (fast, plain) decodings with a stop row at every store
-        that can write a *watched* address, cached until :meth:`load` or
-        the watched set changes, and shared through the program by every
-        CPU with the same stop pcs."""
-        blocks = self.fuse and self._brows is not None
-        key = (blocks, watched)
-        if key == self._trap_key:
+    def _trapped_rows(self, watched: frozenset) -> List[tuple]:
+        """The block rows with every store that can write a *watched*
+        address left plain, cached until :meth:`load` or the watched set
+        changes, and shared through the program by every CPU with the
+        same stop pcs."""
+        if watched == self._trap_key:
             return self._trap_rows
         stops = frozenset(
             pc for pc, (op, arg, _) in enumerate(self._rows)
             if op == OP_STI or (op == OP_STORE and arg in watched))
-        self._trap_key = key
-        self._trap_rows = self._program.trapped_rows(blocks, stops)
+        self._trap_key = watched
+        self._trap_rows = self._program.trapped_rows(stops)
         return self._trap_rows
 
-    def _run_fast(self, rows: List[tuple], plain_rows: List[tuple],
-                  limit: int) -> RunResult:
-        """The one hot loop: no hooks, no string/dict dispatch, over
-        either decoding.
+    def _run_fast(self, rows: List[tuple], limit: int) -> RunResult:
+        """The one hot loop: block rows only, no hooks, no string/dict
+        dispatch.
 
-        *rows* is the block program or the plain decoded rows (either of
-        them possibly trapped); *plain_rows* is the plain decoding a
-        block decomposes onto, trapped whenever *rows* is, so
-        decomposing can never run past a stop pc. Plain opcodes share
-        one dispatch chain; the block and stop rows sit behind a single
-        ``op >= BLOCK`` guard ahead of it, so plain rows pay one
-        comparison for blocks' existence. Reaching a stop row with
-        budget left ends the run before its pc with reason ``None``,
-        charging nothing; :meth:`run` retires the watched store.
+        *rows* is the block program, possibly trapped. The loop stops
+        with reason ``None`` before any pc that holds no block row, and
+        before a block that could be *observably* different from the
+        checked loop — the instruction budget lands inside it, the stack
+        is too shallow or lacks the headroom its pushes need, or it meets
+        a zero divisor or an ``LDI`` outside RAM before its commit (the
+        block *decomposes*). It charges nothing for that pc; :meth:`run`
+        retires it on the checked path, so budget stops land on a legal
+        pc and faults surface with the exact pc and counters of
+        :meth:`_step`.
 
-        Timing identity with the plain rows (and with :meth:`_step`) is
-        the contract: a block charges its instructions' summed cycles,
-        counts them and performs their memory accesses. Whenever it
-        could be *observably* different — the instruction budget lands
-        inside it, the stack is too shallow or lacks the headroom its
-        pushes need, or it meets a zero divisor or an ``LDI`` outside
-        RAM before its commit — the block **decomposes**: the loop swaps
-        to the plain rows and re-executes the same pc, so budget stops
-        land on a legal pc and faults surface with the exact
-        pc/counters of the plain rows. (Interior pcs of a block always
-        hold plain rows, so resuming from such a stop is legal.) A block
-        ending in ``EMIT`` has committed everything when it returns; the
-        handler then runs at the ``EMIT``'s pc with ``cycles`` including
-        its charge, as on plain rows.
+        Timing identity with :meth:`_step` is the contract: a block
+        charges its instructions' summed cycles, counts them and performs
+        their memory accesses. A block ending in ``EMIT`` has committed
+        everything when it returns; the handler then runs at the
+        ``EMIT``'s pc with ``cycles`` including its charge (and not the
+        charge of a folded ``HALT`` after it), as on the checked path.
         """
         memory = self.memory
-        prows = plain_rows
-        ncode = len(prows)
         cells = memory.cells
-        nram = len(cells)
         stack = self.stack
-        append = stack.append
-        pop = stack.pop
         depth = self.stack_depth
         emit_log = self.emit_log
         handler = self.emit_handler
         base_cycles = self.cycles
-        int_max = INT_MAX
-        int_min = INT_MIN
-        ram_base = RAM_BASE
-        # dispatch constants as locals: LOAD_FAST beats LOAD_GLOBAL
-        BLOCK = OP_BLOCK; HALTS = TAIL_HALT
-        LOAD = OP_LOAD; PUSH = OP_PUSH; STORE = OP_STORE; ADD = OP_ADD
-        EQ = OP_EQ; NE = OP_NE; LT = OP_LT; LE = OP_LE; GT = OP_GT; GE = OP_GE
-        JMP = OP_JMP; JZ = OP_JZ; JNZ = OP_JNZ; SUB = OP_SUB; MUL = OP_MUL
-        MIN = OP_MIN; MAX = OP_MAX; AND = OP_AND; OR = OP_OR; NOT = OP_NOT
-        NEG = OP_NEG; DUP = OP_DUP; MOD = OP_MOD; DIV = OP_DIV
-        SWAP = OP_SWAP; POPC = OP_POP; LDI = OP_LDI; STI = OP_STI
-        EMIT = OP_EMIT
+        # constants as locals: LOAD_FAST beats LOAD_GLOBAL
+        BLOCK = OP_BLOCK; EMITS = TAIL_EMIT; HALTS = TAIL_HALT
 
         pc = self.pc
         run_cycles = 0
         n = 0
         reads = 0
         writes = 0
-        in_handler = False
         reason = StopReason.LIMIT
         try:
             while n < limit:
                 op, arg, cst = rows[pc]
-                run_cycles += cst
-                n += 1
-                if op >= BLOCK:
-                    if op == BLOCK:
-                        fn, more, need, peak, nread, nwrite, tail = arg
-                        height = len(stack)
-                        if (n + more > limit or height < need
-                                or height + peak > depth):
-                            rows = prows  # decompose: same pc, plain rows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        target = fn(cells, stack, emit_log)
-                        if target < 0:  # zero divisor / LDI outside RAM
-                            rows = prows
-                            run_cycles -= cst
-                            n -= 1
-                            continue
-                        n += more
-                        reads += nread
-                        writes += nwrite
-                        if tail:
-                            if tail == HALTS:
-                                self.halted = True
-                                pc = target
-                                reason = StopReason.HALTED
-                                break
-                            if handler is not None:
-                                # the handler runs at the EMIT's pc and
-                                # reads self.cycles: sync before calling
-                                pc = target - 1
-                                self.cycles = base_cycles + run_cycles
-                                kind, path_id, value = emit_log[-1]
-                                in_handler = True
-                                handler(kind, path_id, value)
-                                in_handler = False
-                        pc = target
-                    else:  # stop row: run() takes this pc
-                        n -= 1
-                        reason = None
-                        break
-                elif op == LOAD:
-                    index = arg - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault(
-                            f"memory access outside RAM: 0x{arg:08x}", pc)
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(cells[index])
-                    reads += 1
-                    pc += 1
-                elif op == PUSH:
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(arg)
-                    pc += 1
-                elif op == STORE:
-                    index = arg - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault(
-                            f"memory access outside RAM: 0x{arg:08x}", pc)
-                    cells[index] = pop()
-                    writes += 1
-                    pc += 1
-                elif op == ADD:
-                    b = pop(); a = pop()
-                    r = a + b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == EQ:
-                    b = pop(); a = pop()
-                    append(1 if a == b else 0)
-                    pc += 1
-                elif op == NE:
-                    b = pop(); a = pop()
-                    append(1 if a != b else 0)
-                    pc += 1
-                elif op == LT:
-                    b = pop(); a = pop()
-                    append(1 if a < b else 0)
-                    pc += 1
-                elif op == LE:
-                    b = pop(); a = pop()
-                    append(1 if a <= b else 0)
-                    pc += 1
-                elif op == GT:
-                    b = pop(); a = pop()
-                    append(1 if a > b else 0)
-                    pc += 1
-                elif op == GE:
-                    b = pop(); a = pop()
-                    append(1 if a >= b else 0)
-                    pc += 1
-                elif op == JMP:
-                    if not 0 <= arg < ncode:
-                        raise TargetFault(
-                            f"jump target {arg} outside code", pc)
-                    pc = arg
-                elif op == JZ:
-                    if pop() == 0:
-                        if not 0 <= arg < ncode:
-                            raise TargetFault(
-                                f"jump target {arg} outside code", pc)
-                        pc = arg
-                    else:
-                        pc += 1
-                elif op == JNZ:
-                    if pop() != 0:
-                        if not 0 <= arg < ncode:
-                            raise TargetFault(
-                                f"jump target {arg} outside code", pc)
-                        pc = arg
-                    else:
-                        pc += 1
-                elif op == SUB:
-                    b = pop(); a = pop()
-                    r = a - b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == MUL:
-                    b = pop(); a = pop()
-                    r = a * b
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == MIN:
-                    b = pop(); a = pop()
-                    append(a if a <= b else b)
-                    pc += 1
-                elif op == MAX:
-                    b = pop(); a = pop()
-                    append(a if a >= b else b)
-                    pc += 1
-                elif op == AND:
-                    b = pop(); a = pop()
-                    append(1 if (a != 0 and b != 0) else 0)
-                    pc += 1
-                elif op == OR:
-                    b = pop(); a = pop()
-                    append(1 if (a != 0 or b != 0) else 0)
-                    pc += 1
-                elif op == NOT:
-                    append(0 if pop() != 0 else 1)
-                    pc += 1
-                elif op == NEG:
-                    r = -pop()
-                    if r > int_max:
-                        r = int_min  # -INT_MIN wraps
-                    append(r)
-                    pc += 1
-                elif op == DUP:
-                    if len(stack) >= depth:
-                        raise TargetFault("stack overflow", pc)
-                    append(stack[-1])
-                    pc += 1
-                elif op == MOD or op == DIV:
-                    # intmath.sdiv / smod, inline: truncating quotient,
-                    # remainder a - q*b, both wrapped to int32
-                    b = pop(); a = pop()
-                    if b == 0:
-                        raise TargetFault("modulo by zero" if op == MOD
-                                          else "division by zero", pc)
-                    r = a // b if (a >= 0) == (b > 0) else -(-a // b)
-                    if r > int_max or r < int_min:
-                        r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    if op == MOD:
-                        r = a - r * b
-                        if r > int_max or r < int_min:
-                            r = ((r + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-                    append(r)
-                    pc += 1
-                elif op == SWAP:
-                    b = pop(); a = pop()
-                    append(b)
-                    append(a)
-                    pc += 1
-                elif op == POPC:
-                    pop()
-                    pc += 1
-                elif op == LDI:
-                    index = pop() - ram_base
-                    if not 0 <= index < nram:
-                        raise TargetFault("memory access outside RAM: "
-                                          f"0x{index + ram_base:08x}", pc)
-                    append(cells[index])
-                    reads += 1
-                    pc += 1
-                elif op == STI:
-                    index = pop() - ram_base
-                    value = pop()
-                    if not 0 <= index < nram:
-                        raise TargetFault("memory access outside RAM: "
-                                          f"0x{index + ram_base:08x}", pc)
-                    cells[index] = value
-                    writes += 1
-                    pc += 1
-                elif op == EMIT:
-                    value = pop()
-                    path_id = pop()
-                    kind = arg
-                    emit_log.append((kind, path_id, value))
-                    if handler is not None:
-                        # the handler reads self.cycles: sync before calling
-                        self.cycles = base_cycles + run_cycles
-                        in_handler = True
-                        handler(kind, path_id, value)
-                        in_handler = False
-                    pc += 1
-                else:  # HALT (the only remaining opcode)
-                    self.halted = True
-                    pc += 1
-                    reason = StopReason.HALTED
+                if op != BLOCK:
+                    reason = None
                     break
-        except IndexError:
-            # The two structural faults surface as IndexError of the list
-            # access itself — no per-instruction guard needed. An emit
-            # handler's own IndexError propagates untouched.
-            if in_handler:
-                raise
-            if not 0 <= pc < ncode:
-                raise TargetFault("pc ran outside the code", pc) from None
-            if not stack:
-                raise TargetFault("stack underflow", pc) from None
-            raise
+                fn, count, need, peak, nread, nwrite, tail = arg
+                height = len(stack)
+                if (n + count > limit or height < need
+                        or height + peak > depth):
+                    reason = None  # decompose: run() steps this pc
+                    break
+                target = fn(cells, stack, emit_log)
+                if target < 0:  # zero divisor / LDI outside RAM
+                    reason = None
+                    break
+                n += count
+                run_cycles += cst
+                reads += nread
+                writes += nwrite
+                if tail:
+                    if tail & EMITS and handler is not None:
+                        # the handler runs at the EMIT's pc and reads
+                        # self.cycles: sync before calling, without a
+                        # folded HALT, which retires after it returns
+                        if tail & HALTS:
+                            pc = target - 2
+                            n -= 1
+                            run_cycles -= _HALT_CYCLES
+                        else:
+                            pc = target - 1
+                        self.cycles = base_cycles + run_cycles
+                        kind, path_id, value = emit_log[-1]
+                        handler(kind, path_id, value)
+                        if tail & HALTS:
+                            n += 1
+                            run_cycles += _HALT_CYCLES
+                    if tail & HALTS:
+                        self.halted = True
+                        pc = target
+                        reason = StopReason.HALTED
+                        break
+                pc = target
         finally:
             self.pc = pc
             self.cycles = base_cycles + run_cycles
@@ -636,8 +397,9 @@ class Cpu:
         data watchpoints and access accounting behave exactly like the
         reference semantics; ``self.pc``/``self.cycles`` are kept current so
         hooks observe a consistent machine state. :meth:`run` takes it for
-        a whole run when profiling, and for the one watched store at each
-        stop pc otherwise.
+        a whole run when profiling, and otherwise for each single pc the
+        fast loop stops before: a watched store, an unsafe row, a block
+        that must decompose and the interior pcs after it.
         """
         memory = self.memory
         rows = self._rows
@@ -674,10 +436,9 @@ class Cpu:
               depth: int, memory, ncode: int) -> int:
         """Execute one non-HALT instruction, returning the next pc.
 
-        A faulting instruction leaves the machine as the fast loop's
-        plain rows do: an underflow has popped what there was, and a
-        ``LOAD`` or ``STORE`` checks its address before it touches the
-        stack.
+        A faulting instruction leaves a defined machine: an underflow
+        empties the stack, and a ``LOAD`` or ``STORE`` checks its
+        address before it touches the stack.
         """
 
         def need(count: int) -> None:

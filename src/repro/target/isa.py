@@ -2,11 +2,9 @@
 
 The design is performance-first: every opcode has a small-integer encoding
 (its index in :data:`OPCODES`) that the CPU decodes **once at load time**,
-so the interpreter hot loop never touches strings or dictionaries. The
+so the interpreter loops never touch strings or dictionaries. The
 numbering is frequency-ordered — opcodes that dominate generated firmware
-(LOAD/PUSH/STORE/ADD and the compare/branch group) get the smallest codes,
-which keeps the dispatch chain in :meth:`repro.target.cpu.Cpu.run` short
-for the common case.
+(LOAD/PUSH/STORE/ADD and the compare/branch group) get the smallest codes.
 
 See the package docstring (``repro/target/__init__.py``) for the full
 opcode table with stack effects and cycle costs.
@@ -18,8 +16,8 @@ from typing import Optional
 
 from repro.errors import AssemblyError
 
-#: Opcode name -> encoding is positional: OPCODES.index(name). The order is
-#: the dispatch order of the interpreter: hottest first.
+#: Opcode name -> encoding is positional: OPCODES.index(name), hottest
+#: first.
 OPCODES = (
     "LOAD", "PUSH", "STORE", "ADD", "EQ", "NE", "LT", "LE", "GT", "GE",
     "JMP", "JZ", "JNZ", "SUB", "MUL", "MIN", "MAX", "AND", "OR", "NOT",
@@ -29,7 +27,7 @@ OPCODES = (
 #: name -> small-int opcode, built once at import.
 OP_INDEX = {name: code for code, name in enumerate(OPCODES)}
 
-# Named encodings for the CPU's dispatch chain.
+# Named encodings for the CPU's decoder and checked loop.
 (OP_LOAD, OP_PUSH, OP_STORE, OP_ADD, OP_EQ, OP_NE, OP_LT, OP_LE, OP_GT,
  OP_GE, OP_JMP, OP_JZ, OP_JNZ, OP_SUB, OP_MUL, OP_MIN, OP_MAX, OP_AND,
  OP_OR, OP_NOT, OP_NEG, OP_DUP, OP_MOD, OP_DIV, OP_SWAP, OP_POP, OP_LDI,
@@ -60,22 +58,17 @@ _CYCLE_TABLE = {
 #: cycle cost indexed by opcode int — used by the CPU's load-time decoder.
 CYCLES = tuple(_CYCLE_TABLE[name] for name in OPCODES)
 
-# -- decoded-only row ids -----------------------------------------------------
+# -- decoded-only row id -----------------------------------------------------
 #
-# Rows the CPU's decoder synthesizes; they are never assembled and never
-# appear in an :class:`Instr`.
+# A row the CPU's decoder synthesizes; it is never assembled and never
+# appears in an :class:`Instr`.
 
 #: block row: one compiled straight-line run of plain rows (see
 #: :mod:`repro.target.blocks`). It is architecturally invisible: it
 #: charges the exact sum of its instructions' :data:`CYCLES`, counts them,
-#: performs their reads and writes, and decomposes back to plain rows
+#: performs their reads and writes, and decomposes onto the checked loop
 #: whenever a budget, stack or divisor check could tell the difference.
 OP_BLOCK = len(OPCODES)
-#: stop row: not an instruction. The CPU's trapped decodings hold it at
-#: every *stop pc* (a store that may hit a watched address, an armed
-#: breakpoint); the fast loop returns before it, charging nothing, and
-#: ``Cpu.run`` handles that one instruction itself.
-OP_STOP = OP_BLOCK + 1
 
 
 def profile_names(counts) -> dict:
@@ -83,7 +76,7 @@ def profile_names(counts) -> dict:
 
     *counts* is the int-keyed mapping filled by ``Cpu.run(profile=...)``;
     the result is what benchmark dumps and humans read. Deterministic:
-    ties break on opcode encoding (i.e. dispatch order).
+    ties break on opcode encoding.
     """
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return {OPCODES[op]: count for op, count in ordered}

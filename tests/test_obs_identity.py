@@ -42,7 +42,7 @@ def run_program(snips, fills):
     code = assemble_program(snips)
     outcomes = []
     for cells in fills:
-        cpu = build(code, fuse=True)
+        cpu = build(code)
         cpu.memory.cells[:len(cells)] = list(cells)
         try:
             cpu.run(max_instructions=RUN_LIMIT)

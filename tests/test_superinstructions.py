@@ -1,23 +1,24 @@
 """Lockstep proof that block rows are observably invisible.
 
 ``Cpu.load`` compiles each straight-line run of plain rows into one
-block row (``repro.target.blocks``); the contract (``repro.target.cpu``)
-is that block execution is **bit-identical** to plain-row execution, and
-both to the checked per-instruction loop, at every stop: ``pc``,
-``cycles``, ``instructions``, stack, RAM, ``emit_log``, read/write
-counters and fault pcs — including budget stops landing inside a block,
-zero divisors after a store in the same block, stacks too shallow or
-too full at block entry, and what an emit handler sees. Randomized
-programs are codegen-shaped: operand/operand/alu/store quads, constant
-and move pairs, compare-and-branch, bounded loops, EMITs, indirect
-loads and stores, stack values carried across a jump target, stack
-shuffles and filler.
+block row (``repro.target.blocks``), and the fast loop runs nothing
+else; the contract (``repro.target.cpu``) is that block execution is
+**bit-identical** to the checked per-instruction loop (``_step``,
+forced with ``profile={}``) at every stop: ``pc``, ``cycles``,
+``instructions``, stack, RAM, ``emit_log``, read/write counters and
+fault pcs — including budget stops landing inside a block, zero
+divisors after a store in the same block, stacks too shallow or too
+full at block entry, a task's closing ``EMIT; HALT`` folded into one
+block, and what an emit handler sees. Randomized programs are
+codegen-shaped: operand/operand/alu/store quads, constant and move
+pairs, compare-and-branch, bounded loops, EMITs, indirect loads and
+stores, stack values carried across a jump target, stack shuffles and
+filler.
 
 Watched stores are *stop pcs* of the same fast loop; the second half of
-this file proves that route equal to the checked per-instruction loop
-(``_run_debug``, forced with ``profile={}``): identical watch hits (pc,
-cycles, value, previous), identical machine state at every stop and
-identical faults.
+this file proves that route equal to the checked loop: identical watch
+hits (pc, cycles, value, previous), identical machine state at every
+stop and identical faults.
 """
 
 from collections import OrderedDict
@@ -41,7 +42,7 @@ from repro.target import blocks as blocks_module
 from repro.target import cpu as cpu_module
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
-from repro.target.isa import OP_BLOCK, OP_HALT, OP_STOP, Instr
+from repro.target.isa import OP_BLOCK, OP_HALT, Instr
 from repro.target.memory import RAM_BASE, MemoryMap
 from repro.util.intmath import INT_MAX, INT_MIN, sdiv, smod
 
@@ -53,8 +54,8 @@ ALU_OPS = ("ADD", "SUB", "MUL", "EQ", "NE", "LT", "LE", "GT", "GE",
            "MIN", "MAX", "AND", "OR", "DIV", "MOD")
 
 
-def build(code, fuse, entries=None, ram=RAM_WORDS, depth=STACK_DEPTH):
-    cpu = Cpu(MemoryMap(ram), stack_depth=depth, fuse=fuse)
+def build(code, entries=None, ram=RAM_WORDS, depth=STACK_DEPTH):
+    cpu = Cpu(MemoryMap(ram), stack_depth=depth)
     cpu.load(code, entries=entries)
     cpu.reset_task(0)
     return cpu
@@ -71,13 +72,26 @@ def snap(cpu):
     }
 
 
-def run_guarded(cpu, limit=RUN_LIMIT):
-    """Run to a stop; faults become part of the observable outcome."""
+def run_guarded(cpu, limit=RUN_LIMIT, checked=False):
+    """Run to a stop, on the checked loop when *checked*; faults become
+    part of the observable outcome."""
     try:
-        result = cpu.run(max_instructions=limit)
+        result = cpu.run(max_instructions=limit,
+                         profile={} if checked else None)
         return (result.reason, None)
     except TargetFault as fault:
         return ("fault", (fault.reason, fault.pc))
+
+
+def blocks_match_checked(code, **build_args):
+    """Run *code* to a stop on block rows and on the checked loop; both
+    must observe one outcome and one machine state. Returns the block
+    CPU and the outcome."""
+    blocks, checked = build(code, **build_args), build(code, **build_args)
+    outcome = run_guarded(blocks)
+    assert outcome == run_guarded(checked, checked=True)
+    assert snap(blocks) == snap(checked)
+    return blocks, outcome
 
 
 # -- program generator ------------------------------------------------------
@@ -305,29 +319,29 @@ class Recorder:
             raise HandlerRaised(len(self.seen))
 
 
-#: the three routes of the lockstep: (blocks on, checked loop)
-ROUTES = ((True, False), (False, False), (True, True))
+#: the two routes of the lockstep: block rows, and the checked loop (a
+#: profile sends every instruction through ``_step``)
+ROUTES = (False, True)
 
 
-def three_way(code, chunks=(), raise_at=0, **build_args):
-    """Block rows, plain rows and the checked loop (a profile sends
-    every instruction through ``_step``) through the same budget
-    chunks, then to the end: one outcome, one machine state and one
-    handler record at every stop, or the assertion fails. Returns the
+def lockstep(code, chunks=(), raise_at=0, **build_args):
+    """Block rows and the checked loop through the same budget chunks,
+    then to the end: one outcome, one machine state and one handler
+    record at every stop, or the assertion fails. Returns the
     outcomes."""
-    cpus = [build(code, fuse=fuse, **build_args) for fuse, _ in ROUTES]
+    cpus = [build(code, **build_args) for _ in ROUTES]
     recorders = [Recorder(cpu, raise_at) for cpu in cpus]
     outcomes = []
     for limit in list(chunks) + [RUN_LIMIT]:
         step = []
-        for cpu, (_, checked) in zip(cpus, ROUTES):
+        for cpu, checked in zip(cpus, ROUTES):
             try:
                 step.append(run_route(cpu, limit, reference=checked))
             except HandlerRaised as raised:
                 step.append(("raised", raised.args))
-        assert step[0] == step[1] == step[2]
-        assert snap(cpus[0]) == snap(cpus[1]) == snap(cpus[2])
-        assert recorders[0].seen == recorders[1].seen == recorders[2].seen
+        assert step[0] == step[1]
+        assert snap(cpus[0]) == snap(cpus[1])
+        assert recorders[0].seen == recorders[1].seen
         outcomes.append(step[0])
         if cpus[0].halted or step[0][0] in ("fault", "raised"):
             break
@@ -338,18 +352,17 @@ class TestLockstepProperties:
     @settings(max_examples=60, deadline=None)
     @given(snips=snippets)
     def test_fused_equals_unfused_to_halt(self, snips):
-        """Blocks == plain == checked, handler observations included."""
-        three_way(assemble_program(snips))
+        """Blocks == checked, handler observations included."""
+        lockstep(assemble_program(snips))
 
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets,
            chunks=st.lists(st.integers(1, 7), min_size=1, max_size=24))
     def test_budget_stops_mid_sequence_are_identical(self, snips, chunks):
         """LIMIT landing anywhere — including inside a block — must
-        decompose to a legal plain pc with identical counters, and
-        resuming from that (possibly interior) pc must stay in
-        lockstep."""
-        three_way(assemble_program(snips), chunks)
+        decompose to a legal pc with identical counters, and resuming
+        from that (possibly interior) pc must stay in lockstep."""
+        lockstep(assemble_program(snips), chunks)
 
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets, raise_at=st.integers(1, 3),
@@ -357,9 +370,9 @@ class TestLockstepProperties:
     def test_raising_handler_and_shallow_stacks_are_identical(
             self, snips, raise_at, depth):
         """A handler that raises leaves pc, counters, stack and cells as
-        the plain rows do; stack depths from 1 up put block headroom
+        the checked loop does; stack depths from 1 up put block headroom
         checks on both sides of the limit."""
-        three_way(assemble_program(snips), raise_at=raise_at, depth=depth)
+        lockstep(assemble_program(snips), raise_at=raise_at, depth=depth)
 
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets, data=st.data())
@@ -371,7 +384,7 @@ class TestLockstepProperties:
         code = assemble_program(snips)
         watched = data.draw(watch_strategy(code))
         chunks = data.draw(st.lists(st.integers(1, 7), max_size=24))
-        route, reference, fast = (build(code, fuse=True) for _ in range(3))
+        route, reference, fast = (build(code) for _ in range(3))
         Watcher(route, watched)
         Watcher(reference, watched)
         for limit in chunks + [RUN_LIMIT]:
@@ -387,10 +400,11 @@ class TestLockstepProperties:
     @given(snips=snippets)
     def test_checked_one_instruction_budgets_match_blocks(self, snips):
         """The checked loop one instruction at a time == block runs of
-        budget 1 (every block decomposes), at every architectural stop."""
+        budget 1 (every block of more than one row decomposes), at
+        every architectural stop."""
         code = assemble_program(snips)
-        checked = build(code, fuse=True)
-        fused = build(code, fuse=True)
+        checked = build(code)
+        fused = build(code)
         for _ in range(RUN_LIMIT):
             step = run_route(checked, 1, reference=True)
             assert step == run_route(fused, 1, reference=False)
@@ -439,21 +453,21 @@ def assemble_divisions(snips):
 
 
 def division_lockstep(code, cells):
-    """Block, plain and checked (``_step``, i.e. ``intmath``) runs of
-    *code* over RAM preloaded with *cells*: one outcome and one machine
-    state, or the assertion fails."""
+    """Block and checked (``_step``, i.e. ``intmath``) runs of *code*
+    over RAM preloaded with *cells*: one outcome and one machine state,
+    or the assertion fails."""
     runs = []
-    for fuse, checked in ((True, False), (False, False), (True, True)):
-        cpu = build(code, fuse=fuse)
+    for checked in ROUTES:
+        cpu = build(code)
         cpu.memory.cells[:] = cells
         runs.append((run_route(cpu, RUN_LIMIT, reference=checked),
                      snap(cpu)))
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     return runs[0]
 
 
 class TestSignedDivisionLockstep:
-    """The fast loop's inline signed division and remainder against the
+    """The blocks' inline signed division and remainder against the
     checked loop's :func:`~repro.util.intmath.sdiv` / ``smod``."""
 
     @settings(max_examples=150, deadline=None)
@@ -487,7 +501,7 @@ class TestSignedDivisionLockstep:
     @pytest.mark.parametrize("value", DIV_EDGES + WIDE_CELLS)
     def test_negation_edges_agree(self, value):
         """NEG wraps only -INT_MIN (and wider cells) to INT_MIN, in a
-        block, a plain row and the checked loop alike."""
+        block and in the checked loop alike."""
         cells = [value] + [0] * (RAM_WORDS - 1)
         code = [Instr("LOAD", RAM_BASE), Instr("NEG"),
                 Instr("STORE", RAM_BASE + 1), Instr("HALT")]
@@ -498,7 +512,7 @@ class TestSignedDivisionLockstep:
     @pytest.mark.parametrize("alu", ["DIV", "MOD"])
     def test_zero_divisor_from_ram_decomposes_and_traps(self, alu, form):
         """A block that meets a zero divisor decomposes, so the trap
-        surfaces at the divide's own pc with plain-row counters."""
+        surfaces at the divide's own pc with the checked counters."""
         cells = [0] * RAM_WORDS
         code = assemble_divisions(
             [(alu, form, (False, 0, INT_MIN), (True, 3, 0), 1)])
@@ -530,8 +544,9 @@ class Watcher:
 
 
 def run_route(cpu, limit, reference):
-    """One run on the stop-pc route, or on the checked reference loop
-    (a profile sends every instruction through ``_step``)."""
+    """One run on the block rows (the stop-pc route when anything is
+    watched), or on the checked reference loop (a profile sends every
+    instruction through ``_step``)."""
     try:
         result = cpu.run(max_instructions=limit,
                          profile={} if reference else None)
@@ -557,11 +572,11 @@ def watch_strategy(code):
     return st.lists(choice, min_size=1, max_size=4, unique=True)
 
 
-def drive_in_lockstep(code, watched, chunks, fuse=True):
+def drive_in_lockstep(code, watched, chunks, entries=None):
     """Run the stop-pc route and the checked reference through the same
     budget chunks (then to the end), stop for stop; returns the route's
     watch hits."""
-    route, reference = build(code, fuse=fuse), build(code, fuse=fuse)
+    route, reference = build(code, entries), build(code, entries)
     watchers = [Watcher(route, watched), Watcher(reference, watched)]
     budgets = list(chunks) + [RUN_LIMIT] * RUN_LIMIT
     for limit in budgets:
@@ -586,16 +601,18 @@ class TestWatchLockstep:
     @settings(max_examples=30, deadline=None)
     @given(snips=snippets, data=st.data())
     def test_watched_stores_match_checked_loop_unfused(self, snips, data):
+        """Every pc declared a task entry, so every block is one row
+        (the finest decoding) and the trapped rows split nothing."""
         code = assemble_program(snips)
         watched = data.draw(watch_strategy(code))
         chunks = data.draw(st.lists(st.integers(1, 7), max_size=12))
-        drive_in_lockstep(code, watched, chunks, fuse=False)
+        drive_in_lockstep(code, watched, chunks, entries=range(len(code)))
 
     def test_every_budget_lands_in_lockstep(self):
         """Budgets of 1..N land on every pc once: on the watched store
         and inside the blocks split around it."""
         code = counting_loop(4)
-        total = build(code, fuse=False).run().instructions
+        total = build(code).run().instructions
         for limit in range(1, total + 1):
             hits = drive_in_lockstep(code, [RAM_BASE], [limit])
             assert [hit[3] for hit in hits] == [1, 2, 3, 4]
@@ -603,7 +620,7 @@ class TestWatchLockstep:
     def test_out_of_ram_sti_faults_identically(self):
         code = [Instr("PUSH", 3), Instr("PUSH", RAM_BASE + RAM_WORDS),
                 Instr("STI"), Instr("HALT")]
-        route, reference = build(code, fuse=True), build(code, fuse=True)
+        route, reference = build(code), build(code)
         Watcher(route, [RAM_BASE])
         Watcher(reference, [RAM_BASE])
         outcome = run_route(route, RUN_LIMIT, reference=False)
@@ -689,8 +706,13 @@ def store_chain():
 
 def block_spans(rows):
     """``(start, end)`` of every block row in *rows*."""
-    return [(pc, pc + row[1][1] + 1) for pc, row in enumerate(rows)
+    return [(pc, pc + row[1][1]) for pc, row in enumerate(rows)
             if row[0] == OP_BLOCK]
+
+
+#: a task's closing command: PUSH path, PUSH value, EMIT, HALT
+EMIT_HALT = [Instr("PUSH", 1), Instr("PUSH", 9), Instr("EMIT", 2),
+             Instr("HALT")]
 
 
 class TestFusionPass:
@@ -698,86 +720,126 @@ class TestFusionPass:
     (fusion, in the sense of one dispatch for many instructions)."""
 
     def test_counting_loop_fuses_to_two_rows(self):
-        # the loop body is one block ending at its JNZ; HALT alone stays
-        # a plain row
-        cpu = build(counting_loop(10), fuse=True)
-        assert cpu.block_rows == 1
-        assert block_spans(cpu._brows) == [(0, 8)]
-        assert cpu._brows[8] == cpu._rows[8]
-
-    def test_fuse_off_installs_nothing(self):
-        cpu = build(counting_loop(10), fuse=False)
-        assert cpu.block_rows == 0 and cpu._brows is None
+        # the loop body is one block ending at its JNZ; the HALT after
+        # it, a run of one row, is a block of its own
+        cpu = build(counting_loop(10))
+        assert cpu.block_rows == 2
+        assert block_spans(cpu._brows) == [(0, 8), (8, 9)]
 
     def test_no_fusion_spans_a_jump_target(self):
         # JMP 4 lands inside what would otherwise be one run: PUSH 9
-        # alone stays plain and a block starts at the target
+        # alone is a one-row block and a block starts at the target
         code = [Instr("PUSH", 1), Instr("STORE", RAM_BASE),
                 Instr("JMP", 4), Instr("PUSH", 9),
                 Instr("STORE", RAM_BASE + 1), Instr("HALT")]
-        cpu = build(code, fuse=True)
-        assert block_spans(cpu._brows) == [(0, 3), (4, 6)]
-        assert cpu._brows[3] == cpu._rows[3]
-        plain = build(code, fuse=False)
-        assert run_guarded(cpu) == run_guarded(plain)
-        assert snap(cpu) == snap(plain)
+        cpu = build(code)
+        assert block_spans(cpu._brows) == [(0, 3), (3, 4), (4, 6)]
+        blocks_match_checked(code)
 
     def test_fusing_at_a_jump_target_is_allowed(self):
-        cpu = build(counting_loop(10), fuse=True)
+        cpu = build(counting_loop(10))
         assert cpu._brows[0][0] == OP_BLOCK  # loop head compiled
 
     def test_no_fusion_spans_a_task_entry(self):
         code = [Instr("LOAD", RAM_BASE), Instr("LOAD", RAM_BASE + 1),
                 Instr("ADD"), Instr("STORE", RAM_BASE + 2), Instr("HALT")]
-        assert block_spans(build(code, fuse=True)._brows) == [(0, 5)]
-        cpu = build(code, fuse=True, entries=[2])
+        assert block_spans(build(code)._brows) == [(0, 5)]
+        cpu = build(code, entries=[2])
         assert block_spans(cpu._brows) == [(0, 2), (2, 5)]
 
     def test_undeclared_entry_mid_sequence_executes_plain_rows(self):
         code = [Instr("LOAD", RAM_BASE), Instr("LOAD", RAM_BASE + 1),
                 Instr("ADD"), Instr("STORE", RAM_BASE + 2), Instr("HALT")]
-        fused = build(code, fuse=True)
-        fused.memory.poke(RAM_BASE + 1, 7)
-        fused.reset_task(2)        # interior pc of the block
-        plain = build(code, fuse=False)
-        plain.memory.poke(RAM_BASE + 1, 7)
-        plain.reset_task(2)
+        fused, checked = build(code), build(code)
+        for cpu in (fused, checked):
+            cpu.memory.poke(RAM_BASE + 1, 7)
+            cpu.reset_task(2)        # interior pc of the block
         # both underflow identically: ADD with an empty stack
-        assert run_guarded(fused) == run_guarded(plain)
-        assert snap(fused) == snap(plain)
+        assert run_guarded(fused) == run_guarded(checked, checked=True) == (
+            "fault", ("stack underflow", 2))
+        assert snap(fused) == snap(checked)
 
     def test_invalid_branch_target_is_not_fused(self):
         code = [Instr("LOAD", RAM_BASE), Instr("JNZ", 99), Instr("HALT")]
-        fused, plain = build(code, fuse=True), build(code, fuse=False)
-        assert fused.block_rows == 0
+        cpu = build(code)
+        assert block_spans(cpu._brows) == [(0, 1), (2, 3)]
+        assert cpu._brows[1] == cpu._rows[1]
+        fused, checked = build(code), build(code)
         fused.memory.poke(RAM_BASE, 1)
-        plain.memory.poke(RAM_BASE, 1)
-        assert run_guarded(fused) == run_guarded(plain) == (
+        checked.memory.poke(RAM_BASE, 1)
+        assert run_guarded(fused) == run_guarded(checked, checked=True) == (
             "fault", ("jump target 99 outside code", 1))
-        assert snap(fused) == snap(plain)
+        assert snap(fused) == snap(checked)
 
     def test_emit_triple_fuses_both_value_modes(self):
         # PUSH ch; PUSH v; EMIT and PUSH ch; LOAD v; EMIT each end a
-        # block of their own
+        # block of their own, the second with the closing HALT folded in
         code = [Instr("PUSH", 1), Instr("PUSH", 9), Instr("EMIT", 2),
                 Instr("PUSH", 3), Instr("LOAD", RAM_BASE), Instr("EMIT", 4),
                 Instr("HALT")]
-        fused, plain = build(code, fuse=True), build(code, fuse=False)
-        assert block_spans(fused._brows) == [(0, 3), (3, 6)]
-        assert run_guarded(fused) == run_guarded(plain)
-        assert snap(fused) == snap(plain)
+        assert block_spans(build(code)._brows) == [(0, 3), (3, 7)]
+        fused, _ = blocks_match_checked(code)
         assert fused.emit_log == [(2, 1, 9), (4, 3, 0)]
 
     def test_emit_triple_does_not_span_a_branch_target(self):
         # JMP 2 lands on the LOAD inside the would-be triple
         code = [Instr("JMP", 2), Instr("PUSH", 1), Instr("LOAD", RAM_BASE),
                 Instr("EMIT", 2), Instr("HALT")]
-        cpu = build(code, fuse=True)
-        assert block_spans(cpu._brows) == [(2, 4)]
-        assert cpu._brows[1] == cpu._rows[1]
-        fused, plain = build(code, fuse=True), build(code, fuse=False)
-        assert run_guarded(fused) == run_guarded(plain)
-        assert snap(fused) == snap(plain)
+        cpu = build(code)
+        assert block_spans(cpu._brows) == [(0, 1), (1, 2), (2, 5)]
+        _, outcome = blocks_match_checked(code)
+        assert outcome == ("fault", ("stack underflow", 3))
+
+
+class TestHaltFold:
+    """A task's closing ``EMIT; HALT`` is one block: the handler runs at
+    the ``EMIT``'s pc with cycles through the ``EMIT``, and the machine
+    halts after it returns, exactly as on the checked loop. (A handler
+    raising at a folded ``EMIT`` is in
+    ``TestDecomposeEdges.test_raising_handler_leaves_plain_state``.)"""
+
+    def test_emit_halt_is_one_block(self):
+        cpu = build(EMIT_HALT)
+        assert block_spans(cpu._brows) == [(0, 4)]
+        assert cpu._brows[0][1][6] == blocks_module.TAIL_EMIT_HALT
+        recorder = Recorder(cpu)
+        assert cpu.run() == (StopReason.HALTED, 4,
+                             sum(row[2] for row in cpu._rows))
+        assert (cpu.pc, cpu.halted) == (4, True)
+        # the handler saw the EMIT's charge, not the HALT's
+        assert recorder.seen[0][3] == sum(row[2] for row in cpu._rows[:3])
+        lockstep(EMIT_HALT)
+
+    def test_budget_between_emit_and_halt(self):
+        """A budget of 3 retires the EMIT and stops before the HALT,
+        unhalted, as the checked loop does; resuming halts. (Every
+        other budget is in ``test_emit_triple_budget_decompose``.)"""
+        outcomes = lockstep(EMIT_HALT, chunks=[3])
+        cycles = sum(row[2] for row in build(EMIT_HALT)._rows[:3])
+        assert outcomes == [(StopReason.LIMIT, 3, cycles),
+                            (StopReason.HALTED, 1, 1)]
+        cpu = build(EMIT_HALT)
+        Recorder(cpu)
+        cpu.run(max_instructions=3)
+        assert (cpu.pc, cpu.instructions, cpu.cycles, cpu.halted) == (
+            3, 3, cycles, False)
+        assert len(cpu.emit_log) == 1
+
+    def test_no_fold_when_the_halt_is_a_jump_target(self):
+        # JNZ 5 targets the HALT: the EMIT block ends at the EMIT
+        code = [Instr("LOAD", RAM_BASE), Instr("JNZ", 5)] + EMIT_HALT
+        assert block_spans(build(code)._brows) == [(0, 2), (2, 5), (5, 6)]
+        rows = build(code)._rows
+        # the JNZ falls through: a budget of 4 stops before the EMIT
+        assert lockstep(code, chunks=[4]) == [
+            (StopReason.LIMIT, 4, sum(row[2] for row in rows[:4])),
+            (StopReason.HALTED, 2, rows[4][2] + rows[5][2])]
+
+    def test_no_fold_when_the_halt_is_a_task_entry(self):
+        cpu = build(EMIT_HALT, entries=[3])
+        assert block_spans(cpu._brows) == [(0, 3), (3, 4)]
+        lockstep(EMIT_HALT, entries=[3])
+        lockstep(EMIT_HALT, raise_at=1, entries=[3])
 
 
 class TestBlockFormation:
@@ -786,8 +848,8 @@ class TestBlockFormation:
         code = [Instr("PUSH", 5), Instr("PUSH", RAM_BASE), Instr("STI"),
                 Instr("PUSH", 1), Instr("PUSH", 2), Instr("ADD"),
                 Instr("LOAD", RAM_BASE + RAM_WORDS), Instr("HALT")]
-        cpu = build(code, fuse=True)
-        assert block_spans(cpu._brows) == [(0, 2), (3, 6)]
+        cpu = build(code)
+        assert block_spans(cpu._brows) == [(0, 2), (3, 6), (7, 8)]
         assert cpu._brows[2] == cpu._rows[2]
         assert cpu._brows[6] == cpu._rows[6]
 
@@ -795,18 +857,17 @@ class TestBlockFormation:
         # the same program on a smaller RAM leaves the far store plain
         code = [Instr("PUSH", 1), Instr("STORE", RAM_BASE + 8),
                 Instr("HALT")]
-        assert build(code, fuse=True, ram=12).block_rows == 1
-        small = build(code, fuse=True, ram=4)
-        assert small.block_rows == 0
-        plain = build(code, fuse=False, ram=4)
-        assert run_guarded(small) == run_guarded(plain)
-        assert snap(small) == snap(plain)
+        assert block_spans(build(code, ram=12)._brows) == [(0, 3)]
+        small = build(code, ram=4)
+        assert block_spans(small._brows) == [(0, 1), (2, 3)]
+        _, outcome = blocks_match_checked(code, ram=4)
+        assert outcome[0] == "fault"
 
     def test_block_row_charges_static_counts(self):
-        cpu = build(counting_loop(10), fuse=True)
-        op, (fn, more, need, peak, nread, nwrite, tail), cycles = \
+        cpu = build(counting_loop(10))
+        op, (fn, count, need, peak, nread, nwrite, tail), cycles = \
             cpu._brows[0]
-        assert (more, need, peak, nread, nwrite) == (7, 0, 2, 2, 1)
+        assert (count, need, peak, nread, nwrite) == (8, 0, 2, 2, 1)
         assert cycles == sum(row[2] for row in cpu._rows[:8])
 
     def test_generated_code_binds_ints_only_without_builtins(self):
@@ -815,7 +876,7 @@ class TestBlockFormation:
             builder.k("0; import os")
         with pytest.raises(TypeError):
             builder.k(True)
-        cpu = build(counting_loop(10), fuse=True)
+        cpu = build(counting_loop(10))
         fn = cpu._brows[0][1][0]
         assert fn.__globals__ == {"__builtins__": {}}
         assert all(type(value) is int for value in fn.__defaults__)
@@ -823,8 +884,8 @@ class TestBlockFormation:
     def test_one_template_serves_every_block_of_a_shape(self):
         # two loops that differ only in their constants share the
         # compiled template and bind their own values
-        first = build(counting_loop(10), fuse=True)._brows[0][1][0]
-        second = build(counting_loop(11), fuse=True)._brows[0][1][0]
+        first = build(counting_loop(10))._brows[0][1][0]
+        second = build(counting_loop(11))._brows[0][1][0]
         assert first is not second
         assert first.__code__ is second.__code__
         assert first.__defaults__ != second.__defaults__
@@ -834,7 +895,7 @@ class TestBlockFormation:
         code = [Instr("LOAD", RAM_BASE), Instr("LOAD", RAM_BASE + 1),
                 Instr("STORE", RAM_BASE), Instr("STORE", RAM_BASE + 1),
                 Instr("HALT")]
-        cpu = build(code, fuse=True)
+        cpu = build(code)
         assert cpu.block_rows == 1
         cpu.memory.cells[:2] = [3, 4]
         assert run_guarded(cpu)[0] is StopReason.HALTED
@@ -846,7 +907,7 @@ class TestBlockFormation:
                 Instr("STORE", RAM_BASE), Instr("JZ", 6),
                 Instr("PUSH", 9), Instr("STORE", RAM_BASE + 1),
                 Instr("HALT")]
-        cpu = build(code, fuse=True)
+        cpu = build(code)
         assert block_spans(cpu._brows)[0] == (0, 4)
         cpu.memory.cells[0] = 5
         assert run_guarded(cpu)[0] is StopReason.HALTED
@@ -860,7 +921,7 @@ class TestBlockFormation:
         for size in range(2, 14):
             # size pushes, size pops: one block of a new shape each
             build([Instr("PUSH", size)] * size + [Instr("POP")] * size
-                  + [Instr("HALT")], fuse=True)
+                  + [Instr("HALT")])
         assert len(blocks_module._BLOCKS) <= 8
         assert len(blocks_module._TEMPLATES) <= 4
 
@@ -869,79 +930,55 @@ class TestDecomposeEdges:
     def test_divide_by_zero_fault_is_identical(self):
         code = [Instr("LOAD", RAM_BASE), Instr("PUSH", 0), Instr("DIV"),
                 Instr("STORE", RAM_BASE + 1), Instr("HALT")]
-        fused, plain = build(code, fuse=True), build(code, fuse=False)
-        assert fused.block_rows == 1
-        outcome = run_guarded(fused)
-        assert outcome == run_guarded(plain)
+        assert build(code).block_rows == 1
+        _, outcome = blocks_match_checked(code)
         assert outcome == ("fault", ("division by zero", 2))
-        assert snap(fused) == snap(plain)
 
     def test_transient_stack_overflow_is_identical(self):
         code = [Instr("PUSH", 7), Instr("LOAD", RAM_BASE),
                 Instr("LOAD", RAM_BASE + 1), Instr("ADD"),
                 Instr("STORE", RAM_BASE + 2), Instr("HALT")]
-        fused = build(code, fuse=True, depth=2)
-        plain = build(code, fuse=False, depth=2)
-        assert fused.block_rows == 1
-        outcome = run_guarded(fused)
-        assert outcome == run_guarded(plain)
+        assert build(code, depth=2).block_rows == 1
+        _, outcome = blocks_match_checked(code, depth=2)
         assert outcome == ("fault", ("stack overflow", 2))
-        assert snap(fused) == snap(plain)
 
     def test_store_outside_ram_fault_is_identical(self):
         code = [Instr("LOAD", RAM_BASE), Instr("PUSH", 1), Instr("ADD"),
                 Instr("STORE", RAM_BASE - 1), Instr("HALT")]
-        fused, plain = build(code, fuse=True), build(code, fuse=False)
-        assert fused.block_rows == 1
-        outcome = run_guarded(fused)
-        assert outcome == run_guarded(plain)
+        assert block_spans(build(code)._brows) == [(0, 3), (4, 5)]
+        _, outcome = blocks_match_checked(code)
         assert outcome[0] == "fault" and outcome[1][1] == 3
-        assert snap(fused) == snap(plain)
 
     def test_limit_mid_quad_stops_on_legal_unfused_pc(self):
         code = counting_loop(10)
         for limit in range(1, 12):
-            fused, plain = build(code, fuse=True), build(code, fuse=False)
+            fused, checked = build(code), build(code)
             fused.run(max_instructions=limit)
-            plain.run(max_instructions=limit)
-            assert snap(fused) == snap(plain)
+            checked.run(max_instructions=limit, profile={})
+            assert snap(fused) == snap(checked)
             assert 0 <= fused.pc < len(code)
             # and resuming completes in lockstep
             fused.run()
-            plain.run()
-            assert snap(fused) == snap(plain)
+            checked.run(profile={})
+            assert snap(fused) == snap(checked)
 
     def test_emit_triple_budget_decompose(self):
-        # LIMIT landing on either interior instruction of the command
-        # preamble must decompose to a legal plain pc and resume clean
-        code = [Instr("PUSH", 1), Instr("PUSH", 9), Instr("EMIT", 2),
-                Instr("HALT")]
+        # LIMIT landing on any interior instruction of the command
+        # preamble must decompose to a legal pc and resume clean
+        assert build(EMIT_HALT).block_rows == 1
         for limit in range(1, 5):
-            fused, plain = build(code, fuse=True), build(code, fuse=False)
-            assert fused.block_rows == 1
-            fused.run(max_instructions=limit)
-            plain.run(max_instructions=limit)
-            assert snap(fused) == snap(plain)
-            fused.run()
-            plain.run()
-            assert snap(fused) == snap(plain)
+            lockstep(EMIT_HALT, chunks=[limit])
 
     def test_emit_triple_transient_overflow_decompose(self):
         # depth 1: the preamble's two pushes cannot both fit, so the
-        # block must decompose and fault exactly like the plain rows
-        code = [Instr("PUSH", 1), Instr("PUSH", 9), Instr("EMIT", 2),
-                Instr("HALT")]
-        fused = build(code, fuse=True, depth=1)
-        plain = build(code, fuse=False, depth=1)
-        assert fused.block_rows == 1
-        outcome = run_guarded(fused)
-        assert outcome == run_guarded(plain)
+        # block must decompose and fault exactly like the checked loop
+        assert build(EMIT_HALT, depth=1).block_rows == 1
+        _, outcome = blocks_match_checked(EMIT_HALT, depth=1)
         assert outcome == ("fault", ("stack overflow", 1))
-        assert snap(fused) == snap(plain)
 
     def test_emit_handler_observes_identical_cycles(self):
         asm = Assembler()
-        asm.emit("PUSH", 3)          # fused pair feeding the emit value
+        asm.emit("PUSH", 3)          # a pair feeding the emit value
         asm.emit("STORE", RAM_BASE)
         asm.emit("PUSH", 1)          # path id
         asm.emit("LOAD", RAM_BASE)
@@ -949,23 +986,22 @@ class TestDecomposeEdges:
         asm.emit("HALT")
         code = asm.assemble()
         seen = {}
-        for fuse in (True, False):
-            cpu = build(code, fuse=fuse)
+        for checked in ROUTES:
+            cpu = build(code)
             observed = []
             cpu.emit_handler = lambda kind, pid, value: observed.append(
                 (kind, pid, value, cpu.cycles))
-            cpu.run()
-            seen[fuse] = observed
+            cpu.run(profile={} if checked else None)
+            seen[checked] = observed
         assert seen[True] == seen[False]
-
 
     def test_budget_inside_a_block_resumes_at_interior_pc(self):
         code = counting_loop(3)
         for limit in range(1, 8):
-            outcomes = three_way(code, chunks=[limit])
+            outcomes = lockstep(code, chunks=[limit])
             assert outcomes[0] == (StopReason.LIMIT, limit, sum(
-                row[2] for row in build(code, fuse=False)._rows[:limit]))
-            stopped = build(code, fuse=True)
+                row[2] for row in build(code)._rows[:limit]))
+            stopped = build(code)
             stopped.run(max_instructions=limit)
             assert stopped.pc == limit  # an interior pc of the block
 
@@ -973,14 +1009,13 @@ class TestDecomposeEdges:
         # the block at pc 1 needs two stack entries and finds one
         code = [Instr("JMP", 1), Instr("ADD"), Instr("STORE", RAM_BASE),
                 Instr("HALT")]
-        cpu = build(code, fuse=True)
-        assert cpu._brows[1][1][2] == 2
-        cpu.stack.append(4)
-        plain = build(code, fuse=False)
-        plain.stack.append(4)
-        assert run_guarded(cpu) == run_guarded(plain) == (
+        assert build(code)._brows[1][1][2] == 2
+        fused, checked = build(code), build(code)
+        fused.stack.append(4)
+        checked.stack.append(4)
+        assert run_guarded(fused) == run_guarded(checked, checked=True) == (
             "fault", ("stack underflow", 1))
-        assert snap(cpu) == snap(plain)
+        assert snap(fused) == snap(checked)
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     def test_headroom_exactly_at_stack_depth(self, depth):
@@ -989,8 +1024,8 @@ class TestDecomposeEdges:
         code = [Instr("PUSH", 5), Instr("JMP", 2), Instr("LOAD", RAM_BASE),
                 Instr("LOAD", RAM_BASE + 1), Instr("ADD"), Instr("ADD"),
                 Instr("STORE", RAM_BASE + 2), Instr("HALT")]
-        assert build(code, fuse=True, depth=depth)._brows[2][1][3] == 2
-        outcomes = three_way(code, depth=depth)
+        assert build(code, depth=depth)._brows[2][1][3] == 2
+        outcomes = lockstep(code, depth=depth)
         if depth == 2:
             assert outcomes[-1] == ("fault", TargetFault, "stack overflow", 3)
         else:
@@ -999,16 +1034,16 @@ class TestDecomposeEdges:
     @pytest.mark.parametrize("alu", ["DIV", "MOD"])
     def test_zero_divisor_after_a_store_commits_nothing(self, alu):
         # an increment is stored before the divide: the block must not
-        # commit it, or the plain re-execution would store it twice
+        # commit it, or the checked re-execution would store it twice
         code = [Instr("LOAD", RAM_BASE), Instr("PUSH", 1), Instr("ADD"),
                 Instr("STORE", RAM_BASE), Instr("PUSH", 7),
                 Instr("LOAD", RAM_BASE + 1), Instr(alu),
                 Instr("STORE", RAM_BASE + 2), Instr("HALT")]
-        assert build(code, fuse=True).block_rows == 1
+        assert build(code).block_rows == 1
         reason = "division by zero" if alu == "DIV" else "modulo by zero"
-        outcomes = three_way(code)
+        outcomes = lockstep(code)
         assert outcomes == [("fault", TargetFault, reason, 6)]
-        cpu = build(code, fuse=True)
+        cpu = build(code)
         run_guarded(cpu)
         assert cpu.memory.cells[0] == 1 and cpu.memory.writes == 1
 
@@ -1020,64 +1055,65 @@ class TestDecomposeEdges:
                 Instr("STORE", RAM_BASE), Instr("PUSH", 1),
                 Instr("LOAD", RAM_BASE), Instr("EMIT", 2), Instr("POP"),
                 Instr("HALT")]
-        assert block_spans(build(code, fuse=True)._brows)[0] == (0, 6)
-        cpu = build(code, fuse=True)
+        assert block_spans(build(code)._brows)[0] == (0, 6)
+        cpu = build(code)
         recorder = Recorder(cpu)
         assert run_guarded(cpu)[0] is StopReason.HALTED
         cycles = sum(row[2] for row in cpu._rows[:6])
         assert recorder.seen == [(2, 1, 3, cycles, [99],
                                   [3] + [0] * (RAM_WORDS - 1),
                                   [(2, 1, 3)])]
-        three_way(code)
+        lockstep(code)
 
     def test_raising_handler_leaves_plain_state(self):
+        # the closing EMIT; HALT folds into the block: the handler
+        # raises at the EMIT, before the HALT retires
         code = [Instr("PUSH", 3), Instr("STORE", RAM_BASE),
                 Instr("PUSH", 1), Instr("LOAD", RAM_BASE), Instr("EMIT", 2),
                 Instr("HALT")]
-        assert three_way(code, raise_at=1) == [("raised", (1,))]
-        cpu = build(code, fuse=True)
+        assert block_spans(build(code)._brows) == [(0, 6)]
+        assert lockstep(code, raise_at=1) == [("raised", (1,))]
+        cpu = build(code)
         Recorder(cpu, raise_at=1)
         with pytest.raises(HandlerRaised):
             cpu.run()
         # stopped at the EMIT, everything before it (and it) retired
-        assert (cpu.pc, cpu.instructions, cpu.cycles) == (
-            4, 5, sum(row[2] for row in cpu._rows[:5]))
+        assert (cpu.pc, cpu.instructions, cpu.cycles, cpu.halted) == (
+            4, 5, sum(row[2] for row in cpu._rows[:5]), False)
         assert cpu.stack == [] and cpu.memory.cells[0] == 3
+        assert cpu.emit_log == [(2, 1, 3)]
 
 
 class TestFirmwareIntegration:
     def test_generated_firmware_fuses_and_stays_bit_identical(self):
-        """The real codegen output: block board == plain board on every
-        task job, cycle for cycle."""
+        """The real codegen output: block board == checked board on
+        every task job, cycle for cycle."""
         firmware = generate_firmware(traffic_light_system(),
                                      InstrumentationPlan.full())
         fused_board = Board()
-        plain_board = Board()
-        plain_board.cpu.fuse = False
+        checked_board = Board()
         fused_board.load_firmware(firmware)
-        plain_board.load_firmware(firmware)
+        checked_board.load_firmware(firmware)
         assert fused_board.cpu.block_rows > 0
-        assert plain_board.cpu.block_rows == 0
         for _ in range(25):
             for task in firmware.entries:
                 rf = fused_board.run_task(task)
-                rp = plain_board.run_task(task)
-                assert rf == rp
-                assert snap(fused_board.cpu) == snap(plain_board.cpu)
+                checked_board.cpu.reset_task(firmware.entry_of(task))
+                rc = checked_board.cpu.run(profile={})
+                assert rf == rc
+                assert snap(fused_board.cpu) == snap(checked_board.cpu)
 
     def test_fuse_toggle_after_load_selects_reference_loop(self):
-        """Board exposes no fuse parameter, so disabling blocks after
-        load_firmware must be honored — run() re-consults the flag and
-        executes the plain decoded rows."""
-        cpu = build(counting_loop(5), fuse=True)
+        """Selecting the checked loop after load (``profile={}``, the
+        one switch there is) never reads the block rows."""
+        cpu = build(counting_loop(5))
         assert cpu.block_rows > 0
-        cpu.fuse = False
         # poisoned block rows: any fetch from them halts at once
         cpu._brows = [(OP_HALT, 0, 1)] * len(cpu._brows)
-        result = cpu.run()
-        plain = build(counting_loop(5), fuse=False)
-        assert result == plain.run()
-        assert snap(cpu) == snap(plain)
+        result = cpu.run(profile={})
+        blocks = build(counting_loop(5))
+        assert result == blocks.run()
+        assert snap(cpu) == snap(blocks)
 
 
 def count_checked_runs(cpu):
@@ -1096,21 +1132,21 @@ class TestStopRouting:
     def test_debug_stops_step_the_checked_loop_once(self):
         """A watched store costs one checked instruction per stop, never
         a checked run."""
-        cpu = build(counting_loop(3), fuse=True)
+        cpu = build(counting_loop(3))
         calls = count_checked_runs(cpu)
         Watcher(cpu, [RAM_BASE])
         assert cpu.run().reason is StopReason.HALTED
         assert calls == [1] * 3  # the three watched stores
 
     def test_unwatched_hook_runs_the_fast_loop_only(self):
-        cpu = build(counting_loop(3), fuse=True)
+        cpu = build(counting_loop(3))
         calls = count_checked_runs(cpu)
         Watcher(cpu, [RAM_BASE + 5])
         assert cpu.run().reason is StopReason.HALTED
         assert calls == []
 
     def test_profile_still_checks_every_instruction(self):
-        cpu = build(counting_loop(3), fuse=True)
+        cpu = build(counting_loop(3))
         calls = count_checked_runs(cpu)
         result = cpu.run(max_instructions=RUN_LIMIT, profile={})
         assert calls == [RUN_LIMIT]
@@ -1118,15 +1154,14 @@ class TestStopRouting:
 
     def test_trapped_rows_rebuild_on_load_and_watch_change(self):
         code = store_chain()
-        cpu = build(code, fuse=True)
+        cpu = build(code)
         memory = cpu.memory
         memory.set_write_hook(lambda addr, value: None, [RAM_BASE + 2])
         cpu.run(max_instructions=1)
         first = cpu._trap_rows
-        assert first[0][7] == (OP_STOP, 0, 0)   # the watched STORE
+        assert first[7] == cpu._rows[7]         # the watched STORE, plain
         # the block is split around it
-        assert block_spans(first[0]) == [(0, 7), (8, 17)]
-        assert first[1][7] == (OP_STOP, 0, 0)   # and in the plain rows
+        assert block_spans(first) == [(0, 7), (8, 17)]
         cpu.run(max_instructions=1)
         assert cpu._trap_rows is first          # same watch set: cached
         # a new watch between runs is priced again, but no store hits
@@ -1134,7 +1169,7 @@ class TestStopRouting:
         memory.set_write_hook(lambda addr, value: None,
                               [RAM_BASE + 2, RAM_BASE + 9])
         cpu.run(max_instructions=1)
-        assert cpu._trap_key[1] == {RAM_BASE + 2, RAM_BASE + 9}
+        assert cpu._trap_key == {RAM_BASE + 2, RAM_BASE + 9}
         assert cpu._trap_rows is first
         # a watch on a stored cell adds a stop pc
         memory.set_write_hook(lambda addr, value: None,
@@ -1142,15 +1177,15 @@ class TestStopRouting:
         cpu.run(max_instructions=1)
         second = cpu._trap_rows
         assert second is not first
-        assert second[0][11] == (OP_STOP, 0, 0)
-        assert block_spans(second[0]) == [(0, 7), (8, 11), (12, 17)]
+        assert second[11] == cpu._rows[11]
+        assert block_spans(second) == [(0, 7), (8, 11), (12, 17)]
         # trapped decodings live with the decoded program: reloading it
         # (or loading it on another CPU) with the same stops shares them
         cpu.load(code)
         cpu.reset_task(0)
         cpu.run(max_instructions=1)
         assert cpu._trap_rows is second
-        other = build(code, fuse=True)
+        other = build(code)
         other.memory.set_write_hook(lambda addr, value: None,
                                     [RAM_BASE + 3, RAM_BASE + 2])
         other.run(max_instructions=1)
@@ -1175,16 +1210,16 @@ class TestStopRouting:
         stores inside it split it, and every budget stays in lockstep
         with the checked loop."""
         code = store_chain()
-        assert block_spans(build(code, fuse=True)._brows) == [(0, 17)]
+        assert block_spans(build(code)._brows) == [(0, 17)]
         watched = [RAM_BASE + 2, RAM_BASE + 4]
-        total = build(code, fuse=False).run().instructions
+        total = build(code).run().instructions
         for limit in range(1, total + 1):
             hits = drive_in_lockstep(code, watched, [limit])
             assert [hit[3] for hit in hits] == [3, 10]
-        route = build(code, fuse=True)
+        route = build(code)
         Watcher(route, watched)
         route.run(max_instructions=1)
-        assert block_spans(route._trap_rows[0]) == [(0, 7), (8, 15)]
+        assert block_spans(route._trap_rows) == [(0, 7), (8, 15), (16, 17)]
 
     def test_debugger_without_watchpoints_declares_nothing(self):
         firmware = generate_firmware(traffic_light_system(),
@@ -1200,11 +1235,11 @@ class TestStopRouting:
     @pytest.mark.parametrize("limit", [1, 2, 3, 4, RUN_LIMIT])
     def test_watch_inside_loop_block_stops_and_resumes(self, limit):
         """The watched ``STORE`` at interior pc 3 of the loop block:
-        smaller budgets stop on legal plain pcs before it, the stop
-        retires it on the checked loop, and the run resumes on the fast
-        loop at pc 4, in lockstep with the checked reference."""
-        route = build(counting_loop(3), fuse=True)
-        reference = build(counting_loop(3), fuse=True)
+        smaller budgets stop on legal pcs before it, the stop retires
+        it on the checked loop, and the run resumes on the fast loop at
+        pc 4, in lockstep with the checked reference."""
+        route = build(counting_loop(3))
+        reference = build(counting_loop(3))
         watchers = [Watcher(cpu, [RAM_BASE]) for cpu in (route, reference)]
         outcome = run_route(route, limit, reference=False)
         assert outcome == run_route(reference, limit, reference=True)
@@ -1222,8 +1257,6 @@ class TestStopRouting:
 def comparable(rows):
     """*rows* with each block function replaced by its compiled
     template and bound values, so decodes compare by content."""
-    if rows is None:
-        return None
     return [(op, (arg[0].__code__, arg[0].__defaults__) + arg[1:], cst)
             if op == OP_BLOCK else (op, arg, cst)
             for op, arg, cst in rows]
@@ -1304,7 +1337,7 @@ class TestDecodeMemo:
 
     def test_memo_is_bounded(self):
         for value in range(cpu_module._DECODED_LIMIT + 3):
-            build([Instr("PUSH", value), Instr("HALT")], fuse=True)
+            build([Instr("PUSH", value), Instr("HALT")])
         assert len(cpu_module._DECODED) <= cpu_module._DECODED_LIMIT
 
 
@@ -1326,8 +1359,8 @@ def board_outcome(board, task):
 class TestMutantLockstep:
     """Implementation mutants of all four example systems (constant
     corruption, swapped operators, dropped stores, wrong addresses,
-    off-by-one jumps): blocks == plain == checked on every task job,
-    with the emit handler's observations."""
+    off-by-one jumps): blocks == checked on every task job, with the
+    emit handler's observations."""
 
     @pytest.mark.parametrize("system", sorted(EXAMPLE_SYSTEMS))
     def test_mutants_run_in_lockstep(self, system):
@@ -1341,9 +1374,8 @@ class TestMutantLockstep:
                     images.append(mutant)
         for image in images:
             boards = []
-            for fuse, checked in ROUTES:
+            for checked in ROUTES:
                 board = Board()
-                board.cpu.fuse = fuse
                 board.load_firmware(image)
                 board.profile = {} if checked else None
                 boards.append(board)
@@ -1354,7 +1386,7 @@ class TestMutantLockstep:
                     for board in boards:
                         board.cpu.reset_task(image.entry_of(task))
                         outcomes.append(board_outcome(board, task))
-                    assert outcomes[0] == outcomes[1] == outcomes[2], task
+                    assert outcomes[0] == outcomes[1], task
                     states = [snap(board.cpu) for board in boards]
-                    assert states[0] == states[1] == states[2], task
-            assert recorders[0].seen == recorders[1].seen == recorders[2].seen
+                    assert states[0] == states[1], task
+            assert recorders[0].seen == recorders[1].seen

@@ -1,4 +1,4 @@
-"""Assembler round-trips, backpatching, and fault-injection mutation.
+"""Assembler backpatching and fault-injection mutation.
 
 Also pins the contract between the CPU's two execution paths: the
 performance-specialized fast loop and the fully-checked debug loop must be
@@ -13,53 +13,11 @@ from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_l
 from repro.comdes.examples import traffic_light_system
 from repro.errors import TargetFault
 from repro.faults.implementation import IMPL_FAULT_KINDS, inject_implementation_fault
-from repro.target.assembler import Assembler, disassemble
+from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import ARG_OPS, Instr, OPCODES
 from repro.target.memory import MemoryMap, RAM_BASE
-
-
-class TestRoundTrip:
-    def test_assemble_disassemble_mentions_every_instruction(self):
-        asm = Assembler()
-        asm.emit("PUSH", 7, src_path="block:a.b")
-        asm.emit("STORE", RAM_BASE)
-        asm.label("loop")
-        asm.emit("LOAD", RAM_BASE)
-        asm.emit_jump("JZ", "loop")
-        asm.emit("HALT")
-        code = asm.assemble()
-        listing = disassemble(code)
-        for instr in code:
-            assert instr.op in listing
-        assert "block:a.b" in listing          # source map survives
-        assert str(RAM_BASE & 0xFFF) or True   # addresses render in hex
-        assert f"0x{RAM_BASE:08x}" in listing
-
-    def test_listing_window_and_pc_marker(self):
-        code = [Instr("PUSH", n) for n in range(10)] + [Instr("HALT")]
-        listing = disassemble(code, start=4, count=3, mark_pc=5)
-        lines = listing.splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("  ") and lines[1].startswith("=>")
-
-    def test_reassembled_listing_executes_identically(self):
-        """assemble -> disassemble -> parse -> assemble -> same behaviour."""
-        asm = Assembler()
-        asm.emit("PUSH", 3)
-        asm.emit("PUSH", 4)
-        asm.emit("MUL")
-        asm.emit("STORE", RAM_BASE)
-        asm.emit("HALT")
-        code = asm.assemble()
-        reparsed = []
-        for line in disassemble(code).splitlines():
-            fields = line.split(";")[0].split()[1:]  # drop marker and pc
-            op = fields[0]
-            arg = int(fields[1], 0) if len(fields) > 1 else None
-            reparsed.append(Instr(op, arg))
-        assert reparsed == code
 
 
 class TestBackpatching:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AssemblyError, TargetFault
-from repro.target.assembler import Assembler, disassemble
+from repro.target.assembler import Assembler
 from repro.target.board import Board, DebugPort
 from repro.target.cpu import Cpu, StopReason
 from repro.target.firmware import FirmwareImage, SymbolTable
@@ -157,7 +157,7 @@ class TestOpcodeProfile:
         assert sum(counts.values()) == result.instructions
 
     def test_profile_counts_constituents_not_superinstructions(self):
-        # block rows are on by default; the profile must still speak
+        # block rows are always formed; the profile must still speak
         # plain ISA
         cpu, _ = make_cpu(self.LOOP)
         assert cpu.block_rows > 0
@@ -249,11 +249,6 @@ class TestAssembler:
         asm = Assembler()
         labels = {asm.fresh_label() for _ in range(10)}
         assert len(labels) == 10
-
-    def test_disassemble_marks_pc(self):
-        code = [Instr("PUSH", 1), Instr("HALT")]
-        listing = disassemble(code, mark_pc=1)
-        assert "=>" in listing and "HALT" in listing
 
 
 class TestSymbolsAndFirmware:
