@@ -6,6 +6,12 @@ the CI smoke files). Floors assert a minimum on a measured rate;
 ceilings assert a maximum on a modeled cost. Exits non-zero listing
 every violation, so CI turns a perf regression into a red build.
 
+Every entry names its ``kind``: ``"deterministic"`` (a count or a
+modeled figure, the same on any host: calls per job, dispatches per
+activation, parity flags) or ``"wall"`` (timed, so host noise moves
+it). An entry without one fails the gate, and every verdict prints its
+kind, so a red build says at once whether noise could be the cause.
+
 Usage::
 
     python benchmarks/check_floors.py           # check full-run scoreboards
@@ -19,6 +25,9 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+#: what an entry's ``kind`` may say
+KINDS = ("deterministic", "wall")
 
 
 def dig(data, dotted_path: str):
@@ -43,6 +52,11 @@ def check(here: str, quick: bool):
     ok_lines = []
     failures = []
     for name, spec in floors.items():
+        kind = spec.get("kind")
+        if kind not in KINDS:
+            failures.append(f"{name}: kind {kind!r} is not one of "
+                            f"{', '.join(KINDS)}")
+            continue
         stem = spec.get("file", name)
         filename = f"{stem}_quick.json" if quick else f"{stem}.json"
         path = os.path.join(here, filename)
@@ -68,17 +82,18 @@ def check(here: str, quick: bool):
             continue
         violated = False
         if "floor" in spec and value < spec["floor"]:
-            failures.append(f"{name}: {spec['metric']} = {value} "
+            failures.append(f"{name} [{kind}]: {spec['metric']} = {value} "
                             f"below floor {spec['floor']}")
             violated = True
         if "ceiling" in spec and value > spec["ceiling"]:
-            failures.append(f"{name}: {spec['metric']} = {value} "
+            failures.append(f"{name} [{kind}]: {spec['metric']} = {value} "
                             f"above ceiling {spec['ceiling']}")
             violated = True
         if not violated:
             bounds = ", ".join(f"{key} {spec[key]}"
                                for key in ("floor", "ceiling") if key in spec)
-            ok_lines.append(f"ok: {name} {spec['metric']} = {value} ({bounds})")
+            ok_lines.append(f"ok: {name} [{kind}] {spec['metric']} = "
+                            f"{value} ({bounds})")
     return ok_lines, failures
 
 

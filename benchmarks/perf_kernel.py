@@ -8,7 +8,7 @@ suite on one simulator) for 3 s of modeled time, and reports:
 * ``events_per_sec`` — simulator events executed per CPU second
   (releases, completions, publications, frame deliveries);
 * ``commands_per_sec`` — debug commands the engine reacted to per CPU
-  second (frame decode, binding dispatch, reactions, monitors).
+  second (clean-wire delivery, binding dispatch, reactions, monitors).
 
 Each rep builds a fresh rig (untimed) and times ``kernel.run`` in
 process CPU time (``time.process_time``), which does not count time the

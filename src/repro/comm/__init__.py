@@ -12,7 +12,8 @@ Both are implemented behind the common :class:`~repro.comm.channel.DebugChannel`
 interface the runtime engine consumes. The stack, top to bottom::
 
     DebugChannel        what the engine sees: decoded Command fan-out
-      ActiveChannel     EMIT -> UART FIFO -> frames        (instrumented)
+      ActiveChannel     EMIT -> UART FIFO -> frames        (instrumented;
+                        bytes only on a wire that can corrupt them)
       PassiveChannel    compiled PollPlan -> scatter read  (clean code)
     DebugLink           transaction batching + the whole cost model
       SerialLink        RS-232 line time + host receive latency

@@ -5,6 +5,11 @@ Both of the paper's command-interface solutions implement the same
 
 * :class:`ActiveChannel` — instrumented code EMITs; frames cross an RS-232
   link with UART FIFO accounting; the cost is target cycles per command.
+  Only a wire that can corrupt carries frame bytes: behind a
+  :class:`~repro.comm.chaos.ChaosLink` or on a noisy line each command is
+  encoded and fed to the channel's :class:`~repro.comm.frames.FrameDecoder`.
+  On a clean serial line the fields go to the host as they are, with the
+  same bytes charged and the same counters kept.
 * :class:`PassiveChannel` — a JTAG probe polls monitored variables and
   synthesizes commands on change; zero target cost, latency bounded by the
   poll period plus scan time.
@@ -32,7 +37,8 @@ from heapq import heappop, heappush
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.comdes.fsm import StateMachine
-from repro.comm.frames import FrameDecoder, encode_frame
+from repro.comm.frames import (FRAME_LEN, MAX_PATH_ID, FrameDecoder,
+                               check_fields, encode_frame)
 from repro.comm.jtag import JtagProbe, group_runs
 from repro.comm.link import DebugLink, JtagLink, SerialLink
 from repro.comm.protocol import Command, CommandKind
@@ -47,6 +53,9 @@ CommandHandler = Callable[[Command], None]
 
 #: wire discriminator -> kind (unknown bytes still raise via CommandKind)
 _KINDS = {kind.value: kind for kind in CommandKind}
+
+#: the VALUE field's sign bit: the wire carries the low 32 bits, signed
+_SIGN = 0x80000000
 
 
 class DebugChannel:
@@ -117,6 +126,23 @@ class ActiveChannel(DebugChannel):
     The RTOS (or any job runner) must call :meth:`begin_job` with the job's
     release time before executing target code, so emission timestamps can be
     derived from the CPU cycle counter.
+
+    Every emission decides its path from :attr:`debug_link` as it stands
+    (a campaign swaps in a :class:`~repro.comm.chaos.ChaosLink` after
+    construction):
+
+    * **clean wire** — the link is a plain
+      :class:`~repro.comm.link.SerialLink` whose line has
+      ``byte_error_rate`` 0. Nothing can alter the frame, so none is
+      made: ``kind`` and ``path_id`` are range-checked (the same
+      :class:`~repro.comm.frames.FrameError`), ``FRAME_LEN`` bytes are
+      charged to the UART FIFO, the line and the link books, the value
+      is wrapped to signed 32 bits as the decode does, and
+      ``decoder.frames_decoded`` counts the frame at delivery.
+    * **byte path** — any ``ChaosLink`` (a disabled config included) or a
+      noisy line: the frame is encoded, carried by ``transmit_frame`` and
+      parsed back by :attr:`decoder`, the reference the clean wire
+      matches.
     """
 
     def __init__(self, sim: Simulator, board: Board, firmware: FirmwareImage,
@@ -164,8 +190,16 @@ class ActiveChannel(DebugChannel):
         t_emit = self._job_base_time + (
             (board.cpu.cycles - self._job_base_cycles) * 1_000_000
             + clock_hz - 1) // clock_hz
-        frame = encode_frame(kind, path_id, value)
-        nbytes = len(frame)
+        link = self.debug_link
+        clean = (link.__class__ is SerialLink
+                 and link.line.byte_error_rate == 0.0)
+        if clean:
+            if not (0 <= kind <= 0xFF and 0 <= path_id <= MAX_PATH_ID):
+                check_fields(kind, path_id)  # raises encode_frame's error
+            nbytes = FRAME_LEN
+        else:
+            frame = encode_frame(kind, path_id, value)
+            nbytes = len(frame)
 
         # UART FIFO occupancy: bytes whose transmission has not finished.
         inflight = self._inflight
@@ -179,15 +213,22 @@ class ActiveChannel(DebugChannel):
             self.frames_dropped += 1
             return
 
-        wire_frame, t_done, t_arrive = self.debug_link.transmit_frame(
-            t_emit, frame)
+        if clean:
+            t_done, t_arrive = link.charge_frame(t_emit, nbytes)
+        else:
+            wire_frame, t_done, t_arrive = link.transmit_frame(t_emit, frame)
         heappush(inflight, (t_done, nbytes))
         self._pending_bytes = pending + nbytes
         uart.bytes_sent += nbytes
         self.frames_sent += 1
         sim = self.sim
-        sim.schedule_at(t_arrive if t_arrive > sim.now else sim.now,
-                        self._deliver_frame, wire_frame, t_emit)
+        if t_arrive < sim.now:
+            t_arrive = sim.now
+        if clean:
+            sim.schedule_at(t_arrive, self._deliver_fields, kind, path_id,
+                            ((value + _SIGN) & 0xFFFFFFFF) - _SIGN, t_emit)
+        else:
+            sim.schedule_at(t_arrive, self._deliver_frame, wire_frame, t_emit)
 
     def _deliver_frame(self, frame: bytes, t_emit: int) -> None:
         paths = self._paths
@@ -199,6 +240,16 @@ class ActiveChannel(DebugChannel):
                 value, t_emit, t_host,
             )
             self.deliver(command)
+
+    def _deliver_fields(self, kind: int, path_id: int, value: int,
+                        t_emit: int) -> None:
+        """Deliver a clean wire's frame: what the decoder reads back."""
+        self.decoder.frames_decoded += 1
+        self.deliver(Command(
+            _KINDS.get(kind) or CommandKind(kind),
+            self._paths.get(path_id) or self.firmware.path_of_id(path_id),
+            value, t_emit, self.sim.now,
+        ))
 
     def halt_target(self) -> None:
         """Stall the target (debug-agent request carried over the serial RX)."""

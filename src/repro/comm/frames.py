@@ -9,6 +9,17 @@ kept on the wire for forward compatibility). The checksum is the modulo-256
 sum of LEN..VALUE. The decoder is a resynchronizing state machine: garbage
 and corrupted frames are counted and skipped, never fatal — a debugger must
 survive a noisy serial line.
+
+Only a wire that can corrupt still makes and parses these bytes: an
+:class:`~repro.comm.channel.ActiveChannel` behind a
+:class:`~repro.comm.chaos.ChaosLink` (any config) or on a noisy line
+encodes every frame and feeds the wire bytes to its
+:class:`FrameDecoder`. On a clean serial line the channel hands the
+fields on directly: it range-checks them as :func:`check_fields` does
+(the same :class:`FrameError`), charges :data:`FRAME_LEN` bytes, wraps
+the value to signed 32 bits as the decode does and counts the frame in
+``frames_decoded`` at delivery, so its books read as if this decoder
+had parsed the frame.
 """
 
 from __future__ import annotations
@@ -34,12 +45,17 @@ class FrameError(CommError):
     """A frame could not be encoded (bad field ranges)."""
 
 
-def encode_frame(kind: int, path_id: int, value: int) -> bytes:
-    """Encode one command frame."""
+def check_fields(kind: int, path_id: int) -> None:
+    """Raise :class:`FrameError` unless *kind* and *path_id* fit the wire."""
     if not (0 <= kind <= 0xFF):
         raise FrameError(f"kind {kind} out of byte range")
     if not (0 <= path_id <= MAX_PATH_ID):
         raise FrameError(f"path id {path_id} out of range 0..{MAX_PATH_ID}")
+
+
+def encode_frame(kind: int, path_id: int, value: int) -> bytes:
+    """Encode one command frame."""
+    check_fields(kind, path_id)
     head = _HEAD.pack(SOF, PAYLOAD_LEN, kind, path_id, value & 0xFFFFFFFF)
     # checksum: modulo-256 sum of LEN..VALUE
     return head + bytes(((sum(head) - SOF) & 0xFF,))

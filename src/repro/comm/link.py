@@ -17,7 +17,8 @@ Two concrete links cover the framework's access paths:
   is a single transaction).
 * :class:`SerialLink` — the active interface's RS-232 line: per-byte
   line time, store-and-forward queueing, optional corruption, and a
-  fixed host-side latency per received frame.
+  fixed host-side latency per received frame. :meth:`SerialLink.charge_frame`
+  is its one frame accounting, with or without the frame's bytes.
 """
 
 from __future__ import annotations
@@ -174,21 +175,31 @@ class SerialLink(DebugLink):
                        frame: bytes) -> Tuple[bytes, int, int]:
         """Serialize one frame; returns the (possibly corrupted) wire bytes,
         the instant the line finishes, and the host-side arrival instant.
+        """
+        t_done, t_arrive = self.charge_frame(t_ready, len(frame))
+        line = self.line
+        # a clean line returns the frame as is: skip the noise model
+        wire = frame if line.byte_error_rate == 0.0 else line.corrupt(frame)
+        return bytes(wire), t_done, t_arrive
+
+    def charge_frame(self, t_ready: int, nbytes: int) -> Tuple[int, int]:
+        """Charge one *nbytes* frame to the line and to this link's books;
+        returns the instant the line finishes and the host-side arrival
+        instant. :meth:`transmit_frame` charges every frame here, and so
+        does an :class:`~repro.comm.channel.ActiveChannel` that hands a
+        clean wire's fields on without making the frame's bytes.
 
         Cost charged to the link is what this frame's transport really
         costs — line time plus host latency — not the queueing wait
         behind earlier frames (that is congestion, not transport).
         """
-        line = self.line
-        t_start, t_done = line.transmit(t_ready, len(frame))
-        # a clean line returns the frame as is: skip the noise model
-        wire = frame if line.byte_error_rate == 0.0 else line.corrupt(frame)
+        t_start, t_done = self.line.transmit(t_ready, nbytes)
         latency = self.host_latency_us
         # _account(cost, frames=1), inline
         self.transactions += 1
         self.frames_carried += 1
         self.cost_us_total += t_done - t_start + latency
-        return bytes(wire), t_done, t_done + latency
+        return t_done, t_done + latency
 
     def halt_target(self) -> None:
         """Debug-agent halt request carried over the serial RX line."""

@@ -12,8 +12,11 @@ function of it.
 A long run records through ``ExecutionTrace(spill=TraceStore(...))``
 instead: every event is written through to the store the moment it is
 recorded and none is kept in memory, so the trace list stays empty and
-memory stays flat. :class:`~repro.tracedb.store.StoredTrace` reads the
-spilled history back, trace-shaped, for replay and the timing diagram.
+memory stays flat. The store takes the event itself and writes its
+canonical payload from a template, the bytes of ``to_dict()`` without
+the dict (:func:`~repro.tracedb.format.encode_event`).
+:class:`~repro.tracedb.store.StoredTrace` reads the spilled history
+back, trace-shaped, for replay and the timing diagram.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class ExecutionTrace(list):
         else:
             event = TraceEvent(spill.next_seq, command, reactions,
                                engine_state)
-            spill.append(event.to_dict())
+            spill.append(event)
         return event
 
     def events(self, kind: Optional[CommandKind] = None,

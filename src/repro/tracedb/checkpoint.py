@@ -57,8 +57,10 @@ def save_checkpoint(path: str, checkpoint: Checkpoint) -> None:
     """Write one checkpoint file (canonical JSON, atomic rename)."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint.to_dict(), fh, sort_keys=True,
-                  separators=(",", ":"))
+        # one-shot dumps: json.dump's pure-Python encoder leaves a
+        # closure cycle behind on every call
+        fh.write(json.dumps(checkpoint.to_dict(), sort_keys=True,
+                            separators=(",", ":")))
     os.replace(tmp, path)
 
 

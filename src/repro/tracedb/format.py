@@ -8,8 +8,11 @@ Every segment file opens with one UTF-8 JSON header line (readable with
 Every record is stored as its **canonical payload**: the JSON object
 with sorted keys and no whitespace (:func:`encode_record`), UTF-8. A
 record is encoded once, when it is first appended; from then on the
-payload is the record. A codec only *frames* payloads — it never sees a
-record:
+payload is the record. :func:`encode_record` is the reference encoding:
+a spilled trace event is written by :func:`encode_event` from a
+template, without building its dict, and must come out as exactly
+``encode_record(event.to_dict())``. A codec only *frames* payloads — it
+never sees a record:
 
 * ``jsonl`` — payload + ``\\n``, one record per line. Greppable,
   diffable, the default.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
+from json.encoder import encode_basestring_ascii as _str
 from typing import BinaryIO, Dict, Iterator
 
 from repro.errors import TraceStoreError
@@ -44,6 +48,48 @@ def encode_record(record: dict) -> bytes:
     """Canonical JSON bytes of *record* (sorted keys, no whitespace)."""
     return json.dumps(record, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
+
+
+def encode_event(event) -> bytes:
+    """Canonical payload of a :class:`~repro.engine.trace.TraceEvent`:
+    the bytes of ``encode_record(event.to_dict())``, from a template.
+
+    Strings go through ``encode_basestring_ascii``, the string encoder
+    ``json.dumps`` uses, and fields whose type is exactly ``int`` are
+    written as they are. An event with any other field type (a
+    ``bool``, ``None``, a float, a ``str`` or ``int`` subclass) is
+    encoded by the reference instead.
+    """
+    command = event.command
+    path = command.path
+    value = command.value
+    t_target = command.t_target
+    t_host = command.t_host
+    state = event.engine_state
+    seq = event.seq
+    if (type(path) is str and type(state) is str and type(value) is int
+            and type(t_target) is int and type(t_host) is int
+            and type(seq) is int):
+        reactions = []
+        for reaction in event.reactions:
+            element = reaction.element_id
+            source = reaction.source_path
+            detail = reaction.detail
+            t_us = reaction.t_us
+            if not (type(element) is str and type(source) is str
+                    and type(detail) is str and type(t_us) is int):
+                break
+            reactions.append(
+                f'{{"detail":{_str(detail)},"element":{_str(element)},'
+                f'"kind":{_str(reaction.kind._name_)},"path":{_str(source)},'
+                f'"t_us":{t_us}}}')
+        else:
+            return (f'{{"engine_state":{_str(state)},'
+                    f'"kind":{_str(command.kind._name_)},'
+                    f'"path":{_str(path)},"reactions":[{",".join(reactions)}],'
+                    f'"seq":{seq},"t_host":{t_host},"t_target":{t_target},'
+                    f'"value":{value}}}').encode()
+    return encode_record(event.to_dict())
 
 
 class JsonlCodec:

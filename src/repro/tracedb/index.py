@@ -22,6 +22,29 @@ INDEX_NAME = "index.json"
 INDEX_VERSION = 1
 
 
+#: ``json.dumps`` with default arguments, for one key or leaf at a time
+_encode = json.JSONEncoder().encode
+
+
+def _indented(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, built from
+    one-shot encodes of its keys and leaves: an indented dump runs the
+    pure-Python encoder, whose closures leave a reference cycle behind
+    on every call, and a traced job saves its store's index."""
+    if not value or type(value) not in (dict, list, tuple):
+        return _encode(value)
+    inner = pad + "  "
+    if type(value) is dict:
+        items = [f"{_encode(key)}: {_indented(value[key], inner)}"
+                 for key in sorted(value)]
+        brackets = "{}"
+    else:
+        items = [_indented(item, inner) for item in value]
+        brackets = "[]"
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{brackets[1]}")
+
+
 class CheckpointInfo:
     """Index row for one checkpoint: where seek can restart from."""
 
@@ -117,8 +140,7 @@ class StoreIndex:
         path = os.path.join(root, INDEX_NAME)
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_indented(self.to_dict()) + "\n")
         os.replace(tmp, path)  # readers never see a half-written index
 
     @classmethod

@@ -10,7 +10,9 @@ one directory::
       ckpt/ckpt-...json      model-state checkpoints (seek restart points)
 
 Records are dicts with a mandatory contiguous 0-based ``seq`` (stamped if
-absent). The one query, :meth:`events`,
+absent); a spilling :class:`~repro.engine.trace.ExecutionTrace` appends
+its events as they are, and the store writes their payloads without
+building their dicts. The one query, :meth:`events`,
 streams every record or a seq range segment by segment; it never
 materializes the whole history, so memory stays bounded by one segment
 no matter how long the run was.
@@ -30,7 +32,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import TraceStoreError
 from repro.obs.runtime import OBS
 from repro.tracedb.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.tracedb.format import codec_named, encode_record, read_header
+from repro.tracedb.format import (codec_named, encode_event, encode_record,
+                                  read_header)
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import (
     SegmentInfo,
@@ -201,26 +204,34 @@ class TraceStore:
         """Total records stored (closed segments + the active one)."""
         return self.next_seq
 
-    def append(self, record: dict) -> int:
+    def append(self, record) -> int:
         """Append one record; returns its seq.
 
-        ``record["seq"]`` must equal the store's next seq when present
-        (stores are contiguous and 0-based — that is what makes
-        ``seq == index`` hold for :class:`StoredTrace`); it is stamped
-        when absent. The record is shallow-copied before stamping.
+        *record* is a dict or a :class:`~repro.engine.trace.TraceEvent`.
+        An event is written as :func:`~repro.tracedb.format.encode_event`,
+        the bytes of its ``to_dict()``, and its ``seq`` must equal the
+        store's next seq. So must ``record["seq"]`` when present (stores
+        are contiguous and 0-based — that is what makes ``seq == index``
+        hold for :class:`StoredTrace`); it is stamped when absent. The
+        record is shallow-copied before stamping.
         """
         if self._closed:
             raise TraceStoreError(f"store at {self.root} is closed")
         expected = self.next_seq
-        seq = record.get("seq")
-        if seq is None:
-            record = dict(record)
-            record["seq"] = seq = expected
-        elif seq != expected:
+        if isinstance(record, dict):
+            seq = record.get("seq")
+            if seq is None:
+                record = dict(record)
+                record["seq"] = seq = expected
+            encode = encode_record
+        else:
+            seq = record.seq
+            encode = encode_event
+        if seq != expected:
             raise TraceStoreError(
                 f"out-of-order append: record seq {seq}, store expects "
                 f"{expected} (stores are contiguous and 0-based)")
-        self._append_payload(seq, encode_record(record))
+        self._append_payload(seq, encode(record))
         return seq
 
     def _append_payload(self, seq: int, payload: bytes) -> None:

@@ -34,7 +34,7 @@ class TestNonNumericMetrics:
     def test_non_numeric_metric_is_a_clean_violation(self, tmp_path, bad):
         here = gate_dir(
             tmp_path,
-            {"BENCH_x": {"metric": "rate", "floor": 100}},
+            {"BENCH_x": {"metric": "rate", "kind": "wall", "floor": 100}},
             {"BENCH_x": {"rate": bad}},
         )
         ok_lines, failures = check_floors.check(here, quick=False)
@@ -45,8 +45,8 @@ class TestNonNumericMetrics:
         """One poisoned scoreboard must not hide a real regression."""
         here = gate_dir(
             tmp_path,
-            {"BENCH_bad": {"metric": "rate", "floor": 100},
-             "BENCH_slow": {"metric": "rate", "floor": 100}},
+            {"BENCH_bad": {"metric": "rate", "kind": "wall", "floor": 100},
+             "BENCH_slow": {"metric": "rate", "kind": "wall", "floor": 100}},
             {"BENCH_bad": {"rate": None}, "BENCH_slow": {"rate": 7}},
         )
         _, failures = check_floors.check(here, quick=False)
@@ -57,7 +57,7 @@ class TestNonNumericMetrics:
     def test_ceiling_spec_with_non_numeric_metric(self, tmp_path):
         here = gate_dir(
             tmp_path,
-            {"BENCH_x": {"metric": "cost", "ceiling": 10}},
+            {"BENCH_x": {"metric": "cost", "kind": "wall", "ceiling": 10}},
             {"BENCH_x": {"cost": "cheap"}},
         )
         _, failures = check_floors.check(here, quick=False)
@@ -68,30 +68,33 @@ class TestGateStillGates:
     def test_numeric_pass_and_fail(self, tmp_path):
         here = gate_dir(
             tmp_path,
-            {"BENCH_ok": {"metric": "rate", "floor": 100},
-             "BENCH_low": {"metric": "rate", "floor": 100}},
+            {"BENCH_ok": {"metric": "rate", "kind": "wall", "floor": 100},
+             "BENCH_low": {"metric": "rate", "kind": "wall", "floor": 100}},
             {"BENCH_ok": {"rate": 150}, "BENCH_low": {"rate": 50}},
         )
         ok_lines, failures = check_floors.check(here, quick=False)
-        assert ok_lines == ["ok: BENCH_ok rate = 150 (floor 100)"]
-        assert failures == ["BENCH_low: rate = 50 below floor 100"]
+        assert ok_lines == ["ok: BENCH_ok [wall] rate = 150 (floor 100)"]
+        assert failures == ["BENCH_low [wall]: rate = 50 below floor 100"]
 
     def test_dotted_path_and_missing_metric(self, tmp_path):
         here = gate_dir(
             tmp_path,
-            {"BENCH_x": {"metric": "watches.64.rate", "floor": 1},
-             "BENCH_y": {"metric": "absent.path", "floor": 1}},
+            {"BENCH_x": {"metric": "watches.64.rate", "kind": "wall",
+                         "floor": 1},
+             "BENCH_y": {"metric": "absent.path", "kind": "wall",
+                         "floor": 1}},
             {"BENCH_x": {"watches": {"64": {"rate": 5}}},
              "BENCH_y": {"rate": 5}},
         )
         ok_lines, failures = check_floors.check(here, quick=False)
-        assert ok_lines == ["ok: BENCH_x watches.64.rate = 5 (floor 1)"]
+        assert ok_lines == ["ok: BENCH_x [wall] watches.64.rate = 5 (floor 1)"]
         assert failures == [
             "BENCH_y: metric 'absent.path' not found in BENCH_y.json"]
 
     def test_missing_scoreboard_still_reported(self, tmp_path):
         here = gate_dir(tmp_path,
-                        {"BENCH_x": {"metric": "rate", "floor": 1}}, {})
+                        {"BENCH_x": {"metric": "rate", "kind": "wall",
+                                     "floor": 1}}, {})
         _, failures = check_floors.check(here, quick=False)
         assert failures == ["BENCH_x: scoreboard BENCH_x.json missing"]
 
@@ -101,7 +104,8 @@ class TestGateStillGates:
         them."""
         here = gate_dir(
             tmp_path,
-            {"BENCH_parity": {"metric": "identical", "floor": 1}},
+            {"BENCH_parity": {"metric": "identical",
+                              "kind": "deterministic", "floor": 1}},
             {"BENCH_parity": {"identical": True}},
         )
         ok_lines, failures = check_floors.check(here, quick=False)
@@ -117,3 +121,31 @@ class TestGateStillGates:
         for name, spec in floors.items():
             assert "metric" in spec, name
             assert "floor" in spec or "ceiling" in spec, name
+            assert spec["kind"] in check_floors.KINDS, name
+
+
+class TestKinds:
+    @pytest.mark.parametrize("spec", [{}, {"kind": "cpu"}, {"kind": None}])
+    def test_entry_without_a_known_kind_fails(self, tmp_path, spec):
+        here = gate_dir(
+            tmp_path,
+            {"BENCH_x": {"metric": "rate", "floor": 1, **spec}},
+            {"BENCH_x": {"rate": 5}},
+        )
+        ok_lines, failures = check_floors.check(here, quick=False)
+        assert ok_lines == []
+        assert failures == [f"BENCH_x: kind {spec.get('kind')!r} is not one "
+                            f"of deterministic, wall"]
+
+    def test_kind_is_printed_with_each_verdict(self, tmp_path):
+        here = gate_dir(
+            tmp_path,
+            {"BENCH_calls": {"metric": "calls", "kind": "deterministic",
+                             "ceiling": 10},
+             "BENCH_rate": {"metric": "rate", "kind": "wall", "floor": 10}},
+            {"BENCH_calls": {"calls": 11}, "BENCH_rate": {"rate": 12}},
+        )
+        ok_lines, failures = check_floors.check(here, quick=False)
+        assert ok_lines == ["ok: BENCH_rate [wall] rate = 12 (floor 10)"]
+        assert failures == [
+            "BENCH_calls [deterministic]: calls = 11 above ceiling 10"]

@@ -146,3 +146,5 @@ def test_traced_job_frees_its_rigs(tmp_path):
     _, found = cyclic_garbage(job)
     assert store.event_count > 0
     assert rig_objects(found) == []
+    # the index save leaves no encoder closure cycle either
+    assert unexpected_types(found) == []

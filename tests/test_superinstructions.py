@@ -23,7 +23,7 @@ stop and identical faults.
 
 from collections import OrderedDict
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -373,6 +373,25 @@ class TestLockstepProperties:
         the checked loop does; stack depths from 1 up put block headroom
         checks on both sides of the limit."""
         lockstep(assemble_program(snips), raise_at=raise_at, depth=depth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(snips=snippets, last=snip_emit)
+    @example(snips=[("const_store", 1, 0)],
+             last=("emit", 2, (False, 0, 7), 3))
+    def test_handler_raising_at_the_folded_closing_emit(self, snips, last):
+        """Every program ends in an emit snippet, so its closing
+        ``EMIT; HALT`` is one block, and the handler raises on the last
+        command the checked loop sees: on a run that gets there, that is
+        the folded ``EMIT``, which both routes leave unhalted."""
+        code = assemble_program(snips + [last])
+        probe = build(code)
+        head = max(start for start, _ in block_spans(probe._brows))
+        assert probe._brows[head][1][6] == blocks_module.TAIL_EMIT_HALT
+        recorder = Recorder(probe)
+        run_guarded(probe, checked=True)
+        outcomes = lockstep(code, raise_at=len(recorder.seen))
+        if probe.halted:
+            assert outcomes[-1][0] == "raised"
 
     @settings(max_examples=40, deadline=None)
     @given(snips=snippets, data=st.data())
