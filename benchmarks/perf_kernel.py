@@ -5,8 +5,15 @@ job wires it (:func:`repro.faults.campaign.model_debugger_rig`: DTM
 kernel, one active channel per node, the GDM engine and the monitor
 suite on one simulator) for 3 s of modeled time, and reports:
 
-* ``events_per_sec`` — simulator events executed per CPU second
-  (releases, completions, publications, frame deliveries);
+* ``events`` — the heap entries the simulator executed, the actor
+  releases, and ``per_release``, entries per release (deterministic).
+  The kernel releases a same-period actor group through one entry per
+  instant and publishes it through one deadline entry, so this counts
+  the per-job event plumbing left: frame deliveries, bus updates and
+  whatever entries a job still pays for;
+* ``events_per_sec`` — simulator events executed per CPU second. It is
+  a rate of heap entries, so it falls when the kernel needs fewer
+  entries for the same work; it stays in the payload, ungated;
 * ``commands_per_sec`` — debug commands the engine reacted to per CPU
   second (clean-wire delivery, binding dispatch, reactions, monitors).
 
@@ -67,13 +74,14 @@ QUICK_REPS = 5
 
 
 def one_rep(system, firmware):
-    """(events, commands, CPU seconds) of one simulated run."""
+    """(events, releases, commands, CPU seconds) of one simulated run."""
     kernel, engine, _ = model_debugger_rig(system, firmware,
                                            cruise_monitor_suite)
     start = time.process_time()
     kernel.run(DURATION_US)
     elapsed = time.process_time() - start
-    return kernel.sim.executed_events, engine.commands_processed, elapsed
+    return (kernel.sim.executed_events, kernel.releases,
+            engine.commands_processed, elapsed)
 
 
 def measure(reps: int):
@@ -83,17 +91,18 @@ def measure(reps: int):
     counts = set()
     event_rates, command_rates = [], []
     for _ in range(reps):
-        events, commands, elapsed = one_rep(system, firmware)
-        counts.add((events, commands))
+        events, releases, commands, elapsed = one_rep(system, firmware)
+        counts.add((events, releases, commands))
         event_rates.append(events / elapsed)
         command_rates.append(commands / elapsed)
     if len(counts) != 1:
         raise RuntimeError(f"non-deterministic run: counts {sorted(counts)}")
-    (events, commands), = counts
+    (events, releases, commands), = counts
     return {
         "system": "cruise_control",
         "duration_us": DURATION_US,
-        "events": events,
+        "events": {"count": events, "releases": releases,
+                   "per_release": round(events / releases, 3)},
         "commands": commands,
         "events_per_sec": int(max(event_rates)),
         "commands_per_sec": int(max(command_rates)),
@@ -163,7 +172,9 @@ def main() -> None:
         json.dump(results, handle, indent=2)
         handle.write("\n")
     print(f"cruise model debugger, {results['duration_us']} us modeled: "
-          f"{results['events']} events at {results['events_per_sec']}/s, "
+          f"{results['events']['count']} events "
+          f"({results['events']['per_release']} per release) at "
+          f"{results['events_per_sec']}/s, "
           f"{results['commands']} commands at "
           f"{results['commands_per_sec']}/s")
     print(f"cyclic garbage per job: {results['job_garbage']['per_job']}")

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 from typing import List
-from xml.sax.saxutils import escape
 
 from repro.render.scene import Scene, SceneNode
+
+
+def escape(text: str) -> str:
+    """*text* with ``&``, ``<`` and ``>`` as entities; quotes stay as
+    they are. (``xml.sax.saxutils.escape`` does the same, but importing
+    it loads ``urllib.request``, ``http.client`` and ``ssl``.)"""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
 
 #: style keys understood by this backend
 _FILL_DEFAULT = "#f8f8f8"

@@ -25,6 +25,18 @@ class JitterMeter:
         for signal in signals:
             records.setdefault(signal, []).append((release, t_publish))
 
+    def record_all(self, publications: Iterable[Tuple[str, Dict[str, int]]],
+                   release: int, t_publish: int) -> None:
+        """:meth:`record` the signals of each ``(node, outputs)`` of
+        *publications* (as :meth:`SignalBus.publish_all
+        <repro.rtos.network.SignalBus.publish_all>` takes them), every
+        job released at *release* and published at *t_publish*."""
+        records = self._records
+        sample = (release, t_publish)
+        for _, outputs in publications:
+            for signal in outputs:
+                records.setdefault(signal, []).append(sample)
+
     def export_records(self) -> Dict[str, List[Tuple[int, int]]]:
         """Plain-data copy of all samples, per signal in record order."""
         return {signal: list(samples)

@@ -9,7 +9,7 @@ experiments need (who saw which value when).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.sim.kernel import Simulator
@@ -59,30 +59,52 @@ class SignalBus:
             raise ModelError(f"unknown node {node!r}") from None
 
     def publish(self, producer_node: str, outputs: Dict[str, int]) -> None:
-        """Publish every ``signal: value`` of *outputs* now, in order;
-        remote nodes see each value after the delay.
+        """Publish every ``signal: value`` of *outputs* now; remote nodes
+        see the values after the delay.
 
-        Each signal updates the producer's view at once and schedules
-        one update per remote node, ``net_delay_us`` later. The update
-        event is the remote view's own ``__setitem__``, so applying it
-        costs no Python call.
+        The producer's view takes them at once. Each remote node gets
+        one update event, ``net_delay_us`` later, for all of *outputs*:
+        the remote view's own ``update``, so applying it costs no Python
+        call. *outputs* must not change afterwards.
+        """
+        self.publish_all(((producer_node, outputs),))
+
+    def publish_all(self, publications: Sequence[Tuple[str, Dict[str, int]]]
+                    ) -> None:
+        """Publish each ``(producer_node, outputs)`` of *publications*
+        now, in order, as :meth:`publish` would one at a time, with one
+        update event per remote node for all of them.
+
+        The values one remote node takes merge in publication order (a
+        later value of a signal wins). Their separate events would all
+        fall at one instant with nothing scheduled between them, so one
+        ``update`` leaves every view as those events would.
         """
         views = self._views
-        local = views.get(producer_node)
-        if local is None:
-            raise ModelError(f"unknown node {producer_node!r}")
         delay = self.net_delay_us
-        for signal, value in outputs.items():
-            self.messages_sent += 1
-            local[signal] = value
-            for view in views.values():
+        remote: Dict[str, Dict[str, int]] = {}
+        sent = crossed = 0
+        for producer_node, outputs in publications:
+            local = views.get(producer_node)
+            if local is None:
+                raise ModelError(f"unknown node {producer_node!r}")
+            count = len(outputs)
+            sent += count
+            local.update(outputs)
+            for node, view in views.items():
                 if view is local:
                     continue
-                self.cross_node_messages += 1
+                crossed += count
                 if delay == 0:
-                    view[signal] = value
+                    view.update(outputs)
+                elif node in remote:
+                    remote[node].update(outputs)
                 else:
-                    self.sim.schedule(delay, view.__setitem__, signal, value)
+                    remote[node] = dict(outputs)
+        self.messages_sent += sent
+        self.cross_node_messages += crossed
+        for node, values in remote.items():
+            self.sim.schedule(delay, views[node].update, values)
 
     def snapshot(self, node: str) -> Dict[str, int]:
         """Copy of one node's full signal view."""

@@ -61,6 +61,41 @@ class NodeScheduler:
         self._jobs.append(job)
         self._replan()
 
+    def admit(self, jobs: List[ActiveJob], seq: int) -> None:
+        """Release *jobs*, all stamped now and in release order, as
+        :meth:`release` would one at a time; the running job's completion
+        event takes the position *seq*, held earlier by advancing
+        :attr:`Simulator.seq <repro.sim.kernel.Simulator.seq>`.
+
+        The DTM kernel hands a same-instant group here when it cannot
+        complete the group inline: *seq* is the position the last of
+        these releases would have scheduled the completion in, so the
+        event orders exactly as if each job had been released on its own.
+        """
+        now = self.sim.now
+        self._update_progress()
+        active = self._jobs
+        running = self._running
+        for job in jobs:
+            if job.release != now:
+                raise SchedulerError(
+                    f"job {job.name} released at t={now} but stamped "
+                    f"{job.release}"
+                )
+            active.append(job)
+            best = min(active, key=ActiveJob.sort_key)
+            if running is not None and best is not running:
+                self.preemptions += 1
+            running = best
+        if running is None:
+            return
+        if self._completion_event is not None:
+            self._completion_event.cancel()
+        self._running = running
+        self._last_update = now
+        self._completion_event = self.sim.schedule_seq(
+            now + running.remaining_us, seq, self._complete, running)
+
     def _update_progress(self) -> None:
         now = self.sim.now
         if self._running is not None:

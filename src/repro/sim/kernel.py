@@ -18,6 +18,17 @@ tick.
 :attr:`Simulator.now` is a plain attribute, not a property: the clock is
 read on every release, completion and emitted command, and only the run
 loops write it. Treat it as read-only.
+
+Positions can be held ahead of time: a caller that advances
+:attr:`Simulator.seq` holds that position, and
+:meth:`Simulator.schedule_seq` later pushes an entry there, ordered
+among same-instant entries as if it had been scheduled when the
+position was taken. The DTM kernel (:mod:`repro.rtos.kernel`) runs a
+same-period actor group as one heap entry this way. It holds the
+position each member's own periodic release would have taken. When the
+head of :attr:`Simulator.queue` is a foreign entry at the instant that
+comes before the next member's position (a frame delivery, a halt), the
+group re-enters at that position instead of running past it.
 """
 
 from __future__ import annotations
@@ -65,8 +76,12 @@ class Simulator:
     def __init__(self) -> None:
         #: current simulated time in microseconds (read-only for callers)
         self.now: int = 0
-        self._seq: int = 0
-        self._queue: List[ScheduledEvent] = []
+        #: position of the last entry handed out; advancing it holds
+        #: the next position for a later :meth:`schedule_seq`
+        self.seq: int = 0
+        #: the heap itself; ``queue[0]`` is the next entry (it may be a
+        #: cancelled tombstone). Only the simulator pushes and pops.
+        self.queue: List[ScheduledEvent] = []
         self._executed: int = 0
 
     @property
@@ -77,24 +92,34 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (cancelled tombstones excluded)."""
-        return sum(1 for entry in self._queue if entry[2] is not None)
+        return sum(1 for entry in self.queue if entry[2] is not None)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *fn(*args)* at absolute *time* (must not be in the past)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time} before now={self.now}")
-        self._seq = seq = self._seq + 1
+        self.seq = seq = self.seq + 1
         event = ScheduledEvent((time, seq, fn, args, 0))
-        _heappush(self._queue, event)
+        _heappush(self.queue, event)
         return event
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> ScheduledEvent:
         """Schedule *fn(*args)* after *delay* microseconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._seq = seq = self._seq + 1
+        self.seq = seq = self.seq + 1
         event = ScheduledEvent((self.now + delay, seq, fn, args, 0))
-        _heappush(self._queue, event)
+        _heappush(self.queue, event)
+        return event
+
+    def schedule_seq(self, time: int, seq: int, fn: Callable[..., Any],
+                     *args: Any) -> ScheduledEvent:
+        """Schedule *fn(*args)* at *time* in the position *seq*, held
+        earlier by advancing :attr:`seq`."""
+        if time < self.now:
+            raise ValueError(f"cannot schedule at t={time} before now={self.now}")
+        event = ScheduledEvent((time, seq, fn, args, 0))
+        _heappush(self.queue, event)
         return event
 
     def every(self, period: int, fn: Callable[..., Any], *args: Any,
@@ -120,11 +145,11 @@ class Simulator:
         The clock and the executed-event count stay readable. Owners of
         a finished run call this to free what the queue references.
         """
-        self._queue.clear()
+        self.queue.clear()
 
     def step(self) -> bool:
         """Execute the next event; return False when the queue is empty."""
-        queue = self._queue
+        queue = self.queue
         while queue:
             time, _, fn, args, period = _heappop(queue)
             if fn is None:
@@ -133,7 +158,7 @@ class Simulator:
             self._executed += 1
             fn(*args)
             if period:
-                self._seq = seq = self._seq + 1
+                self.seq = seq = self.seq + 1
                 _heappush(queue, ScheduledEvent(
                     (self.now + period, seq, fn, args, period)))
             return True
@@ -147,7 +172,7 @@ class Simulator:
         """
         if time < self.now:
             raise ValueError(f"cannot run backwards to t={time} from now={self.now}")
-        queue = self._queue
+        queue = self.queue
         executed = 0
         while queue:
             entry = _heappop(queue)
@@ -162,7 +187,7 @@ class Simulator:
             executed += 1
             fn(*args)
             if period:
-                self._seq = seq = self._seq + 1
+                self.seq = seq = self.seq + 1
                 _heappush(queue, ScheduledEvent(
                     (self.now + period, seq, fn, args, period)))
         self.now = time

@@ -8,12 +8,16 @@ tests can prove the two bit-identical:
 * :class:`HeapSimulator` — heap of :class:`ScheduledEvent` objects ordered
   by a Python ``__lt__``, periodic ticks re-armed through a closure and
   one :meth:`HeapSimulator.step` call per event;
-* the release path — :func:`reference_release_actor` (one symbol lookup,
+* the release path — :func:`reference_start` (one periodic release entry
+  per actor), :func:`reference_release_actor` (one symbol lookup,
   ``poke``/``peek`` and ``bus.read`` per port per job, ``run_task``, a
-  completion lambda with defaults), :func:`reference_publish` (one bus
+  scheduler job with a completion lambda per release),
+  :func:`reference_on_job_complete` (a record per completion event and a
+  publication entry per job), :func:`reference_publish` (one bus
   publication and one jitter record per signal, remote updates through a
-  Python callback) and :class:`ReferenceNodeScheduler` (every release and
-  completion re-plans, idle or not);
+  Python callback per signal and node) and
+  :class:`ReferenceNodeScheduler` (every release and completion
+  re-plans, idle or not);
 * the UART FIFO and transport — :func:`reference_on_emit` rebuilds the
   in-flight list and sums it per frame, :func:`reference_transmit_frame`
   and :func:`reference_chaos_transmit_frame` run the line's noise model
@@ -165,8 +169,24 @@ class HeapSimulator:
         return executed
 
 
+def reference_start(self: DtmKernel) -> None:
+    """``DtmKernel.start`` with one periodic release entry per actor."""
+    if self._closed:
+        raise SchedulerError("kernel is closed")
+    if self._started:
+        raise SchedulerError("kernel already started")
+    self._started = True
+    for actor in self.system.actors.values():
+        self.sim.every(actor.task.period_us, reference_release_actor, self,
+                       actor, start=actor.task.offset_us)
+    for load in self._load_tasks:
+        self.sim.every(load.period_us, self._release_load, load,
+                       start=load.offset_us)
+
+
 def reference_release_actor(self: DtmKernel, actor) -> None:
-    """``DtmKernel._release_actor`` with a symbol lookup per port."""
+    """One actor's release, with a symbol lookup per port and a
+    scheduler job per release."""
     now = self.sim.now
     runtime = self._nodes[actor.node]
     index = self._job_index[actor.name]
@@ -198,14 +218,33 @@ def reference_release_actor(self: DtmKernel, actor) -> None:
         actor.name, actor.task.priority, now, deadline_abs, demand_us,
         on_complete=lambda t_done, a=actor, i=index, o=outputs,
                            r=now, d=deadline_abs, c=demand_us:
-            self._on_job_complete(a, i, o, r, d, c, t_done),
+            reference_on_job_complete(self, a, i, o, r, d, c, t_done),
     )
     runtime.scheduler.release(job)
 
 
+def reference_on_job_complete(self: DtmKernel, actor, index: int,
+                              outputs: Dict[str, int], release: int,
+                              deadline_abs: int, demand_us: int,
+                              t_done: int) -> None:
+    """A completion event's record, then a publication entry per job at
+    its deadline (at once on a miss or with ``latched=False``)."""
+    record = JobRecord(actor.name, index, release, t_done, deadline_abs,
+                       demand_us)
+    self.records.append(record)
+    if record.missed:
+        self.deadline_misses += 1
+    if self.latched and not record.missed:
+        self.sim.schedule_at(deadline_abs, reference_publish, self, actor,
+                             release, outputs)
+    else:
+        reference_publish(self, actor, release, outputs)
+
+
 def reference_publish(self: DtmKernel, actor, release: int,
                       outputs: Dict[str, int]) -> None:
-    """``DtmKernel._publish`` with one bus call and record per signal."""
+    """One job's publication: one bus call and one jitter record per
+    signal."""
     now = self.sim.now
     for signal, value in outputs.items():
         reference_bus_publish(self.bus, actor.node, signal, value)
@@ -510,8 +549,7 @@ def make_reference_gdm(gdm: GdmModel) -> GdmModel:
 
 #: (owner, attribute, reference) of every patched fast path
 _PATCHES = (
-    (DtmKernel, "_release_actor", reference_release_actor),
-    (DtmKernel, "_publish", reference_publish),
+    (DtmKernel, "start", reference_start),
     (ActiveChannel, "_on_emit", reference_on_emit),
     (ActiveChannel, "_deliver_frame", reference_deliver_frame),
     (SerialLink, "transmit_frame", reference_transmit_frame),
@@ -528,8 +566,9 @@ def reference_event_paths():
     references.
 
     Patches the simulator class where the kernel and the campaign build
-    one, the node scheduler class, the kernel's release and publish
-    paths, the active channel's emit and delivery, the serial and chaos
+    one, the node scheduler class, the kernel's start (so every actor
+    gets its own periodic release, its own scheduler job and its own
+    publication entry), the active channel's emit and delivery, the serial and chaos
     links' frame transmission, the engine's command path, the monitor
     suite's dispatch and the model's dispatch methods. Rigs must be
     built inside the block: emit handlers and subscriptions bind the

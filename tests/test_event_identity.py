@@ -9,8 +9,11 @@ here runs the same work through both and compares everything observable:
 * command streams on the traffic, cruise and cell debug models, with
   binding edits and checkpoint restores mid-stream and replay afterwards
   — the reaction records and ``dynamic_state()`` after every command;
-* whole systems — job records, bus views, the engine trace and the
-  traced campaign store bytes;
+* whole systems — job records, bus views, jitter samples, both nodes'
+  scheduler counters, the engine trace and the traced campaign store
+  bytes, with each rig's heap-entry counts pinned (the reference runs a
+  periodic entry and a scheduler job per actor, the fast path one entry
+  per same-period group);
 * the active channels and the engine — UART overruns and bytes sent,
   dropped frames, link books and the delivered command stream at small
   FIFO depths and behind a ``ChaosLink``, two actors released on one
@@ -367,8 +370,11 @@ def system_run(name):
                   for node in kernel.bus.nodes()},
         "jitter": kernel.jitter.export_records(),
         "trace": engine.trace.to_dicts(),
-        "events": (kernel.sim.executed_events, kernel.sim.pending_events,
-                   kernel.sim.now),
+        "schedulers": {node: (kernel._nodes[node].scheduler.preemptions,
+                              kernel._nodes[node].scheduler.jobs_completed)
+                       for node in system.nodes()},
+        "now": kernel.sim.now,
+        "events": (kernel.sim.executed_events, kernel.sim.pending_events),
         "violations": [(r.t_us, r.message) for r in suite.reports()],
         "state": engine.gdm.dynamic_state(),
         "code": _run_code_debugger(system, firmware, watches(), sec(3)),
@@ -388,14 +394,30 @@ def outcome_rows(result):
             result.false_positives)
 
 
+#: (executed, pending) heap entries after each rig's 3 s run: the fast
+#: path's, then the reference's. The fast path releases a same-period
+#: group through one entry, completes it with no completion entry,
+#: publishes it through one deadline entry per instant instead of one
+#: per job, and sends one bus update per remote node instead of one per
+#: signal and node.
+HEAP_ENTRIES = {
+    "blinker": ((1701, 5), (2001, 5)),
+    "traffic": ((241, 7), (362, 8)),
+    "cruise": ((1677, 11), (3176, 17)),
+    "cell": ((559, 9), (981, 11)),
+}
+
+
 class TestSystems:
     @pytest.mark.parametrize("name", sorted(_RIGS))
     def test_system_run_identical_to_reference_paths(self, name):
         fast = system_run(name)
         with reference_event_paths():
             ref = system_run(name)
+        events = fast.pop("events"), ref.pop("events")
         assert fast == ref
         assert fast["records"] and fast["trace"]
+        assert events == HEAP_ENTRIES[name]
 
     @pytest.mark.parametrize("name", ["traffic", "cruise", "cell"])
     def test_traced_campaign_store_bytes_identical(self, name, tmp_path):
@@ -471,7 +493,7 @@ def channel_run(name, fifo_depth, chaos_seed, duration_us, late_after):
         "transitions": transitions,
         "violations": [(r.t_us, r.message) for r in suite.reports()],
         "records": [job_fields(r) for r in kernel.records],
-        "events": (kernel.sim.executed_events, kernel.sim.now),
+        "now": kernel.sim.now,
     }
 
 
