@@ -14,6 +14,8 @@ here runs the same work through both and compares everything observable:
   bytes, with each rig's heap-entry counts pinned (the reference runs a
   periodic entry and a scheduler job per actor, the fast path one entry
   per same-period group);
+* breakpoint halts — a state breakpoint that stalls every board,
+  resumed on release instants;
 * the active channels and the engine — UART overruns and bytes sent,
   dropped frames, link books and the delivered command stream at small
   FIFO depths and behind a ``ChaosLink``, two actors released on one
@@ -43,8 +45,9 @@ from repro.comm.channel import ActiveChannel, DebugChannel
 from repro.comm.chaos import ChaosConfig
 from repro.comm.protocol import Command, CommandKind
 from repro.comm.rs232 import Rs232Link
+from repro.engine.breakpoints import StateEntryBreakpoint
 from repro.engine.checks import MonitorSuite
-from repro.engine.engine import DebuggerEngine
+from repro.engine.engine import DebuggerEngine, EngineState
 from repro.engine.replay import ReplayPlayer
 from repro.errors import DebuggerError
 from repro.experiments.requirements import (cruise_code_watches,
@@ -552,6 +555,56 @@ class TestChannelsAndEngine:
         # of every command the engine handled
         handled = len(fast["trace"]) - 30
         assert len(fast["transitions"]) == 2 * handled + 1
+
+
+#: a state each rig enters again and again, and its task period
+_BREAKS = {
+    "traffic": ("state:lights.lamp.GREEN", 100_000),
+    "cruise": ("state:controller.mode_logic.CRUISE", 20_000),
+    "cell": ("state:conveyor.belt_ctl.MOVING", 50_000),
+}
+
+
+def halted_run(name):
+    """A model-debugger run whose breakpoint halts every board each time
+    the rig enters its state, resumed every fifth release instant; what
+    the kernel, the bus and the engine show."""
+    system_factory, monitors, _ = _RIGS[name]
+    state, period = _BREAKS[name]
+    system = system_factory()
+    firmware = generate_firmware(system, InstrumentationPlan.full())
+    kernel, engine, suite = model_debugger_rig(system, firmware, monitors)
+    engine.breakpoints.add(StateEntryBreakpoint(state))
+    resumed = []
+
+    def resume():
+        if engine.state is EngineState.PAUSED:
+            resumed.append(kernel.sim.now)
+            engine.resume()
+
+    kernel.sim.every(5 * period, resume, start=5 * period)
+    kernel.run(sec(3))
+    return {
+        "records": [job_fields(r) for r in kernel.records],
+        "views": {node: kernel.bus.snapshot(node)
+                  for node in kernel.bus.nodes()},
+        "jitter": kernel.jitter.export_records(),
+        "trace": engine.trace.to_dicts(),
+        "resumed": resumed,
+        "skipped": kernel.jobs_skipped,
+    }
+
+
+class TestBreakpointHalts:
+    @pytest.mark.parametrize("name", sorted(_BREAKS))
+    def test_halts_and_resumes_match_reference(self, name):
+        """Each halt comes from a command delivered while a group's
+        jobs run, and each resume lands on a release instant."""
+        fast = halted_run(name)
+        with reference_event_paths():
+            ref = halted_run(name)
+        assert fast == ref
+        assert fast["resumed"] and fast["skipped"]
 
 
 _SUITES = {
