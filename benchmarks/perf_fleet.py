@@ -41,10 +41,10 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.faults import run_campaign
+from repro.faults.campaign import run_campaign
 from repro.faults.design import DESIGN_FAULT_KINDS
 from repro.faults.implementation import IMPL_FAULT_KINDS
-from repro.fleet import FleetRunner, SerialRunner
+from repro.fleet.pool import FleetRunner, SerialRunner
 
 WORKERS = 4
 FULL_REPS = 3

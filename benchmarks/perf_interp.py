@@ -60,10 +60,11 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import cruise_control_system, traffic_light_system
 from repro.debugger.gdb import SourceDebugger
-from repro.experiments import cruise_code_watches
+from repro.experiments.requirements import cruise_code_watches
 from repro.rtos.kernel import DtmKernel
 from repro.target.assembler import Assembler
 from repro.target.board import Board

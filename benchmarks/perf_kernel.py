@@ -62,9 +62,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import cruise_control_system
-from repro.experiments import cruise_code_watches, cruise_monitor_suite
+from repro.experiments.requirements import (
+    cruise_code_watches,
+    cruise_monitor_suite,
+)
 from repro.faults.campaign import model_debugger_rig, run_fault_experiment
 from repro.util.timeunits import sec
 

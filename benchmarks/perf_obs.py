@@ -52,19 +52,20 @@ from repro.comdes.examples import traffic_light_system
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink
 from repro.comm.usb import UsbTransport
-from repro.experiments import (
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.fleet import SerialRunner
-from repro.obs import disable, enable
+from repro.faults.campaign import run_campaign
+from repro.fleet.pool import SerialRunner
 from repro.obs.export import export_campaign, chrome_trace, render_bytes
+from repro.obs.runtime import disable, enable
 from repro.target.assembler import Assembler
 from repro.target.board import Board, DebugPort
 from repro.target.cpu import Cpu
 from repro.target.memory import RAM_BASE, MemoryMap
-from repro.tracedb import TraceStore, campaign_store_root
+from repro.tracedb.collect import campaign_store_root
+from repro.tracedb.store import TraceStore
 from repro.util.timeunits import sec
 
 WATCHES = 64

@@ -41,12 +41,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "src"))
 
-from repro.fleet import (
-    ElasticScheduler,
-    FleetRunner,
-    ProcessBackend,
-    SerialRunner,
-)
+from repro.fleet.pool import FleetRunner, SerialRunner
+from repro.fleet.sched import ElasticScheduler, ProcessBackend
 
 WORKERS = 3
 HEAVY, LIGHT = 10, 1
@@ -114,7 +110,7 @@ def outcome_fingerprint(result) -> str:
 
 
 def measure_parity() -> int:
-    from repro.faults import run_campaign
+    from repro.faults.campaign import run_campaign
     from repro.comdes.examples import traffic_light_system
     from repro.experiments.requirements import (
         traffic_light_code_watches, traffic_light_monitor_suite)
@@ -130,10 +126,10 @@ def measure_parity() -> int:
 
 
 def measure_stranded_recovery(backoff_s: float) -> float:
-    from repro.codegen import InstrumentationPlan
+    from repro.codegen.instrument import InstrumentationPlan
     from repro.experiments.requirements import (
         traffic_light_code_watches, traffic_light_monitor_suite)
-    from repro.fleet import JobSpec, callable_ref
+    from repro.fleet.jobs import JobSpec, callable_ref
     specs = [
         JobSpec(i, "design", kind, 1, 1_000_000,
                 "perf_sched:exiting_system",

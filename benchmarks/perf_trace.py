@@ -49,13 +49,9 @@ from repro.engine.trace import ExecutionTrace
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
-from repro.tracedb import (
-    StoredTrace,
-    TraceStore,
-    build_checkpoints,
-    merge_job_stores,
-)
-from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS
+from repro.tracedb.checkpoint import build_checkpoints
+from repro.tracedb.collect import merge_job_stores
+from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS, StoredTrace, TraceStore
 
 SEGMENT_EVENTS = 4096
 CHECKPOINT_EVERY = 512

@@ -10,7 +10,8 @@ code generator is used (by construction); implementation faults are
 classified 'implementation' whenever they actually diverge.
 """
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import traffic_light_system
 from repro.engine.classify import BugClass, classify_bug
 from repro.experiments.harness import ResultTable, save_artifact

@@ -7,7 +7,8 @@ cruise-control workload.
 
 import time
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import cruise_control_system
 from repro.comdes.reflect import system_to_model
 from repro.engine.session import DebugSession

@@ -12,7 +12,8 @@ grows with instrumentation level; the price of passive is host-side scan
 traffic and poll-bounded latency instead.
 """
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comm.channel import ActiveChannel, PassiveChannel, WatchSpec
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink

@@ -12,7 +12,8 @@ Expected shape: latched jitter is exactly 0 at every load; unlatched jitter
 grows with interference until deadlines start missing.
 """
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import cruise_control_system
 from repro.experiments.harness import ResultTable, save_artifact
 from repro.rtos.kernel import DtmKernel

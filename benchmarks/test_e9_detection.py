@@ -16,7 +16,7 @@ from repro.experiments.harness import ResultTable, save_artifact
 from repro.experiments.requirements import (
     traffic_light_code_watches, traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
+from repro.faults.campaign import run_campaign
 from repro.util.timeunits import sec
 
 
@@ -74,7 +74,8 @@ def test_e9_detection_campaign(benchmark):
     # Benchmark one full model-debugger fault run.
     from repro.faults.campaign import _run_model_debugger
     from repro.faults.design import inject_design_fault
-    from repro.codegen import InstrumentationPlan, generate_firmware
+    from repro.codegen.instrument import InstrumentationPlan
+    from repro.codegen.pipeline import generate_firmware
     mutant, _ = inject_design_fault(traffic_light_system(), "wrong_target", 1)
     firmware = generate_firmware(mutant, InstrumentationPlan.full())
     benchmark(_run_model_debugger, mutant, firmware,

@@ -20,18 +20,18 @@ import hashlib
 import json
 
 from repro.comdes.examples import traffic_light_system
-from repro.experiments import (
+from repro.experiments.harness import save_artifact
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.experiments.harness import save_artifact
-from repro.faults import run_campaign
-from repro.fleet import SerialRunner
+from repro.faults.campaign import run_campaign
 from repro.fleet.jobs import JobResult
-from repro.obs import disable, enable
+from repro.fleet.pool import SerialRunner
 from repro.obs.export import export_campaign
 from repro.obs.postmortem import campaign_postmortem
-from repro.tracedb import campaign_store_root, job_store_root
+from repro.obs.runtime import disable, enable
+from repro.tracedb.collect import campaign_store_root, job_store_root
 from repro.util.timeunits import sec
 
 #: sha256 of the committed ``artifacts/obs_campaign.perfetto.json``

@@ -12,9 +12,11 @@ monitors stayed quiet.
 Run:  python examples/cruise_control.py
 """
 
-from repro import DebugSession, cruise_control_system, ms
+from repro.comdes.examples import cruise_control_system
 from repro.engine.breakpoints import StateEntryBreakpoint
+from repro.engine.session import DebugSession
 from repro.experiments.requirements import cruise_monitor_suite
+from repro.util.timeunits import ms
 
 
 def main() -> None:

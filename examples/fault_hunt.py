@@ -8,12 +8,15 @@ code-level baseline debugger sees for the same fault.
 Run:  python examples/fault_hunt.py
 """
 
-from repro import DebugSession, SourceDebugger, sec, traffic_light_system
+from repro.comdes.examples import traffic_light_system
+from repro.debugger.gdb import SourceDebugger
+from repro.engine.session import DebugSession
 from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
 from repro.faults.design import inject_design_fault
+from repro.util.timeunits import sec
 
 
 def main() -> None:
@@ -48,7 +51,8 @@ def main() -> None:
     print(session.snapshot_ascii())
 
     # --- Code-level baseline on the same fault -----------------------------
-    from repro.codegen import InstrumentationPlan, generate_firmware
+    from repro.codegen.instrument import InstrumentationPlan
+    from repro.codegen.pipeline import generate_firmware
     from repro.target.board import Board
     firmware = generate_firmware(mutant, InstrumentationPlan.none())
     board = Board()

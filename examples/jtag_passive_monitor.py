@@ -10,15 +10,13 @@ undebugged run.
 Run:  python examples/jtag_passive_monitor.py
 """
 
-from repro import (
-    DebugSession,
-    DtmKernel,
-    InstrumentationPlan,
-    generate_firmware,
-    ms,
-    traffic_light_system,
-)
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
+from repro.comdes.examples import traffic_light_system
 from repro.comm.protocol import CommandKind
+from repro.engine.session import DebugSession
+from repro.rtos.kernel import DtmKernel
+from repro.util.timeunits import ms
 
 
 def main() -> None:

@@ -12,13 +12,15 @@ bug types) to tell the user whether to fix the model or the toolchain.
 Run:  python examples/production_cell.py
 """
 
-from repro import DebugSession, sec
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import production_cell_system
 from repro.engine.classify import classify_bug
+from repro.engine.session import DebugSession
 from repro.experiments.requirements import production_cell_monitor_suite
 from repro.faults.design import inject_design_fault
 from repro.faults.implementation import inject_implementation_fault
+from repro.util.timeunits import sec
 
 
 def debug_run(system, label=""):

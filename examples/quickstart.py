@@ -7,7 +7,9 @@ command interface -> timing diagram.
 Run:  python examples/quickstart.py
 """
 
-from repro import DebugSession, ms, traffic_light_system
+from repro.comdes.examples import traffic_light_system
+from repro.engine.session import DebugSession
+from repro.util.timeunits import ms
 
 
 def main() -> None:

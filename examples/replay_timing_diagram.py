@@ -15,8 +15,12 @@ Run:  python examples/replay_timing_diagram.py
 
 import json
 
-from repro import DebugSession, ReplayPlayer, TimingDiagram, ms, traffic_light_system
+from repro.comdes.examples import traffic_light_system
+from repro.engine.replay import ReplayPlayer
+from repro.engine.session import DebugSession
+from repro.engine.timing_diagram import TimingDiagram
 from repro.engine.trace import ExecutionTrace
+from repro.util.timeunits import ms
 
 
 def main() -> None:

@@ -7,8 +7,3 @@ selected by an :class:`~repro.codegen.instrument.InstrumentationPlan`. With
 an empty plan the generated code is byte-identical to production firmware —
 the baseline for the instrumentation-overhead experiment (E7).
 """
-
-from repro.codegen.instrument import InstrumentationPlan
-from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
-
-__all__ = ["InstrumentationPlan", "generate_firmware", "run_firmware_lockstep"]

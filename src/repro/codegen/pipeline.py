@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.lower_blocks import GenContext, NetworkCodegen
 from repro.comdes.system import System
+from repro.comdes.validate import validate_system
 from repro.comm.protocol import CommandKind
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage
@@ -22,7 +23,12 @@ from repro.target.firmware import FirmwareImage
 def generate_firmware(system: System,
                       plan: Optional[InstrumentationPlan] = None,
                       name: Optional[str] = None) -> FirmwareImage:
-    """Lower *system* to a firmware image, one task per actor."""
+    """Lower *system* to a firmware image, one task per actor.
+
+    Raises :class:`~repro.errors.ValidationError` for a system that
+    :func:`~repro.comdes.validate.validate_system` rejects.
+    """
+    validate_system(system)
     plan = plan if plan is not None else InstrumentationPlan()
     ctx = GenContext(plan)
     entries: Dict[str, int] = {}

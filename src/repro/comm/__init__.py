@@ -57,33 +57,3 @@ produce byte-identical command transcripts and link ``stats()``.
 With every rate at 0.0 the wrapper draws no randomness. The campaign's
 comm-fault plane (:mod:`repro.faults.comm`) is its one user.
 """
-
-from repro.comm.protocol import Command, CommandKind
-from repro.comm.frames import FrameDecoder, FrameError, decode_frame, encode_frame
-from repro.comm.rs232 import Rs232Link
-from repro.comm.usb import UsbTransport
-from repro.comm.jtag import JtagProbe, TapController, TapState, group_runs
-from repro.comm.link import (
-    DebugLink,
-    JtagLink,
-    SerialLink,
-    write_patches,
-)
-from repro.comm.channel import (
-    ActiveChannel,
-    DebugChannel,
-    PassiveChannel,
-    PollPlan,
-)
-from repro.comm.chaos import ChaosConfig, ChaosLink
-
-__all__ = [
-    "Command", "CommandKind",
-    "encode_frame", "decode_frame", "FrameDecoder", "FrameError",
-    "Rs232Link",
-    "UsbTransport",
-    "TapState", "TapController", "JtagProbe", "group_runs",
-    "DebugLink", "JtagLink", "SerialLink", "write_patches",
-    "DebugChannel", "ActiveChannel", "PassiveChannel", "PollPlan",
-    "ChaosConfig", "ChaosLink",
-]

@@ -61,17 +61,6 @@ def encode_frame(kind: int, path_id: int, value: int) -> bytes:
     return head + bytes(((sum(head) - SOF) & 0xFF,))
 
 
-def decode_frame(frame: bytes) -> Tuple[int, int, int]:
-    """Decode exactly one well-formed frame (raises on any corruption)."""
-    decoder = FrameDecoder()
-    commands = decoder.feed(frame)
-    if decoder.checksum_errors or decoder.framing_errors:
-        raise FrameError("corrupted frame")
-    if len(commands) != 1:
-        raise FrameError(f"expected 1 frame, decoded {len(commands)}")
-    return commands[0]
-
-
 class FrameDecoder:
     """Streaming decoder; feed() bytes in any chunking."""
 

@@ -6,8 +6,3 @@ to what the comparison uses: hardware watchpoints on firmware variables.
 The detection experiment (E9) and the fault campaign run both debuggers
 against the same injected faults.
 """
-
-from repro.debugger.gdb import SourceDebugger, WatchHit
-from repro.debugger.watch import Watchpoint
-
-__all__ = ["SourceDebugger", "WatchHit", "Watchpoint"]

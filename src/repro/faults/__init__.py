@@ -20,25 +20,3 @@ debug:
 :mod:`repro.faults.campaign` runs both debuggers (model-level GMDF and the
 code-level baseline) against each faulty variant and scores detection.
 """
-
-from repro.faults.design import DESIGN_FAULT_KINDS, FaultDescriptor, inject_design_fault
-from repro.faults.implementation import IMPL_FAULT_KINDS, inject_implementation_fault
-from repro.faults.comm import (
-    COMM_FAULT_KINDS,
-    comm_chaos_config,
-    comm_fault_descriptor,
-)
-from repro.faults.campaign import (
-    CampaignResult,
-    FaultOutcome,
-    campaign_seeds,
-    run_campaign,
-)
-
-__all__ = [
-    "FaultDescriptor",
-    "DESIGN_FAULT_KINDS", "inject_design_fault",
-    "IMPL_FAULT_KINDS", "inject_implementation_fault",
-    "COMM_FAULT_KINDS", "comm_chaos_config", "comm_fault_descriptor",
-    "FaultOutcome", "CampaignResult", "campaign_seeds", "run_campaign",
-]

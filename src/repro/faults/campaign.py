@@ -36,14 +36,17 @@ from repro.codegen.pipeline import generate_firmware
 from repro.comdes.reflect import system_to_model
 from repro.comdes.system import System
 from repro.comm.channel import ActiveChannel, CompositeChannel
+from repro.comm.chaos import ChaosLink
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink, write_patches
 from repro.comm.rs232 import Rs232Link
 from repro.debugger.gdb import SourceDebugger
 from repro.engine.checks import MonitorSuite
+from repro.engine.classify import classify_bug
 from repro.engine.engine import DebuggerEngine
 from repro.engine.trace import ExecutionTrace
 from repro.errors import FleetError, TargetFault
+from repro.faults.comm import comm_chaos_config, comm_fault_descriptor
 from repro.faults.design import DESIGN_FAULT_KINDS, FaultDescriptor, inject_design_fault
 from repro.faults.implementation import (
     IMPL_FAULT_KINDS,
@@ -56,6 +59,7 @@ from repro.rtos.kernel import DtmKernel
 from repro.sim.kernel import Simulator
 from repro.target.board import DebugPort
 from repro.target.firmware import FirmwareImage
+from repro.util.seeds import derive_seed, seed_stream
 
 #: code-level watch: (symbol, predicate-or-None, description)
 CodeWatchSpec = Tuple[str, Optional[Callable[[int], bool]], str]
@@ -212,8 +216,6 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
         channel = ActiveChannel(sim, kernel.board_of(node), firmware,
                                 link=Rs232Link())
         if chaos is not None:
-            from repro.comm.chaos import ChaosLink
-            from repro.util.seeds import derive_seed
             channel.debug_link = ChaosLink(
                 channel.debug_link,
                 chaos.with_seed(derive_seed(chaos.seed, "node", node)))
@@ -366,7 +368,6 @@ def run_fault_experiment(
         # comparison isolates how transport faults degrade model-level
         # observability. No differential classification: there is no
         # design or implementation bug to classify.
-        from repro.faults.comm import comm_chaos_config, comm_fault_descriptor
         fault = comm_fault_descriptor(kind, seed)
         chaos = comm_chaos_config(kind, seed)
     model_result = _run_model_debugger(system, firmware, monitor_factory,
@@ -385,7 +386,6 @@ def _classify(system: System, firmware: FirmwareImage,
     """Differential-oracle verdict for a detected fault ('' if undetected)."""
     if not model_detected:
         return ""
-    from repro.engine.classify import classify_bug
     return classify_bug(system, firmware, violation_observed=True).verdict.value
 
 
@@ -401,7 +401,7 @@ def campaign_seeds(
     With ``master_seed=None`` this is just *seeds* (every kind shares
     one small list — the original corpus shape). With a master seed,
     each ``category/kind`` gets its own deterministic
-    :func:`~repro.fleet.pool.seed_stream` of ``seeds_per_kind`` seeds
+    :func:`~repro.util.seeds.seed_stream` of ``seeds_per_kind`` seeds
     (default: ``len(seeds)``) — corpus size scales with one knob, and
     no two kinds ever reuse a seed, so campaigns enumerate genuinely
     distinct scenarios as they grow.
@@ -413,7 +413,6 @@ def campaign_seeds(
             f"back to the {len(seeds)} explicit seed(s)")
     if master_seed is None:
         return seeds
-    from repro.fleet.pool import seed_stream  # deferred: cycle via worker
     count = seeds_per_kind if seeds_per_kind is not None else len(seeds)
     return seed_stream(master_seed, f"{category}/{kind}", count)
 
@@ -440,9 +439,10 @@ def run_campaign(
     first, then every fault), so the three factories must be importable
     module-level callables; ``code_watch_specs`` is a zero-argument
     factory of watch specs. ``runner`` executes the jobs: ``None`` means
-    a :class:`repro.fleet.SerialRunner` (in-process, the right choice
-    on core-starved hosts); a :class:`repro.fleet.FleetRunner` fans them
-    out over worker processes. Every runner is a policy shell over the
+    a :class:`repro.fleet.pool.SerialRunner` (in-process, the right
+    choice on core-starved hosts); a
+    :class:`repro.fleet.pool.FleetRunner` fans them out over worker
+    processes. Every runner is a policy shell over the
     one FIFO scheduler core (:mod:`repro.fleet.sched`), and the
     canonical merge makes any worker count or completion order
     byte-identical to ``SerialRunner`` at the same master seed.

@@ -56,31 +56,3 @@ Entry points:
   thirds on a skewed corpus and schedule parity, and records
   stranded-recovery wall time.
 """
-
-from repro.fleet.jobs import (
-    JobResult,
-    JobSpec,
-    callable_ref,
-    enumerate_campaign_jobs,
-    resolve_ref,
-)
-from repro.fleet.merge import merge_results
-from repro.fleet.pool import (
-    FleetRunner,
-    SerialRunner,
-    default_workers,
-    derive_seed,
-    seed_stream,
-)
-from repro.fleet.sched import ElasticScheduler, InlineBackend, ProcessBackend
-from repro.fleet.worker import run_job
-
-__all__ = [
-    "JobSpec", "JobResult", "callable_ref", "resolve_ref",
-    "enumerate_campaign_jobs",
-    "FleetRunner", "SerialRunner", "default_workers",
-    "ElasticScheduler", "InlineBackend", "ProcessBackend",
-    "derive_seed", "seed_stream",
-    "run_job",
-    "merge_results",
-]

@@ -33,12 +33,10 @@ every worker has its own deadline; a wedged job gets its worker killed
 and is reported as a structured ``JobTimeout`` failure after the retry
 budget, while the rest of the queue continues on the other workers.
 
-:func:`derive_seed` / :func:`seed_stream` (canonical home:
-:mod:`repro.util.seeds`, re-exported here for compatibility) are the
-deterministic seed expanders for growing fault corpora: a stable 63-bit
-stream derived from ``(master_seed, *parts)`` via SHA-256 — independent
-of process, hash randomization and Python version, so a campaign
-described by one master seed enumerates the same per-job seeds
+Per-job seeds come from :func:`repro.util.seeds.seed_stream`, a stable
+63-bit stream derived from ``(master_seed, *parts)`` via SHA-256 —
+independent of process, hash randomization and Python version, so a
+campaign described by one master seed enumerates the same per-job seeds
 everywhere.
 """
 
@@ -51,10 +49,8 @@ from repro.fleet.jobs import JobResult, JobSpec
 from repro.fleet.sched import ElasticScheduler, InlineBackend, ProcessBackend
 from repro.fleet.worker import run_job
 from repro.obs.runtime import OBS
-from repro.util.seeds import derive_seed, seed_stream
 
-__all__ = ["FleetRunner", "SerialRunner", "default_workers",
-           "derive_seed", "seed_stream"]
+__all__ = ["FleetRunner", "SerialRunner", "default_workers"]
 
 
 def default_workers() -> int:

@@ -7,26 +7,3 @@ metaclasses with attributes and references, and model objects navigable
 through them. COMDES (:mod:`repro.comdes`) and the GDM itself
 (:mod:`repro.gdm`) both define their metamodels here.
 """
-
-from repro.meta.metamodel import (
-    AttributeKind,
-    MetaAttribute,
-    MetaClass,
-    MetaModel,
-    MetaReference,
-)
-from repro.meta.model import Model, ModelObject
-from repro.meta.registry import MetamodelRegistry
-from repro.meta.validate import validate_model
-
-__all__ = [
-    "AttributeKind",
-    "MetaAttribute",
-    "MetaClass",
-    "MetaModel",
-    "MetaReference",
-    "Model",
-    "ModelObject",
-    "MetamodelRegistry",
-    "validate_model",
-]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import MetamodelError
 
@@ -299,9 +299,3 @@ class MetaModel(_Freezable):
 
     def __repr__(self) -> str:
         return f"<MetaModel {self.name} ({len(self._classes)} classes)>"
-
-
-def iter_feature_names(cls: MetaClass) -> Iterable[str]:
-    """All feature (attribute + reference) names of a metaclass."""
-    yield from cls.all_attributes()
-    yield from cls.all_references()

@@ -38,7 +38,7 @@ Invariants (each one gated, not aspirational):
 
 Quick start::
 
-    from repro.obs import observed
+    from repro.obs.runtime import observed
     with observed() as registry:
         session = ...   # build + run the stack under telemetry
         session.run(50_000)
@@ -49,15 +49,3 @@ Export a campaign store for https://ui.perfetto.dev::
 
     python -m repro.obs.export --campaign runs/trace_dir/campaign -o t.json
 """
-
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.runtime import OBS, disable, enable, observed
-
-__all__ = [
-    "OBS",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "disable",
-    "enable",
-    "observed",
-]

@@ -28,11 +28,6 @@ class NodeScheduler:
         self.preemptions = 0
         self.jobs_completed = 0
 
-    @property
-    def busy(self) -> bool:
-        """Whether any job is currently active on this node."""
-        return bool(self._jobs)
-
     def close(self) -> None:
         """Drop the active jobs and the pending completion (their
         ``on_complete`` callbacks point back at the owner)."""

@@ -92,21 +92,3 @@ is priced once at ``run()`` entry. The lockstep tests force the checked
 loop with ``profile={}``, and ``benchmarks/perf_interp.py`` dumps the
 measured profile (``opcode_profile``) with every run.
 """
-
-from repro.target.assembler import Assembler
-from repro.target.board import BOARD_IDCODE, Board, DebugPort
-from repro.target.cpu import Cpu, RunResult, StopReason
-from repro.target.firmware import FirmwareImage, Symbol, SymbolTable
-from repro.target.isa import Instr, OPCODES, cycles_of
-from repro.target.memory import MemoryMap, RAM_BASE
-from repro.target.peripherals import Uart
-
-__all__ = [
-    "Assembler",
-    "BOARD_IDCODE", "Board", "DebugPort",
-    "Cpu", "RunResult", "StopReason",
-    "FirmwareImage", "Symbol", "SymbolTable",
-    "Instr", "OPCODES", "cycles_of",
-    "MemoryMap", "RAM_BASE",
-    "Uart",
-]

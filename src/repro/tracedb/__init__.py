@@ -61,41 +61,3 @@ as ``job_seq``) by splicing each canonical payload at the byte level —
 no record is decoded or re-encoded. Serial and parallel campaigns
 produce byte-identical campaign stores.
 """
-
-from repro.tracedb.checkpoint import Checkpoint, build_checkpoints
-from repro.tracedb.collect import (
-    campaign_store_root,
-    collect_campaign_store,
-    ensure_fresh_trace_dir,
-    job_store_root,
-    merge_job_stores,
-    open_job_store,
-)
-from repro.tracedb.format import CODECS, encode_record
-from repro.tracedb.index import CheckpointInfo, StoreIndex
-from repro.tracedb.segment import SegmentInfo, read_segment
-from repro.tracedb.store import (
-    DEFAULT_SEGMENT_EVENTS,
-    StoredTrace,
-    TraceStore,
-)
-
-__all__ = [
-    "CODECS",
-    "Checkpoint",
-    "CheckpointInfo",
-    "DEFAULT_SEGMENT_EVENTS",
-    "SegmentInfo",
-    "StoreIndex",
-    "StoredTrace",
-    "TraceStore",
-    "build_checkpoints",
-    "campaign_store_root",
-    "collect_campaign_store",
-    "encode_record",
-    "ensure_fresh_trace_dir",
-    "job_store_root",
-    "merge_job_stores",
-    "open_job_store",
-    "read_segment",
-]

@@ -1,27 +1,1 @@
 """Small shared utilities: id generation, time units, event bus, text canvas."""
-
-from repro.util.ids import IdGenerator
-from repro.util.timeunits import (
-    MS,
-    SEC,
-    US,
-    format_us,
-    ms,
-    sec,
-    us,
-)
-from repro.util.events import EventBus
-from repro.util.textgrid import TextGrid
-
-__all__ = [
-    "IdGenerator",
-    "US",
-    "MS",
-    "SEC",
-    "us",
-    "ms",
-    "sec",
-    "format_us",
-    "EventBus",
-    "TextGrid",
-]

@@ -286,10 +286,6 @@ class ReferenceNodeScheduler:
         self.preemptions = 0
         self.jobs_completed = 0
 
-    @property
-    def busy(self) -> bool:
-        return bool(self._jobs)
-
     def close(self) -> None:
         self._jobs = []
         self._running = None

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.blocks import GainFB, SequenceFB
 from repro.comdes.builder import SystemBuilder
 from repro.comdes.examples import traffic_light_machine, traffic_light_system
@@ -71,7 +72,7 @@ class TestSystemBuilder:
             builder.build()
 
     def test_generated_firmware_equivalence(self):
-        from repro.codegen import run_firmware_lockstep
+        from repro.codegen.pipeline import run_firmware_lockstep
         system = built_traffic_light()
         firmware = generate_firmware(system, InstrumentationPlan.full())
         assert (run_firmware_lockstep(system, firmware, 40)

@@ -1,10 +1,13 @@
-"""A campaign process loads no network stack.
+"""A campaign process loads only what a campaign job runs.
 
 Each campaign runs in a fresh process that imports the fleet worker and
 the workload factories, so everything those imports pull in is paid on
 every start-up. The SVG backend once escaped text with
 ``xml.sax.saxutils.escape``, which loads ``urllib.request``,
 ``http.client`` and ``ssl`` (about 40 ms) into every campaign process.
+Package ``__init__``s once re-exported their subpackages' names, which
+loaded the model debugger's views and tooling (session, replay, timing
+diagrams, rendering, the abstraction guide) into it as well.
 """
 
 import os
@@ -16,6 +19,14 @@ from repro.render.svg import escape
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 NETWORK_MODULES = ("ssl", "http.client", "urllib.request")
+
+#: user-facing views and tooling that no campaign job runs
+UI_MODULES = tuple(f"repro.{name}" for name in (
+    "comdes.builder", "meta.validate", "meta.registry",
+    "engine.replay", "engine.session", "engine.stepping",
+    "engine.timing_diagram", "experiments.harness", "experiments.workloads",
+    "gdm.command_setup", "gdm.guide", "gdm.scenegen",
+    "render.ascii_art", "render.scene", "render.svg", "util.textgrid"))
 
 PROBE = """
 import sys
@@ -32,13 +43,21 @@ print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
 """
 
 
-def test_worker_and_workload_factories_load_no_network_stack():
+def _loaded(names):
+    """Which of *names* a fresh campaign process has imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    loaded = subprocess.run(
-        [sys.executable, "-c", PROBE, *NETWORK_MODULES], env=env,
+    return subprocess.run(
+        [sys.executable, "-c", PROBE, *names], env=env,
         capture_output=True, text=True, check=True).stdout.split()
-    assert loaded == []
+
+
+def test_worker_and_workload_factories_load_no_network_stack():
+    assert _loaded(NETWORK_MODULES) == []
+
+
+def test_worker_and_workload_factories_load_no_views_or_tooling():
+    assert _loaded(UI_MODULES) == []
 
 
 def test_escape_matches_saxutils():

@@ -16,7 +16,7 @@ from repro.comm.frames import FrameDecoder, encode_frame
 from repro.comm.link import SerialLink
 from repro.comm.rs232 import Rs232Link
 from repro.errors import CommError
-from repro.experiments import traffic_light_monitor_suite
+from repro.experiments.requirements import traffic_light_monitor_suite
 from repro.faults.campaign import model_debugger_rig
 from repro.faults.comm import comm_chaos_config
 from repro.target.board import Board

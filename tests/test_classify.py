@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import traffic_light_system
 from repro.engine.classify import BugClass, BugClassifier, classify_bug
 from repro.faults.design import DESIGN_FAULT_KINDS, inject_design_fault

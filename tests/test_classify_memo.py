@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (
     blinker_system,
     cruise_control_system,
@@ -25,7 +26,7 @@ from repro.comdes.examples import (
     traffic_light_system,
 )
 from repro.comdes.system import System
-from repro.engine import classify
+import repro.engine.classify as classify
 from repro.engine.classify import (
     REFERENCE_MEMO_SIZE,
     classify_bug,

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (blinker_system, cruise_control_system,
                                    production_cell_system,
                                    traffic_light_system)
-from repro.comm import channel as channel_module
+import repro.comm.channel as channel_module
 from repro.comm.channel import ActiveChannel
 from repro.comm.chaos import ChaosConfig, ChaosLink
 from repro.comm.frames import FrameDecoder, FrameError, encode_frame

@@ -7,13 +7,20 @@ instrumentation.
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.lower_expr import lower_expr
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
+from repro.comdes.actor import Actor, TaskSpec
+from repro.comdes.blocks import SequenceFB
+from repro.comdes.dataflow import ComponentNetwork, PortRef
 from repro.comdes.examples import (
     blinker_system, cruise_control_system, traffic_light_system,
 )
 from repro.comdes.expr import band, const, ge, lnot, lt, maximum, minimum, var
+from repro.comdes.signals import Signal
+from repro.comdes.system import System
 from repro.comm.protocol import CommandKind
+from repro.errors import ValidationError
 from repro.target.assembler import Assembler
 from repro.target.board import Board
 from repro.target.cpu import Cpu
@@ -178,3 +185,19 @@ class TestGeneratedArtifacts:
         nested = [s.name for s in firmware.symbols.symbols()
                   if "regulator.CRUISE" in s.name]
         assert any(name.endswith("pi.$acc") for name in nested)
+
+
+class TestInvalidSystemRejected:
+    def test_two_producers_on_two_nodes_do_not_compile(self):
+        def producer(name, node):
+            net = ComponentNetwork(
+                f"net_{name}", blocks=[SequenceFB("s", values=[1, 2])],
+                output_ports={"y": PortRef("s", "y")},
+            )
+            return Actor(name, net, TaskSpec(1000), outputs={"y": "s0"},
+                         node=node)
+        system = System("two_producers", signals=[Signal("s0")],
+                        actors=[producer("a0", "node0"),
+                                producer("a1", "node1")])
+        with pytest.raises(ValidationError, match="multiple producers"):
+            generate_firmware(system)

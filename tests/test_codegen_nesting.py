@@ -5,7 +5,8 @@ trickiest codegen paths: scoped symbol naming, per-mode state freezing, and
 recursive phase ordering. Reference interpreter and firmware must agree.
 """
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import (
     DelayFB, GainFB, SequenceFB, StateMachineFB, SubFB,

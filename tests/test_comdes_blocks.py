@@ -4,7 +4,8 @@ kind, and generated code against the reference interpreter."""
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import (
     DelayFB, GainFB, IntegratorFB, PiFB, SequenceFB, StateMachineFB, SubFB,

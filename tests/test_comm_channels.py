@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import blinker_system, traffic_light_system
 from repro.comm.channel import (
     ActiveChannel, CompositeChannel, PassiveChannel, WatchSpec,

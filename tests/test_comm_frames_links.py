@@ -3,7 +3,7 @@
 import pytest
 
 from repro.comm.frames import (
-    FRAME_LEN, FrameDecoder, FrameError, decode_frame, encode_frame,
+    FRAME_LEN, FrameDecoder, FrameError, encode_frame,
 )
 from repro.comm.rs232 import Rs232Link
 from repro.comm.usb import UsbTransport
@@ -12,8 +12,9 @@ from repro.errors import CommError
 
 class TestFrameCodec:
     def test_roundtrip(self):
-        frame = encode_frame(2, 17, -123456)
-        assert decode_frame(frame) == (2, 17, -123456)
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frame(2, 17, -123456)) == [(2, 17, -123456)]
+        assert decoder.frames_decoded == 1
 
     def test_frame_is_fixed_length(self):
         assert len(encode_frame(1, 1, 1)) == FRAME_LEN
@@ -25,7 +26,7 @@ class TestFrameCodec:
             encode_frame(1, 0x1_0000, 0)
 
     def test_negative_value_roundtrip(self):
-        assert decode_frame(encode_frame(1, 5, -1))[2] == -1
+        assert FrameDecoder().feed(encode_frame(1, 5, -1)) == [(1, 5, -1)]
 
     def test_decoder_skips_leading_garbage(self):
         decoder = FrameDecoder()
@@ -44,9 +45,11 @@ class TestFrameCodec:
 
     def test_decode_frame_rejects_corruption(self):
         bad = bytearray(encode_frame(1, 2, 3))
-        bad[5] ^= 0x01
-        with pytest.raises(FrameError):
-            decode_frame(bytes(bad))
+        bad[5] ^= 0x01  # a payload byte: only the checksum can tell
+        decoder = FrameDecoder()
+        assert decoder.feed(bytes(bad)) == []
+        assert decoder.checksum_errors == 1
+        assert decoder.frames_decoded == 0
 
     def test_partial_feed_buffers(self):
         frame = encode_frame(9, 9, 9)

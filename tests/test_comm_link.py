@@ -3,7 +3,8 @@
 import pytest
 
 from repro.comdes.examples import blinker_system
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comm.channel import PassiveChannel, PollPlan, WatchSpec
 from repro.comm.jtag import JtagProbe, TapController, group_runs
 from repro.comm.link import DebugLink, JtagLink, SerialLink

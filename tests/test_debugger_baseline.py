@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import traffic_light_system
 from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger
 from repro.errors import DebuggerError

@@ -25,7 +25,8 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from event_reference import reference_event_paths
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.actor import Actor, TaskSpec
 from repro.comdes.blocks import DelayFB, GainFB, SequenceFB, SubFB
 from repro.comdes.dataflow import ComponentNetwork, Connection, PortRef

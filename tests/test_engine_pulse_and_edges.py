@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.lower_blocks import GenContext, NetworkCodegen
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.blocks import FunctionBlock, MooreBlock
 from repro.comdes.dataflow import ComponentNetwork, PortRef
 from repro.comdes.examples import traffic_light_system

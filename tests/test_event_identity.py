@@ -36,7 +36,8 @@ from hypothesis import example, given, settings, strategies as st
 from event_reference import (HeapSimulator, make_reference_gdm,
                              reference_decay_pulses, reference_event_paths,
                              reference_on_emit, reference_suite_on_command)
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (blinker_system, cruise_control_system,
                                    production_cell_system,
                                    traffic_light_system)
@@ -58,7 +59,7 @@ from repro.experiments.requirements import (cruise_code_watches,
                                             traffic_light_monitor_suite)
 from repro.faults.campaign import (_run_code_debugger, model_debugger_rig,
                                    run_campaign)
-from repro.fleet import SerialRunner
+from repro.fleet.pool import SerialRunner
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.command_setup import CommandSetupDialog
 from repro.gdm.mapping import default_comdes_table
@@ -69,7 +70,7 @@ from repro.sim.kernel import Simulator
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage, SymbolTable
 from repro.target.isa import Instr
-from repro.tracedb import campaign_store_root
+from repro.tracedb.collect import campaign_store_root
 from repro.util.timeunits import sec
 
 # -- scheduler programs --------------------------------------------------------

@@ -26,8 +26,8 @@ from repro.comm.protocol import Command, CommandKind
 from repro.engine.trace import ExecutionTrace, TraceEvent
 from repro.errors import TraceStoreError
 from repro.gdm.reactions import ReactionKind, ReactionRecord
-from repro.tracedb import TraceStore
 from repro.tracedb.format import encode_event, encode_record
+from repro.tracedb.store import TraceStore
 
 #: every code point, surrogates included, with the ones JSON escapes
 #: drawn often

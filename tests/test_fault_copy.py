@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (
     blinker_system,
     cruise_control_system,

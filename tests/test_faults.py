@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.examples import traffic_light_system
 from repro.errors import ReproError
-from repro.faults import (
-    DESIGN_FAULT_KINDS,
+from repro.faults.campaign import run_campaign
+from repro.faults.design import DESIGN_FAULT_KINDS, inject_design_fault
+from repro.faults.implementation import (
     IMPL_FAULT_KINDS,
-    inject_design_fault,
     inject_implementation_fault,
-    run_campaign,
 )
-from repro.experiments import (
-    traffic_light_code_watches, traffic_light_monitor_suite,
+from repro.experiments.requirements import (
+    traffic_light_code_watches,
+    traffic_light_monitor_suite,
 )
 from repro.util.timeunits import sec
 

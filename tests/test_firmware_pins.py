@@ -13,7 +13,8 @@ import json
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (
     blinker_system, cruise_control_system, production_cell_system,
     traffic_light_system,

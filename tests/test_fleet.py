@@ -21,20 +21,18 @@ from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.fleet import (
-    FleetRunner,
+from repro.faults.campaign import run_campaign
+from repro.fleet.jobs import (
     JobSpec,
-    SerialRunner,
     callable_ref,
-    derive_seed,
     enumerate_campaign_jobs,
-    merge_results,
     resolve_ref,
-    run_job,
-    seed_stream,
 )
-from repro.codegen import InstrumentationPlan
+from repro.fleet.merge import merge_results
+from repro.fleet.pool import FleetRunner, SerialRunner
+from repro.fleet.worker import run_job
+from repro.util.seeds import derive_seed, seed_stream
+from repro.codegen.instrument import InstrumentationPlan
 from repro.target.board import Board, DebugPort
 from repro.target.memory import RAM_BASE
 from repro.util.timeunits import sec

@@ -12,21 +12,21 @@ import time
 
 import pytest
 
-from repro.codegen import InstrumentationPlan
+from repro.codegen.instrument import InstrumentationPlan
 from repro.comdes.examples import traffic_light_system
 from repro.errors import FleetError
 from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.fleet import (
-    FleetRunner,
+from repro.faults.campaign import run_campaign
+from repro.fleet.jobs import (
     JobSpec,
     callable_ref,
     enumerate_campaign_jobs,
+    JobResult,
 )
-from repro.fleet.jobs import JobResult
+from repro.fleet.pool import FleetRunner
 from repro.util.timeunits import sec
 
 

@@ -19,7 +19,7 @@ import types
 
 import pytest
 
-from repro.codegen import InstrumentationPlan
+from repro.codegen.instrument import InstrumentationPlan
 from repro.comdes.examples import (
     cruise_control_system,
     production_cell_system,

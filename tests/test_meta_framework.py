@@ -258,7 +258,8 @@ class TestFrozenMetamodel:
             book.set("genre", "poetry")
 
     def test_comdes_metamodel_is_built_once_and_shared(self):
-        from repro.comdes import comdes_metamodel, system_to_model
+        from repro.comdes.metamodel import comdes_metamodel
+        from repro.comdes.reflect import system_to_model
         from repro.comdes.examples import cruise_control_system
         from repro.comdes.metamodel import _build_comdes_metamodel
         shared = comdes_metamodel()

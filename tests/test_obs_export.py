@@ -18,19 +18,19 @@ import json
 import pytest
 
 from repro.comdes.examples import traffic_light_system
-from repro.experiments import (
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.fleet import SerialRunner
+from repro.faults.campaign import run_campaign
+from repro.fleet.pool import SerialRunner
 from repro.obs.export import (
     chrome_trace,
     export_campaign,
     main as export_main,
     render_bytes,
 )
-from repro.tracedb import campaign_store_root
+from repro.tracedb.collect import campaign_store_root
 from repro.util.timeunits import sec
 
 KW = dict(design_kinds=("wrong_target",), impl_kinds=("inverted_branch",),
@@ -110,8 +110,8 @@ class TestDeterminism:
 
 class TestMetricsExport:
     def test_metrics_embedded_in_other_data(self, campaign_root):
-        from repro.obs import MetricsRegistry
-        from repro.tracedb import TraceStore
+        from repro.obs.metrics import MetricsRegistry
+        from repro.tracedb.store import TraceStore
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
         doc = chrome_trace(TraceStore.open(campaign_root),

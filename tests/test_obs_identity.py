@@ -26,12 +26,12 @@ from test_superinstructions import (
 from repro.comdes.examples import traffic_light_system
 from repro.engine.session import DebugSession
 from repro.errors import TargetFault
-from repro.experiments import (
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.obs import disable, observed
+from repro.faults.campaign import run_campaign
+from repro.obs.runtime import disable, observed
 from repro.util.timeunits import ms, sec
 
 cell_value = st.integers(-(2 ** 31), 2 ** 31 - 1)

@@ -23,11 +23,14 @@ import pytest
 from repro.comdes.examples import traffic_light_system
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink
-from repro.experiments import (traffic_light_code_watches,
-                               traffic_light_monitor_suite)
-from repro.faults import run_campaign
-from repro.fleet import SerialRunner
-from repro.obs import OBS, MetricsRegistry, disable, enable, observed
+from repro.experiments.requirements import (
+    traffic_light_code_watches,
+    traffic_light_monitor_suite,
+)
+from repro.faults.campaign import run_campaign
+from repro.fleet.pool import SerialRunner
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.runtime import OBS, disable, enable, observed
 from repro.target.board import Board, DebugPort
 from repro.target.memory import RAM_BASE
 from repro.util.timeunits import sec

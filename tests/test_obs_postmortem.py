@@ -12,26 +12,27 @@ ships; no new wire formats.
 import pytest
 
 from repro.comdes.examples import traffic_light_system
-from repro.experiments import (
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
-from repro.fleet import (
-    SerialRunner,
+from repro.faults.campaign import run_campaign
+from repro.fleet.jobs import (
     callable_ref,
     enumerate_campaign_jobs,
-    merge_results,
+    JobResult,
+    JobSpec,
 )
-from repro.fleet.jobs import JobResult, JobSpec
-from repro.codegen import InstrumentationPlan
-from repro.obs import MetricsRegistry
+from repro.fleet.merge import merge_results
+from repro.fleet.pool import SerialRunner
+from repro.codegen.instrument import InstrumentationPlan
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.postmortem import (
     campaign_postmortem,
     fault_pc_of,
     job_postmortem,
 )
-from repro.tracedb import job_store_root
+from repro.tracedb.collect import job_store_root
 from repro.util.timeunits import sec
 
 

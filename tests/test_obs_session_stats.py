@@ -12,7 +12,7 @@ import pytest
 
 from repro.comdes.examples import traffic_light_system
 from repro.engine.session import DebugSession
-from repro.obs import disable, enable
+from repro.obs.runtime import disable, enable
 from repro.util.timeunits import ms
 
 COUNTERS = ("transactions", "words_read", "words_written", "frames_carried",

@@ -1,6 +1,7 @@
 """Tests for the production-cell workload and its safety interlock."""
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.examples import (
     conveyor_machine, press_machine, production_cell_system,
 )

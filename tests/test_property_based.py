@@ -10,8 +10,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.lower_expr import lower_expr
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.expr import Binary, Const, Unary, Var
 from repro.comm.frames import FrameDecoder, encode_frame
 from repro.comm.jtag import TAP_TRANSITIONS, TapController, TapState

@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (
     blinker_system,
     cruise_control_system,

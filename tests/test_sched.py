@@ -19,25 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import InstrumentationPlan
+from repro.codegen.instrument import InstrumentationPlan
 from repro.comdes.examples import traffic_light_system
 from repro.errors import FleetError
 from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.fleet import (
-    ElasticScheduler,
-    FleetRunner,
-    JobSpec,
-    SerialRunner,
-    callable_ref,
-    enumerate_campaign_jobs,
-    merge_results,
-)
-from repro.fleet.sched import VirtualClock
+from repro.fleet.jobs import JobSpec, callable_ref, enumerate_campaign_jobs
+from repro.fleet.merge import merge_results
+from repro.fleet.pool import FleetRunner, SerialRunner
+from repro.fleet.sched import ElasticScheduler, VirtualClock
 from repro.fleet.worker import run_job
-from repro.tracedb import campaign_store_root
+from repro.tracedb.collect import campaign_store_root
 from repro.util.timeunits import sec
 from sched_harness import SteppedInlineBackend
 

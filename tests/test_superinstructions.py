@@ -27,19 +27,22 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from repro.codegen import InstrumentationPlan
+from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
 from repro.comdes.examples import (blinker_system, cruise_control_system,
                                    production_cell_system,
                                    traffic_light_system)
 from repro.debugger.gdb import SourceDebugger
 from repro.errors import TargetFault
-from repro.experiments import cruise_code_watches, traffic_light_code_watches
+from repro.experiments.requirements import (
+    cruise_code_watches,
+    traffic_light_code_watches,
+)
 from repro.target.assembler import Assembler
 from repro.faults.implementation import (IMPL_FAULT_KINDS,
                                         inject_implementation_fault)
-from repro.target import blocks as blocks_module
-from repro.target import cpu as cpu_module
+import repro.target.blocks as blocks_module
+import repro.target.cpu as cpu_module
 from repro.target.board import Board
 from repro.target.cpu import Cpu, StopReason
 from repro.target.isa import OP_BLOCK, OP_HALT, Instr

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware, run_firmware_lockstep
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware, run_firmware_lockstep
 from repro.comdes.examples import traffic_light_system
 from repro.errors import TargetFault
 from repro.faults.implementation import IMPL_FAULT_KINDS, inject_implementation_fault

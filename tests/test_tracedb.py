@@ -11,15 +11,15 @@ from repro.engine.replay import ReplayPlayer
 from repro.engine.trace import ExecutionTrace
 from repro.errors import DebuggerError, TraceStoreError
 from repro.gdm.model import GdmModel
-from repro.tracedb import (
+from repro.tracedb.format import (
     CODECS,
-    StoredTrace,
-    TraceStore,
-    read_segment,
+    encode_record,
+    read_header,
+    write_header,
 )
-from repro.tracedb.format import encode_record, read_header, write_header
 from repro.tracedb.index import CheckpointInfo, StoreIndex
-from repro.tracedb.segment import SegmentInfo
+from repro.tracedb.segment import SegmentInfo, read_segment
+from repro.tracedb.store import StoredTrace, TraceStore
 
 
 def cmd(i: int) -> Command:
@@ -270,7 +270,7 @@ class TestReviewRegressions:
         trace = ExecutionTrace(spill=store)
         fill(trace, 100)
         store.add_checkpoint(99, 991, {"elements": {}, "links": {}})
-        from repro.tracedb import build_checkpoints
+        from repro.tracedb.checkpoint import build_checkpoints
         built = build_checkpoints(store, GdmModel("m"), every=25)
         assert built == 3  # 24, 49, 74 inserted below the existing 99
         assert [c.seq for c in store.checkpoints()] == [24, 49, 74, 99]
@@ -278,7 +278,7 @@ class TestReviewRegressions:
     def test_job_store_reopen_replaces_stale_attempt(self, tmp_path):
         # the pool's crash retry re-runs a job whose first attempt may
         # have sealed segments: the retry must start clean, not collide
-        from repro.tracedb import open_job_store
+        from repro.tracedb.collect import open_job_store
         store = open_job_store(str(tmp_path), 3, segment_events=2)
         for i in range(5):
             store.append({"t_target": i})
@@ -289,7 +289,7 @@ class TestReviewRegressions:
         retry.close()
 
     def test_reused_campaign_root_is_rejected_with_cause(self, tmp_path):
-        from repro.tracedb import merge_job_stores, open_job_store
+        from repro.tracedb.collect import merge_job_stores, open_job_store
 
         class FakeResult:
             index, job_id = 0, "control"
@@ -319,7 +319,10 @@ class TestReviewRegressions:
         assert os.stat(index_path).st_mtime_ns == before
 
     def test_reused_trace_dir_fails_before_any_job_runs(self, tmp_path):
-        from repro.tracedb import ensure_fresh_trace_dir, merge_job_stores
+        from repro.tracedb.collect import (
+            ensure_fresh_trace_dir,
+            merge_job_stores,
+        )
 
         class FakeResult:
             index, job_id = 0, "control"
@@ -424,7 +427,10 @@ class TestReviewRegressions:
         assert revived.append({"t_target": 0}) == 100
 
     def test_unmerged_run_leftovers_refuse_trace_dir_reuse(self, tmp_path):
-        from repro.tracedb import ensure_fresh_trace_dir, open_job_store
+        from repro.tracedb.collect import (
+            ensure_fresh_trace_dir,
+            open_job_store,
+        )
         job = open_job_store(str(tmp_path), 7)
         job.append({"t_target": 0})
         job.close()  # a previous run died before its merge
@@ -446,7 +452,7 @@ class TestReviewRegressions:
         assert os.path.exists(seg)  # nothing was destroyed
 
     def test_failed_jobs_excluded_from_campaign_merge(self, tmp_path):
-        from repro.tracedb import merge_job_stores, open_job_store
+        from repro.tracedb.collect import merge_job_stores, open_job_store
 
         class FakeResult:
             def __init__(self, index, path, failed):
@@ -495,7 +501,7 @@ class TestReviewRegressions:
         store = TraceStore(str(tmp_path / "s"))
         trace = ExecutionTrace(spill=store)
         fill(trace, 50)
-        from repro.tracedb import StoredTrace, build_checkpoints
+        from repro.tracedb.checkpoint import build_checkpoints
         build_checkpoints(store, GdmModel("m"), every=10)
         player = ReplayPlayer(StoredTrace(store), GdmModel("m"),
                               capture_frames=False)
@@ -557,7 +563,7 @@ class TestReviewRegressions:
         store = TraceStore(str(tmp_path / "s"), segment_events=32)
         trace = ExecutionTrace(spill=store)
         fill(trace, 60)
-        from repro.tracedb import StoredTrace, build_checkpoints
+        from repro.tracedb.checkpoint import build_checkpoints
         build_checkpoints(store, GdmModel("m"), every=20)
         view = StoredTrace(store)
         gdm = GdmModel("m")

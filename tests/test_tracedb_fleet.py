@@ -7,15 +7,16 @@ import os
 import pytest
 
 from repro.comdes.examples import traffic_light_system
-from repro.experiments import (
+from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import campaign_seeds, run_campaign
-from repro.fleet import FleetRunner, SerialRunner, enumerate_campaign_jobs
-from repro.fleet.jobs import JobSpec
+from repro.faults.campaign import campaign_seeds, run_campaign
+from repro.fleet.jobs import enumerate_campaign_jobs, JobSpec
+from repro.fleet.pool import FleetRunner, SerialRunner
 from repro.codegen.instrument import InstrumentationPlan
-from repro.tracedb import TraceStore, campaign_store_root, job_store_root
+from repro.tracedb.collect import campaign_store_root, job_store_root
+from repro.tracedb.store import TraceStore
 from repro.util.timeunits import sec
 
 KW = dict(design_kinds=("wrong_target",), impl_kinds=("inverted_branch",),
@@ -106,7 +107,8 @@ class TestCampaignTraceCollection:
         spec = JobSpec(2, "design", "wrong_target", 1, sec(1),
                        "repro.comdes.examples:traffic_light_system",
                        "repro.errors:ReproError",
-                       "repro.experiments:traffic_light_code_watches",
+                       "repro.experiments.requirements:"
+                       "traffic_light_code_watches",
                        InstrumentationPlan.full(),
                        trace_dir=str(tmp_path))
         result = run_job(spec)

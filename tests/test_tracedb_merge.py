@@ -30,11 +30,13 @@ from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
-from repro.faults import run_campaign
+from repro.faults.campaign import run_campaign
 from repro.faults.comm import COMM_FAULT_KINDS
-from repro.fleet import SerialRunner
-from repro.tracedb import CODECS, TraceStore, merge_job_stores
-from repro.tracedb import collect
+from repro.fleet.pool import SerialRunner
+from repro.tracedb.collect import merge_job_stores
+from repro.tracedb.format import CODECS
+from repro.tracedb.store import TraceStore
+import repro.tracedb.collect as collect
 from repro.util.timeunits import sec
 
 #: sha256 of the merged campaign store of the cell :func:`small_campaign`

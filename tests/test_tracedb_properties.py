@@ -14,10 +14,11 @@ from repro.engine.trace import ExecutionTrace
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
-from repro.tracedb import CODECS, StoredTrace, TraceStore, build_checkpoints
+from repro.tracedb.checkpoint import build_checkpoints
 from repro.tracedb.collect import merge_job_stores
-from repro.tracedb.format import encode_record
+from repro.tracedb.format import CODECS, encode_record
 from repro.tracedb.segment import SegmentWriter, read_segment
+from repro.tracedb.store import StoredTrace, TraceStore
 
 SETTINGS = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,7 +4,8 @@ and the 50k-event acceptance scenario runs at flat memory."""
 
 import pytest
 
-from repro.codegen import InstrumentationPlan, generate_firmware
+from repro.codegen.instrument import InstrumentationPlan
+from repro.codegen.pipeline import generate_firmware
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.checks import MonitorSuite
 from repro.engine.replay import ReplayPlayer
@@ -15,7 +16,8 @@ from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
 from repro.experiments.workloads import chain_system
 from repro.faults.campaign import model_debugger_rig
-from repro.tracedb import StoredTrace, TraceStore, build_checkpoints
+from repro.tracedb.checkpoint import build_checkpoints
+from repro.tracedb.store import StoredTrace, TraceStore
 from repro.util.timeunits import ms
 
 
