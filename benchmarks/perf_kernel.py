@@ -40,7 +40,11 @@ model-debugger run and the code-debugger run). The job runs once uncounted first
 first-use work (the shared COMDES metamodel, the firmware decode memo)
 is not charged to it. Each task activation and each debug command pays
 a fixed number of calls, so the count tracks the per-event plumbing the
-interpreter loop does not account for.
+interpreter loop does not account for. ``calls.per_detected_job``
+counts the same way one traffic light job whose model run a monitor
+detects at 0.30 s (``design/wrong_initial`` seed 1): a debugger run
+stops at its verdict, so this job pays for 0.30 s of model run, not
+3 s.
 
 Writes ``BENCH_kernel.json`` (or ``BENCH_kernel_quick.json`` under
 ``--quick``) next to this file.
@@ -64,10 +68,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
-from repro.comdes.examples import cruise_control_system
+from repro.comdes.examples import cruise_control_system, traffic_light_system
 from repro.experiments.requirements import (
     cruise_code_watches,
     cruise_monitor_suite,
+    traffic_light_code_watches,
+    traffic_light_monitor_suite,
 )
 from repro.faults.campaign import model_debugger_rig, run_fault_experiment
 from repro.util.timeunits import sec
@@ -145,10 +151,10 @@ def job_garbage():
     return {"per_job": per_job, "max_per_job": max(per_job.values())}
 
 
-def job_calls():
-    """Python calls (``sys.setprofile`` "call" events) of one cruise
-    control job, after one uncounted warm-up job."""
-    cruise_job("control")
+def counted_calls(job) -> int:
+    """Python calls (``sys.setprofile`` "call" events) of *job*, after
+    one uncounted warm-up run of it."""
+    job()
     calls = 0
 
     def count(frame, event, arg):
@@ -158,10 +164,26 @@ def job_calls():
 
     sys.setprofile(count)
     try:
-        cruise_job("control")
+        job()
     finally:
         sys.setprofile(None)
-    return {"per_job": calls}
+    return calls
+
+
+def detected_traffic_job():
+    """The traffic job whose model run a monitor detects at 0.30 s."""
+    outcome = run_fault_experiment(
+        traffic_light_system, traffic_light_monitor_suite,
+        traffic_light_code_watches(), "design", "wrong_initial", 1,
+        DURATION_US, InstrumentationPlan.full())
+    if outcome.model_how != "monitor":
+        raise RuntimeError(f"expected a monitor detection, got {outcome!r}")
+
+
+def job_calls():
+    """Calls of one cruise control job and of one detected traffic job."""
+    return {"per_job": counted_calls(lambda: cruise_job("control")),
+            "per_detected_job": counted_calls(detected_traffic_job)}
 
 
 def main() -> None:
@@ -182,7 +204,9 @@ def main() -> None:
           f"{results['commands']} commands at "
           f"{results['commands_per_sec']}/s")
     print(f"cyclic garbage per job: {results['job_garbage']['per_job']}")
-    print(f"python calls per control job: {results['calls']['per_job']}")
+    print(f"python calls per control job: {results['calls']['per_job']}, "
+          f"per detected traffic job: "
+          f"{results['calls']['per_detected_job']}")
     print(f"-> {out}")
 
 

@@ -13,6 +13,7 @@ from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
 
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.engine import DebuggerEngine
+from repro.errors import RunSettled
 
 
 class BugReport:
@@ -41,6 +42,10 @@ class Monitor:
 
     kinds: Optional[FrozenSet[CommandKind]] = None
 
+    #: raise :class:`~repro.errors.RunSettled` once a report is recorded
+    #: (set by :meth:`MonitorSuite.settle_on_first_report`)
+    settles_run = False
+
     def __init__(self, name: str) -> None:
         self.name = name
         self.reports: List[BugReport] = []
@@ -52,6 +57,8 @@ class Monitor:
     def _report(self, message: str, command: Command) -> BugReport:
         report = BugReport(self.name, message, command)
         self.reports.append(report)
+        if self.settles_run:
+            raise RunSettled(f"{self.name} reported at {report.t_us}us")
         return report
 
     @property
@@ -345,6 +352,17 @@ class MonitorSuite:
 
     Commands are dispatched by kind: each command reaches, in suite
     order, only the monitors whose :attr:`Monitor.kinds` admit it.
+
+    :meth:`settle_on_first_report` makes the first report end the run:
+    the reporting monitor raises :class:`~repro.errors.RunSettled` out
+    of the command hook, through the engine and the simulator, to
+    whoever called ``kernel.run``. The check sits in
+    :meth:`Monitor._report`, so it costs nothing on a command that
+    reports nothing, and no monitor holds a reference back to the suite.
+    Every report's ``t_us`` is the host time of its command's delivery,
+    which never decreases in delivery order, so the first report is
+    also the earliest and :meth:`first_violation_time` reads the same
+    as on a run to the horizon.
     """
 
     def __init__(self, monitors: Sequence[Monitor]) -> None:
@@ -361,6 +379,11 @@ class MonitorSuite:
             raise RuntimeError("monitor suite already attached")
         self._attached = True
         engine.bus.subscribe("command", self._on_command)
+
+    def settle_on_first_report(self) -> None:
+        """Raise :class:`~repro.errors.RunSettled` at the first report."""
+        for monitor in self.monitors:
+            monitor.settles_run = True
 
     def _on_command(self, command: Command, **_: object) -> None:
         for monitor in self._by_kind[command.kind]:

@@ -50,6 +50,16 @@ class TargetFault(ReproError):
         super().__init__(f"target fault at pc={pc}: {reason}")
 
 
+class RunSettled(ReproError):
+    """A debugger run's verdict is settled, so the run can stop here.
+
+    Not a failure: a monitor suite set to settle on its first report
+    (:meth:`~repro.engine.checks.MonitorSuite.settle_on_first_report`)
+    or the campaign's watch-hit hook raises it, and the campaign's
+    ``_run_and_close`` catches it and closes the rig.
+    """
+
+
 class CommError(ReproError):
     """A communication channel failed (framing, checksum, unsupported op...)."""
 

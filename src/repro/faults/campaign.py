@@ -4,7 +4,8 @@ For every injected fault the campaign runs the same scenario twice:
 
 * **model level** — GMDF with requirement monitors attached to the engine's
   command stream (plus crash detection);
-* **code level** — the source debugger with up to four hardware watchpoints
+* **code level** — the source debugger with up to
+  :data:`~repro.debugger.gdb.HW_WATCHPOINT_SLOTS` hardware watchpoints
   carrying value-range predicates (plus crash detection). The watchpoints
   deliberately have no sequencing knowledge: that is what a code-level
   debugger can express.
@@ -20,9 +21,16 @@ one job per fault. Every job executes :func:`run_fault_experiment`.
 Each debugger run builds a fresh rig (simulator, DTM kernel, boards,
 channels, engine, monitors or watchpoints) and ends in
 :func:`_run_and_close`, which closes the kernel and the engine whether
-the run completed or trapped. A finished job's rigs are therefore freed
-by reference counting as soon as its verdict is read, not at the next
-full garbage collection; a closed rig cannot run again.
+the run reached its horizon, trapped or settled. A run *settles* at its
+first detection, because a job's verdict (detected, latency, how) is
+fixed there: the code run at its first watch hit, the model run at its
+first monitor report unless it records a trace. The rule is "the first
+detection wins": a crash counts only when no report or hit came before
+it. A traced model run goes on to the horizon, so a job's trace store
+(and the campaign store merged from it) holds the same events whether
+or not the job detected its fault. A finished job's rigs are freed by
+reference counting as soon as its verdict is read, not at the next full
+garbage collection; a closed rig cannot run again.
 :func:`model_debugger_rig` hands its rig to the caller unclosed, so the
 caller can inspect it after ``kernel.run``.
 """
@@ -40,12 +48,12 @@ from repro.comm.chaos import ChaosLink
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink, write_patches
 from repro.comm.rs232 import Rs232Link
-from repro.debugger.gdb import SourceDebugger
+from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger, WatchHit
 from repro.engine.checks import MonitorSuite
 from repro.engine.classify import classify_bug
 from repro.engine.engine import DebuggerEngine
 from repro.engine.trace import ExecutionTrace
-from repro.errors import FleetError, TargetFault
+from repro.errors import FleetError, RunSettled, TargetFault
 from repro.faults.comm import comm_chaos_config, comm_fault_descriptor
 from repro.faults.design import DESIGN_FAULT_KINDS, FaultDescriptor, inject_design_fault
 from repro.faults.implementation import (
@@ -233,16 +241,21 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
 
 def _run_and_close(kernel: DtmKernel, duration_us: int,
                    engine: Optional[DebuggerEngine] = None) -> Optional[int]:
-    """Run one debugger rig to *duration_us*, then close it.
+    """Run one debugger rig to *duration_us* or its verdict, then close it.
 
     Returns the simulated time of a :class:`TargetFault`, or ``None``
-    when the run completed. The kernel and the engine are closed
-    whatever happens, which breaks the rig's reference cycles.
+    when the run reached *duration_us* or an observer raised
+    :class:`RunSettled` at its first detection (the caller reads that
+    detection off its monitors or hits). Neither exception is kept, so
+    no traceback holds the rig's frames. The kernel and the engine are
+    closed whatever happens, which breaks the rig's reference cycles.
     """
     try:
         kernel.run(duration_us)
     except TargetFault:
         return kernel.sim.now
+    except RunSettled:
+        pass
     finally:
         kernel.close()
         if engine is not None:
@@ -259,6 +272,11 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
                         ) -> Tuple[bool, Optional[int], str]:
     """Run GMDF over the faulty target; returns (detected, latency, how).
 
+    Without ``trace_store`` the run stops at its first monitor report
+    (:meth:`MonitorSuite.settle_on_first_report`): that report fixes the
+    verdict, and the modeled time after it is waste. A crash is the
+    verdict only when no report came before it.
+
     With ``trace_store`` the engine writes each trace event through to
     the store (``ExecutionTrace(spill=trace_store)``): the full
     model-level execution trace lands on disk for post-campaign replay
@@ -268,16 +286,22 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
     node's serial transport is wrapped in a
     :class:`~repro.comm.chaos.ChaosLink` seeded per node, so the model
     debugger observes the target through a deterministically faulty
-    wire — the comm-fault campaign plane.
+    wire — the comm-fault campaign plane. A traced run does not stop at
+    its first report but goes on to the horizon (or a crash): the trace
+    is the job's record for replay, and a store cut at the verdict would
+    change the campaign store's bytes.
     """
     kernel, engine, suite = model_debugger_rig(
         system, firmware, monitor_factory, memory_patches=memory_patches,
         trace_store=trace_store, chaos=chaos)
+    if trace_store is None:
+        suite.settle_on_first_report()
     crashed_at = _run_and_close(kernel, duration_us, engine)
-    if crashed_at is not None:
-        return True, crashed_at, "crash"
+    # a crash ends the run, so every report came before it
     if suite.any_violation:
         return True, suite.first_violation_time(), "monitor"
+    if crashed_at is not None:
+        return True, crashed_at, "crash"
     return False, None, ""
 
 
@@ -286,28 +310,37 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
                        duration_us: int,
                        memory_patches: MemoryPatches = ()
                        ) -> Tuple[bool, Optional[int], str]:
-    """Run the source-debugger baseline; returns (detected, latency, how)."""
+    """Run the source-debugger baseline; returns (detected, latency, how).
+
+    The run stops at its first watch hit, which fixes the verdict; a
+    crash is the verdict only when no hit came before it.
+    """
     sim = Simulator()
     kernel = DtmKernel(system, firmware, sim=sim, latched=True)
     if memory_patches:
         _patch_boards(kernel, system, memory_patches)
-    hits: List[int] = []
+    hit_at: List[int] = []
+
+    def settle(hit: WatchHit) -> None:
+        hit_at.append(sim.now)
+        raise RunSettled(f"watch on {hit.watchpoint.symbol} hit")
+
     for node in system.nodes():
         debugger = SourceDebugger(kernel.board_of(node), firmware)
         installed = 0
         for symbol, predicate, description in watch_specs:
-            if installed >= 4:
+            if installed >= HW_WATCHPOINT_SLOTS:
                 break
             if not firmware.symbols.has(symbol):
                 continue
             debugger.watch(symbol, predicate, description)
             installed += 1
-        debugger.on_hit = lambda hit, s=sim: hits.append(s.now)
+        debugger.on_hit = settle
     crashed_at = _run_and_close(kernel, duration_us)
+    if hit_at:
+        return True, hit_at[0], "watch"
     if crashed_at is not None:
         return True, crashed_at, "crash"
-    if hits:
-        return True, min(hits), "watch"
     return False, None, ""
 
 

@@ -2,9 +2,11 @@
 
 Every job builds two rigs (simulator, DTM kernel, boards, channels, GDM
 engine, monitors, source debuggers) and closes them when its verdict is
-known. These tests run one job of each category with the cyclic garbage
-collector disabled, then ask a ``DEBUG_SAVEALL`` collection what it
-found: nothing the rigs are made of may be in it.
+known. These tests run one job of each category, plus one whose model
+run settles on a monitor report and one whose code run settles on a
+watch hit (both end on :class:`~repro.errors.RunSettled` mid-run), with
+the cyclic garbage collector disabled, then ask a ``DEBUG_SAVEALL``
+collection what it found: nothing the rigs are made of may be in it.
 
 The one allowed residual is the model containment graph that
 :func:`~repro.comdes.reflect.system_to_model` builds per job (model
@@ -47,15 +49,23 @@ RIG_MODULES = ("repro.target", "repro.sim", "repro.rtos", "repro.comm",
 #: the per-job model graph: the only cycle a job leaves behind
 MODEL_RESIDUAL = (ModelObject,)
 
-#: system factories, and the implementation fault (kind, seed) whose
-#: model-debugger run ends in a TargetFault on that system
+#: system factories; the implementation fault (kind, seed) whose
+#: model-debugger run ends in a TargetFault on that system; the fault
+#: (category, kind, seed) whose model run settles on a monitor report;
+#: and the one whose code run settles on a watch hit
 SYSTEMS = {
     "traffic": (traffic_light_system, traffic_light_monitor_suite,
-                traffic_light_code_watches, ("jump_offby", 3)),
+                traffic_light_code_watches, ("jump_offby", 3),
+                ("design", "wrong_initial", 1),
+                ("design", "action_constant", 5)),
     "cruise": (cruise_control_system, cruise_monitor_suite,
-               cruise_code_watches, ("jump_offby", 1)),
+               cruise_code_watches, ("jump_offby", 1),
+               ("implementation", "jump_offby", 2),
+               ("implementation", "const_corrupt", 7)),
     "cell": (production_cell_system, production_cell_monitor_suite,
-             production_cell_code_watches, ("jump_offby", 2)),
+             production_cell_code_watches, ("jump_offby", 2),
+             ("design", "wrong_target", 1),
+             ("design", "action_constant", 1)),
 }
 
 
@@ -101,7 +111,8 @@ def unexpected_types(found):
 def jobs(name):
     """(label, job, check) per category; *check* asserts the job ran the
     path it is meant to cover."""
-    system, monitors, watches, (trap_kind, trap_seed) = SYSTEMS[name]
+    (system, monitors, watches, (trap_kind, trap_seed), monitor_job,
+     watch_job) = SYSTEMS[name]
     plan = InstrumentationPlan.full()
     specs = watches()
 
@@ -118,6 +129,10 @@ def jobs(name):
         ("implementation-trap", fault("implementation", trap_kind, trap_seed),
          lambda outcome: outcome.model_how == "crash"),
         ("comm", fault("comm", "frame_loss", 1), ran),
+        ("model-settled", fault(*monitor_job),
+         lambda outcome: outcome.model_how == "monitor"),
+        ("code-settled", fault(*watch_job),
+         lambda outcome: outcome.code_how == "watch"),
     ]
 
 
