@@ -3,8 +3,8 @@
 The scoreboard for the spill-to-disk trace subsystem:
 
 * **append events/sec** — wall-clock rate of spilling synthetic trace
-  events through ``ExecutionTrace(spill=TraceStore(...))`` (binary
-  codec, segment rotation included);
+  events through ``ExecutionTrace(spill=TraceStore(...))`` (segment
+  rotation included);
 * **seek latency** — wall-clock ``ReplayPlayer.seek`` into a stored
   history with checkpoints vs the same seek forced linear, plus the
   *deterministic* ``max_tail_events`` (events actually re-applied after
@@ -15,7 +15,7 @@ The scoreboard for the spill-to-disk trace subsystem:
   lands on disk;
 * **merge events/sec** — ``merge_job_stores`` folding a cell-campaign-
   shaped corpus (85 per-job stores, ~32k ``ExecutionTrace`` records,
-  default segment size and codec) into one campaign store, in process CPU
+  default segment size) into one campaign store, in process CPU
   time (best rep), plus ``memory_ratio``: the tracemalloc peak merging
   4N per-job stores over merging N, into one destination segment so the
   O(segments) index rows stay out of it (~1.0: the merge streams).
@@ -101,7 +101,7 @@ def record_spilled(root: str, n: int, checkpoint_every=None,
     the workload generator's.
     """
     gdm = make_gdm()
-    store = TraceStore(root, segment_events=SEGMENT_EVENTS, codec="binary",
+    store = TraceStore(root, segment_events=SEGMENT_EVENTS,
                        checkpoint_every=checkpoint_every)
     trace = ExecutionTrace(spill=store)
     events = ([synth_event(gdm, i) for i in range(n)] if prebuild
@@ -119,7 +119,6 @@ def measure_append(base: str, n: int) -> dict:
     store.close()
     return {
         "events": n,
-        "codec": "binary",
         "segment_events": SEGMENT_EVENTS,
         "events_per_sec": round(n / max(elapsed, 1e-9), 1),
     }
@@ -260,7 +259,7 @@ def main() -> None:
         json.dump(results, handle, indent=2)
         handle.write("\n")
     print(f"append: {results['append']['events_per_sec']} events/sec "
-          f"({n} events, binary codec)")
+          f"({n} events)")
     print(f"seek:   {results['seek']['seek_ms_checkpointed']}ms checkpointed "
           f"vs {results['seek']['seek_ms_linear']}ms linear "
           f"({results['seek']['speedup']}x, tail <= "

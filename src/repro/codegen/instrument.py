@@ -13,14 +13,11 @@ class InstrumentationPlan:
     """Which debug commands the generated code emits."""
 
     def __init__(self, state_enter: bool = True, signal_update: bool = True,
-                 transitions: bool = False, task_markers: bool = False,
-                 self_loops: bool = False) -> None:
+                 transitions: bool = False, task_markers: bool = False) -> None:
         self.state_enter = state_enter
         self.signal_update = signal_update
         self.transitions = transitions
         self.task_markers = task_markers
-        #: also emit STATE_ENTER for self-loop transitions (noisy; off by default)
-        self.self_loops = self_loops
 
     @classmethod
     def none(cls) -> "InstrumentationPlan":
@@ -42,6 +39,6 @@ class InstrumentationPlan:
 
     def __repr__(self) -> str:
         flags = [name for name in ("state_enter", "signal_update",
-                                   "transitions", "task_markers", "self_loops")
+                                   "transitions", "task_markers")
                  if getattr(self, name)]
         return f"<InstrumentationPlan {'+'.join(flags) or 'none'}>"

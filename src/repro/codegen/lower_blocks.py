@@ -70,16 +70,11 @@ class GenContext:
         return symbol.addr
 
     def emit_command(self, kind: CommandKind, path: str,
-                     value_already_on_stack: bool = False,
                      value_addr: int = None, value_imm: int = None,
                      src_path: str = None) -> None:
         """Emit the EMIT sequence: PUSH id, <value>, EMIT kind."""
         self.asm.emit("PUSH", self.paths.id_of(path), src_path=src_path)
-        if value_already_on_stack:
-            # id must be below the value: the caller left the value on top,
-            # so swap after pushing the id.
-            self.asm.emit("SWAP", src_path=src_path)
-        elif value_addr is not None:
+        if value_addr is not None:
             self.asm.emit("LOAD", value_addr, src_path=src_path)
         else:
             self.asm.emit("PUSH", value_imm or 0, src_path=src_path)
@@ -423,8 +418,8 @@ class NetworkCodegen:
                         CommandKind.TRANS_FIRED, t_path,
                         value_imm=t_index, src_path=t_path,
                     )
-                is_self_loop = transition.target == transition.source
-                if plan.state_enter and (plan.self_loops or not is_self_loop):
+                # a self-loop re-enters no state: no STATE_ENTER
+                if plan.state_enter and transition.target != transition.source:
                     target_path = (f"state:{self.actor_name}.{scope}."
                                    f"{transition.target}")
                     self.ctx.emit_command(

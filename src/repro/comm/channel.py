@@ -146,13 +146,12 @@ class ActiveChannel(DebugChannel):
     """
 
     def __init__(self, sim: Simulator, board: Board, firmware: FirmwareImage,
-                 link: Optional[Rs232Link] = None,
-                 host_latency_us: int = 50) -> None:
+                 link: Optional[Rs232Link] = None) -> None:
         super().__init__()
         self.sim = sim
         self.board = board
         self.firmware = firmware
-        self.debug_link = SerialLink(link, host_latency_us, board)
+        self.debug_link = SerialLink(link, board)
         self.decoder = FrameDecoder()
         self.frames_sent = 0
         self.frames_dropped = 0
@@ -172,11 +171,6 @@ class ActiveChannel(DebugChannel):
     @link.setter
     def link(self, line: Rs232Link) -> None:
         self.debug_link.line = line
-
-    @property
-    def host_latency_us(self) -> int:
-        """Fixed host-side receive latency, owned by the link."""
-        return self.debug_link.host_latency_us
 
     def begin_job(self, t_release: int) -> None:
         """Anchor subsequent emissions to this job's release instant."""

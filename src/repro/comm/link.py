@@ -159,16 +159,13 @@ class SerialLink(DebugLink):
     """
 
     kind = "serial"
+    #: fixed host-side receive latency of every frame
+    host_latency_us = 50
 
     def __init__(self, line: Optional[Rs232Link] = None,
-                 host_latency_us: int = 50,
                  board: Optional[Board] = None) -> None:
         super().__init__()
-        if host_latency_us < 0:
-            raise CommError(
-                f"host latency must be non-negative, got {host_latency_us}")
         self.line = line if line is not None else Rs232Link()
-        self.host_latency_us = host_latency_us
         self.board = board
 
     def transmit_frame(self, t_ready: int,

@@ -251,14 +251,14 @@ class CrossInvariantMonitor(Monitor):
     kinds = frozenset({CommandKind.SIG_UPDATE, CommandKind.STATE_ENTER})
 
     def __init__(self, name: str, state_path: str, group_prefix: str,
-                 signal_path: str, predicate: Callable[[int], bool],
-                 initial_value: int = 0) -> None:
+                 signal_path: str, predicate: Callable[[int], bool]) -> None:
         super().__init__(name)
         self.state_path = state_path
         self.group_prefix = group_prefix
         self.signal_path = signal_path
         self.predicate = predicate
-        self._signal_value = initial_value
+        #: the signal's last observed value (signals start at 0)
+        self._signal_value = 0
         self._in_state = False
 
     def inspect(self, command: Command) -> Optional[BugReport]:

@@ -27,7 +27,6 @@ from repro.comdes.dataflow import ComponentNetwork
 from repro.comdes.modal import ModalFB
 from repro.comdes.reflect import system_to_model
 from repro.comdes.system import System
-from repro.comdes.validate import validate_system
 from repro.comm.channel import (
     ActiveChannel,
     CompositeChannel,
@@ -98,15 +97,12 @@ class DebugSession:
 
     def __init__(self, system: System, channel_kind: str = "active",
                  plan: Optional[InstrumentationPlan] = None,
-                 latched: bool = True, net_delay_us: int = 100,
-                 baud: int = 115200, poll_period_us: int = 500,
-                 tck_hz: int = 4_000_000) -> None:
+                 baud: int = 115200, poll_period_us: int = 500) -> None:
         if channel_kind not in self.CHANNEL_KINDS:
             raise DebuggerError(
                 f"channel_kind must be one of {self.CHANNEL_KINDS}, "
                 f"got {channel_kind!r}"
             )
-        validate_system(system)
         self.system = system
         self.channel_kind = channel_kind
         # Active debugging needs instrumented code; passive debugging works
@@ -115,11 +111,8 @@ class DebugSession:
             plan = (InstrumentationPlan() if channel_kind == "active"
                     else InstrumentationPlan.none())
         self.plan = plan
-        self.latched = latched
-        self.net_delay_us = net_delay_us
         self.baud = baud
         self.poll_period_us = poll_period_us
-        self.tck_hz = tck_hz
 
         self.sim = Simulator()
         self.registry = MetamodelRegistry()
@@ -144,9 +137,13 @@ class DebugSession:
     # -- Fig 6 steps -------------------------------------------------------
 
     def step1_provide_inputs(self) -> "DebugSession":
-        """Prerequisites: input meta-model, input model, executable code."""
-        self.model = system_to_model(self.system)
+        """Prerequisites: input meta-model, input model, executable code.
+
+        Code generation validates the system, so an invalid one raises
+        :class:`~repro.errors.ValidationError` before it is reflected.
+        """
         self.firmware = generate_firmware(self.system, self.plan)
+        self.model = system_to_model(self.system)
         self._log(1, (
             f"inputs ready: metamodel '{self.model.metamodel.name}', "
             f"model '{self.model.name}' ({len(self.model)} objects), "
@@ -204,10 +201,7 @@ class DebugSession:
     def step5_connect(self) -> "DebugSession":
         """Create the GDM runtime and the communication channel."""
         self._require(self.gdm is not None, "run step3_abstraction first")
-        self.kernel = DtmKernel(
-            self.system, self.firmware, sim=self.sim,
-            latched=self.latched, net_delay_us=self.net_delay_us,
-        )
+        self.kernel = DtmKernel(self.system, self.firmware, sim=self.sim)
         composite = CompositeChannel()
         for node in self.system.nodes():
             board = self.kernel.board_of(node)
@@ -220,8 +214,7 @@ class DebugSession:
                 composite.add(channel)
             else:
                 tap = TapController(DebugPort(board))
-                probe = JtagProbe(tap, tck_hz=self.tck_hz,
-                                  transport=UsbTransport())
+                probe = JtagProbe(tap, transport=UsbTransport())
                 self.probes[node] = probe
                 link = JtagLink(probe)
                 link.label = "passive"

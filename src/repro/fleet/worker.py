@@ -41,7 +41,7 @@ _base_firmware_cache: Dict[Tuple[str, tuple], FirmwareImage] = {}
 
 def _plan_key(plan) -> tuple:
     return (plan.state_enter, plan.signal_update, plan.transitions,
-            plan.task_markers, plan.self_loops)
+            plan.task_markers)
 
 
 def _base_firmware(spec: JobSpec) -> FirmwareImage:

@@ -28,10 +28,9 @@ class AbstractionEngine:
     def __init__(self, table: MappingTable) -> None:
         self.table = table
 
-    def build(self, model: Model, name: str = "",
-              default_bindings: bool = True,
-              layout: bool = True) -> GdmModel:
-        """Run the abstraction and return the generated debug model."""
+    def build(self, model: Model, name: str = "") -> GdmModel:
+        """Run the abstraction and return the generated debug model,
+        laid out and with the default command bindings installed."""
         if model.metamodel is not self.table.metamodel:
             if model.metamodel.name != self.table.metamodel.name:
                 raise AbstractionError(
@@ -80,10 +79,8 @@ class AbstractionEngine:
                 "abstraction produced an empty debug model — no metaclass in "
                 "the model is paired as a node"
             )
-        if layout:
-            self.assign_layout(gdm)
-        if default_bindings:
-            self.install_default_bindings(gdm)
+        self.assign_layout(gdm)
+        self.install_default_bindings(gdm)
         return gdm
 
     @staticmethod

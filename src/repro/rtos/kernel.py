@@ -98,10 +98,10 @@ def _cell_of(memory: MemoryMap, symbols: SymbolTable, symbol: str) -> int:
 class _NodeRuntime:
     """Board + scheduler of one computation node."""
 
-    def __init__(self, sim: Simulator, node: str, firmware: FirmwareImage,
-                 board: Optional[Board]) -> None:
+    def __init__(self, sim: Simulator, node: str,
+                 firmware: FirmwareImage) -> None:
         self.node = node
-        self.board = board if board is not None else Board()
+        self.board = Board()
         self.board.load_firmware(firmware)
         self.scheduler = NodeScheduler(sim, node)
         self.job_hooks: List[JobHook] = []
@@ -197,11 +197,9 @@ class DtmKernel:
         sim: Optional[Simulator] = None,
         latched: bool = True,
         net_delay_us: int = 100,
-        boards: Optional[Dict[str, Board]] = None,
     ) -> None:
         """Build one board and scheduler per node of *system*, all on
-        one simulator and one signal bus; ``boards`` supplies prebuilt
-        boards by node name.
+        one simulator and one signal bus.
         """
         self.system = system
         self.firmware = firmware
@@ -209,8 +207,7 @@ class DtmKernel:
         self.latched = latched
         self._nodes: Dict[str, _NodeRuntime] = {}
         for node in system.nodes():
-            board = (boards or {}).get(node)
-            self._nodes[node] = _NodeRuntime(self.sim, node, firmware, board)
+            self._nodes[node] = _NodeRuntime(self.sim, node, firmware)
         self.bus = SignalBus(self.sim, system.nodes(),
                              system.initial_board(), net_delay_us)
         self.jitter = JitterMeter()

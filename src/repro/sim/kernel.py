@@ -16,8 +16,8 @@ callback returns, exactly as if the callback had scheduled its own next
 tick.
 
 :attr:`Simulator.now` is a plain attribute, not a property: the clock is
-read on every release, completion and emitted command, and only the run
-loops write it. Treat it as read-only.
+read on every release, completion and emitted command, and only
+:meth:`Simulator.run_until` writes it. Treat it as read-only.
 
 Positions can be held ahead of time: a caller that advances
 :attr:`Simulator.seq` holds that position, and
@@ -147,23 +147,6 @@ class Simulator:
         """
         self.queue.clear()
 
-    def step(self) -> bool:
-        """Execute the next event; return False when the queue is empty."""
-        queue = self.queue
-        while queue:
-            time, _, fn, args, period = _heappop(queue)
-            if fn is None:
-                continue
-            self.now = time
-            self._executed += 1
-            fn(*args)
-            if period:
-                self.seq = seq = self.seq + 1
-                _heappush(queue, ScheduledEvent(
-                    (self.now + period, seq, fn, args, period)))
-            return True
-        return False
-
     def run_until(self, time: int) -> int:
         """Run events with timestamp <= *time*; advance clock to *time*.
 
@@ -191,13 +174,4 @@ class Simulator:
                 _heappush(queue, ScheduledEvent(
                     (self.now + period, seq, fn, args, period)))
         self.now = time
-        return executed
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Run until the queue drains; guard against runaway self-scheduling."""
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed >= max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
         return executed

@@ -23,12 +23,12 @@ Segment format (``format.py``)
 ------------------------------
 
 Every segment opens with one UTF-8 JSON header line naming the magic,
-the format version and the record codec — ``jsonl`` (one canonical JSON
-object per line) or ``binary`` (4-byte big-endian length prefix + the
-same canonical JSON payload). The writer chooses the codec; readers
-trust only the header. Canonical encoding (sorted keys, no whitespace)
-makes segment bytes a pure function of the records, which is what lets
-fleet-vs-serial parity be checked with a file compare.
+the format version and the record framing, ``jsonl``: then one canonical
+JSON object per line. Readers refuse a header or index that names any
+other framing. Canonical encoding (sorted keys, no whitespace, every
+newline escaped) makes segment bytes a pure function of the records,
+which is what lets fleet-vs-serial parity be checked with a file
+compare.
 
 Invariants
 ----------

@@ -51,7 +51,7 @@ import shutil
 from typing import NamedTuple, Optional, Sequence
 
 from repro.errors import TraceStoreError
-from repro.tracedb.store import DEFAULT_CODEC, DEFAULT_SEGMENT_EVENTS, TraceStore
+from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS, TraceStore
 
 
 def job_store_root(trace_dir: str, index: int) -> str:
@@ -59,9 +59,7 @@ def job_store_root(trace_dir: str, index: int) -> str:
     return os.path.join(trace_dir, f"job-{index:05d}")
 
 
-def open_job_store(trace_dir: str, index: int,
-                   segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                   codec: str = DEFAULT_CODEC) -> TraceStore:
+def open_job_store(trace_dir: str, index: int) -> TraceStore:
     """Create the per-job spill store a worker records into.
 
     A per-job store is a *product* of running the job, so an existing
@@ -75,7 +73,7 @@ def open_job_store(trace_dir: str, index: int,
     root = job_store_root(trace_dir, index)
     if os.path.isdir(root):
         shutil.rmtree(root)
-    return TraceStore(root, segment_events=segment_events, codec=codec)
+    return TraceStore(root)
 
 
 #: the three provenance keys the merge stamps, in sort order
@@ -195,8 +193,7 @@ def _check_seq(record_seq, position: int, stamp: _Stamp) -> None:
 
 
 def merge_job_stores(results: Sequence[object], dest_root: str,
-                     segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                     codec: str = DEFAULT_CODEC) -> TraceStore:
+                     segment_events: int = DEFAULT_SEGMENT_EVENTS) -> TraceStore:
     """Fold every job's store into one canonically-ordered campaign store.
 
     *results* are :class:`~repro.fleet.jobs.JobResult`-shaped objects;
@@ -213,7 +210,7 @@ def merge_job_stores(results: Sequence[object], dest_root: str,
     already carries a provenance key or its ``seq`` is not its position
     in the job store.
     """
-    dest = TraceStore(dest_root, segment_events=segment_events, codec=codec)
+    dest = TraceStore(dest_root, segment_events=segment_events)
     if dest.event_count:
         raise TraceStoreError(
             f"campaign store at {dest_root} already holds "
@@ -271,14 +268,11 @@ def ensure_fresh_trace_dir(trace_dir: str) -> None:
 
 
 def collect_campaign_store(results: Sequence[object],
-                           trace_dir: str,
-                           segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                           codec: str = DEFAULT_CODEC) -> Optional[TraceStore]:
+                           trace_dir: str) -> Optional[TraceStore]:
     """Merge all collected per-job stores under *trace_dir*.
 
     Returns None when no result carried a trace (collection was off).
     """
     if not any(getattr(r, "trace_path", "") for r in results):
         return None
-    return merge_job_stores(results, campaign_store_root(trace_dir),
-                            segment_events=segment_events, codec=codec)
+    return merge_job_stores(results, campaign_store_root(trace_dir))

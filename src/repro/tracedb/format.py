@@ -1,47 +1,41 @@
-"""Segment record formats: a versioned header, then framed canonical payloads.
+"""The segment format: a versioned header line, then one canonical
+payload per line.
 
 Every segment file opens with one UTF-8 JSON header line (readable with
-``head -1`` regardless of codec)::
+``head -1``)::
 
     {"codec": "jsonl", "magic": "repro-tracedb-segment", "version": 1}
 
 Every record is stored as its **canonical payload**: the JSON object
-with sorted keys and no whitespace (:func:`encode_record`), UTF-8. A
-record is encoded once, when it is first appended; from then on the
-payload is the record. :func:`encode_record` is the reference encoding:
-a spilled trace event is written by :func:`encode_event` from a
-template, without building its dict, and must come out as exactly
-``encode_record(event.to_dict())``. A codec only *frames* payloads — it
-never sees a record:
+with sorted keys and no whitespace (:func:`encode_record`), UTF-8,
+followed by ``\\n``. Canonical JSON escapes every newline inside a
+string, so a payload never holds a raw one and each line is one record:
+greppable and diffable. A record is encoded once, when it is first
+appended; from then on the payload is the record. :func:`encode_record`
+is the reference encoding: a spilled trace event is written by
+:func:`encode_event` from a template, without building its dict, and
+must come out as exactly ``encode_record(event.to_dict())``.
 
-* ``jsonl`` — payload + ``\\n``, one record per line. Greppable,
-  diffable, the default.
-* ``binary`` — a 4-byte big-endian payload length, then the payload.
-  Cheaper to skip through and immune to embedded newlines.
-
-``frame(payload)`` is the write side, ``payloads(fh)`` the read side
-(raw payload bytes, undecoded). Because both codecs carry the same
-payload bytes, anything that rewrites stores at the payload level (the
-campaign merge in :mod:`repro.tracedb.collect`) works across codecs
-without decoding. Canonical payloads make segment bytes a pure function
-of the records: two stores built from the same events are byte-identical
-files, which is what lets the fleet-collection tests compare serial and
+Anything that rewrites stores at the payload level (the campaign merge
+in :mod:`repro.tracedb.collect`) works on the raw lines without
+decoding. Canonical payloads make segment bytes a pure function of the
+records: two stores built from the same events are byte-identical files,
+which is what lets the fleet-collection tests compare serial and
 parallel campaign stores with ``filecmp``.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from json.encoder import encode_basestring_ascii as _str
-from typing import BinaryIO, Dict, Iterator
+from typing import BinaryIO
 
 from repro.errors import TraceStoreError
 
 MAGIC = "repro-tracedb-segment"
 VERSION = 1
-
-_LEN = struct.Struct(">I")
+#: the record framing every segment header and store index names
+CODEC = "jsonl"
 
 
 def encode_record(record: dict) -> bytes:
@@ -92,77 +86,27 @@ def encode_event(event) -> bytes:
     return encode_record(event.to_dict())
 
 
-class JsonlCodec:
-    """One canonical-JSON payload per line."""
-
-    name = "jsonl"
-
-    @staticmethod
-    def frame(payload: bytes) -> bytes:
-        return payload + b"\n"
-
-    @staticmethod
-    def payloads(fh: BinaryIO) -> Iterator[bytes]:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield line
+def check_codec(name) -> None:
+    """Refuse a header or index that names any framing but :data:`CODEC`."""
+    if name != CODEC:
+        raise TraceStoreError(
+            f"unsupported segment codec {name!r} (this reader speaks "
+            f"{CODEC!r})")
 
 
-class BinaryCodec:
-    """Length-prefixed payloads: 4-byte big-endian length + JSON payload."""
-
-    name = "binary"
-
-    @staticmethod
-    def frame(payload: bytes) -> bytes:
-        return _LEN.pack(len(payload)) + payload
-
-    @staticmethod
-    def payloads(fh: BinaryIO) -> Iterator[bytes]:
-        while True:
-            prefix = fh.read(_LEN.size)
-            if not prefix:
-                return
-            if len(prefix) < _LEN.size:
-                raise TraceStoreError(
-                    f"truncated length prefix ({len(prefix)} bytes) "
-                    f"at segment tail")
-            (length,) = _LEN.unpack(prefix)
-            payload = fh.read(length)
-            if len(payload) < length:
-                raise TraceStoreError(
-                    f"truncated record: expected {length} payload bytes, "
-                    f"got {len(payload)}")
-            yield payload
-
-
-CODECS: Dict[str, object] = {JsonlCodec.name: JsonlCodec,
-                             BinaryCodec.name: BinaryCodec}
-
-
-def codec_named(name: str):
-    """Look up a codec, loudly."""
-    try:
-        return CODECS[name]
-    except KeyError:
-        raise TraceStoreError(f"unknown segment codec {name!r}; "
-                              f"options: {sorted(CODECS)}") from None
-
-
-def write_header(fh: BinaryIO, codec_name: str) -> int:
+def write_header(fh: BinaryIO) -> int:
     """Write the one-line JSON header; returns bytes written."""
-    codec_named(codec_name)  # validate before committing bytes
     header = json.dumps({"magic": MAGIC, "version": VERSION,
-                         "codec": codec_name},
+                         "codec": CODEC},
                         sort_keys=True, separators=(",", ":"))
     payload = header.encode("utf-8") + b"\n"
     fh.write(payload)
     return len(payload)
 
 
-def read_header(fh: BinaryIO):
-    """Validate the header line; returns the codec class to read with."""
+def read_header(fh: BinaryIO) -> None:
+    """Read and validate the header line; *fh* is left at the first
+    record."""
     line = fh.readline()
     try:
         header = json.loads(line.decode("utf-8"))
@@ -175,4 +119,4 @@ def read_header(fh: BinaryIO):
         raise TraceStoreError(
             f"unsupported segment version {header.get('version')!r} "
             f"(this reader speaks version {VERSION})")
-    return codec_named(header.get("codec", ""))
+    check_codec(header.get("codec"))

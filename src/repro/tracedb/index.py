@@ -16,6 +16,7 @@ from bisect import bisect_right
 from typing import List, Optional
 
 from repro.errors import TraceStoreError
+from repro.tracedb.format import CODEC, check_codec
 from repro.tracedb.segment import SegmentInfo
 
 INDEX_NAME = "index.json"
@@ -69,11 +70,10 @@ class CheckpointInfo:
 class StoreIndex:
     """All segment and checkpoint rows of one store, ordered by seq."""
 
-    def __init__(self, codec_name: str, segment_events: int,
+    def __init__(self, segment_events: int,
                  checkpoint_every: Optional[int] = None) -> None:
-        self.codec_name = codec_name
         self.segment_events = segment_events
-        #: store config like codec/segment_events: persisted so attaching
+        #: store config like segment_events: persisted so attaching
         #: to an existing store resumes live checkpointing at the same
         #: interval instead of silently disabling it
         self.checkpoint_every = checkpoint_every
@@ -128,7 +128,7 @@ class StoreIndex:
     def to_dict(self) -> dict:
         return {
             "version": INDEX_VERSION,
-            "codec": self.codec_name,
+            "codec": CODEC,
             "segment_events": self.segment_events,
             "checkpoint_every": self.checkpoint_every,
             "event_count": self.event_count,
@@ -157,8 +157,8 @@ class StoreIndex:
         if data.get("version") != INDEX_VERSION:
             raise TraceStoreError(
                 f"unsupported index version {data.get('version')!r}")
-        index = cls(data["codec"], data["segment_events"],
-                    data.get("checkpoint_every"))
+        check_codec(data.get("codec"))
+        index = cls(data["segment_events"], data.get("checkpoint_every"))
         for row in data["segments"]:
             index.add_segment(SegmentInfo.from_dict(row))
         for row in data["checkpoints"]:

@@ -4,10 +4,10 @@ A :class:`SegmentWriter` owns the open file of the store's *active*
 segment; when the store rotates, the writer closes and its
 :class:`SegmentInfo` (the index row) is frozen. Reading never needs the
 writer — :func:`read_segment` streams any segment file, live or closed,
-decoding with whatever codec its header names, and
-:func:`read_segment_payloads` streams the same records as raw canonical
-payloads. Every write, record or payload, goes through
-:meth:`SegmentWriter.append_payload`.
+and :func:`read_segment_payloads` streams the same records as raw
+canonical payloads. Every write, record or payload, goes through
+:meth:`SegmentWriter.append_payload`, the one place a payload is framed
+as a line.
 """
 
 from __future__ import annotations
@@ -55,15 +55,14 @@ class SegmentInfo:
 class SegmentWriter:
     """Appends records to one segment file, tracking its index extents."""
 
-    def __init__(self, root: str, name: str, codec, first_seq: int) -> None:
+    def __init__(self, root: str, name: str, first_seq: int) -> None:
         self.name = name
         self.path = os.path.join(root, name)
-        self.codec = codec
         self.first_seq = first_seq
         self.last_seq = first_seq - 1
         self.count = 0
         self._fh = open(self.path, "wb")
-        self.byte_size = write_header(self._fh, codec.name)
+        self.byte_size = write_header(self._fh)
 
     def append(self, record: dict) -> None:
         """Encode and write one record (caller guarantees seq order)."""
@@ -77,7 +76,7 @@ class SegmentWriter:
             raise TraceStoreError(f"segment {self.name} is closed")
         self.last_seq = seq
         self.count += 1
-        framed = self.codec.frame(payload)
+        framed = payload + b"\n"
         self._fh.write(framed)
         self.byte_size += len(framed)
 
@@ -102,8 +101,11 @@ class SegmentWriter:
 def read_segment_payloads(path: str) -> Iterator[bytes]:
     """Stream every record's canonical payload, undecoded."""
     with open(path, "rb") as fh:
-        codec = read_header(fh)
-        yield from codec.payloads(fh)
+        read_header(fh)
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield line
 
 
 def read_segment(path: str) -> Iterator[dict]:

@@ -32,8 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import TraceStoreError
 from repro.obs.runtime import OBS
 from repro.tracedb.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.tracedb.format import (codec_named, encode_event, encode_record,
-                                  read_header)
+from repro.tracedb.format import encode_event, encode_record, read_header
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import (
     SegmentInfo,
@@ -44,7 +43,6 @@ from repro.tracedb.segment import (
 )
 
 DEFAULT_SEGMENT_EVENTS = 1024
-DEFAULT_CODEC = "jsonl"
 CKPT_DIR = "ckpt"
 
 
@@ -52,13 +50,12 @@ class TraceStore:
     """Append-only segmented record store with checkpointed seek support."""
 
     def __init__(self, root: str, segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                 codec: str = DEFAULT_CODEC,
                  checkpoint_every: Optional[int] = None) -> None:
         """Create a store at *root*, or attach to the one already there.
 
         Attaching resumes appending after the last stored record.
-        ``segment_events`` and ``codec`` are then ignored in favor of
-        the existing index (a store has one format), and the stored
+        ``segment_events`` is then ignored in favor of the existing
+        index (a store has one segment size), and the stored
         ``checkpoint_every`` is resumed unless explicitly overridden
         here — so a reattached recorder keeps checkpointing at the same
         interval and seeks stay O(interval) across the resumed region.
@@ -77,15 +74,13 @@ class TraceStore:
             if checkpoint_every is not None:
                 self._index.checkpoint_every = checkpoint_every
         else:
-            self._index = StoreIndex(codec_named(codec).name, segment_events,
-                                     checkpoint_every)
+            self._index = StoreIndex(segment_events, checkpoint_every)
             self._index.save(root)
         self.checkpoint_every = self._index.checkpoint_every
-        self.codec = codec_named(self._index.codec_name)
         self.segment_events = self._index.segment_events
         self._writer: Optional[SegmentWriter] = None
         self._closed = False
-        # I/O books: plain int adds (noise next to the codec/file work
+        # I/O books: plain int adds (noise next to the encode/file work
         # they count), surfaced as tracedb.* registry series via
         # io_stats() when telemetry is on
         self.appends = 0
@@ -143,8 +138,7 @@ class TraceStore:
                 raise TraceStoreError(
                     f"orphan segment {name} holds non-contiguous seqs; "
                     f"refusing to adopt it")
-            writer = SegmentWriter(self.root, name + ".recover",
-                                   self.codec, expected)
+            writer = SegmentWriter(self.root, name + ".recover", expected)
             for record in records:
                 writer.append(record)
             info = writer.close()
@@ -240,7 +234,7 @@ class TraceStore:
         and the campaign merge, which splices payloads without decoding."""
         if self._writer is None:
             self._writer = SegmentWriter(
-                self.root, f"seg-{seq:012d}.trc", self.codec, seq)
+                self.root, f"seg-{seq:012d}.trc", seq)
         self._writer.append_payload(seq, payload)
         self.appends += 1
         if self._writer.count >= self.segment_events:

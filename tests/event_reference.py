@@ -160,14 +160,6 @@ class HeapSimulator:
         self._now = time
         return executed
 
-    def run(self, max_events: int = 1_000_000) -> int:
-        executed = 0
-        while self.step():
-            executed += 1
-            if executed >= max_events:
-                raise RuntimeError(f"simulation exceeded {max_events} events")
-        return executed
-
 
 def reference_start(self: DtmKernel) -> None:
     """``DtmKernel.start`` with one periodic release entry per actor."""

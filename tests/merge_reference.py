@@ -17,15 +17,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import TraceStoreError
-from repro.tracedb.store import DEFAULT_CODEC, DEFAULT_SEGMENT_EVENTS, TraceStore
+from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS, TraceStore
 
 
 def reference_merge_job_stores(results: Sequence[object], dest_root: str,
-                               segment_events: int = DEFAULT_SEGMENT_EVENTS,
-                               codec: str = DEFAULT_CODEC) -> TraceStore:
+                               segment_events: int = DEFAULT_SEGMENT_EVENTS
+                               ) -> TraceStore:
     """Fold every job's store into one canonically-ordered campaign store
     by decoding and re-encoding every record."""
-    dest = TraceStore(dest_root, segment_events=segment_events, codec=codec)
+    dest = TraceStore(dest_root, segment_events=segment_events)
     if dest.event_count:
         raise TraceStoreError(
             f"campaign store at {dest_root} already holds "

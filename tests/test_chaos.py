@@ -50,11 +50,11 @@ class TestChaosConfig:
 class TestChaosWrapper:
     def test_wrapper_delegates_unknown_attributes(self):
         board = Board()
-        inner = SerialLink(Rs232Link(), host_latency_us=70, board=board)
+        inner = SerialLink(Rs232Link(), board=board)
         chaos = ChaosLink(inner)
         assert chaos.board is board
         assert chaos.line is inner.line
-        assert chaos.host_latency_us == 70
+        assert chaos.host_latency_us == SerialLink.host_latency_us
         assert chaos.kind == "chaos[serial]"
         chaos.halt_target()
         assert board.stalled
@@ -63,7 +63,7 @@ class TestChaosWrapper:
 
 
 def one_frame_link():
-    return SerialLink(Rs232Link(), host_latency_us=50)
+    return SerialLink(Rs232Link())
 
 
 class TestChaosFramePlane:

@@ -142,6 +142,11 @@ def lone_channel(line=None):
     return channel, delivered
 
 
+def drain(channel):
+    """Deliver every frame in flight: each lands within a second."""
+    channel.sim.run_until(channel.sim.now + sec(1))
+
+
 def books(channel):
     return (channel.board.uart.bytes_sent, channel.board.uart.overruns,
             channel.frames_sent, channel.frames_dropped,
@@ -160,7 +165,7 @@ class TestCleanWireFields:
         calls = CallCounts(monkeypatch)
         for channel in (clean, byte):
             channel._on_emit(2, 1, value)
-            channel.sim.run()
+            drain(channel)
         assert (calls.encodes, calls.feeds) == (1, 1)
         assert clean_seen == byte_seen
         (_, _, decoded), = FrameDecoder().feed(encode_frame(2, 1, value))
@@ -180,7 +185,7 @@ class TestCleanWireFields:
             channel._on_emit(kind, path_id, 0)
         assert str(raised.value) == str(reference.value)
         assert calls.encodes == 0
-        channel.sim.run()
+        drain(channel)
         assert books(channel) == before
         assert delivered == []
 
@@ -191,7 +196,7 @@ class TestCleanWireFields:
                 channel.debug_link = ChaosLink(channel.debug_link)
             channel._on_emit(200, 1, 0)
             with pytest.raises(ValueError):
-                channel.sim.run()
+                drain(channel)
             assert channel.decoder.frames_decoded == 1
 
 
@@ -202,7 +207,7 @@ class TestBytePathKept:
         for step in range(20):
             channel.begin_job(step * 10_000)
             channel._on_emit(2, 1, step)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (20, 20)
 
     def test_zero_rate_chaos_link_keeps_the_byte_path(self, monkeypatch):
@@ -211,7 +216,7 @@ class TestBytePathKept:
         assert not channel.debug_link.config.enabled
         calls = CallCounts(monkeypatch)
         channel._on_emit(2, 1, 7)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (1, 1)
 
     def test_path_is_chosen_per_emit(self, monkeypatch):
@@ -220,19 +225,19 @@ class TestBytePathKept:
         channel, delivered = lone_channel()
         calls = CallCounts(monkeypatch)
         channel._on_emit(2, 1, 1)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (0, 0)
         channel.debug_link = ChaosLink(channel.debug_link)
         channel._on_emit(2, 1, 2)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (1, 1)
         channel.debug_link = channel.debug_link.inner
         channel.link = Rs232Link(byte_error_rate=0.01)
         channel._on_emit(2, 1, 3)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (2, 2)
         channel.link = Rs232Link()
         channel._on_emit(2, 1, 4)
-        channel.sim.run()
+        drain(channel)
         assert (calls.encodes, calls.feeds) == (2, 2)
         assert [value for _, _, value, _, _ in delivered] == [1, 2, 3, 4]

@@ -59,8 +59,8 @@ class TestActiveChannel:
         system = traffic_light_system()
         firmware = generate_firmware(system, InstrumentationPlan.full())
         sim = Simulator()
-        boards = {"node0": Board(uart_fifo=12)}
-        kernel = DtmKernel(system, firmware, sim=sim, boards=boards)
+        kernel = DtmKernel(system, firmware, sim=sim)
+        kernel.board_of("node0").uart.fifo_depth = 12
         channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                                 link=Rs232Link(300))
         kernel.add_job_hook("node0", channel.begin_job)

@@ -125,7 +125,7 @@ class TestJtagLink:
 
 class TestSerialLink:
     def test_transmit_frame_charges_line_and_latency(self):
-        link = SerialLink(Rs232Link(115200), host_latency_us=50)
+        link = SerialLink(Rs232Link(115200))
         frame = b"\x7e12345678"
         wire, t_done, t_arrive = link.transmit_frame(1000, frame)
         assert wire == frame
@@ -137,7 +137,7 @@ class TestSerialLink:
         assert link.cost_us_total == line_us + 50
 
     def test_queueing_wait_is_not_billed_as_transport_cost(self):
-        link = SerialLink(Rs232Link(9600), host_latency_us=50)
+        link = SerialLink(Rs232Link(9600))
         frame = b"\x7e12345678"
         _, _, _ = link.transmit_frame(0, frame)
         first_cost = link.cost_us_total
@@ -159,10 +159,6 @@ class TestSerialLink:
         link = SerialLink(Rs232Link(), board=board)
         link.halt_target()
         assert board.stalled
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(CommError):
-            SerialLink(Rs232Link(), host_latency_us=-1)
 
 
 class TestDebugLink:

@@ -90,8 +90,6 @@ _top = st.one_of(
               st.one_of(st.none(), st.integers(0, 6)),
               st.integers(0, LABELS - 1)),
     st.tuples(st.just("run_until"), st.integers(0, 25)),
-    st.tuples(st.just("step")),
-    st.tuples(st.just("run"), st.integers(1, 40)),
 )
 _reactions = st.lists(st.lists(_nested, max_size=3),
                       min_size=LABELS, max_size=LABELS)
@@ -131,13 +129,6 @@ def run_program(sim_cls, reactions, program):
         kind = op[0]
         if kind == "run_until":
             log.append(("run_until", sim.run_until(sim.now + op[1])))
-        elif kind == "step":
-            log.append(("step", sim.step()))
-        elif kind == "run":
-            try:
-                log.append(("run", sim.run(max_events=op[1])))
-            except RuntimeError as exc:
-                log.append(("run", str(exc)))
         else:
             apply(op)
         log.append(("state", sim.now, sim.executed_events,

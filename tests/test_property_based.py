@@ -220,7 +220,7 @@ class TestSchedulerProperties:
                                 dem, on_complete=make(idx, dem))
                 scheduler.release(job)
             sim.schedule_at(offset, release)
-        sim.run()
+        sim.run_until(100_000)
         # Every job completes exactly once.
         assert len(completions) == len(jobs)
         # Total busy time equals total demand: the last completion can be

@@ -43,7 +43,7 @@ class TestScheduler:
             scheduler.release(job)
         sim.schedule_at(0, release, "low", 5, 100)
         sim.schedule_at(10, release, "high", 1, 20)
-        sim.run()
+        sim.run_until(100_000)
         # High preempts at t=10, finishes at 30; low resumes, finishes at 120.
         assert done == [("high", 30), ("low", 120)]
         assert scheduler.preemptions >= 1
@@ -58,7 +58,7 @@ class TestScheduler:
             scheduler.release(job)
         sim.schedule_at(0, release, "first")
         sim.schedule_at(0, release, "second")
-        sim.run()
+        sim.run_until(100_000)
         assert done == ["first", "second"]
 
     def test_zero_demand_job_completes_immediately(self):
@@ -68,7 +68,7 @@ class TestScheduler:
         sim.schedule_at(5, lambda: scheduler.release(
             ActiveJob("instant", 1, 5, 100, 0,
                       on_complete=lambda t: done.append(t))))
-        sim.run()
+        sim.run_until(100_000)
         assert done == [5]
 
     def test_release_time_mismatch_rejected(self):

@@ -1,14 +1,18 @@
 """Integration tests: the full Fig 6 workflow end-to-end, both channels."""
 
+from unittest import mock
+
 import pytest
 
+import repro.comdes.validate as validate
 from repro.comdes.examples import cruise_control_system, traffic_light_system
+from repro.comdes.signals import Signal
 from repro.comm.protocol import CommandKind
 from repro.engine.engine import EngineState
 from repro.engine.breakpoints import StateEntryBreakpoint
 from repro.engine.replay import ReplayPlayer
 from repro.engine.session import DebugSession, default_watches, iter_blocks_with_scope
-from repro.errors import DebuggerError
+from repro.errors import DebuggerError, ValidationError
 from repro.experiments.figures import (
     fig1_mdd_role, fig2_structural_view, fig3_gdm_metamodel,
     fig4_abstraction_guide, fig5_animated_model, fig6_execution_flow,
@@ -35,6 +39,20 @@ class TestWorkflowSteps:
     def test_invalid_channel_kind_rejected(self):
         with pytest.raises(DebuggerError):
             DebugSession(traffic_light_system(), channel_kind="telepathy")
+
+    def test_invalid_system_rejected_at_setup(self):
+        system = traffic_light_system()
+        system.signals["orphan"] = Signal("orphan")
+        session = DebugSession(system)
+        with pytest.raises(ValidationError, match="orphan"):
+            session.setup()
+        assert session.model is None and session.firmware is None
+
+    def test_setup_validates_once(self):
+        with mock.patch.object(validate, "system_problems",
+                               wraps=validate.system_problems) as problems:
+            DebugSession(traffic_light_system()).setup()
+        assert problems.call_count == 1
 
 
 class TestActiveSession:

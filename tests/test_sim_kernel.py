@@ -12,7 +12,7 @@ class TestScheduling:
         sim.schedule(30, fired.append, "late")
         sim.schedule(10, fired.append, "early")
         sim.schedule(20, fired.append, "middle")
-        sim.run()
+        sim.run_until(100)
         assert fired == ["early", "middle", "late"]
 
     def test_simultaneous_events_fire_in_insertion_order(self):
@@ -20,20 +20,20 @@ class TestScheduling:
         fired = []
         sim.schedule(5, fired.append, "first")
         sim.schedule(5, fired.append, "second")
-        sim.run()
+        sim.run_until(100)
         assert fired == ["first", "second"]
 
     def test_now_advances_to_event_time(self):
         sim = Simulator()
         seen = []
         sim.schedule(42, lambda: seen.append(sim.now))
-        sim.run()
+        sim.run_until(100)
         assert seen == [42]
 
     def test_scheduling_in_past_raises(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)
-        sim.run()
+        sim.run_until(100)
         with pytest.raises(ValueError):
             sim.schedule_at(5, lambda: None)
 
@@ -47,7 +47,7 @@ class TestScheduling:
         fired = []
         handle = sim.schedule(10, fired.append, "x")
         handle.cancel()
-        sim.run()
+        sim.run_until(100)
         assert fired == []
 
     def test_events_scheduled_during_run_fire(self):
@@ -60,7 +60,7 @@ class TestScheduling:
                 sim.schedule(10, chain)
 
         sim.schedule(10, chain)
-        sim.run()
+        sim.run_until(100)
         assert fired == [10, 20, 30]
 
     def test_clear_drops_pending_events_and_keeps_the_clock(self):
@@ -120,9 +120,3 @@ class TestPeriodic:
         sim = Simulator()
         with pytest.raises(ValueError):
             sim.every(0, lambda: None)
-
-    def test_runaway_guard_raises(self):
-        sim = Simulator()
-        sim.every(1, lambda: None)
-        with pytest.raises(RuntimeError):
-            sim.run(max_events=100)

@@ -11,15 +11,10 @@ from repro.engine.replay import ReplayPlayer
 from repro.engine.trace import ExecutionTrace
 from repro.errors import DebuggerError, TraceStoreError
 from repro.gdm.model import GdmModel
-from repro.tracedb.format import (
-    CODECS,
-    encode_record,
-    read_header,
-    write_header,
-)
+from repro.tracedb.format import encode_record, read_header, write_header
 from repro.tracedb.index import CheckpointInfo, StoreIndex
 from repro.tracedb.segment import SegmentInfo, read_segment
-from repro.tracedb.store import StoredTrace, TraceStore
+from repro.tracedb.store import DEFAULT_SEGMENT_EVENTS, StoredTrace, TraceStore
 
 
 def cmd(i: int) -> Command:
@@ -47,21 +42,22 @@ class TestFormat:
         assert a == b
         assert b" " not in a
 
-    @pytest.mark.parametrize("codec", sorted(CODECS))
-    def test_header_roundtrip(self, tmp_path, codec):
+    def test_header_roundtrip(self, tmp_path):
         path = tmp_path / "seg.trc"
         with open(path, "wb") as fh:
-            write_header(fh, codec)
+            write_header(fh)
+            fh.write(b'{"seq":0}\n')
         with open(path, "rb") as fh:
-            assert read_header(fh) is CODECS[codec]
+            read_header(fh)
+            assert fh.read() == b'{"seq":0}\n'
 
     def test_header_is_readable_json_line(self, tmp_path):
         path = tmp_path / "seg.trc"
         with open(path, "wb") as fh:
-            write_header(fh, "binary")
+            write_header(fh)
         first_line = open(path, "rb").readline()
         header = json.loads(first_line)
-        assert header["codec"] == "binary" and header["version"] == 1
+        assert header["codec"] == "jsonl" and header["version"] == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "seg.trc"
@@ -71,25 +67,19 @@ class TestFormat:
                 read_header(fh)
 
     def test_unknown_codec_rejected(self, tmp_path):
-        with open(tmp_path / "seg.trc", "wb") as fh:
-            with pytest.raises(TraceStoreError):
-                write_header(fh, "carrier-pigeon")
-
-    def test_truncated_binary_record_is_loud(self, tmp_path):
         path = tmp_path / "seg.trc"
-        with open(path, "wb") as fh:
-            write_header(fh, "binary")
-            fh.write(CODECS["binary"].frame(encode_record({"seq": 0})))
-        data = path.read_bytes()
-        path.write_bytes(data[:-3])  # chop the payload tail
-        with pytest.raises(TraceStoreError):
-            list(read_segment(str(path)))
+        for codec in ("binary", "carrier-pigeon", None):
+            header = {"magic": "repro-tracedb-segment", "version": 1}
+            if codec is not None:
+                header["codec"] = codec
+            path.write_bytes(json.dumps(header).encode() + b"\n")
+            with pytest.raises(TraceStoreError, match="codec"):
+                list(read_segment(str(path)))
 
 
 class TestStoreAppendAndQuery:
-    @pytest.mark.parametrize("codec", sorted(CODECS))
-    def test_roundtrip_both_codecs(self, tmp_path, codec):
-        store = make_store(tmp_path, 50, segment_events=16, codec=codec)
+    def test_roundtrip(self, tmp_path):
+        store = make_store(tmp_path, 50, segment_events=16)
         store.close()
         back = TraceStore.open(str(tmp_path / "store"))
         records = list(back.events())
@@ -147,8 +137,6 @@ class TestStoreAppendAndQuery:
             TraceStore(str(tmp_path / "a"), segment_events=0)
         with pytest.raises(TraceStoreError):
             TraceStore(str(tmp_path / "b"), checkpoint_every=0)
-        with pytest.raises(TraceStoreError):
-            TraceStore(str(tmp_path / "c"), codec="morse")
 
 
 class TestIndex:
@@ -156,14 +144,24 @@ class TestIndex:
         return SegmentInfo(f"seg-{first:012d}.trc", first, first + count - 1,
                            count, 100)
 
+    def test_index_naming_another_codec_rejected(self, tmp_path):
+        make_store(tmp_path, 3).close()
+        path = tmp_path / "store" / "index.json"
+        data = json.loads(path.read_text())
+        assert data["codec"] == "jsonl"
+        data["codec"] = "binary"
+        path.write_text(json.dumps(data))
+        with pytest.raises(TraceStoreError, match="codec"):
+            TraceStore.open(str(tmp_path / "store"))
+
     def test_gap_rejected(self):
-        index = StoreIndex("jsonl", 16)
+        index = StoreIndex(16)
         index.add_segment(self.seg(0, 16))
         with pytest.raises(TraceStoreError):
             index.add_segment(self.seg(20, 16))
 
     def test_duplicate_checkpoint_rejected(self):
-        index = StoreIndex("jsonl", 16)
+        index = StoreIndex(16)
         index.add_segment(self.seg(0, 16))
         index.add_checkpoint(CheckpointInfo(7, 70, "ckpt/a.json"))
         with pytest.raises(TraceStoreError):
@@ -172,7 +170,7 @@ class TestIndex:
     def test_out_of_order_checkpoint_insertion_keeps_rows_sorted(self):
         # an offline build_checkpoints pass may fill gaps below
         # live-recorded checkpoints
-        index = StoreIndex("jsonl", 16)
+        index = StoreIndex(16)
         index.add_checkpoint(CheckpointInfo(19, 190, "c19"))
         index.add_checkpoint(CheckpointInfo(9, 90, "c9"))
         index.add_checkpoint(CheckpointInfo(14, 140, "c14"))
@@ -180,7 +178,7 @@ class TestIndex:
         assert index.nearest_checkpoint(15).seq == 14
 
     def test_nearest_checkpoint_bisects(self):
-        index = StoreIndex("jsonl", 16)
+        index = StoreIndex(16)
         for seq in (9, 19, 29):
             index.add_checkpoint(CheckpointInfo(seq, seq, f"c{seq}"))
         assert index.nearest_checkpoint(8) is None
@@ -279,11 +277,12 @@ class TestReviewRegressions:
         # the pool's crash retry re-runs a job whose first attempt may
         # have sealed segments: the retry must start clean, not collide
         from repro.tracedb.collect import open_job_store
-        store = open_job_store(str(tmp_path), 3, segment_events=2)
-        for i in range(5):
+        store = open_job_store(str(tmp_path), 3)
+        for i in range(2 * DEFAULT_SEGMENT_EVENTS + 1):
             store.append({"t_target": i})
         store.close()
-        retry = open_job_store(str(tmp_path), 3, segment_events=2)
+        assert len(store._index.segments) == 3
+        retry = open_job_store(str(tmp_path), 3)
         assert retry.event_count == 0
         assert retry.append({"t_target": 0}) == 0
         retry.close()
@@ -401,8 +400,7 @@ class TestReviewRegressions:
         assert revived.nearest_checkpoint(9).seq == 7
 
     def test_attach_drops_torn_tail_record(self, tmp_path):
-        store = TraceStore(str(tmp_path / "s"), segment_events=100,
-                           codec="binary")
+        store = TraceStore(str(tmp_path / "s"), segment_events=100)
         for i in range(10):
             store.append({"t_target": i})
         store.flush()

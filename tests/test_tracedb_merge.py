@@ -34,7 +34,6 @@ from repro.faults.campaign import run_campaign
 from repro.faults.comm import COMM_FAULT_KINDS
 from repro.fleet.pool import SerialRunner
 from repro.tracedb.collect import merge_job_stores
-from repro.tracedb.format import CODECS
 from repro.tracedb.store import TraceStore
 import repro.tracedb.collect as collect
 from repro.util.timeunits import sec
@@ -68,14 +67,12 @@ def tree_digest(root):
     return digest.hexdigest()
 
 
-def write_job_stores(base, jobs, segment_events=1024, codecs=None):
+def write_job_stores(base, jobs, segment_events=1024):
     """One per-job store per record list; returns JobResult-shaped stubs."""
     results = []
     for index, records in enumerate(jobs):
         root = os.path.join(base, f"job-{index:05d}")
-        codec = codecs[index] if codecs else "jsonl"
-        with TraceStore(root, segment_events=segment_events,
-                        codec=codec) as store:
+        with TraceStore(root, segment_events=segment_events) as store:
             for record in records:
                 store.append(record)
         results.append(SimpleNamespace(index=index, job_id=f"job{index}",
@@ -83,13 +80,12 @@ def write_job_stores(base, jobs, segment_events=1024, codecs=None):
     return results
 
 
-def assert_merges_agree(base, results, segment_events=1024, codec="jsonl"):
+def assert_merges_agree(base, results, segment_events=1024):
     spliced = os.path.join(base, "spliced")
     reference = os.path.join(base, "reference")
-    merge_job_stores(results, spliced, segment_events=segment_events,
-                     codec=codec)
+    merge_job_stores(results, spliced, segment_events=segment_events)
     reference_merge_job_stores(results, reference,
-                               segment_events=segment_events, codec=codec)
+                               segment_events=segment_events)
     assert tree_files(spliced) == tree_files(reference)
     return spliced
 
@@ -140,31 +136,24 @@ class TestSpliceEqualsReencode:
                                      HealthCheck.too_slow])
     @given(jobs=st.lists(st.lists(records(), max_size=8), min_size=1,
                          max_size=5),
-           source_codecs=st.lists(st.sampled_from(sorted(CODECS)),
-                                  min_size=5, max_size=5),
-           dest_codec=st.sampled_from(sorted(CODECS)),
            source_events=st.sampled_from([1, 3, 1024]),
            dest_events=st.sampled_from([1, 3, 1024]),
            failed=st.lists(st.booleans(), min_size=5, max_size=5),
            order=st.permutations(range(5)))
     @example(jobs=[[{"value": {"seq": 1}}, {"a": {"seq": 2}}], [],
                    [{"job_idx": 1, "t_target": -5}]],
-             source_codecs=["jsonl", "binary"] * 2 + ["jsonl"],
-             dest_codec="binary", source_events=3, dest_events=1,
+             source_events=3, dest_events=1,
              failed=[False] * 5, order=[2, 0, 1, 3, 4])
     def test_byte_identical_campaign_store(self, tmp_path, jobs,
-                                           source_codecs, dest_codec,
                                            source_events, dest_events,
                                            failed, order):
         base = tempfile.mkdtemp(dir=tmp_path)
-        results = write_job_stores(base, jobs, segment_events=source_events,
-                                   codecs=source_codecs)
+        results = write_job_stores(base, jobs, segment_events=source_events)
         for result in results:
             result.failed = failed[result.index]
             result.job_id = f'j"{result.index}é'
         results = [results[i] for i in order if i < len(results)]
-        assert_merges_agree(base, results, segment_events=dest_events,
-                            codec=dest_codec)
+        assert_merges_agree(base, results, segment_events=dest_events)
 
     @pytest.mark.parametrize("record", [
         # the trace-record shape: one head key before the insertion point
@@ -185,12 +174,9 @@ class TestSpliceEqualsReencode:
         {'q"k': "b\\s", "é": "\U0001f600"},
         {"seq_": 1, "seq0": 2, "sequence": 3, "s": 4},
     ])
-    @pytest.mark.parametrize("codec", sorted(CODECS))
-    def test_record_shapes(self, tmp_path, record, codec):
-        results = write_job_stores(str(tmp_path), [[record, dict(record)]],
-                                   codecs=[codec])
-        assert_merges_agree(str(tmp_path), results, segment_events=1,
-                            codec=codec)
+    def test_record_shapes(self, tmp_path, record):
+        results = write_job_stores(str(tmp_path), [[record, dict(record)]])
+        assert_merges_agree(str(tmp_path), results, segment_events=1)
 
 
 # -- real campaigns -----------------------------------------------------------
@@ -252,21 +238,17 @@ class TestRefusedRecords:
         assert "seq 1" in str(err.value)
         assert repr(key) in str(err.value)
 
-    @pytest.mark.parametrize("codec", sorted(CODECS))
     @pytest.mark.parametrize("record", [
         {"t_target": 3},
         {"engine_state": "IDLE", "kind": "TASK_START", "t_target": 3},
         {"t_target": 3, "value": {"seq": 9}},
     ])
-    def test_seq_that_is_not_its_position_is_loud(self, tmp_path, codec,
-                                                  record):
-        results = write_job_stores(str(tmp_path), [[record] * 3],
-                                   codecs=[codec])
+    def test_seq_that_is_not_its_position_is_loud(self, tmp_path, record):
+        results = write_job_stores(str(tmp_path), [[record] * 3])
         segment = os.path.join(results[0].trace_path,
                                "seg-000000000000.trc")
         with open(segment, "rb") as fh:
             data = fh.read()
-        # same length, so the binary codec's length prefix stays valid
         assert data.count(b'"seq":1,') == 1
         with open(segment, "wb") as fh:
             fh.write(data.replace(b'"seq":1,', b'"seq":7,'))

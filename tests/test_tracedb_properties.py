@@ -1,4 +1,4 @@
-"""Property tests (hypothesis): codec round trips, spill/reload/replay
+"""Property tests (hypothesis): segment round trips, spill/reload/replay
 equivalence against pure in-memory replay, checkpointed-seek equality,
 and merge canonical-ordering invariance."""
 
@@ -16,7 +16,7 @@ from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
 from repro.tracedb.checkpoint import build_checkpoints
 from repro.tracedb.collect import merge_job_stores
-from repro.tracedb.format import CODECS, encode_record
+from repro.tracedb.format import encode_record
 from repro.tracedb.segment import SegmentWriter, read_segment
 from repro.tracedb.store import StoredTrace, TraceStore
 
@@ -77,39 +77,38 @@ def events_from_choices(choices):
 
 class TestCodecRoundTrip:
     @SETTINGS
-    @given(batch=st.lists(records, max_size=20),
-           codec_name=st.sampled_from(sorted(CODECS)))
-    def test_segment_roundtrip_preserves_records(self, tmp_path, batch,
-                                                 codec_name):
+    @given(batch=st.lists(records, max_size=20))
+    def test_segment_roundtrip_preserves_records(self, tmp_path, batch):
         for i, record in enumerate(batch):
             record["seq"] = i
-        path = tmp_path / f"seg-{codec_name}-{len(batch)}.trc"
-        writer = SegmentWriter(str(tmp_path), path.name,
-                               CODECS[codec_name], 0)
+        path = tmp_path / f"seg-{len(batch)}.trc"
+        writer = SegmentWriter(str(tmp_path), path.name, 0)
         for record in batch:
             writer.append(record)
         writer.close()
         assert list(read_segment(str(path))) == batch
+        # one record per line: no payload carries a raw newline
+        assert path.read_bytes().count(b"\n") == len(batch) + 1
 
     @SETTINGS
-    @given(record=records)
-    def test_encoding_is_deterministic(self, record):
+    @given(record=records, text=st.text(alphabet="\n\r\u2028 x", max_size=6))
+    def test_encoding_is_deterministic(self, record, text):
         reordered = dict(reversed(list(record.items())))
         assert encode_record(record) == encode_record(reordered)
+        record["path"] = text
+        assert b"\n" not in encode_record(record)
 
 
 class TestSpillReplayEquivalence:
     @SETTINGS
     @given(choices=st.lists(st.integers(0, 4), min_size=1, max_size=120),
-           segment_events=st.integers(1, 32),
-           codec_name=st.sampled_from(sorted(CODECS)))
+           segment_events=st.integers(1, 32))
     def test_spill_reload_replay_is_bit_identical(self, tmp_path, choices,
-                                                  segment_events, codec_name):
+                                                  segment_events):
         # hypothesis reuses tmp_path across examples: every store (an
         # attach-on-exist resource) needs a fresh root
         root = os.path.join(tempfile.mkdtemp(dir=tmp_path), "store")
-        store = TraceStore(root, segment_events=segment_events,
-                           codec=codec_name)
+        store = TraceStore(root, segment_events=segment_events)
         spilled = ExecutionTrace(spill=store)
         ref = ExecutionTrace()
         for command, reactions in events_from_choices(choices):

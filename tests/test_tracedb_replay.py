@@ -59,11 +59,10 @@ def synth_events(n: int):
     return out
 
 
-def record_pair(tmp_path, n, segment_events=1024, checkpoint_every=None,
-                codec="binary"):
+def record_pair(tmp_path, n, segment_events=1024, checkpoint_every=None):
     """The same event stream into (spilling trace, in-memory reference)."""
     store = TraceStore(str(tmp_path / "spill"), segment_events=segment_events,
-                       codec=codec, checkpoint_every=checkpoint_every)
+                       checkpoint_every=checkpoint_every)
     spilled = ExecutionTrace(spill=store)
     ref = ExecutionTrace()
     for command, reactions in synth_events(n):
