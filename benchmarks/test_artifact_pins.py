@@ -1,19 +1,15 @@
-"""Pins the sha256 of every paper artifact that regenerates byte for byte.
+"""Pins the sha256 of every paper artifact.
 
 Each experiment test writes its tables and figures through
-:func:`~repro.experiments.harness.save_artifact`. Here every such test
-is run again into a fresh directory, with a benchmark fixture that
-calls its subject once, and each file it writes that holds no wall-clock
-column is compared with its pin. Each test runs at most once per module,
-on first demand, so the check does not depend on which tests ran before
-it, and a change that moves any byte of a figure or a modeled-time table
-fails here.
-
-Not pinned: the two observability exemplars (``test_obs_artifacts.py``
-pins those) and the five artifacts with wall-clock columns, which differ
-on every run: ``e1_pipeline``, ``e3_gdm_engine``, ``e4_abstraction``,
-``e5_animation`` and ``e10_replay``. A deliberate change to a pinned
-artifact re-pins it here.
+:func:`~repro.experiments.harness.save_artifact`; wall-clock timings are
+printed, never saved, so every artifact regenerates byte for byte. Here
+every such test is run again into a fresh directory, with a benchmark
+fixture that calls its subject once, and each file it writes is
+compared with its pin. Each test runs at most once per module, on first
+demand, so the check does not depend on which tests ran before it, and
+a change that moves any byte of a figure or a modeled-time table fails
+here. (``test_obs_artifacts.py`` pins the two observability exemplars.)
+A deliberate change to an artifact re-pins it here.
 """
 
 import hashlib
@@ -30,15 +26,30 @@ PINS = {
     "ablation_noise.txt": (
         "test_ablation_noise::test_ablation_line_noise",
         "0504ea29a3f335360c81ee6a5b7c7a49b63f5c3f31e71965f988f5efc6efb5f1"),
+    "e10_replay.txt": (
+        "test_e10_replay::test_e10_trace_replay_timing_diagram",
+        "514332decbcea4ce56d844f65d5f4a059e916f3a7dee1578e502255d7d64961a"),
     "e10_timing_diagram.svg": (
         "test_e10_replay::test_e10_trace_replay_timing_diagram",
         "d6b6a30651c71e224abf2b599f368858c9663adcfbe3ce3fd9351b75771c54c4"),
     "e10_timing_diagram.txt": (
         "test_e10_replay::test_e10_trace_replay_timing_diagram",
         "e1bafc62f759ca04e74eb970a8c4c29157ee845ee3ba38a67400c76205f522f2"),
+    "e1_pipeline.txt": (
+        "test_e1_pipeline::test_e1_pipeline_stages",
+        "97365871241caa2086afd0835b285ac212d264192c4d5586d9dee150d7ba7273"),
     "e2_channels.txt": (
         "test_e2_command_channels::test_e2_channel_latency",
         "94d2c8ff251bdffc65da7f4af136f39d31f609aa66b844628813f2b1b836d6ea"),
+    "e3_gdm_engine.txt": (
+        "test_e3_gdm_engine::test_e3_engine_dispatch_scaling",
+        "9ba3ac10d2ae10459de033c8e40d5fcbb81f68e78358cb0559bda328ecf46c11"),
+    "e4_abstraction.txt": (
+        "test_e4_abstraction::test_e4_abstraction_scaling",
+        "bb903fef4790daeb700dd155803086d977f85ccd832bb1b56f68bbd15442fdfe"),
+    "e5_animation.txt": (
+        "test_e5_animation::test_e5_animation_and_rendering",
+        "03ff698ce592ef7e16d69119bf2a240d2902c3e001d64253f1549d134890e434"),
     "e6_command_setup.txt": (
         "test_e6_workflow::test_e6_full_workflow",
         "4dc14a79163de71e2bd261eb3d944d11cf419e5608a00731f496064daf8151c4"),

@@ -26,8 +26,13 @@ def test_e5_animation_and_rendering(benchmark):
     """Animation frames + render cost vs model size; Fig 5 artifact."""
     table = ResultTable(
         "E5 — animation and rendering vs model size",
-        ["states", "events", "frames", "capture (us/frame)",
-         "ascii render (ms)", "svg render (ms)"],
+        ["states", "events", "frames"],
+    )
+    # wall-clock costs differ on every run: printed, not saved
+    timing = ResultTable(
+        "E5 — animation and rendering wall time",
+        ["states", "capture (us/frame)", "ascii render (ms)",
+         "svg render (ms)"],
     )
     for size in SIZES:
         session = DebugSession(chain_system(size, period_us=ms(5)),
@@ -48,12 +53,14 @@ def test_e5_animation_and_rendering(benchmark):
         svg = scene_to_svg(scene)
         svg_ms = (time.perf_counter() - t0) * 1000
 
-        table.add_row(size, len(session.trace), len(frames),
-                      f"{capture_us:.0f}", f"{ascii_ms:.2f}", f"{svg_ms:.2f}")
+        table.add_row(size, len(session.trace), len(frames))
+        timing.add_row(size, f"{capture_us:.0f}", f"{ascii_ms:.2f}",
+                       f"{svg_ms:.2f}")
         assert len(frames) > 0
         assert "*" in ascii_art       # active state visible
         assert svg.startswith("<svg")
     table.print()
+    timing.print()
     save_artifact("e5_animation.txt", table.render())
 
     ascii_art, svg, _ = fig5_animated_model()
