@@ -22,7 +22,6 @@ from repro.comm.usb import UsbTransport
 from repro.experiments.harness import ResultTable, save_artifact
 from repro.experiments.workloads import chain_system
 from repro.rtos.kernel import DtmKernel
-from repro.sim.kernel import Simulator
 from repro.target.board import DebugPort
 from repro.util.timeunits import ms
 
@@ -33,8 +32,8 @@ PERIOD = ms(5)
 def run_active(plan):
     system = chain_system(8, period_us=PERIOD)
     firmware = generate_firmware(system, plan)
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     channel = None
     if plan.any_enabled:
         channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
@@ -49,8 +48,8 @@ def run_active(plan):
 def run_passive():
     system = chain_system(8, period_us=PERIOD)
     firmware = generate_firmware(system, InstrumentationPlan.none())
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     board = kernel.board_of("node0")
     probe = JtagProbe(TapController(DebugPort(board)),
                       transport=UsbTransport())

@@ -114,7 +114,7 @@ class DebugSession:
         self.baud = baud
         self.poll_period_us = poll_period_us
 
-        self.sim = Simulator()
+        self.sim: Optional[Simulator] = None
         self.registry = MetamodelRegistry()
         self.workflow_log: List[str] = []
 
@@ -201,7 +201,8 @@ class DebugSession:
     def step5_connect(self) -> "DebugSession":
         """Create the GDM runtime and the communication channel."""
         self._require(self.gdm is not None, "run step3_abstraction first")
-        self.kernel = DtmKernel(self.system, self.firmware, sim=self.sim)
+        self.kernel = DtmKernel(self.system, self.firmware)
+        self.sim = self.kernel.sim
         composite = CompositeChannel()
         for node in self.system.nodes():
             board = self.kernel.board_of(node)

@@ -64,7 +64,6 @@ from repro.faults.implementation import (
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.mapping import default_comdes_table
 from repro.rtos.kernel import DtmKernel
-from repro.sim.kernel import Simulator
 from repro.target.board import DebugPort
 from repro.target.firmware import FirmwareImage
 from repro.util.seeds import derive_seed, seed_stream
@@ -215,8 +214,8 @@ def model_debugger_rig(system: System, firmware: FirmwareImage,
     ``kernel.run(duration_us)`` drives the whole loop. See
     :func:`_run_model_debugger` for ``trace_store`` and ``chaos``.
     """
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim, latched=True)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     if memory_patches:
         _patch_boards(kernel, system, memory_patches)
     composite = CompositeChannel()
@@ -315,8 +314,8 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
     The run stops at its first watch hit, which fixes the verdict; a
     crash is the verdict only when no hit came before it.
     """
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim, latched=True)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     if memory_patches:
         _patch_boards(kernel, system, memory_patches)
     hit_at: List[int] = []

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Tuple
 
 from repro.comdes.system import System
 from repro.errors import ModelError, SchedulerError, TargetFault
@@ -190,26 +190,20 @@ class DtmKernel:
     :meth:`close`, but a closed kernel cannot start or run again.
     """
 
-    def __init__(
-        self,
-        system: System,
-        firmware: FirmwareImage,
-        sim: Optional[Simulator] = None,
-        latched: bool = True,
-        net_delay_us: int = 100,
-    ) -> None:
+    def __init__(self, system: System, firmware: FirmwareImage,
+                 latched: bool = True) -> None:
         """Build one board and scheduler per node of *system*, all on
-        one simulator and one signal bus.
+        one simulator of the kernel's own (:attr:`sim`) and one signal
+        bus.
         """
         self.system = system
         self.firmware = firmware
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.latched = latched
         self._nodes: Dict[str, _NodeRuntime] = {}
         for node in system.nodes():
             self._nodes[node] = _NodeRuntime(self.sim, node, firmware)
-        self.bus = SignalBus(self.sim, system.nodes(),
-                             system.initial_board(), net_delay_us)
+        self.bus = SignalBus(self.sim, system.nodes(), system.initial_board())
         self.jitter = JitterMeter()
         self._records: List[JobRecord] = []
         #: inline completions not yet reached: ``(t_done, record,

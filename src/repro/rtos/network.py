@@ -23,12 +23,12 @@ class SignalBus:
     the publication (applied at once when the delay is 0).
     """
 
+    #: cross-node transport delay in microseconds
+    net_delay_us = 100
+
     def __init__(self, sim: Simulator, nodes: Sequence[str],
-                 signal_inits: Dict[str, int], net_delay_us: int = 100) -> None:
-        if net_delay_us < 0:
-            raise ModelError(f"net delay must be non-negative, got {net_delay_us}")
+                 signal_inits: Dict[str, int]) -> None:
         self.sim = sim
-        self.net_delay_us = net_delay_us
         self._views: Dict[str, Dict[str, int]] = {
             node: dict(signal_inits) for node in nodes
         }

@@ -25,17 +25,21 @@ BOARD_IDCODE = 0x4441_5445  # spells "DATE", for the paper's venue
 class Board:
     """One embedded node: CPU, RAM, UART and a firmware image."""
 
-    def __init__(self, clock_hz: int = 8_000_000, ram_words: int = 4096,
-                 uart_fifo: int = 128, stack_depth: int = 128) -> None:
-        if clock_hz <= 0:
-            raise TargetFault(f"clock must be positive, got {clock_hz}")
-        self.clock_hz = clock_hz
-        self.memory = MemoryMap(ram_words)
-        # Default FIFO absorbs one fully-instrumented job burst (two actors'
-        # task markers + transition + state + signal frames ~= 8 x 10 bytes)
-        # so clean runs drop nothing; overrun tests shrink it explicitly.
-        self.uart = Uart(fifo_depth=uart_fifo)
-        self.cpu = Cpu(self.memory, stack_depth=stack_depth)
+    #: CPU clock in Hz
+    clock_hz = 8_000_000
+    #: RAM size in words
+    RAM_WORDS = 4096
+    #: the UART FIFO absorbs one fully-instrumented job burst (two actors'
+    #: task markers + transition + state + signal frames ~= 8 x 10 bytes),
+    #: so clean runs drop nothing; overrun tests shrink ``uart.fifo_depth``
+    UART_FIFO = 128
+    #: CPU operand stack depth in words
+    STACK_DEPTH = 128
+
+    def __init__(self) -> None:
+        self.memory = MemoryMap(self.RAM_WORDS)
+        self.uart = Uart(fifo_depth=self.UART_FIFO)
+        self.cpu = Cpu(self.memory, stack_depth=self.STACK_DEPTH)
         self.firmware: Optional[FirmwareImage] = None
         #: set by the debugger (JTAG HALT / serial halt request): the RTOS
         #: skips job dispatch while stalled. The CPU itself is unaware.

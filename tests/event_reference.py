@@ -553,8 +553,8 @@ def reference_event_paths():
     """Run every simulator, release, transport and dispatch through the
     references.
 
-    Patches the simulator class where the kernel and the campaign build
-    one, the node scheduler class, the kernel's start (so every actor
+    Patches the simulator class where the kernel builds its own, the
+    node scheduler class, the kernel's start (so every actor
     gets its own periodic release, its own scheduler job and its own
     publication entry), the active channel's emit and delivery, the serial and chaos
     links' frame transmission, the engine's command path, the monitor
@@ -565,8 +565,6 @@ def reference_event_paths():
     with contextlib.ExitStack() as stack:
         stack.enter_context(
             mock.patch("repro.rtos.kernel.Simulator", HeapSimulator))
-        stack.enter_context(
-            mock.patch("repro.faults.campaign.Simulator", HeapSimulator))
         stack.enter_context(mock.patch("repro.rtos.kernel.NodeScheduler",
                                        ReferenceNodeScheduler))
         for owner, name, fn in _PATCHES:

@@ -43,7 +43,6 @@ from repro.faults.campaign import (
 from repro.faults.design import FaultDescriptor
 from repro.faults.implementation import IMPL_FAULT_KINDS
 from repro.rtos.kernel import DtmKernel
-from repro.sim.kernel import Simulator
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage
 
@@ -120,8 +119,8 @@ def full_horizon_code_debugger(system: System, firmware: FirmwareImage,
                                memory_patches: MemoryPatches = ()
                                ) -> Verdict:
     """The source debugger run to the horizon; a crash wins."""
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim, latched=True)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     if memory_patches:
         _patch_boards(kernel, system, memory_patches)
     hits: List[int] = []

@@ -22,8 +22,8 @@ def active_setup(system=None, plan=None, baud=115200):
     system = system if system is not None else traffic_light_system()
     firmware = generate_firmware(system,
                                  plan or InstrumentationPlan.full())
-    sim = Simulator()
-    kernel = DtmKernel(system, firmware, sim=sim)
+    kernel = DtmKernel(system, firmware)
+    sim = kernel.sim
     channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                             link=Rs232Link(baud))
     kernel.add_job_hook("node0", channel.begin_job)
@@ -58,8 +58,8 @@ class TestActiveChannel:
         # A tiny FIFO + slow line: burst traffic must overflow.
         system = traffic_light_system()
         firmware = generate_firmware(system, InstrumentationPlan.full())
-        sim = Simulator()
-        kernel = DtmKernel(system, firmware, sim=sim)
+        kernel = DtmKernel(system, firmware)
+        sim = kernel.sim
         kernel.board_of("node0").uart.fifo_depth = 12
         channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
                                 link=Rs232Link(300))
@@ -80,8 +80,8 @@ class TestPassiveChannel:
     def passive_setup(self, poll_period_us=500):
         system = blinker_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        sim = Simulator()
-        kernel = DtmKernel(system, firmware, sim=sim)
+        kernel = DtmKernel(system, firmware)
+        sim = kernel.sim
         board = kernel.board_of("node0")
         probe = JtagProbe(TapController(DebugPort(board)))
         watches = [
@@ -128,7 +128,7 @@ class TestPassiveChannel:
         # Reference: same workload with no channel at all.
         system = blinker_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel2 = DtmKernel(system, firmware, sim=Simulator())
+        kernel2 = DtmKernel(system, firmware)
         kernel2.run(ms(10) * 20)
         assert cycles_with_probe == kernel2.board_of("node0").cpu.cycles
 

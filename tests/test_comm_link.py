@@ -254,8 +254,8 @@ class TestPassivePollBatching:
         """The refactored poll path against real generated firmware."""
         system = blinker_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        sim = Simulator()
-        kernel = DtmKernel(system, firmware, sim=sim)
+        kernel = DtmKernel(system, firmware)
+        sim = kernel.sim
         board = kernel.board_of("node0")
         transport = UsbTransport()
         probe = JtagProbe(TapController(DebugPort(board)),

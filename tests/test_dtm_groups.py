@@ -94,7 +94,8 @@ def kernel_run(case):
     profiles, actors, latched, delay, loads, halt, horizons = case
     system = build_system(profiles, actors)
     firmware = generate_firmware(system, InstrumentationPlan.none())
-    kernel = DtmKernel(system, firmware, latched=latched, net_delay_us=delay)
+    kernel = DtmKernel(system, firmware, latched=latched)
+    kernel.bus.net_delay_us = delay
     nodes = system.nodes()
     for name, (node, period, demand, priority, offset) in enumerate(loads):
         if node < len(nodes):

@@ -17,7 +17,6 @@ from repro.errors import CodegenError
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.mapping import default_comdes_table
 from repro.rtos.kernel import DtmKernel
-from repro.sim.kernel import Simulator
 from repro.target.board import DebugPort
 from repro.util.timeunits import ms
 
@@ -138,8 +137,8 @@ class TestNestedMachinePassiveWatch:
         from tests.test_codegen_nesting import nested_system
         system = nested_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        sim = Simulator()
-        kernel = DtmKernel(system, firmware, sim=sim)
+        kernel = DtmKernel(system, firmware)
+        sim = kernel.sim
         board = kernel.board_of("node0")
         probe = JtagProbe(TapController(DebugPort(board)))
         machine = None

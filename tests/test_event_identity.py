@@ -641,7 +641,8 @@ def fifo_run(emissions, fifo_depth, emit):
     """Drive one active channel's emit handler through synthetic
     emissions; returns the UART/channel counters after each one."""
     sim = Simulator()
-    board = Board(uart_fifo=fifo_depth)
+    board = Board()
+    board.uart.fifo_depth = fifo_depth
     firmware = FirmwareImage("fifo", [Instr("HALT")], {}, SymbolTable(), {},
                              {1: "signal:x"})
     channel = ActiveChannel(sim, board, firmware, link=Rs232Link())

@@ -22,11 +22,10 @@ from repro.sim.kernel import Simulator
 from repro.util.timeunits import ms
 
 
-def cruise_kernel(latched=True, net_delay_us=100, loads=()):
+def cruise_kernel(latched=True, loads=()):
     system = cruise_control_system()
     firmware = generate_firmware(system, InstrumentationPlan.none())
-    kernel = DtmKernel(system, firmware, latched=latched,
-                       net_delay_us=net_delay_us)
+    kernel = DtmKernel(system, firmware, latched=latched)
     for load in loads:
         kernel.add_load_task(load)
     return system, kernel
@@ -85,14 +84,14 @@ class TestScheduler:
 class TestSignalBus:
     def test_same_node_sees_value_immediately(self):
         sim = Simulator()
-        bus = SignalBus(sim, ["n0", "n1"], {"s": 0}, net_delay_us=100)
+        bus = SignalBus(sim, ["n0", "n1"], {"s": 0})
         bus.publish("n0", {"s": 7})
         assert bus.read("n0", "s") == 7
         assert bus.read("n1", "s") == 0   # still in flight
 
     def test_remote_node_sees_value_after_delay(self):
         sim = Simulator()
-        bus = SignalBus(sim, ["n0", "n1"], {"s": 0}, net_delay_us=100)
+        bus = SignalBus(sim, ["n0", "n1"], {"s": 0})
         bus.publish("n0", {"s": 7})
         sim.run_until(99)
         assert bus.read("n1", "s") == 0
@@ -100,7 +99,8 @@ class TestSignalBus:
         assert bus.read("n1", "s") == 7
 
     def test_zero_delay_is_synchronous(self):
-        bus = SignalBus(Simulator(), ["n0", "n1"], {"s": 0}, net_delay_us=0)
+        bus = SignalBus(Simulator(), ["n0", "n1"], {"s": 0})
+        bus.net_delay_us = 0
         bus.publish("n0", {"s": 3})
         assert bus.read("n1", "s") == 3
 
@@ -244,7 +244,7 @@ class TestDtmKernel:
         # the kernel keeps one record per finished job for the whole run
         system = traffic_light_system()
         firmware = generate_firmware(system, InstrumentationPlan.none())
-        kernel = DtmKernel(system, firmware, sim=Simulator())
+        kernel = DtmKernel(system, firmware)
         kernel.run(ms(400))
         assert len(kernel.records) > 4
         for actor in system.actors:

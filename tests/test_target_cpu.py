@@ -286,7 +286,8 @@ class TestSymbolsAndFirmware:
 
 class TestBoard:
     def test_cycles_to_us_at_clock(self):
-        board = Board(clock_hz=1_000_000)  # 1 cycle == 1 us
+        board = Board()
+        board.clock_hz = 1_000_000  # 1 cycle == 1 us
         assert board.cycles_to_us(42) == 42
 
     def test_run_task_without_firmware_traps(self):
