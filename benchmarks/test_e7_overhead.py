@@ -14,11 +14,11 @@ traffic and poll-bounded latency instead.
 
 from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
-from repro.comm.channel import ActiveChannel, PassiveChannel, WatchSpec
+from repro.comm.channel import WatchSpec
 from repro.comm.jtag import JtagProbe, TapController
 from repro.comm.link import JtagLink
-from repro.comm.rs232 import Rs232Link
 from repro.comm.usb import UsbTransport
+from repro.engine.rig import Rig
 from repro.experiments.harness import ResultTable, save_artifact
 from repro.experiments.workloads import chain_system
 from repro.rtos.kernel import DtmKernel
@@ -32,40 +32,30 @@ PERIOD = ms(5)
 def run_active(plan):
     system = chain_system(8, period_us=PERIOD)
     firmware = generate_firmware(system, plan)
-    kernel = DtmKernel(system, firmware)
-    sim = kernel.sim
-    channel = None
+    rig = Rig(system, firmware)
     if plan.any_enabled:
-        channel = ActiveChannel(sim, kernel.board_of("node0"), firmware,
-                                link=Rs232Link(115200))
-        kernel.add_job_hook("node0", channel.begin_job)
-    kernel.run(PERIOD * JOBS)
-    board = kernel.board_of("node0")
-    frames = channel.frames_sent if channel else 0
+        rig.attach_active()
+    rig.kernel.run(PERIOD * JOBS)
+    board = rig.kernel.board_of("node0")
+    frames = sum(channel.frames_sent for channel in rig.channel.children)
     return board.cpu.cycles, frames, firmware.instruction_count()
 
 
 def run_passive():
     system = chain_system(8, period_us=PERIOD)
     firmware = generate_firmware(system, InstrumentationPlan.none())
-    kernel = DtmKernel(system, firmware)
-    sim = kernel.sim
-    board = kernel.board_of("node0")
-    probe = JtagProbe(TapController(DebugPort(board)),
-                      transport=UsbTransport())
+    rig = Rig(system, firmware)
     machine = system.actor("walker").network.block("fsm").machine
-    channel = PassiveChannel(
-        sim, probe, firmware,
-        [WatchSpec.state_machine("walker", "fsm", machine),
-         WatchSpec.signal("walker", "pos", "pos")],
-        poll_period_us=1000,
-    )
-    channel.start()
+    rig.attach_passive({"node0": [
+        WatchSpec.state_machine("walker", "fsm", machine),
+        WatchSpec.signal("walker", "pos", "pos")]}, poll_period_us=1000)
     events = []
-    channel.subscribe(events.append)
-    kernel.run(PERIOD * JOBS)
-    return (board.cpu.cycles, len(events), probe.operations,
-            channel.scan_us_total, firmware.instruction_count())
+    rig.channel.subscribe(events.append)
+    rig.kernel.run(PERIOD * JOBS)
+    channel, = rig.channel.children
+    return (rig.kernel.board_of("node0").cpu.cycles, len(events),
+            rig.probes["node0"].operations, channel.scan_us_total,
+            firmware.instruction_count())
 
 
 def test_e7_instrumentation_overhead(benchmark):

@@ -91,11 +91,9 @@ class DebugChannel:
 class CompositeChannel(DebugChannel):
     """Fans several channels (one per node) into one engine-facing channel."""
 
-    def __init__(self, children: Sequence[DebugChannel] = ()) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.children: List[DebugChannel] = []
-        for child in children:
-            self.add(child)
 
     def add(self, child: DebugChannel) -> DebugChannel:
         """Attach a child channel; its commands flow through this one."""

@@ -45,7 +45,7 @@ class DebuggerEngine:
     Lifetime: the channel's subscription to :meth:`on_command` and the
     bus handlers tie the engine, its channels and its observers into
     reference cycles. The owner of a finished run calls :meth:`close`
-    (campaign jobs do, in :mod:`repro.faults.campaign`); the trace, the
+    (:func:`repro.engine.rig.run_to_verdict` does); the trace, the
     model and the counters stay readable, but a closed engine is
     disconnected and reacts to no further command.
     """

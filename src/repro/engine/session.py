@@ -12,7 +12,8 @@ The five numbered steps:
 
 Then the GDM "continuously interacts with code execution at runtime".
 :class:`DebugSession` drives those steps against the simulated target and
-keeps the numbered workflow log as the Fig 6 artifact.
+keeps the numbered workflow log as the Fig 6 artifact. Step 5 builds the
+:class:`~repro.engine.rig.Rig` that a fault campaign's runs build on too.
 """
 
 from __future__ import annotations
@@ -27,17 +28,11 @@ from repro.comdes.dataflow import ComponentNetwork
 from repro.comdes.modal import ModalFB
 from repro.comdes.reflect import system_to_model
 from repro.comdes.system import System
-from repro.comm.channel import (
-    ActiveChannel,
-    CompositeChannel,
-    PassiveChannel,
-    WatchSpec,
-)
-from repro.comm.jtag import JtagProbe, TapController
-from repro.comm.link import DebugLink, JtagLink
-from repro.comm.rs232 import Rs232Link
-from repro.comm.usb import UsbTransport
+from repro.comm.channel import CompositeChannel, WatchSpec
+from repro.comm.jtag import JtagProbe
+from repro.comm.link import DebugLink
 from repro.engine.engine import DebuggerEngine
+from repro.engine.rig import Rig
 from repro.engine.stepping import StepController
 from repro.engine.timing_diagram import TimingDiagram
 from repro.errors import DebuggerError
@@ -51,7 +46,6 @@ from repro.render.ascii_art import scene_to_ascii
 from repro.render.svg import scene_to_svg
 from repro.rtos.kernel import DtmKernel
 from repro.sim.kernel import Simulator
-from repro.target.board import DebugPort
 
 
 def iter_blocks_with_scope(network: ComponentNetwork,
@@ -126,7 +120,7 @@ class DebugSession:
         self.kernel: Optional[DtmKernel] = None
         self.engine: Optional[DebuggerEngine] = None
         self.stepper: Optional[StepController] = None
-        self.channel = None
+        self.channel: Optional[CompositeChannel] = None
         self.probes: Dict[str, JtagProbe] = {}
         #: one DebugLink per node — the transport every debug byte crosses
         self.links: Dict[str, DebugLink] = {}
@@ -199,42 +193,27 @@ class DebugSession:
         return self
 
     def step5_connect(self) -> "DebugSession":
-        """Create the GDM runtime and the communication channel."""
+        """Create the GDM runtime and the communication channel: a
+        :class:`~repro.engine.rig.Rig` with a :attr:`channel_kind`
+        channel (and link label) per node and the engine on them."""
         self._require(self.gdm is not None, "run step3_abstraction first")
-        self.kernel = DtmKernel(self.system, self.firmware)
-        self.sim = self.kernel.sim
-        composite = CompositeChannel()
-        for node in self.system.nodes():
-            board = self.kernel.board_of(node)
-            if self.channel_kind == "active":
-                channel = ActiveChannel(self.sim, board, self.firmware,
-                                        link=Rs232Link(self.baud))
-                channel.debug_link.label = "active"
-                self.links[node] = channel.debug_link
-                self.kernel.add_job_hook(node, channel.begin_job)
-                composite.add(channel)
-            else:
-                tap = TapController(DebugPort(board))
-                probe = JtagProbe(tap, transport=UsbTransport())
-                self.probes[node] = probe
-                link = JtagLink(probe)
-                link.label = "passive"
-                self.links[node] = link
-                watches = default_watches(self.system, node)
-                if watches:
-                    channel = PassiveChannel(
-                        self.sim, probe, self.firmware, watches,
-                        poll_period_us=self.poll_period_us,
-                        link=link,
-                    )
-                    channel.start()
-                    composite.add(channel)
-        self.channel = composite
-        self.engine = DebuggerEngine(self.gdm, channel=composite)
+        rig = Rig(self.system, self.firmware)
+        if self.channel_kind == "active":
+            rig.attach_active(baud=self.baud)
+        else:
+            rig.attach_passive({node: default_watches(self.system, node)
+                                for node in self.system.nodes()},
+                               poll_period_us=self.poll_period_us)
+        for link in rig.links.values():
+            link.label = self.channel_kind
+        self.kernel, self.sim = rig.kernel, rig.sim
+        self.channel, self.links, self.probes = (rig.channel, rig.links,
+                                                 rig.probes)
+        self.engine = rig.attach_engine(self.gdm, capture_frames=True)
         self.stepper = StepController(self.engine)
         self._log(5, (
             f"GDM created and {self.channel_kind} communication established "
-            f"({len(composite.children)} node channel(s)); engine "
+            f"({len(self.channel.children)} node channel(s)); engine "
             f"{self.engine.state.name}"
         ))
         return self

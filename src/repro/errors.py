@@ -55,8 +55,9 @@ class RunSettled(ReproError):
 
     Not a failure: a monitor suite set to settle on its first report
     (:meth:`~repro.engine.checks.MonitorSuite.settle_on_first_report`)
-    or the campaign's watch-hit hook raises it, and the campaign's
-    ``_run_and_close`` catches it and closes the rig.
+    or the campaign's watch-hit hook raises it, and
+    :func:`~repro.engine.rig.run_to_verdict` catches it and closes the
+    rig.
     """
 
 

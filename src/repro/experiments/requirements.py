@@ -22,7 +22,7 @@ from repro.engine.checks import (
     SequenceMonitor,
     StateValueMonitor,
 )
-from repro.faults.campaign import CodeWatchSpec
+from repro.engine.rig import CodeWatchSpec
 from repro.util.timeunits import ms
 
 

@@ -18,9 +18,9 @@ A campaign is a list of fleet jobs (:mod:`repro.fleet`): the control
 job (the pristine system, whose detections are false positives), then
 one job per fault. Every job executes :func:`run_fault_experiment`.
 
-Each debugger run builds a fresh rig (simulator, DTM kernel, boards,
-channels, engine, monitors or watchpoints) and ends in
-:func:`_run_and_close`, which closes the kernel and the engine whether
+Each debugger run builds a fresh :class:`~repro.engine.rig.Rig`, as a
+:class:`~repro.engine.session.DebugSession` does, and ends in
+:func:`~repro.engine.rig.run_to_verdict`, which closes the rig whether
 the run reached its horizon, trapped or settled. A run *settles* at its
 first detection, because a job's verdict (detected, latency, how) is
 fixed there: the code run at its first watch hit, the model run at its
@@ -43,17 +43,13 @@ from repro.codegen.instrument import InstrumentationPlan
 from repro.codegen.pipeline import generate_firmware
 from repro.comdes.reflect import system_to_model
 from repro.comdes.system import System
-from repro.comm.channel import ActiveChannel, CompositeChannel
-from repro.comm.chaos import ChaosLink
-from repro.comm.jtag import JtagProbe, TapController
-from repro.comm.link import JtagLink, write_patches
-from repro.comm.rs232 import Rs232Link
-from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger, WatchHit
+from repro.debugger.gdb import WatchHit
 from repro.engine.checks import MonitorSuite
 from repro.engine.classify import classify_bug
 from repro.engine.engine import DebuggerEngine
-from repro.engine.trace import ExecutionTrace
-from repro.errors import FleetError, RunSettled, TargetFault
+from repro.engine.rig import (CodeWatchSpec, MemoryPatches, Rig,
+                              _patch_boards, run_to_verdict)
+from repro.errors import FleetError, RunSettled
 from repro.faults.comm import comm_chaos_config, comm_fault_descriptor
 from repro.faults.design import DESIGN_FAULT_KINDS, FaultDescriptor, inject_design_fault
 from repro.faults.implementation import (
@@ -64,15 +60,14 @@ from repro.faults.implementation import (
 from repro.gdm.abstraction import AbstractionEngine
 from repro.gdm.mapping import default_comdes_table
 from repro.rtos.kernel import DtmKernel
-from repro.target.board import DebugPort
 from repro.target.firmware import FirmwareImage
-from repro.util.seeds import derive_seed, seed_stream
+from repro.util.seeds import seed_stream
 
-#: code-level watch: (symbol, predicate-or-None, description)
-CodeWatchSpec = Tuple[str, Optional[Callable[[int], bool]], str]
-
-#: memory patches applied over the debug link before the run starts
-MemoryPatches = Sequence[Tuple[int, int]]
+#: with ``_patch_boards``: perfbench's ``faults.inject`` layer wraps it at
+#: this path, and the wrapper replaces the rig's own binding as well
+__all__ = ["CampaignResult", "FaultOutcome", "campaign_seeds",
+           "model_debugger_rig", "run_campaign", "run_fault_experiment",
+           "_patch_boards"]
 
 
 class FaultOutcome:
@@ -186,80 +181,23 @@ class CampaignResult:
         return rows
 
 
-def _patch_boards(kernel: DtmKernel, system: System,
-                  patches: MemoryPatches) -> None:
-    """Apply fault memory patches to every node board over JTAG.
-
-    Bulk patching rides the TAP's BLOCKWRITE auto-increment: contiguous
-    patch runs become single block transactions on a throwaway
-    :class:`JtagLink`, the same path bench hardware uses to corrupt RAM
-    without reflashing.
-    """
-    for node in system.nodes():
-        board = kernel.board_of(node)
-        link = JtagLink(JtagProbe(TapController(DebugPort(board))))
-        write_patches(link, patches)
-
-
 def model_debugger_rig(system: System, firmware: FirmwareImage,
                        monitor_factory: Callable[[], MonitorSuite],
                        memory_patches: MemoryPatches = (),
                        trace_store: Optional[object] = None,
                        chaos: Optional[object] = None,
                        ) -> Tuple[DtmKernel, DebuggerEngine, MonitorSuite]:
-    """Wire the model debugger over a fresh target, ready to run.
-
-    One simulator carries the DTM kernel, one active channel per node
-    (fanned into a composite), the GDM engine and the monitor suite;
-    ``kernel.run(duration_us)`` drives the whole loop. See
-    :func:`_run_model_debugger` for ``trace_store`` and ``chaos``.
-    """
-    kernel = DtmKernel(system, firmware)
-    sim = kernel.sim
-    if memory_patches:
-        _patch_boards(kernel, system, memory_patches)
-    composite = CompositeChannel()
-    for node in system.nodes():
-        channel = ActiveChannel(sim, kernel.board_of(node), firmware,
-                                link=Rs232Link())
-        if chaos is not None:
-            channel.debug_link = ChaosLink(
-                channel.debug_link,
-                chaos.with_seed(derive_seed(chaos.seed, "node", node)))
-        kernel.add_job_hook(node, channel.begin_job)
-        composite.add(channel)
+    """A :class:`~repro.engine.rig.Rig` with one active channel per
+    node, the GDM engine and the monitor suite, ready to run; see
+    :func:`_run_model_debugger` for ``trace_store`` and ``chaos``."""
+    rig = Rig(system, firmware, memory_patches)
+    rig.attach_active(chaos=chaos)
     model = system_to_model(system)
     gdm = AbstractionEngine(default_comdes_table(model.metamodel)).build(model)
-    trace = ExecutionTrace(spill=trace_store)
-    engine = DebuggerEngine(gdm, channel=composite, capture_frames=False,
-                            trace=trace)
+    engine = rig.attach_engine(gdm, capture_frames=False, spill=trace_store)
     suite = monitor_factory()
     suite.attach(engine)
-    return kernel, engine, suite
-
-
-def _run_and_close(kernel: DtmKernel, duration_us: int,
-                   engine: Optional[DebuggerEngine] = None) -> Optional[int]:
-    """Run one debugger rig to *duration_us* or its verdict, then close it.
-
-    Returns the simulated time of a :class:`TargetFault`, or ``None``
-    when the run reached *duration_us* or an observer raised
-    :class:`RunSettled` at its first detection (the caller reads that
-    detection off its monitors or hits). Neither exception is kept, so
-    no traceback holds the rig's frames. The kernel and the engine are
-    closed whatever happens, which breaks the rig's reference cycles.
-    """
-    try:
-        kernel.run(duration_us)
-    except TargetFault:
-        return kernel.sim.now
-    except RunSettled:
-        pass
-    finally:
-        kernel.close()
-        if engine is not None:
-            engine.close()
-    return None
+    return rig.kernel, engine, suite
 
 
 def _run_model_debugger(system: System, firmware: FirmwareImage,
@@ -277,25 +215,20 @@ def _run_model_debugger(system: System, firmware: FirmwareImage,
     verdict only when no report came before it.
 
     With ``trace_store`` the engine writes each trace event through to
-    the store (``ExecutionTrace(spill=trace_store)``): the full
-    model-level execution trace lands on disk for post-campaign replay
-    and none of it stays in memory.
-
-    With ``chaos`` (a :class:`~repro.comm.chaos.ChaosConfig`) every
-    node's serial transport is wrapped in a
-    :class:`~repro.comm.chaos.ChaosLink` seeded per node, so the model
-    debugger observes the target through a deterministically faulty
-    wire — the comm-fault campaign plane. A traced run does not stop at
-    its first report but goes on to the horizon (or a crash): the trace
-    is the job's record for replay, and a store cut at the verdict would
-    change the campaign store's bytes.
+    the store: the model-level execution trace lands on disk for
+    post-campaign replay, none of it in memory. Such a run goes on to
+    the horizon (or a crash): the trace is the job's record for replay,
+    and a store cut at the verdict would change the campaign store's
+    bytes. With ``chaos`` (a :class:`~repro.comm.chaos.ChaosConfig`)
+    the model debugger observes the target through a deterministically
+    faulty wire per node, the comm-fault campaign plane.
     """
     kernel, engine, suite = model_debugger_rig(
         system, firmware, monitor_factory, memory_patches=memory_patches,
         trace_store=trace_store, chaos=chaos)
     if trace_store is None:
         suite.settle_on_first_report()
-    crashed_at = _run_and_close(kernel, duration_us, engine)
+    crashed_at = run_to_verdict(kernel, duration_us, engine)
     # a crash ends the run, so every report came before it
     if suite.any_violation:
         return True, suite.first_violation_time(), "monitor"
@@ -314,28 +247,16 @@ def _run_code_debugger(system: System, firmware: FirmwareImage,
     The run stops at its first watch hit, which fixes the verdict; a
     crash is the verdict only when no hit came before it.
     """
-    kernel = DtmKernel(system, firmware)
-    sim = kernel.sim
-    if memory_patches:
-        _patch_boards(kernel, system, memory_patches)
+    rig = Rig(system, firmware, memory_patches)
+    sim = rig.sim
     hit_at: List[int] = []
 
     def settle(hit: WatchHit) -> None:
         hit_at.append(sim.now)
         raise RunSettled(f"watch on {hit.watchpoint.symbol} hit")
 
-    for node in system.nodes():
-        debugger = SourceDebugger(kernel.board_of(node), firmware)
-        installed = 0
-        for symbol, predicate, description in watch_specs:
-            if installed >= HW_WATCHPOINT_SLOTS:
-                break
-            if not firmware.symbols.has(symbol):
-                continue
-            debugger.watch(symbol, predicate, description)
-            installed += 1
-        debugger.on_hit = settle
-    crashed_at = _run_and_close(kernel, duration_us)
+    rig.watch_code(watch_specs, settle)
+    crashed_at = run_to_verdict(rig.kernel, duration_us)
     if hit_at:
         return True, hit_at[0], "watch"
     if crashed_at is not None:

@@ -185,9 +185,9 @@ class DtmKernel:
     jobs, the job hooks and the boards' emit and write hooks all point
     back at the objects that own this kernel, so a finished kernel sits
     in reference cycles until :meth:`close` drops them. Whoever runs
-    the kernel to a verdict closes it (campaign jobs do, in
-    :mod:`repro.faults.campaign`); results stay readable after
-    :meth:`close`, but a closed kernel cannot start or run again.
+    the kernel to a verdict closes it (:func:`repro.engine.rig.run_to_verdict`
+    does); results stay readable after :meth:`close`, but a closed
+    kernel cannot start or run again.
     """
 
     def __init__(self, system: System, firmware: FirmwareImage,

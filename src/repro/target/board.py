@@ -25,15 +25,12 @@ BOARD_IDCODE = 0x4441_5445  # spells "DATE", for the paper's venue
 class Board:
     """One embedded node: CPU, RAM, UART and a firmware image."""
 
-    #: CPU clock in Hz
+    #: CPU clock (Hz), RAM words, UART FIFO bytes and stack words. The
+    #: FIFO absorbs one fully-instrumented job burst (~8 frames of 10
+    #: bytes), so clean runs drop nothing; overrun tests shrink it.
     clock_hz = 8_000_000
-    #: RAM size in words
     RAM_WORDS = 4096
-    #: the UART FIFO absorbs one fully-instrumented job burst (two actors'
-    #: task markers + transition + state + signal frames ~= 8 x 10 bytes),
-    #: so clean runs drop nothing; overrun tests shrink ``uart.fifo_depth``
     UART_FIFO = 128
-    #: CPU operand stack depth in words
     STACK_DEPTH = 128
 
     def __init__(self) -> None:

@@ -28,21 +28,13 @@ from unittest import mock
 
 from repro.codegen.pipeline import run_firmware_lockstep
 from repro.comdes.system import System
-from repro.debugger.gdb import HW_WATCHPOINT_SLOTS, SourceDebugger
 from repro.engine.checks import MonitorSuite
 from repro.engine.classify import BugClassifier, Divergence
+from repro.engine.rig import CodeWatchSpec, MemoryPatches, Rig, run_to_verdict
 import repro.faults.campaign as campaign
-from repro.faults.campaign import (
-    CodeWatchSpec,
-    FaultOutcome,
-    MemoryPatches,
-    _patch_boards,
-    _run_and_close,
-    model_debugger_rig,
-)
+from repro.faults.campaign import FaultOutcome, model_debugger_rig
 from repro.faults.design import FaultDescriptor
 from repro.faults.implementation import IMPL_FAULT_KINDS
-from repro.rtos.kernel import DtmKernel
 from repro.target.board import Board
 from repro.target.firmware import FirmwareImage
 
@@ -105,7 +97,7 @@ def full_horizon_model_debugger(
         trace_store=trace_store, chaos=chaos)
     if on_command is not None:
         engine.bus.subscribe("command", on_command)
-    crashed_at = _run_and_close(kernel, duration_us, engine)
+    crashed_at = run_to_verdict(kernel, duration_us, engine)
     if crashed_at is not None:
         return True, crashed_at, "crash"
     if suite.any_violation:
@@ -119,23 +111,10 @@ def full_horizon_code_debugger(system: System, firmware: FirmwareImage,
                                memory_patches: MemoryPatches = ()
                                ) -> Verdict:
     """The source debugger run to the horizon; a crash wins."""
-    kernel = DtmKernel(system, firmware)
-    sim = kernel.sim
-    if memory_patches:
-        _patch_boards(kernel, system, memory_patches)
+    rig = Rig(system, firmware, memory_patches)
     hits: List[int] = []
-    for node in system.nodes():
-        debugger = SourceDebugger(kernel.board_of(node), firmware)
-        installed = 0
-        for symbol, predicate, description in watch_specs:
-            if installed >= HW_WATCHPOINT_SLOTS:
-                break
-            if not firmware.symbols.has(symbol):
-                continue
-            debugger.watch(symbol, predicate, description)
-            installed += 1
-        debugger.on_hit = lambda hit, s=sim: hits.append(s.now)
-    crashed_at = _run_and_close(kernel, duration_us)
+    rig.watch_code(watch_specs, lambda hit, s=rig.sim: hits.append(s.now))
+    crashed_at = run_to_verdict(rig.kernel, duration_us)
     if crashed_at is not None:
         return True, crashed_at, "crash"
     if hits:
