@@ -1,9 +1,11 @@
 """Event-kernel and command-path throughput of the model debugger.
 
 Runs the cruise control model-debugger simulation exactly as a campaign
-job wires it (:func:`repro.faults.campaign.model_debugger_rig`: DTM
-kernel, one active channel per node, the GDM engine and the monitor
-suite on one simulator) for 3 s of modeled time, and reports:
+job wires and runs it (:func:`repro.faults.campaign.model_debugger_rig`:
+a :class:`repro.engine.rig.Rig` with the DTM kernel, one active channel
+per node, the GDM engine and the monitor suite on one simulator, run by
+:func:`repro.engine.rig.run_to_verdict`) for 3 s of modeled time, and
+reports:
 
 * ``events`` — the heap entries the simulator executed, the actor
   releases, and ``per_release``, entries per release (deterministic).
@@ -17,9 +19,10 @@ suite on one simulator) for 3 s of modeled time, and reports:
 * ``commands_per_sec`` — debug commands the engine reacted to per CPU
   second (clean-wire delivery, binding dispatch, reactions, monitors).
 
-Each rep builds a fresh rig (untimed) and times ``kernel.run`` in
-process CPU time (``time.process_time``), which does not count time the
-process spent descheduled. The best rep per metric is reported, with
+Each rep builds a fresh rig (untimed) and times its run, which ends by
+closing the rig, in process CPU time (``time.process_time``), which
+does not count time the process spent descheduled. The monitors do not
+settle the run, so it reaches the horizon. The best rep per metric is reported, with
 every rep's rates recorded as the spread. Every rep must execute the
 same event and command counts — the run is deterministic — and the
 counts are recorded too.
@@ -75,6 +78,7 @@ from repro.experiments.requirements import (
     traffic_light_code_watches,
     traffic_light_monitor_suite,
 )
+from repro.engine.rig import run_to_verdict
 from repro.faults.campaign import model_debugger_rig, run_fault_experiment
 from repro.util.timeunits import sec
 
@@ -88,7 +92,7 @@ def one_rep(system, firmware):
     kernel, engine, _ = model_debugger_rig(system, firmware,
                                            cruise_monitor_suite)
     start = time.process_time()
-    kernel.run(DURATION_US)
+    run_to_verdict(kernel, DURATION_US, engine)
     elapsed = time.process_time() - start
     return (kernel.sim.executed_events, kernel.releases,
             engine.commands_processed, elapsed)
