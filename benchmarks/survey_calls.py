@@ -2,7 +2,10 @@
 
 Runs the repo's workload corpus under a ``sys.setprofile`` call
 recorder and counts, per module, the function-body lines whose function
-was never called. The corpus:
+was never called. The line pass (``lines``) runs the same corpus under
+a ``sys.settrace`` line recorder instead and lists, per module, the
+lines that never ran inside functions that did: the dead arms of live
+functions. The corpus:
 
 * the six ``examples/*.py``;
 * ``pytest benchmarks/`` (the paper experiments, ablations and the obs
@@ -23,14 +26,25 @@ and comment-only lines not); it is *never called* if that ``def``'s
 code object never got a call event. The numbers are exact for the
 corpus, so a function that only tests call counts as never called.
 
+A line counts as *executable* in a function when the function's own
+code object maps an instruction to it (``co_lines``), its ``def`` (or
+first decorator) line aside; it *never ran* if the function was called
+but the line produced no ``line`` event.
+
 Usage (in a throwaway checkout: the perf scripts rewrite their
 ``BENCH_*_quick.json`` files and the benchmarks rewrite ``artifacts/``)::
 
     python benchmarks/survey_calls.py run --out /tmp/survey [--seconds 15]
     python benchmarks/survey_calls.py count /tmp/survey [--functions]
+    python benchmarks/survey_calls.py lines --out /tmp/lines [--seconds 15]
+    python benchmarks/survey_calls.py lines --out /tmp/lines --recorded
 
 ``run`` records the corpus and then prints the table; ``count`` prints
-it again from a finished recording. Standard library only.
+it again from a finished recording. ``lines`` records the line pass and
+prints its table with the never-run lines of each function
+(``--recorded`` prints it again from a finished recording). Line
+tracing runs the corpus several times slower than the call recorder.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,10 +52,12 @@ from __future__ import annotations
 import argparse
 import ast
 import glob
+import inspect
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
@@ -102,6 +118,61 @@ threading.setprofile(_record)
 _setprofile(_record)
 '''
 
+#: the line recorder of the line pass: every ``line`` event of a
+#: ``src/repro`` frame, keyed by its code object
+LINE_SITECUSTOMIZE = '''\
+import atexit, os, sys, threading
+
+_OUT = {out!r}
+_PREFIX = {prefix!r}
+_lines = {{}}
+_tracers = {{}}
+_skip = set()
+
+
+def _trace(frame, event, arg):
+    code = frame.f_code
+    tracer = _tracers.get(code)
+    if tracer is None:
+        if code in _skip:
+            return None
+        if not os.path.realpath(code.co_filename).startswith(_PREFIX):
+            _skip.add(code)
+            return None
+        add = _lines.setdefault(code, set()).add
+
+        def tracer(frame, event, arg):
+            if event == "line":
+                add(frame.f_lineno)
+            return tracer
+
+        _tracers[code] = tracer
+    return tracer
+
+
+def _dump():
+    rows = []
+    for code, seen in list(_lines.items()):
+        name = os.path.realpath(code.co_filename)[len(_PREFIX):]
+        rows.append(f"{{name}}\\t{{code.co_firstlineno}}\\t{{code.co_name}}"
+                    f"\\t{{','.join(map(str, sorted(seen)))}}")
+    if rows:
+        path = os.path.join(_OUT, f"lines-{{os.getpid()}}.txt")
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("\\n".join(rows) + "\\n")
+
+
+def _exit(code, _real=os._exit):
+    _dump()
+    _real(code)
+
+
+os._exit = _exit
+atexit.register(_dump)
+threading.settrace(_trace)
+sys.settrace(_trace)
+'''
+
 
 def corpus(seconds: int) -> Iterator[Tuple[str, List[str]]]:
     """(label, argv) of every corpus run, in order."""
@@ -120,13 +191,13 @@ def corpus(seconds: int) -> Iterator[Tuple[str, List[str]]]:
             "--seconds", str(seconds), "--trace", "1"]
 
 
-def record(out: str, seconds: int) -> None:
-    """Run the corpus under the recorder, writing call records to *out*."""
+def record(out: str, seconds: int, recorder: str = SITECUSTOMIZE) -> None:
+    """Run the corpus under *recorder*, writing its records to *out*."""
     os.makedirs(out, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="survey_site_") as site:
         with open(os.path.join(site, "sitecustomize.py"), "w",
                   encoding="utf-8") as handle:
-            handle.write(SITECUSTOMIZE.format(
+            handle.write(recorder.format(
                 out=os.path.abspath(out), prefix=PACKAGE + os.sep))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -211,6 +282,80 @@ def count(out: str, functions: bool = False) -> None:
     print(f"{'total':<{width}}  {never_total:>5}  {lines_total:>8}")
 
 
+def ran_lines(out: str) -> Dict[Tuple[str, int, str], Set[int]]:
+    """Lines each called function ran, merged over every process."""
+    ran: Dict[Tuple[str, int, str], Set[int]] = {}
+    for path in glob.glob(os.path.join(out, "lines-*.txt")):
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                filename, first, name, seen = line.rstrip("\n").split("\t")
+                lines = ran.setdefault((filename, int(first), name), set())
+                lines.update(int(n) for n in seen.split(",") if n)
+    return ran
+
+
+def executable_lines(path: str) -> Dict[Tuple[str, int, str], Set[int]]:
+    """Executable lines of every function in *path* (its own code
+    object's lines, the ``def`` line aside), keyed like a recorded code
+    object. Class and module bodies are left out."""
+    with open(path, encoding="utf-8") as handle:
+        code = compile(handle.read(), path, "exec")
+    module = os.path.relpath(path, PACKAGE)
+    lines: Dict[Tuple[str, int, str], Set[int]] = {}
+    pending = [code]
+    while pending:
+        for const in pending.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                pending.append(const)
+                if const.co_flags & inspect.CO_OPTIMIZED:
+                    own = {line for _, _, line in const.co_lines()
+                           if line is not None}
+                    own.discard(const.co_firstlineno)
+                    lines[(module, const.co_firstlineno, const.co_name)] = own
+    return lines
+
+
+def _ranges(lines: Set[int]) -> str:
+    """``3-5,9`` for {3, 4, 5, 9}."""
+    spans: List[List[int]] = []
+    for line in sorted(lines):
+        if spans and line == spans[-1][1] + 1:
+            spans[-1][1] = line
+        else:
+            spans.append([line, line])
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def count_lines(out: str) -> None:
+    """Print, per module, the lines that never ran in functions that
+    did, with each function's never-run line numbers."""
+    ran = ran_lines(out)
+    rows = []
+    lines_total = 0
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"),
+                                 recursive=True)):
+        unrun = {}
+        total = 0
+        for key, lines in executable_lines(path).items():
+            if key in ran:
+                total += len(lines)
+                missed = lines - ran[key]
+                if missed:
+                    unrun[key] = missed
+        lines_total += total
+        if unrun:
+            rows.append((os.path.relpath(path, SRC),
+                         sum(len(m) for m in unrun.values()), total, unrun))
+    width = max((len(row[0]) for row in rows), default=10)
+    print(f"{'module':<{width}}  never ran  of lines in run functions")
+    for module, never, total, unrun in sorted(rows, key=lambda r: -r[1]):
+        print(f"{module:<{width}}  {never:>9}  {total:>8}")
+        for (_, first, name), missed in sorted(unrun.items()):
+            print(f"    {name} (line {first}): {_ranges(missed)}")
+    never_total = sum(row[1] for row in rows)
+    print(f"{'total':<{width}}  {never_total:>9}  {lines_total:>8}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -224,7 +369,19 @@ def main() -> int:
     count_p.add_argument("out", help="record directory")
     count_p.add_argument("--functions", action="store_true",
                          help="also list each never-called function")
+    lines_p = sub.add_parser(
+        "lines", help="record the line pass, then list never-run lines")
+    lines_p.add_argument("--out", required=True, help="record directory")
+    lines_p.add_argument("--seconds", type=int, default=15,
+                         help="length of each perfbench run")
+    lines_p.add_argument("--recorded", action="store_true",
+                         help="list from a finished recording")
     opts = parser.parse_args()
+    if opts.command == "lines":
+        if not opts.recorded:
+            record(opts.out, opts.seconds, LINE_SITECUSTOMIZE)
+        count_lines(opts.out)
+        return 0
     if opts.command == "run":
         record(opts.out, opts.seconds)
     count(opts.out, opts.functions)

@@ -1,12 +1,12 @@
 """The event-driven debugger engine (the FSM of paper Fig 3).
 
 States: DISCONNECTED -> WAITING <-> REACTING, with PAUSED entered on a
-breakpoint hit and left by resume/step, and REPLAYING while a replay player
-owns the model. Observers (monitors, animation capture, UI) subscribe to
-the engine's event bus topics: ``command``, ``reaction``, ``breakpoint``,
-``engine_state``. The engine builds and publishes a topic's payload only
-while the topic has a subscriber, so an observer that subscribes late
-sees every event from then on, and an unobserved topic costs nothing.
+breakpoint hit and left by resume/step. Observers (monitors, animation
+capture, UI) subscribe to the engine's event bus topics: ``command``,
+``reaction``, ``breakpoint``, ``engine_state``. The engine builds and
+publishes a topic's payload only while the topic has a subscriber, so an
+observer that subscribes late sees every event from then on, and an
+unobserved topic costs nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class EngineState(enum.Enum):
     WAITING = "WAITING"
     REACTING = "REACTING"
     PAUSED = "PAUSED"
-    REPLAYING = "REPLAYING"
 
 
 _WAITING = EngineState.WAITING
@@ -73,9 +72,9 @@ class DebuggerEngine:
         # Live checkpoints assert "this model state == replay of events
         # [0, seq]". That only holds if every stored event passed through
         # THIS engine's model — i.e. the store was empty when this engine
-        # took over. An engine over a resumed or already-written store
-        # never saw the earlier events; its snapshots would lie to seek,
-        # so those histories checkpoint offline instead.
+        # took over. An engine handed a trace another engine already
+        # wrote into never saw the earlier events; its snapshots would
+        # lie to seek, so that history checkpoints offline instead.
         spill = self.trace.spill
         self._live_checkpoints = spill is not None and spill.next_seq == 0
         self.commands_processed = 0
@@ -122,9 +121,6 @@ class DebuggerEngine:
             if state is EngineState.DISCONNECTED:
                 raise DebuggerError(
                     "engine received a command while disconnected")
-            if state is EngineState.REPLAYING:
-                raise DebuggerError(
-                    "engine received a live command during replay")
             # PAUSED: stragglers already in flight when the target halted.
             self.commands_while_paused += 1
             return
@@ -217,20 +213,6 @@ class DebuggerEngine:
             raise DebuggerError(f"resume from {self.state.name}, expected PAUSED")
         if self.channel is not None:
             self.channel.resume_target()
-        self._set_state(EngineState.WAITING)
-
-    # -- replay handshake ----------------------------------------------------
-
-    def enter_replay(self) -> None:
-        """Hand the model to a replay player."""
-        if self.state not in (EngineState.WAITING, EngineState.PAUSED):
-            raise DebuggerError(f"cannot replay from {self.state.name}")
-        self._set_state(EngineState.REPLAYING)
-
-    def leave_replay(self) -> None:
-        """Take the model back after replay."""
-        if self.state is not EngineState.REPLAYING:
-            raise DebuggerError("engine is not replaying")
         self._set_state(EngineState.WAITING)
 
     def __repr__(self) -> str:

@@ -25,11 +25,11 @@ image and replace instructions, never edit one in place — see
 
 from __future__ import annotations
 
-import os
 import traceback
 from typing import Dict, Tuple
 
 from repro.codegen.pipeline import generate_firmware
+from repro.errors import TraceStoreError
 from repro.faults.campaign import run_fault_experiment
 from repro.fleet.jobs import JobResult, JobSpec, resolve_ref
 from repro.obs.runtime import OBS
@@ -55,19 +55,23 @@ def _base_firmware(spec: JobSpec) -> FirmwareImage:
 
 
 def _sealed_trace_path(spec: JobSpec) -> str:
-    """The job's per-job store root — only if a sealed store exists.
+    """The job's per-job store root — only if a sealed store is there.
 
     Failure results still point at whatever trace the job recorded
     before dying (the post-mortem artifact); an empty string means the
-    job failed before its store was created.
+    job failed before its store was created or sealed, so a post-mortem
+    only ever opens a store :meth:`TraceStore.open` accepts.
     """
     if not spec.trace_dir:
         return ""
     from repro.tracedb.collect import job_store_root
+    from repro.tracedb.store import TraceStore
     root = job_store_root(spec.trace_dir, spec.index)
-    if os.path.exists(os.path.join(root, "index.json")):
-        return root
-    return ""
+    try:
+        TraceStore.open(root)
+    except TraceStoreError:
+        return ""
+    return root
 
 
 def run_job(spec: JobSpec) -> JobResult:

@@ -17,7 +17,7 @@ _PATTERN_NAMES = tuple(kind.value for kind in PatternKind)
 
 #: engine states of the event-driven FSM (Fig 3: "normally in a waiting
 #: state, listening for commands and performing the corresponding reactions")
-ENGINE_STATES = ("WAITING", "REACTING", "PAUSED", "REPLAYING", "DISCONNECTED")
+ENGINE_STATES = ("WAITING", "REACTING", "PAUSED", "DISCONNECTED")
 
 
 def gdm_metamodel() -> MetaModel:

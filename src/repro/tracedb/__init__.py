@@ -37,6 +37,11 @@ Invariants
   ordinal position in the store; appends are rejected out of order.
   Consequence: ``StoredTrace[i].seq == i``, and the per-segment index
   rows (``first_seq``/``last_seq``) prune seq-range reads to the segments that hold them.
+* **Written once.** A writer creates a fresh store (an existing one at
+  its root is refused), appends trace events and checkpoints, and seals
+  it with ``close()``; a reader opens only a sealed store, writes
+  nothing to it, and refuses one with a segment file its index does not
+  list (a writer that never sealed). No store is reattached or resumed.
 * **Append-only.** Segments are sealed at ``segment_events`` records and
   never rewritten; ``index.json`` is replaced atomically.
 * **Checkpoint semantics.** A checkpoint at seq ``k`` is the model's
@@ -57,7 +62,8 @@ Fleet collection (``collect.py``)
 
 Workers spill per-job stores and hand back paths; the parent merges them
 in canonical job order into one campaign store (original seqs preserved
-as ``job_seq``) by splicing each canonical payload at the byte level —
-no record is decoded or re-encoded. Serial and parallel campaigns
+as ``job_seq``) by splicing each canonical trace-event payload at the
+byte level — no record is decoded or re-encoded, and a payload of any
+other shape is refused. Serial and parallel campaigns
 produce byte-identical campaign stores.
 """

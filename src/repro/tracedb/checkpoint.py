@@ -15,8 +15,9 @@ Checkpoints are written two ways:
 
 * **live** — :class:`~repro.engine.engine.DebuggerEngine` captures one
   every ``checkpoint_every`` events while spilling (zero extra replay);
-* **offline** — :func:`build_checkpoints` replays a finished store once
-  and persists the same snapshots (for stores recorded without them).
+* **offline** — :func:`build_checkpoints` replays a recorded store once,
+  before its writer seals it, and persists the same snapshots (for
+  stores recorded without them).
 
 Both produce identical checkpoints, because live animation and replay
 apply the same reactions to the same model (the E10 fidelity property).
@@ -80,9 +81,11 @@ def build_checkpoints(store, gdm, every: int,
     """Replay *store* onto *gdm* once, persisting a checkpoint every
     *every* events; returns how many were written.
 
-    For stores recorded without live checkpointing. Skips seqs that
-    already have one (idempotent), so re-running after appending more
-    events only fills in the new tail.
+    For stores recorded without live checkpointing; *store* is the
+    writer's handle, before :meth:`~repro.tracedb.store.TraceStore.close`
+    (a sealed store is read-only). Skips seqs that already have one
+    (idempotent), so re-running after appending more events only fills
+    in the new tail.
     """
     if every <= 0:
         raise TraceStoreError(f"checkpoint interval must be positive, "

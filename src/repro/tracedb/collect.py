@@ -15,14 +15,15 @@ merge already guarantees for detection tables.
 The splice contract
 ===================
 
-The merge never decodes a record into a dict and never re-encodes one.
-Each per-job payload is canonical JSON (sorted keys, no whitespace; see
-:mod:`repro.tracedb.format`), and the campaign payload is the same
-object with exactly two edits:
+Job stores hold :class:`~repro.engine.trace.TraceEvent` payloads only,
+and the merge splices that one shape. It never decodes a record into a
+dict and never re-encodes one. Each per-job payload is canonical JSON
+(sorted keys, no whitespace; see :mod:`repro.tracedb.format`) with
+exactly the eight top-level keys of ``TraceEvent.to_dict()``, and the
+campaign payload is the same object with exactly two edits:
 
-* ``"job_id":…,"job_index":…,"job_seq":k,`` inserted before the first
-  top-level key that sorts after ``"job_seq"`` (each of the three at its
-  own sorted place if some key sorts among them);
+* ``"job_id":…,"job_index":…,"job_seq":k,`` inserted before ``"kind"``,
+  the first top-level key that sorts after ``"job_seq"``;
 * the top-level ``"seq":k`` rewritten to the campaign seq.
 
 Every other byte is copied, so the result equals
@@ -30,23 +31,22 @@ Every other byte is copied, so the result equals
 "seq": n})`` — the decode/re-encode merge — byte for byte: sorted-key
 output places the three provenance keys exactly there, nested values are
 already canonical, and ``"seq"`` keeps its place because only its value
-changes. Per record the merge only locates those two positions (see
-:func:`_splice`). Payloads off the fast path's shape — a key sorting
-among the provenance keys, a nested ``"seq"`` after the top-level one —
-take an exact top-level walk (:func:`_splice_walk`), still without
-re-encoding.
+changes. Per record the merge matches the event shape to find those two
+positions (see :func:`_splice`).
 
-Two inputs have no faithful merge and are refused with
-:class:`~repro.errors.TraceStoreError` rather than silently rewritten: a
-per-job record that already carries ``job_id``, ``job_index`` or
-``job_seq``, and a record whose ``seq`` is not its position in the job
-store (a corrupt store would otherwise yield a wrong ``job_seq``).
+A payload of any other shape has no faithful merge and is refused with
+:class:`~repro.errors.TraceStoreError` rather than rewritten: one that
+is not a canonical object, whose top-level keys are not the event's
+(a provenance key among them), or whose ``seq`` is not its position in
+the job store (a corrupt store would otherwise yield a wrong
+``job_seq``).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 from typing import NamedTuple, Optional, Sequence
 
@@ -62,13 +62,12 @@ def job_store_root(trace_dir: str, index: int) -> str:
 def open_job_store(trace_dir: str, index: int) -> TraceStore:
     """Create the per-job spill store a worker records into.
 
-    A per-job store is a *product* of running the job, so an existing
-    store at this root is replaced, not resumed: the pool's
-    crash-containment retry legitimately re-runs a job whose first
-    attempt already sealed segments, and attaching would collide the
-    retry's seq-0 appends with the stale tail. (Re-running a whole
-    campaign over an old ``trace_dir`` is caught at the merge root,
-    which refuses to overwrite a finished campaign store.)
+    A per-job store is a *product* of running the job and a store is
+    written once, so an existing store at this root is removed first:
+    the pool's crash-containment retry legitimately re-runs a job whose
+    first attempt already sealed segments. (Re-running a whole campaign
+    over an old ``trace_dir`` is caught before any job runs, by
+    :func:`ensure_fresh_trace_dir`.)
     """
     root = job_store_root(trace_dir, index)
     if os.path.isdir(root):
@@ -76,120 +75,64 @@ def open_job_store(trace_dir: str, index: int) -> TraceStore:
     return TraceStore(root)
 
 
-#: the three provenance keys the merge stamps, in sort order
-_PROVENANCE = ("job_id", "job_index", "job_seq")
-#: ``,"seq":`` cannot occur inside a JSON string (its quote would have
-#: to be escaped), so every occurrence in a payload is a key
-_SEQ_TOKEN = ',"seq":'
-_scan_key = json.decoder.scanstring
+#: a JSON scalar as canonical JSON writes it (strings ASCII-escaped)
+_SCALAR = (r'(?:"[^"\\]*(?:\\.[^"\\]*)*"'
+           r'|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?'
+           r'|true|false|null|NaN|-?Infinity)')
+_REACTION = r'\{"detail":S,"element":S,"kind":S,"path":S,"t_us":S\}'
+#: a TraceEvent payload up to its last value, ``value``: the group
+#: ``kind`` is empty and sits where the provenance keys go, and ``seq``
+#: is the top-level seq's text
+_EVENT = re.compile(
+    (r'\{"engine_state":S,(?P<kind>)"kind":S,"path":S,'
+     r'"reactions":\[(?:R(?:,R)*)?\],"seq":(?P<seq>0|[1-9]\d*),'
+     r'"t_host":S,"t_target":S,"value":')
+    .replace("R", _REACTION).replace("S", _SCALAR))
 _scan_value = json.JSONDecoder().scan_once
 
 
 class _Stamp(NamedTuple):
-    """One job's provenance as canonical JSON texts (encoded once per
+    """One job's provenance as canonical JSON text (encoded once per
     job, never per record)."""
 
     job_id: str
-    id_item: str     # '"job_id":<json>'
-    index_item: str  # '"job_index":<json>'
-    prefix: str      # both items and the '"job_seq":' key, comma-joined
+    prefix: str  # '"job_id":<json>,"job_index":<json>,"job_seq":'
 
     @classmethod
     def of(cls, job_id: str, index: int) -> "_Stamp":
-        id_item = f'"job_id":{json.dumps(job_id)}'
-        index_item = f'"job_index":{json.dumps(index)}'
-        return cls(job_id, id_item, index_item,
-                   f'{id_item},{index_item},"job_seq":')
+        return cls(job_id, f'"job_id":{json.dumps(job_id)},'
+                           f'"job_index":{json.dumps(index)},"job_seq":')
 
 
 def _splice(line: str, position: int, seq: int, stamp: _Stamp) -> str:
     """The campaign payload of one per-job payload.
 
     *line* is the canonical per-job record at *position* in its job
-    store. Fast path: walk the top-level keys up to the first one at or
-    after ``"job_id"`` (the insertion point; trace records have one key
-    before it), then find the top-level ``"seq"`` as the last
-    ``,"seq":`` — which sits at top level exactly when the rest of the
-    payload parses as one object (a nested token leaves unbalanced
-    closing brackets). Any payload off that shape takes
-    :func:`_splice_walk`, the exact top-level walk.
+    store. Matches it against the TraceEvent shape (:data:`_EVENT`, then
+    the one JSON value of ``value`` and the closing brace) to find where
+    ``"kind"`` and the ``"seq"`` value sit; raises
+    :class:`~repro.errors.TraceStoreError` on a payload of any other
+    shape or whose ``seq`` is not *position*.
     """
-    at = 1
+    match = _EVENT.match(line)
     try:
-        while True:
-            if line[at] != '"':
-                return _splice_walk(line, position, seq, stamp)
-            key, end = _scan_key(line, at + 1)
-            if key >= "job_id":
-                break
-            _, at = _scan_value(line, end + 1)
-            if line[at] != ",":
-                return _splice_walk(line, position, seq, stamp)
-            at += 1
-    except (ValueError, StopIteration, IndexError):
-        return _splice_walk(line, position, seq, stamp)
-    if key <= "job_seq":  # a provenance key, or one sorting among them
-        return _splice_walk(line, position, seq, stamp)
-    cut = at - 1 if key == "seq" else line.rfind(_SEQ_TOKEN)
-    if cut < at - 1:
-        return _splice_walk(line, position, seq, stamp)
-    rest = "{" + line[cut + 1:]
-    try:
-        tail, end = _scan_value(rest, 0)
-    except (ValueError, StopIteration):
-        end = -1
-    if end != len(rest):  # the last token was nested
-        return _splice_walk(line, position, seq, stamp)
-    _check_seq(tail["seq"], position, stamp)
-    job_seq = str(position)
-    start = cut + len(_SEQ_TOKEN)
-    return (f"{line[:at]}{stamp.prefix}{job_seq},{line[at:start]}{seq}"
-            f"{line[start + len(job_seq):]}")
-
-
-def _splice_walk(line: str, position: int, seq: int, stamp: _Stamp) -> str:
-    """:func:`_splice` by walking every top-level item: the raw item
-    texts (``"seq"`` rewritten) plus the three provenance items, joined
-    in key order — what ``sort_keys`` would emit."""
-    items = [("job_id", stamp.id_item), ("job_index", stamp.index_item),
-             ("job_seq", f'"job_seq":{position}')]
-    record_seq = None
-    try:
-        at = 1
-        while line[at] == '"':
-            key, end = _scan_key(line, at + 1)
-            value, stop = _scan_value(line, end + 1)
-            if key in _PROVENANCE:
-                raise TraceStoreError(
-                    f"job {stamp.job_id!r} record seq {position} already "
-                    f"carries {key!r}; the merge will not overwrite it")
-            if key == "seq":
-                record_seq = value
-                items.append((key, f'"seq":{seq}'))
-            else:
-                items.append((key, line[at:stop]))
-            if line[stop] == "}":
-                break
-            if line[stop] != ",":
-                raise ValueError(f"expected ',' at {stop}")
-            at = stop + 1
-        else:
-            if line[at] != "}":
-                raise ValueError(f"expected a key at {at}")
-    except (ValueError, StopIteration, IndexError) as exc:
+        if match is None:
+            raise ValueError("not the event keys and scalars")
+        _, end = _scan_value(line, match.end())
+        if line[end:] != "}":
+            raise ValueError(f"expected the closing brace at {end}")
+    except (ValueError, StopIteration) as exc:
         raise TraceStoreError(
             f"job {stamp.job_id!r} record at position {position} is not "
-            f"a canonical JSON object ({exc!r})") from None
-    _check_seq(record_seq, position, stamp)
-    items.sort()
-    return "{" + ",".join(text for _, text in items) + "}"
-
-
-def _check_seq(record_seq, position: int, stamp: _Stamp) -> None:
-    if type(record_seq) is not int or record_seq != position:
+            f"a canonical trace event ({exc}): {line[:120]!r}") from None
+    record_seq = int(match["seq"])
+    if record_seq != position:
         raise TraceStoreError(
             f"job {stamp.job_id!r} record at position {position} carries "
-            f"seq {record_seq!r}; a job store's seqs are its positions")
+            f"seq {record_seq}; a job store's seqs are its positions")
+    kind_at, seq_at, seq_stop = match.start("kind"), *match.span("seq")
+    return (f"{line[:kind_at]}{stamp.prefix}{position},"
+            f"{line[kind_at:seq_at]}{seq}{line[seq_stop:]}")
 
 
 def merge_job_stores(results: Sequence[object], dest_root: str,
@@ -206,16 +149,17 @@ def merge_job_stores(results: Sequence[object], dest_root: str,
     payload by payload — the merge holds one source and one destination
     segment file open, never a decoded segment.
 
-    Raises :class:`~repro.errors.TraceStoreError` when a per-job record
-    already carries a provenance key or its ``seq`` is not its position
-    in the job store.
+    Raises :class:`~repro.errors.TraceStoreError` when *dest_root*
+    already holds a store (the trace_dir looks reused) or a per-job
+    record is not a trace event whose ``seq`` is its position in the
+    job store.
     """
-    dest = TraceStore(dest_root, segment_events=segment_events)
-    if dest.event_count:
+    try:
+        dest = TraceStore(dest_root, segment_events=segment_events)
+    except TraceStoreError as exc:
         raise TraceStoreError(
-            f"campaign store at {dest_root} already holds "
-            f"{dest.event_count} event(s) — the trace_dir looks reused; "
-            f"give every campaign run a fresh trace_dir")
+            f"{exc} — the trace_dir looks reused; give every campaign run "
+            f"a fresh trace_dir") from None
     seq = 0
     try:
         for result in sorted(results, key=lambda r: r.index):

@@ -73,9 +73,8 @@ class StoreIndex:
     def __init__(self, segment_events: int,
                  checkpoint_every: Optional[int] = None) -> None:
         self.segment_events = segment_events
-        #: store config like segment_events: persisted so attaching
-        #: to an existing store resumes live checkpointing at the same
-        #: interval instead of silently disabling it
+        #: store config like segment_events: persisted so a reader
+        #: sees the interval its writer checkpointed at
         self.checkpoint_every = checkpoint_every
         self.segments: List[SegmentInfo] = []
         self.checkpoints: List[CheckpointInfo] = []

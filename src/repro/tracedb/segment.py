@@ -1,11 +1,11 @@
-"""One segment: an append-only run of consecutive records in one file.
+"""One segment: a run of consecutive records in one file, written once.
 
 A :class:`SegmentWriter` owns the open file of the store's *active*
 segment; when the store rotates, the writer closes and its
 :class:`SegmentInfo` (the index row) is frozen. Reading never needs the
 writer — :func:`read_segment` streams any segment file, live or closed,
 and :func:`read_segment_payloads` streams the same records as raw
-canonical payloads. Every write, record or payload, goes through
+canonical payloads. Every write goes through
 :meth:`SegmentWriter.append_payload`, the one place a payload is framed
 as a line.
 """
@@ -17,7 +17,7 @@ import os
 from typing import Iterator
 
 from repro.errors import TraceStoreError
-from repro.tracedb.format import encode_record, read_header, write_header
+from repro.tracedb.format import read_header, write_header
 
 
 class SegmentInfo:
@@ -64,10 +64,6 @@ class SegmentWriter:
         self._fh = open(self.path, "wb")
         self.byte_size = write_header(self._fh)
 
-    def append(self, record: dict) -> None:
-        """Encode and write one record (caller guarantees seq order)."""
-        self.append_payload(record["seq"], encode_record(record))
-
     def append_payload(self, seq: int, payload: bytes) -> None:
         """Write one record given as its canonical payload — the one
         segment write path. *seq* is the payload's own top-level seq;
@@ -112,18 +108,3 @@ def read_segment(path: str) -> Iterator[dict]:
     """Stream every record of the segment file at *path*."""
     return map(json.loads, read_segment_payloads(path))
 
-
-def salvage_segment(path: str) -> list:
-    """Every record decodable from a possibly crash-truncated segment.
-
-    Used by attach-time recovery: a recorder that died mid-append may
-    have left a partial record at the tail — everything before it is
-    intact and comes back; the torn tail is dropped silently.
-    """
-    records = []
-    try:
-        for record in read_segment(path):
-            records.append(record)
-    except (TraceStoreError, ValueError):
-        pass  # torn tail record: keep what decoded cleanly
-    return records

@@ -1,7 +1,7 @@
 """The spill-to-disk trace store and its trace-shaped read adapter.
 
-:class:`TraceStore` is an append-only, segmented record store rooted at
-one directory::
+:class:`TraceStore` is a segmented record store rooted at one
+directory, written once::
 
     root/
       index.json             segment + checkpoint index (atomic rewrite)
@@ -9,10 +9,13 @@ one directory::
       seg-000000001024.trc   records [1024, ...)
       ckpt/ckpt-...json      model-state checkpoints (seek restart points)
 
-Records are dicts with a mandatory contiguous 0-based ``seq`` (stamped if
-absent); a spilling :class:`~repro.engine.trace.ExecutionTrace` appends
+A writer creates a fresh store, appends
+:class:`~repro.engine.trace.TraceEvent` records with a contiguous 0-based
+``seq`` (a spilling :class:`~repro.engine.trace.ExecutionTrace` appends
 its events as they are, and the store writes their payloads without
-building their dicts. The one query, :meth:`events`,
+building their dicts) and seals it with :meth:`TraceStore.close`. A
+reader opens a sealed store with :meth:`TraceStore.open` and writes
+nothing. The one query, :meth:`events`,
 streams every record or a seq range segment by segment; it never
 materializes the whole history, so memory stays bounded by one segment
 no matter how long the run was.
@@ -32,14 +35,13 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import TraceStoreError
 from repro.obs.runtime import OBS
 from repro.tracedb.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from repro.tracedb.format import encode_event, encode_record, read_header
-from repro.tracedb.index import CheckpointInfo, StoreIndex
+from repro.tracedb.format import encode_event
+from repro.tracedb.index import INDEX_NAME, CheckpointInfo, StoreIndex
 from repro.tracedb.segment import (
     SegmentInfo,
     SegmentWriter,
     read_segment,
     read_segment_payloads,
-    salvage_segment,
 )
 
 DEFAULT_SEGMENT_EVENTS = 1024
@@ -47,39 +49,40 @@ CKPT_DIR = "ckpt"
 
 
 class TraceStore:
-    """Append-only segmented record store with checkpointed seek support."""
+    """Segmented record store, written once, with checkpointed seek.
+
+    A writer creates a store (``TraceStore(root)``), appends
+    :class:`~repro.engine.trace.TraceEvent` records and checkpoints, and seals
+    it with :meth:`close`. A reader opens a sealed store
+    (:meth:`open`) and writes nothing.
+    """
 
     def __init__(self, root: str, segment_events: int = DEFAULT_SEGMENT_EVENTS,
                  checkpoint_every: Optional[int] = None) -> None:
-        """Create a store at *root*, or attach to the one already there.
-
-        Attaching resumes appending after the last stored record.
-        ``segment_events`` is then ignored in favor of the existing
-        index (a store has one segment size), and the stored
-        ``checkpoint_every`` is resumed unless explicitly overridden
-        here — so a reattached recorder keeps checkpointing at the same
-        interval and seeks stay O(interval) across the resumed region.
-        """
+        """Create a new, empty store at *root*; refuses a *root* that
+        already holds a store."""
         if segment_events <= 0:
             raise TraceStoreError(
                 f"segment_events must be positive, got {segment_events}")
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise TraceStoreError(
                 f"checkpoint_every must be positive, got {checkpoint_every}")
-        self.root = root
+        if os.path.exists(os.path.join(root, INDEX_NAME)):
+            raise TraceStoreError(
+                f"a trace store already exists at {root!r}; a store is "
+                f"written once")
         os.makedirs(os.path.join(root, CKPT_DIR), exist_ok=True)
-        index_path = os.path.join(root, "index.json")
-        if os.path.exists(index_path):
-            self._index = StoreIndex.load(root)
-            if checkpoint_every is not None:
-                self._index.checkpoint_every = checkpoint_every
-        else:
-            self._index = StoreIndex(segment_events, checkpoint_every)
-            self._index.save(root)
+        self.root = root
+        self._index = StoreIndex(segment_events, checkpoint_every)
+        self._index.save(root)
+        self._closed = False
+        self._setup()
+
+    def _setup(self) -> None:
+        """The handle state a writer and a reader share."""
         self.checkpoint_every = self._index.checkpoint_every
         self.segment_events = self._index.segment_events
         self._writer: Optional[SegmentWriter] = None
-        self._closed = False
         # I/O books: plain int adds (noise next to the encode/file work
         # they count), surfaced as tracedb.* registry series via
         # io_stats() when telemetry is on
@@ -89,101 +92,31 @@ class TraceStore:
         self.segments_read = 0
         if OBS.metrics is not None:
             OBS.metrics.bind_stats("tracedb", self.io_stats, owner=self)
-        self._recover_after_crash()
-
-    def _recover_after_crash(self) -> None:
-        """Adopt on-disk state a dead recorder left unindexed.
-
-        A recorder that flushed but never closed leaves (a) an active
-        segment file with no index row — silently opening a new writer
-        over that filename would zero its records — and (b) checkpoint
-        files whose index rows were never published. Both are recovered:
-        the orphan segment's intact records are rewritten as a sealed
-        segment (a torn tail record from a crash mid-append is dropped),
-        and orphan checkpoint files are re-indexed.
-        """
-        recovered = False
-        while True:  # a dead recorder may have rotated unindexed segments
-            expected = (self._index.segments[-1].last_seq + 1
-                        if self._index.segments else 0)
-            name = f"seg-{expected:012d}.trc"
-            path = os.path.join(self.root, name)
-            if not os.path.exists(path):
-                break
-            if os.path.getsize(path) == 0:
-                # a recorder killed before its first flush leaves the
-                # buffered header unwritten: provably no records, safe
-                # to drop (refusing would brick every future attach)
-                os.unlink(path)
-                break
-            records = salvage_segment(path)
-            if not records:
-                # distinguish "recorder died before its first append"
-                # (valid header, nothing else — safe to drop) from a
-                # corrupted header hiding recoverable records: deleting
-                # the latter would destroy the history this recovery
-                # exists to save
-                with open(path, "rb") as fh:
-                    try:
-                        read_header(fh)
-                    except TraceStoreError as exc:
-                        raise TraceStoreError(
-                            f"orphan segment {name} has an unreadable "
-                            f"header ({exc}); refusing to attach — "
-                            f"recover or remove it manually") from exc
-                os.unlink(path)
-                break
-            if [r["seq"] for r in records] != list(
-                    range(expected, expected + len(records))):
-                raise TraceStoreError(
-                    f"orphan segment {name} holds non-contiguous seqs; "
-                    f"refusing to adopt it")
-            writer = SegmentWriter(self.root, name + ".recover", expected)
-            for record in records:
-                writer.append(record)
-            info = writer.close()
-            os.replace(writer.path, path)
-            info.name = name
-            self._index.add_segment(info)
-            recovered = True
-        indexed_segments = {s.name for s in self._index.segments}
-        leftovers = sorted(
-            f for f in os.listdir(self.root)
-            if f.startswith("seg-") and f.endswith(".trc")
-            and f not in indexed_segments)
-        if leftovers:
-            raise TraceStoreError(
-                f"segment file(s) {leftovers} are unreachable from the "
-                f"recovered index (a gap precedes them); refusing to "
-                f"attach and overwrite them")
-        indexed = {c.file for c in self._index.checkpoints}
-        known_seqs = {c.seq for c in self._index.checkpoints}
-        for filename in sorted(os.listdir(os.path.join(self.root, CKPT_DIR))):
-            file = os.path.join(CKPT_DIR, filename)
-            if not filename.endswith(".json") or file in indexed:
-                continue
-            checkpoint = load_checkpoint(os.path.join(self.root, file))
-            if checkpoint.seq in known_seqs:
-                continue  # index row already exists; the file is fine
-            if checkpoint.seq >= self.next_seq:
-                # Its event died with the crash. Deleting now matters:
-                # left behind, a future recovery (after new events reuse
-                # that seq) would adopt this stale payload and seek would
-                # restore a dead run's model state.
-                os.unlink(os.path.join(self.root, file))
-                continue
-            self._index.add_checkpoint(
-                CheckpointInfo(checkpoint.seq, checkpoint.t_host, file))
-            recovered = True
-        if recovered:
-            self._index.save(self.root)
 
     @classmethod
     def open(cls, root: str) -> "TraceStore":
-        """Attach to an existing store (raises if *root* has none)."""
-        if not os.path.exists(os.path.join(root, "index.json")):
-            raise TraceStoreError(f"no trace store at {root!r}")
-        return cls(root)
+        """Open the sealed store at *root* for reading.
+
+        The handle is closed from the start: it refuses appends and
+        checkpoints, and opening writes nothing. A segment file the
+        index does not list means the writer never sealed the store;
+        that is refused rather than read short.
+        """
+        store = cls.__new__(cls)
+        store.root = root
+        store._index = StoreIndex.load(root)
+        indexed = {s.name for s in store._index.segments}
+        unsealed = sorted(
+            f for f in os.listdir(root)
+            if f.startswith("seg-") and f.endswith(".trc")
+            and f not in indexed)
+        if unsealed:
+            raise TraceStoreError(
+                f"segment file(s) {unsealed} at {root!r} are not in its "
+                f"index: the store was never sealed")
+        store._closed = True
+        store._setup()
+        return store
 
     # -- write path --------------------------------------------------------
 
@@ -198,34 +131,28 @@ class TraceStore:
         """Total records stored (closed segments + the active one)."""
         return self.next_seq
 
-    def append(self, record) -> int:
-        """Append one record; returns its seq.
-
-        *record* is a dict or a :class:`~repro.engine.trace.TraceEvent`.
-        An event is written as :func:`~repro.tracedb.format.encode_event`,
-        the bytes of its ``to_dict()``, and its ``seq`` must equal the
-        store's next seq. So must ``record["seq"]`` when present (stores
-        are contiguous and 0-based — that is what makes ``seq == index``
-        hold for :class:`StoredTrace`); it is stamped when absent. The
-        record is shallow-copied before stamping.
+    def append(self, event) -> int:
+        """Append one :class:`~repro.engine.trace.TraceEvent`; returns
+        its seq, which must equal the store's next seq (stores are
+        contiguous and 0-based — that is what makes ``seq == index``
+        hold for :class:`StoredTrace`). The event is written as
+        :func:`~repro.tracedb.format.encode_event`, the bytes of its
+        ``to_dict()``.
         """
         if self._closed:
             raise TraceStoreError(f"store at {self.root} is closed")
+        try:
+            seq = event.seq
+        except AttributeError:
+            raise TraceStoreError(
+                f"a trace store holds TraceEvents, not "
+                f"{type(event).__name__}") from None
         expected = self.next_seq
-        if isinstance(record, dict):
-            seq = record.get("seq")
-            if seq is None:
-                record = dict(record)
-                record["seq"] = seq = expected
-            encode = encode_record
-        else:
-            seq = record.seq
-            encode = encode_event
         if seq != expected:
             raise TraceStoreError(
-                f"out-of-order append: record seq {seq}, store expects "
+                f"out-of-order append: event seq {seq}, store expects "
                 f"{expected} (stores are contiguous and 0-based)")
-        self._append_payload(seq, encode(record))
+        self._append_payload(seq, encode_event(event))
         return seq
 
     def _append_payload(self, seq: int, payload: bytes) -> None:
@@ -258,13 +185,16 @@ class TraceStore:
 
     def flush(self) -> None:
         """Publish appended bytes to the OS and sealed-segment/checkpoint
-        index rows to ``index.json``.
+        index rows to ``index.json`` (a writer's call: a closed store
+        refuses it).
 
         In-process readers (every query method, :class:`StoredTrace`)
         always see the complete live state; the on-disk index gains the
         active segment's row only when it seals — cross-process readers
         open stores after :meth:`close`, which completes the index.
         """
+        if self._closed:
+            raise TraceStoreError(f"store at {self.root} is closed")
         self._flush_bytes()
         self._index.save(self.root)
 
@@ -294,6 +224,8 @@ class TraceStore:
     def add_checkpoint(self, seq: int, t_host: int, payload: dict) -> None:
         """Persist a model-state checkpoint taken *after applying* event
         *seq* (the invariant every seek relies on)."""
+        if self._closed:
+            raise TraceStoreError(f"store at {self.root} is closed")
         if seq >= self.next_seq:
             raise TraceStoreError(
                 f"checkpoint at seq {seq} is ahead of the store "
@@ -359,7 +291,7 @@ class TraceStore:
     def io_stats(self) -> Dict[str, int]:
         """Store I/O books: appends, segment seal/read counts, checkpoints.
 
-        Counted since *this* handle opened (not recovered from disk) —
+        Counted since *this* handle opened (not read from disk) —
         they measure I/O work done, not store contents.
         """
         return {

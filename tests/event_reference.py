@@ -434,8 +434,6 @@ def reference_on_command(self: DebuggerEngine, command: Command) -> None:
     listens."""
     if self.state is EngineState.DISCONNECTED:
         raise DebuggerError("engine received a command while disconnected")
-    if self.state is EngineState.REPLAYING:
-        raise DebuggerError("engine received a live command during replay")
     if self.state is EngineState.PAUSED:
         self.commands_while_paused += 1
         return

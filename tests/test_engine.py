@@ -253,15 +253,6 @@ class TestTraceAndReplay:
         with pytest.raises(DebuggerError):
             player.step()
 
-    def test_engine_replay_handshake(self):
-        engine, gdm = self.fill_trace()
-        engine.enter_replay()
-        assert engine.state is EngineState.REPLAYING
-        with pytest.raises(DebuggerError):
-            engine.on_command(Command(CommandKind.USER, "signal:light", 0))
-        engine.leave_replay()
-        assert engine.state is EngineState.WAITING
-
 
 class TestTimingDiagram:
     def test_lanes_built_from_trace(self):

@@ -508,12 +508,23 @@ class TestChannelsAndEngine:
            st.integers(1, 200))
     @example("cruise", 10, None, 600_000, 5)
     @example("cruise", 20, 7, 600_000, 50)
+    @example("traffic", 10, 67, 100_000, 1)
     def test_uart_fifo_transport_and_stream_match_references(
             self, name, fifo_depth, chaos_seed, duration_us, late_after):
         fast, ref = both_channel_runs(name, fifo_depth, chaos_seed,
                                       duration_us, late_after)
         assert fast == ref
-        assert fast["delivered"]
+        if chaos_seed is None:
+            assert fast["delivered"]
+        elif not fast["delivered"]:
+            # a short run through a small FIFO may send few frames, and
+            # the chaos wire may spoil them all: the books must say so
+            for (sent, _, decoded, checksum_errors, framing_errors,
+                 books) in fast["channels"]:
+                assert decoded == 0
+                assert sent <= (books["frames_lost"]
+                                + books["frames_corrupted"]
+                                + checksum_errors + framing_errors)
 
     def test_small_fifo_overruns_identically(self):
         fast, ref = both_channel_runs("cruise", 10, None, 1_000_000, 1)

@@ -102,7 +102,8 @@ class TestTemplateEqualsReference:
 class TestStoreAppend:
     def test_spilled_events_write_the_dict_store_bytes(self, tmp_path):
         """A store fed events by a spilling trace and one fed the same
-        events' dicts are byte-identical files."""
+        events' reference payloads (``encode_record`` of their dicts)
+        are byte-identical files."""
         reactions = [make_reaction(ReactionKind.HIGHLIGHT, "elem/1",
                                    "state:a.b", "highlight", 5)]
         commands = [Command(CommandKind.STATE_ENTER, f"state:m.é{i}",
@@ -114,7 +115,8 @@ class TestStoreAppend:
         for i, command in enumerate(commands):
             event = trace.record(command, reactions if i % 3 else [],
                                  "REACTING")
-            assert dicts.append(event.to_dict()) == event.seq == i
+            assert event.seq == i == dicts.next_seq
+            dicts._append_payload(i, encode_record(event.to_dict()))
         spilled.close()
         dicts.close()
         names = sorted(os.listdir(tmp_path / "events"))
@@ -143,7 +145,8 @@ class TestIndexWriter:
         store = TraceStore(str(tmp_path / "s"), segment_events=4,
                            checkpoint_every=3)
         for i in range(10):
-            store.append({"t_target": i, "path": "é"})
+            store.append(TraceEvent(i, Command(CommandKind.USER, "é", i),
+                                    [], "WAITING"))
             if store.wants_checkpoint(i):
                 store.add_checkpoint(i, i, {"state": [i]})
         store.close()
@@ -158,7 +161,8 @@ class TestIndexWriter:
             self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), segment_events=2)
         for i in range(5):
-            store.append({"t_target": i})
+            store.append(TraceEvent(i, Command(CommandKind.USER, "x", i),
+                                    [], "WAITING"))
         gc.collect()
         gc.disable()
         try:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.replay import ReplayPlayer
-from repro.engine.trace import ExecutionTrace
+from repro.engine.trace import ExecutionTrace, TraceEvent
 from repro.errors import DebuggerError, TraceStoreError
 from repro.gdm.model import GdmModel
 from repro.tracedb.format import encode_record, read_header, write_header
@@ -22,6 +22,10 @@ def cmd(i: int) -> Command:
                    t_target=i * 10, t_host=i * 10 + 1)
 
 
+def event(i: int) -> TraceEvent:
+    return TraceEvent(i, cmd(i), [], "REACTING")
+
+
 def fill(trace: ExecutionTrace, n: int) -> None:
     for i in range(n):
         trace.record(cmd(i), [], "REACTING")
@@ -30,9 +34,18 @@ def fill(trace: ExecutionTrace, n: int) -> None:
 def make_store(tmp_path, n: int = 0, **kw) -> TraceStore:
     store = TraceStore(str(tmp_path / "store"), **kw)
     for i in range(n):
-        store.append({"seq": i, "t_target": i * 10, "kind": "SIG_UPDATE",
-                      "path": f"signal:s{i % 3}", "value": i})
+        store.append(event(i))
     return store
+
+
+def listing(root: str) -> dict:
+    """Every path under *root* with its mtime."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = os.path.join(dirpath, name)
+            found[os.path.relpath(path, root)] = os.stat(path).st_mtime_ns
+    return found
 
 
 class TestFormat:
@@ -98,30 +111,34 @@ class TestStoreAppendAndQuery:
         assert [r["seq"] for r in store.events()] == list(range(10))
         assert store.event_count == 10
 
-    def test_seq_stamped_when_absent(self, tmp_path):
-        store = make_store(tmp_path)
-        assert store.append({"t_target": 0}) == 0
-        assert store.append({"t_target": 5}) == 1
+    def test_append_refuses_a_dict(self, tmp_path):
+        store = make_store(tmp_path, 2)
+        with pytest.raises(TraceStoreError, match="TraceEvents, not dict"):
+            store.append(event(2).to_dict())
+        assert store.event_count == 2
 
     def test_out_of_order_append_rejected(self, tmp_path):
         store = make_store(tmp_path, 3)
         with pytest.raises(TraceStoreError):
-            store.append({"seq": 7, "t_target": 0})
+            store.append(event(7))
 
     def test_append_after_close_rejected(self, tmp_path):
         store = make_store(tmp_path, 3)
         store.close()
         with pytest.raises(TraceStoreError):
-            store.append({"t_target": 0})
+            store.append(event(3))
 
-    def test_reopen_resumes_seq(self, tmp_path):
+    def test_existing_root_is_refused(self, tmp_path):
+        # a store is written once: no second writer over a sealed store,
+        # nor over one whose writer is still open
         make_store(tmp_path, 20, segment_events=8).close()
-        again = TraceStore(str(tmp_path / "store"))
-        assert again.next_seq == 20
-        again.append({"t_target": 999})
-        again.close()
-        assert [r["seq"] for r in TraceStore.open(again.root).events()] \
-            == list(range(21))
+        with pytest.raises(TraceStoreError, match="already exists"):
+            TraceStore(str(tmp_path / "store"))
+        open_writer = TraceStore(str(tmp_path / "live"))
+        with pytest.raises(TraceStoreError, match="written once"):
+            TraceStore(open_writer.root)
+        assert [r["seq"] for r in TraceStore.open(
+            str(tmp_path / "store")).events()] == list(range(20))
 
     def test_seq_range_query_is_inclusive_and_pruned(self, tmp_path):
         store = make_store(tmp_path, 100, segment_events=10)
@@ -200,8 +217,8 @@ class TestStoredTrace:
         store = TraceStore(str(tmp_path / "s"), segment_events=8)
         ref = ExecutionTrace()
         fill(ref, 30)
-        for event in ref:
-            store.append(event.to_dict())
+        for recorded in ref:
+            store.append(recorded)
         view = StoredTrace(store)
         assert len(view) == 30
         assert [e.seq for e in view] == list(range(30))
@@ -214,8 +231,8 @@ class TestStoredTrace:
         store = TraceStore(str(tmp_path / "s"), segment_events=4)
         ref = ExecutionTrace()
         fill(ref, 40)
-        for event in ref:
-            store.append(event.to_dict())
+        for recorded in ref:
+            store.append(recorded)
         view = StoredTrace(store)
         for i in range(40):
             assert view[i].seq == i
@@ -279,12 +296,12 @@ class TestReviewRegressions:
         from repro.tracedb.collect import open_job_store
         store = open_job_store(str(tmp_path), 3)
         for i in range(2 * DEFAULT_SEGMENT_EVENTS + 1):
-            store.append({"t_target": i})
+            store.append(event(i))
         store.close()
         assert len(store._index.segments) == 3
         retry = open_job_store(str(tmp_path), 3)
         assert retry.event_count == 0
-        assert retry.append({"t_target": 0}) == 0
+        assert retry.append(event(0)) == 0
         retry.close()
 
     def test_reused_campaign_root_is_rejected_with_cause(self, tmp_path):
@@ -297,7 +314,7 @@ class TestReviewRegressions:
                 self.trace_path = path
 
         job = open_job_store(str(tmp_path), 0)
-        job.append({"t_target": 0})
+        job.append(event(0))
         job.close()
         results = [FakeResult(job.root)]
         merge_job_stores(results, str(tmp_path / "campaign"))
@@ -306,16 +323,33 @@ class TestReviewRegressions:
         assert "reused" in str(err.value)
 
     def test_reads_never_write_the_index(self, tmp_path):
-        # queries on a store opened from elsewhere must not rewrite
-        # index.json (read-only mounts stay queryable)
+        # opening and querying a store writes nothing: no ckpt/ directory,
+        # no index save (read-only mounts stay queryable)
         store = make_store(tmp_path, 30, segment_events=8)
         store.close()
+        os.rmdir(os.path.join(store.root, "ckpt"))
+        before = listing(store.root)
         reader = TraceStore.open(store.root)
-        index_path = os.path.join(store.root, "index.json")
-        before = os.stat(index_path).st_mtime_ns
         list(reader.events())
         list(reader.events(seq_range=(10, 20)))
-        assert os.stat(index_path).st_mtime_ns == before
+        StoredTrace(reader)[25]
+        reader.close()
+        assert listing(store.root) == before
+
+    def test_opened_store_refuses_writes(self, tmp_path):
+        make_store(tmp_path, 10, segment_events=8).close()
+        reader = TraceStore.open(str(tmp_path / "store"))
+        before = listing(reader.root)
+        with pytest.raises(TraceStoreError, match="closed"):
+            reader.append(event(10))
+        with pytest.raises(TraceStoreError, match="closed"):
+            reader.add_checkpoint(9, 91, {"elements": {}, "links": {}})
+        with pytest.raises(TraceStoreError, match="closed"):
+            reader.flush()
+        with pytest.raises(TraceStoreError, match="closed"):
+            ExecutionTrace(spill=reader).record(cmd(10), [], "REACTING")
+        assert listing(reader.root) == before
+        assert reader.event_count == 10
 
     def test_reused_trace_dir_fails_before_any_job_runs(self, tmp_path):
         from repro.tracedb.collect import (
@@ -341,88 +375,32 @@ class TestReviewRegressions:
 
     def test_checkpoint_interval_survives_reattach(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), checkpoint_every=64)
-        store.append({"t_target": 0})
+        store.append(event(0))
         store.close()
-        resumed = TraceStore.open(str(tmp_path / "s"))
-        assert resumed.checkpoint_every == 64
-        assert resumed.wants_checkpoint(63)
-        overridden = TraceStore(str(tmp_path / "s"), checkpoint_every=32)
-        assert overridden.checkpoint_every == 32
+        reader = TraceStore.open(str(tmp_path / "s"))
+        assert reader.checkpoint_every == 64
+        assert reader.wants_checkpoint(63)
 
-    def test_attach_recovers_flushed_but_unclosed_records(self, tmp_path):
-        # a recorder that flushed and then died must not lose its active
-        # segment on reattach (previously the new writer zeroed the file)
+    def test_open_refuses_an_unsealed_store(self, tmp_path):
+        # a writer that flushed and then died leaves its active segment
+        # out of the index: opening reports that instead of reading a
+        # shorter history
         store = make_store(tmp_path, 500, segment_events=200)
         store.flush()  # 2 sealed segments + 100 flushed-but-unsealed
         del store  # simulate a crash: no close()
-        revived = TraceStore(str(tmp_path / "store"))
-        assert revived.event_count == 500
-        assert [r["seq"] for r in revived.events(seq_range=(398, 402))] \
-            == [398, 399, 400, 401, 402]
-        revived.append({"t_target": 0})
-        revived.close()
-        assert TraceStore.open(revived.root).event_count == 501
-
-    def test_attach_recovers_multiple_unindexed_segments(self, tmp_path):
-        # a recorder that rotated several segments after the last index
-        # publish must get ALL of them back, not just the first orphan
-        store = make_store(tmp_path, 250, segment_events=100)
-        store._flush_bytes()  # bytes durable, index.json still empty
-        del store
-        revived = TraceStore(str(tmp_path / "store"))
-        assert revived.event_count == 250
-        assert [r["seq"] for r in revived.events(seq_range=(95, 105))] \
-            == list(range(95, 106))
-        assert revived.append({"t_target": 0}) == 250
+        with pytest.raises(TraceStoreError, match="never sealed") as err:
+            TraceStore.open(str(tmp_path / "store"))
+        assert "seg-000000000400.trc" in str(err.value)
 
     def test_attach_refuses_unreachable_segments(self, tmp_path):
         # a gap in the chain means data we cannot order: refuse loudly
-        # instead of silently overwriting the stranded file
         store = make_store(tmp_path, 250, segment_events=100)
         store._flush_bytes()
         del store
         os.unlink(str(tmp_path / "store" / "seg-000000000100.trc"))
         with pytest.raises(TraceStoreError) as err:
-            TraceStore(str(tmp_path / "store"))
+            TraceStore.open(str(tmp_path / "store"))
         assert "seg-000000000200.trc" in str(err.value)
-
-    def test_attach_recovers_unindexed_checkpoints(self, tmp_path):
-        store = TraceStore(str(tmp_path / "s"), segment_events=8,
-                           checkpoint_every=4)
-        for i in range(10):
-            store.append({"t_target": i})
-            if store.wants_checkpoint(i):
-                store.add_checkpoint(i, i, {"elements": {}, "links": {}})
-        store._flush_bytes()  # bytes durable, index rows never published
-        del store
-        revived = TraceStore(str(tmp_path / "s"))
-        assert [c.seq for c in revived.checkpoints()] == [3, 7]
-        assert revived.nearest_checkpoint(9).seq == 7
-
-    def test_attach_drops_torn_tail_record(self, tmp_path):
-        store = TraceStore(str(tmp_path / "s"), segment_events=100)
-        for i in range(10):
-            store.append({"t_target": i})
-        store.flush()
-        seg = os.path.join(store.root, "seg-000000000000.trc")
-        del store
-        data = open(seg, "rb").read()
-        with open(seg, "wb") as fh:
-            fh.write(data[:-5])  # crash mid-append: torn last record
-        revived = TraceStore(str(tmp_path / "s"))
-        assert revived.event_count == 9  # intact prefix adopted
-        assert revived.append({"t_target": 99}) == 9
-
-    def test_zero_byte_orphan_segment_is_dropped_not_bricking(self, tmp_path):
-        # SIGKILL before the first flush leaves the buffered header
-        # unwritten: a 0-byte file provably holds nothing, so attach
-        # must succeed instead of refusing forever
-        store = make_store(tmp_path, 100, segment_events=100)
-        store.close()
-        open(str(tmp_path / "store" / "seg-000000000100.trc"), "wb").close()
-        revived = TraceStore(str(tmp_path / "store"))
-        assert revived.event_count == 100
-        assert revived.append({"t_target": 0}) == 100
 
     def test_unmerged_run_leftovers_refuse_trace_dir_reuse(self, tmp_path):
         from repro.tracedb.collect import (
@@ -430,7 +408,7 @@ class TestReviewRegressions:
             open_job_store,
         )
         job = open_job_store(str(tmp_path), 7)
-        job.append({"t_target": 0})
+        job.append(event(0))
         job.close()  # a previous run died before its merge
         with pytest.raises(TraceStoreError) as err:
             ensure_fresh_trace_dir(str(tmp_path))
@@ -445,8 +423,10 @@ class TestReviewRegressions:
         with open(seg, "wb") as fh:
             fh.write(b"garbage" + data[40:])  # torn header, intact tail
         with pytest.raises(TraceStoreError) as err:
+            TraceStore.open(str(tmp_path / "store"))
+        assert "never sealed" in str(err.value)
+        with pytest.raises(TraceStoreError, match="already exists"):
             TraceStore(str(tmp_path / "store"))
-        assert "unreadable header" in str(err.value)
         assert os.path.exists(seg)  # nothing was destroyed
 
     def test_failed_jobs_excluded_from_campaign_merge(self, tmp_path):
@@ -462,38 +442,13 @@ class TestReviewRegressions:
         results = []
         for index, failed in ((0, False), (1, True), (2, False)):
             job = open_job_store(str(tmp_path), index)
-            job.append({"t_target": index})
+            job.append(event(0))
             job.close()
             results.append(FakeResult(index, job.root, failed))
         campaign = merge_job_stores(results, str(tmp_path / "campaign"))
         # the failed job's partial trace stays out of the canonical
         # store (its trace_path remains for post-mortems)
         assert [r["job_index"] for r in campaign.events()] == [0, 2]
-
-    def test_stale_ahead_of_history_checkpoint_file_is_deleted(self, tmp_path):
-        # ckpt files are atomic but segment bytes are buffered: a crash
-        # can leave a checkpoint whose event never became durable. It
-        # must be deleted at recovery — kept on disk, a LATER recovery
-        # (after new events reuse that seq) would adopt its stale payload
-        store = TraceStore(str(tmp_path / "s"), segment_events=100)
-        store.append({"t_target": 0})
-        store.flush()
-        store.add_checkpoint(0, 1, {"elements": {}, "links": {}})
-        # simulate: checkpoint for seq 5 hit disk, events 1..5 did not
-        from repro.tracedb.checkpoint import Checkpoint, save_checkpoint
-        stale = os.path.join(store.root, "ckpt", "ckpt-000000000005.json")
-        save_checkpoint(stale, Checkpoint(5, 50, {"elements": {"x": {}},
-                                                  "links": {}}))
-        del store
-        revived = TraceStore(str(tmp_path / "s"))
-        assert not os.path.exists(stale)
-        assert [c.seq for c in revived.checkpoints()] == [0]
-        # second crash/attach cycle after seq 5 exists must not resurrect it
-        for i in range(1, 8):
-            revived.append({"t_target": i})
-        revived.close()
-        assert [c.seq for c in TraceStore.open(revived.root).checkpoints()] \
-            == [0]
 
     def test_state_only_replay_captures_no_frames(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"))
@@ -519,20 +474,20 @@ class TestReviewRegressions:
             ExecutionTrace.from_dicts(trace.to_dicts()[:3] * 2)
 
     def test_resumed_engine_never_writes_live_checkpoints(self, tmp_path):
-        # run A records 0..N with live checkpoints; run B resumes the
-        # store with a fresh model that never saw run A's events — its
-        # snapshots would lie to seek, so none may be written
+        # run A records 0..N with live checkpoints; run B's engine over
+        # the reopened store has a fresh model that never saw run A's
+        # events — its snapshots would lie to seek, so none may be written
         from repro.engine.engine import DebuggerEngine
         store = TraceStore(str(tmp_path / "s"), checkpoint_every=4)
         engine_a = DebuggerEngine(
             GdmModel("a"), trace=ExecutionTrace(spill=store))
         assert engine_a._live_checkpoints  # fresh store: snapshots valid
         for i in range(10):
-            store.append({"seq": i, "t_target": i})
+            store.append(event(i))
         store.close()
-        resumed = TraceStore.open(str(tmp_path / "s"))
+        reopened = TraceStore.open(str(tmp_path / "s"))
         engine_b = DebuggerEngine(
-            GdmModel("b"), trace=ExecutionTrace(spill=resumed))
+            GdmModel("b"), trace=ExecutionTrace(spill=reopened))
         assert not engine_b._live_checkpoints
 
     def test_engine_over_populated_trace_never_checkpoints(self, tmp_path):
@@ -544,18 +499,6 @@ class TestReviewRegressions:
         fill(trace, 10)
         assert not DebuggerEngine(GdmModel("b"),
                                   trace=trace)._live_checkpoints
-
-    def test_resumed_recorder_continues_the_seq_line(self, tmp_path):
-        store = TraceStore(str(tmp_path / "s"), segment_events=8)
-        first = ExecutionTrace(spill=store)
-        fill(first, 10)
-        store.close()
-        resumed_store = TraceStore.open(str(tmp_path / "s"))
-        second = ExecutionTrace(spill=resumed_store)
-        fill(second, 5)
-        resumed_store.close()
-        assert [r["seq"] for r in TraceStore.open(str(tmp_path / "s")).events()] \
-            == list(range(15))
 
     def test_seek_leaves_identical_frames_on_both_paths(self, tmp_path):
         store = TraceStore(str(tmp_path / "s"), segment_events=32)

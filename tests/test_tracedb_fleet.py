@@ -126,6 +126,29 @@ class TestCampaignTraceCollection:
         assert result.trace_path == ""
 
 
+    def test_unsealed_store_gives_no_trace_path(self, tmp_path):
+        # a post-mortem opens only what TraceStore.open accepts: a store
+        # whose writer never sealed it is not handed out
+        from repro.comm.protocol import Command, CommandKind
+        from repro.engine.trace import ExecutionTrace
+        from repro.fleet.worker import _sealed_trace_path
+        from repro.tracedb.collect import open_job_store
+        spec = JobSpec(3, "design", "wrong_target", 1, sec(1),
+                       "repro.comdes.examples:traffic_light_system",
+                       "repro.errors:ReproError",
+                       "repro.experiments.requirements:"
+                       "traffic_light_code_watches",
+                       InstrumentationPlan.full(),
+                       trace_dir=str(tmp_path))
+        store = open_job_store(str(tmp_path), 3)
+        ExecutionTrace(spill=store).record(
+            Command(CommandKind.USER, "signal:x", 1), [], "WAITING")
+        store.flush()
+        assert _sealed_trace_path(spec) == ""
+        store.close()
+        assert _sealed_trace_path(spec) == store.root
+        assert TraceStore.open(store.root).event_count == 1
+
 class TestSeedExpansion:
     def test_campaign_seeds_passthrough_without_master(self):
         assert campaign_seeds("design", "wrong_target", (1, 2, 3)) == (1, 2, 3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.comm.protocol import Command, CommandKind
 from repro.engine.replay import ReplayPlayer
-from repro.engine.trace import ExecutionTrace
+from repro.engine.trace import ExecutionTrace, TraceEvent
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
@@ -84,7 +84,7 @@ class TestCodecRoundTrip:
         path = tmp_path / f"seg-{len(batch)}.trc"
         writer = SegmentWriter(str(tmp_path), path.name, 0)
         for record in batch:
-            writer.append(record)
+            writer.append_payload(record["seq"], encode_record(record))
         writer.close()
         assert list(read_segment(str(path))) == batch
         # one record per line: no payload carries a raw newline
@@ -105,8 +105,8 @@ class TestSpillReplayEquivalence:
            segment_events=st.integers(1, 32))
     def test_spill_reload_replay_is_bit_identical(self, tmp_path, choices,
                                                   segment_events):
-        # hypothesis reuses tmp_path across examples: every store (an
-        # attach-on-exist resource) needs a fresh root
+        # hypothesis reuses tmp_path across examples: every store (made
+        # once per root) needs a fresh root
         root = os.path.join(tempfile.mkdtemp(dir=tmp_path), "store")
         store = TraceStore(root, segment_events=segment_events)
         spilled = ExecutionTrace(spill=store)
@@ -172,7 +172,9 @@ class TestMergeOrdering:
             root = os.path.join(base, f"job-{index:05d}")
             store = TraceStore(root)
             for i in range(size):
-                store.append({"t_target": i, "value": index * 1000 + i})
+                store.append(TraceEvent(
+                    i, Command(CommandKind.USER, "signal:x",
+                               index * 1000 + i, t_target=i), [], "WAITING"))
             store.close()
             results.append(self.FakeResult(index, f"job{index}", root))
 

@@ -10,7 +10,7 @@ from repro.comm.protocol import Command, CommandKind
 from repro.engine.checks import MonitorSuite
 from repro.engine.replay import ReplayPlayer
 from repro.engine.timing_diagram import TimingDiagram
-from repro.engine.trace import ExecutionTrace
+from repro.engine.trace import ExecutionTrace, TraceEvent
 from repro.gdm.model import GdmModel
 from repro.gdm.patterns import PatternKind, PatternSpec
 from repro.gdm.reactions import ReactionKind, ReactionRecord
@@ -159,7 +159,7 @@ class TestCheckpointedSeek:
         offline_store = TraceStore(str(tmp_path / "offline"),
                                    segment_events=64)
         for record in live_store.events():
-            offline_store.append(record)
+            offline_store.append(TraceEvent.from_dict(record))
         build_checkpoints(offline_store, engine.gdm, every=40)
 
         live = live_store.checkpoints()
